@@ -39,6 +39,12 @@ def solve_sparse(
     (optionally) a basis of the homogeneous solution space.  If the
     system is inconsistent the result carries the nonzero residual of a
     row that reduced to 0 = residual.
+
+    The pivot rows end in the reduced row-echelon form of the system for
+    the given column order, which is unique: a solved result (solution,
+    rank, free columns, nullspace) therefore does not depend on the order
+    of the rows.  Only an infeasible result's residual and partial rank
+    do, as they come from the first row found inconsistent.
     """
     if len(rows) != len(rhs):
         raise ValueError("row/rhs length mismatch")

@@ -28,7 +28,7 @@ from .multivec import (
     jacobi_check,
     poisson_bracket,
 )
-from .poly import Exponents, Polynomial, exponents_upto
+from .poly import Exponents, Polynomial, add_exponents, exponents_upto
 from .polydiff import (
     PolyDiffOp,
     generator_monomials,
@@ -434,45 +434,73 @@ def _solve_unary_correction(
     mons = generator_monomials(system, slot_degree)
     alphas = exponents_upto(system.dim, bounds.op_order)
     emons = exponents_upto(system.dim, bounds.degree)
-    basis = [(e, a) for a in alphas for e in emons]
+    _, rows, rhs = _unary_ansatz_rows(target, mons, alphas, emons)
+    result = solve_sparse(rows, rhs, len(alphas) * len(emons))
+    if not result.solved:
+        return None
     dim = system.dim
+    acc = PolyDiffOp.zero(dim, 1)
+    for ci, v in result.solution.items():
+        a, e = divmod(ci, len(emons))
+        acc = acc + PolyDiffOp.single(dim, (alphas[a],), Polynomial.monomial(dim, emons[e], v))
+    return acc
 
-    # value tables of d(basis op) on monomial pairs, assembled per row
-    row_index: dict[tuple[tuple[Exponents, Exponents], Exponents], int] = {}
+
+_UnaryRowKey = tuple[tuple[Exponents, Exponents], Exponents]
+
+
+def _unary_ansatz_rows(
+    target: PolyDiffOp,
+    mons: list[tuple[Exponents, Polynomial]],
+    alphas: list[Exponents],
+    emons: list[Exponents],
+) -> tuple[list[_UnaryRowKey], list[dict[int, Fraction]], list[Fraction]]:
+    """The system d(D) = -target on all pairs of generator monomials.
+
+    D ranges over x^e d^a with column (e, a) at index
+    alphas.index(a) * len(emons) + emons.index(e).  A row is labelled by
+    the pair's generator exponents and an ambient monomial; returns the
+    labels, the sparse rows and the right-hand side, in matching order.
+    """
+    labels: list[_UnaryRowKey] = []
+    row_index: dict[_UnaryRowKey, int] = {}
     rows: list[dict[int, Fraction]] = []
     rhs: list[Fraction] = []
 
-    def row_of(pair_key, mono) -> int:
-        key = (pair_key, mono)
-        if key not in row_index:
-            row_index[key] = len(rows)
+    def row_of(key: _UnaryRowKey) -> int:
+        r = row_index.get(key)
+        if r is None:
+            r = row_index[key] = len(rows)
+            labels.append(key)
             rows.append({})
             rhs.append(Fraction(0))
-        return row_index[key]
+        return r
 
-    basis_ops = [
-        PolyDiffOp.single(dim, (a,), Polynomial.monomial(dim, e)) for e, a in basis
-    ]
+    # d^a of every generator monomial and of every product uv, by exponents
+    derivs: dict[tuple[Exponents, Exponents], Polynomial] = {}
+
+    def deriv(exps: Exponents, poly: Polynomial, a: Exponents) -> Polynomial:
+        value = derivs.get((exps, a))
+        if value is None:
+            value = derivs[(exps, a)] = poly.partial_multi(a)
+        return value
+
     for (ue, u), (ve, v) in itertools.product(mons, repeat=2):
         pair_key = (ue, ve)
+        uve = add_exponents(ue, ve)
         uv = u * v
-        for ci, op in enumerate(basis_ops):
-            # d(op)(u, v) = u op(v) - op(uv) + op(u) v
-            value = u * op.apply([v]) - op.apply([uv]) + op.apply([u]) * v
-            for mono, c in value.terms.items():
-                r = row_of(pair_key, mono)
-                rows[r][ci] = rows[r].get(ci, Fraction(0)) + c
+        for ai, a in enumerate(alphas):
+            # d(x^e D) = x^e d(D) since the order-0 product is commutative:
+            # evaluate w_a = u d^a(v) - d^a(uv) + d^a(u) v once, shift it by e
+            w = u * deriv(ve, v, a) - deriv(uve, uv, a) + deriv(ue, u, a) * v
+            terms = list(w.terms.items())
+            base = ai * len(emons)
+            for ei, e in enumerate(emons):
+                for mono, c in terms:
+                    rows[row_of((pair_key, add_exponents(mono, e)))][base + ei] = c
         for mono, c in target.apply([u, v]).terms.items():
-            rhs[row_of(pair_key, mono)] = -c
-
-    result = solve_sparse(rows, rhs, len(basis))
-    if not result.solved:
-        return None
-    acc = PolyDiffOp.zero(dim, 1)
-    for ci, v in result.solution.items():
-        e, a = basis[ci]
-        acc = acc + PolyDiffOp.single(dim, (a,), Polynomial.monomial(dim, e, v))
-    return acc
+            rhs[row_of((pair_key, mono))] = -c
+    return labels, rows, rhs
 
 
 @dataclass
@@ -482,6 +510,8 @@ class GaugeStepResult:
     diffeo: FormalDiffeo | None = None
     lift: Polyvector | None = None
     bounds: Bounds | None = None
+    # the product after the gauge, built once for the post-check
+    transformed: StarProduct | None = None
 
     @property
     def solved(self) -> bool:
@@ -526,7 +556,12 @@ def gauge_step(
     if not vanishes_on_generators(transformed.term(n), system):
         raise AssertionError("gauge step failed its built-in restriction post-check")
     return GaugeStepResult(
-        status="solved", order=n, diffeo=diffeo, lift=lifted, bounds=bounds
+        status="solved",
+        order=n,
+        diffeo=diffeo,
+        lift=lifted,
+        bounds=bounds,
+        transformed=transformed,
     )
 
 
@@ -580,7 +615,9 @@ def _normalize_first_order(
     transformed = gauge_transform(s, diffeo)
     if not vanishes_on_generators(transformed.term(1), system):
         raise AssertionError("first-order normalization failed its post-check")
-    record.step = GaugeStepResult(status="solved", order=1, diffeo=diffeo, bounds=bounds)
+    record.step = GaugeStepResult(
+        status="solved", order=1, diffeo=diffeo, bounds=bounds, transformed=transformed
+    )
     return "ok", transformed, diffeo, record
 
 
@@ -697,7 +734,7 @@ def eliminate_to_order(
                 bounds=bounds,
                 detail=f"gauge step at order {n} exhausted the ansatz bounds",
             )
-        current = gauge_transform(current, step.diffeo)
+        current = step.transformed
         gauge = compose_diffeo(gauge, step.diffeo)
 
     for k in range(1, order + 1):

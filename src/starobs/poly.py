@@ -154,8 +154,13 @@ class Polynomial:
         if n < 0:
             raise ValueError("negative powers are not polynomials")
         result = Polynomial.one(self.dim)
-        for _ in range(n):
-            result = result * self
+        base = self
+        while n:
+            if n & 1:
+                result = result * base
+            n >>= 1
+            if n:
+                base = base * base
         return result
 
     def __bool__(self) -> bool:

@@ -22,7 +22,7 @@ from typing import Sequence
 
 from .linsolve import solve_sparse
 from .multivec import Polyvector
-from .poly import Exponents, Polynomial, TruncatedSeries, exponents_upto
+from .poly import Exponents, Polynomial, TruncatedSeries, add_exponents, exponents_upto
 from .polydiff import DerivKey, PolyDiffOp, hochschild_d
 
 
@@ -352,6 +352,24 @@ def _op_coordinates(op: PolyDiffOp) -> dict[tuple[DerivKey, Exponents], Fraction
     return coords
 
 
+def _extension_columns(
+    dim: int, basis: list[tuple[Exponents, DerivKey]]
+) -> list[dict[tuple[DerivKey, Exponents], Fraction]]:
+    """Coordinates of d(x^e d^key) for each ansatz column (e, key)."""
+    # d(x^e B) = x^e d(B) since the order-0 product is commutative:
+    # one differential per derivative key, its coordinates shifted by e
+    per_key: dict[DerivKey, dict[tuple[DerivKey, Exponents], Fraction]] = {}
+    columns = []
+    for emon, key in basis:
+        coords = per_key.get(key)
+        if coords is None:
+            coords = per_key[key] = _op_coordinates(hochschild_d(PolyDiffOp.single(dim, key)))
+        columns.append(
+            {(dkey, add_exponents(mono, emon)): c for (dkey, mono), c in coords.items()}
+        )
+    return columns
+
+
 def extend_one_order(
     s: StarProduct, coefficient_degree: int, operator_order: int
 ) -> ExtensionResult:
@@ -385,11 +403,8 @@ def extend_one_order(
             row_index[coord] = len(row_index)
         return row_index[coord]
 
-    col_coords = []
-    for emon, key in basis:
-        op = PolyDiffOp.single(dim, key, Polynomial.monomial(dim, emon))
-        coords = _op_coordinates(hochschild_d(op))
-        col_coords.append(coords)
+    col_coords = _extension_columns(dim, basis)
+    for coords in col_coords:
         for coord in coords:
             row_of(coord)
     target_coords = _op_coordinates(target)

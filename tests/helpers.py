@@ -15,6 +15,10 @@ from starobs import (
     moyal_star,
     parse_polynomial,
 )
+from starobs.linsolve import solve_sparse
+from starobs.poly import exponents_upto
+from starobs.polydiff import generator_monomials, hochschild_d
+from starobs.star import _op_coordinates
 
 R2 = ["x", "p"]
 R3 = ["x", "y", "z"]
@@ -195,3 +199,66 @@ def op_add(a: PolyDiffOp, b: PolyDiffOp) -> PolyDiffOp:
             return a
         raise AssertionError("incompatible arities on nonzero operators")
     return a + b
+
+
+# -- per-column ansatz assemblers, the reference for the factored kernels ---------
+
+
+def reference_unary_rows(target, mons, alphas, emons):
+    """Labels, rows and rhs of d(D) = -target with one apply triple per column.
+
+    Column (e, a) is x^e d^a in the order [(e, a) for a in alphas for e in
+    emons]; d(op)(u, v) = u op(v) - op(uv) + op(u) v is evaluated for every
+    column and every pair of generator monomials.
+    """
+    dim = target.dim
+    basis_ops = [
+        PolyDiffOp.single(dim, (a,), Polynomial.monomial(dim, e)) for a in alphas for e in emons
+    ]
+    row_index = {}
+    rows, rhs = [], []
+
+    def row_of(key):
+        if key not in row_index:
+            row_index[key] = len(rows)
+            rows.append({})
+            rhs.append(Fraction(0))
+        return row_index[key]
+
+    for (ue, u), (ve, v) in itertools.product(mons, repeat=2):
+        uv = u * v
+        for ci, op in enumerate(basis_ops):
+            value = u * op.apply([v]) - op.apply([uv]) + op.apply([u]) * v
+            for mono, c in value.terms.items():
+                r = row_of(((ue, ve), mono))
+                rows[r][ci] = rows[r].get(ci, Fraction(0)) + c
+        for mono, c in target.apply([u, v]).terms.items():
+            rhs[row_of(((ue, ve), mono))] = -c
+    return list(row_index), rows, rhs
+
+
+def reference_unary_correction(s, system, n, bounds):
+    """The unary gauge solve assembled column by column."""
+    target = s.term(n)
+    slot_degree = max(target.order(), bounds.op_order) + 1
+    mons = generator_monomials(system, slot_degree)
+    alphas = exponents_upto(system.dim, bounds.op_order)
+    emons = exponents_upto(system.dim, bounds.degree)
+    basis = [(e, a) for a in alphas for e in emons]
+    _, rows, rhs = reference_unary_rows(target, mons, alphas, emons)
+    result = solve_sparse(rows, rhs, len(basis))
+    if not result.solved:
+        return None
+    acc = PolyDiffOp.zero(system.dim, 1)
+    for ci, v in result.solution.items():
+        e, a = basis[ci]
+        acc = acc + PolyDiffOp.single(system.dim, (a,), Polynomial.monomial(system.dim, e, v))
+    return acc
+
+
+def reference_extension_columns(dim, basis):
+    """Coordinates of d(x^e d^key), one Hochschild differential per column."""
+    return [
+        _op_coordinates(hochschild_d(PolyDiffOp.single(dim, key, Polynomial.monomial(dim, emon))))
+        for emon, key in basis
+    ]

@@ -181,3 +181,17 @@ def test_hash_consistent_with_equality():
 def test_series_map():
     u = TruncatedSeries(1, [p2("x"), p2("p")])
     assert u.map(lambda c: c * 2) == TruncatedSeries(1, [p2("2*x"), p2("2*p")])
+
+
+def test_parse_huge_power_is_one_monomial():
+    assert parse_polynomial("x^1000000", ["x"]) == Polynomial.monomial(1, (1000000,))
+
+
+def test_power_matches_repeated_product():
+    base = parse_polynomial("x+1", ["x"])
+    product = Polynomial.one(1)
+    for _ in range(7):
+        product = product * base
+    assert base**7 == product
+    assert base**0 == Polynomial.one(1)
+    assert base**1 == base
