@@ -490,13 +490,11 @@ def _unary_ansatz_rows(
         uve = add_exponents(ue, ve)
         uv = u * v
         for ai, a in enumerate(alphas):
-            # d(x^e D) = x^e d(D) since the order-0 product is commutative:
-            # evaluate w_a = u d^a(v) - d^a(uv) + d^a(u) v once, shift it by e
+            # d(x^e D) = x^e d(D) (order 0 is commutative): w_a = d(d^a)(u, v) serves every e
             w = u * deriv(ve, v, a) - deriv(uve, uv, a) + deriv(ue, u, a) * v
-            terms = list(w.terms.items())
             base = ai * len(emons)
             for ei, e in enumerate(emons):
-                for mono, c in terms:
+                for mono, c in w.terms.items():
                     rows[row_of((pair_key, add_exponents(mono, e)))][base + ei] = c
         for mono, c in target.apply([u, v]).terms.items():
             rhs[row_of((pair_key, mono))] = -c

@@ -356,8 +356,7 @@ def _extension_columns(
     dim: int, basis: list[tuple[Exponents, DerivKey]]
 ) -> list[dict[tuple[DerivKey, Exponents], Fraction]]:
     """Coordinates of d(x^e d^key) for each ansatz column (e, key)."""
-    # d(x^e B) = x^e d(B) since the order-0 product is commutative:
-    # one differential per derivative key, its coordinates shifted by e
+    # d(x^e B) = x^e d(B) (order 0 is commutative): one d(d^key) serves every e, shifted
     per_key: dict[DerivKey, dict[tuple[DerivKey, Exponents], Fraction]] = {}
     columns = []
     for emon, key in basis:

@@ -11,7 +11,7 @@ from golden.regenerate import COMMANDS, error_record, expected_path, problem_fil
 CASES = [(problem, command) for problem in problem_files() for command in COMMANDS]
 
 
-def test_every_shipped_problem_has_goldens():
+def test_goldens_cover_all_problems_and_commands():
     assert len(CASES) == 24
 
 
