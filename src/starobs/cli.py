@@ -112,25 +112,20 @@ def op_from_payload(dim: int, arity: int, payload: list[dict], names: list[str])
     return acc
 
 
-def relclass_payload(c: RelativeClass, names: list[str]) -> dict:
+def polyvector_payload(v: Polyvector | RelativeClass, names: list[str]) -> dict:
+    """Components keyed by their 1-based index tuple, e.g. "(1,2)"."""
     out = {}
-    for idx, p in sorted(c.components.items()):
+    for idx, p in sorted(v.components.items()):
         key = "(" + ",".join(str(i + 1) for i in idx) + ")"
         out[key] = poly_payload(p, names)
     return out
 
 
-def star_payload(s: StarProduct, names: list[str]) -> dict:
+def star_payload(s: StarProduct | FormalDiffeo, names: list[str]) -> dict:
+    """The order and the operator at each order 1..order."""
     return {
         "order": s.order,
         "terms": {str(k): op_payload(s.term(k), names) for k in range(1, s.order + 1)},
-    }
-
-
-def diffeo_payload(D: FormalDiffeo, names: list[str]) -> dict:
-    return {
-        "order": D.order,
-        "terms": {str(k): op_payload(D.term(k), names) for k in range(1, D.order + 1)},
     }
 
 
@@ -141,14 +136,6 @@ def diffeo_from_payload(dim: int, payload: dict, names: list[str]) -> FormalDiff
         k = int(k_str)
         terms[k] = op_from_payload(dim, 1, ops, names)
     return FormalDiffeo.from_parts(dim, order, terms)
-
-
-def polyvector_payload(v: Polyvector, names: list[str]) -> dict:
-    out = {}
-    for idx, p in sorted(v.components.items()):
-        key = "(" + ",".join(str(i + 1) for i in idx) + ")"
-        out[key] = poly_payload(p, names)
-    return out
 
 
 def problem_payload(problem: Problem) -> dict:
@@ -191,22 +178,39 @@ def _parse_poly_field(text: Any, names: list[str], where: str) -> Polynomial:
         raise ProblemError(f"{where}: {exc}") from exc
 
 
+def _integer(value: Any, where: str, minimum: int) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ProblemError(f"{where}: expected an integer, got {type(value).__name__}")
+    if value < minimum:
+        raise ProblemError(f"{where}: must be at least {minimum}, got {value}")
+    return value
+
+
+def _field(data: dict, key: str, kind: type, where: str) -> Any:
+    """data[key] (an empty `kind` when absent), checked to be a list or an object."""
+    value = data.get(key, kind())
+    if not isinstance(value, kind):
+        expected = "a list" if kind is list else "an object"
+        raise ProblemError(f"{where}: expected {expected}, got {type(value).__name__}")
+    return value
+
+
 def load_problem_data(data: dict) -> Problem:
     if not isinstance(data, dict):
         raise ProblemError("problem file must contain a JSON object")
     try:
-        dim = int(data["dimension"])
+        dim = data["dimension"]
         names = list(data["coordinates"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ProblemError(f"missing or bad 'dimension'/'coordinates': {exc}") from exc
-    if dim < 1 or len(names) != dim:
+    dim = _integer(dim, "dimension", 1)
+    if len(names) != dim:
         raise ProblemError(f"'coordinates' must list exactly {dim} names")
     if len(set(names)) != dim:
         raise ProblemError("coordinate names must be distinct")
 
-    entries = data.get("poisson", [])
     comps = {}
-    for k, entry in enumerate(entries):
+    for k, entry in enumerate(_field(data, "poisson", list, "poisson")):
         where = f"poisson[{k}]"
         try:
             i, j, coeff_text = entry
@@ -237,9 +241,9 @@ def load_problem_data(data: dict) -> Problem:
             star = moyal_star(pi, order)
         elif star_spec["type"] == "terms":
             corrections = []
-            terms_map = star_spec.get("terms", {})
+            terms_map = _field(star_spec, "terms", dict, "star.terms")
             for k in range(1, order + 1):
-                payload = terms_map.get(str(k), [])
+                payload = _field(terms_map, str(k), list, f"star.terms.{k}")
                 corrections.append(op_from_payload(dim, 2, payload, names))
             for key in terms_map:
                 if not key.isdigit() or not 1 <= int(key) <= order:
@@ -250,13 +254,13 @@ def load_problem_data(data: dict) -> Problem:
 
     generators = [
         _parse_poly_field(g, names, f"generators[{k}]")
-        for k, g in enumerate(data.get("generators", []))
+        for k, g in enumerate(_field(data, "generators", list, "generators"))
     ]
 
-    bounds_data = data.get("bounds", {})
+    bounds_data = _field(data, "bounds", dict, "bounds")
     bounds = Bounds(
-        degree=int(bounds_data.get("degree", 3)),
-        op_order=int(bounds_data.get("op_order", 3)),
+        degree=_integer(bounds_data.get("degree", 3), "bounds.degree", 0),
+        op_order=_integer(bounds_data.get("op_order", 3), "bounds.op_order", 0),
     )
     command = data.get("command")
     if command is not None and command not in COMMANDS:
@@ -403,7 +407,7 @@ def cmd_obstruction(problem: Problem, order: int | None) -> dict:
     cascade = cocycle_cascade_check(star, system, n)
     payload = {
         "order": n,
-        "class": relclass_payload(chi, problem.names),
+        "class": polyvector_payload(chi, problem.names),
         "class_zero": chi.is_zero(),
         "closed_on_subalgebra": cascade.cochain_closed,
         "class_closed": cascade.class_closed,
@@ -415,7 +419,7 @@ def cmd_obstruction(problem: Problem, order: int | None) -> dict:
             "status": exact.status,
             "certificate": exact.certificate,
             "degree_bound": exact.degree_bound,
-            "witness": relclass_payload(exact.witness, problem.names)
+            "witness": polyvector_payload(exact.witness, problem.names)
             if exact.witness is not None
             else None,
         }
@@ -428,7 +432,7 @@ def _report_payload(report: ObstructionReport, names: list[str]) -> dict:
         entry: dict[str, Any] = {
             "order": rec.order,
             "table_zero": rec.table_zero,
-            "class": relclass_payload(rec.obstruction, names),
+            "class": polyvector_payload(rec.obstruction, names),
         }
         if rec.cascade is not None:
             entry["closed_on_subalgebra"] = rec.cascade.cochain_closed
@@ -438,14 +442,14 @@ def _report_payload(report: ObstructionReport, names: list[str]) -> dict:
                 "status": rec.exactness.status,
                 "certificate": rec.exactness.certificate,
                 "degree_bound": rec.exactness.degree_bound,
-                "witness": relclass_payload(rec.exactness.witness, names)
+                "witness": polyvector_payload(rec.exactness.witness, names)
                 if rec.exactness.witness is not None
                 else None,
             }
         if rec.step is not None:
             entry["gauge_step"] = {
                 "status": rec.step.status,
-                "diffeo": diffeo_payload(rec.step.diffeo, names)
+                "diffeo": star_payload(rec.step.diffeo, names)
                 if rec.step.diffeo is not None
                 else None,
             }
@@ -454,8 +458,8 @@ def _report_payload(report: ObstructionReport, names: list[str]) -> dict:
         "status": report.status,
         "order_reached": report.order_reached,
         "detail": report.detail,
-        "classes": [relclass_payload(c, names) for c in report.classes],
-        "gauge": diffeo_payload(report.gauge, names),
+        "classes": [polyvector_payload(c, names) for c in report.classes],
+        "gauge": star_payload(report.gauge, names),
         "star": star_payload(report.star, names),
         "records": records,
         "bounds": {"degree": report.bounds.degree, "op_order": report.bounds.op_order},
@@ -547,10 +551,12 @@ def main(argv: list[str] | None = None) -> int:
             problem.seed = args.seed
         if args.degree_bound is not None or args.op_order_bound is not None:
             problem.bounds = Bounds(
-                degree=args.degree_bound if args.degree_bound is not None else problem.bounds.degree,
-                op_order=args.op_order_bound
-                if args.op_order_bound is not None
-                else problem.bounds.op_order,
+                degree=problem.bounds.degree
+                if args.degree_bound is None
+                else _integer(args.degree_bound, "--degree-bound", 0),
+                op_order=problem.bounds.op_order
+                if args.op_order_bound is None
+                else _integer(args.op_order_bound, "--op-order-bound", 0),
             )
         command = args.command or problem.command
         if command is None:

@@ -1,15 +1,23 @@
 """Sparse exact linear algebra over the rationals.
 
 Systems produced by the operator ansatz solvers are sparse and modest in
-size, so plain fraction-free-ish Gauss-Jordan on dict rows is enough.
-Everything is exact; infeasibility comes with the offending reduced row
-so callers can report an honest certificate.
+size, so Gauss-Jordan elimination on dict rows of ``Fraction`` entries is
+enough.  Everything is exact; infeasibility comes with the offending
+reduced row so callers can report an honest certificate.
+
+The solvers assemble their systems with ``_SparseSystem``: columns are
+fixed up front as a list of labels (that list's order is the solve's
+column order), a row is created the first time its label is used, and
+the solution and nullspace come back keyed by column label.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Hashable, Sequence
+
+from .poly import _accumulate
 
 
 @dataclass
@@ -113,3 +121,50 @@ def solve_sparse(
         free_columns=free_cols,
         nullspace=nullspace,
     )
+
+
+class _SparseSystem:
+    """A x = b assembled under row and column labels.
+
+    Rows keep the order in which their labels were first used; an entry
+    added twice to one position is summed, and a zero sum is dropped.
+    """
+
+    def __init__(self, columns: Sequence[Hashable]):
+        self.columns = list(columns)
+        self._column_index = {label: ci for ci, label in enumerate(self.columns)}
+        self._row_index: dict[Hashable, int] = {}
+        self.rows: list[dict[int, Fraction]] = []
+        self.rhs: list[Fraction] = []
+
+    @property
+    def row_labels(self) -> list[Hashable]:
+        return list(self._row_index)
+
+    def _row(self, label: Hashable) -> int:
+        r = self._row_index.get(label)
+        if r is None:
+            r = self._row_index[label] = len(self.rows)
+            self.rows.append({})
+            self.rhs.append(Fraction(0))
+        return r
+
+    def _add(self, row: Hashable, column: Hashable, value: Fraction):
+        """A[row, column] += value."""
+        _accumulate(self.rows[self._row(row)], self._column_index[column], value)
+
+    def _add_rhs(self, row: Hashable, value: Fraction):
+        """b[row] += value."""
+        self.rhs[self._row(row)] += value
+
+    def _solve(
+        self, want_nullspace: bool = False
+    ) -> tuple[dict[Hashable, Fraction], list[dict[Hashable, Fraction]]] | None:
+        """(particular solution, nullspace basis) keyed by column label, or None."""
+        result = solve_sparse(self.rows, self.rhs, len(self.columns), want_nullspace)
+        if not result.solved:
+            return None
+        cols = self.columns
+        solution = {cols[ci]: v for ci, v in result.solution.items()}
+        nullspace = [{cols[ci]: v for ci, v in vec.items()} for vec in result.nullspace]
+        return solution, nullspace

@@ -28,7 +28,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import TYPE_CHECKING, Mapping, Sequence
 
-from .poly import Polynomial
+from .poly import Polynomial, _accumulate
 
 if TYPE_CHECKING:  # pragma: no cover
     from .obstruction import IntegrableSystem
@@ -83,13 +83,8 @@ class Polyvector:
                 if poly.dim != dim:
                     raise ValueError("component dimension mismatch")
                 key, sign = sort_with_sign(idx)
-                if sign == 0 or poly.is_zero():
-                    continue
-                acc = clean.get(key, Polynomial.zero(dim)) + poly * sign
-                if acc.is_zero():
-                    clean.pop(key, None)
-                else:
-                    clean[key] = acc
+                if sign:
+                    _accumulate(clean, key, poly * sign)
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "components", clean)
@@ -193,14 +188,8 @@ def wedge(P: Polyvector, Q: Polyvector) -> Polyvector:
     for i1, p1 in P.components.items():
         for i2, p2 in Q.components.items():
             key, sign = sort_with_sign(i1 + i2)
-            if sign == 0:
-                continue
-            add = p1 * p2 * sign
-            acc = comps.get(key, Polynomial.zero(P.dim)) + add
-            if acc.is_zero():
-                comps.pop(key, None)
-            else:
-                comps[key] = acc
+            if sign:
+                _accumulate(comps, key, p1 * p2 * sign)
     return Polyvector(P.dim, degree, comps)
 
 
@@ -251,13 +240,8 @@ def schouten_bracket(P: Polyvector, Q: Polyvector) -> Polyvector:
 
     def put(indices: Sequence[int], poly: Polynomial):
         key, sign = sort_with_sign(indices)
-        if sign == 0 or poly.is_zero():
-            return
-        acc = comps.get(key, Polynomial.zero(dim)) + poly * sign
-        if acc.is_zero():
-            comps.pop(key, None)
-        else:
-            comps[key] = acc
+        if sign:
+            _accumulate(comps, key, poly * sign)
 
     # pairing the factors with signs (-1)^(r+s) gives the standard
     # decomposable expansion; the extra bicharacter (-1)^((p-1)(q-1))
@@ -352,13 +336,8 @@ class RelativeClass:
                 if poly.dim != dim:
                     raise ValueError("component dimension mismatch")
                 key, sign = sort_with_sign(idx)
-                if sign == 0 or poly.is_zero():
-                    continue
-                acc = clean.get(key, Polynomial.zero(dim)) + poly * sign
-                if acc.is_zero():
-                    clean.pop(key, None)
-                else:
-                    clean[key] = acc
+                if sign:
+                    _accumulate(clean, key, poly * sign)
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "system_size", system_size)
         object.__setattr__(self, "degree", degree)
@@ -436,13 +415,6 @@ def d_hor(system: "IntegrableSystem", c: RelativeClass) -> RelativeClass:
         for i, f in enumerate(system.generators):
             if i in idx:
                 continue
-            bracket = poisson_bracket(system.pi, f, w)
-            if bracket.is_zero():
-                continue
             key, sign = sort_with_sign((i,) + idx)
-            acc = comps.get(key, Polynomial.zero(c.dim)) + bracket * sign
-            if acc.is_zero():
-                comps.pop(key, None)
-            else:
-                comps[key] = acc
+            _accumulate(comps, key, poisson_bracket(system.pi, f, w) * sign)
     return RelativeClass(c.dim, n, c.degree + 1, comps)

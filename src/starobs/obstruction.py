@@ -19,7 +19,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linsolve import solve_sparse
+from .linsolve import _SparseSystem
 from .multivec import (
     Polyvector,
     RelativeClass,
@@ -28,7 +28,7 @@ from .multivec import (
     jacobi_check,
     poisson_bracket,
 )
-from .poly import Exponents, Polynomial, add_exponents, exponents_upto
+from .poly import Exponents, Polynomial, _gather_monomials, add_exponents, exponents_upto
 from .polydiff import (
     PolyDiffOp,
     generator_monomials,
@@ -233,6 +233,13 @@ def cocycle_cascade_check(s: StarProduct, system: IntegrableSystem, n: int) -> C
     """
     _require_certified(s, n)
     _require_lower_orders_flat(s, system, n)
+    return _cascade(s, system, n, _raw_class(s, system, n))
+
+
+def _cascade(
+    s: StarProduct, system: IntegrableSystem, n: int, chi: RelativeClass
+) -> CascadeReport:
+    """The closedness checks of cocycle_cascade_check, given the order-n class."""
     dop = hochschild_d(s.term(n))
     table = restricted_values(dop, system, dop.order() + 1)
     cochain_witness = None
@@ -240,7 +247,6 @@ def cocycle_cascade_check(s: StarProduct, system: IntegrableSystem, n: int) -> C
         if not table[key].is_zero():
             cochain_witness = key
             break
-    chi = _raw_class(s, system, n)
     image = d_hor(system, chi)
     class_witness = None if image.is_zero() else min(image.components)
     return CascadeReport(
@@ -295,50 +301,28 @@ def exactness_solve(
         )
 
     emons = exponents_upto(dim, degree_bound)
-    columns = [(j, e) for j in range(n) for e in emons]
-    col_index = {col: ci for ci, col in enumerate(columns)}
     brackets: dict[tuple[int, Exponents], Polynomial] = {}
     for i, g in enumerate(system.generators):
         for e in emons:
             brackets[(i, e)] = poisson_bracket(system.pi, g, Polynomial.monomial(dim, e))
-
-    row_index: dict[tuple[tuple[int, int], Exponents], int] = {}
-    rows: list[dict[int, Fraction]] = []
-    rhs: list[Fraction] = []
-
-    def row_of(pair, mono) -> int:
-        key = (pair, mono)
-        if key not in row_index:
-            row_index[key] = len(rows)
-            rows.append({})
-            rhs.append(Fraction(0))
-        return row_index[key]
-
+    eqs = _SparseSystem([(e, (j,)) for j in range(n) for e in emons])
     for i in range(n):
         for j in range(i + 1, n):
             # {f_i, g_j} - {f_j, g_i} = c_ij
             for e in emons:
                 for mono, v in brackets[(i, e)].terms.items():
-                    rows[row_of((i, j), mono)][col_index[(j, e)]] = (
-                        rows[row_of((i, j), mono)].get(col_index[(j, e)], Fraction(0)) + v
-                    )
+                    eqs._add(((i, j), mono), (e, (j,)), v)
                 for mono, v in brackets[(j, e)].terms.items():
-                    rows[row_of((i, j), mono)][col_index[(i, e)]] = (
-                        rows[row_of((i, j), mono)].get(col_index[(i, e)], Fraction(0)) - v
-                    )
+                    eqs._add(((i, j), mono), (e, (i,)), -v)
             for mono, v in c.component((i, j)).terms.items():
-                rhs[row_of((i, j), mono)] = v
+                eqs._add_rhs(((i, j), mono), v)
 
-    result = solve_sparse(rows, rhs, len(columns))
-    if not result.solved:
+    solved = eqs._solve()
+    if solved is None:
         return ExactnessResult(
             status="infeasible", degree_bound=degree_bound, certificate="rank_at_bound"
         )
-    comps: dict[tuple[int, ...], Polynomial] = {}
-    for ci, v in result.solution.items():
-        j, e = columns[ci]
-        comps[(j,)] = comps.get((j,), Polynomial.zero(dim)) + Polynomial.monomial(dim, e, v)
-    witness = RelativeClass(dim, n, 1, comps)
+    witness = RelativeClass(dim, n, 1, _gather_monomials(dim, solved[0]))
     if d_hor(system, witness) != c:
         raise AssertionError("exactness witness failed its built-in post-check")
     return ExactnessResult(status="solved", degree_bound=degree_bound, witness=witness)
@@ -381,39 +365,20 @@ def lift_witness(
         return Polyvector(dim, 1, comps)
 
     emons = exponents_upto(dim, degree_bound)
-    columns = [(k, e) for k in range(dim) for e in emons]
-    col_index = {col: ci for ci, col in enumerate(columns)}
-    row_index: dict[tuple[int, Exponents], int] = {}
-    rows: list[dict[int, Fraction]] = []
-    rhs: list[Fraction] = []
-
-    def row_of(j, mono) -> int:
-        key = (j, mono)
-        if key not in row_index:
-            row_index[key] = len(rows)
-            rows.append({})
-            rhs.append(Fraction(0))
-        return row_index[key]
-
+    eqs = _SparseSystem([(e, (k,)) for k in range(dim) for e in emons])
     for j, g in enumerate(system.generators):
         partials = [g.partial(k) for k in range(dim)]
         for k in range(dim):
             for e in emons:
-                prod = Polynomial.monomial(dim, e) * partials[k]
-                for mono, v in prod.terms.items():
-                    r = row_of(j, mono)
-                    rows[r][col_index[(k, e)]] = rows[r].get(col_index[(k, e)], Fraction(0)) + v
+                for mono, v in (Polynomial.monomial(dim, e) * partials[k]).terms.items():
+                    eqs._add((j, mono), (e, (k,)), v)
         for mono, v in Y.component((j,)).terms.items():
-            rhs[row_of(j, mono)] = v
+            eqs._add_rhs((j, mono), v)
 
-    result = solve_sparse(rows, rhs, len(columns))
-    if not result.solved:
+    solved = eqs._solve()
+    if solved is None:
         return None
-    comps: dict[tuple[int, ...], Polynomial] = {}
-    for ci, v in result.solution.items():
-        k, e = columns[ci]
-        comps[(k,)] = comps.get((k,), Polynomial.zero(dim)) + Polynomial.monomial(dim, e, v)
-    field_ = Polyvector(dim, 1, comps)
+    field_ = Polyvector(dim, 1, _gather_monomials(dim, solved[0]))
     for j, g in enumerate(system.generators):
         if hkr_to_cochain(field_).apply([g]) != Y.component((j,)):
             raise AssertionError("vector field lift failed its post-check")
@@ -434,19 +399,10 @@ def _solve_unary_correction(
     mons = generator_monomials(system, slot_degree)
     alphas = exponents_upto(system.dim, bounds.op_order)
     emons = exponents_upto(system.dim, bounds.degree)
-    _, rows, rhs = _unary_ansatz_rows(target, mons, alphas, emons)
-    result = solve_sparse(rows, rhs, len(alphas) * len(emons))
-    if not result.solved:
+    solved = _unary_ansatz_rows(target, mons, alphas, emons)._solve()
+    if solved is None:
         return None
-    dim = system.dim
-    acc = PolyDiffOp.zero(dim, 1)
-    for ci, v in result.solution.items():
-        a, e = divmod(ci, len(emons))
-        acc = acc + PolyDiffOp.single(dim, (alphas[a],), Polynomial.monomial(dim, emons[e], v))
-    return acc
-
-
-_UnaryRowKey = tuple[tuple[Exponents, Exponents], Exponents]
+    return PolyDiffOp(system.dim, 1, _gather_monomials(system.dim, solved[0]))
 
 
 def _unary_ansatz_rows(
@@ -454,28 +410,14 @@ def _unary_ansatz_rows(
     mons: list[tuple[Exponents, Polynomial]],
     alphas: list[Exponents],
     emons: list[Exponents],
-) -> tuple[list[_UnaryRowKey], list[dict[int, Fraction]], list[Fraction]]:
+) -> _SparseSystem:
     """The system d(D) = -target on all pairs of generator monomials.
 
-    D ranges over x^e d^a with column (e, a) at index
-    alphas.index(a) * len(emons) + emons.index(e).  A row is labelled by
-    the pair's generator exponents and an ambient monomial; returns the
-    labels, the sparse rows and the right-hand side, in matching order.
+    D ranges over x^e d^a, column (e, (a,)), in the order
+    [(e, (a,)) for a in alphas for e in emons].  A row is labelled by the
+    pair's generator exponents and an ambient monomial.
     """
-    labels: list[_UnaryRowKey] = []
-    row_index: dict[_UnaryRowKey, int] = {}
-    rows: list[dict[int, Fraction]] = []
-    rhs: list[Fraction] = []
-
-    def row_of(key: _UnaryRowKey) -> int:
-        r = row_index.get(key)
-        if r is None:
-            r = row_index[key] = len(rows)
-            labels.append(key)
-            rows.append({})
-            rhs.append(Fraction(0))
-        return r
-
+    eqs = _SparseSystem([(e, (a,)) for a in alphas for e in emons])
     # d^a of every generator monomial and of every product uv, by exponents
     derivs: dict[tuple[Exponents, Exponents], Polynomial] = {}
 
@@ -489,16 +431,16 @@ def _unary_ansatz_rows(
         pair_key = (ue, ve)
         uve = add_exponents(ue, ve)
         uv = u * v
-        for ai, a in enumerate(alphas):
+        for a in alphas:
             # d(x^e D) = x^e d(D) (order 0 is commutative): w_a = d(d^a)(u, v) serves every e
             w = u * deriv(ve, v, a) - deriv(uve, uv, a) + deriv(ue, u, a) * v
-            base = ai * len(emons)
-            for ei, e in enumerate(emons):
+            for e in emons:
+                column = (e, (a,))
                 for mono, c in w.terms.items():
-                    rows[row_of((pair_key, add_exponents(mono, e)))][base + ei] = c
+                    eqs._add((pair_key, add_exponents(mono, e)), column, c)
         for mono, c in target.apply([u, v]).terms.items():
-            rhs[row_of((pair_key, mono))] = -c
-    return labels, rows, rhs
+            eqs._add_rhs((pair_key, mono), -c)
+    return eqs
 
 
 @dataclass
@@ -644,49 +586,45 @@ def eliminate_to_order(
     current = s
     gauge = FormalDiffeo.identity(s.dim, s.order)
     records: list[OrderRecord] = []
-    classes: list[RelativeClass] = []
+
+    def finish(status: str, order_reached: int, detail: str) -> ObstructionReport:
+        return ObstructionReport(
+            status=status,
+            order_reached=order_reached,
+            classes=[r.obstruction for r in records],
+            gauge=gauge,
+            star=current,
+            records=records,
+            bounds=bounds,
+            detail=detail,
+        )
 
     status, current, diffeo, record = _normalize_first_order(current, system, bounds)
     records.append(record)
-    classes.append(record.obstruction)
     if diffeo is not None:
         gauge = compose_diffeo(gauge, diffeo)
     if status == OBSTRUCTED:
-        return ObstructionReport(
-            status=OBSTRUCTED,
-            order_reached=1,
-            classes=classes,
-            gauge=gauge,
-            star=current,
-            records=records,
-            bounds=bounds,
-            detail="nonzero first-order commutator on generators (gauge-invariant)",
+        return finish(
+            OBSTRUCTED, 1, "nonzero first-order commutator on generators (gauge-invariant)"
         )
     if status == UNDECIDED:
-        return ObstructionReport(
-            status=UNDECIDED,
-            order_reached=1,
-            classes=classes,
-            gauge=gauge,
-            star=current,
-            records=records,
-            bounds=bounds,
-            detail="first-order normalization exhausted the ansatz bounds",
-        )
+        return finish(UNDECIDED, 1, "first-order normalization exhausted the ansatz bounds")
 
     for n in range(2, order + 1):
         if vanishes_on_generators(current.term(n), system):
-            record = OrderRecord(
-                order=n, table_zero=True, obstruction=RelativeClass.zero(s.dim, system.size, 2)
+            records.append(
+                OrderRecord(
+                    order=n, table_zero=True, obstruction=RelativeClass.zero(s.dim, system.size, 2)
+                )
             )
-            records.append(record)
-            classes.append(record.obstruction)
             continue
-        chi = obstruction_class(current, system, n)
-        cascade = cocycle_cascade_check(current, system, n)
+        # orders below n were flat when checked, and every later gauge
+        # starts at order n-1 with a derivation (Hochschild-closed), so
+        # they still are: the public preconditions need not be re-run
+        chi = _raw_class(current, system, n)
+        cascade = _cascade(current, system, n, chi)
         record = OrderRecord(order=n, table_zero=False, obstruction=chi, cascade=cascade)
         records.append(record)
-        classes.append(chi)
         if not cascade.ok:
             raise AssertionError(
                 f"order-{n} closedness check failed; the certificate is inconsistent"
@@ -695,56 +633,26 @@ def eliminate_to_order(
         record.exactness = exact
         if not exact.solved:
             if exact.certificate == "zero_image":
-                return ObstructionReport(
-                    status=OBSTRUCTED,
-                    order_reached=n,
-                    classes=classes,
-                    gauge=gauge,
-                    star=current,
-                    records=records,
-                    bounds=bounds,
-                    detail=(
-                        "the horizontal differential has identically zero image "
-                        "(all generators are Casimirs), so the nonzero class is "
-                        "exact at no degree"
-                    ),
+                return finish(
+                    OBSTRUCTED,
+                    n,
+                    "the horizontal differential has identically zero image "
+                    "(all generators are Casimirs), so the nonzero class is "
+                    "exact at no degree",
                 )
-            return ObstructionReport(
-                status=UNDECIDED,
-                order_reached=n,
-                classes=classes,
-                gauge=gauge,
-                star=current,
-                records=records,
-                bounds=bounds,
-                detail=f"exactness solve infeasible at degree bound {bounds.degree}",
+            return finish(
+                UNDECIDED, n, f"exactness solve infeasible at degree bound {bounds.degree}"
             )
         step = gauge_step(current, system, n, exact.witness, bounds)
         record.step = step
         if not step.solved:
-            return ObstructionReport(
-                status=UNDECIDED,
-                order_reached=n,
-                classes=classes,
-                gauge=gauge,
-                star=current,
-                records=records,
-                bounds=bounds,
-                detail=f"gauge step at order {n} exhausted the ansatz bounds",
-            )
+            return finish(UNDECIDED, n, f"gauge step at order {n} exhausted the ansatz bounds")
         current = step.transformed
         gauge = compose_diffeo(gauge, step.diffeo)
 
     for k in range(1, order + 1):
         if not vanishes_on_generators(current.term(k), system):
             raise AssertionError(f"final audit failed at order {k}")
-    return ObstructionReport(
-        status=TRIVIALIZED,
-        order_reached=order,
-        classes=classes,
-        gauge=gauge,
-        star=current,
-        records=records,
-        bounds=bounds,
-        detail="all restricted correction tables vanish after the accumulated gauge",
+    return finish(
+        TRIVIALIZED, order, "all restricted correction tables vanish after the accumulated gauge"
     )

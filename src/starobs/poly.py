@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Hashable, Mapping, Sequence
 
 Exponents = tuple[int, ...]
 
@@ -32,6 +32,26 @@ def unit_exponents(dim: int, i: int) -> Exponents:
 
 def add_exponents(a: Exponents, b: Exponents) -> Exponents:
     return tuple(x + y for x, y in zip(a, b))
+
+
+def _accumulate(terms: dict, key, value) -> None:
+    """terms[key] += value, dropping the key when the sum is zero."""
+    if not value:
+        return
+    prev = terms.get(key)
+    total = value if prev is None else prev + value
+    if total:
+        terms[key] = total
+    else:
+        del terms[key]
+
+
+def _gather_monomials(dim: int, vec: Mapping[tuple[Exponents, Hashable], Fraction]) -> dict:
+    """{(e, key): v} -> {key: sum of v x^e}, keys in order of first use."""
+    terms: dict[Hashable, dict[Exponents, Fraction]] = {}
+    for (e, key), v in vec.items():
+        terms.setdefault(key, {})[e] = v
+    return {key: Polynomial(dim, t) for key, t in terms.items()}
 
 
 def exponents_upto(dim: int, max_total: int) -> list[Exponents]:

@@ -25,7 +25,14 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .multivec import Polyvector
-from .poly import Exponents, Polynomial, add_exponents, exponents_upto, zero_exponents
+from .poly import (
+    Exponents,
+    Polynomial,
+    _accumulate,
+    add_exponents,
+    exponents_upto,
+    zero_exponents,
+)
 
 if TYPE_CHECKING:  # pragma: no cover
     from .obstruction import IntegrableSystem
@@ -90,13 +97,7 @@ class PolyDiffOp:
                         raise ValueError(f"bad multi-index {a} for dim {dim}")
                 if coeff.dim != dim:
                     raise ValueError("coefficient dimension mismatch")
-                if coeff.is_zero():
-                    continue
-                acc = clean.get(key, Polynomial.zero(dim)) + coeff
-                if acc.is_zero():
-                    clean.pop(key, None)
-                else:
-                    clean[key] = acc
+                _accumulate(clean, key, coeff)
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "arity", arity)
         object.__setattr__(self, "terms", clean)
@@ -229,12 +230,7 @@ class PolyDiffOp:
                     inserted = tuple(
                         add_exponents(b, g) for b, g in zip(in_key, gammas)
                     )
-                    new_key = key[:slot] + inserted + key[slot + 1 :]
-                    acc = out_terms.get(new_key, Polynomial.zero(self.dim)) + coeff
-                    if acc.is_zero():
-                        out_terms.pop(new_key, None)
-                    else:
-                        out_terms[new_key] = acc
+                    _accumulate(out_terms, key[:slot] + inserted + key[slot + 1 :], coeff)
         return PolyDiffOp(self.dim, self.arity + j - 1, out_terms)
 
     def sorted_terms(self) -> list[tuple[DerivKey, Polynomial]]:
@@ -258,28 +254,17 @@ def hochschild_d(op: PolyDiffOp) -> PolyDiffOp:
     dim = op.dim
     z = zero_exponents(dim)
     terms: dict[DerivKey, Polynomial] = {}
-
-    def put(key: DerivKey, coeff: Polynomial):
-        if coeff.is_zero():
-            return
-        acc = terms.get(key, Polynomial.zero(dim)) + coeff
-        if acc.is_zero():
-            terms.pop(key, None)
-        else:
-            terms[key] = acc
-
     sign_last = -1 if (k + 1) % 2 else 1
     for key, c in op.terms.items():
-        put((z,) + key, c)
-        put(key + (z,), c * sign_last)
+        _accumulate(terms, (z,) + key, c)
+        _accumulate(terms, key + (z,), c * sign_last)
         for j in range(1, k + 1):
             alpha = key[j - 1]
             sign = -1 if j % 2 else 1
             for beta in _sub_multi_indices(alpha):
                 rest = tuple(a - b for a, b in zip(alpha, beta))
                 weight = _binom_multi(alpha, beta) * sign
-                new_key = key[: j - 1] + (beta, rest) + key[j:]
-                put(new_key, c * weight)
+                _accumulate(terms, key[: j - 1] + (beta, rest) + key[j:], c * weight)
     return PolyDiffOp(dim, k + 1, terms)
 
 
@@ -291,13 +276,7 @@ def cup(phi: PolyDiffOp, psi: PolyDiffOp) -> PolyDiffOp:
     terms: dict[DerivKey, Polynomial] = {}
     for k1, c1 in phi.terms.items():
         for k2, c2 in psi.terms.items():
-            key = k1 + k2
-            coeff = c1 * c2 * sign
-            acc = terms.get(key, Polynomial.zero(phi.dim)) + coeff
-            if acc.is_zero():
-                terms.pop(key, None)
-            else:
-                terms[key] = acc
+            _accumulate(terms, k1 + k2, c1 * c2 * sign)
     return PolyDiffOp(phi.dim, phi.arity + psi.arity, terms)
 
 
@@ -354,13 +333,7 @@ def hkr_to_cochain(P: Polyvector) -> PolyDiffOp:
             derivs: list[Exponents] = [zero_exponents(dim)] * k
             for a in range(k):
                 derivs[sigma[a]] = units[idx[a]]
-            key = tuple(derivs)
-            coeff = c * (norm * sign)
-            acc = terms.get(key, Polynomial.zero(dim)) + coeff
-            if acc.is_zero():
-                terms.pop(key, None)
-            else:
-                terms[key] = acc
+            _accumulate(terms, tuple(derivs), c * (norm * sign))
     return PolyDiffOp(dim, k, terms)
 
 

@@ -20,9 +20,17 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from .linsolve import solve_sparse
+from .linsolve import _SparseSystem
 from .multivec import Polyvector
-from .poly import Exponents, Polynomial, TruncatedSeries, add_exponents, exponents_upto
+from .poly import (
+    Exponents,
+    Polynomial,
+    TruncatedSeries,
+    _accumulate,
+    _gather_monomials,
+    add_exponents,
+    exponents_upto,
+)
 from .polydiff import DerivKey, PolyDiffOp, hochschild_d
 
 
@@ -161,15 +169,7 @@ def moyal_star(pi: Polyvector, order: int) -> StarProduct:
                 alpha[i] += 1
                 beta[j] += 1
                 coeff *= c
-            if not coeff:
-                continue
-            key = (tuple(alpha), tuple(beta))
-            prev = terms.get(key)
-            acc = (prev if prev is not None else Polynomial.zero(dim)) + Polynomial.constant(dim, coeff)
-            if acc.is_zero():
-                terms.pop(key, None)
-            else:
-                terms[key] = acc
+            _accumulate(terms, (tuple(alpha), tuple(beta)), Polynomial.constant(dim, coeff))
         corrections.append(PolyDiffOp(dim, 2, terms))
     star = StarProduct(dim, order, corrections)
     return star
@@ -394,49 +394,23 @@ def extend_one_order(
         target = target + outer.compose_at(0, inner) - outer.compose_at(1, inner)
 
     basis = bidiff_basis(dim, coefficient_degree, operator_order)
-    columns = []
-    row_index: dict[tuple[DerivKey, Exponents], int] = {}
-
-    def row_of(coord) -> int:
-        if coord not in row_index:
-            row_index[coord] = len(row_index)
-        return row_index[coord]
-
-    col_coords = _extension_columns(dim, basis)
-    for coords in col_coords:
-        for coord in coords:
-            row_of(coord)
-    target_coords = _op_coordinates(target)
-    for coord in target_coords:
-        row_of(coord)
-
-    nrows = len(row_index)
-    rows: list[dict[int, Fraction]] = [dict() for _ in range(nrows)]
-    for ci, coords in enumerate(col_coords):
+    eqs = _SparseSystem(basis)
+    for label, coords in zip(basis, _extension_columns(dim, basis)):
         for coord, v in coords.items():
-            rows[row_index[coord]][ci] = v
-    rhs = [Fraction(0)] * nrows
-    for coord, v in target_coords.items():
-        rhs[row_index[coord]] = v
-
-    result = solve_sparse(rows, rhs, len(basis), want_nullspace=True)
-    if not result.solved:
+            eqs._add(coord, label, v)
+    for coord, v in _op_coordinates(target).items():
+        eqs._add_rhs(coord, v)
+    solved = eqs._solve(want_nullspace=True)
+    if solved is None:
         return ExtensionResult(
             status="undecided",
             new_order=n + 1,
             coefficient_degree=coefficient_degree,
             operator_order=operator_order,
         )
-
-    def op_from_vector(vec: dict[int, Fraction]) -> PolyDiffOp:
-        acc = PolyDiffOp.zero(dim, 2)
-        for ci, v in vec.items():
-            emon, key = basis[ci]
-            acc = acc + PolyDiffOp.single(dim, key, Polynomial.monomial(dim, emon, v))
-        return acc
-
-    particular = op_from_vector(result.solution)
-    freedom = [op_from_vector(vec) for vec in result.nullspace]
+    solution, nullspace = solved
+    particular = PolyDiffOp(dim, 2, _gather_monomials(dim, solution))
+    freedom = [PolyDiffOp(dim, 2, _gather_monomials(dim, vec)) for vec in nullspace]
     extended = StarProduct(dim, n + 1, list(s.corrections) + [particular])
     if not extended.assoc_residual(n + 1).is_zero():
         raise AssertionError("extension failed its built-in residual post-check")

@@ -309,6 +309,41 @@ def test_cli_bound_flags_override_problem_file(tmp_path, capsys):
     assert report["result"]["bounds"]["op_order"] == 3
 
 
+@pytest.mark.parametrize(
+    "patch, flags, message",
+    [
+        ({"poisson": 7}, [], "poisson: expected a list, got int"),
+        ({"bounds": [1, 2]}, [], "bounds: expected an object, got list"),
+        (
+            {"star": {"type": "terms", "order": 1, "terms": {"1": 5}}},
+            [],
+            "star.terms.1: expected a list, got int",
+        ),
+        ({"dimension": 3.7}, [], "dimension: expected an integer, got float"),
+        ({"generators": "y"}, [], "generators: expected a list, got str"),
+        (
+            {"bounds": {"degree": -1, "op_order": 2}},
+            [],
+            "bounds.degree: must be at least 0, got -1",
+        ),
+        ({}, ["--op-order-bound", "-1"], "--op-order-bound: must be at least 0, got -1"),
+    ],
+    ids=[
+        "poisson-not-list",
+        "bounds-list",
+        "star-term-not-list",
+        "dimension-float",
+        "generators-string",
+        "negative-bound",
+        "negative-bound-flag",
+    ],
+)
+def test_malformed_input_exits_1_naming_the_field(tmp_path, capsys, patch, flags, message):
+    path = write(tmp_path, "bad.json", dict(REMOVABLE, **patch))
+    assert main(["--problem", path, "--command", "eliminate", *flags]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_star_terms_with_bad_order_key_rejected():
     data = dict(
         CANONICAL_PLANE,

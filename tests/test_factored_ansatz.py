@@ -50,6 +50,12 @@ def as_mapping(labels, rows, rhs):
     return {label: (row, b) for label, row, b in zip(labels, rows, rhs)}
 
 
+def factored_rows(target, mons, alphas, emons):
+    """Row labels, rows and rhs of the system _unary_ansatz_rows assembles."""
+    eqs = _unary_ansatz_rows(target, mons, alphas, emons)
+    return eqs.row_labels, eqs.rows, eqs.rhs
+
+
 @pytest.mark.parametrize("arity", [1, 2])
 def test_hochschild_d_commutes_with_coefficient_monomials(arity):
     rng = random.Random(5 + arity)
@@ -65,7 +71,7 @@ def test_unary_rows_match_per_column_reference_on_planted_product():
     mons = generator_monomials(system, 3)
     alphas, emons = exponents_upto(3, 2), exponents_upto(3, 1)
     target = star.term(2)
-    factored = _unary_ansatz_rows(target, mons, alphas, emons)
+    factored = factored_rows(target, mons, alphas, emons)
     reference = reference_unary_rows(target, mons, alphas, emons)
     assert as_mapping(*factored) == as_mapping(*reference)
     # monomial generators: the solver sees the very same system
@@ -78,7 +84,7 @@ def test_unary_rows_match_per_column_reference_on_polynomial_generators():
     target = moyal_star(pi, 2).term(2)
     mons = generator_monomials(system, 2)
     alphas, emons = exponents_upto(4, 1), exponents_upto(4, 1)
-    factored = _unary_ansatz_rows(target, mons, alphas, emons)
+    factored = factored_rows(target, mons, alphas, emons)
     reference = reference_unary_rows(target, mons, alphas, emons)
     assert as_mapping(*factored) == as_mapping(*reference)
 

@@ -429,10 +429,9 @@ def test_first_order_commutator_obstruction_is_rigid():
     assert "gauge-invariant" in report.detail
 
 
-def test_eliminate_recovers_from_messy_gauge():
-    # construct-and-recover: hide the flat product behind a three-order
-    # diffeo (a derivation, a symmetric second-order term and a mixed
-    # term); the loop must undo all of it and pass the final audit
+def messy_gauge_scenario():
+    """The flat product hidden behind a three-order diffeo: a derivation,
+    a symmetric second-order term and a mixed term."""
     pi = Polyvector.bivector(3, {(0, 1): 1})
     star = moyal_star(pi, 3)
     system = IntegrableSystem(pi, [p3("y"), p3("z")])
@@ -445,7 +444,13 @@ def test_eliminate_recovers_from_messy_gauge():
             PolyDiffOp.single(3, [(0, 1, 1)]),
         ],
     )
-    dirty = gauge_transform(star, D)
+    return gauge_transform(star, D), system
+
+
+def test_eliminate_recovers_from_messy_gauge():
+    # construct-and-recover: the loop must undo all of the hidden gauge
+    # and pass the final audit
+    dirty, system = messy_gauge_scenario()
     assert not vanishes_on_generators(dirty.term(2), system)
     assert not vanishes_on_generators(dirty.term(3), system)
     report = eliminate_to_order(dirty, system, 3, Bounds(degree=3, op_order=3))
@@ -459,3 +464,22 @@ def test_eliminate_recovers_from_messy_gauge():
         table = restricted_values(op, system, op.order() + 1)
         assert all(v.is_zero() for v in table.values())
     assert gauge_transform(dirty, report.gauge) == report.star
+
+
+def test_eliminate_checks_each_flatness_table_once(monkeypatch):
+    import starobs.obstruction as obstruction
+
+    calls = []
+
+    def counting(op, system):
+        calls.append(op)
+        return vanishes_on_generators(op, system)
+
+    monkeypatch.setattr(obstruction, "vanishes_on_generators", counting)
+    dirty, system = messy_gauge_scenario()
+    report = eliminate_to_order(dirty, system, 3, Bounds(degree=3, op_order=3))
+    assert report.status == TRIVIALIZED
+    # order 1 once; orders 2 and 3 once by the loop and once by the gauge
+    # post-check each; then the final audit of orders 1..3.  Re-running the
+    # public preconditions would re-check the lower orders at every order.
+    assert len(calls) == 1 + 2 * 2 + 3
