@@ -178,10 +178,10 @@ def _parse_poly_field(text: Any, names: list[str], where: str) -> Polynomial:
         raise ProblemError(f"{where}: {exc}") from exc
 
 
-def _integer(value: Any, where: str, minimum: int) -> int:
+def _integer(value: Any, where: str, minimum: int | None = None) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ProblemError(f"{where}: expected an integer, got {type(value).__name__}")
-    if value < minimum:
+    if minimum is not None and value < minimum:
         raise ProblemError(f"{where}: must be at least {minimum}, got {value}")
     return value
 
@@ -198,12 +198,11 @@ def _field(data: dict, key: str, kind: type, where: str) -> Any:
 def load_problem_data(data: dict) -> Problem:
     if not isinstance(data, dict):
         raise ProblemError("problem file must contain a JSON object")
-    try:
-        dim = data["dimension"]
-        names = list(data["coordinates"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ProblemError(f"missing or bad 'dimension'/'coordinates': {exc}") from exc
-    dim = _integer(dim, "dimension", 1)
+    dim = _integer(data.get("dimension"), "dimension", 1)
+    names = _field(data, "coordinates", list, "coordinates")
+    for k, name in enumerate(names):
+        if not isinstance(name, str):
+            raise ProblemError(f"coordinates[{k}]: expected a string, got {type(name).__name__}")
     if len(names) != dim:
         raise ProblemError(f"'coordinates' must list exactly {dim} names")
     if len(set(names)) != dim:
@@ -214,9 +213,9 @@ def load_problem_data(data: dict) -> Problem:
         where = f"poisson[{k}]"
         try:
             i, j, coeff_text = entry
-            i, j = int(i), int(j)
         except (TypeError, ValueError) as exc:
             raise ProblemError(f"{where}: expected [i, j, coefficient]: {exc}") from exc
+        i, j = (_integer(x, f"{where}[{m}]") for m, x in enumerate((i, j)))
         if not 1 <= i <= dim or not 1 <= j <= dim:
             raise ProblemError(f"{where}: index out of range 1..{dim}: ({i}, {j})")
         if i == j:
@@ -230,9 +229,7 @@ def load_problem_data(data: dict) -> Problem:
     if star_spec is not None:
         if not isinstance(star_spec, dict) or "type" not in star_spec:
             raise ProblemError("'star' must be an object with a 'type'")
-        order = int(star_spec.get("order", 0))
-        if order < 1:
-            raise ProblemError("'star.order' must be at least 1")
+        order = _integer(star_spec.get("order", 0), "star.order", 1)
         if star_spec["type"] == "moyal":
             if not pi.is_constant():
                 raise ProblemError(
@@ -265,8 +262,8 @@ def load_problem_data(data: dict) -> Problem:
     command = data.get("command")
     if command is not None and command not in COMMANDS:
         raise ProblemError(f"unknown command {command!r}; expected one of {', '.join(COMMANDS)}")
-    order = int(data["order"]) if "order" in data else None
-    seed = int(data.get("seed", 0))
+    order = _integer(data["order"], "order") if "order" in data else None
+    seed = _integer(data.get("seed", 0), "seed")
 
     problem = Problem(
         dim=dim,

@@ -31,6 +31,8 @@ from .multivec import (
 from .poly import Exponents, Polynomial, _gather_monomials, add_exponents, exponents_upto
 from .polydiff import (
     PolyDiffOp,
+    _derivatives,
+    _restricted_items,
     generator_monomials,
     hkr_to_cochain,
     hochschild_d,
@@ -418,28 +420,23 @@ def _unary_ansatz_rows(
     pair's generator exponents and an ambient monomial.
     """
     eqs = _SparseSystem([(e, (a,)) for a in alphas for e in emons])
-    # d^a of every generator monomial and of every product uv, by exponents
-    derivs: dict[tuple[Exponents, Exponents], Polynomial] = {}
-
-    def deriv(exps: Exponents, poly: Polynomial, a: Exponents) -> Polynomial:
-        value = derivs.get((exps, a))
-        if value is None:
-            value = derivs[(exps, a)] = poly.partial_multi(a)
-        return value
-
+    # every generator monomial and every product uv, by exponents (the first pair's uv wins)
+    polys = dict(mons)
     for (ue, u), (ve, v) in itertools.product(mons, repeat=2):
-        pair_key = (ue, ve)
+        polys.setdefault(add_exponents(ue, ve), u * v)
+    derivs = _derivatives(polys, alphas)
+    values = dict(_restricted_items(target, mons))
+    for (ue, u), (ve, v) in itertools.product(mons, repeat=2):
         uve = add_exponents(ue, ve)
-        uv = u * v
         for a in alphas:
             # d(x^e D) = x^e d(D) (order 0 is commutative): w_a = d(d^a)(u, v) serves every e
-            w = u * deriv(ve, v, a) - deriv(uve, uv, a) + deriv(ue, u, a) * v
+            w = u * derivs[a][ve] - derivs[a][uve] + derivs[a][ue] * v
             for e in emons:
                 column = (e, (a,))
                 for mono, c in w.terms.items():
-                    eqs._add((pair_key, add_exponents(mono, e)), column, c)
-        for mono, c in target.apply([u, v]).terms.items():
-            eqs._add_rhs((pair_key, mono), -c)
+                    eqs._add(((ue, ve), add_exponents(mono, e)), column, c)
+        for mono, c in values[ue, ve].terms.items():
+            eqs._add_rhs(((ue, ve), mono), -c)
     return eqs
 
 

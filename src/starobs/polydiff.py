@@ -22,7 +22,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
 
 from .multivec import Polyvector
 from .poly import (
@@ -375,6 +375,29 @@ def generator_monomials(
     return out
 
 
+def _derivatives(polys: Mapping[Exponents, Polynomial], alphas: Iterable[Exponents]) -> dict:
+    """{a: {key: d^a p}} for every keyed polynomial p, once per distinct multi-index a."""
+    return {a: {e: p.partial_multi(a) for e, p in polys.items()} for a in alphas}
+
+
+def _restricted_items(op: PolyDiffOp, mons: list[tuple[Exponents, Polynomial]]) -> Iterator:
+    """(per-slot generator exponents, op value) on every tuple of mons, lazily and in
+    itertools.product order.  A term's product c * d^a_1 u_1 * ... is shared by the
+    tuples with the same leading slots and stops at its first zero factor, as in apply.
+    """
+    derivs = _derivatives(dict(mons), {a for key in op.terms for a in key})
+
+    def walk(slot, exps, partials):
+        if slot == op.arity:
+            yield exps, sum(filter(None, partials), Polynomial.zero(op.dim))
+            return
+        for e, _ in mons:
+            step = [v * derivs[key[slot]][e] if v else v for key, v in zip(op.terms, partials)]
+            yield from walk(slot + 1, exps + (e,), step)
+
+    return walk(0, (), list(op.terms.values()))
+
+
 def restricted_values(
     op: PolyDiffOp, system: "IntegrableSystem", slot_degree: int
 ) -> dict[tuple[Exponents, ...], Polynomial]:
@@ -382,20 +405,17 @@ def restricted_values(
 
     The table keyed by per-slot generator exponents; "vanishes on the
     subalgebra" is the table being all zero at slot_degree order(op)+1.
+    d^a of each generator monomial is computed once per distinct multi-index
+    a of op, and each value equals op.apply on its tuple, term order included.
     """
-    mons = generator_monomials(system, slot_degree)
-    table: dict[tuple[Exponents, ...], Polynomial] = {}
-    for combo in itertools.product(mons, repeat=op.arity):
-        key = tuple(e for e, _ in combo)
-        table[key] = op.apply([p for _, p in combo])
-    return table
+    return dict(_restricted_items(op, generator_monomials(system, slot_degree)))
 
 
 def vanishes_on_generators(op: PolyDiffOp, system: "IntegrableSystem") -> bool:
     """Whether op restricts to zero on the subalgebra the generators span.
 
-    Decided on the finite monomial table with slot degree order(op)+1,
-    which determines the restriction of an operator of that order.
+    Decided on the monomial table with slot degree order(op)+1, which determines
+    the restriction of an operator of that order, stopping at its first nonzero entry.
     """
-    table = restricted_values(op, system, op.order() + 1)
-    return all(p.is_zero() for p in table.values())
+    mons = generator_monomials(system, op.order() + 1)
+    return all(value.is_zero() for _, value in _restricted_items(op, mons))

@@ -262,3 +262,15 @@ def reference_extension_columns(dim, basis):
         _op_coordinates(hochschild_d(PolyDiffOp.single(dim, key, Polynomial.monomial(dim, emon))))
         for emon, key in basis
     ]
+
+
+# -- per-tuple restricted table, the reference for the memoized one ----------------
+
+
+def reference_restricted_values(op, system, slot_degree):
+    """Values of op on all tuples of generator monomials, one apply per tuple."""
+    mons = generator_monomials(system, slot_degree)
+    return {
+        tuple(e for e, _ in combo): op.apply([p for _, p in combo])
+        for combo in itertools.product(mons, repeat=op.arity)
+    }

@@ -327,6 +327,16 @@ def test_cli_bound_flags_override_problem_file(tmp_path, capsys):
             "bounds.degree: must be at least 0, got -1",
         ),
         ({}, ["--op-order-bound", "-1"], "--op-order-bound: must be at least 0, got -1"),
+        ({"coordinates": "xyz"}, [], "coordinates: expected a list, got str"),
+        ({"coordinates": ["x", "y", 3]}, [], "coordinates[2]: expected a string, got int"),
+        ({"poisson": [[1, 2.9, "1"]]}, [], "poisson[0][1]: expected an integer, got float"),
+        (
+            {"star": dict(REMOVABLE["star"], order=2.9)},
+            [],
+            "star.order: expected an integer, got float",
+        ),
+        ({"order": 2.5}, [], "order: expected an integer, got float"),
+        ({"seed": 1.5}, [], "seed: expected an integer, got float"),
     ],
     ids=[
         "poisson-not-list",
@@ -336,6 +346,12 @@ def test_cli_bound_flags_override_problem_file(tmp_path, capsys):
         "generators-string",
         "negative-bound",
         "negative-bound-flag",
+        "coordinates-string",
+        "coordinate-not-string",
+        "poisson-index-float",
+        "star-order-float",
+        "order-float",
+        "seed-float",
     ],
 )
 def test_malformed_input_exits_1_naming_the_field(tmp_path, capsys, patch, flags, message):
