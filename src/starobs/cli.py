@@ -98,18 +98,42 @@ def op_payload(op: PolyDiffOp, names: list[str]) -> list[dict]:
     return out
 
 
-def op_from_payload(dim: int, arity: int, payload: list[dict], names: list[str]) -> PolyDiffOp:
+def op_from_payload(
+    dim: int, arity: int, payload: list, names: list[str], where: str = "terms"
+) -> PolyDiffOp:
+    """The operator a term list describes; errors name the JSON path below `where`."""
     acc = PolyDiffOp.zero(dim, arity)
     for i, term in enumerate(payload):
-        try:
-            coeff = parse_polynomial(term["coeff"], names)
-            derivs = [tuple(int(v) for v in a) for a in term["derivs"]]
-        except (KeyError, TypeError, PolynomialParseError) as exc:
-            raise ProblemError(f"bad operator term #{i}: {exc}") from exc
-        if len(derivs) != arity:
-            raise ProblemError(f"bad operator term #{i}: expected {arity} derivative slots")
+        at = f"{where}[{i}]"
+        if not isinstance(term, dict):
+            raise ProblemError(f"{at}: expected an object, got {type(term).__name__}")
+        coeff = _parse_poly_field(term.get("coeff"), names, f"{at}.coeff")
+        slots = _field(term, "derivs", list, f"{at}.derivs")
+        if len(slots) != arity:
+            raise ProblemError(f"{at}.derivs: expected {arity} derivative slots, got {len(slots)}")
+        derivs = []
+        for k, slot in enumerate(slots):
+            here = f"{at}.derivs[{k}]"
+            if not isinstance(slot, list) or len(slot) != dim:
+                raise ProblemError(f"{here}: expected a list of {dim} integers")
+            derivs.append(tuple(_integer(v, f"{here}[{m}]", 0) for m, v in enumerate(slot)))
         acc = acc + PolyDiffOp.single(dim, derivs, coeff)
     return acc
+
+
+def _order_terms(
+    dim: int, arity: int, order: int, terms: dict, names: list[str], where: str
+) -> list[PolyDiffOp]:
+    """The operators at orders 1..order of a {"k": term list} object; absent ones are zero."""
+    keys = [str(k) for k in range(1, order + 1)]
+    for key in terms:
+        if key not in keys:
+            raise ProblemError(f"{where} has an out-of-range order key {key!r}")
+    ops = []
+    for key in keys:
+        at = f"{where}.{key}"
+        ops.append(op_from_payload(dim, arity, _field(terms, key, list, at), names, at))
+    return ops
 
 
 def polyvector_payload(v: Polyvector | RelativeClass, names: list[str]) -> dict:
@@ -129,13 +153,15 @@ def star_payload(s: StarProduct | FormalDiffeo, names: list[str]) -> dict:
     }
 
 
-def diffeo_from_payload(dim: int, payload: dict, names: list[str]) -> FormalDiffeo:
-    order = int(payload["order"])
-    terms = {}
-    for k_str, ops in payload.get("terms", {}).items():
-        k = int(k_str)
-        terms[k] = op_from_payload(dim, 1, ops, names)
-    return FormalDiffeo.from_parts(dim, order, terms)
+def diffeo_from_payload(
+    dim: int, payload: dict, names: list[str], where: str = "gauge"
+) -> FormalDiffeo:
+    """A formal diffeomorphism as `star_payload` writes it; errors name the JSON path."""
+    if not isinstance(payload, dict):
+        raise ProblemError(f"{where}: expected an object, got {type(payload).__name__}")
+    order = _integer(payload.get("order"), f"{where}.order", 0)
+    terms = _field(payload, "terms", dict, f"{where}.terms")
+    return FormalDiffeo(dim, order, _order_terms(dim, 1, order, terms, names, f"{where}.terms"))
 
 
 def problem_payload(problem: Problem) -> dict:
@@ -237,15 +263,8 @@ def load_problem_data(data: dict) -> Problem:
                 )
             star = moyal_star(pi, order)
         elif star_spec["type"] == "terms":
-            corrections = []
-            terms_map = _field(star_spec, "terms", dict, "star.terms")
-            for k in range(1, order + 1):
-                payload = _field(terms_map, str(k), list, f"star.terms.{k}")
-                corrections.append(op_from_payload(dim, 2, payload, names))
-            for key in terms_map:
-                if not key.isdigit() or not 1 <= int(key) <= order:
-                    raise ProblemError(f"star.terms has an out-of-range order key {key!r}")
-            star = StarProduct(dim, order, corrections)
+            terms = _field(star_spec, "terms", dict, "star.terms")
+            star = StarProduct(dim, order, _order_terms(dim, 2, order, terms, names, "star.terms"))
         else:
             raise ProblemError(f"unknown star type {star_spec['type']!r}")
 

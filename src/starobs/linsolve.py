@@ -1,9 +1,15 @@
 """Sparse exact linear algebra over the rationals.
 
-Systems produced by the operator ansatz solvers are sparse and modest in
-size, so Gauss-Jordan elimination on dict rows of ``Fraction`` entries is
-enough.  Everything is exact; infeasibility comes with the offending
-reduced row so callers can report an honest certificate.
+Systems produced by the operator ansatz solvers are sparse (about one
+nonzero per row) but reach thousands of rows and columns.  ``solve_sparse``
+runs Gauss-Jordan elimination on dict rows of ``Fraction`` entries.  Its
+pivot rows are kept reduced against each other (a 1 in their own pivot
+column, a 0 in every other one), so a new row is cleared only at the
+pivot columns it holds, and an index from each non-pivot column to the
+pivot rows nonzero there drives back-elimination and the nullspace: the
+cost is proportional to the entries touched, not to rows x rank.
+Everything is exact; infeasibility comes with the offending reduced row
+so callers can report an honest certificate.
 
 The solvers assemble their systems with ``_SparseSystem``: columns are
 fixed up front as a list of labels (that list's order is the solve's
@@ -53,6 +59,14 @@ def solve_sparse(
     rank, free columns, nullspace) therefore does not depend on the order
     of the rows.  Only an infeasible result's residual and partial rank
     do, as they come from the first row found inconsistent.
+
+    The pivot rows are kept reduced against each other: each has a 1 in
+    its own pivot column and a 0 in every other pivot column.  A new row
+    is therefore cleared by the pivot rows of the pivot columns it holds,
+    each once, and ``col_rows`` indexes, for every non-pivot column, the
+    pivot rows with a nonzero there; a new pivot is back-eliminated from
+    just those rows, and a free column's nullspace vector is read from
+    them.  The cost is the number of entries touched, not rows x rank.
     """
     if len(rows) != len(rhs):
         raise ValueError("row/rhs length mismatch")
@@ -60,22 +74,17 @@ def solve_sparse(
     b = list(rhs)
     pivot_of_col: dict[int, int] = {}
     pivots: list[tuple[int, int]] = []  # (row, col) in elimination order
+    col_rows: dict[int, set[int]] = {}  # non-pivot column -> pivot rows nonzero there
 
     for r in range(len(work)):
         row = work[r]
-        # eliminate known pivots from this row
-        for pr, pc in pivots:
-            factor = row.get(pc)
-            if not factor:
-                continue
-            prow = work[pr]
-            for c, v in prow.items():
-                nv = row.get(c, Fraction(0)) - factor * v
-                if nv:
-                    row[c] = nv
-                else:
-                    row.pop(c, None)
-            b[r] -= factor * b[pr]
+        # clear each pivot column the row holds with that column's pivot row
+        for pc in [c for c in row if c in pivot_of_col]:
+            factor = -row[pc]
+            pr = pivot_of_col[pc]
+            for c, v in work[pr].items():
+                _accumulate(row, c, factor * v)
+            b[r] += factor * b[pr]
         if not row:
             if b[r]:
                 return LinearSolveResult(status="infeasible", rank=len(pivots), residual=b[r])
@@ -87,19 +96,22 @@ def solve_sparse(
             for c in list(row):
                 row[c] /= pivot
             b[r] /= pivot
-        # back-eliminate from earlier pivot rows
-        for pr, _ in pivots:
-            factor = work[pr].get(pc)
-            if not factor:
-                continue
+        # back-eliminate from the earlier pivot rows that hold the new pivot column
+        for pr in col_rows.pop(pc, ()):
             prow = work[pr]
+            factor = -prow[pc]
             for c, v in row.items():
-                nv = prow.get(c, Fraction(0)) - factor * v
-                if nv:
-                    prow[c] = nv
+                _accumulate(prow, c, factor * v)
+                if c == pc:
+                    continue
+                if c in prow:
+                    col_rows.setdefault(c, set()).add(pr)
                 else:
-                    prow.pop(c, None)
-            b[pr] -= factor * b[r]
+                    col_rows[c].discard(pr)
+            b[pr] += factor * b[r]
+        for c in row:
+            if c != pc:
+                col_rows.setdefault(c, set()).add(r)
         pivots.append((r, pc))
         pivot_of_col[pc] = r
 
@@ -107,12 +119,12 @@ def solve_sparse(
     free_cols = [c for c in range(ncols) if c not in pivot_of_col]
     nullspace: list[dict[int, Fraction]] = []
     if want_nullspace:
+        col_of_pivot_row = dict(pivots)
         for fc in free_cols:
             vec: dict[int, Fraction] = {fc: Fraction(1)}
-            for pr, pc in pivots:
-                v = work[pr].get(fc)
-                if v:
-                    vec[pc] = -v
+            # rows were made pivots in increasing index order
+            for pr in sorted(col_rows.get(fc, ())):
+                vec[col_of_pivot_row[pr]] = -work[pr][fc]
             nullspace.append(vec)
     return LinearSolveResult(
         status="solved",

@@ -15,7 +15,7 @@ from starobs import (
     moyal_star,
     parse_polynomial,
 )
-from starobs.linsolve import solve_sparse
+from starobs.linsolve import LinearSolveResult, solve_sparse
 from starobs.poly import exponents_upto
 from starobs.polydiff import generator_monomials, hochschild_d
 from starobs.star import _op_coordinates
@@ -274,3 +274,94 @@ def reference_restricted_values(op, system, slot_degree):
         tuple(e for e, _ in combo): op.apply([p for _, p in combo])
         for combo in itertools.product(mons, repeat=op.arity)
     }
+
+
+# -- row-by-pivot Gauss-Jordan, the reference for the indexed solver ---------------
+
+
+def reference_solve_sparse(
+    rows: list[dict[int, Fraction]],
+    rhs: list[Fraction],
+    ncols: int,
+    want_nullspace: bool = False,
+) -> LinearSolveResult:
+    """Solve A x = b for sparse rows over exact rationals.
+
+    Returns a particular solution with free variables set to zero, plus
+    (optionally) a basis of the homogeneous solution space.  If the
+    system is inconsistent the result carries the nonzero residual of a
+    row that reduced to 0 = residual.
+
+    The pivot rows end in the reduced row-echelon form of the system for
+    the given column order, which is unique: a solved result (solution,
+    rank, free columns, nullspace) therefore does not depend on the order
+    of the rows.  Only an infeasible result's residual and partial rank
+    do, as they come from the first row found inconsistent.
+    """
+    if len(rows) != len(rhs):
+        raise ValueError("row/rhs length mismatch")
+    work = [dict(r) for r in rows]
+    b = list(rhs)
+    pivot_of_col: dict[int, int] = {}
+    pivots: list[tuple[int, int]] = []  # (row, col) in elimination order
+
+    for r in range(len(work)):
+        row = work[r]
+        # eliminate known pivots from this row
+        for pr, pc in pivots:
+            factor = row.get(pc)
+            if not factor:
+                continue
+            prow = work[pr]
+            for c, v in prow.items():
+                nv = row.get(c, Fraction(0)) - factor * v
+                if nv:
+                    row[c] = nv
+                else:
+                    row.pop(c, None)
+            b[r] -= factor * b[pr]
+        if not row:
+            if b[r]:
+                return LinearSolveResult(status="infeasible", rank=len(pivots), residual=b[r])
+            continue
+        # normalize on the smallest-index column for determinism
+        pc = min(row)
+        pivot = row[pc]
+        if pivot != 1:
+            for c in list(row):
+                row[c] /= pivot
+            b[r] /= pivot
+        # back-eliminate from earlier pivot rows
+        for pr, _ in pivots:
+            factor = work[pr].get(pc)
+            if not factor:
+                continue
+            prow = work[pr]
+            for c, v in row.items():
+                nv = prow.get(c, Fraction(0)) - factor * v
+                if nv:
+                    prow[c] = nv
+                else:
+                    prow.pop(c, None)
+            b[pr] -= factor * b[r]
+        pivots.append((r, pc))
+        pivot_of_col[pc] = r
+
+    solution = {pc: b[pr] for pr, pc in pivots if b[pr]}
+    free_cols = [c for c in range(ncols) if c not in pivot_of_col]
+    nullspace: list[dict[int, Fraction]] = []
+    if want_nullspace:
+        for fc in free_cols:
+            vec: dict[int, Fraction] = {fc: Fraction(1)}
+            for pr, pc in pivots:
+                v = work[pr].get(fc)
+                if v:
+                    vec[pc] = -v
+            nullspace.append(vec)
+    return LinearSolveResult(
+        status="solved",
+        solution=solution,
+        rank=len(pivots),
+        free_columns=free_cols,
+        nullspace=nullspace,
+    )

@@ -1,3 +1,4 @@
+import copy
 import json
 
 import pytest
@@ -309,6 +310,13 @@ def test_cli_bound_flags_override_problem_file(tmp_path, capsys):
     assert report["result"]["bounds"]["op_order"] == 3
 
 
+def star_with_slot(slot):
+    """REMOVABLE's star product with the second slot of its first order-2 term replaced."""
+    star = copy.deepcopy(REMOVABLE["star"])
+    star["terms"]["2"][0]["derivs"][1] = slot
+    return star
+
+
 @pytest.mark.parametrize(
     "patch, flags, message",
     [
@@ -337,6 +345,36 @@ def test_cli_bound_flags_override_problem_file(tmp_path, capsys):
         ),
         ({"order": 2.5}, [], "order: expected an integer, got float"),
         ({"seed": 1.5}, [], "seed: expected an integer, got float"),
+        (
+            {"star": star_with_slot([1.5, 2, 0])},
+            [],
+            "star.terms.2[0].derivs[1][0]: expected an integer, got float",
+        ),
+        (
+            {"star": star_with_slot([True, 2, 0])},
+            [],
+            "star.terms.2[0].derivs[1][0]: expected an integer, got bool",
+        ),
+        (
+            {"star": star_with_slot(["a", 2, 0])},
+            [],
+            "star.terms.2[0].derivs[1][0]: expected an integer, got str",
+        ),
+        (
+            {"star": star_with_slot([-1, 2, 0])},
+            [],
+            "star.terms.2[0].derivs[1][0]: must be at least 0, got -1",
+        ),
+        (
+            {"star": star_with_slot([0, 2])},
+            [],
+            "star.terms.2[0].derivs[1]: expected a list of 3 integers",
+        ),
+        (
+            {"star": dict(REMOVABLE["star"], terms={"\u00b2": []})},
+            [],
+            "star.terms has an out-of-range order key '\u00b2'",
+        ),
     ],
     ids=[
         "poisson-not-list",
@@ -352,6 +390,12 @@ def test_cli_bound_flags_override_problem_file(tmp_path, capsys):
         "star-order-float",
         "order-float",
         "seed-float",
+        "derivs-float",
+        "derivs-bool",
+        "derivs-string",
+        "derivs-negative",
+        "derivs-slot-length",
+        "order-key-not-decimal",
     ],
 )
 def test_malformed_input_exits_1_naming_the_field(tmp_path, capsys, patch, flags, message):
@@ -371,6 +415,24 @@ def test_star_terms_with_bad_order_key_rejected():
     )
     with pytest.raises(ProblemError, match="out-of-range"):
         load_problem_data(data)
+
+
+@pytest.mark.parametrize(
+    "payload, message",
+    [
+        ({"order": 1.5, "terms": {}}, "gauge.order: expected an integer, got float"),
+        ({"order": 1, "terms": {"2": []}}, "gauge.terms has an out-of-range order key '2'"),
+        (
+            {"order": 1, "terms": {"1": [{"coeff": "x", "derivs": [[0, True, 0]]}]}},
+            "gauge.terms.1[0].derivs[0][1]: expected an integer, got bool",
+        ),
+    ],
+    ids=["order-float", "order-key-out-of-range", "derivs-bool"],
+)
+def test_gauge_payload_errors_name_the_field(payload, message):
+    with pytest.raises(ProblemError) as info:
+        diffeo_from_payload(3, payload, ["x", "y", "z"])
+    assert str(info.value) == message
 
 
 def test_shipped_problem_files(tmp_path):
