@@ -12,12 +12,10 @@ from .multivec import (
     Polyvector,
     RelativeClass,
     d_hor,
-    d_pi,
     hamiltonian_field,
     jacobi_check,
     poisson_bracket,
     schouten_bracket,
-    wedge,
 )
 from .obstruction import (
     OBSTRUCTED,
@@ -43,15 +41,11 @@ from .poly import (
     Polynomial,
     PolynomialParseError,
     TruncatedSeries,
-    format_fraction,
     parse_polynomial,
 )
 from .polydiff import (
     PolyDiffOp,
-    cup,
     generator_monomials,
-    gerst_bracket,
-    gerst_circ,
     hkr_to_cochain,
     hochschild_d,
     restricted_values,
@@ -94,18 +88,13 @@ __all__ = [
     "ValidationReport",
     "cocycle_cascade_check",
     "compose_diffeo",
-    "cup",
     "d_hor",
-    "d_pi",
     "eliminate_to_order",
     "exactness_solve",
     "extend_one_order",
-    "format_fraction",
     "gauge_step",
     "gauge_transform",
     "generator_monomials",
-    "gerst_bracket",
-    "gerst_circ",
     "hamiltonian_field",
     "hkr_to_cochain",
     "hochschild_d",
@@ -121,5 +110,4 @@ __all__ = [
     "solve_sparse",
     "validate_system",
     "vanishes_on_generators",
-    "wedge",
 ]

@@ -281,7 +281,7 @@ def load_problem_data(data: dict) -> Problem:
     command = data.get("command")
     if command is not None and command not in COMMANDS:
         raise ProblemError(f"unknown command {command!r}; expected one of {', '.join(COMMANDS)}")
-    order = _integer(data["order"], "order") if "order" in data else None
+    order = _integer(data["order"], "order", 1) if "order" in data else None
     seed = _integer(data.get("seed", 0), "seed")
 
     problem = Problem(
@@ -577,11 +577,8 @@ def main(argv: list[str] | None = None) -> int:
         command = args.command or problem.command
         if command is None:
             raise ProblemError("no command given (use --command or a 'command' problem entry)")
-        order = args.order if args.order is not None else problem.order
+        order = problem.order if args.order is None else _integer(args.order, "--order", 1)
         report = run_command(problem, command, order)
-    except ProblemError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -594,7 +591,7 @@ def main(argv: list[str] | None = None) -> int:
         except OSError as exc:
             print(f"error: cannot write report: {exc}", file=sys.stderr)
             return 1
-        summary = report["result"].get("status", "done") if isinstance(report["result"], dict) else "done"
+        summary = report["result"].get("status", "done")
         print(f"{command}: {summary} -> {args.out}")
     else:
         sys.stdout.write(render_report(report))

@@ -56,30 +56,35 @@ def sort_with_sign(indices: Sequence[int]) -> tuple[IndexTuple, int]:
     return tuple(idx), sign
 
 
-class Polyvector:
-    """Immutable antisymmetric multivector field with polynomial components."""
+class _Alternating:
+    """Immutable antisymmetric element of A tensor Lambda^k over indices 0..size-1.
+
+    Components are polynomials on the ambient space, stored on strictly
+    increasing k-tuples; antisymmetry is canonicalized away and a repeated
+    index gives zero.  A subclass fixes the index range, names it in
+    `_index_name`, and returns its leading constructor arguments from
+    `_shape`.
+    """
 
     __slots__ = ("dim", "degree", "components")
 
     def __init__(
         self,
         dim: int,
+        size: int,
         degree: int,
         components: Mapping[IndexTuple, Polynomial] | None = None,
     ):
         if degree < 0:
             raise ValueError("degree must be non-negative")
-        if degree > dim:
-            # only the zero polyvector exists above top degree
-            components = {}
         clean: dict[IndexTuple, Polynomial] = {}
         if components:
             for idx, poly in components.items():
                 idx = tuple(idx)
                 if len(idx) != degree:
                     raise ValueError(f"index tuple {idx} has wrong length for degree {degree}")
-                if any(not 0 <= i < dim for i in idx):
-                    raise IndexError(f"coordinate index out of range in {idx}")
+                if any(not 0 <= i < size for i in idx):
+                    raise IndexError(f"{self._index_name} index out of range in {idx}")
                 if poly.dim != dim:
                     raise ValueError("component dimension mismatch")
                 key, sign = sort_with_sign(idx)
@@ -90,7 +95,69 @@ class Polyvector:
         object.__setattr__(self, "components", clean)
 
     def __setattr__(self, name, value):
-        raise AttributeError("Polyvector is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def _like(self, components: Mapping[IndexTuple, Polynomial]):
+        return type(self)(*self._shape(), components)
+
+    def component(self, idx: IndexTuple) -> Polynomial:
+        key, sign = sort_with_sign(idx)
+        if sign == 0:
+            return Polynomial.zero(self.dim)
+        return self.components.get(key, Polynomial.zero(self.dim)) * sign
+
+    def is_zero(self) -> bool:
+        return not self.components
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._shape() == other._shape() and self.components == other.components
+
+    def __hash__(self):
+        return hash((self._shape(), frozenset(self.components.items())))
+
+    def __add__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        if self._shape() != other._shape():
+            raise ValueError(f"shape mismatch: {self._shape()} vs {other._shape()}")
+        comps = dict(self.components)
+        for idx, p in other.components.items():
+            comps[idx] = comps.get(idx, Polynomial.zero(self.dim)) + p
+        return self._like(comps)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __neg__(self):
+        return self._like({i: -p for i, p in self.components.items()})
+
+    def scaled(self, factor: Polynomial | Fraction | int):
+        return self._like({i: p * factor for i, p in self.components.items()})
+
+    def __repr__(self):
+        body = ", ".join(f"{idx}: {p.to_string()}" for idx, p in sorted(self.components.items()))
+        shape = ", ".join(map(str, self._shape()))
+        return f"{type(self).__name__}({shape}, {{{body}}})"
+
+
+class Polyvector(_Alternating):
+    """Polyvector field: an alternating class over the coordinate indices."""
+
+    __slots__ = ()
+    _index_name = "coordinate"
+
+    def __init__(
+        self,
+        dim: int,
+        degree: int,
+        components: Mapping[IndexTuple, Polynomial] | None = None,
+    ):
+        super().__init__(dim, dim, degree, components)
+
+    def _shape(self) -> tuple[int, ...]:
+        return (self.dim, self.degree)
 
     # -- constructors ------------------------------------------------------
 
@@ -107,11 +174,6 @@ class Polyvector:
         return cls(dim, 1, {(i,): Polynomial.one(dim)})
 
     @classmethod
-    def vector_field(cls, components: Sequence[Polynomial]) -> Polyvector:
-        dim = components[0].dim
-        return cls(dim, 1, {(i,): c for i, c in enumerate(components)})
-
-    @classmethod
     def bivector(cls, dim: int, entries: Mapping[tuple[int, int], Polynomial | Fraction | int]) -> Polyvector:
         comps = {}
         for (i, j), v in entries.items():
@@ -119,78 +181,13 @@ class Polyvector:
             comps[(i, j)] = poly
         return cls(dim, 2, comps)
 
-    # -- basic structure ----------------------------------------------------
-
-    def component(self, idx: IndexTuple) -> Polynomial:
-        key, sign = sort_with_sign(idx)
-        if sign == 0:
-            return Polynomial.zero(self.dim)
-        return self.components.get(key, Polynomial.zero(self.dim)) * sign
-
     def as_polynomial(self) -> Polynomial:
         if self.degree != 0:
             raise ValueError("only degree-0 polyvectors are polynomials")
         return self.components.get((), Polynomial.zero(self.dim))
 
-    def is_zero(self) -> bool:
-        return not self.components
-
     def is_constant(self) -> bool:
         return all(p.is_constant() for p in self.components.values())
-
-    def __eq__(self, other):
-        if not isinstance(other, Polyvector):
-            return NotImplemented
-        return (
-            self.dim == other.dim
-            and self.degree == other.degree
-            and self.components == other.components
-        )
-
-    def __hash__(self):
-        return hash((self.dim, self.degree, frozenset(self.components.items())))
-
-    def __add__(self, other: Polyvector) -> Polyvector:
-        self._check_compatible(other)
-        comps = dict(self.components)
-        for idx, p in other.components.items():
-            comps[idx] = comps.get(idx, Polynomial.zero(self.dim)) + p
-        return Polyvector(self.dim, self.degree, comps)
-
-    def __sub__(self, other: Polyvector) -> Polyvector:
-        return self + (-other)
-
-    def __neg__(self) -> Polyvector:
-        return Polyvector(self.dim, self.degree, {i: -p for i, p in self.components.items()})
-
-    def scaled(self, factor: Polynomial | Fraction | int) -> Polyvector:
-        return Polyvector(
-            self.dim, self.degree, {i: p * factor for i, p in self.components.items()}
-        )
-
-    def _check_compatible(self, other: Polyvector):
-        if self.dim != other.dim:
-            raise ValueError(f"dimension mismatch: {self.dim} vs {other.dim}")
-        if self.degree != other.degree:
-            raise ValueError(f"degree mismatch: {self.degree} vs {other.degree}")
-
-    def __repr__(self):
-        body = ", ".join(f"{idx}: {p.to_string()}" for idx, p in sorted(self.components.items()))
-        return f"Polyvector(dim={self.dim}, degree={self.degree}, {{{body}}})"
-
-
-def wedge(P: Polyvector, Q: Polyvector) -> Polyvector:
-    """Exterior product; graded commutative and degree additive."""
-    if P.dim != Q.dim:
-        raise ValueError(f"dimension mismatch: {P.dim} vs {Q.dim}")
-    degree = P.degree + Q.degree
-    comps: dict[IndexTuple, Polynomial] = {}
-    for i1, p1 in P.components.items():
-        for i2, p2 in Q.components.items():
-            key, sign = sort_with_sign(i1 + i2)
-            if sign:
-                _accumulate(comps, key, p1 * p2 * sign)
-    return Polyvector(P.dim, degree, comps)
 
 
 def poisson_bracket(pi: Polyvector, f: Polynomial, g: Polynomial) -> Polynomial:
@@ -293,14 +290,6 @@ def jacobi_check(pi: Polyvector) -> tuple[bool, Polyvector]:
     return witness.is_zero(), witness
 
 
-def d_pi(pi: Polyvector, T: Polyvector) -> Polyvector:
-    """Poisson differential [pi, T]; requires pi Poisson so that d^2 = 0."""
-    ok, _ = jacobi_check(pi)
-    if not ok:
-        raise ValueError("bivector does not satisfy the Jacobi identity")
-    return schouten_bracket(pi, T)
-
-
 def hamiltonian_field(pi: Polyvector, f: Polynomial) -> Polyvector:
     """Vector field {f, .} = [pi, f] in this module's conventions."""
     return schouten_bracket(pi, Polyvector.from_polynomial(f))
@@ -309,14 +298,15 @@ def hamiltonian_field(pi: Polyvector, f: Polynomial) -> Polyvector:
 # -- relative classes --------------------------------------------------------
 
 
-class RelativeClass:
+class RelativeClass(_Alternating):
     """Element of A tensor Lambda^k R^n for a system with n generators.
 
     Components are polynomials on the ambient space, indexed by strictly
     increasing k-tuples drawn from the generator indices 0..n-1.
     """
 
-    __slots__ = ("dim", "system_size", "degree", "components")
+    __slots__ = ("system_size",)
+    _index_name = "generator"
 
     def __init__(
         self,
@@ -325,84 +315,15 @@ class RelativeClass:
         degree: int,
         components: Mapping[IndexTuple, Polynomial] | None = None,
     ):
-        clean: dict[IndexTuple, Polynomial] = {}
-        if components:
-            for idx, poly in components.items():
-                idx = tuple(idx)
-                if len(idx) != degree:
-                    raise ValueError(f"index tuple {idx} has wrong length for degree {degree}")
-                if any(not 0 <= i < system_size for i in idx):
-                    raise IndexError(f"generator index out of range in {idx}")
-                if poly.dim != dim:
-                    raise ValueError("component dimension mismatch")
-                key, sign = sort_with_sign(idx)
-                if sign:
-                    _accumulate(clean, key, poly * sign)
-        object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "system_size", system_size)
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "components", clean)
+        super().__init__(dim, system_size, degree, components)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("RelativeClass is immutable")
+    def _shape(self) -> tuple[int, ...]:
+        return (self.dim, self.system_size, self.degree)
 
     @classmethod
     def zero(cls, dim: int, system_size: int, degree: int) -> RelativeClass:
         return cls(dim, system_size, degree, {})
-
-    def component(self, idx: IndexTuple) -> Polynomial:
-        key, sign = sort_with_sign(idx)
-        if sign == 0:
-            return Polynomial.zero(self.dim)
-        return self.components.get(key, Polynomial.zero(self.dim)) * sign
-
-    def is_zero(self) -> bool:
-        return not self.components
-
-    def __eq__(self, other):
-        if not isinstance(other, RelativeClass):
-            return NotImplemented
-        return (
-            self.dim == other.dim
-            and self.system_size == other.system_size
-            and self.degree == other.degree
-            and self.components == other.components
-        )
-
-    def __add__(self, other: RelativeClass) -> RelativeClass:
-        if (self.dim, self.system_size, self.degree) != (
-            other.dim,
-            other.system_size,
-            other.degree,
-        ):
-            raise ValueError("shape mismatch")
-        comps = dict(self.components)
-        for idx, p in other.components.items():
-            comps[idx] = comps.get(idx, Polynomial.zero(self.dim)) + p
-        return RelativeClass(self.dim, self.system_size, self.degree, comps)
-
-    def __neg__(self) -> RelativeClass:
-        return RelativeClass(
-            self.dim,
-            self.system_size,
-            self.degree,
-            {i: -p for i, p in self.components.items()},
-        )
-
-    def __sub__(self, other: RelativeClass) -> RelativeClass:
-        return self + (-other)
-
-    def scaled(self, factor: Polynomial | Fraction | int) -> RelativeClass:
-        return RelativeClass(
-            self.dim,
-            self.system_size,
-            self.degree,
-            {i: p * factor for i, p in self.components.items()},
-        )
-
-    def __repr__(self):
-        body = ", ".join(f"{idx}: {p.to_string()}" for idx, p in sorted(self.components.items()))
-        return f"RelativeClass(n={self.system_size}, degree={self.degree}, {{{body}}})"
 
 
 def d_hor(system: "IntegrableSystem", c: RelativeClass) -> RelativeClass:

@@ -338,33 +338,15 @@ def lift_witness(
 ) -> Polyvector | None:
     """Vector field V with V(f_j) = Y_j for every generator.
 
-    When the generators are distinct plain coordinates the lift is
-    written down directly; otherwise the componentwise linear system is
-    solved over a bounded-degree ansatz.  Returns None when the ansatz
-    is exhausted.
+    The componentwise linear system is solved over the ansatz of
+    components of degree at most degree_bound, and the lift is
+    post-checked exactly.  Returns None when the ansatz is exhausted.
     """
     if Y.degree != 1 or Y.system_size != system.size:
         raise ValueError("need a degree-1 class for this system")
     dim = system.dim
     if Y.is_zero():
         return Polyvector.zero(dim, 1)
-
-    coords = []
-    for g in system.generators:
-        if len(g.terms) == 1:
-            (exps, coeff), = g.terms.items()
-            if coeff == 1 and sum(exps) == 1:
-                coords.append(exps.index(1))
-                continue
-        coords = None
-        break
-    if coords is not None and len(set(coords)) == len(coords):
-        comps = {}
-        for j, k in enumerate(coords):
-            yj = Y.component((j,))
-            if not yj.is_zero():
-                comps[(k,)] = yj
-        return Polyvector(dim, 1, comps)
 
     emons = exponents_upto(dim, degree_bound)
     eqs = _SparseSystem([(e, (k,)) for k in range(dim) for e in emons])
@@ -381,8 +363,9 @@ def lift_witness(
     if solved is None:
         return None
     field_ = Polyvector(dim, 1, _gather_monomials(dim, solved[0]))
+    derivation = hkr_to_cochain(field_)
     for j, g in enumerate(system.generators):
-        if hkr_to_cochain(field_).apply([g]) != Y.component((j,)):
+        if derivation.apply([g]) != Y.component((j,)):
             raise AssertionError("vector field lift failed its post-check")
     return field_
 

@@ -7,15 +7,14 @@ immutable after construction, so they can be shared freely.
 
 The module also provides ``TruncatedSeries``, a fixed-order formal power
 series in a single deformation parameter, with payloads in any abelian
-group (polynomials, operators, ...).  Arithmetic silently discards terms
-beyond the truncation order.
+group (polynomials, operators, ...).
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from typing import Callable, Hashable, Mapping, Sequence
+from typing import Hashable, Mapping, Sequence
 
 Exponents = tuple[int, ...]
 
@@ -293,12 +292,6 @@ class Polynomial:
         return f"Polynomial({self.dim}, {self.to_string()})"
 
 
-def format_fraction(c: Fraction) -> str:
-    """Render n/1 as "n", everything else as "n/d"."""
-    c = Fraction(c)
-    return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
-
-
 # -- parsing ---------------------------------------------------------------
 
 
@@ -434,7 +427,7 @@ class TruncatedSeries:
     """Formal power series in one parameter, truncated at a fixed order.
 
     Coefficient k is the payload at parameter power k.  Payloads must
-    support ``+``; ``combine`` takes any bilinear map of payloads.
+    support ``+`` and ``-``.
     """
 
     __slots__ = ("order", "coefficients")
@@ -471,29 +464,9 @@ class TruncatedSeries:
             self.order, [a - b for a, b in zip(self.coefficients, other.coefficients)]
         )
 
-    def map(self, f: Callable) -> TruncatedSeries:
-        return TruncatedSeries(self.order, [f(c) for c in self.coefficients])
-
     def _check_order(self, other: TruncatedSeries):
         if self.order != other.order:
             raise ValueError(f"order mismatch: {self.order} vs {other.order}")
-
-    def combine(self, other: TruncatedSeries, combiner: Callable) -> TruncatedSeries:
-        """Cauchy product with a bilinear payload map.
-
-        Coefficient n of the result is sum over k+l = n of
-        combiner(self[k], other[l]); indices past the truncation order
-        are dropped.
-        """
-        self._check_order(other)
-        out = []
-        for n in range(self.order + 1):
-            acc = None
-            for k in range(n + 1):
-                v = combiner(self.coefficients[k], other.coefficients[n - k])
-                acc = v if acc is None else acc + v
-            out.append(acc)
-        return TruncatedSeries(self.order, out)
 
     def __repr__(self):
         return f"TruncatedSeries(order={self.order}, {list(self.coefficients)!r})"

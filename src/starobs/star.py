@@ -63,21 +63,20 @@ class StarProduct:
         return cls(dim, order, [PolyDiffOp.zero(dim, 2)] * order)
 
     def term(self, k: int) -> PolyDiffOp:
-        """B_k; B_0 is the multiplication cochain."""
+        """B_k for 0 <= k <= order; B_0 is the multiplication cochain."""
         if k == 0:
             return PolyDiffOp.multiplication(self.dim)
+        if not 1 <= k <= self.order:
+            raise IndexError(f"order {k} out of range (product order {self.order})")
         return self.corrections[k - 1]
 
-    def with_term(self, k: int, op: PolyDiffOp) -> StarProduct:
-        """Copy of this product with B_k replaced."""
+    def plus_term(self, k: int, op: PolyDiffOp) -> StarProduct:
+        """Copy of this product with op added to B_k, 1 <= k <= order."""
         if not 1 <= k <= self.order:
             raise IndexError(f"order {k} out of range")
         corr = list(self.corrections)
-        corr[k - 1] = op
+        corr[k - 1] = corr[k - 1] + op
         return StarProduct(self.dim, self.order, corr)
-
-    def plus_term(self, k: int, op: PolyDiffOp) -> StarProduct:
-        return self.with_term(k, self.term(k) + op)
 
     def __eq__(self, other):
         if not isinstance(other, StarProduct):
@@ -115,8 +114,12 @@ class StarProduct:
         """
         if not 0 <= n <= self.order:
             raise IndexError(f"order {n} out of range (product order {self.order})")
+        return self._associator(n, range(n + 1))
+
+    def _associator(self, n: int, ks: range) -> PolyDiffOp:
+        """sum over k in ks of B_k(B_{n-k}(.,.),.) - B_k(., B_{n-k}(.,.))."""
         total = PolyDiffOp.zero(self.dim, 3)
-        for k in range(n + 1):
+        for k in ks:
             outer = self.term(k)
             inner = self.term(n - k)
             total = total + outer.compose_at(0, inner) - outer.compose_at(1, inner)
@@ -213,9 +216,11 @@ class FormalDiffeo:
         return cls(dim, order, terms)
 
     def term(self, k: int) -> PolyDiffOp:
-        """D_k; D_0 is the identity operator."""
+        """D_k for 0 <= k <= order; D_0 is the identity operator."""
         if k == 0:
             return PolyDiffOp.identity(self.dim)
+        if not 1 <= k <= self.order:
+            raise IndexError(f"order {k} out of range (diffeomorphism order {self.order})")
         return self.terms[k - 1]
 
     def is_identity(self) -> bool:
@@ -384,14 +389,8 @@ def extend_one_order(
     if s.certified_order() < n:
         raise ValueError(f"product is only associative to order {s.certified_order()}, not {n}")
     dim = s.dim
-    target = PolyDiffOp.zero(dim, 3)
-    for k in range(1, n + 1):
-        l = n + 1 - k
-        if l < 1 or l > n:
-            continue
-        outer = s.term(k)
-        inner = s.term(l)
-        target = target + outer.compose_at(0, inner) - outer.compose_at(1, inner)
+    # the order-(n+1) associator without its two B_{n+1} terms
+    target = s._associator(n + 1, range(1, n + 1))
 
     basis = bidiff_basis(dim, coefficient_degree, operator_order)
     eqs = _SparseSystem(basis)

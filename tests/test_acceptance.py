@@ -25,6 +25,7 @@ from helpers import (
     sign,
     so3_pi,
 )
+from oracles import gerst_bracket
 
 from starobs import (
     OBSTRUCTED,
@@ -41,7 +42,6 @@ from starobs import (
     eliminate_to_order,
     extend_one_order,
     gauge_transform,
-    gerst_bracket,
     hkr_to_cochain,
     hochschild_d,
     jacobi_check,

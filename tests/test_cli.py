@@ -207,13 +207,6 @@ def test_reported_gauge_reproduces_reported_star():
 
 
 def test_rationals_serialized_as_fraction_strings():
-    from fractions import Fraction
-
-    from starobs import format_fraction
-
-    assert format_fraction(Fraction(3, 4)) == "3/4"
-    assert format_fraction(Fraction(-6, 4)) == "-3/2"
-    assert format_fraction(Fraction(2, 1)) == "2"
     # the problem echo renders the half-coefficients of the bracket terms
     report = run_command(load_problem_data(REMOVABLE), "assoc-check", None)
     text = render_report(report)
@@ -344,6 +337,10 @@ def star_with_slot(slot):
             "star.order: expected an integer, got float",
         ),
         ({"order": 2.5}, [], "order: expected an integer, got float"),
+        ({"order": -1}, [], "order: must be at least 1, got -1"),
+        ({}, ["--order", "-1"], "--order: must be at least 1, got -1"),
+        ({}, ["--order", "-2"], "--order: must be at least 1, got -2"),
+        ({}, ["--order", "0"], "--order: must be at least 1, got 0"),
         ({"seed": 1.5}, [], "seed: expected an integer, got float"),
         (
             {"star": star_with_slot([1.5, 2, 0])},
@@ -389,6 +386,10 @@ def star_with_slot(slot):
         "poisson-index-float",
         "star-order-float",
         "order-float",
+        "order-negative",
+        "order-flag-negative",
+        "order-flag-minus-two",
+        "order-flag-zero",
         "seed-float",
         "derivs-float",
         "derivs-bool",

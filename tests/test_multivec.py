@@ -19,6 +19,7 @@ from helpers import (
     sign,
     so3_pi,
 )
+from oracles import d_pi, wedge
 
 from starobs import (
     IntegrableSystem,
@@ -26,11 +27,9 @@ from starobs import (
     Polyvector,
     RelativeClass,
     d_hor,
-    d_pi,
     jacobi_check,
     poisson_bracket,
     schouten_bracket,
-    wedge,
 )
 
 
@@ -310,6 +309,41 @@ def test_wedge_above_top_degree_is_zero():
     top = Polyvector(2, 2, {(0, 1): Polynomial.one(2)})
     assert wedge(top, dx()).is_zero()
     assert wedge(top, top).is_zero()
+
+
+@pytest.mark.parametrize(
+    "make, other",
+    [
+        (lambda degree, comps: Polyvector(3, degree, comps), RelativeClass),
+        (lambda degree, comps: RelativeClass(3, 3, degree, comps), Polyvector),
+    ],
+    ids=["Polyvector", "RelativeClass"],
+)
+def test_alternating_class_core(make, other):
+    # both classes live over the indices 0..2 of R^3 here
+    x, y = p3("x"), p3("y")
+    a = make(2, {(1, 0): x, (2, 2): y})
+    assert a.components == {(0, 1): -x}
+    assert a.component((1, 0)) == x
+    assert a.component((1, 1)).is_zero()
+    b = make(2, {(0, 1): y, (1, 2): x})
+    assert (a + b).components == {(0, 1): y - x, (1, 2): x}
+    assert a - b == a + (-b) == make(2, {(0, 1): -x - y, (1, 2): -x})
+    assert (a - a).is_zero()
+    assert (-a).components == {(0, 1): x}
+    assert a.scaled(y) == make(2, {(1, 0): x * y})
+    assert a.scaled(0).is_zero()
+    assert hash(a) == hash(make(2, {(0, 1): -x}))
+    with pytest.raises(IndexError):
+        make(2, {(0, 3): x})
+    with pytest.raises(ValueError):
+        make(2, {(0,): x})
+    # above the top degree every tuple repeats an index, and a short one is still wrong
+    assert make(4, {(0, 1, 2, 0): x}).is_zero()
+    with pytest.raises(ValueError):
+        make(4, {(0,): x})
+    same = other(3, 2, {(0, 1): -x}) if other is Polyvector else other(3, 3, 2, {(0, 1): -x})
+    assert a != same and same != a
 
 
 def test_polyvector_component_lookup_antisymmetric():

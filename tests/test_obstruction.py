@@ -209,6 +209,13 @@ def test_coordinate_lift_closed_form():
     assert lifted == Polyvector(3, 1, {(2,): p3("-2*x")})
 
 
+def test_coordinate_lift_honours_degree_bound():
+    _, system = removable_scenario()
+    Y = RelativeClass(3, 2, 1, {(0,): p3("x^3"), (1,): p3("y")})
+    assert lift_witness(system, Y, 2) is None
+    assert lift_witness(system, Y, 3) == Polyvector(3, 1, {(1,): p3("x^3"), (2,): p3("y")})
+
+
 def test_generic_lift_by_linear_solve():
     pi = canonical_pi4()
     system = IntegrableSystem(pi, [p4("p1"), p4("p2 + p1^2")])

@@ -11,15 +11,13 @@ from helpers import (
     rand_vector_field,
     sign,
 )
+from oracles import cup, gerst_bracket, gerst_circ
 
 from starobs import (
     IntegrableSystem,
     PolyDiffOp,
     Polynomial,
     Polyvector,
-    cup,
-    gerst_bracket,
-    gerst_circ,
     hkr_to_cochain,
     hochschild_d,
     moyal_star,

@@ -111,6 +111,19 @@ def test_residual_order_range():
         bad_star().assoc_residual(3)
 
 
+@pytest.mark.parametrize("k", [-2, -1, 3])
+def test_term_outside_0_to_order_raises(k):
+    # B_-1 used to read corrections[-2], i.e. B_1, and B_-2 a stray IndexError
+    star = moyal_star(canonical_pi2(), 2)
+    diffeo = FormalDiffeo.identity(2, 2)
+    with pytest.raises(IndexError):
+        star.term(k)
+    with pytest.raises(IndexError):
+        diffeo.term(k)
+    assert star.term(0) == PolyDiffOp.multiplication(2)
+    assert diffeo.term(0) == PolyDiffOp.identity(2)
+
+
 # -- commutators ----------------------------------------------------------------------
 
 

@@ -1,0 +1,92 @@
+"""Static checks on the package surface, made with the standard library's ast.
+
+Every public name is used by the pipeline, the CLI or the benchmark
+(names only the tests need live under tests/), and no module imports a
+name it never uses.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import starobs
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "starobs"
+MODULES = sorted(PACKAGE.glob("*.py"))
+
+
+def _tree(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def _names_in_annotation(node: ast.AST | None) -> set[str]:
+    """Names an annotation mentions, inside string annotations too."""
+    out: set[str] = set()
+    for sub in ast.walk(node) if node is not None else ():
+        if isinstance(sub, ast.Name):
+            out.add(sub.id)
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            out |= _names_in_annotation(ast.parse(sub.value, mode="eval"))
+    return out
+
+
+def _used_names(tree: ast.AST, skip_definition: str | None = None) -> set[str]:
+    """Names loaded, attributes read and names in annotations, outside the
+    body of any function or class called `skip_definition`."""
+    out: set[str] = set()
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            if node.name == skip_definition:
+                continue
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.arg):
+            out |= _names_in_annotation(node.annotation)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            out |= _names_in_annotation(node.returns)
+        elif isinstance(node, ast.AnnAssign):
+            out |= _names_in_annotation(node.annotation)
+        stack.extend(ast.iter_child_nodes(node))
+    return out
+
+
+def _exported(tree: ast.Module) -> set[str]:
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return {elt.value for elt in node.value.elts}
+    return set()
+
+
+def test_every_public_name_has_a_caller_outside_the_tests():
+    trees = [_tree(p) for p in MODULES if p.name != "__init__.py"]
+    trees += [_tree(p) for p in sorted((ROOT / "bench").glob("*.py"))]
+    uncalled = sorted(
+        name
+        for name in starobs.__all__
+        if not any(name in _used_names(tree, skip_definition=name) for tree in trees)
+    )
+    assert uncalled == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_no_unused_imports(path):
+    tree = _tree(path)
+    used = _used_names(tree) | _exported(tree)
+    unused = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                bound = alias.asname or alias.name.split(".")[0]
+                if bound not in used:
+                    unused.append(bound)
+    assert unused == []
