@@ -12,7 +12,7 @@ CASES = [(problem, command) for problem in problem_files() for command in COMMAN
 
 
 def test_goldens_cover_all_problems_and_commands():
-    assert len(CASES) == 24
+    assert len(CASES) == 30
 
 
 @pytest.mark.parametrize(
