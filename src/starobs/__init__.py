@@ -34,7 +34,6 @@ from .obstruction import (
     exactness_solve,
     gauge_step,
     lift_witness,
-    obstruction_class,
     validate_system,
 )
 from .poly import (
@@ -102,7 +101,6 @@ __all__ = [
     "jacobi_check",
     "lift_witness",
     "moyal_star",
-    "obstruction_class",
     "parse_polynomial",
     "poisson_bracket",
     "restricted_values",

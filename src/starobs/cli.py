@@ -18,12 +18,12 @@ from typing import Any
 from .multivec import Polyvector, RelativeClass, jacobi_check
 from .obstruction import (
     Bounds,
+    ExactnessResult,
     IntegrableSystem,
     ObstructionReport,
     cocycle_cascade_check,
     eliminate_to_order,
     exactness_solve,
-    obstruction_class,
     validate_system,
 )
 from .poly import Polynomial, PolynomialParseError, exponents_upto, parse_polynomial
@@ -246,6 +246,8 @@ def load_problem_data(data: dict) -> Problem:
             raise ProblemError(f"{where}: index out of range 1..{dim}: ({i}, {j})")
         if i == j:
             raise ProblemError(f"{where}: repeated index {i}")
+        if (i - 1, j - 1) in comps or (j - 1, i - 1) in comps:
+            raise ProblemError(f"{where}: pair ({min(i, j)}, {max(i, j)}) given twice")
         coeff = _parse_poly_field(coeff_text, names, where)
         comps[(i - 1, j - 1)] = coeff
     pi = Polyvector(dim, 2, comps)
@@ -311,6 +313,8 @@ def load_problem(path: str) -> Problem:
         raise ProblemError(f"cannot read problem file: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ProblemError(f"problem file is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ProblemError("problem file is nested too deeply to decode") from exc
     return load_problem_data(data)
 
 
@@ -415,31 +419,33 @@ def cmd_commutator_table(problem: Problem, order: int | None) -> dict:
     return {"order": star.order, "commutators": table}
 
 
+def _exactness_payload(exact: ExactnessResult, names: list[str]) -> dict:
+    return {
+        "status": exact.status,
+        "certificate": exact.certificate,
+        "degree_bound": exact.degree_bound,
+        "witness": None if exact.witness is None else polyvector_payload(exact.witness, names),
+    }
+
+
 def cmd_obstruction(problem: Problem, order: int | None) -> dict:
     star = _require_star(problem)
     system = problem.system()
     n = order if order is not None else 2
-    chi = obstruction_class(star, system, n)
     cascade = cocycle_cascade_check(star, system, n)
-    payload = {
+    chi = cascade.obstruction
+    exactness = None
+    if cascade.class_closed:
+        exact = exactness_solve(system, chi, problem.bounds.degree)
+        exactness = _exactness_payload(exact, problem.names)
+    return {
         "order": n,
         "class": polyvector_payload(chi, problem.names),
         "class_zero": chi.is_zero(),
         "closed_on_subalgebra": cascade.cochain_closed,
         "class_closed": cascade.class_closed,
-        "exactness": None,
+        "exactness": exactness,
     }
-    if cascade.class_closed:
-        exact = exactness_solve(system, chi, problem.bounds.degree)
-        payload["exactness"] = {
-            "status": exact.status,
-            "certificate": exact.certificate,
-            "degree_bound": exact.degree_bound,
-            "witness": polyvector_payload(exact.witness, problem.names)
-            if exact.witness is not None
-            else None,
-        }
-    return payload
 
 
 def _report_payload(report: ObstructionReport, names: list[str]) -> dict:
@@ -454,20 +460,11 @@ def _report_payload(report: ObstructionReport, names: list[str]) -> dict:
             entry["closed_on_subalgebra"] = rec.cascade.cochain_closed
             entry["class_closed"] = rec.cascade.class_closed
         if rec.exactness is not None:
-            entry["exactness"] = {
-                "status": rec.exactness.status,
-                "certificate": rec.exactness.certificate,
-                "degree_bound": rec.exactness.degree_bound,
-                "witness": polyvector_payload(rec.exactness.witness, names)
-                if rec.exactness.witness is not None
-                else None,
-            }
+            entry["exactness"] = _exactness_payload(rec.exactness, names)
         if rec.step is not None:
             entry["gauge_step"] = {
                 "status": rec.step.status,
-                "diffeo": star_payload(rec.step.diffeo, names)
-                if rec.step.diffeo is not None
-                else None,
+                "diffeo": None if rec.step.diffeo is None else star_payload(rec.step.diffeo, names),
             }
         records.append(entry)
     return {

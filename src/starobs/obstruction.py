@@ -1,10 +1,14 @@
 """Integrable systems, obstruction classes and the elimination loop.
 
 Given a star product and a Poisson-commutative generating set, the
-pipeline walks the deformation order by order: measure the restricted
-correction table, read off the antisymmetrized commutator class on
-generator pairs, check closedness, solve for an exactness witness in
-the relative complex, lift it to a gauge and transform the product.
+pipeline walks the deformation order by order with one step: measure
+the restricted correction table, read off the antisymmetrized commutator
+class on generator pairs, check closedness, solve for an exactness
+witness in the relative complex, lift it to a gauge and transform the
+product.  At order 1 the class is gauge-invariant, so the closedness and
+exactness solves are skipped and the gauge step runs with a zero
+witness.  `cocycle_cascade_check` gives the class and its closedness at
+one order, after checking that the lower orders are already flat.
 
 Outcomes are honest about truncation: OBSTRUCTED is only reported with
 a bound-independent certificate (the horizontal differential having
@@ -184,23 +188,6 @@ def _require_certified(s: StarProduct, n: int):
         )
 
 
-def _require_lower_orders_flat(s: StarProduct, system: IntegrableSystem, n: int):
-    for k in range(1, n):
-        if not vanishes_on_generators(s.term(k), system):
-            raise ValueError(f"correction at order {k} does not vanish on the subalgebra")
-
-
-def obstruction_class(s: StarProduct, system: IntegrableSystem, n: int) -> RelativeClass:
-    """Antisymmetrized order-n commutator coefficients on generator pairs.
-
-    With all lower corrections vanishing on the subalgebra this is the
-    degree-2 representative sum_{i<j} (B_n(f_i,f_j) - B_n(f_j,f_i)) e_i^e_j.
-    """
-    _require_certified(s, n)
-    _require_lower_orders_flat(s, system, n)
-    return _raw_class(s, system, n)
-
-
 def _raw_class(s: StarProduct, system: IntegrableSystem, n: int) -> RelativeClass:
     op = s.term(n)
     comps = {}
@@ -216,6 +203,7 @@ def _raw_class(s: StarProduct, system: IntegrableSystem, n: int) -> RelativeClas
 @dataclass
 class CascadeReport:
     order: int
+    obstruction: RelativeClass
     cochain_closed: bool
     cochain_witness: tuple[Exponents, ...] | None
     class_closed: bool
@@ -227,21 +215,27 @@ class CascadeReport:
 
 
 def cocycle_cascade_check(s: StarProduct, system: IntegrableSystem, n: int) -> CascadeReport:
-    """Closedness of the order-n data.
+    """The order-n obstruction class and its closedness.
 
+    Needs the product certified to order n and every lower correction
+    vanishing on the subalgebra.  The class is the antisymmetrized
+    commutator on generator pairs, the degree-2 representative
+    sum_{i<j} (B_n(f_i,f_j) - B_n(f_j,f_i)) e_i^e_j.  Closedness means
     (a) the Hochschild differential of B_n restricts to zero on the
     subalgebra (checked on the full monomial table), and (b) the class
     is closed for the horizontal differential.
     """
     _require_certified(s, n)
-    _require_lower_orders_flat(s, system, n)
+    for k in range(1, n):
+        if not vanishes_on_generators(s.term(k), system):
+            raise ValueError(f"correction at order {k} does not vanish on the subalgebra")
     return _cascade(s, system, n, _raw_class(s, system, n))
 
 
 def _cascade(
     s: StarProduct, system: IntegrableSystem, n: int, chi: RelativeClass
 ) -> CascadeReport:
-    """The closedness checks of cocycle_cascade_check, given the order-n class."""
+    """cocycle_cascade_check without its preconditions, given the order-n class."""
     dop = hochschild_d(s.term(n))
     table = restricted_values(dop, system, dop.order() + 1)
     cochain_witness = None
@@ -253,6 +247,7 @@ def _cascade(
     class_witness = None if image.is_zero() else min(image.components)
     return CascadeReport(
         order=n,
+        obstruction=chi,
         cochain_closed=cochain_witness is None,
         cochain_witness=cochain_witness,
         class_closed=image.is_zero(),
@@ -428,8 +423,6 @@ class GaugeStepResult:
     status: str  # "solved" | "undecided"
     order: int
     diffeo: FormalDiffeo | None = None
-    lift: Polyvector | None = None
-    bounds: Bounds | None = None
     # the product after the gauge, built once for the post-check
     transformed: StarProduct | None = None
 
@@ -452,14 +445,15 @@ def gauge_step(
     solves the bounded linear system for the order-n operator killing
     the remaining symmetric part on the subalgebra.  The result is
     post-checked: the transformed product's order-n correction must
-    vanish on the full restricted table.
+    vanish on the full restricted table.  At order 1 the class is
+    gauge-invariant, so Y must be zero and only the unary solve runs.
     """
-    if n < 2:
-        raise ValueError("gauge steps start at order 2")
+    if n < 1 or (n == 1 and not Y.is_zero()):
+        raise ValueError("gauge steps start at order 1, where the witness must be zero")
     _require_certified(s, n)
     lifted = lift_witness(system, Y, bounds.degree)
     if lifted is None:
-        return GaugeStepResult(status="undecided", order=n, bounds=bounds)
+        return GaugeStepResult(status="undecided", order=n)
     partial_parts: dict[int, PolyDiffOp] = {}
     if not lifted.is_zero():
         partial_parts[n - 1] = -hkr_to_cochain(lifted)
@@ -467,7 +461,7 @@ def gauge_step(
     staged = gauge_transform(s, partial) if partial_parts else s
     correction = _solve_unary_correction(staged, system, n, bounds)
     if correction is None:
-        return GaugeStepResult(status="undecided", order=n, lift=lifted, bounds=bounds)
+        return GaugeStepResult(status="undecided", order=n)
     parts = dict(partial_parts)
     if not correction.is_zero():
         parts[n] = correction
@@ -475,14 +469,7 @@ def gauge_step(
     transformed = gauge_transform(s, diffeo)
     if not vanishes_on_generators(transformed.term(n), system):
         raise AssertionError("gauge step failed its built-in restriction post-check")
-    return GaugeStepResult(
-        status="solved",
-        order=n,
-        diffeo=diffeo,
-        lift=lifted,
-        bounds=bounds,
-        transformed=transformed,
-    )
+    return GaugeStepResult(status="solved", order=n, diffeo=diffeo, transformed=transformed)
 
 
 # -- the elimination loop --------------------------------------------------------
@@ -508,37 +495,6 @@ class ObstructionReport:
     records: list[OrderRecord]
     bounds: Bounds
     detail: str = ""
-
-
-def _normalize_first_order(
-    s: StarProduct, system: IntegrableSystem, bounds: Bounds
-) -> tuple[str, StarProduct, FormalDiffeo | None, OrderRecord]:
-    """Make B_1 vanish on the subalgebra, if it does not already.
-
-    The antisymmetric part on generator pairs is gauge-invariant at
-    first order, so a nonzero order-1 class is a hard obstruction; the
-    symmetric part is removed by a plain unary gauge.
-    """
-    record = OrderRecord(
-        order=1,
-        table_zero=vanishes_on_generators(s.term(1), system),
-        obstruction=_raw_class(s, system, 1),
-    )
-    if record.table_zero:
-        return "ok", s, None, record
-    if not record.obstruction.is_zero():
-        return OBSTRUCTED, s, None, record
-    correction = _solve_unary_correction(s, system, 1, bounds)
-    if correction is None:
-        return UNDECIDED, s, None, record
-    diffeo = FormalDiffeo.from_parts(s.dim, s.order, {1: correction})
-    transformed = gauge_transform(s, diffeo)
-    if not vanishes_on_generators(transformed.term(1), system):
-        raise AssertionError("first-order normalization failed its post-check")
-    record.step = GaugeStepResult(
-        status="solved", order=1, diffeo=diffeo, bounds=bounds, transformed=transformed
-    )
-    return "ok", transformed, diffeo, record
 
 
 def eliminate_to_order(
@@ -579,18 +535,7 @@ def eliminate_to_order(
             detail=detail,
         )
 
-    status, current, diffeo, record = _normalize_first_order(current, system, bounds)
-    records.append(record)
-    if diffeo is not None:
-        gauge = compose_diffeo(gauge, diffeo)
-    if status == OBSTRUCTED:
-        return finish(
-            OBSTRUCTED, 1, "nonzero first-order commutator on generators (gauge-invariant)"
-        )
-    if status == UNDECIDED:
-        return finish(UNDECIDED, 1, "first-order normalization exhausted the ansatz bounds")
-
-    for n in range(2, order + 1):
+    for n in range(1, order + 1):
         if vanishes_on_generators(current.term(n), system):
             records.append(
                 OrderRecord(
@@ -598,32 +543,42 @@ def eliminate_to_order(
                 )
             )
             continue
-        # orders below n were flat when checked, and every later gauge
-        # starts at order n-1 with a derivation (Hochschild-closed), so
-        # they still are: the public preconditions need not be re-run
         chi = _raw_class(current, system, n)
-        cascade = _cascade(current, system, n, chi)
-        record = OrderRecord(order=n, table_zero=False, obstruction=chi, cascade=cascade)
+        record = OrderRecord(order=n, table_zero=False, obstruction=chi)
         records.append(record)
-        if not cascade.ok:
-            raise AssertionError(
-                f"order-{n} closedness check failed; the certificate is inconsistent"
-            )
-        exact = exactness_solve(system, chi, bounds.degree)
-        record.exactness = exact
-        if not exact.solved:
-            if exact.certificate == "zero_image":
+        if n == 1:
+            # the first-order class is gauge-invariant: nonzero is a hard
+            # obstruction, zero leaves only the symmetric part to remove
+            if not chi.is_zero():
                 return finish(
-                    OBSTRUCTED,
-                    n,
-                    "the horizontal differential has identically zero image "
-                    "(all generators are Casimirs), so the nonzero class is "
-                    "exact at no degree",
+                    OBSTRUCTED, 1, "nonzero first-order commutator on generators (gauge-invariant)"
                 )
-            return finish(
-                UNDECIDED, n, f"exactness solve infeasible at degree bound {bounds.degree}"
-            )
-        step = gauge_step(current, system, n, exact.witness, bounds)
+            witness = RelativeClass.zero(s.dim, system.size, 1)
+        else:
+            # orders below n were flat when checked, and every later gauge
+            # starts at order n-1 with a derivation (Hochschild-closed), so
+            # they still are: the public preconditions need not be re-run
+            record.cascade = _cascade(current, system, n, chi)
+            if not record.cascade.ok:
+                raise AssertionError(
+                    f"order-{n} closedness check failed; the certificate is inconsistent"
+                )
+            exact = exactness_solve(system, chi, bounds.degree)
+            record.exactness = exact
+            if not exact.solved:
+                if exact.certificate == "zero_image":
+                    return finish(
+                        OBSTRUCTED,
+                        n,
+                        "the horizontal differential has identically zero image "
+                        "(all generators are Casimirs), so the nonzero class is "
+                        "exact at no degree",
+                    )
+                return finish(
+                    UNDECIDED, n, f"exactness solve infeasible at degree bound {bounds.degree}"
+                )
+            witness = exact.witness
+        step = gauge_step(current, system, n, witness, bounds)
         record.step = step
         if not step.solved:
             return finish(UNDECIDED, n, f"gauge step at order {n} exhausted the ansatz bounds")

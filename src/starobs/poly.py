@@ -308,11 +308,17 @@ class _Parser:
     factors, factors are integers, rationals like 3/4, declared variable
     names, parenthesised expressions, optionally raised with '^' to a
     non-negative integer power.  Multiplication must be explicit.
+    Parentheses nest at most MAX_NESTING deep: each level costs four
+    frames (expr, term, factor, atom), and the cap keeps them well below
+    the interpreter's recursion limit.
     """
+
+    MAX_NESTING = 100
 
     def __init__(self, text: str, names: Sequence[str]):
         self.text = text
         self.pos = 0
+        self.depth = 0
         self.names = list(names)
         self.dim = len(self.names)
 
@@ -377,9 +383,13 @@ class _Parser:
         ch = self.peek()
         if ch == "(":
             self.take("(")
+            self.depth += 1
+            if self.depth > self.MAX_NESTING:
+                self.error(f"parentheses nested deeper than {self.MAX_NESTING}")
             p = self.expr()
             if not self.take(")"):
                 self.error("expected ')'")
+            self.depth -= 1
             return p
         if ch.isdigit():
             num = self.integer("number")

@@ -1,10 +1,11 @@
 import copy
 import json
+from fractions import Fraction
 
 import pytest
 from helpers import removable_scenario
 
-from starobs import gauge_transform
+from starobs import FormalDiffeo, PolyDiffOp, StarProduct, gauge_transform
 from starobs.cli import (
     ProblemError,
     diffeo_from_payload,
@@ -14,6 +15,7 @@ from starobs.cli import (
     problem_payload,
     render_report,
     run_command,
+    star_payload,
 )
 
 CANONICAL_PLANE = {
@@ -291,6 +293,44 @@ def test_eliminate_obstructed_problem_exits_zero(tmp_path, capsys):
     assert data["result"]["classes"][1] == {"(1,2)": "2"}
 
 
+def test_first_order_undecided_records_its_gauge_step(tmp_path, capsys):
+    # a symmetric first-order term that survives on the subalgebra; the
+    # (0,0) ansatz cannot remove it
+    D = FormalDiffeo.from_parts(2, 2, {1: PolyDiffOp.single(2, [(2, 0)], Fraction(-1, 2))})
+    star = gauge_transform(StarProduct.trivial(2, 2), D)
+    data = dict(
+        CANONICAL_PLANE,
+        star={"type": "terms", **star_payload(star, ["x", "p"])},
+        generators=["x"],
+        bounds={"degree": 0, "op_order": 0},
+    )
+    path = write(tmp_path, "dirty.json", data)
+    assert main(["--problem", path, "--command", "eliminate", "--order", "2"]) == 0
+    result = json.loads(capsys.readouterr().out)["result"]
+    assert result["status"] == "UNDECIDED" and result["order_reached"] == 1
+    assert result["detail"] == "gauge step at order 1 exhausted the ansatz bounds"
+    (record,) = result["records"]
+    assert record["gauge_step"] == {"status": "undecided", "diffeo": None}
+
+
+def test_obstruction_checks_each_lower_order_once(tmp_path, capsys, monkeypatch):
+    import starobs.obstruction as obstruction
+
+    original = obstruction.vanishes_on_generators
+    calls = []
+
+    def counting(op, system):
+        calls.append(op)
+        return original(op, system)
+
+    monkeypatch.setattr(obstruction, "vanishes_on_generators", counting)
+    data = dict(CANONICAL_PLANE, star={"type": "moyal", "order": 3})
+    path = write(tmp_path, "plane.json", data)
+    assert main(["--problem", path, "--command", "obstruction", "--order", "3"]) == 0
+    assert json.loads(capsys.readouterr().out)["result"]["class_zero"]
+    assert len(calls) == 2  # orders 1 and 2
+
+
 def test_cli_bound_flags_override_problem_file(tmp_path, capsys):
     data = dict(CANONICAL_PLANE, bounds={"degree": 0, "op_order": 2})
     path = write(tmp_path, "plane.json", data)
@@ -301,6 +341,9 @@ def test_cli_bound_flags_override_problem_file(tmp_path, capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["result"]["status"] == "solved"
     assert report["result"]["bounds"]["op_order"] == 3
+
+
+DEEP_GENERATOR = "(" * 3000 + "y" + ")" * 3000
 
 
 def star_with_slot(slot):
@@ -372,6 +415,15 @@ def star_with_slot(slot):
             [],
             "star.terms has an out-of-range order key '\u00b2'",
         ),
+        (
+            {"generators": [DEEP_GENERATOR, "z"]},
+            [],
+            f"generators[0]: at position 101 in {DEEP_GENERATOR!r}: "
+            "parentheses nested deeper than 100",
+        ),
+        ("[" * 100_000 + "]" * 100_000, [], "problem file is nested too deeply to decode"),
+        ({"poisson": [[1, 2, "1"], [1, 2, "3"]]}, [], "poisson[1]: pair (1, 2) given twice"),
+        ({"poisson": [[1, 2, "1"], [2, 1, "1"]]}, [], "poisson[1]: pair (1, 2) given twice"),
     ],
     ids=[
         "poisson-not-list",
@@ -397,11 +449,18 @@ def star_with_slot(slot):
         "derivs-negative",
         "derivs-slot-length",
         "order-key-not-decimal",
+        "generator-nested-deep",
+        "file-nested-deep",
+        "poisson-pair-twice",
+        "poisson-pair-reversed",
     ],
 )
 def test_malformed_input_exits_1_naming_the_field(tmp_path, capsys, patch, flags, message):
-    path = write(tmp_path, "bad.json", dict(REMOVABLE, **patch))
-    assert main(["--problem", path, "--command", "eliminate", *flags]) == 1
+    # a string is the whole file, for nesting json.dumps cannot write
+    text = patch if isinstance(patch, str) else json.dumps(dict(REMOVABLE, **patch))
+    path = tmp_path / "bad.json"
+    path.write_text(text, encoding="utf-8")
+    assert main(["--problem", str(path), "--command", "eliminate", *flags]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
 
 

@@ -36,7 +36,6 @@ from starobs import (
     hkr_to_cochain,
     lift_witness,
     moyal_star,
-    obstruction_class,
     restricted_values,
     validate_system,
     vanishes_on_generators,
@@ -89,17 +88,17 @@ def test_validation_witness_point_recorded():
 
 def test_flat_scenario_class_vanishes():
     star, system = flat_scenario(order=2)
-    assert obstruction_class(star, system, 2).is_zero()
+    assert cocycle_cascade_check(star, system, 2).obstruction.is_zero()
 
 
 def test_removable_scenario_class():
     star, system = removable_scenario()
-    assert obstruction_class(star, system, 2) == two_e12(3)
+    assert cocycle_cascade_check(star, system, 2).obstruction == two_e12(3)
 
 
 def test_obstructed_scenario_class():
     star, system = obstructed_scenario()
-    assert obstruction_class(star, system, 2) == two_e12(4)
+    assert cocycle_cascade_check(star, system, 2).obstruction == two_e12(4)
 
 
 def test_class_requires_certificate():
@@ -108,7 +107,7 @@ def test_class_requires_certificate():
     star, system = removable_scenario()
     broken = star.plus_term(1, PolyDiffOp.single(3, [(0, 1, 0), (0, 1, 0)]))
     with pytest.raises(ValueError):
-        obstruction_class(broken, system, 2)
+        cocycle_cascade_check(broken, system, 2).obstruction
 
 
 def test_class_requires_lower_orders_flat():
@@ -118,13 +117,13 @@ def test_class_requires_lower_orders_flat():
     system = IntegrableSystem(canonical_pi2(), [p2("x")])
     assert not vanishes_on_generators(star.term(1), system)
     with pytest.raises(ValueError, match="order 1"):
-        obstruction_class(star, system, 2)
+        cocycle_cascade_check(star, system, 2).obstruction
 
 
 def test_class_matches_commutator_coefficients():
     # independent evaluation path: the truncated commutator series
     for star, system in (removable_scenario(), obstructed_scenario()):
-        chi = obstruction_class(star, system, 2)
+        chi = cocycle_cascade_check(star, system, 2).obstruction
         gens = system.generators
         for i in range(len(gens)):
             for j in range(i + 1, len(gens)):
@@ -238,7 +237,7 @@ def test_lift_zero_class():
 
 def test_gauge_step_removable_post_condition():
     star, system = removable_scenario()
-    exact = exactness_solve(system, obstruction_class(star, system, 2), 2)
+    exact = exactness_solve(system, cocycle_cascade_check(star, system, 2).obstruction, 2)
     step = gauge_step(star, system, 2, exact.witness, BOUNDS)
     assert step.solved
     transformed = gauge_transform(star, step.diffeo)
@@ -260,6 +259,20 @@ def test_gauge_step_identity_on_momentum_subalgebra():
         step = gauge_step(star, system, n, RelativeClass.zero(4, 2, 1), BOUNDS)
         assert step.solved
         assert step.diffeo.is_identity()
+
+
+def test_gauge_step_at_order_one_takes_only_a_zero_witness():
+    D = FormalDiffeo.from_parts(2, 2, {1: PolyDiffOp.single(2, [(2, 0)], Fraction(-1, 2))})
+    star = gauge_transform(StarProduct.trivial(2, 2), D)
+    system = IntegrableSystem(canonical_pi2(), [p2("x")])
+    step = gauge_step(star, system, 1, RelativeClass.zero(2, 1, 1), BOUNDS)
+    assert step.solved
+    assert not vanishes_on_generators(star.term(1), system)
+    assert vanishes_on_generators(step.transformed.term(1), system)
+    nonzero = RelativeClass(2, 1, 1, {(0,): Polynomial.one(2)})
+    for n, Y in ((1, nonzero), (0, RelativeClass.zero(2, 1, 1))):
+        with pytest.raises(ValueError, match="start at order 1"):
+            gauge_step(star, system, n, Y, BOUNDS)
 
 
 # -- elimination --------------------------------------------------------------------
@@ -348,7 +361,7 @@ def test_class_shift_is_exact_for_derivation_gauges():
     # horizontal differential of the generator values of the field
     rng = random.Random(41)
     star, system = removable_scenario()
-    chi = obstruction_class(star, system, 2)
+    chi = cocycle_cascade_check(star, system, 2).obstruction
     for _ in range(10):
         field = Polyvector(
             3, 1, {(i,): rand_poly(rng, 3, degree=1) for i in range(3)}
@@ -364,7 +377,7 @@ def test_class_shift_is_exact_for_derivation_gauges():
                 for j, g in enumerate(system.generators)
             },
         )
-        shifted = obstruction_class(moved, system, 2)
+        shifted = cocycle_cascade_check(moved, system, 2).obstruction
         assert shifted == chi + d_hor(system, values)
 
 
@@ -397,7 +410,7 @@ def test_eliminate_removes_third_order_class():
     star = moyal_star(pi, 3).plus_term(3, extra)
     system = IntegrableSystem(pi, [p3("y"), p3("z")])
     assert star.certified_order() == 3
-    chi = obstruction_class(star, system, 3)
+    chi = cocycle_cascade_check(star, system, 3).obstruction
     assert chi == two_e12(3)
     report = eliminate_to_order(star, system, 3, BOUNDS)
     assert report.status == TRIVIALIZED
