@@ -22,6 +22,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
 from .linsolve import _SparseSystem
 from .multivec import (
@@ -365,6 +366,29 @@ def lift_witness(
     return field_
 
 
+def _difference(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(x - y for x, y in zip(a, b))
+
+
+def _weight_map(system: IntegrableSystem) -> Callable[[Exponents], tuple]:
+    """Each exponent vector's weight under every scaling that keeps the generators homogeneous.
+
+    A scaling x_i -> t^w_i x_i does so when w is orthogonal to the
+    differences between each generator's monomials; weights are read
+    against a basis of that rational nullspace.  Monomial generators give
+    the exponent vector itself, generators homogeneous for no scaling ().
+    """
+    dim = system.dim
+    eqs = _SparseSystem(range(dim))
+    for gi, g in enumerate(system.generators):
+        monos = list(g.terms)
+        for k, mono in enumerate(monos[1:]):
+            for i in range(dim):
+                eqs._add((gi, k), i, Fraction(mono[i] - monos[0][i]))
+    basis = eqs._solve(want_nullspace=True)[1] if eqs.rows else [{i: 1} for i in range(dim)]
+    return lambda e: tuple(sum(c * e[i] for i, c in vec.items()) for vec in basis)
+
+
 def _solve_unary_correction(
     s: StarProduct, system: IntegrableSystem, n: int, bounds: Bounds
 ) -> PolyDiffOp | None:
@@ -373,13 +397,21 @@ def _solve_unary_correction(
     The returned unary operator satisfies (B_n + dD)(u, v) = 0 for all
     monomials u, v in the generators up to the deciding slot degree, or
     None when the bounded ansatz has no solution.
+
+    Only the weight blocks that B_n reaches are assembled and solved (see
+    _unary_ansatz_rows), which gives the full system's answer: a block with
+    a zero right-hand side is consistent, and with free variables set to
+    zero its columns vanish in the solution; the reduced row-echelon form
+    is block-diagonal, so the live blocks keep their pivots and values, and
+    the full system is infeasible exactly when the graded one is.
     """
     target = s.term(n)
     slot_degree = max(target.order(), bounds.op_order) + 1
     mons = generator_monomials(system, slot_degree)
     alphas = exponents_upto(system.dim, bounds.op_order)
     emons = exponents_upto(system.dim, bounds.degree)
-    solved = _unary_ansatz_rows(target, mons, alphas, emons)._solve()
+    eqs = _unary_ansatz_rows(target, mons, alphas, emons, _weight_map(system))
+    solved = None if eqs is None else eqs._solve()
     if solved is None:
         return None
     return PolyDiffOp(system.dim, 1, _gather_monomials(system.dim, solved[0]))
@@ -390,26 +422,53 @@ def _unary_ansatz_rows(
     mons: list[tuple[Exponents, Polynomial]],
     alphas: list[Exponents],
     emons: list[Exponents],
-) -> _SparseSystem:
-    """The system d(D) = -target on all pairs of generator monomials.
+    weight: Callable[[Exponents], tuple],
+) -> _SparseSystem | None:
+    """The live weight blocks of d(D) = -target on all pairs of generator monomials.
 
     D ranges over x^e d^a, column (e, (a,)), in the order
     [(e, (a,)) for a in alphas for e in emons].  A row is labelled by the
     pair's generator exponents and an ambient monomial.
+
+    Scaling by weight() commutes with d and with the order-0 product, and
+    generator monomials are homogeneous, so column x^e d^a only meets rows
+    whose ambient monomial, less those of u and v, weighs weight(e - a).
+    Only the columns of live weights, those of the rows where the target's
+    table is nonzero, are kept, in the order above, and d^a is taken only
+    for their alphas.  None when a live weight has no column: 0 = b, b != 0.
     """
-    eqs = _SparseSystem([(e, (a,)) for a in alphas for e in emons])
+    values = dict(_restricted_items(target, mons))
+    # generator monomials are homogeneous: one monomial gives each one's weight
+    ambient = {ue: next(iter(u.terms)) for ue, u in mons if not u.is_zero()}
+    live = {
+        weight(_difference(mono, add_exponents(ambient[ue], ambient[ve])))
+        for (ue, ve), value in values.items()
+        for mono in value.terms
+    }
+    by_alpha: dict[Exponents, list[Exponents]] = {}
+    reached = set()
+    for a in alphas:
+        for e in emons:
+            w = weight(_difference(e, a))
+            if w in live:
+                by_alpha.setdefault(a, []).append(e)
+                reached.add(w)
+    if reached != live:
+        return None
+    eqs = _SparseSystem([(e, (a,)) for a, es in by_alpha.items() for e in es])
     # every generator monomial and every product uv, by exponents (the first pair's uv wins)
     polys = dict(mons)
     for (ue, u), (ve, v) in itertools.product(mons, repeat=2):
-        polys.setdefault(add_exponents(ue, ve), u * v)
-    derivs = _derivatives(polys, alphas)
-    values = dict(_restricted_items(target, mons))
+        key = add_exponents(ue, ve)
+        if key not in polys:
+            polys[key] = u * v
+    derivs = _derivatives(polys, by_alpha)
     for (ue, u), (ve, v) in itertools.product(mons, repeat=2):
         uve = add_exponents(ue, ve)
-        for a in alphas:
+        for a, es in by_alpha.items():
             # d(x^e D) = x^e d(D) (order 0 is commutative): w_a = d(d^a)(u, v) serves every e
             w = u * derivs[a][ve] - derivs[a][uve] + derivs[a][ue] * v
-            for e in emons:
+            for e in es:
                 column = (e, (a,))
                 for mono, c in w.terms.items():
                     eqs._add(((ue, ve), add_exponents(mono, e)), column, c)

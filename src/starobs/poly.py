@@ -296,9 +296,16 @@ class Polynomial:
 
 
 class PolynomialParseError(ValueError):
+    """A parse failure at `pos`, quoting at most WINDOW characters each side of it."""
+
+    WINDOW = 30
+
     def __init__(self, text: str, pos: int, message: str):
         self.pos = pos
-        super().__init__(f"at position {pos} in {text!r}: {message}")
+        start, end = max(0, pos - self.WINDOW), pos + self.WINDOW
+        quoted = repr(text[start:end])
+        quoted = ("…" if start else "") + quoted + ("…" if end < len(text) else "")
+        super().__init__(f"at position {pos} in {quoted}: {message}")
 
 
 class _Parser:

@@ -418,7 +418,7 @@ def star_with_slot(slot):
         (
             {"generators": [DEEP_GENERATOR, "z"]},
             [],
-            f"generators[0]: at position 101 in {DEEP_GENERATOR!r}: "
+            f"generators[0]: at position 101 in …'{'(' * 60}'…: "
             "parentheses nested deeper than 100",
         ),
         ("[" * 100_000 + "]" * 100_000, [], "problem file is nested too deeply to decode"),

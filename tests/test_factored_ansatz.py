@@ -2,8 +2,10 @@
 
 For a product that is commutative at order 0, d(x^e D) = x^e d(D), so
 the unary gauge solve and the one-order extension evaluate one
-differential per derivative index and shift it by e.  These tests pin
-the factored assemblers to the per-column references in helpers.py.
+differential per derivative index and shift it by e.  The unary solve
+also keeps only the weight blocks its target reaches.  These tests pin
+the factored, graded assemblers to the per-column references in
+helpers.py.
 """
 
 import random
@@ -11,6 +13,7 @@ from fractions import Fraction
 
 import pytest
 from helpers import (
+    canonical_pi4,
     p3,
     p4,
     plane_pi3,
@@ -26,12 +29,12 @@ from starobs import (
     IntegrableSystem,
     PolyDiffOp,
     Polynomial,
-    Polyvector,
     gauge_transform,
     hochschild_d,
+    linsolve,
     moyal_star,
 )
-from starobs.obstruction import _solve_unary_correction, _unary_ansatz_rows
+from starobs.obstruction import _solve_unary_correction, _unary_ansatz_rows, _weight_map
 from starobs.poly import exponents_upto
 from starobs.polydiff import generator_monomials
 from starobs.star import _extension_columns, bidiff_basis
@@ -43,17 +46,50 @@ def planted(order, n, alpha, exps, coeff):
         3, order, {n: PolyDiffOp.single(3, [alpha], Polynomial.monomial(3, exps, coeff))}
     )
     star = gauge_transform(moyal_star(plane_pi3(), order), gauge)
-    return star, IntegrableSystem(plane_pi3(), [p3("y"), p3("z")])
+    return star, plane_system("y", "z")
+
+
+def plane_system(*generators):
+    return IntegrableSystem(plane_pi3(), [p3(g) for g in generators])
+
+
+def rotation_system():
+    """H = p1^2 + p2^2 and L = x1 p2 - x2 p1 on R^4, homogeneous in x and in p."""
+    return IntegrableSystem(canonical_pi4(), [p4("p1^2 + p2^2"), p4("x1*p2 - x2*p1")])
+
+
+def support(exps):
+    return [i for i, k in enumerate(exps) if k]
 
 
 def as_mapping(labels, rows, rhs):
     return {label: (row, b) for label, row, b in zip(labels, rows, rhs)}
 
 
-def factored_rows(target, mons, alphas, emons):
-    """Row labels, rows and rhs of the system _unary_ansatz_rows assembles."""
-    eqs = _unary_ansatz_rows(target, mons, alphas, emons)
-    return eqs.row_labels, eqs.rows, eqs.rhs
+def graded_rows(target, mons, alphas, emons, system):
+    """Columns, row labels, rows and rhs of the system _unary_ansatz_rows assembles."""
+    eqs = _unary_ansatz_rows(target, mons, alphas, emons, _weight_map(system))
+    return eqs.columns, (eqs.row_labels, eqs.rows, eqs.rhs)
+
+
+def reference_on_columns(target, mons, alphas, emons, columns):
+    """reference_unary_rows on the given columns and the rows they reach or that carry a rhs.
+
+    Asserts on the way that those rows meet no other column, i.e. that the
+    dropped columns form blocks of their own with a zero right-hand side.
+    """
+    position = {label: ci for ci, label in enumerate((e, (a,)) for a in alphas for e in emons)}
+    kept = {position[label]: k for k, label in enumerate(columns)}
+    assert list(kept) == sorted(kept), "kept columns keep their relative order"
+    labels, rows, rhs = reference_unary_rows(target, mons, alphas, emons)
+    out = ([], [], [])
+    for label, row, b in zip(labels, rows, rhs):
+        live = {kept[ci]: v for ci, v in row.items() if ci in kept}
+        if live or b:
+            assert len(live) == len(row), f"row {label} mixes weight blocks"
+            for part, item in zip(out, (label, live, b)):
+                part.append(item)
+    return out
 
 
 @pytest.mark.parametrize("arity", [1, 2])
@@ -71,22 +107,24 @@ def test_unary_rows_match_per_column_reference_on_planted_product():
     mons = generator_monomials(system, 3)
     alphas, emons = exponents_upto(3, 2), exponents_upto(3, 1)
     target = star.term(2)
-    factored = factored_rows(target, mons, alphas, emons)
-    reference = reference_unary_rows(target, mons, alphas, emons)
-    assert as_mapping(*factored) == as_mapping(*reference)
-    # monomial generators: the solver sees the very same system
-    assert factored == reference
+    columns, graded = graded_rows(target, mons, alphas, emons, system)
+    assert 0 < len(columns) < len(alphas) * len(emons)
+    # monomial generators: the solver sees the very same rows, in the same order
+    assert graded == reference_on_columns(target, mons, alphas, emons, columns)
 
 
 def test_unary_rows_match_per_column_reference_on_polynomial_generators():
-    pi = Polyvector.bivector(4, {(0, 2): 1, (1, 3): 1})
-    system = IntegrableSystem(pi, [p4("p1^2 + p2^2"), p4("x1*p2 - x2*p1")])
-    target = moyal_star(pi, 2).term(2)
+    system = rotation_system()
+    target = moyal_star(system.pi, 2).term(2)
     mons = generator_monomials(system, 2)
-    alphas, emons = exponents_upto(4, 1), exponents_upto(4, 1)
-    factored = factored_rows(target, mons, alphas, emons)
-    reference = reference_unary_rows(target, mons, alphas, emons)
-    assert as_mapping(*factored) == as_mapping(*reference)
+    # the target has weight (-2, -2) in (x-degree, p-degree): d^a needs |a| = 4 to reach it
+    alphas, emons = exponents_upto(4, 4), exponents_upto(4, 1)
+    columns, graded = graded_rows(target, mons, alphas, emons, system)
+    assert 0 < len(columns) < len(alphas) * len(emons)
+    reference = reference_on_columns(target, mons, alphas, emons, columns)
+    assert as_mapping(*graded) == as_mapping(*reference)
+    short = exponents_upto(4, 3)
+    assert _unary_ansatz_rows(target, mons, short, emons, _weight_map(system)) is None
 
 
 @pytest.mark.parametrize(
@@ -109,3 +147,66 @@ def test_unary_correction_matches_reference_solve(order, n, alpha, exps, bounds)
 def test_extension_columns_match_per_column_reference(dim, degree, op_order):
     basis = bidiff_basis(dim, degree, op_order)
     assert _extension_columns(dim, basis) == reference_extension_columns(dim, basis)
+
+
+def test_weight_map_grades_by_the_scalings_that_keep_generators_homogeneous():
+    for e in exponents_upto(3, 3):
+        # monomial generators constrain no scaling: Z^dim
+        assert _weight_map(plane_system("y", "z"))(e) == e
+        # y + z^2 ties y to twice z and leaves x free
+        assert _weight_map(plane_system("y + z^2", "z"))(e) == (e[0], 2 * e[1] + e[2])
+        # a constant term pins y at weight 0
+        assert _weight_map(plane_system("y + 1", "z"))(e) == (e[0], e[2])
+    weight = _weight_map(rotation_system())
+    for e in exponents_upto(4, 3):
+        assert weight(e) == (e[0] + e[1], e[2] + e[3])
+
+
+def test_rotation_momenta_at_bounds_3_3_has_no_live_column(monkeypatch):
+    system = rotation_system()
+    star = moyal_star(system.pi, 2)
+    solves = []
+    real_solve = linsolve.solve_sparse
+
+    def counting(rows, rhs, ncols, want_nullspace=False):
+        solves.append(ncols)
+        return real_solve(rows, rhs, ncols, want_nullspace)
+
+    monkeypatch.setattr(linsolve, "solve_sparse", counting)
+    assert _solve_unary_correction(star, system, 2, Bounds(3, 3)) is None
+    # the one solve is the weight map's nullspace over the 4 coordinates:
+    # none of the 1,225 ansatz columns reaches the target's weight
+    assert solves == [4]
+
+
+@pytest.mark.parametrize(
+    "system, n, degree",
+    [
+        (plane_system("y", "z"), 2, 1),
+        (plane_system("y + z^2", "z"), 2, 1),
+        (plane_system("y + 1", "z"), 2, 1),
+        (rotation_system(), 1, 0),
+    ],
+    ids=["monomial", "non-homogeneous", "constant-term", "rotation-momenta"],
+)
+def test_graded_unary_solve_matches_full_reference_solve(system, n, degree):
+    dim = system.dim
+    variables = {i for g in system.generators for mono in g.terms for i in support(mono)}
+    # d^a of order 2 in the generators' variables: the subalgebra sees it
+    alphas = [a for a in exponents_upto(dim, 2) if sum(a) == 2 and variables >= set(support(a))]
+    rng = random.Random(11)
+    outcomes = set()
+    for _ in range(2):
+        # Moyal behind id + h^n c x^e d^a
+        alpha = rng.choice(alphas)
+        exps = rng.choice(exponents_upto(dim, degree))
+        coeff = Fraction(rng.choice([-3, -1, 1, 2]), rng.choice([1, 2, 3]))
+        plant = PolyDiffOp.single(dim, [alpha], Polynomial.monomial(dim, exps, coeff))
+        gauge = FormalDiffeo.from_parts(dim, 2, {n: plant})
+        star = gauge_transform(moyal_star(system.pi, 2), gauge)
+        # the first bounds hold the plant, the second hold no operator of order 2
+        for bounds in [Bounds(degree, 2), Bounds(0, 1)]:
+            graded = _solve_unary_correction(star, system, n, bounds)
+            assert graded == reference_unary_correction(star, system, n, bounds)
+            outcomes.add("none" if graded is None else "zero" if graded.is_zero() else "solved")
+    assert {"none", "solved"} <= outcomes

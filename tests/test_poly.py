@@ -110,6 +110,15 @@ def test_parse_trailing_garbage():
         p2("x + ")
 
 
+def test_parse_error_quotes_a_window_around_the_position():
+    with pytest.raises(PolynomialParseError, match=r"^at position 5 in 'x \+ q': "):
+        p2("x + q")
+    text = "x + " * 20 + "q" + " + x" * 20
+    with pytest.raises(PolynomialParseError) as info:
+        p2(text)
+    assert str(info.value).startswith(f"at position 81 in …{text[51:111]!r}…: ")
+
+
 def test_parse_requires_explicit_multiplication():
     with pytest.raises(PolynomialParseError):
         p2("3 x")
