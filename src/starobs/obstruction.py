@@ -33,7 +33,14 @@ from .multivec import (
     jacobi_check,
     poisson_bracket,
 )
-from .poly import Exponents, Polynomial, _gather_monomials, add_exponents, exponents_upto
+from .poly import (
+    Exponents,
+    Polynomial,
+    _gather_monomials,
+    add_exponents,
+    exponents_upto,
+    sub_exponents,
+)
 from .polydiff import (
     PolyDiffOp,
     _derivatives,
@@ -366,10 +373,6 @@ def lift_witness(
     return field_
 
 
-def _difference(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(x - y for x, y in zip(a, b))
-
-
 def _weight_map(system: IntegrableSystem) -> Callable[[Exponents], tuple]:
     """Each exponent vector's weight under every scaling that keeps the generators homogeneous.
 
@@ -396,14 +399,8 @@ def _solve_unary_correction(
 
     The returned unary operator satisfies (B_n + dD)(u, v) = 0 for all
     monomials u, v in the generators up to the deciding slot degree, or
-    None when the bounded ansatz has no solution.
-
-    Only the weight blocks that B_n reaches are assembled and solved (see
-    _unary_ansatz_rows), which gives the full system's answer: a block with
-    a zero right-hand side is consistent, and with free variables set to
-    zero its columns vanish in the solution; the reduced row-echelon form
-    is block-diagonal, so the live blocks keep their pivots and values, and
-    the full system is infeasible exactly when the graded one is.
+    None when the bounded ansatz has no solution.  Only the weight blocks
+    B_n reaches are solved; _unary_ansatz_rows says why that changes nothing.
     """
     target = s.term(n)
     slot_degree = max(target.order(), bounds.op_order) + 1
@@ -433,15 +430,17 @@ def _unary_ansatz_rows(
     Scaling by weight() commutes with d and with the order-0 product, and
     generator monomials are homogeneous, so column x^e d^a only meets rows
     whose ambient monomial, less those of u and v, weighs weight(e - a).
-    Only the columns of live weights, those of the rows where the target's
-    table is nonzero, are kept, in the order above, and d^a is taken only
-    for their alphas.  None when a live weight has no column: 0 = b, b != 0.
+    The system is thus block-diagonal, and a block with a zero right-hand
+    side is consistent with its columns zero in the solution, so only the
+    columns of live weights (those of rows where the target's table is
+    nonzero) are kept, in the order above, with d^a only for their alphas.
+    None when a live weight has no column: its block reads 0 = b, b != 0.
     """
     values = dict(_restricted_items(target, mons))
     # generator monomials are homogeneous: one monomial gives each one's weight
     ambient = {ue: next(iter(u.terms)) for ue, u in mons if not u.is_zero()}
     live = {
-        weight(_difference(mono, add_exponents(ambient[ue], ambient[ve])))
+        weight(sub_exponents(mono, add_exponents(ambient[ue], ambient[ve])))
         for (ue, ve), value in values.items()
         for mono in value.terms
     }
@@ -449,7 +448,7 @@ def _unary_ansatz_rows(
     reached = set()
     for a in alphas:
         for e in emons:
-            w = weight(_difference(e, a))
+            w = weight(sub_exponents(e, a))
             if w in live:
                 by_alpha.setdefault(a, []).append(e)
                 reached.add(w)

@@ -33,6 +33,10 @@ def add_exponents(a: Exponents, b: Exponents) -> Exponents:
     return tuple(x + y for x, y in zip(a, b))
 
 
+def sub_exponents(a: Exponents, b: Exponents) -> Exponents:
+    return tuple(x - y for x, y in zip(a, b))
+
+
 def _accumulate(terms: dict, key, value) -> None:
     """terms[key] += value, dropping the key when the sum is zero."""
     if not value:

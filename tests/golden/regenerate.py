@@ -1,29 +1,22 @@
 """Rewrite the golden CLI reports from the current sources.
 
-    PYTHONPATH=src python tests/golden/regenerate.py [--check]
+    PYTHONPATH=src python tests/golden/regenerate.py
 
 Runs every command on every problem file in ``problems/`` and stores the
 outcome under ``tests/golden/<problem>/``: ``<command>.json`` holds the
 byte-exact stdout of a run that exits 0; ``<command>.error.json`` holds
 the exit code and stderr of a run that does not.  Only run this when a
 change to the reports is intended, and say so in the change log.
-
-With ``--check`` nothing is written: every golden file that a rewrite
-would change, add or remove is listed, and the exit code is 1 if there is
-any, else 0.
 """
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import io
 import json
-import sys
 from pathlib import Path
 
-from starobs.cli import COMMANDS
-from starobs.cli import main as cli_main
+from starobs.cli import COMMANDS, main
 
 GOLDEN = Path(__file__).resolve().parent
 PROBLEMS = GOLDEN.parent.parent / "problems"
@@ -37,7 +30,7 @@ def run_cli(problem: Path, command: str) -> tuple[int, str, str]:
     """Exit code, stdout and stderr of one in-process CLI run."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli_main(["--problem", str(problem), "--command", command])
+        code = main(["--problem", str(problem), "--command", command])
     return code, out.getvalue(), err.getvalue()
 
 
@@ -50,48 +43,17 @@ def error_record(code: int, stderr: str) -> str:
     return json.dumps({"exit": code, "stderr": stderr}, indent=2, sort_keys=True) + "\n"
 
 
-def outcomes():
-    """(problem, command, exit code, golden file text) for every run, in order."""
+def regenerate():
     for problem in problem_files():
+        (GOLDEN / problem.stem).mkdir(exist_ok=True)
         for command in COMMANDS:
             code, stdout, stderr = run_cli(problem, command)
-            yield problem, command, code, stdout if code == 0 else error_record(code, stderr)
-
-
-def regenerate():
-    for problem, command, code, text in outcomes():
-        (GOLDEN / problem.stem).mkdir(exist_ok=True)
-        for stale in (expected_path(problem, command, 0), expected_path(problem, command, 1)):
-            stale.unlink(missing_ok=True)
-        expected_path(problem, command, code).write_text(text, encoding="utf-8")
-        print(f"{problem.stem} {command}: exit {code}")
-
-
-def changed_goldens() -> list[Path]:
-    """The golden files regenerate() would rewrite, create or delete."""
-    changed = []
-    for problem, command, code, text in outcomes():
-        expected = expected_path(problem, command, code)
-        if not expected.is_file() or expected.read_bytes() != text.encode("utf-8"):
-            changed.append(expected)
-        stale = expected_path(problem, command, 1 if code == 0 else 0)
-        if stale.is_file():
-            changed.append(stale)
-    return changed
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--check", action="store_true", help="list changed goldens, write nothing")
-    if not parser.parse_args(argv).check:
-        regenerate()
-        return 0
-    changed = changed_goldens()
-    for path in changed:
-        print(f"would change: {path.relative_to(GOLDEN)}")
-    print(f"{len(changed)} golden file(s) would change")
-    return 1 if changed else 0
+            for stale in (expected_path(problem, command, 0), expected_path(problem, command, 1)):
+                stale.unlink(missing_ok=True)
+            text = stdout if code == 0 else error_record(code, stderr)
+            expected_path(problem, command, code).write_text(text, encoding="utf-8")
+            print(f"{problem.stem} {command}: exit {code}")
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    regenerate()

@@ -40,13 +40,13 @@ from starobs.polydiff import generator_monomials
 from starobs.star import _extension_columns, bidiff_basis
 
 
-def planted(order, n, alpha, exps, coeff):
-    """Flat Moyal product on R^3 hidden behind id + h^n coeff x^exps d^alpha."""
+def planted(system, order, n, alpha, exps, coeff):
+    """Flat Moyal product hidden behind id + h^n coeff x^exps d^alpha."""
+    dim = system.dim
     gauge = FormalDiffeo.from_parts(
-        3, order, {n: PolyDiffOp.single(3, [alpha], Polynomial.monomial(3, exps, coeff))}
+        dim, order, {n: PolyDiffOp.single(dim, [alpha], Polynomial.monomial(dim, exps, coeff))}
     )
-    star = gauge_transform(moyal_star(plane_pi3(), order), gauge)
-    return star, plane_system("y", "z")
+    return gauge_transform(moyal_star(system.pi, order), gauge)
 
 
 def plane_system(*generators):
@@ -56,10 +56,6 @@ def plane_system(*generators):
 def rotation_system():
     """H = p1^2 + p2^2 and L = x1 p2 - x2 p1 on R^4, homogeneous in x and in p."""
     return IntegrableSystem(canonical_pi4(), [p4("p1^2 + p2^2"), p4("x1*p2 - x2*p1")])
-
-
-def support(exps):
-    return [i for i, k in enumerate(exps) if k]
 
 
 def as_mapping(labels, rows, rhs):
@@ -103,7 +99,8 @@ def test_hochschild_d_commutes_with_coefficient_monomials(arity):
 
 
 def test_unary_rows_match_per_column_reference_on_planted_product():
-    star, system = planted(2, 2, (0, 0, 2), (0, 0, 1), Fraction(3, 2))
+    system = plane_system("y", "z")
+    star = planted(system, 2, 2, (0, 0, 2), (0, 0, 1), Fraction(3, 2))
     mons = generator_monomials(system, 3)
     alphas, emons = exponents_upto(3, 2), exponents_upto(3, 1)
     target = star.term(2)
@@ -128,19 +125,35 @@ def test_unary_rows_match_per_column_reference_on_polynomial_generators():
 
 
 @pytest.mark.parametrize(
-    "order, n, alpha, exps, bounds",
+    "system, order, n, alpha, exps, bounds",
     [
-        (2, 2, (0, 0, 2), (0, 0, 1), Bounds(1, 2)),
-        (3, 3, (0, 1, 1), (0, 1, 0), Bounds(1, 2)),
-        (1, 1, (0, 0, 2), (0, 0, 0), Bounds(1, 2)),
+        (plane_system("y", "z"), 2, 2, (0, 0, 2), (0, 0, 1), Bounds(1, 2)),
+        (plane_system("y", "z"), 3, 3, (0, 1, 1), (0, 1, 0), Bounds(1, 2)),
+        (plane_system("y", "z"), 1, 1, (0, 0, 2), (0, 0, 0), Bounds(1, 2)),
+        (plane_system("y + z^2", "z"), 2, 2, (0, 1, 1), (0, 0, 1), Bounds(1, 2)),
+        (plane_system("y + 1", "z"), 2, 2, (0, 0, 2), (0, 0, 1), Bounds(1, 2)),
+        (rotation_system(), 2, 1, (0, 0, 1, 1), (0, 0, 0, 0), Bounds(0, 2)),
+        # no operator of order 2 fits the bounds: the graded system is infeasible too
+        (plane_system("y", "z"), 2, 2, (0, 0, 2), (0, 0, 1), Bounds(0, 1)),
     ],
-    ids=["order-2", "order-3", "first-order-normalization"],
+    ids=[
+        "order-2",
+        "order-3",
+        "first-order-normalization",
+        "non-homogeneous",
+        "constant-term",
+        "rotation-momenta",
+        "bounds-too-small",
+    ],
 )
-def test_unary_correction_matches_reference_solve(order, n, alpha, exps, bounds):
-    star, system = planted(order, n, alpha, exps, Fraction(-2, 3))
-    factored = _solve_unary_correction(star, system, n, bounds)
-    assert factored is not None and not factored.is_zero()
-    assert factored == reference_unary_correction(star, system, n, bounds)
+def test_unary_correction_matches_reference_solve(system, order, n, alpha, exps, bounds):
+    star = planted(system, order, n, alpha, exps, Fraction(-2, 3))
+    graded = _solve_unary_correction(star, system, n, bounds)
+    assert graded == reference_unary_correction(star, system, n, bounds)
+    if sum(alpha) <= bounds.op_order:
+        assert graded is not None and not graded.is_zero()
+    else:
+        assert graded is None
 
 
 @pytest.mark.parametrize("dim, degree, op_order", [(2, 2, 2), (3, 1, 2), (2, 0, 3)])
@@ -177,36 +190,3 @@ def test_rotation_momenta_at_bounds_3_3_has_no_live_column(monkeypatch):
     # the one solve is the weight map's nullspace over the 4 coordinates:
     # none of the 1,225 ansatz columns reaches the target's weight
     assert solves == [4]
-
-
-@pytest.mark.parametrize(
-    "system, n, degree",
-    [
-        (plane_system("y", "z"), 2, 1),
-        (plane_system("y + z^2", "z"), 2, 1),
-        (plane_system("y + 1", "z"), 2, 1),
-        (rotation_system(), 1, 0),
-    ],
-    ids=["monomial", "non-homogeneous", "constant-term", "rotation-momenta"],
-)
-def test_graded_unary_solve_matches_full_reference_solve(system, n, degree):
-    dim = system.dim
-    variables = {i for g in system.generators for mono in g.terms for i in support(mono)}
-    # d^a of order 2 in the generators' variables: the subalgebra sees it
-    alphas = [a for a in exponents_upto(dim, 2) if sum(a) == 2 and variables >= set(support(a))]
-    rng = random.Random(11)
-    outcomes = set()
-    for _ in range(2):
-        # Moyal behind id + h^n c x^e d^a
-        alpha = rng.choice(alphas)
-        exps = rng.choice(exponents_upto(dim, degree))
-        coeff = Fraction(rng.choice([-3, -1, 1, 2]), rng.choice([1, 2, 3]))
-        plant = PolyDiffOp.single(dim, [alpha], Polynomial.monomial(dim, exps, coeff))
-        gauge = FormalDiffeo.from_parts(dim, 2, {n: plant})
-        star = gauge_transform(moyal_star(system.pi, 2), gauge)
-        # the first bounds hold the plant, the second hold no operator of order 2
-        for bounds in [Bounds(degree, 2), Bounds(0, 1)]:
-            graded = _solve_unary_correction(star, system, n, bounds)
-            assert graded == reference_unary_correction(star, system, n, bounds)
-            outcomes.add("none" if graded is None else "zero" if graded.is_zero() else "solved")
-    assert {"none", "solved"} <= outcomes
