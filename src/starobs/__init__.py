@@ -36,12 +36,7 @@ from .obstruction import (
     lift_witness,
     validate_system,
 )
-from .poly import (
-    Polynomial,
-    PolynomialParseError,
-    TruncatedSeries,
-    parse_polynomial,
-)
+from .poly import Polynomial, PolynomialParseError, parse_polynomial
 from .polydiff import (
     PolyDiffOp,
     generator_monomials,
@@ -82,7 +77,6 @@ __all__ = [
     "RelativeClass",
     "StarProduct",
     "TRIVIALIZED",
-    "TruncatedSeries",
     "UNDECIDED",
     "ValidationReport",
     "cocycle_cascade_check",

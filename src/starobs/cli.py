@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import random
 import sys
+from dataclasses import dataclass
 from typing import Any
 
 from .multivec import Polyvector, RelativeClass, jacobi_check
@@ -26,7 +26,7 @@ from .obstruction import (
     exactness_solve,
     validate_system,
 )
-from .poly import Polynomial, PolynomialParseError, exponents_upto, parse_polynomial
+from .poly import Polynomial, PolynomialParseError, parse_polynomial
 from .polydiff import PolyDiffOp
 from .star import FormalDiffeo, StarProduct, extend_one_order, moyal_star
 
@@ -53,30 +53,18 @@ class ProblemError(ValueError):
     """Invalid problem file or unsatisfied command precondition."""
 
 
+@dataclass
 class Problem:
-    def __init__(
-        self,
-        dim: int,
-        names: list[str],
-        pi: Polyvector,
-        star: StarProduct | None,
-        generators: list[Polynomial],
-        bounds: Bounds,
-        command: str | None,
-        order: int | None,
-        seed: int,
-        star_spec: dict | None,
-    ):
-        self.dim = dim
-        self.names = names
-        self.pi = pi
-        self.star = star
-        self.generators = generators
-        self.bounds = bounds
-        self.command = command
-        self.order = order
-        self.seed = seed
-        self.star_spec = star_spec
+    dim: int
+    names: list[str]
+    pi: Polyvector
+    star: StarProduct | None
+    generators: list[Polynomial]
+    bounds: Bounds
+    command: str | None
+    order: int | None
+    seed: int
+    star_spec: dict | None
 
     def system(self) -> IntegrableSystem:
         if not self.generators:
@@ -87,14 +75,10 @@ class Problem:
 # -- serialization helpers -----------------------------------------------------
 
 
-def poly_payload(p: Polynomial, names: list[str]) -> str:
-    return p.to_string(names)
-
-
 def op_payload(op: PolyDiffOp, names: list[str]) -> list[dict]:
     out = []
     for key, coeff in op.sorted_terms():
-        out.append({"coeff": poly_payload(coeff, names), "derivs": [list(a) for a in key]})
+        out.append({"coeff": coeff.to_string(names), "derivs": [list(a) for a in key]})
     return out
 
 
@@ -141,7 +125,7 @@ def polyvector_payload(v: Polyvector | RelativeClass, names: list[str]) -> dict:
     out = {}
     for idx, p in sorted(v.components.items()):
         key = "(" + ",".join(str(i + 1) for i in idx) + ")"
-        out[key] = poly_payload(p, names)
+        out[key] = p.to_string(names)
     return out
 
 
@@ -153,26 +137,15 @@ def star_payload(s: StarProduct | FormalDiffeo, names: list[str]) -> dict:
     }
 
 
-def diffeo_from_payload(
-    dim: int, payload: dict, names: list[str], where: str = "gauge"
-) -> FormalDiffeo:
-    """A formal diffeomorphism as `star_payload` writes it; errors name the JSON path."""
-    if not isinstance(payload, dict):
-        raise ProblemError(f"{where}: expected an object, got {type(payload).__name__}")
-    order = _integer(payload.get("order"), f"{where}.order", 0)
-    terms = _field(payload, "terms", dict, f"{where}.terms")
-    return FormalDiffeo(dim, order, _order_terms(dim, 1, order, terms, names, f"{where}.terms"))
-
-
 def problem_payload(problem: Problem) -> dict:
     poisson = []
     for (i, j), coeff in sorted(problem.pi.components.items()):
-        poisson.append([i + 1, j + 1, poly_payload(coeff, problem.names)])
+        poisson.append([i + 1, j + 1, coeff.to_string(problem.names)])
     payload: dict[str, Any] = {
         "dimension": problem.dim,
         "coordinates": list(problem.names),
         "poisson": poisson,
-        "generators": [poly_payload(g, problem.names) for g in problem.generators],
+        "generators": [g.to_string(problem.names) for g in problem.generators],
         "bounds": {"degree": problem.bounds.degree, "op_order": problem.bounds.op_order},
         "seed": problem.seed,
     }
@@ -299,7 +272,7 @@ def load_problem_data(data: dict) -> Problem:
         star_spec=star_spec,
     )
     if generators:
-        report = validate_system(problem.system(), random.Random(seed))
+        report = validate_system(problem.system())
         if not report.ok:
             raise ProblemError("; ".join(report.failure_messages(names)))
     return problem
@@ -328,45 +301,22 @@ def _require_star(problem: Problem) -> StarProduct:
 
 
 def _residual_witness(res: PolyDiffOp, names: list[str]) -> dict | None:
-    """A small monomial triple on which a nonzero residual evaluates nonzero.
+    """A monomial triple on which a nonzero residual evaluates nonzero.
 
-    Triples are scanned in order of combined degree, so practical
-    witnesses surface immediately; the scan is capped (a nonzero
-    canonical operator is already a proof, the witness is a courtesy).
+    The term key (a, b, c) least in (total order, |a|, |b|, a, b, c)
+    gives (x^a, x^b, x^c): every other term differentiates some slot of
+    it past its exponent, so the value is that term's coefficient times
+    a!b!c!.  It is the first nonzero triple in order of combined degree,
+    then slot degrees, then exponents.
     """
     if res.is_zero():
         return None
-    dim = res.dim
-    max_degree = res.order() + 1
-    by_degree: dict[int, list] = {d: [] for d in range(max_degree + 1)}
-    for e in exponents_upto(dim, max_degree):
-        by_degree[sum(e)].append(e)
-    polys = {
-        e: Polynomial.monomial(dim, e) for d in by_degree for e in by_degree[d]
+    key = min(res.terms, key=lambda k: (sum(map(sum, k)), *map(sum, k), *k))
+    args = [Polynomial.monomial(res.dim, e) for e in key]
+    return {
+        "args": [p.to_string(names) for p in args],
+        "value": res.apply(args).to_string(names),
     }
-    budget = 200000
-    for total in range(3 * max_degree + 1):
-        for da in range(min(total, max_degree) + 1):
-            for db in range(min(total - da, max_degree) + 1):
-                dc = total - da - db
-                if dc > max_degree:
-                    continue
-                for ea in by_degree[da]:
-                    for eb in by_degree[db]:
-                        for ec in by_degree[dc]:
-                            value = res.apply([polys[ea], polys[eb], polys[ec]])
-                            budget -= 1
-                            if not value.is_zero():
-                                return {
-                                    "args": [
-                                        poly_payload(polys[e], names)
-                                        for e in (ea, eb, ec)
-                                    ],
-                                    "value": poly_payload(value, names),
-                                }
-                            if budget <= 0:
-                                return None
-    return None
 
 
 def cmd_check_poisson(problem: Problem, order: int | None) -> dict:
@@ -413,7 +363,7 @@ def cmd_commutator_table(problem: Problem, order: int | None) -> dict:
             table.append(
                 {
                     "pair": f"({i + 1},{j + 1})",
-                    "series": [poly_payload(c, problem.names) for c in series.coefficients],
+                    "series": [c.to_string(problem.names) for c in series],
                 }
             )
     return {"order": star.order, "commutators": table}
@@ -483,7 +433,7 @@ def cmd_eliminate(problem: Problem, order: int | None) -> dict:
     star = _require_star(problem)
     system = problem.system()
     n = order if order is not None else star.order
-    report = eliminate_to_order(star, system, n, problem.bounds, random.Random(problem.seed))
+    report = eliminate_to_order(star, system, n, problem.bounds)
     return _report_payload(report, problem.names)
 
 
@@ -530,11 +480,6 @@ def run_command(problem: Problem, command: str, order: int | None) -> dict:
 
 def render_report(report: dict) -> str:
     return json.dumps(report, indent=2, sort_keys=True) + "\n"
-
-
-def emit_report(report: dict, path: str):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(render_report(report))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -584,7 +529,8 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     if args.out:
         try:
-            emit_report(report, args.out)
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(render_report(report))
         except OSError as exc:
             print(f"error: cannot write report: {exc}", file=sys.stderr)
             return 1

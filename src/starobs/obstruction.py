@@ -19,7 +19,6 @@ being nonzero); running out of ansatz room yields UNDECIDED.
 from __future__ import annotations
 
 import itertools
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
@@ -99,12 +98,8 @@ class IntegrableSystem:
 class ValidationReport:
     ok: bool
     jacobi_ok: bool
-    jacobi_witness: Polyvector | None
-    commuting_ok: bool
     commuting_failures: list[tuple[int, int, Polynomial]]
     independent: bool
-    witness_minor: tuple[int, ...] | None
-    witness_point: list[Fraction] | None
 
     def failure_messages(self, names: list[str] | None = None) -> list[str]:
         msgs = []
@@ -136,15 +131,13 @@ def _poly_det(matrix: list[list[Polynomial]]) -> Polynomial:
     return total
 
 
-def validate_system(system: IntegrableSystem, rng: random.Random | None = None) -> ValidationReport:
+def validate_system(system: IntegrableSystem) -> ValidationReport:
     """Jacobi, pairwise commutativity and functional independence checks.
 
-    Independence is decided symbolically (some maximal Jacobian minor is
-    a nonzero polynomial); a random rational point where that minor is
-    nonzero is recorded as a cross-check when one is found.
+    Independence is decided symbolically: some maximal Jacobian minor is
+    a nonzero polynomial.
     """
-    rng = rng or random.Random(0)
-    jac_ok, witness = jacobi_check(system.pi)
+    jac_ok, _ = jacobi_check(system.pi)
     failures = []
     gens = system.generators
     for i in range(len(gens)):
@@ -154,32 +147,17 @@ def validate_system(system: IntegrableSystem, rng: random.Random | None = None) 
                 failures.append((i, j, br))
     n, m = len(gens), system.dim
     independent = False
-    witness_minor: tuple[int, ...] | None = None
-    witness_point: list[Fraction] | None = None
     if n <= m:
         jacobian = [[g.partial(k) for k in range(m)] for g in gens]
-        for cols in itertools.combinations(range(m), n):
-            det = _poly_det([[jacobian[i][k] for k in cols] for i in range(n)])
-            if det.is_zero():
-                continue
-            independent = True
-            witness_minor = cols
-            for _ in range(25):
-                point = [Fraction(rng.randint(-9, 9), rng.randint(1, 3)) for _ in range(m)]
-                if det.evaluate(point):
-                    witness_point = point
-                    break
-            break
-    ok = jac_ok and not failures and independent
+        independent = any(
+            not _poly_det([[jacobian[i][k] for k in cols] for i in range(n)]).is_zero()
+            for cols in itertools.combinations(range(m), n)
+        )
     return ValidationReport(
-        ok=ok,
+        ok=jac_ok and not failures and independent,
         jacobi_ok=jac_ok,
-        jacobi_witness=None if jac_ok else witness,
-        commuting_ok=not failures,
         commuting_failures=failures,
         independent=independent,
-        witness_minor=witness_minor,
-        witness_point=witness_point,
     )
 
 
@@ -560,7 +538,6 @@ def eliminate_to_order(
     system: IntegrableSystem,
     order: int,
     bounds: Bounds,
-    rng: random.Random | None = None,
 ) -> ObstructionReport:
     """Iteratively trivialize the product on the subalgebra up to `order`.
 
@@ -572,7 +549,7 @@ def eliminate_to_order(
     """
     if order < 1:
         raise ValueError("order must be at least 1")
-    validation = validate_system(system, rng)
+    validation = validate_system(system)
     if not validation.ok:
         raise ValueError("; ".join(validation.failure_messages()))
     _require_certified(s, order)

@@ -3,11 +3,8 @@
 A polynomial in ``m`` variables is stored as a map from exponent tuples
 (one non-negative integer per variable) to nonzero ``Fraction``
 coefficients.  The zero polynomial has an empty term map.  All values are
-immutable after construction, so they can be shared freely.
-
-The module also provides ``TruncatedSeries``, a fixed-order formal power
-series in a single deformation parameter, with payloads in any abelian
-group (polynomials, operators, ...).
+immutable after construction, so they can be shared freely.  The
+module also holds the exponent-tuple helpers and the polynomial parser.
 """
 
 from __future__ import annotations
@@ -439,55 +436,3 @@ class _Parser:
 def parse_polynomial(text: str, names: Sequence[str]) -> Polynomial:
     """Parse a polynomial string with the given variable binding."""
     return _Parser(text, names).parse()
-
-
-# -- truncated formal series ------------------------------------------------
-
-
-class TruncatedSeries:
-    """Formal power series in one parameter, truncated at a fixed order.
-
-    Coefficient k is the payload at parameter power k.  Payloads must
-    support ``+`` and ``-``.
-    """
-
-    __slots__ = ("order", "coefficients")
-
-    def __init__(self, order: int, coefficients: Sequence):
-        if order < 0:
-            raise ValueError("order must be non-negative")
-        coeffs = tuple(coefficients)
-        if len(coeffs) != order + 1:
-            raise ValueError(f"need {order + 1} coefficients, got {len(coeffs)}")
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "coefficients", coeffs)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TruncatedSeries is immutable")
-
-    def coefficient(self, k: int):
-        return self.coefficients[k]
-
-    def __eq__(self, other):
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        return self.order == other.order and self.coefficients == other.coefficients
-
-    def __add__(self, other: TruncatedSeries) -> TruncatedSeries:
-        self._check_order(other)
-        return TruncatedSeries(
-            self.order, [a + b for a, b in zip(self.coefficients, other.coefficients)]
-        )
-
-    def __sub__(self, other: TruncatedSeries) -> TruncatedSeries:
-        self._check_order(other)
-        return TruncatedSeries(
-            self.order, [a - b for a, b in zip(self.coefficients, other.coefficients)]
-        )
-
-    def _check_order(self, other: TruncatedSeries):
-        if self.order != other.order:
-            raise ValueError(f"order mismatch: {self.order} vs {other.order}")
-
-    def __repr__(self):
-        return f"TruncatedSeries(order={self.order}, {list(self.coefficients)!r})"

@@ -25,7 +25,6 @@ from .multivec import Polyvector
 from .poly import (
     Exponents,
     Polynomial,
-    TruncatedSeries,
     _accumulate,
     _gather_monomials,
     add_exponents,
@@ -92,17 +91,15 @@ class StarProduct:
 
     # -- evaluation ----------------------------------------------------------
 
-    def eval(self, a: Polynomial, b: Polynomial) -> TruncatedSeries:
-        """a * b as a truncated series; coefficient k is B_k(a, b)."""
+    def eval(self, a: Polynomial, b: Polynomial) -> tuple[Polynomial, ...]:
+        """The coefficients of a * b: entry k is B_k(a, b), k = 0..order."""
         if a.dim != self.dim or b.dim != self.dim:
             raise ValueError("dimension mismatch")
-        return TruncatedSeries(
-            self.order, [self.term(k).apply([a, b]) for k in range(self.order + 1)]
-        )
+        return tuple(self.term(k).apply([a, b]) for k in range(self.order + 1))
 
-    def commutator(self, a: Polynomial, b: Polynomial) -> TruncatedSeries:
-        """a * b - b * a; coefficient 0 always vanishes."""
-        return self.eval(a, b) - self.eval(b, a)
+    def commutator(self, a: Polynomial, b: Polynomial) -> tuple[Polynomial, ...]:
+        """The coefficients of a * b - b * a; entry 0 always vanishes."""
+        return tuple(x - y for x, y in zip(self.eval(a, b), self.eval(b, a)))
 
     # -- associativity -------------------------------------------------------
 
@@ -235,22 +232,6 @@ class FormalDiffeo:
 
     def __repr__(self):
         return f"FormalDiffeo(dim={self.dim}, order={self.order})"
-
-    def apply(self, a: Polynomial) -> TruncatedSeries:
-        return TruncatedSeries(
-            self.order, [self.term(k).apply([a]) for k in range(self.order + 1)]
-        )
-
-    def apply_series(self, series: TruncatedSeries) -> TruncatedSeries:
-        if series.order != self.order:
-            raise ValueError("order mismatch")
-        out = []
-        for n in range(self.order + 1):
-            acc = Polynomial.zero(self.dim)
-            for k in range(n + 1):
-                acc = acc + self.term(k).apply([series.coefficient(n - k)])
-            out.append(acc)
-        return TruncatedSeries(self.order, out)
 
 
 def compose_diffeo(D: FormalDiffeo, E: FormalDiffeo) -> FormalDiffeo:

@@ -365,3 +365,41 @@ def reference_solve_sparse(
         free_columns=free_cols,
         nullspace=nullspace,
     )
+
+
+def reference_residual_witness(res: PolyDiffOp, names: list[str]) -> dict | None:
+    """Reference for `cli._residual_witness`: monomial triples scanned in
+    order of combined degree, giving up (None) after 200,000 evaluations."""
+    if res.is_zero():
+        return None
+    dim = res.dim
+    max_degree = res.order() + 1
+    by_degree: dict[int, list] = {d: [] for d in range(max_degree + 1)}
+    for e in exponents_upto(dim, max_degree):
+        by_degree[sum(e)].append(e)
+    polys = {
+        e: Polynomial.monomial(dim, e) for d in by_degree for e in by_degree[d]
+    }
+    budget = 200000
+    for total in range(3 * max_degree + 1):
+        for da in range(min(total, max_degree) + 1):
+            for db in range(min(total - da, max_degree) + 1):
+                dc = total - da - db
+                if dc > max_degree:
+                    continue
+                for ea in by_degree[da]:
+                    for eb in by_degree[db]:
+                        for ec in by_degree[dc]:
+                            value = res.apply([polys[ea], polys[eb], polys[ec]])
+                            budget -= 1
+                            if not value.is_zero():
+                                return {
+                                    "args": [
+                                        polys[e].to_string(names)
+                                        for e in (ea, eb, ec)
+                                    ],
+                                    "value": value.to_string(names),
+                                }
+                            if budget <= 0:
+                                return None
+    return None

@@ -76,13 +76,6 @@ def test_non_poisson_bivector_rejected():
     assert not report.ok and not report.jacobi_ok
 
 
-def test_validation_witness_point_recorded():
-    system = IntegrableSystem(canonical_pi4(), [p4("p1"), p4("p2")])
-    report = validate_system(system, random.Random(3))
-    assert report.witness_minor is not None
-    assert report.witness_point is not None
-
-
 # -- obstruction classes ----------------------------------------------------------
 
 
@@ -128,8 +121,8 @@ def test_class_matches_commutator_coefficients():
         for i in range(len(gens)):
             for j in range(i + 1, len(gens)):
                 series = star.commutator(gens[i], gens[j])
-                assert series.coefficient(1).is_zero()
-                assert series.coefficient(2) == chi.component((i, j))
+                assert series[1].is_zero()
+                assert series[2] == chi.component((i, j))
 
 
 # -- closedness -------------------------------------------------------------------
@@ -397,7 +390,7 @@ def test_commutative_star_stays_flat_under_admissible_gauges():
         for i in range(len(gens)):
             for j in range(i + 1, len(gens)):
                 series = moved.commutator(gens[i], gens[j])
-                assert all(c.is_zero() for c in series.coefficients)
+                assert all(c.is_zero() for c in series)
 
 
 def test_eliminate_removes_third_order_class():

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from helpers import R2, p2, rand_poly
 
-from starobs import Polynomial, PolynomialParseError, TruncatedSeries, parse_polynomial
+from starobs import Polynomial, PolynomialParseError, parse_polynomial
 
 
 def test_difference_of_squares():
@@ -64,20 +64,6 @@ def test_partial_leibniz_random():
 def test_evaluate_exact():
     q = p2("1/2*x^2 - 3*p")
     assert q.evaluate([Fraction(2), Fraction(1, 3)]) == Fraction(2) - 1
-
-
-# -- truncated series --------------------------------------------------------
-
-
-def test_series_order_mismatch():
-    zero = Polynomial.zero(2)
-    with pytest.raises(ValueError):
-        TruncatedSeries(1, [zero, zero]) + TruncatedSeries(2, [zero] * 3)
-
-
-def test_series_wrong_length():
-    with pytest.raises(ValueError):
-        TruncatedSeries(2, [Polynomial.zero(2)])
 
 
 # -- parsing and printing ------------------------------------------------------

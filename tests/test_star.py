@@ -40,25 +40,25 @@ def h_energy():
 
 def test_first_order_asymmetry():
     star = moyal_star(canonical_pi2(), 2)
-    assert star.eval(p2("x"), p2("p")).coefficients[:2] == (p2("x*p"), Polynomial.constant(2, Fraction(1, 2)))
-    assert star.eval(p2("p"), p2("x")).coefficients[:2] == (p2("x*p"), Polynomial.constant(2, Fraction(-1, 2)))
+    assert star.eval(p2("x"), p2("p"))[:2] == (p2("x*p"), Polynomial.constant(2, Fraction(1, 2)))
+    assert star.eval(p2("p"), p2("x"))[:2] == (p2("x*p"), Polynomial.constant(2, Fraction(-1, 2)))
 
 
 def test_energy_square():
     star = moyal_star(canonical_pi2(), 2)
     H = h_energy()
     series = star.eval(H, H)
-    assert series.coefficient(0) == H * H
-    assert series.coefficient(1).is_zero()
-    assert series.coefficient(2) == Polynomial.constant(2, Fraction(1, 4))
+    assert series[0] == H * H
+    assert series[1].is_zero()
+    assert series[2] == Polynomial.constant(2, Fraction(1, 4))
 
 
 def test_unit_is_transparent():
     star = moyal_star(canonical_pi2(), 4)
     f = p2("x^2*p - 3*x")
     series = star.eval(f, Polynomial.one(2))
-    assert series.coefficient(0) == f
-    assert all(series.coefficient(k).is_zero() for k in range(1, 5))
+    assert series[0] == f
+    assert all(series[k].is_zero() for k in range(1, 5))
 
 
 def test_requires_constant_bivector():
@@ -74,16 +74,16 @@ def test_associative_to_full_order():
 def test_momentum_subalgebra_is_transparent():
     star = moyal_star(canonical_pi4(), 3)
     series = star.eval(p4("p1^2"), p4("p2^3"))
-    assert series.coefficient(0) == p4("p1^2*p2^3")
-    assert all(series.coefficient(k).is_zero() for k in range(1, 4))
+    assert series[0] == p4("p1^2*p2^3")
+    assert all(series[k].is_zero() for k in range(1, 4))
 
 
 def test_trivial_star_multiplies():
     star = StarProduct.trivial(2, 3)
     f, g = p2("x*p"), p2("x - p^2")
     series = star.eval(f, g)
-    assert series.coefficient(0) == f * g
-    assert all(series.coefficient(k).is_zero() for k in range(1, 4))
+    assert series[0] == f * g
+    assert all(series[k].is_zero() for k in range(1, 4))
 
 
 # -- associativity residuals --------------------------------------------------------
@@ -130,23 +130,23 @@ def test_term_outside_0_to_order_raises(k):
 def test_canonical_commutator():
     star = moyal_star(canonical_pi2(), 3)
     series = star.commutator(p2("x"), p2("p"))
-    assert series.coefficient(0).is_zero()
-    assert series.coefficient(1) == Polynomial.one(2)
-    assert series.coefficient(2).is_zero()
-    assert series.coefficient(3).is_zero()
+    assert series[0].is_zero()
+    assert series[1] == Polynomial.one(2)
+    assert series[2].is_zero()
+    assert series[3].is_zero()
 
 
 def test_self_commutator_vanishes():
     star = moyal_star(canonical_pi2(), 3)
     H = h_energy()
     series = star.commutator(H, H)
-    assert all(c.is_zero() for c in series.coefficients)
+    assert all(c.is_zero() for c in series)
 
 
 def test_momentum_commutators_vanish():
     star = moyal_star(canonical_pi4(), 3)
     series = star.commutator(p4("p1^2"), p4("p2^3"))
-    assert all(c.is_zero() for c in series.coefficients)
+    assert all(c.is_zero() for c in series)
 
 
 def test_first_commutator_coefficient_is_poisson_bracket():
@@ -154,7 +154,7 @@ def test_first_commutator_coefficient_is_poisson_bracket():
     star = moyal_star(canonical_pi4(), 2)
     for _ in range(25):
         f, g = rand_poly(rng, 4), rand_poly(rng, 4)
-        assert star.commutator(f, g).coefficient(1) == poisson_bracket(
+        assert star.commutator(f, g)[1] == poisson_bracket(
             canonical_pi4(), f, g
         )
 
@@ -202,8 +202,8 @@ def test_gauge_of_trivial_by_second_derivative():
     out = gauge_transform(StarProduct.trivial(1, 2), D)
     assert out.term(1) == -PolyDiffOp.single(1, [(1,), (1,)])
     series = out.eval(P1("x"), P1("x"))
-    assert series.coefficient(0) == P1("x^2")
-    assert series.coefficient(1) == Polynomial.constant(1, -1)
+    assert series[0] == P1("x^2")
+    assert series[1] == Polynomial.constant(1, -1)
 
 
 def test_gauge_of_trivial_by_derivation():
@@ -338,17 +338,6 @@ def test_diffeo_rejects_wrong_arity_terms():
         FormalDiffeo(2, 1, [PolyDiffOp.single(2, [(1, 0), (0, 1)])])
 
 
-def test_diffeo_apply_series_cauchy():
-    D = FormalDiffeo.from_parts(1, 2, {1: PolyDiffOp.single(1, [(1,)])})
-    from starobs import TruncatedSeries
-
-    series = TruncatedSeries(2, [P1("x^2"), P1("x"), P1("1")])
-    out = D.apply_series(series)
-    assert out.coefficient(0) == P1("x^2")
-    assert out.coefficient(1) == P1("x") + P1("2*x")
-    assert out.coefficient(2) == P1("1") + P1("1")
-
-
 def test_gauge_transform_matches_value_level_oracle():
     # the operator-level conjugation against a brute-force series
     # computation of D^-1(D(a) * D(b)) on random arguments
@@ -360,18 +349,20 @@ def test_gauge_transform_matches_value_level_oracle():
         E = invert_diffeo(D)
         for _ in range(3):
             a, b = rand_poly(rng, 2), rand_poly(rng, 2)
-            da, db = D.apply(a), D.apply(b)
+            da = [D.term(j).apply([a]) for j in range(4)]
+            db = [D.term(k).apply([b]) for k in range(4)]
             product = []
             for n in range(4):
                 acc = Polynomial.zero(2)
                 for i in range(n + 1):
                     for j in range(n - i + 1):
                         k = n - i - j
-                        acc = acc + star.term(i).apply(
-                            [da.coefficient(j), db.coefficient(k)]
-                        )
+                        acc = acc + star.term(i).apply([da[j], db[k]])
                 product.append(acc)
-            from starobs import TruncatedSeries
-
-            expected = E.apply_series(TruncatedSeries(3, product))
-            assert gauged.eval(a, b) == expected
+            expected = []
+            for n in range(4):
+                acc = Polynomial.zero(2)
+                for r in range(n + 1):
+                    acc = acc + E.term(r).apply([product[n - r]])
+                expected.append(acc)
+            assert gauged.eval(a, b) == tuple(expected)

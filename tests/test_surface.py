@@ -1,8 +1,9 @@
 """Static checks on the package surface, made with the standard library's ast.
 
-Every public name is used by the pipeline, the CLI or the benchmark
-(names only the tests need live under tests/), and no module imports a
-name it never uses.
+Every public name, and every module-level function and class, private
+ones included, is used by the pipeline, the CLI or the benchmark (names
+only the tests need live under tests/), and no module imports a name it
+never uses.
 """
 
 import ast
@@ -72,6 +73,19 @@ def test_every_public_name_has_a_caller_outside_the_tests():
         name
         for name in starobs.__all__
         if not any(name in _used_names(tree, skip_definition=name) for tree in trees)
+    )
+    assert uncalled == []
+
+
+def test_every_module_level_definition_has_a_caller_outside_the_tests():
+    trees = [_tree(p) for p in MODULES]
+    trees += [_tree(p) for p in sorted((ROOT / "bench").glob("*.py"))]
+    uncalled = sorted(
+        f"{path.stem}.{node.name}"
+        for path, module in zip(MODULES, trees)
+        for node in module.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not any(node.name in _used_names(tree, skip_definition=node.name) for tree in trees)
     )
     assert uncalled == []
 
