@@ -65,11 +65,12 @@ class Problem:
     order: int | None
     seed: int
     star_spec: dict | None
+    integrable: IntegrableSystem | None
 
     def system(self) -> IntegrableSystem:
-        if not self.generators:
+        if self.integrable is None:
             raise ProblemError("this command needs a 'generators' list in the problem file")
-        return IntegrableSystem(self.pi, self.generators)
+        return self.integrable
 
 
 # -- serialization helpers -----------------------------------------------------
@@ -270,6 +271,7 @@ def load_problem_data(data: dict) -> Problem:
         order=order,
         seed=seed,
         star_spec=star_spec,
+        integrable=IntegrableSystem(pi, generators) if generators else None,
     )
     if generators:
         report = validate_system(problem.system())

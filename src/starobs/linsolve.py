@@ -9,12 +9,15 @@ pivot columns it holds, and an index from each non-pivot column to the
 pivot rows nonzero there drives back-elimination and the nullspace: the
 cost is proportional to the entries touched, not to rows x rank.
 Everything is exact; infeasibility comes with the offending reduced row
-so callers can report an honest certificate.
+so callers can report an honest certificate.  A right-hand side may be a
+sparse vector of labelled values instead of a number: one elimination
+of A then solves A x = b_label for every label, instead of one
+elimination per label.
 
-The solvers assemble their systems with ``_SparseSystem``: columns are
-fixed up front as a list of labels (that list's order is the solve's
-column order), a row is created the first time its label is used, and
-the solution and nullspace come back keyed by column label.
+The obstruction solvers assemble their systems with ``_SparseSystem``:
+columns are fixed up front as a list of labels (that list's order is the
+solve's column order), a row is created the first time its label is
+used, and the solution and nullspace come back keyed by column label.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from .poly import _accumulate
 @dataclass
 class LinearSolveResult:
     status: str  # "solved" or "infeasible"
+    # with vector right-hand sides: label -> solution, and residual is a vector
     solution: dict[int, Fraction] | None = None
     rank: int = 0
     free_columns: list[int] = field(default_factory=list)
@@ -43,7 +47,7 @@ class LinearSolveResult:
 
 def solve_sparse(
     rows: list[dict[int, Fraction]],
-    rhs: list[Fraction],
+    rhs: list[Fraction] | list[dict[Hashable, Fraction]],
     ncols: int,
     want_nullspace: bool = False,
 ) -> LinearSolveResult:
@@ -53,6 +57,13 @@ def solve_sparse(
     (optionally) a basis of the homogeneous solution space.  If the
     system is inconsistent the result carries the nonzero residual of a
     row that reduced to 0 = residual.
+
+    Each right-hand side entry is a number, or a sparse vector (a dict
+    from label to number) to solve A x = b_label for every label at once.
+    A scalar right-hand side is the single-label case: with vectors, the
+    solution maps each label to its own solution dict (labels whose
+    solution is zero are absent), the system is infeasible as soon as any
+    label is, and the residual is the offending row's vector.
 
     The pivot rows end in the reduced row-echelon form of the system for
     the given column order, which is unique: a solved result (solution,
@@ -70,24 +81,28 @@ def solve_sparse(
     """
     if len(rows) != len(rhs):
         raise ValueError("row/rhs length mismatch")
+    vector = any(isinstance(v, dict) for v in rhs)
     work = [dict(r) for r in rows]
-    b = list(rhs)
+    # a number is the single-label case, under the label None
+    b = [{k: x for k, x in (v if vector else {None: v}).items() if x} for v in rhs]
     pivot_of_col: dict[int, int] = {}
     pivots: list[tuple[int, int]] = []  # (row, col) in elimination order
     col_rows: dict[int, set[int]] = {}  # non-pivot column -> pivot rows nonzero there
 
     for r in range(len(work)):
-        row = work[r]
+        row, br = work[r], b[r]
         # clear each pivot column the row holds with that column's pivot row
         for pc in [c for c in row if c in pivot_of_col]:
             factor = -row[pc]
             pr = pivot_of_col[pc]
             for c, v in work[pr].items():
                 _accumulate(row, c, factor * v)
-            b[r] += factor * b[pr]
+            for k, v in b[pr].items():
+                _accumulate(br, k, factor * v)
         if not row:
-            if b[r]:
-                return LinearSolveResult(status="infeasible", rank=len(pivots), residual=b[r])
+            if br:
+                residual = br if vector else br[None]
+                return LinearSolveResult(status="infeasible", rank=len(pivots), residual=residual)
             continue
         # normalize on the smallest-index column for determinism
         pc = min(row)
@@ -95,7 +110,8 @@ def solve_sparse(
         if pivot != 1:
             for c in list(row):
                 row[c] /= pivot
-            b[r] /= pivot
+            for k in br:
+                br[k] /= pivot
         # back-eliminate from the earlier pivot rows that hold the new pivot column
         for pr in col_rows.pop(pc, ()):
             prow = work[pr]
@@ -108,14 +124,18 @@ def solve_sparse(
                     col_rows.setdefault(c, set()).add(pr)
                 else:
                     col_rows[c].discard(pr)
-            b[pr] += factor * b[r]
+            for k, v in br.items():
+                _accumulate(b[pr], k, factor * v)
         for c in row:
             if c != pc:
                 col_rows.setdefault(c, set()).add(r)
         pivots.append((r, pc))
         pivot_of_col[pc] = r
 
-    solution = {pc: b[pr] for pr, pc in pivots if b[pr]}
+    solutions: dict[Hashable, dict[int, Fraction]] = {}
+    for pr, pc in pivots:
+        for k, v in b[pr].items():
+            solutions.setdefault(k, {})[pc] = v
     free_cols = [c for c in range(ncols) if c not in pivot_of_col]
     nullspace: list[dict[int, Fraction]] = []
     if want_nullspace:
@@ -128,7 +148,7 @@ def solve_sparse(
             nullspace.append(vec)
     return LinearSolveResult(
         status="solved",
-        solution=solution,
+        solution=solutions if vector else solutions.get(None, {}),
         rank=len(pivots),
         free_columns=free_cols,
         nullspace=nullspace,

@@ -68,7 +68,7 @@ class Bounds:
 class IntegrableSystem:
     """A Poisson bivector with a commuting, independent generating set."""
 
-    __slots__ = ("dim", "pi", "generators")
+    __slots__ = ("dim", "pi", "generators", "_validation")
 
     def __init__(self, pi: Polyvector, generators: list[Polynomial] | tuple[Polynomial, ...]):
         if pi.degree != 2:
@@ -82,6 +82,7 @@ class IntegrableSystem:
         object.__setattr__(self, "dim", pi.dim)
         object.__setattr__(self, "pi", pi)
         object.__setattr__(self, "generators", gens)
+        object.__setattr__(self, "_validation", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("IntegrableSystem is immutable")
@@ -135,8 +136,11 @@ def validate_system(system: IntegrableSystem) -> ValidationReport:
     """Jacobi, pairwise commutativity and functional independence checks.
 
     Independence is decided symbolically: some maximal Jacobian minor is
-    a nonzero polynomial.
+    a nonzero polynomial.  The report is computed once per system and
+    kept on it.
     """
+    if system._validation is not None:
+        return system._validation
     jac_ok, _ = jacobi_check(system.pi)
     failures = []
     gens = system.generators
@@ -153,12 +157,14 @@ def validate_system(system: IntegrableSystem) -> ValidationReport:
             not _poly_det([[jacobian[i][k] for k in cols] for i in range(n)]).is_zero()
             for cols in itertools.combinations(range(m), n)
         )
-    return ValidationReport(
+    report = ValidationReport(
         ok=jac_ok and not failures and independent,
         jacobi_ok=jac_ok,
         commuting_failures=failures,
         independent=independent,
     )
+    object.__setattr__(system, "_validation", report)
+    return report
 
 
 # -- obstruction classes -------------------------------------------------------

@@ -243,19 +243,6 @@ class Polynomial:
     def is_constant(self) -> bool:
         return all(sum(e) == 0 for e in self.terms)
 
-    def evaluate(self, point: Sequence[Fraction | int]) -> Fraction:
-        if len(point) != self.dim:
-            raise ValueError("point has wrong length")
-        vals = [Fraction(v) for v in point]
-        total = Fraction(0)
-        for exps, c in self.terms.items():
-            term = c
-            for v, k in zip(vals, exps):
-                if k:
-                    term *= v**k
-            total += term
-        return total
-
     # -- display -----------------------------------------------------------
 
     def sorted_terms(self) -> list[tuple[Exponents, Fraction]]:

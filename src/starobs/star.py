@@ -20,17 +20,17 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from .linsolve import _SparseSystem
+from . import linsolve
 from .multivec import Polyvector
 from .poly import (
-    Exponents,
     Polynomial,
     _accumulate,
     _gather_monomials,
-    add_exponents,
     exponents_upto,
+    sub_exponents,
+    zero_exponents,
 )
-from .polydiff import DerivKey, PolyDiffOp, hochschild_d
+from .polydiff import DerivKey, PolyDiffOp, _binom_multi, _sub_multi_indices
 
 
 class StarProduct:
@@ -317,42 +317,22 @@ class ExtensionResult:
         return self.status == "solved"
 
 
-def bidiff_basis(
-    dim: int, coefficient_degree: int, operator_order: int, arity: int = 2
-) -> list[tuple[Exponents, DerivKey]]:
-    """Deterministic ansatz basis: (coefficient monomial, derivative key)."""
-    alphas = exponents_upto(dim, operator_order)
-    emons = exponents_upto(dim, coefficient_degree)
-    basis = []
-    for key in itertools.product(alphas, repeat=arity):
-        for e in emons:
-            basis.append((e, key))
-    return basis
+def _key_differential(dim: int, key: DerivKey) -> dict[DerivKey, int]:
+    """hochschild_d of the constant operator d^a (x) d^b, key = (a, b), in integers.
 
-
-def _op_coordinates(op: PolyDiffOp) -> dict[tuple[DerivKey, Exponents], Fraction]:
-    coords = {}
-    for key, poly in op.terms.items():
-        for emon, c in poly.terms.items():
-            coords[(key, emon)] = c
-    return coords
-
-
-def _extension_columns(
-    dim: int, basis: list[tuple[Exponents, DerivKey]]
-) -> list[dict[tuple[DerivKey, Exponents], Fraction]]:
-    """Coordinates of d(x^e d^key) for each ansatz column (e, key)."""
-    # d(x^e B) = x^e d(B) (order 0 is commutative): one d(d^key) serves every e, shifted
-    per_key: dict[DerivKey, dict[tuple[DerivKey, Exponents], Fraction]] = {}
-    columns = []
-    for emon, key in basis:
-        coords = per_key.get(key)
-        if coords is None:
-            coords = per_key[key] = _op_coordinates(hochschild_d(PolyDiffOp.single(dim, key)))
-        columns.append(
-            {(dkey, add_exponents(mono, emon)): c for (dkey, mono), c in coords.items()}
-        )
-    return columns
+    d(phi)(f, g, h) = f phi(g, h) - phi(fg, h) + phi(f, gh) - phi(f, g) h,
+    with the Leibniz rule splitting d^a over fg and d^b over gh.
+    """
+    a, b = key
+    z = zero_exponents(dim)
+    terms: dict[DerivKey, int] = {}
+    _accumulate(terms, (z, a, b), 1)
+    _accumulate(terms, (a, b, z), -1)
+    for beta in _sub_multi_indices(a):
+        _accumulate(terms, (beta, sub_exponents(a, beta), b), -_binom_multi(a, beta))
+    for beta in _sub_multi_indices(b):
+        _accumulate(terms, (a, beta, sub_exponents(b, beta)), _binom_multi(b, beta))
+    return terms
 
 
 def extend_one_order(
@@ -365,6 +345,20 @@ def extend_one_order(
     solution plus a basis of the cocycle freedom inside the ansatz, or
     an "undecided" report when the ansatz is too small (never a claim
     that no extension exists).
+
+    The ansatz columns are x^e d^key, key = (a, b) with |a|, |b| <=
+    operator_order and |e| <= coefficient_degree.  B_0 is commutative,
+    so d(x^e d^key) = x^e d(d^key), whose coefficients are constant
+    integers: column (e, key) reaches only the rows (dkey, e), with the
+    same entries for every e.  The system is I_emons (x) M, with M one
+    column per key and one row per arity-3 key, so grouping the
+    target's coordinates (dkey, e) by e gives M X = B with one
+    right-hand side per coefficient monomial, and one elimination of
+    [M | B] solves every block.  The reduced row-echelon form is unique,
+    so the particular solution is sum_e x^e X_e, and the freedom is M's
+    nullspace shifted by each e, key-major then e as the free columns
+    of the full system come.  A target coordinate with e outside the
+    ansatz, or an arity-3 key no column reaches, is undecided at once.
     """
     n = s.order
     if s.certified_order() < n:
@@ -373,24 +367,30 @@ def extend_one_order(
     # the order-(n+1) associator without its two B_{n+1} terms
     target = s._associator(n + 1, range(1, n + 1))
 
-    basis = bidiff_basis(dim, coefficient_degree, operator_order)
-    eqs = _SparseSystem(basis)
-    for label, coords in zip(basis, _extension_columns(dim, basis)):
-        for coord, v in coords.items():
-            eqs._add(coord, label, v)
-    for coord, v in _op_coordinates(target).items():
-        eqs._add_rhs(coord, v)
-    solved = eqs._solve(want_nullspace=True)
-    if solved is None:
-        return ExtensionResult(
-            status="undecided",
-            new_order=n + 1,
-            coefficient_degree=coefficient_degree,
-            operator_order=operator_order,
-        )
-    solution, nullspace = solved
+    alphas = exponents_upto(dim, operator_order)
+    emons = exponents_upto(dim, coefficient_degree)
+    keys = list(itertools.product(alphas, repeat=2))
+    matrix: dict[DerivKey, dict[int, Fraction]] = {}  # M by rows
+    for ci, key in enumerate(keys):
+        for dkey, v in _key_differential(dim, key).items():
+            matrix.setdefault(dkey, {})[ci] = Fraction(v)
+    undecided = ExtensionResult("undecided", n + 1, coefficient_degree, operator_order)
+    emon_set = set(emons)
+    if not all(k in matrix and emon_set.issuperset(p.terms) for k, p in target.terms.items()):
+        return undecided
+    rhs = [target.terms[k].terms if k in target.terms else {} for k in matrix]
+    result = linsolve.solve_sparse(list(matrix.values()), rhs, len(keys), want_nullspace=True)
+    if not result.solved:
+        return undecided
+    solution = {
+        (e, keys[ci]): v for e, block in result.solution.items() for ci, v in block.items()
+    }
     particular = PolyDiffOp(dim, 2, _gather_monomials(dim, solution))
-    freedom = [PolyDiffOp(dim, 2, _gather_monomials(dim, vec)) for vec in nullspace]
+    freedom = [
+        PolyDiffOp(dim, 2, {keys[ci]: Polynomial.monomial(dim, e, v) for ci, v in vec.items()})
+        for vec in result.nullspace
+        for e in emons
+    ]
     extended = StarProduct(dim, n + 1, list(s.corrections) + [particular])
     if not extended.assoc_residual(n + 1).is_zero():
         raise AssertionError("extension failed its built-in residual post-check")

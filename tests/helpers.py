@@ -15,10 +15,10 @@ from starobs import (
     moyal_star,
     parse_polynomial,
 )
-from starobs.linsolve import LinearSolveResult, solve_sparse
-from starobs.poly import exponents_upto
+from starobs.linsolve import LinearSolveResult, _SparseSystem, solve_sparse
+from starobs.poly import _gather_monomials, add_exponents, exponents_upto
 from starobs.polydiff import generator_monomials, hochschild_d
-from starobs.star import _op_coordinates
+from starobs.star import ExtensionResult, StarProduct
 
 R2 = ["x", "p"]
 R3 = ["x", "y", "z"]
@@ -256,12 +256,48 @@ def reference_unary_correction(s, system, n, bounds):
     return acc
 
 
-def reference_extension_columns(dim, basis):
-    """Coordinates of d(x^e d^key), one Hochschild differential per column."""
-    return [
-        _op_coordinates(hochschild_d(PolyDiffOp.single(dim, key, Polynomial.monomial(dim, emon))))
-        for emon, key in basis
-    ]
+def _op_coordinates(op):
+    """{(derivative key, coefficient monomial): coefficient} of an operator."""
+    coords = {}
+    for key, poly in op.terms.items():
+        for emon, c in poly.terms.items():
+            coords[(key, emon)] = c
+    return coords
+
+
+def reference_extend_one_order(s, coefficient_degree, operator_order):
+    """The one-order extension as one scalar system over every column x^e d^key.
+
+    Columns are (e, key), key-major, each the coordinates of one
+    d(d^key) per key shifted by e; rows are (arity-3 key, monomial).
+    """
+    n = s.order
+    dim = s.dim
+    target = s._associator(n + 1, range(1, n + 1))
+    alphas = exponents_upto(dim, operator_order)
+    emons = exponents_upto(dim, coefficient_degree)
+    basis = [(e, key) for key in itertools.product(alphas, repeat=2) for e in emons]
+    per_key = {}
+    eqs = _SparseSystem(basis)
+    for emon, key in basis:
+        coords = per_key.get(key)
+        if coords is None:
+            coords = per_key[key] = _op_coordinates(hochschild_d(PolyDiffOp.single(dim, key)))
+        for (dkey, mono), c in coords.items():
+            eqs._add((dkey, add_exponents(mono, emon)), (emon, key), c)
+    for coord, v in _op_coordinates(target).items():
+        eqs._add_rhs(coord, v)
+    solved = eqs._solve(want_nullspace=True)
+    if solved is None:
+        return ExtensionResult("undecided", n + 1, coefficient_degree, operator_order)
+    solution, nullspace = solved
+    particular = PolyDiffOp(dim, 2, _gather_monomials(dim, solution))
+    freedom = [PolyDiffOp(dim, 2, _gather_monomials(dim, vec)) for vec in nullspace]
+    extended = StarProduct(dim, n + 1, list(s.corrections) + [particular])
+    assert extended.assoc_residual(n + 1).is_zero()
+    return ExtensionResult(
+        "solved", n + 1, coefficient_degree, operator_order, particular, freedom, extended
+    )
 
 
 # -- per-tuple restricted table, the reference for the memoized one ----------------

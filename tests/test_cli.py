@@ -367,6 +367,26 @@ def test_obstruction_checks_each_lower_order_once(tmp_path, capsys, monkeypatch)
     assert len(calls) == 2  # orders 1 and 2
 
 
+def test_eliminate_validates_the_system_once(capsys, monkeypatch):
+    import pathlib
+
+    import starobs.obstruction as obstruction
+
+    original = obstruction.jacobi_check
+    calls = []
+
+    def counting(pi):
+        calls.append(pi)
+        return original(pi)
+
+    monkeypatch.setattr(obstruction, "jacobi_check", counting)
+    path = pathlib.Path(__file__).resolve().parent.parent / "problems" / "removable_class.json"
+    assert main(["--problem", str(path), "--command", "eliminate"]) == 0
+    assert json.loads(capsys.readouterr().out)["result"]["status"] == "TRIVIALIZED"
+    # the loader validates the system and eliminate_to_order reads that report
+    assert len(calls) == 1
+
+
 def test_cli_bound_flags_override_problem_file(tmp_path, capsys):
     data = dict(CANONICAL_PLANE, bounds={"degree": 0, "op_order": 2})
     path = write(tmp_path, "plane.json", data)

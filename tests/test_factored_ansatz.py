@@ -1,24 +1,28 @@
 """The ansatz kernels factor the coefficient monomial out of each column.
 
 For a product that is commutative at order 0, d(x^e D) = x^e d(D), so
-the unary gauge solve and the one-order extension evaluate one
-differential per derivative index and shift it by e.  The unary solve
-also keeps only the weight blocks its target reaches.  These tests pin
-the factored, graded assemblers to the per-column references in
-helpers.py.
+the unary gauge solve evaluates one differential per derivative index
+and shifts it by e, and the one-order extension solves one matrix over
+the derivative keys with one right-hand side per coefficient monomial.
+The unary solve also keeps only the weight blocks its target reaches.
+These tests pin the factored, graded solvers to the per-column
+references in helpers.py.
 """
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 from helpers import (
+    _op_coordinates,
+    canonical_pi2,
     canonical_pi4,
     p3,
     p4,
     plane_pi3,
     rand_op,
-    reference_extension_columns,
+    reference_extend_one_order,
     reference_unary_correction,
     reference_unary_rows,
 )
@@ -29,15 +33,17 @@ from starobs import (
     IntegrableSystem,
     PolyDiffOp,
     Polynomial,
+    StarProduct,
+    extend_one_order,
     gauge_transform,
     hochschild_d,
     linsolve,
     moyal_star,
 )
 from starobs.obstruction import _solve_unary_correction, _unary_ansatz_rows, _weight_map
-from starobs.poly import exponents_upto
+from starobs.poly import exponents_upto, zero_exponents
 from starobs.polydiff import generator_monomials
-from starobs.star import _extension_columns, bidiff_basis
+from starobs.star import _key_differential
 
 
 def planted(system, order, n, alpha, exps, coeff):
@@ -156,10 +162,98 @@ def test_unary_correction_matches_reference_solve(system, order, n, alpha, exps,
         assert graded is None
 
 
-@pytest.mark.parametrize("dim, degree, op_order", [(2, 2, 2), (3, 1, 2), (2, 0, 3)])
-def test_extension_columns_match_per_column_reference(dim, degree, op_order):
-    basis = bidiff_basis(dim, degree, op_order)
-    assert _extension_columns(dim, basis) == reference_extension_columns(dim, basis)
+@pytest.mark.parametrize("dim, op_order", [(2, 3), (3, 2), (4, 2)])
+def test_key_differential_matches_hochschild_d(dim, op_order):
+    z = zero_exponents(dim)
+    for key in itertools.product(exponents_upto(dim, op_order), repeat=2):
+        got = [((dkey, z), v) for dkey, v in _key_differential(dim, key).items()]
+        want = _op_coordinates(hochschild_d(PolyDiffOp.single(dim, key)))
+        assert got == list(want.items())
+
+
+def gauged_truncation(pi, n, parts):
+    """Order-n truncation of a gauge-transformed Moyal product, and the bounds of its B_{n+1}."""
+    dim = pi.dim
+    ops = {
+        k: PolyDiffOp.single(dim, [alpha], Polynomial.monomial(dim, exps, Fraction(3, 2)))
+        for k, (alpha, exps) in parts.items()
+    }
+    full = gauge_transform(moyal_star(pi, n + 1), FormalDiffeo.from_parts(dim, n + 1, ops))
+    known = full.term(n + 1)
+    return StarProduct(dim, n, full.corrections[:n]), known.coefficient_degree(), known.order()
+
+
+R2O2 = {1: ((0, 1), (1, 0)), 2: ((0, 2), (0, 0))}
+R4O1 = {1: ((0, 0, 1, 0), (1, 0, 0, 0))}
+
+
+@pytest.mark.parametrize(
+    "star, degree, op_order",
+    [
+        (moyal_star(canonical_pi2(), 1), 0, 2),
+        (moyal_star(canonical_pi2(), 2), 0, 3),
+        (moyal_star(canonical_pi2(), 3), 0, 4),
+        (moyal_star(canonical_pi2(), 2), 1, 3),
+        (moyal_star(plane_pi3(), 1), 1, 2),
+        (moyal_star(canonical_pi4(), 1), 0, 2),
+        gauged_truncation(canonical_pi2(), 2, R2O2),
+        gauged_truncation(canonical_pi4(), 1, R4O1),
+        (gauged_truncation(canonical_pi4(), 1, R4O1)[0], 0, 2),
+        (StarProduct.trivial(2, 2), 1, 1),
+        (moyal_star(canonical_pi2(), 1), 0, 1),
+        (gauged_truncation(canonical_pi2(), 2, R2O2)[0], 1, 3),
+    ],
+    ids=[
+        "moyal-r2-o1",
+        "moyal-r2-o2",
+        "moyal-r2-o3",
+        "moyal-r2-o2-degree-1",
+        "moyal-plane-r3",
+        "moyal-r4",
+        "gauged-r2-o2",
+        "gauged-r4-o1",
+        "gauged-r4-o1-degree-0",
+        "trivial",
+        "bounds-too-small",
+        "target-above-degree-bound",
+    ],
+)
+def test_extension_matches_reference_solve(star, degree, op_order):
+    got = extend_one_order(star, degree, op_order)
+    want = reference_extend_one_order(star, degree, op_order)
+    assert got.status == want.status
+    assert got.particular == want.particular
+    assert got.freedom == want.freedom
+
+
+def counting_solves(monkeypatch):
+    """Record the column count of every solve_sparse call."""
+    solves = []
+    real_solve = linsolve.solve_sparse
+
+    def counting(rows, rhs, ncols, want_nullspace=False):
+        solves.append(ncols)
+        return real_solve(rows, rhs, ncols, want_nullspace)
+
+    monkeypatch.setattr(linsolve, "solve_sparse", counting)
+    return solves
+
+
+def test_extension_makes_one_solve_over_the_derivative_keys(monkeypatch):
+    solves = counting_solves(monkeypatch)
+    star = moyal_star(canonical_pi2(), 1)
+    for degree in range(3):
+        assert extend_one_order(star, degree, 2).solved
+    # one column per derivative key (a, b) with |a|, |b| <= 2, whatever the degree bound
+    assert solves == [len(exponents_upto(2, 2)) ** 2] * 3
+
+
+def test_extension_target_outside_the_ansatz_makes_no_solve(monkeypatch):
+    solves = counting_solves(monkeypatch)
+    star, degree, op_order = gauged_truncation(canonical_pi2(), 2, R2O2)
+    # the order-3 target has coefficients of degree 2, above the bound 1
+    assert extend_one_order(star, 1, op_order).status == "undecided"
+    assert solves == []
 
 
 def test_weight_map_grades_by_the_scalings_that_keep_generators_homogeneous():
@@ -178,14 +272,7 @@ def test_weight_map_grades_by_the_scalings_that_keep_generators_homogeneous():
 def test_rotation_momenta_at_bounds_3_3_has_no_live_column(monkeypatch):
     system = rotation_system()
     star = moyal_star(system.pi, 2)
-    solves = []
-    real_solve = linsolve.solve_sparse
-
-    def counting(rows, rhs, ncols, want_nullspace=False):
-        solves.append(ncols)
-        return real_solve(rows, rhs, ncols, want_nullspace)
-
-    monkeypatch.setattr(linsolve, "solve_sparse", counting)
+    solves = counting_solves(monkeypatch)
     assert _solve_unary_correction(star, system, 2, Bounds(3, 3)) is None
     # the one solve is the weight map's nullspace over the 4 coordinates:
     # none of the 1,225 ansatz columns reaches the target's weight

@@ -2,13 +2,15 @@
 
 `solve_sparse` is checked against `reference_solve_sparse`, the plain
 row-by-pivot Gauss-Jordan elimination it replaced: every field must agree,
-dict key order included.
+dict key order included.  A solve with vector right-hand sides must agree
+with one scalar solve per label.
 """
 
 from __future__ import annotations
 
 import random
 import time
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -95,6 +97,33 @@ def test_matches_reference_solver(consistent):
             else:
                 assert got.residual
     assert statuses == {"solved" if consistent else "infeasible"}
+
+
+def test_vector_rhs_matches_one_scalar_solve_per_label():
+    rng = random.Random("linsolve:vector")
+    statuses = set()
+    for _ in range(300):
+        rows, _, ncols = random_system(rng, consistent=True)
+        per_label = {}
+        for label in "abcd"[: rng.randint(1, 4)]:
+            if rng.random() < 0.8:  # consistent: b = A x
+                x = {c: Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for c in range(ncols)}
+                per_label[label] = apply_rows(rows, x)
+            else:
+                per_label[label] = [Fraction(rng.randint(-2, 2)) for _ in rows]
+        rhs = [{k: b[r] for k, b in per_label.items() if b[r]} for r in range(len(rows))]
+        snapshot = ([dict(r) for r in rows], [dict(b) for b in rhs])
+        got = solve_sparse(rows, rhs, ncols, want_nullspace=True)
+        assert (rows, rhs) == snapshot  # the inputs are not modified
+        scalar = {k: solve_sparse(rows, b, ncols, want_nullspace=True) for k, b in per_label.items()}
+        statuses.add(got.status)
+        if not all(one.solved for one in scalar.values()):
+            assert not got.solved and got.residual
+            continue
+        assert got.solved
+        for k, one in scalar.items():
+            assert fields(replace(got, solution=got.solution.get(k, {}))) == fields(one)
+    assert statuses == {"solved", "infeasible"}
 
 
 def test_cost_scales_with_nonzeros():

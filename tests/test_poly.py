@@ -61,11 +61,6 @@ def test_partial_leibniz_random():
         assert (a * b).partial(i) == a.partial(i) * b + a * b.partial(i)
 
 
-def test_evaluate_exact():
-    q = p2("1/2*x^2 - 3*p")
-    assert q.evaluate([Fraction(2), Fraction(1, 3)]) == Fraction(2) - 1
-
-
 # -- parsing and printing ------------------------------------------------------
 
 
