@@ -207,6 +207,14 @@ def load_problem_data(data: dict) -> Problem:
         raise ProblemError(f"'coordinates' must list exactly {dim} names")
     if len(set(names)) != dim:
         raise ProblemError("coordinate names must be distinct")
+    # a report renders coordinates by name, so each name must parse back as its variable
+    for k, name in enumerate(names):
+        try:
+            readable = parse_polynomial(name, names) == Polynomial.variable(dim, k)
+        except PolynomialParseError:
+            readable = False
+        if not readable:
+            raise ProblemError(f"coordinates[{k}]: {name!r} does not parse as a variable name")
 
     comps = {}
     for k, entry in enumerate(_field(data, "poisson", list, "poisson")):

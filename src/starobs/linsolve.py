@@ -2,7 +2,7 @@
 
 Systems produced by the operator ansatz solvers are sparse (about one
 nonzero per row) but reach thousands of rows and columns.  ``solve_sparse``
-runs Gauss-Jordan elimination on dict rows of ``Fraction`` entries.  Its
+runs Gauss-Jordan elimination on dict rows of ``int`` or ``Fraction`` entries.  Its
 pivot rows are kept reduced against each other (a 1 in their own pivot
 column, a 0 in every other one), so a new row is cleared only at the
 pivot columns it holds, and an index from each non-pivot column to the
@@ -106,7 +106,7 @@ def solve_sparse(
             continue
         # normalize on the smallest-index column for determinism
         pc = min(row)
-        pivot = row[pc]
+        pivot = Fraction(row[pc])  # int / int would give a float
         if pivot != 1:
             for c in list(row):
                 row[c] /= pivot
@@ -141,7 +141,7 @@ def solve_sparse(
     if want_nullspace:
         col_of_pivot_row = dict(pivots)
         for fc in free_cols:
-            vec: dict[int, Fraction] = {fc: Fraction(1)}
+            vec: dict[int, Fraction] = {fc: 1}
             # rows were made pivots in increasing index order
             for pr in sorted(col_rows.get(fc, ())):
                 vec[col_of_pivot_row[pr]] = -work[pr][fc]
@@ -178,7 +178,7 @@ class _SparseSystem:
         if r is None:
             r = self._row_index[label] = len(self.rows)
             self.rows.append({})
-            self.rhs.append(Fraction(0))
+            self.rhs.append(0)
         return r
 
     def _add(self, row: Hashable, column: Hashable, value: Fraction):

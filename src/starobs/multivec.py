@@ -124,7 +124,7 @@ class _Alternating:
             raise ValueError(f"shape mismatch: {self._shape()} vs {other._shape()}")
         comps = dict(self.components)
         for idx, p in other.components.items():
-            comps[idx] = comps.get(idx, Polynomial.zero(self.dim)) + p
+            _accumulate(comps, idx, p)
         return self._like(comps)
 
     def __sub__(self, other):

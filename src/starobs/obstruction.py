@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable
 
 from .linsolve import _SparseSystem
@@ -371,7 +370,7 @@ def _weight_map(system: IntegrableSystem) -> Callable[[Exponents], tuple]:
         monos = list(g.terms)
         for k, mono in enumerate(monos[1:]):
             for i in range(dim):
-                eqs._add((gi, k), i, Fraction(mono[i] - monos[0][i]))
+                eqs._add((gi, k), i, mono[i] - monos[0][i])
     basis = eqs._solve(want_nullspace=True)[1] if eqs.rows else [{i: 1} for i in range(dim)]
     return lambda e: tuple(sum(c * e[i] for i, c in vec.items()) for vec in basis)
 

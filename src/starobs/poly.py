@@ -1,8 +1,9 @@
 """Exact multivariate polynomial arithmetic over the rationals.
 
 A polynomial in ``m`` variables is stored as a map from exponent tuples
-(one non-negative integer per variable) to nonzero ``Fraction``
-coefficients.  The zero polynomial has an empty term map.  All values are
+(one non-negative integer per variable) to nonzero exact coefficients:
+an ``int`` when the coefficient is integral, otherwise a ``Fraction``,
+never a float.  The zero polynomial has an empty term map.  All values are
 immutable after construction, so they can be shared freely.  The
 module also holds the exponent-tuple helpers and the polynomial parser.
 """
@@ -66,14 +67,14 @@ def exponents_upto(dim: int, max_total: int) -> list[Exponents]:
 
 
 class Polynomial:
-    """Immutable sparse polynomial with Fraction coefficients."""
+    """Immutable sparse polynomial with exact int or Fraction coefficients."""
 
     __slots__ = ("dim", "terms", "_hash")
 
     def __init__(self, dim: int, terms: Mapping[Exponents, Fraction | int] | None = None):
         if dim < 1:
             raise ValueError("polynomial needs at least one variable")
-        clean: dict[Exponents, Fraction] = {}
+        clean: dict[Exponents, Fraction | int] = {}
         if terms:
             for exps, coeff in terms.items():
                 exps = tuple(exps)
@@ -81,11 +82,12 @@ class Polynomial:
                     raise ValueError(f"exponent tuple {exps} has wrong length for dim {dim}")
                 if any(e < 0 for e in exps):
                     raise ValueError(f"negative exponent in {exps}")
-                c = Fraction(coeff)
-                if c:
-                    clean[exps] = clean.get(exps, Fraction(0)) + c
-                    if not clean[exps]:
-                        del clean[exps]
+                if type(coeff) is not int:
+                    if type(coeff) is not Fraction:
+                        coeff = Fraction(coeff)
+                    if coeff.denominator == 1:
+                        coeff = coeff.numerator
+                _accumulate(clean, exps, coeff)
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "terms", clean)
         object.__setattr__(self, "_hash", None)
@@ -101,7 +103,7 @@ class Polynomial:
 
     @classmethod
     def constant(cls, dim: int, value: Fraction | int) -> Polynomial:
-        return cls(dim, {zero_exponents(dim): Fraction(value)})
+        return cls(dim, {zero_exponents(dim): value})
 
     @classmethod
     def one(cls, dim: int) -> Polynomial:
@@ -111,11 +113,11 @@ class Polynomial:
     def variable(cls, dim: int, i: int) -> Polynomial:
         if not 0 <= i < dim:
             raise IndexError(f"variable index {i} out of range for dim {dim}")
-        return cls(dim, {unit_exponents(dim, i): Fraction(1)})
+        return cls(dim, {unit_exponents(dim, i): 1})
 
     @classmethod
     def monomial(cls, dim: int, exps: Exponents, coeff: Fraction | int = 1) -> Polynomial:
-        return cls(dim, {tuple(exps): Fraction(coeff)})
+        return cls(dim, {tuple(exps): coeff})
 
     # -- ring structure ----------------------------------------------------
 
@@ -134,7 +136,7 @@ class Polynomial:
             return NotImplemented
         terms = dict(self.terms)
         for exps, c in q.terms.items():
-            terms[exps] = terms.get(exps, Fraction(0)) + c
+            _accumulate(terms, exps, c)
         return Polynomial(self.dim, terms)
 
     __radd__ = __add__
@@ -156,16 +158,14 @@ class Polynomial:
 
     def __mul__(self, other) -> Polynomial:
         if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
-            return Polynomial(self.dim, {e: k * c for e, k in self.terms.items()})
+            return Polynomial(self.dim, {e: k * other for e, k in self.terms.items()})
         q = self._coerce(other)
         if q is None:
             return NotImplemented
-        terms: dict[Exponents, Fraction] = {}
+        terms: dict[Exponents, Fraction | int] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in q.terms.items():
-                e = add_exponents(e1, e2)
-                terms[e] = terms.get(e, Fraction(0)) + c1 * c2
+                _accumulate(terms, add_exponents(e1, e2), c1 * c2)
         return Polynomial(self.dim, terms)
 
     __rmul__ = __mul__
@@ -209,13 +209,12 @@ class Polynomial:
         """Formal partial derivative with respect to variable i."""
         if not 0 <= i < self.dim:
             raise IndexError(f"variable index {i} out of range for dim {self.dim}")
-        terms: dict[Exponents, Fraction] = {}
+        terms: dict[Exponents, Fraction | int] = {}
         for exps, c in self.terms.items():
-            if exps[i] == 0:
-                continue
-            e = list(exps)
-            e[i] -= 1
-            terms[tuple(e)] = terms.get(tuple(e), Fraction(0)) + c * exps[i]
+            if exps[i]:
+                e = list(exps)
+                e[i] -= 1
+                _accumulate(terms, tuple(e), c * exps[i])
         return Polynomial(self.dim, terms)
 
     def partial_multi(self, alpha: Exponents) -> Polynomial:
@@ -234,18 +233,15 @@ class Polynomial:
             return 0
         return max(sum(e) for e in self.terms)
 
-    def coefficient(self, exps: Exponents) -> Fraction:
-        return self.terms.get(tuple(exps), Fraction(0))
-
-    def constant_term(self) -> Fraction:
-        return self.terms.get(zero_exponents(self.dim), Fraction(0))
+    def constant_term(self) -> Fraction | int:
+        return self.terms.get(zero_exponents(self.dim), 0)
 
     def is_constant(self) -> bool:
         return all(sum(e) == 0 for e in self.terms)
 
     # -- display -----------------------------------------------------------
 
-    def sorted_terms(self) -> list[tuple[Exponents, Fraction]]:
+    def sorted_terms(self) -> list[tuple[Exponents, Fraction | int]]:
         """Terms ordered lexicographically on exponent tuples."""
         return sorted(self.terms.items())
 

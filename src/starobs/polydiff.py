@@ -29,6 +29,7 @@ from .poly import (
     _accumulate,
     add_exponents,
     exponents_upto,
+    sub_exponents,
     zero_exponents,
 )
 
@@ -165,7 +166,7 @@ class PolyDiffOp:
         self._check_compatible(other)
         terms = dict(self.terms)
         for key, c in other.terms.items():
-            terms[key] = terms.get(key, Polynomial.zero(self.dim)) + c
+            _accumulate(terms, key, c)
         return PolyDiffOp(self.dim, self.arity, terms)
 
     def __sub__(self, other: PolyDiffOp) -> PolyDiffOp:
@@ -242,28 +243,41 @@ class PolyDiffOp:
 # -- complex structure --------------------------------------------------------
 
 
+def _key_differential(dim: int, key: DerivKey) -> dict[DerivKey, int]:
+    """hochschild_d of the constant operator d^key, in integers.
+
+    For key = (a_1..a_k), d(d^key)(f_1..f_{k+1}) is f_1 d^key(f_2..),
+    then (-1)^j d^key(.., f_j f_{j+1}, ..) for j = 1..k with the Leibniz
+    rule splitting d^(a_j) over f_j f_{j+1}, then (-1)^(k+1) d^key(..) f_{k+1}.
+    """
+    k = len(key)
+    z = zero_exponents(dim)
+    terms: dict[DerivKey, int] = {}
+    _accumulate(terms, (z,) + key, 1)
+    _accumulate(terms, key + (z,), (-1) ** (k + 1))
+    for j in range(1, k + 1):
+        alpha = key[j - 1]
+        for beta in _sub_multi_indices(alpha):
+            dkey = key[: j - 1] + (beta, sub_exponents(alpha, beta)) + key[j:]
+            _accumulate(terms, dkey, (-1) ** j * _binom_multi(alpha, beta))
+    return terms
+
+
 def hochschild_d(op: PolyDiffOp) -> PolyDiffOp:
     """Hochschild differential, arity k -> k+1.
 
     d phi (f_1..f_{k+1}) = f_1 phi(f_2..) + sum_j (-1)^j phi(.., f_j f_{j+1}, ..)
                           + (-1)^(k+1) phi(..) f_{k+1}.
+
+    B_0 is commutative, so a coefficient c passes through every term of
+    d: d(c d^key) = c d(d^key).  d phi is therefore the sum over the terms
+    c d^key of phi of c times the integer operator _key_differential(key).
     """
-    k = op.arity
-    dim = op.dim
-    z = zero_exponents(dim)
     terms: dict[DerivKey, Polynomial] = {}
-    sign_last = -1 if (k + 1) % 2 else 1
     for key, c in op.terms.items():
-        _accumulate(terms, (z,) + key, c)
-        _accumulate(terms, key + (z,), c * sign_last)
-        for j in range(1, k + 1):
-            alpha = key[j - 1]
-            sign = -1 if j % 2 else 1
-            for beta in _sub_multi_indices(alpha):
-                rest = tuple(a - b for a, b in zip(alpha, beta))
-                weight = _binom_multi(alpha, beta) * sign
-                _accumulate(terms, key[: j - 1] + (beta, rest) + key[j:], c * weight)
-    return PolyDiffOp(dim, k + 1, terms)
+        for dkey, weight in _key_differential(op.dim, key).items():
+            _accumulate(terms, dkey, c * weight)
+    return PolyDiffOp(op.dim, op.arity + 1, terms)
 
 
 def hkr_to_cochain(P: Polyvector) -> PolyDiffOp:

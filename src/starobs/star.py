@@ -22,15 +22,8 @@ from typing import Sequence
 
 from . import linsolve
 from .multivec import Polyvector
-from .poly import (
-    Polynomial,
-    _accumulate,
-    _gather_monomials,
-    exponents_upto,
-    sub_exponents,
-    zero_exponents,
-)
-from .polydiff import DerivKey, PolyDiffOp, _binom_multi, _sub_multi_indices
+from .poly import Polynomial, _accumulate, _gather_monomials, exponents_upto
+from .polydiff import DerivKey, PolyDiffOp, _key_differential
 
 
 class StarProduct:
@@ -317,24 +310,6 @@ class ExtensionResult:
         return self.status == "solved"
 
 
-def _key_differential(dim: int, key: DerivKey) -> dict[DerivKey, int]:
-    """hochschild_d of the constant operator d^a (x) d^b, key = (a, b), in integers.
-
-    d(phi)(f, g, h) = f phi(g, h) - phi(fg, h) + phi(f, gh) - phi(f, g) h,
-    with the Leibniz rule splitting d^a over fg and d^b over gh.
-    """
-    a, b = key
-    z = zero_exponents(dim)
-    terms: dict[DerivKey, int] = {}
-    _accumulate(terms, (z, a, b), 1)
-    _accumulate(terms, (a, b, z), -1)
-    for beta in _sub_multi_indices(a):
-        _accumulate(terms, (beta, sub_exponents(a, beta), b), -_binom_multi(a, beta))
-    for beta in _sub_multi_indices(b):
-        _accumulate(terms, (a, beta, sub_exponents(b, beta)), _binom_multi(b, beta))
-    return terms
-
-
 def extend_one_order(
     s: StarProduct, coefficient_degree: int, operator_order: int
 ) -> ExtensionResult:
@@ -370,10 +345,10 @@ def extend_one_order(
     alphas = exponents_upto(dim, operator_order)
     emons = exponents_upto(dim, coefficient_degree)
     keys = list(itertools.product(alphas, repeat=2))
-    matrix: dict[DerivKey, dict[int, Fraction]] = {}  # M by rows
+    matrix: dict[DerivKey, dict[int, int]] = {}  # M by rows
     for ci, key in enumerate(keys):
         for dkey, v in _key_differential(dim, key).items():
-            matrix.setdefault(dkey, {})[ci] = Fraction(v)
+            matrix.setdefault(dkey, {})[ci] = v
     undecided = ExtensionResult("undecided", n + 1, coefficient_degree, operator_order)
     emon_set = set(emons)
     if not all(k in matrix and emon_set.issuperset(p.terms) for k, p in target.terms.items()):

@@ -16,8 +16,14 @@ from starobs import (
     parse_polynomial,
 )
 from starobs.linsolve import LinearSolveResult, _SparseSystem, solve_sparse
-from starobs.poly import _gather_monomials, add_exponents, exponents_upto
-from starobs.polydiff import generator_monomials, hochschild_d
+from starobs.poly import (
+    _accumulate,
+    _gather_monomials,
+    add_exponents,
+    exponents_upto,
+    zero_exponents,
+)
+from starobs.polydiff import DerivKey, _binom_multi, _sub_multi_indices, generator_monomials
 from starobs.star import ExtensionResult, StarProduct
 
 R2 = ["x", "p"]
@@ -282,7 +288,8 @@ def reference_extend_one_order(s, coefficient_degree, operator_order):
     for emon, key in basis:
         coords = per_key.get(key)
         if coords is None:
-            coords = per_key[key] = _op_coordinates(hochschild_d(PolyDiffOp.single(dim, key)))
+            d_key = reference_hochschild_d(PolyDiffOp.single(dim, key))
+            coords = per_key[key] = _op_coordinates(d_key)
         for (dkey, mono), c in coords.items():
             eqs._add((dkey, add_exponents(mono, emon)), (emon, key), c)
     for coord, v in _op_coordinates(target).items():
@@ -298,6 +305,33 @@ def reference_extend_one_order(s, coefficient_degree, operator_order):
     return ExtensionResult(
         "solved", n + 1, coefficient_degree, operator_order, particular, freedom, extended
     )
+
+
+# -- term-by-term Hochschild differential, the reference for the key-factored one --
+
+
+def reference_hochschild_d(op: PolyDiffOp) -> PolyDiffOp:
+    """Hochschild differential, arity k -> k+1, expanded term by term.
+
+    d phi (f_1..f_{k+1}) = f_1 phi(f_2..) + sum_j (-1)^j phi(.., f_j f_{j+1}, ..)
+                          + (-1)^(k+1) phi(..) f_{k+1}.
+    """
+    k = op.arity
+    dim = op.dim
+    z = zero_exponents(dim)
+    terms: dict[DerivKey, Polynomial] = {}
+    sign_last = -1 if (k + 1) % 2 else 1
+    for key, c in op.terms.items():
+        _accumulate(terms, (z,) + key, c)
+        _accumulate(terms, key + (z,), c * sign_last)
+        for j in range(1, k + 1):
+            alpha = key[j - 1]
+            sign = -1 if j % 2 else 1
+            for beta in _sub_multi_indices(alpha):
+                rest = tuple(a - b for a, b in zip(alpha, beta))
+                weight = _binom_multi(alpha, beta) * sign
+                _accumulate(terms, key[: j - 1] + (beta, rest) + key[j:], c * weight)
+    return PolyDiffOp(dim, k + 1, terms)
 
 
 # -- per-tuple restricted table, the reference for the memoized one ----------------

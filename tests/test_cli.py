@@ -480,6 +480,21 @@ def star_with_slot(slot):
         ("[" * 100_000 + "]" * 100_000, [], "problem file is nested too deeply to decode"),
         ({"poisson": [[1, 2, "1"], [1, 2, "3"]]}, [], "poisson[1]: pair (1, 2) given twice"),
         ({"poisson": [[1, 2, "1"], [2, 1, "1"]]}, [], "poisson[1]: pair (1, 2) given twice"),
+        (
+            {"coordinates": ["1", "y", "z"]},
+            [],
+            "coordinates[0]: '1' does not parse as a variable name",
+        ),
+        (
+            {"coordinates": ["x", "", "z"]},
+            [],
+            "coordinates[1]: '' does not parse as a variable name",
+        ),
+        (
+            {"coordinates": ["x", "y", "a b"]},
+            [],
+            "coordinates[2]: 'a b' does not parse as a variable name",
+        ),
     ],
     ids=[
         "poisson-not-list",
@@ -509,6 +524,9 @@ def star_with_slot(slot):
         "file-nested-deep",
         "poisson-pair-twice",
         "poisson-pair-reversed",
+        "coordinate-number",
+        "coordinate-empty",
+        "coordinate-with-space",
     ],
 )
 def test_malformed_input_exits_1_naming_the_field(tmp_path, capsys, patch, flags, message):

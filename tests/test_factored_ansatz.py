@@ -23,6 +23,7 @@ from helpers import (
     plane_pi3,
     rand_op,
     reference_extend_one_order,
+    reference_hochschild_d,
     reference_unary_correction,
     reference_unary_rows,
 )
@@ -42,8 +43,7 @@ from starobs import (
 )
 from starobs.obstruction import _solve_unary_correction, _unary_ansatz_rows, _weight_map
 from starobs.poly import exponents_upto, zero_exponents
-from starobs.polydiff import generator_monomials
-from starobs.star import _key_differential
+from starobs.polydiff import _key_differential, generator_monomials
 
 
 def planted(system, order, n, alpha, exps, coeff):
@@ -162,13 +162,29 @@ def test_unary_correction_matches_reference_solve(system, order, n, alpha, exps,
         assert graded is None
 
 
+def assert_key_differential_matches_reference(dim, key):
+    """_key_differential(key) is d(d^key), coordinate for coordinate and in order."""
+    z = zero_exponents(dim)
+    got = [((dkey, z), v) for dkey, v in _key_differential(dim, key).items()]
+    want = _op_coordinates(reference_hochschild_d(PolyDiffOp.single(dim, key)))
+    assert got == list(want.items())
+
+
 @pytest.mark.parametrize("dim, op_order", [(2, 3), (3, 2), (4, 2)])
 def test_key_differential_matches_hochschild_d(dim, op_order):
-    z = zero_exponents(dim)
     for key in itertools.product(exponents_upto(dim, op_order), repeat=2):
-        got = [((dkey, z), v) for dkey, v in _key_differential(dim, key).items()]
-        want = _op_coordinates(hochschild_d(PolyDiffOp.single(dim, key)))
-        assert got == list(want.items())
+        assert_key_differential_matches_reference(dim, key)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("arity", [1, 2, 3])
+def test_hochschild_d_matches_term_by_term_reference(dim, arity):
+    rng = random.Random(100 * dim + arity)
+    for _ in range(8):
+        op = rand_op(rng, dim, arity, order=2, coeff_degree=2, terms=3)
+        assert hochschild_d(op) == reference_hochschild_d(op)
+        for key in op.terms:
+            assert_key_differential_matches_reference(dim, key)
 
 
 def gauged_truncation(pi, n, parts):

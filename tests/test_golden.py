@@ -5,8 +5,12 @@ are rewritten by ``tests/golden/regenerate.py`` when a report change is
 intended.
 """
 
+from fractions import Fraction
+
 import pytest
 from golden.regenerate import COMMANDS, error_record, expected_path, problem_files, run_cli
+
+from starobs import Polynomial, linsolve
 
 CASES = [(problem, command) for problem in problem_files() for command in COMMANDS]
 
@@ -26,3 +30,37 @@ def test_report_matches_golden(problem, command):
     assert not leftover.exists(), f"leftover golden {leftover.name} for another exit code"
     actual = stdout if code == 0 else error_record(code, stderr)
     assert actual.encode("utf-8") == expected.read_bytes()
+
+
+
+
+@pytest.mark.parametrize(
+    "problem, command", CASES, ids=[f"{p.stem}-{c}" for p, c in CASES]
+)
+def test_run_stores_no_float_and_no_integral_fraction(problem, command, monkeypatch):
+    """Every stored Polynomial coefficient is an int or a non-integral Fraction,
+    and every solution and nullspace value is an int or a Fraction.
+
+    The CLI turns an exception into an exit code, so the wrappers record
+    what they see and the test asserts afterwards.
+    """
+    coefficients, solved = [], []
+    init, solve = Polynomial.__init__, linsolve.solve_sparse
+
+    def recording_init(self, dim, terms=None):
+        init(self, dim, terms)
+        coefficients.extend(self.terms.values())
+
+    def recording_solve(*args, **kwargs):
+        result = solve(*args, **kwargs)
+        found = [*(result.solution or {}).values(), *result.nullspace]
+        solved.extend(v for x in found for v in (x.values() if isinstance(x, dict) else (x,)))
+        return result
+
+    monkeypatch.setattr(Polynomial, "__init__", recording_init)
+    monkeypatch.setattr(linsolve, "solve_sparse", recording_solve)
+    run_cli(problem, command)
+    assert coefficients
+    exact = [type(c) is int or (type(c) is Fraction and c.denominator > 1) for c in coefficients]
+    assert all(exact), [c for c, ok in zip(coefficients, exact) if not ok][:5]
+    assert all(type(v) in (int, Fraction) for v in solved), solved[:5]
