@@ -16,7 +16,7 @@ CASES = [(problem, command) for problem in problem_files() for command in COMMAN
 
 
 def test_goldens_cover_all_problems_and_commands():
-    assert len(CASES) == 30
+    assert len(CASES) == 36
 
 
 @pytest.mark.parametrize(
