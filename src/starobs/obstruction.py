@@ -213,7 +213,7 @@ def cocycle_cascade_check(s: StarProduct, system: IntegrableSystem, n: int) -> C
     commutator on generator pairs, the degree-2 representative
     sum_{i<j} (B_n(f_i,f_j) - B_n(f_j,f_i)) e_i^e_j.  Closedness means
     (a) the Hochschild differential of B_n restricts to zero on the
-    subalgebra (checked on the full monomial table), and (b) the class
+    subalgebra (decided on the table of restricted_values), and (b) the class
     is closed for the horizontal differential.
     """
     _require_certified(s, n)
@@ -228,7 +228,7 @@ def _cascade(
 ) -> CascadeReport:
     """cocycle_cascade_check without its preconditions, given the order-n class."""
     dop = hochschild_d(s.term(n))
-    table = restricted_values(dop, system, dop.order() + 1)
+    table = restricted_values(dop, system)
     cochain_witness = None
     for key in sorted(table):
         if not table[key].is_zero():
@@ -381,13 +381,13 @@ def _solve_unary_correction(
     """Find D with d(D) cancelling B_n on the subalgebra table.
 
     The returned unary operator satisfies (B_n + dD)(u, v) = 0 for all
-    monomials u, v in the generators up to the deciding slot degree, or
-    None when the bounded ansatz has no solution.  Only the weight blocks
+    monomials u, v in the generators of degree <= the order of B_n + dD,
+    or None when the bounded ansatz has no solution.  Only the weight blocks
     B_n reaches are solved; _unary_ansatz_rows says why that changes nothing.
     """
     target = s.term(n)
-    slot_degree = max(target.order(), bounds.op_order) + 1
-    mons = generator_monomials(system, slot_degree)
+    # the order of B_n + dD; restricted_values says why that degree decides
+    mons = generator_monomials(system, max(target.order(), bounds.op_order))
     alphas = exponents_upto(system.dim, bounds.op_order)
     emons = exponents_upto(system.dim, bounds.degree)
     eqs = _unary_ansatz_rows(target, mons, alphas, emons, _weight_map(system))

@@ -366,23 +366,31 @@ def _restricted_items(op: PolyDiffOp, mons: list[tuple[Exponents, Polynomial]]) 
 
 
 def restricted_values(
-    op: PolyDiffOp, system: "IntegrableSystem", slot_degree: int
+    op: PolyDiffOp, system: "IntegrableSystem"
 ) -> dict[tuple[Exponents, ...], Polynomial]:
-    """Values of op on all tuples of generator monomials up to slot_degree.
+    """Values of op on all tuples of generator monomials of degree <= order(op).
 
-    The table keyed by per-slot generator exponents; "vanishes on the
-    subalgebra" is the table being all zero at slot_degree order(op)+1.
-    d^a of each generator monomial is computed once per distinct multi-index
-    a of op, and each value equals op.apply on its tuple, term order included.
+    These values fix the restriction of op to C = k[f_1..f_m].  In each
+    slot, op restricted to C is a differential operator over C of order
+    r <= order(op) in Grothendieck's sense: its (r+1)-fold commutator with
+    multiplication by elements of C is zero.  So its value on a product of
+    r + 1 elements of C is a C-linear combination of its values on shorter
+    sub-products, and by induction on degree the monomials of degree <= r
+    fix it, slot by slot.  This needs only that the f_i generate C, not
+    that they are independent or monomial.
+
+    The table is keyed by per-slot generator exponents.  d^a of each
+    generator monomial is computed once per distinct multi-index a of op,
+    and each value equals op.apply on its tuple, term order included.
     """
-    return dict(_restricted_items(op, generator_monomials(system, slot_degree)))
+    return dict(_restricted_items(op, generator_monomials(system, op.order())))
 
 
 def vanishes_on_generators(op: PolyDiffOp, system: "IntegrableSystem") -> bool:
     """Whether op restricts to zero on the subalgebra the generators span.
 
-    Decided on the monomial table with slot degree order(op)+1, which determines
-    the restriction of an operator of that order, stopping at its first nonzero entry.
+    Decided on the table of restricted_values, which says why its degree
+    suffices, stopping at the first nonzero entry.
     """
-    mons = generator_monomials(system, op.order() + 1)
+    mons = generator_monomials(system, op.order())
     return all(value.is_zero() for _, value in _restricted_items(op, mons))

@@ -16,6 +16,7 @@ expand as h*{a,b} + O(h^3).
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
@@ -106,7 +107,7 @@ class StarProduct:
             raise IndexError(f"order {n} out of range (product order {self.order})")
         return self._associator(n, range(n + 1))
 
-    def _associator(self, n: int, ks: range) -> PolyDiffOp:
+    def _associator(self, n: int, ks: Sequence[int]) -> PolyDiffOp:
         """sum over k in ks of B_k(B_{n-k}(.,.),.) - B_k(., B_{n-k}(.,.))."""
         total = PolyDiffOp.zero(self.dim, 3)
         for k in ks:
@@ -136,7 +137,8 @@ def moyal_star(pi: Polyvector, order: int) -> StarProduct:
 
     B_k = 1/(2^k k!) sum pi^(i1 j1)...pi^(ik jk) d_{i1..ik} tensor d_{j1..jk};
     requires a constant bivector (for which the Jacobi identity is
-    automatic), and is associative at every order.
+    automatic), and is associative at every order.  The sum runs over
+    multisets of entries, each weighted by its k!/prod n_t! orderings.
     """
     if pi.degree != 2:
         raise ValueError("need a degree-2 polyvector")
@@ -149,23 +151,21 @@ def moyal_star(pi: Polyvector, order: int) -> StarProduct:
         entries.append((i, j, c))
         entries.append((j, i, -c))
     corrections = []
-    fact = 1
     for k in range(1, order + 1):
-        fact *= k
-        norm = Fraction(1, 2**k * fact)
         terms: dict[DerivKey, Polynomial] = {}
-        for combo in itertools.product(entries, repeat=k):
+        for combo in itertools.combinations_with_replacement(range(len(entries)), k):
             alpha = [0] * dim
             beta = [0] * dim
-            coeff = norm
-            for i, j, c in combo:
+            coeff = Fraction(1, 2**k)
+            for t in set(combo):
+                coeff /= math.factorial(combo.count(t))
+            for i, j, c in (entries[t] for t in combo):
                 alpha[i] += 1
                 beta[j] += 1
                 coeff *= c
             _accumulate(terms, (tuple(alpha), tuple(beta)), Polynomial.constant(dim, coeff))
         corrections.append(PolyDiffOp(dim, 2, terms))
-    star = StarProduct(dim, order, corrections)
-    return star
+    return StarProduct(dim, order, corrections)
 
 
 # -- formal diffeomorphisms ----------------------------------------------------
@@ -367,7 +367,8 @@ def extend_one_order(
         for e in emons
     ]
     extended = StarProduct(dim, n + 1, list(s.corrections) + [particular])
-    if not extended.assoc_residual(n + 1).is_zero():
+    # the order-(n+1) associator, its B_{n+1} terms added to target by compose_at
+    if not (target + extended._associator(n + 1, (0, n + 1))).is_zero():
         raise AssertionError("extension failed its built-in residual post-check")
     extended._inherit_certificate(n + 1)
     return ExtensionResult(

@@ -473,3 +473,42 @@ def reference_residual_witness(res: PolyDiffOp, names: list[str]) -> dict | None
                             if budget <= 0:
                                 return None
     return None
+
+
+# -- ordered-tuple exponential product, the reference for the multiset one ---------
+
+
+def reference_moyal_star(pi: Polyvector, order: int) -> StarProduct:
+    """Constant-coefficient exponential star product of a bivector.
+
+    B_k = 1/(2^k k!) sum pi^(i1 j1)...pi^(ik jk) d_{i1..ik} tensor d_{j1..jk},
+    summed over every ordered k-tuple of entries.
+    """
+    if pi.degree != 2:
+        raise ValueError("need a degree-2 polyvector")
+    if not pi.is_constant():
+        raise ValueError("this construction requires a constant bivector")
+    dim = pi.dim
+    entries: list[tuple[int, int, Fraction]] = []
+    for (i, j), poly in pi.components.items():
+        c = poly.constant_term()
+        entries.append((i, j, c))
+        entries.append((j, i, -c))
+    corrections = []
+    fact = 1
+    for k in range(1, order + 1):
+        fact *= k
+        norm = Fraction(1, 2**k * fact)
+        terms: dict[DerivKey, Polynomial] = {}
+        for combo in itertools.product(entries, repeat=k):
+            alpha = [0] * dim
+            beta = [0] * dim
+            coeff = norm
+            for i, j, c in combo:
+                alpha[i] += 1
+                beta[j] += 1
+                coeff *= c
+            _accumulate(terms, (tuple(alpha), tuple(beta)), Polynomial.constant(dim, coeff))
+        corrections.append(PolyDiffOp(dim, 2, terms))
+    star = StarProduct(dim, order, corrections)
+    return star

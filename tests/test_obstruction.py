@@ -288,7 +288,7 @@ def test_eliminate_removable():
     # independent audit of the reported product
     for k in (1, 2):
         op = report.star.term(k)
-        table = restricted_values(op, system, op.order() + 1)
+        table = restricted_values(op, system)
         assert all(v.is_zero() for v in table.values())
     # the reported gauge reproduces the reported product
     assert gauge_transform(star, report.gauge) == report.star
@@ -412,7 +412,7 @@ def test_eliminate_removes_third_order_class():
     assert report.gauge.term(1).is_zero()
     for k in (1, 2, 3):
         op = report.star.term(k)
-        table = restricted_values(op, system, op.order() + 1)
+        table = restricted_values(op, system)
         assert all(v.is_zero() for v in table.values())
 
 
@@ -474,7 +474,7 @@ def test_eliminate_recovers_from_messy_gauge():
     )
     for k in (1, 2, 3):
         op = report.star.term(k)
-        table = restricted_values(op, system, op.order() + 1)
+        table = restricted_values(op, system)
         assert all(v.is_zero() for v in table.values())
     assert gauge_transform(dirty, report.gauge) == report.star
 

@@ -26,6 +26,7 @@ from starobs import (
     schouten_bracket,
     vanishes_on_generators,
 )
+from starobs.polydiff import _restricted_items, generator_monomials
 
 P1 = lambda t: parse_polynomial(t, ["x"])
 
@@ -245,22 +246,22 @@ def momentum_line() -> IntegrableSystem:
 
 def test_moyal_first_correction_vanishes_on_momenta():
     star = moyal_star(canonical_pi2(), 2)
-    table = restricted_values(star.term(1), momentum_line(), 3)
+    table = restricted_values(star.term(1), momentum_line())
     assert all(v.is_zero() for v in table.values())
     assert vanishes_on_generators(star.term(1), momentum_line())
 
 
 def test_restricted_value_entries():
     op = PolyDiffOp.single(2, [(0, 1), (0, 1)])
-    table = restricted_values(op, momentum_line(), 2)
+    table = dict(_restricted_items(op, generator_monomials(momentum_line(), 2)))
     assert table[((1,), (2,))] == p2("2*p")
     m = PolyDiffOp.multiplication(2)
-    table_m = restricted_values(m, momentum_line(), 1)
+    table_m = dict(_restricted_items(m, generator_monomials(momentum_line(), 1)))
     assert table_m[((1,), (1,))] == p2("p^2")
 
 
 def test_vanishing_table_predicts_higher_degrees():
-    # zero table at slot degree order+1 implies vanishing on any
+    # zero table at generator degree <= order implies vanishing on any
     # polynomials in the generators: spot-check at higher degree
     rng = random.Random(28)
     star, system = flat_scenario(order=2)
@@ -287,7 +288,7 @@ def test_differential_of_scalar_cochain_vanishes():
 
 def test_restricted_values_arity_zero():
     op = PolyDiffOp.from_polynomial(p2("x"))
-    table = restricted_values(op, momentum_line(), 2)
+    table = restricted_values(op, momentum_line())
     assert table == {(): p2("x")}
 
 

@@ -1,4 +1,10 @@
-"""The restricted table computes each generator-monomial derivative once.
+"""The restricted table: its degree, and each generator-monomial derivative once.
+
+An operator of per-slot order r is fixed on C = k[f_1..f_m] by its values
+on generator monomials of degree <= r (`restricted_values` says why).  The
+rank tests check that claim on ansatz spaces: the restriction map has the
+same rank at degree r as at r + 1, its kernel at r vanishes at r + 1, and
+the rank at r - 1 is lower, so r is tight.
 
 `restricted_values` memoizes d^a of every generator monomial per
 distinct multi-index and shares each term's coefficient products across
@@ -7,6 +13,7 @@ reference in helpers.py: same keys in the same order, the same values
 with their terms in the same order, and a bounded derivative count.
 """
 
+import itertools
 import random
 
 import pytest
@@ -23,13 +30,17 @@ from starobs import (
     PolyDiffOp,
     Polynomial,
     Polyvector,
+    hamiltonian_field,
+    hkr_to_cochain,
     hochschild_d,
     moyal_star,
     restricted_values,
     vanishes_on_generators,
 )
+from starobs.linsolve import solve_sparse
 from starobs.obstruction import _cascade, _raw_class
-from starobs.polydiff import generator_monomials
+from starobs.poly import add_exponents, exponents_upto
+from starobs.polydiff import _restricted_items, generator_monomials
 
 
 def plane_system():
@@ -60,7 +71,7 @@ def test_table_matches_per_tuple_reference_on_monomial_generators(arity):
     for _ in range(4):
         op = rand_op(rng, 3, arity, order=2, coeff_degree=1, terms=3)
         slot_degree = 2 if arity == 3 else op.order() + 1
-        table = restricted_values(op, system, slot_degree)
+        table = dict(_restricted_items(op, generator_monomials(system, slot_degree)))
         reference = reference_restricted_values(op, system, slot_degree)
         assert flattened(table) == flattened(reference)
         assert vanishes_on_generators(op, system) == all(
@@ -75,7 +86,7 @@ def test_table_matches_per_tuple_reference_on_polynomial_generators(arity):
     slot_degree = 1 if arity == 3 else 2
     for _ in range(3):
         op = rand_op(rng, 4, arity, order=2, coeff_degree=1, terms=3)
-        table = restricted_values(op, system, slot_degree)
+        table = dict(_restricted_items(op, generator_monomials(system, slot_degree)))
         assert flattened(table) == flattened(reference_restricted_values(op, system, slot_degree))
 
 
@@ -83,8 +94,8 @@ def test_table_matches_reference_on_moyal_differential():
     # the cascade's own input: the arity-3 differential of a second-order term
     star, system = non_closed_order_two()
     dop = hochschild_d(star.term(2))
-    table = restricted_values(dop, system, dop.order() + 1)
-    assert flattened(table) == flattened(reference_restricted_values(dop, system, dop.order() + 1))
+    table = restricted_values(dop, system)
+    assert flattened(table) == flattened(reference_restricted_values(dop, system, dop.order()))
 
 
 def test_cascade_witness_is_first_nonzero_reference_key():
@@ -101,8 +112,7 @@ def test_table_takes_each_derivative_once(monkeypatch):
     # an arity-3 operator with several terms per multi-index
     star, system = non_closed_order_two()
     dop = hochschild_d(star.term(2))
-    slot_degree = dop.order() + 1
-    mons = generator_monomials(system, slot_degree)
+    mons = generator_monomials(system, dop.order())
     alphas = {a for key in dop.terms for a in key}
     calls = []
     original = Polynomial.partial_multi
@@ -112,5 +122,90 @@ def test_table_takes_each_derivative_once(monkeypatch):
         return original(self, alpha)
 
     monkeypatch.setattr(Polynomial, "partial_multi", counting)
-    restricted_values(dop, system, slot_degree)
+    restricted_values(dop, system)
     assert 0 < len(calls) <= len(mons) * len(alphas)
+
+
+# -- the degree that decides: order(op), not order(op) + 1 --------------------------
+
+
+def restriction_rank(system, arity, op_order, coeff_degree, degree):
+    """The restriction map of the ansatz x^e d^key (|e| <= coeff_degree, every
+    slot of order <= op_order) to tuples of generator monomials of degree <= degree,
+    solved with solve_sparse: (basis, result with rank and nullspace)."""
+    dim = system.dim
+    keys = list(itertools.product(exponents_upto(dim, op_order), repeat=arity))
+    emons = exponents_upto(dim, coeff_degree)
+    basis = [(e, key) for key in keys for e in emons]
+    mons = generator_monomials(system, degree)
+    rows, index = [], {}
+    for ki, key in enumerate(keys):
+        # x^e d^key takes the values of d^key times x^e
+        for exps, value in _restricted_items(PolyDiffOp.single(dim, key), mons):
+            for ei, e in enumerate(emons):
+                for mono, c in value.terms.items():
+                    label = (exps, add_exponents(mono, e))
+                    if label not in index:
+                        index[label] = len(rows)
+                        rows.append({})
+                    rows[index[label]][ki * len(emons) + ei] = c
+    return basis, solve_sparse(rows, [0] * len(rows), len(basis), want_nullspace=True)
+
+
+@pytest.mark.parametrize(
+    "system, arity, op_order, coeff_degree, ranks",
+    [
+        (rotational_system, 1, 2, 2, (77, 176, 176)),
+        (rotational_system, 1, 3, 1, (89, 145, 145)),
+        (rotational_system, 2, 1, 1, (5, 99, 99)),
+        (rotational_system, 2, 2, 0, (43, 201, 201)),
+        (plane_system, 2, 2, 1, (36, 144, 144)),
+    ],
+    ids=["R4-unary-2-2", "R4-unary-3-1", "R4-binary-1-1", "R4-binary-2-0", "R3-binary-2-1"],
+)
+def test_degree_order_decides_the_restriction(system, arity, op_order, coeff_degree, ranks):
+    system = system()
+    found = [
+        restriction_rank(system, arity, op_order, coeff_degree, d)[1].rank
+        for d in (op_order - 1, op_order + 1)
+    ]
+    basis, at_r = restriction_rank(system, arity, op_order, coeff_degree, op_order)
+    # equal rank at r and r + 1, lower at r - 1: degree r decides, and no less does
+    assert (found[0], at_r.rank, found[1]) == ranks
+    assert at_r.rank == found[1] > found[0]
+    for vec in at_r.nullspace:
+        op = PolyDiffOp.zero(system.dim, arity)
+        for ci, v in vec.items():
+            e, key = basis[ci]
+            op = op + PolyDiffOp.single(system.dim, key, Polynomial.monomial(system.dim, e, v))
+        assert op.order() <= op_order
+        reference = reference_restricted_values(op, system, op_order + 1)
+        assert all(value.is_zero() for value in reference.values())
+
+
+def killing_fields():
+    """Unary operators vanishing on C, one list per system: the x-derivative on
+    R^3 with C = k[y, z], and the Hamiltonian fields of H and L on R^4."""
+    plane, rotational = plane_system(), rotational_system()
+    dx = PolyDiffOp.single(3, [(1, 0, 0)], p3("y - 2*z"))
+    fields = [hkr_to_cochain(hamiltonian_field(rotational.pi, g)) for g in rotational.generators]
+    return [(plane, [dx]), (rotational, fields)]
+
+
+def test_vanishing_agrees_with_the_reference_at_one_degree_more():
+    # op.compose_at(slot, X) with X vanishing on C vanishes on C; adding a
+    # random operator usually breaks that
+    rng = random.Random(61)
+    outcomes = []
+    for system, fields in killing_fields():
+        for arity in (1, 2):
+            for _ in range(4):
+                outer = rand_op(rng, system.dim, arity, order=1, coeff_degree=1, terms=2)
+                op = outer.compose_at(rng.randrange(arity), rng.choice(fields))
+                if rng.random() < 0.5:
+                    op = op + rand_op(rng, system.dim, arity, order=2, coeff_degree=1, terms=1)
+                reference = reference_restricted_values(op, system, op.order() + 1)
+                expected = all(value.is_zero() for value in reference.values())
+                assert vanishes_on_generators(op, system) == expected
+                outcomes.append(expected)
+    assert True in outcomes and False in outcomes

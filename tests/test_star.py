@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ from helpers import (
     plane_pi3,
     rand_op,
     rand_poly,
+    reference_moyal_star,
     so3_pi,
 )
 
@@ -17,6 +19,7 @@ from starobs import (
     FormalDiffeo,
     PolyDiffOp,
     Polynomial,
+    Polyvector,
     StarProduct,
     compose_diffeo,
     extend_one_order,
@@ -24,9 +27,11 @@ from starobs import (
     hochschild_d,
     invert_diffeo,
     moyal_star,
+    linsolve,
     parse_polynomial,
     poisson_bracket,
 )
+from starobs import star as star_module
 
 P1 = lambda t: parse_polynomial(t, ["x"])
 
@@ -64,6 +69,41 @@ def test_unit_is_transparent():
 def test_requires_constant_bivector():
     with pytest.raises(ValueError):
         moyal_star(so3_pi(), 2)
+
+
+@pytest.mark.parametrize(
+    "pi, order",
+    [
+        (plane_pi3(), 8),
+        (plane_pi3(), 12),
+        (canonical_pi4(), 4),
+        (canonical_pi4(), 6),
+        (Polyvector.bivector(4, {(0, 2): 1, (1, 3): 1, (0, 1): 1}), 4),
+        (Polyvector.bivector(4, {(0, 2): 1, (1, 3): 1, (0, 1): 1}), 6),
+        (Polyvector.bivector(3, {(0, 1): Fraction(3, 2), (1, 2): Fraction(-2, 5)}), 5),
+    ],
+    ids=["R3-8", "R3-12", "R4-two-4", "R4-two-6", "R4-three-4", "R4-three-6", "R3-rational-5"],
+)
+def test_moyal_matches_ordered_tuple_reference(pi, order):
+    built, reference = moyal_star(pi, order), reference_moyal_star(pi, order)
+    for ours, theirs in zip(built.corrections, reference.corrections):
+        assert list(ours.terms.items()) == list(theirs.terms.items())
+        for c, d in zip(ours.terms.values(), theirs.terms.values()):
+            assert [type(v) for v in c.terms.values()] == [type(v) for v in d.terms.values()]
+
+
+def test_moyal_visits_each_multiset_of_entries_once(monkeypatch):
+    # m entries give 2m signed ones; order k visits C(2m+k-1, k) multisets, not (2m)^k tuples
+    visits = []
+    accumulate = star_module._accumulate
+
+    def counting(terms, key, value):
+        visits.append(key)
+        accumulate(terms, key, value)
+
+    monkeypatch.setattr(star_module, "_accumulate", counting)
+    moyal_star(plane_pi3(), 10)
+    assert len(visits) == sum(math.comb(2 + k - 1, k) for k in range(1, 11))
 
 
 def test_associative_to_full_order():
@@ -286,6 +326,36 @@ def test_extension_post_check_property():
                 result.extended.dim, result.extended.order, result.extended.corrections
             )
             assert fresh.assoc_residual(result.new_order).is_zero()
+
+
+def test_extension_post_check_reuses_the_target(monkeypatch):
+    # target takes 2n compose_at calls and the post-check adds only B_{n+1}'s four
+    star = moyal_star(canonical_pi2(), 2)
+    star.certified_order()
+    calls = []
+    compose_at = PolyDiffOp.compose_at
+
+    def counting(self, slot, inner):
+        calls.append(slot)
+        return compose_at(self, slot, inner)
+
+    monkeypatch.setattr(PolyDiffOp, "compose_at", counting)
+    assert extend_one_order(star, 1, 3).solved
+    assert len(calls) == 2 * star.order + 4
+
+
+def test_extension_post_check_catches_a_perturbed_solve(monkeypatch):
+    solve = linsolve.solve_sparse
+
+    def perturbed(*args, **kwargs):
+        result = solve(*args, **kwargs)
+        block = next(iter(result.solution.values()))
+        block[next(iter(block))] += 1
+        return result
+
+    monkeypatch.setattr(linsolve, "solve_sparse", perturbed)
+    with pytest.raises(AssertionError, match="residual post-check"):
+        extend_one_order(moyal_star(canonical_pi2(), 2), 1, 3)
 
 
 def test_extension_undecided_when_ansatz_too_small():
