@@ -367,7 +367,7 @@ def extend_one_order(
         for e in emons
     ]
     extended = StarProduct(dim, n + 1, list(s.corrections) + [particular])
-    # the order-(n+1) associator, its B_{n+1} terms added to target by compose_at
+    # target plus the B_{n+1} terms is the order-(n+1) associator, by compose_at, not M
     if not (target + extended._associator(n + 1, (0, n + 1))).is_zero():
         raise AssertionError("extension failed its built-in residual post-check")
     extended._inherit_certificate(n + 1)

@@ -172,7 +172,6 @@ def test_degree_order_decides_the_restriction(system, arity, op_order, coeff_deg
     basis, at_r = restriction_rank(system, arity, op_order, coeff_degree, op_order)
     # equal rank at r and r + 1, lower at r - 1: degree r decides, and no less does
     assert (found[0], at_r.rank, found[1]) == ranks
-    assert at_r.rank == found[1] > found[0]
     for vec in at_r.nullspace:
         op = PolyDiffOp.zero(system.dim, arity)
         for ci, v in vec.items():
