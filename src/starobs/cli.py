@@ -49,6 +49,10 @@ CONVENTIONS = {
 }
 
 
+# the loader holds one operator per order, absent orders too, before any command runs
+MAX_STAR_ORDER = 32
+
+
 class ProblemError(ValueError):
     """Invalid problem file or unsatisfied command precondition."""
 
@@ -240,6 +244,8 @@ def load_problem_data(data: dict) -> Problem:
         if not isinstance(star_spec, dict) or "type" not in star_spec:
             raise ProblemError("'star' must be an object with a 'type'")
         order = _integer(star_spec.get("order", 0), "star.order", 1)
+        if order > MAX_STAR_ORDER:
+            raise ProblemError(f"star.order: must be at most {MAX_STAR_ORDER}, got {order}")
         if star_spec["type"] == "moyal":
             if not pi.is_constant():
                 raise ProblemError(
@@ -294,7 +300,7 @@ def load_problem(path: str) -> Problem:
             data = json.load(fh)
     except OSError as exc:
         raise ProblemError(f"cannot read problem file: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer too long to convert
         raise ProblemError(f"problem file is not valid JSON: {exc}") from exc
     except RecursionError as exc:
         raise ProblemError("problem file is nested too deeply to decode") from exc
@@ -460,8 +466,10 @@ def cmd_extend_star(problem: Problem, order: int | None) -> dict:
     }
     if result.solved:
         payload["candidate"] = op_payload(result.particular, problem.names)
-        payload["freedom_rank"] = len(result.freedom)
-        payload["freedom"] = [op_payload(op, problem.names) for op in result.freedom]
+        operators, shifts = result.freedom
+        payload["freedom_rank"] = len(operators) * len(shifts)
+        payload["freedom"] = [op_payload(op, problem.names) for op in operators]
+        payload["freedom_shifts"] = [list(e) for e in shifts]
     return payload
 
 

@@ -301,10 +301,15 @@ class _Parser:
     non-negative integer power.  Multiplication must be explicit.
     Parentheses nest at most MAX_NESTING deep: each level costs four
     frames (expr, term, factor, atom), and the cap keeps them well below
-    the interpreter's recursion limit.
+    the interpreter's recursion limit.  A base of more than one term is
+    raised at most to MAX_SUM_POWER: a k-term base to the power n has up
+    to C(n+k-1, k-1) terms, so (x+y+z+w+1)^24 alone would cost seconds.
+    A monomial base takes any power.
     """
 
     MAX_NESTING = 100
+    MAX_SUM_POWER = 12
+    DIGITS = "0123456789"  # str.isdigit also takes digits int() rejects, such as '²'
 
     def __init__(self, text: str, names: Sequence[str]):
         self.text = text
@@ -364,9 +369,15 @@ class _Parser:
     def factor(self) -> Polynomial:
         base = self.atom()
         if self.take("^"):
+            self.skip_ws()
+            start = self.pos
             expo = self.integer("exponent")
-            if expo < 0:
-                self.error("negative exponent")
+            if len(base.terms) > 1 and expo > self.MAX_SUM_POWER:
+                self.pos = start
+                self.error(
+                    f"exponent {expo} on a base of {len(base.terms)} terms "
+                    f"exceeds {self.MAX_SUM_POWER}"
+                )
             return base**expo
         return base
 
@@ -382,7 +393,7 @@ class _Parser:
                 self.error("expected ')'")
             self.depth -= 1
             return p
-        if ch.isdigit():
+        if ch in self.DIGITS:
             num = self.integer("number")
             if self.take("/"):
                 den = self.integer("denominator")
@@ -400,11 +411,15 @@ class _Parser:
     def integer(self, what: str) -> int:
         self.skip_ws()
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and self.text[self.pos] in self.DIGITS:
             self.pos += 1
         if start == self.pos:
             self.error(f"expected {what}")
-        return int(self.text[start : self.pos])
+        try:
+            return int(self.text[start : self.pos])
+        except ValueError:  # longer than the interpreter converts
+            self.pos = start
+            self.error(f"{what} has too many digits")
 
     def name(self) -> str:
         self.skip_ws()

@@ -17,13 +17,13 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 from . import linsolve
 from .multivec import Polyvector
-from .poly import Polynomial, _accumulate, _gather_monomials, exponents_upto
+from .poly import Exponents, Polynomial, _accumulate, _gather_monomials, exponents_upto
 from .polydiff import DerivKey, PolyDiffOp, _key_differential
 
 
@@ -302,7 +302,8 @@ class ExtensionResult:
     coefficient_degree: int
     operator_order: int
     particular: PolyDiffOp | None = None
-    freedom: list[PolyDiffOp] = field(default_factory=list)
+    # (operators F with constant coefficients, shifts e): the basis is x^e F, F-major
+    freedom: tuple[Sequence[PolyDiffOp], Sequence[Exponents]] = ((), ())
     extended: StarProduct | None = None
 
     @property
@@ -317,9 +318,11 @@ def extend_one_order(
 
     Finds B_{n+1} with hochschild_d(B_{n+1}) equal to the lower-order
     associator sum, for n the product's order.  Returns one particular
-    solution plus a basis of the cocycle freedom inside the ansatz, or
-    an "undecided" report when the ansatz is too small (never a claim
-    that no extension exists).
+    solution plus the cocycle freedom inside the ansatz, or an
+    "undecided" report when the ansatz is too small (never a claim that
+    no extension exists).  The freedom is the pair (operators, shifts):
+    M's nullspace as constant-coefficient operators F and the
+    coefficient monomials e, standing for the basis {x^e F}, F-major.
 
     The ansatz columns are x^e d^key, key = (a, b) with |a|, |b| <=
     operator_order and |e| <= coefficient_degree.  B_0 is commutative,
@@ -331,9 +334,10 @@ def extend_one_order(
     right-hand side per coefficient monomial, and one elimination of
     [M | B] solves every block.  The reduced row-echelon form is unique,
     so the particular solution is sum_e x^e X_e, and the freedom is M's
-    nullspace shifted by each e, key-major then e as the free columns
-    of the full system come.  A target coordinate with e outside the
-    ansatz, or an arity-3 key no column reaches, is undecided at once.
+    nullspace shifted by each e: taken F-major, then by e, it is the
+    full system's nullspace in the order of its free columns.  A target
+    coordinate with e outside the ansatz, or an arity-3 key no column
+    reaches, is undecided at once.
     """
     n = s.order
     if s.certified_order() < n:
@@ -361,10 +365,9 @@ def extend_one_order(
         (e, keys[ci]): v for e, block in result.solution.items() for ci, v in block.items()
     }
     particular = PolyDiffOp(dim, 2, _gather_monomials(dim, solution))
-    freedom = [
-        PolyDiffOp(dim, 2, {keys[ci]: Polynomial.monomial(dim, e, v) for ci, v in vec.items()})
+    operators = [
+        PolyDiffOp(dim, 2, {keys[ci]: Polynomial.constant(dim, v) for ci, v in vec.items()})
         for vec in result.nullspace
-        for e in emons
     ]
     extended = StarProduct(dim, n + 1, list(s.corrections) + [particular])
     # target plus the B_{n+1} terms is the order-(n+1) associator, by compose_at, not M
@@ -377,6 +380,6 @@ def extend_one_order(
         coefficient_degree=coefficient_degree,
         operator_order=operator_order,
         particular=particular,
-        freedom=freedom,
+        freedom=(operators, emons),
         extended=extended,
     )

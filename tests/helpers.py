@@ -271,11 +271,18 @@ def _op_coordinates(op):
     return coords
 
 
+def expand_freedom(result: ExtensionResult) -> list[PolyDiffOp]:
+    """The freedom basis an (operators, shifts) pair stands for: x^e F, F-major."""
+    operators, shifts = result.freedom
+    return [op.scaled(Polynomial.monomial(op.dim, e)) for op in operators for e in shifts]
+
+
 def reference_extend_one_order(s, coefficient_degree, operator_order):
     """The one-order extension as one scalar system over every column x^e d^key.
 
     Columns are (e, key), key-major, each the coordinates of one
     d(d^key) per key shifted by e; rows are (arity-3 key, monomial).
+    Its freedom is the flat list of the full system's nullspace vectors.
     """
     n = s.order
     dim = s.dim
@@ -296,7 +303,7 @@ def reference_extend_one_order(s, coefficient_degree, operator_order):
         eqs._add_rhs(coord, v)
     solved = eqs._solve(want_nullspace=True)
     if solved is None:
-        return ExtensionResult("undecided", n + 1, coefficient_degree, operator_order)
+        return ExtensionResult("undecided", n + 1, coefficient_degree, operator_order, freedom=[])
     solution, nullspace = solved
     particular = PolyDiffOp(dim, 2, _gather_monomials(dim, solution))
     freedom = [PolyDiffOp(dim, 2, _gather_monomials(dim, vec)) for vec in nullspace]

@@ -400,6 +400,7 @@ def test_cli_bound_flags_override_problem_file(tmp_path, capsys):
 
 
 DEEP_GENERATOR = "(" * 3000 + "y" + ")" * 3000
+LONG_NUMBER = "7" * 5000  # above the interpreter's 4,300-digit int() limit
 
 
 def star_with_slot(slot):
@@ -495,6 +496,27 @@ def star_with_slot(slot):
             [],
             "coordinates[2]: 'a b' does not parse as a variable name",
         ),
+        (
+            {"generators": ["y", "(x + y + z)^24"]},
+            [],
+            "generators[1]: at position 12 in '(x + y + z)^24': "
+            "exponent 24 on a base of 3 terms exceeds 12",
+        ),
+        (
+            {"generators": ["y^\u00b2", "z"]},
+            [],
+            "generators[0]: at position 2 in 'y^\u00b2': expected exponent",
+        ),
+        (
+            {"generators": [LONG_NUMBER + "*y", "z"]},
+            [],
+            f"generators[0]: at position 0 in {LONG_NUMBER[:30]!r}…: number has too many digits",
+        ),
+        (
+            {"star": dict(REMOVABLE["star"], order=1_000_000_000)},
+            [],
+            "star.order: must be at most 32, got 1000000000",
+        ),
     ],
     ids=[
         "poisson-not-list",
@@ -527,6 +549,10 @@ def star_with_slot(slot):
         "coordinate-number",
         "coordinate-empty",
         "coordinate-with-space",
+        "generator-power-of-sum",
+        "generator-unicode-digit",
+        "generator-number-too-long",
+        "star-order-above-cap",
     ],
 )
 def test_malformed_input_exits_1_naming_the_field(tmp_path, capsys, patch, flags, message):
@@ -536,6 +562,13 @@ def test_malformed_input_exits_1_naming_the_field(tmp_path, capsys, patch, flags
     path.write_text(text, encoding="utf-8")
     assert main(["--problem", str(path), "--command", "eliminate", *flags]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_integer_literal_too_long_to_decode_exits_1(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(REMOVABLE).replace('"seed": 7', f'"seed": {LONG_NUMBER}'))
+    assert main(["--problem", str(path), "--command", "eliminate"]) == 1
+    assert capsys.readouterr().err.startswith("error: problem file is not valid JSON: ")
 
 
 def test_star_terms_with_bad_order_key_rejected():

@@ -12,11 +12,13 @@ references in helpers.py.
 import itertools
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from helpers import (
     _op_coordinates,
     canonical_pi2,
+    expand_freedom,
     canonical_pi4,
     p3,
     p4,
@@ -41,9 +43,13 @@ from starobs import (
     linsolve,
     moyal_star,
 )
+from starobs.cli import load_problem, op_from_payload, run_command
 from starobs.obstruction import _solve_unary_correction, _unary_ansatz_rows, _weight_map
 from starobs.poly import exponents_upto, zero_exponents
 from starobs.polydiff import _key_differential, generator_monomials
+
+
+PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 
 
 def planted(system, order, n, alpha, exps, coeff):
@@ -203,35 +209,30 @@ R2O2 = {1: ((0, 1), (1, 0)), 2: ((0, 2), (0, 0))}
 R4O1 = {1: ((0, 0, 1, 0), (1, 0, 0, 0))}
 
 
+SOLVED_EXTENSIONS = [
+    pytest.param(moyal_star(canonical_pi2(), 1), 0, 2, id="moyal-r2-o1"),
+    pytest.param(moyal_star(canonical_pi2(), 2), 0, 3, id="moyal-r2-o2"),
+    pytest.param(moyal_star(canonical_pi2(), 3), 0, 4, id="moyal-r2-o3"),
+    pytest.param(moyal_star(canonical_pi2(), 2), 1, 3, id="moyal-r2-o2-degree-1"),
+    pytest.param(moyal_star(plane_pi3(), 1), 1, 2, id="moyal-plane-r3"),
+    pytest.param(moyal_star(canonical_pi4(), 1), 0, 2, id="moyal-r4"),
+    pytest.param(*gauged_truncation(canonical_pi2(), 2, R2O2), id="gauged-r2-o2"),
+    pytest.param(*gauged_truncation(canonical_pi4(), 1, R4O1), id="gauged-r4-o1"),
+    pytest.param(
+        gauged_truncation(canonical_pi4(), 1, R4O1)[0], 0, 2, id="gauged-r4-o1-degree-0"
+    ),
+    pytest.param(StarProduct.trivial(2, 2), 1, 1, id="trivial"),
+]
+
+
 @pytest.mark.parametrize(
     "star, degree, op_order",
-    [
-        (moyal_star(canonical_pi2(), 1), 0, 2),
-        (moyal_star(canonical_pi2(), 2), 0, 3),
-        (moyal_star(canonical_pi2(), 3), 0, 4),
-        (moyal_star(canonical_pi2(), 2), 1, 3),
-        (moyal_star(plane_pi3(), 1), 1, 2),
-        (moyal_star(canonical_pi4(), 1), 0, 2),
-        gauged_truncation(canonical_pi2(), 2, R2O2),
-        gauged_truncation(canonical_pi4(), 1, R4O1),
-        (gauged_truncation(canonical_pi4(), 1, R4O1)[0], 0, 2),
-        (StarProduct.trivial(2, 2), 1, 1),
-        (moyal_star(canonical_pi2(), 1), 0, 1),
-        (gauged_truncation(canonical_pi2(), 2, R2O2)[0], 1, 3),
-    ],
-    ids=[
-        "moyal-r2-o1",
-        "moyal-r2-o2",
-        "moyal-r2-o3",
-        "moyal-r2-o2-degree-1",
-        "moyal-plane-r3",
-        "moyal-r4",
-        "gauged-r2-o2",
-        "gauged-r4-o1",
-        "gauged-r4-o1-degree-0",
-        "trivial",
-        "bounds-too-small",
-        "target-above-degree-bound",
+    SOLVED_EXTENSIONS
+    + [
+        pytest.param(moyal_star(canonical_pi2(), 1), 0, 1, id="bounds-too-small"),
+        pytest.param(
+            gauged_truncation(canonical_pi2(), 2, R2O2)[0], 1, 3, id="target-above-degree-bound"
+        ),
     ],
 )
 def test_extension_matches_reference_solve(star, degree, op_order):
@@ -239,7 +240,35 @@ def test_extension_matches_reference_solve(star, degree, op_order):
     want = reference_extend_one_order(star, degree, op_order)
     assert got.status == want.status
     assert got.particular == want.particular
-    assert got.freedom == want.freedom
+    assert expand_freedom(got) == want.freedom
+    if got.solved:
+        assert got.freedom[1] == exponents_upto(star.dim, degree)
+
+
+def assert_constant_cocycles(operators):
+    """Each operator has constant coefficients and a zero term-by-term differential."""
+    assert operators
+    for op in operators:
+        assert all(poly.is_constant() for poly in op.terms.values())
+        assert reference_hochschild_d(op).is_zero()
+
+
+@pytest.mark.parametrize("star, degree, op_order", SOLVED_EXTENSIONS)
+def test_every_freedom_operator_is_a_constant_coefficient_cocycle(star, degree, op_order):
+    result = extend_one_order(star, degree, op_order)
+    assert result.solved
+    assert_constant_cocycles(result.freedom[0])
+
+
+def test_reported_freedom_operators_are_constant_coefficient_cocycles():
+    problem = load_problem(str(PROBLEMS / "moyal_extension.json"))
+    report = run_command(problem, "extend-star", None)["result"]
+    assert report["status"] == "solved"
+    operators = [op_from_payload(problem.dim, 2, ops, problem.names) for ops in report["freedom"]]
+    assert_constant_cocycles(operators)
+    shifts = exponents_upto(problem.dim, problem.bounds.degree)
+    assert report["freedom_shifts"] == [list(e) for e in shifts]
+    assert report["freedom_rank"] == len(report["freedom"]) * len(report["freedom_shifts"])
 
 
 def counting_solves(monkeypatch):

@@ -1,10 +1,12 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
 from helpers import R2, p2, rand_poly
 
 from starobs import Polynomial, PolynomialParseError, parse_polynomial
+from starobs.poly import _Parser
 
 
 def test_difference_of_squares():
@@ -141,3 +143,18 @@ def test_power_matches_repeated_product():
     assert base**7 == product
     assert base**0 == Polynomial.one(1)
     assert base**1 == base
+
+
+def test_parse_rejects_a_large_power_of_a_sum_before_expanding_it():
+    names = ["x", "y", "z", "w"]
+    cap = _Parser.MAX_SUM_POWER
+    # at the cap the power is expanded: C(12 + 4, 4) terms
+    assert len(parse_polynomial(f"(x+y+z+w+1)^{cap}", names).terms) == 1820
+    start = time.perf_counter()
+    with pytest.raises(PolynomialParseError, match=r"^at position 12 in .*: exponent 24 on a base"):
+        parse_polynomial("(x+y+z+w+1)^24", names)
+    assert time.perf_counter() - start < 0.05
+    # a monomial base, or a sum that collapses to one term, takes any power
+    big = Polynomial.monomial(4, (100, 100, 0, 0), 2**100)
+    assert parse_polynomial("(2*x*y)^100", names) == big
+    assert parse_polynomial("(x + y - y)^40", names) == Polynomial.monomial(4, (40, 0, 0, 0))

@@ -1,11 +1,15 @@
 """Property tests, run when Hypothesis is installed."""
 
+import json
+from pathlib import Path
+
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
 from starobs import Polynomial, parse_polynomial  # noqa: E402
+from starobs.cli import Problem, load_problem_data  # noqa: E402
 
 NAMES = ["x", "p1", "_q", "Zeta_2"]
 
@@ -31,3 +35,38 @@ def test_to_string_parses_back_to_the_same_terms(p):
     types = {e: type(c) for e, c in q.terms.items()}
     assert types == {e: type(c) for e, c in p.terms.items()}
     assert all(t is int or q.terms[e].denominator > 1 for e, t in types.items())
+
+
+PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
+PLANE_MOMENTA = json.loads((PROBLEMS / "plane_momenta.json").read_text())
+
+# JSON values that often hit the loader's own keys, names and polynomial syntax
+json_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats()
+    | st.text()
+    | st.text("xp0123^()+-*/ ", max_size=12)
+    | st.sampled_from(["moyal", "terms", "x", "p", "1", "(1,2)"]),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(
+        st.sampled_from(["type", "order", "terms", "degree", "op_order", "coeff", "derivs", "1"])
+        | st.text(),
+        children,
+        max_size=4,
+    ),
+    max_leaves=12,
+)
+
+
+@hypothesis.settings(derandomize=True, deadline=None, database=None, max_examples=400)
+@hypothesis.given(st.sampled_from(sorted(PLANE_MOMENTA)), json_values)
+def test_loader_returns_a_problem_or_raises_value_error(field, value):
+    """One top-level field of a shipped problem replaced: a Problem or a ValueError."""
+    data = dict(PLANE_MOMENTA, **{field: value})
+    try:
+        problem = load_problem_data(data)
+    except ValueError:
+        return
+    assert isinstance(problem, Problem)

@@ -6,6 +6,7 @@ import pytest
 from helpers import (
     canonical_pi2,
     canonical_pi4,
+    expand_freedom,
     p2,
     p4,
     plane_pi3,
@@ -386,7 +387,7 @@ def test_extension_cocycle_lies_in_reported_freedom_span():
         return out
 
     target = coords(cocycle)
-    basis_coords = [coords(op) for op in result.freedom]
+    basis_coords = [coords(op) for op in expand_freedom(result)]
     row_keys = sorted(set(target) | {k for b in basis_coords for k in b})
     row_index = {k: r for r, k in enumerate(row_keys)}
     rows = [dict() for _ in row_keys]
