@@ -18,8 +18,8 @@ import pytest
 from helpers import (
     _op_coordinates,
     canonical_pi2,
-    expand_freedom,
     canonical_pi4,
+    expand_freedom,
     p3,
     p4,
     plane_pi3,
