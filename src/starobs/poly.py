@@ -92,6 +92,24 @@ class Polynomial:
         object.__setattr__(self, "terms", clean)
         object.__setattr__(self, "_hash", None)
 
+    @classmethod
+    def _trusted(cls, dim: int, terms: dict[Exponents, Fraction | int]) -> Polynomial:
+        """A polynomial on terms that arithmetic built from valid polynomials.
+
+        The keys are exponent tuples of length dim with no negative entry and
+        the values are nonzero ints or Fractions, so none of __init__'s checks
+        is repeated.  A sum or product of two non-integral Fractions can be
+        integral, so those still become ints.  The dict is taken, not copied.
+        """
+        for exps, coeff in terms.items():
+            if type(coeff) is not int and coeff.denominator == 1:
+                terms[exps] = coeff.numerator
+        p = object.__new__(cls)
+        object.__setattr__(p, "dim", dim)
+        object.__setattr__(p, "terms", terms)
+        object.__setattr__(p, "_hash", None)
+        return p
+
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
 
@@ -137,12 +155,12 @@ class Polynomial:
         terms = dict(self.terms)
         for exps, c in q.terms.items():
             _accumulate(terms, exps, c)
-        return Polynomial(self.dim, terms)
+        return Polynomial._trusted(self.dim, terms)
 
     __radd__ = __add__
 
     def __neg__(self) -> Polynomial:
-        return Polynomial(self.dim, {e: -c for e, c in self.terms.items()})
+        return Polynomial._trusted(self.dim, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other) -> Polynomial:
         q = self._coerce(other)
@@ -158,7 +176,9 @@ class Polynomial:
 
     def __mul__(self, other) -> Polynomial:
         if isinstance(other, (int, Fraction)):
-            return Polynomial(self.dim, {e: k * other for e, k in self.terms.items()})
+            if not other:
+                return Polynomial._trusted(self.dim, {})
+            return Polynomial._trusted(self.dim, {e: k * other for e, k in self.terms.items()})
         q = self._coerce(other)
         if q is None:
             return NotImplemented
@@ -166,7 +186,7 @@ class Polynomial:
         for e1, c1 in self.terms.items():
             for e2, c2 in q.terms.items():
                 _accumulate(terms, add_exponents(e1, e2), c1 * c2)
-        return Polynomial(self.dim, terms)
+        return Polynomial._trusted(self.dim, terms)
 
     __rmul__ = __mul__
 
@@ -215,7 +235,7 @@ class Polynomial:
                 e = list(exps)
                 e[i] -= 1
                 _accumulate(terms, tuple(e), c * exps[i])
-        return Polynomial(self.dim, terms)
+        return Polynomial._trusted(self.dim, terms)
 
     def partial_multi(self, alpha: Exponents) -> Polynomial:
         """Iterated partial derivative with multi-index alpha."""

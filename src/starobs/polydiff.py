@@ -52,24 +52,42 @@ def _sub_multi_indices(alpha: Exponents) -> list[Exponents]:
     return [tuple(b) for b in itertools.product(*(range(a + 1) for a in alpha))]
 
 
-def _splittings(alpha: Exponents, parts: int) -> list[tuple[tuple[Exponents, ...], int]]:
+Leibniz = list[tuple[Exponents, Exponents, int]]
+
+
+def _leibniz(table: dict[Exponents, Leibniz], alpha: Exponents) -> Leibniz:
+    """[(gamma, alpha - gamma, C(alpha, gamma))] for gamma <= alpha, in
+    _sub_multi_indices order: the two-factor Leibniz rule for d^alpha.
+
+    `table` is a dict owned by one call; each alpha is split once into it.
+    """
+    rows = table.get(alpha)
+    if rows is None:
+        rows = table[alpha] = [
+            (gamma, sub_exponents(alpha, gamma), _binom_multi(alpha, gamma))
+            for gamma in _sub_multi_indices(alpha)
+        ]
+    return rows
+
+
+def _split_over(
+    table: dict[Exponents, Leibniz], alpha: Exponents, parts: int
+) -> list[tuple[tuple[Exponents, ...], int]]:
     """Ways to write alpha as an ordered sum of `parts` multi-indices.
 
-    Returns (split, multinomial coefficient) pairs; the coefficient is the
-    product over coordinates of multinomials, i.e. the Leibniz weight of
-    distributing d^alpha over `parts` factors.
+    Returns (split, multinomial weight) pairs, the Leibniz rule for d^alpha
+    over `parts` factors, splitting off one factor at a time by `table`:
+    the first part varies slowest, each in _sub_multi_indices order.
     """
     if parts == 0:
-        return [((), 1)] if all(a == 0 for a in alpha) else []
+        return [((), 1)] if not any(alpha) else []
     if parts == 1:
         return [((alpha,), 1)]
-    out = []
-    for beta in _sub_multi_indices(alpha):
-        remainder = tuple(a - b for a, b in zip(alpha, beta))
-        weight = _binom_multi(alpha, beta)
-        for rest, w in _splittings(remainder, parts - 1):
-            out.append(((beta,) + rest, weight * w))
-    return out
+    return [
+        ((gamma,) + split, weight * w)
+        for gamma, rest, weight in _leibniz(table, alpha)
+        for split, w in _split_over(table, rest, parts - 1)
+    ]
 
 
 class PolyDiffOp:
@@ -100,6 +118,20 @@ class PolyDiffOp:
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "arity", arity)
         object.__setattr__(self, "terms", clean)
+
+    @classmethod
+    def _trusted(cls, dim: int, arity: int, terms: dict[DerivKey, Polynomial]) -> PolyDiffOp:
+        """An operator on terms that arithmetic built from valid operators.
+
+        The keys are arity-tuples of valid multi-indices and the values
+        nonzero Polynomials of dimension dim, so none of __init__'s checks is
+        repeated.  The dict is taken, not copied.
+        """
+        op = object.__new__(cls)
+        object.__setattr__(op, "dim", dim)
+        object.__setattr__(op, "arity", arity)
+        object.__setattr__(op, "terms", terms)
+        return op
 
     def __setattr__(self, name, value):
         raise AttributeError("PolyDiffOp is immutable")
@@ -167,13 +199,13 @@ class PolyDiffOp:
         terms = dict(self.terms)
         for key, c in other.terms.items():
             _accumulate(terms, key, c)
-        return PolyDiffOp(self.dim, self.arity, terms)
+        return PolyDiffOp._trusted(self.dim, self.arity, terms)
 
     def __sub__(self, other: PolyDiffOp) -> PolyDiffOp:
         return self + (-other)
 
     def __neg__(self) -> PolyDiffOp:
-        return PolyDiffOp(self.dim, self.arity, {k: -c for k, c in self.terms.items()})
+        return PolyDiffOp._trusted(self.dim, self.arity, {k: -c for k, c in self.terms.items()})
 
     def scaled(self, factor: Polynomial | Fraction | int) -> PolyDiffOp:
         return PolyDiffOp(self.dim, self.arity, {k: c * factor for k, c in self.terms.items()})
@@ -209,28 +241,43 @@ class PolyDiffOp:
         The slot's derivatives are pushed through the inner operator's
         output by the generalized Leibniz rule, distributing over the
         inner coefficient and the inner slots; the result is canonical.
+        The slot's d^alpha is split first into d^gamma0 on the inner
+        coefficient and the rest, which is split over the inner slots only
+        where d^gamma0 of the coefficient is nonzero.  Each split and each
+        coefficient derivative is computed once per call, and the terms
+        come out in the order of splitting alpha over all j + 1 factors at
+        once, the first factor varying slowest.
         """
         if not 0 <= slot < self.arity:
             raise IndexError(f"slot {slot} out of range for arity {self.arity}")
         if inner.dim != self.dim:
             raise ValueError("dimension mismatch")
         j = inner.arity
+        table: dict[Exponents, Leibniz] = {}
+        rest_splits: dict[Exponents, list] = {}
+        derivs: list[dict[Exponents, Polynomial]] = [{} for _ in inner.terms]
         out_terms: dict[DerivKey, Polynomial] = {}
         for key, c_out in self.terms.items():
-            alpha = key[slot]
-            for in_key, c_in in inner.terms.items():
-                for split, weight in _splittings(alpha, j + 1):
-                    gamma0, gammas = split[0], split[1:]
-                    coeff = c_out * c_in.partial_multi(gamma0)
-                    if coeff.is_zero():
+            head, tail = key[:slot], key[slot + 1 :]
+            for (in_key, c_in), d_in in zip(inner.terms.items(), derivs):
+                for gamma0, rest, w0 in _leibniz(table, key[slot]):
+                    splits = rest_splits.get(rest)
+                    if splits is None:
+                        splits = rest_splits[rest] = _split_over(table, rest, j)
+                    if not splits:
                         continue
-                    if weight != 1:
-                        coeff = coeff * weight
-                    inserted = tuple(
-                        add_exponents(b, g) for b, g in zip(in_key, gammas)
-                    )
-                    _accumulate(out_terms, key[:slot] + inserted + key[slot + 1 :], coeff)
-        return PolyDiffOp(self.dim, self.arity + j - 1, out_terms)
+                    dc = d_in.get(gamma0)
+                    if dc is None:
+                        dc = d_in[gamma0] = c_in.partial_multi(gamma0)
+                    if dc.is_zero():
+                        continue
+                    base = c_out * dc
+                    for gammas, w in splits:
+                        weight = w0 * w
+                        coeff = base * weight if weight != 1 else base
+                        inserted = tuple(map(add_exponents, in_key, gammas))
+                        _accumulate(out_terms, head + inserted + tail, coeff)
+        return PolyDiffOp._trusted(self.dim, self.arity + j - 1, out_terms)
 
     def sorted_terms(self) -> list[tuple[DerivKey, Polynomial]]:
         return sorted(self.terms.items())
@@ -243,12 +290,15 @@ class PolyDiffOp:
 # -- complex structure --------------------------------------------------------
 
 
-def _key_differential(dim: int, key: DerivKey) -> dict[DerivKey, int]:
+def _key_differential(
+    dim: int, key: DerivKey, table: dict[Exponents, Leibniz]
+) -> dict[DerivKey, int]:
     """hochschild_d of the constant operator d^key, in integers.
 
     For key = (a_1..a_k), d(d^key)(f_1..f_{k+1}) is f_1 d^key(f_2..),
     then (-1)^j d^key(.., f_j f_{j+1}, ..) for j = 1..k with the Leibniz
     rule splitting d^(a_j) over f_j f_{j+1}, then (-1)^(k+1) d^key(..) f_{k+1}.
+    The splittings come from `table`, which the caller shares across keys.
     """
     k = len(key)
     z = zero_exponents(dim)
@@ -256,10 +306,10 @@ def _key_differential(dim: int, key: DerivKey) -> dict[DerivKey, int]:
     _accumulate(terms, (z,) + key, 1)
     _accumulate(terms, key + (z,), (-1) ** (k + 1))
     for j in range(1, k + 1):
-        alpha = key[j - 1]
-        for beta in _sub_multi_indices(alpha):
-            dkey = key[: j - 1] + (beta, sub_exponents(alpha, beta)) + key[j:]
-            _accumulate(terms, dkey, (-1) ** j * _binom_multi(alpha, beta))
+        sign = (-1) ** j
+        head, tail = key[: j - 1], key[j:]
+        for beta, rest, weight in _leibniz(table, key[j - 1]):
+            _accumulate(terms, head + (beta, rest) + tail, sign * weight)
     return terms
 
 
@@ -273,11 +323,12 @@ def hochschild_d(op: PolyDiffOp) -> PolyDiffOp:
     d: d(c d^key) = c d(d^key).  d phi is therefore the sum over the terms
     c d^key of phi of c times the integer operator _key_differential(key).
     """
+    table: dict[Exponents, Leibniz] = {}
     terms: dict[DerivKey, Polynomial] = {}
     for key, c in op.terms.items():
-        for dkey, weight in _key_differential(op.dim, key).items():
+        for dkey, weight in _key_differential(op.dim, key, table).items():
             _accumulate(terms, dkey, c * weight)
-    return PolyDiffOp(op.dim, op.arity + 1, terms)
+    return PolyDiffOp._trusted(op.dim, op.arity + 1, terms)
 
 
 def hkr_to_cochain(P: Polyvector) -> PolyDiffOp:

@@ -24,7 +24,7 @@ from typing import Sequence
 from . import linsolve
 from .multivec import Polyvector
 from .poly import Exponents, Polynomial, _accumulate, _gather_monomials, exponents_upto
-from .polydiff import DerivKey, PolyDiffOp, _key_differential
+from .polydiff import DerivKey, Leibniz, PolyDiffOp, _key_differential
 
 
 class StarProduct:
@@ -108,13 +108,20 @@ class StarProduct:
         return self._associator(n, range(n + 1))
 
     def _associator(self, n: int, ks: Sequence[int]) -> PolyDiffOp:
-        """sum over k in ks of B_k(B_{n-k}(.,.),.) - B_k(., B_{n-k}(.,.))."""
-        total = PolyDiffOp.zero(self.dim, 3)
+        """sum over k in ks of B_k(B_{n-k}(.,.),.) - B_k(., B_{n-k}(.,.)).
+
+        Every insertion is accumulated into one term map, k by k and the
+        first slot before the second, as the running sum would add them.
+        """
+        terms: dict[DerivKey, Polynomial] = {}
         for k in ks:
             outer = self.term(k)
             inner = self.term(n - k)
-            total = total + outer.compose_at(0, inner) - outer.compose_at(1, inner)
-        return total
+            for key, c in outer.compose_at(0, inner).terms.items():
+                _accumulate(terms, key, c)
+            for key, c in outer.compose_at(1, inner).terms.items():
+                _accumulate(terms, key, -c)
+        return PolyDiffOp._trusted(self.dim, 3, terms)
 
     def certified_order(self) -> int:
         """Largest n such that all residuals at orders <= n vanish."""
@@ -350,8 +357,9 @@ def extend_one_order(
     emons = exponents_upto(dim, coefficient_degree)
     keys = list(itertools.product(alphas, repeat=2))
     matrix: dict[DerivKey, dict[int, int]] = {}  # M by rows
+    table: dict[Exponents, Leibniz] = {}
     for ci, key in enumerate(keys):
-        for dkey, v in _key_differential(dim, key).items():
+        for dkey, v in _key_differential(dim, key, table).items():
             matrix.setdefault(dkey, {})[ci] = v
     undecided = ExtensionResult("undecided", n + 1, coefficient_degree, operator_order)
     emon_set = set(emons)

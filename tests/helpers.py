@@ -341,6 +341,59 @@ def reference_hochschild_d(op: PolyDiffOp) -> PolyDiffOp:
     return PolyDiffOp(dim, k + 1, terms)
 
 
+# -- Leibniz rule split per pair of terms, the reference for the one-table compose_at --
+
+
+def reference_splittings(alpha, parts):
+    """Ways to write alpha as an ordered sum of `parts` multi-indices.
+
+    Returns (split, multinomial coefficient) pairs; the coefficient is the
+    product over coordinates of multinomials, i.e. the Leibniz weight of
+    distributing d^alpha over `parts` factors.
+    """
+    if parts == 0:
+        return [((), 1)] if all(a == 0 for a in alpha) else []
+    if parts == 1:
+        return [((alpha,), 1)]
+    out = []
+    for beta in _sub_multi_indices(alpha):
+        remainder = tuple(a - b for a, b in zip(alpha, beta))
+        weight = _binom_multi(alpha, beta)
+        for rest, w in reference_splittings(remainder, parts - 1):
+            out.append(((beta,) + rest, weight * w))
+    return out
+
+
+def reference_compose_at(op: PolyDiffOp, slot: int, inner: PolyDiffOp) -> PolyDiffOp:
+    """Insert `inner` into argument slot `slot` (0-based), no sign.
+
+    Every pair of (outer term, inner term) splits the slot's d^alpha over
+    the inner coefficient and the inner slots anew, and differentiates the
+    inner coefficient anew.
+    """
+    if not 0 <= slot < op.arity:
+        raise IndexError(f"slot {slot} out of range for arity {op.arity}")
+    if inner.dim != op.dim:
+        raise ValueError("dimension mismatch")
+    j = inner.arity
+    out_terms: dict[DerivKey, Polynomial] = {}
+    for key, c_out in op.terms.items():
+        alpha = key[slot]
+        for in_key, c_in in inner.terms.items():
+            for split, weight in reference_splittings(alpha, j + 1):
+                gamma0, gammas = split[0], split[1:]
+                coeff = c_out * c_in.partial_multi(gamma0)
+                if coeff.is_zero():
+                    continue
+                if weight != 1:
+                    coeff = coeff * weight
+                inserted = tuple(
+                    add_exponents(b, g) for b, g in zip(in_key, gammas)
+                )
+                _accumulate(out_terms, key[:slot] + inserted + key[slot + 1 :], coeff)
+    return PolyDiffOp(op.dim, op.arity + j - 1, out_terms)
+
+
 # -- per-tuple restricted table, the reference for the memoized one ----------------
 
 

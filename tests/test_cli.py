@@ -1,6 +1,7 @@
 import copy
 import json
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -562,6 +563,37 @@ def test_malformed_input_exits_1_naming_the_field(tmp_path, capsys, patch, flags
     path.write_text(text, encoding="utf-8")
     assert main(["--problem", str(path), "--command", "eliminate", *flags]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def canonical_moyal(dim, order):
+    """Canonical R^dim with the built-in product of the given order."""
+    half = dim // 2
+    return {
+        "dimension": dim,
+        "coordinates": [f"x{i}" for i in range(half)] + [f"p{i}" for i in range(half)],
+        "poisson": [[i + 1, i + 1 + half, "1"] for i in range(half)],
+        "star": {"type": "moyal", "order": order},
+    }
+
+
+@pytest.mark.parametrize(
+    "dim, order, terms", [(6, 32, 2_760_680), (4, 20, 10_625), (4, 32, 58_904)]
+)
+def test_moyal_product_too_large_to_build_exits_1_at_once(tmp_path, capsys, dim, order, terms):
+    # canonical R^6 at order 32 ran for minutes before the estimate
+    path = write(tmp_path, "big.json", canonical_moyal(dim, order))
+    start = time.perf_counter()
+    assert main(["--problem", path, "--command", "assoc-check"]) == 1
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().err == (
+        f"error: star.order: the built-in product of order {order} on {dim // 2} "
+        f"bivector entries has an estimated {terms} terms to build, more than 10000\n"
+    )
+
+
+def test_moyal_product_below_the_estimate_cap_loads():
+    problem = load_problem_data(canonical_moyal(4, 12))  # 1,819 terms
+    assert problem.star.order == 12
 
 
 def test_integer_literal_too_long_to_decode_exits_1(tmp_path, capsys):

@@ -168,18 +168,33 @@ def test_unary_correction_matches_reference_solve(system, order, n, alpha, exps,
         assert graded is None
 
 
-def assert_key_differential_matches_reference(dim, key):
-    """_key_differential(key) is d(d^key), coordinate for coordinate and in order."""
+def assert_key_differential_matches_reference(dim, key, table=None):
+    """_key_differential(key) is d(d^key), coordinate for coordinate and in order,
+    on a fresh Leibniz table or on the given one."""
     z = zero_exponents(dim)
-    got = [((dkey, z), v) for dkey, v in _key_differential(dim, key).items()]
+    table = {} if table is None else table
+    got = [((dkey, z), v) for dkey, v in _key_differential(dim, key, table).items()]
     want = _op_coordinates(reference_hochschild_d(PolyDiffOp.single(dim, key)))
     assert got == list(want.items())
 
 
-@pytest.mark.parametrize("dim, op_order", [(2, 3), (3, 2), (4, 2)])
+# (4, 3) is the 1,225-key M of the R^4 Moyal order-2 extension at operator order 3
+@pytest.mark.parametrize("dim, op_order", [(2, 3), (3, 2), (4, 2), (4, 3)])
 def test_key_differential_matches_hochschild_d(dim, op_order):
     for key in itertools.product(exponents_upto(dim, op_order), repeat=2):
         assert_key_differential_matches_reference(dim, key)
+
+
+@pytest.mark.parametrize("dim, op_order", [(2, 3), (4, 3)])
+def test_one_leibniz_table_serves_every_key_of_a_call(dim, op_order):
+    # keys in reverse and in extend_one_order's order, so each key meets a table
+    # filled by others; a table entry spoiled by one key would show on a later one
+    keys = list(itertools.product(exponents_upto(dim, op_order), repeat=2))
+    for order in (keys[::-1], keys):
+        table = {}
+        for key in order:
+            assert_key_differential_matches_reference(dim, key, table)
+        assert set(table) == set(exponents_upto(dim, op_order))
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])

@@ -41,15 +41,22 @@ def test_run_stores_no_float_and_no_integral_fraction(problem, command, monkeypa
     """Every stored Polynomial coefficient is an int or a non-integral Fraction,
     and every solution and nullspace value is an int or a Fraction.
 
-    The CLI turns an exception into an exit code, so the wrappers record
-    what they see and the test asserts afterwards.
+    A Polynomial is stored by __init__ from outside input and by _trusted
+    from arithmetic, so both are recorded.  The CLI turns an exception into
+    an exit code, so the wrappers record what they see and the test asserts
+    afterwards.
     """
-    coefficients, solved = [], []
-    init, solve = Polynomial.__init__, linsolve.solve_sparse
+    coefficients, trusted_coefficients, solved = [], [], []
+    init, trusted, solve = Polynomial.__init__, Polynomial._trusted, linsolve.solve_sparse
 
     def recording_init(self, dim, terms=None):
         init(self, dim, terms)
         coefficients.extend(self.terms.values())
+
+    def recording_trusted(cls, dim, terms):
+        p = trusted(dim, terms)
+        trusted_coefficients.extend(p.terms.values())
+        return p
 
     def recording_solve(*args, **kwargs):
         result = solve(*args, **kwargs)
@@ -58,9 +65,11 @@ def test_run_stores_no_float_and_no_integral_fraction(problem, command, monkeypa
         return result
 
     monkeypatch.setattr(Polynomial, "__init__", recording_init)
+    monkeypatch.setattr(Polynomial, "_trusted", classmethod(recording_trusted))
     monkeypatch.setattr(linsolve, "solve_sparse", recording_solve)
     run_cli(problem, command)
-    assert coefficients
+    assert coefficients and trusted_coefficients
+    coefficients += trusted_coefficients
     exact = [type(c) is int or (type(c) is Fraction and c.denominator > 1) for c in coefficients]
     assert all(exact), [c for c, ok in zip(coefficients, exact) if not ok][:5]
     assert all(type(v) in (int, Fraction) for v in solved), solved[:5]

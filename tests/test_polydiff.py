@@ -6,9 +6,11 @@ from helpers import (
     canonical_pi2,
     flat_scenario,
     p2,
+    rand_multi_index,
     rand_op,
     rand_poly,
     rand_vector_field,
+    reference_compose_at,
     sign,
 )
 from oracles import cup, gerst_bracket, gerst_circ
@@ -311,3 +313,33 @@ def test_insertion_matches_value_level_oracle():
                 piece = -piece
             direct = direct + piece
         assert gerst_circ(phi, psi).apply(args) == direct
+
+
+def rand_poly_op(rng, dim, arity, order=2, terms=3):
+    """Random operator whose coefficients are polynomials of several terms."""
+    return PolyDiffOp(
+        dim,
+        arity,
+        {
+            tuple(rand_multi_index(rng, dim, order) for _ in range(arity)): rand_poly(
+                rng, dim, degree=3, terms=3
+            )
+            for _ in range(terms)
+        },
+    )
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+@pytest.mark.parametrize("outer_arity", [1, 2, 3])
+@pytest.mark.parametrize("inner_arity", [0, 1, 2, 3])
+def test_compose_at_matches_pairwise_leibniz_reference(dim, outer_arity, inner_arity):
+    # term order is compared too: it is what keeps the rendered reports byte-identical
+    rng = random.Random(1000 * dim + 10 * outer_arity + inner_arity)
+    for _ in range(3):
+        outer = rand_poly_op(rng, dim, outer_arity, order=3)
+        inner = rand_poly_op(rng, dim, inner_arity)
+        for slot in range(outer_arity):
+            got = outer.compose_at(slot, inner)
+            want = reference_compose_at(outer, slot, inner)
+            assert (got.dim, got.arity) == (want.dim, want.arity)
+            assert list(got.terms.items()) == list(want.terms.items())
