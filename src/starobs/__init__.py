@@ -52,7 +52,6 @@ from .star import (
     compose_diffeo,
     extend_one_order,
     gauge_transform,
-    invert_diffeo,
     moyal_star,
 )
 
@@ -91,7 +90,6 @@ __all__ = [
     "hamiltonian_field",
     "hkr_to_cochain",
     "hochschild_d",
-    "invert_diffeo",
     "jacobi_check",
     "lift_witness",
     "moyal_star",

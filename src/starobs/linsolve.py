@@ -95,10 +95,12 @@ def solve_sparse(
         for pc in [c for c in row if c in pivot_of_col]:
             factor = -row[pc]
             pr = pivot_of_col[pc]
+            # pivot value first: an int factor times a Fraction v would
+            # take Fraction's reflected __rmul__
             for c, v in work[pr].items():
-                _accumulate(row, c, factor * v)
+                _accumulate(row, c, v * factor)
             for k, v in b[pr].items():
-                _accumulate(br, k, factor * v)
+                _accumulate(br, k, v * factor)
         if not row:
             if br:
                 residual = br if vector else br[None]

@@ -11,13 +11,16 @@ suite:
 * on vector fields the bracket is the Lie bracket;
 * [X1^...^Xp, f] = sum_r (-1)^(r-1) Xr(f) X1^...^Xr-hat^...^Xp, so that
   [X^Y, f] = X(f) Y - Y(f) X;
-* decomposables pair factor-wise,
-  [P, Q] = (-1)^((p-1)(q-1)) sum_{r,s} (-1)^(r+s)
-           [Xr, Ys] ^ (P without Xr) ^ (Q without Ys)
-  (the leading bicharacter is forced by the function rule above once
-  graded Jacobi is required; it is +1 whenever either degree is odd);
-* graded antisymmetry [P,Q] = -(-1)^((p-1)(q-1)) [Q,P] extends the
-  bracket to a degree-0 first argument.
+* with xi_i the odd variable standing for d_i, so that a d_I is
+  a xi_I = a xi_{I[0]}...xi_{I[-1]},
+  [P, Q] = t sum_i (P <-d/dxi_i) ^ d_i Q  -  sum_i (Q <-d/dxi_i) ^ d_i P,
+  t = (-1)^((p-1)(q-1)), where the right derivative of xi_I by xi_{I[r]}
+  is (-1)^(len(I)-1-r) xi_(I without I[r]) and d_i differentiates the
+  coefficients; the degree is max(p+q-1, 0) (the twist t is forced by
+  the function rule above once graded Jacobi is required; it is +1
+  whenever either degree is odd);
+* graded antisymmetry [P,Q] = -(-1)^((p-1)(q-1)) [Q,P] holds, a
+  degree-0 argument included.
 
 With these choices the bracket of a bivector with a function is the
 Hamiltonian vector field of the function.
@@ -202,84 +205,29 @@ def poisson_bracket(pi: Polyvector, f: Polynomial, g: Polynomial) -> Polynomial:
     return total
 
 
-def _lie_bracket_terms(
-    c1: Polynomial, i: int, c2: Polynomial, j: int
-) -> list[tuple[Polynomial, int]]:
-    """[c1 d_i, c2 d_j] as a list of (coefficient, direction) terms."""
-    out = []
-    d = c1 * c2.partial(i)
-    if not d.is_zero():
-        out.append((d, j))
-    d = c2 * c1.partial(j)
-    if not d.is_zero():
-        out.append((-d, i))
-    return out
-
-
 def schouten_bracket(P: Polyvector, Q: Polyvector) -> Polyvector:
     """Schouten-Nijenhuis bracket in the module's sign convention.
 
-    Degree |P| + |Q| - 1; reduces to the Lie bracket on vector fields and
-    to X(f) on a (vector field, function) pair.
+    Degree max(|P| + |Q| - 1, 0); reduces to the Lie bracket on vector
+    fields and to X(f) on a (vector field, function) pair.
     """
     if P.dim != Q.dim:
         raise ValueError(f"dimension mismatch: {P.dim} vs {Q.dim}")
-    dim = P.dim
     p, q = P.degree, Q.degree
-    if p == 0 and q == 0:
-        return Polyvector.zero(dim, 0)
-    if p == 0:
-        # graded antisymmetry: [f, Q] = -(-1)^((0-1)(q-1)) [Q, f]
-        sign = -((-1) ** (q - 1))
-        return schouten_bracket(Q, P).scaled(sign)
-    degree = p + q - 1
-    comps: dict[IndexTuple, Polynomial] = {}
-
-    def put(indices: Sequence[int], poly: Polynomial):
-        key, sign = sort_with_sign(indices)
-        if sign:
-            _accumulate(comps, key, poly * sign)
-
-    # pairing the factors with signs (-1)^(r+s) gives the standard
-    # decomposable expansion; the extra bicharacter (-1)^((p-1)(q-1))
-    # twists it into the convention fixed in the module docstring
-    # (it rescales a graded Lie bracket, so the graded Jacobi identity
-    # survives, and it is what makes [X^Y, f] = X(f)Y - Y(f)X).
     twist = -1 if ((p - 1) * (q - 1)) % 2 else 1
-    for I, a in P.components.items():
-        if q == 0:
-            # [a d_I, f] = sum_r (-1)^r  a (d_{I_r} f)  d_{I minus r}
-            f = Q.components.get((), None)
-            if f is None:
-                continue
-            for r, ir in enumerate(I):
-                coeff = a * f.partial(ir)
-                if coeff.is_zero():
-                    continue
+    comps: dict[IndexTuple, Polynomial] = {}
+    # t sum_i (P <-d/dxi_i) ^ d_i Q  -  sum_i (Q <-d/dxi_i) ^ d_i P
+    for X, Y, sign in ((P, Q, twist), (Q, P, -1)):
+        for I, a in X.components.items():
+            for r, i in enumerate(I):
+                # moving xi_i to the right end of xi_I passes len(I)-1-r factors
                 rest = I[:r] + I[r + 1 :]
-                put(rest, coeff * ((-1) ** r))
-            continue
-        for J, b in Q.components.items():
-            # factor lists: the polynomial coefficient rides on factor 0
-            for r, ir in enumerate(I):
-                for s, js in enumerate(J):
-                    c1 = a if r == 0 else Polynomial.one(dim)
-                    c2 = b if s == 0 else Polynomial.one(dim)
-                    terms = _lie_bracket_terms(c1, ir, c2, js)
-                    if not terms:
-                        continue
-                    sign = twist * ((-1) ** (r + s))
-                    rest_i = I[:r] + I[r + 1 :]
-                    rest_j = J[:s] + J[s + 1 :]
-                    # coefficients of the untouched leading factors
-                    carried = Polynomial.one(dim)
-                    if r != 0:
-                        carried = carried * a
-                    if s != 0:
-                        carried = carried * b
-                    for coeff, direction in terms:
-                        put((direction,) + rest_i + rest_j, coeff * carried * sign)
-    return Polyvector(dim, degree, comps)
+                s = sign if (len(I) - 1 - r) % 2 == 0 else -sign
+                for J, b in Y.components.items():
+                    key, perm = sort_with_sign(rest + J)
+                    if perm:
+                        _accumulate(comps, key, a * b.partial(i) * (s * perm))
+    return Polyvector(P.dim, max(p + q - 1, 0), comps)
 
 
 def jacobi_check(pi: Polyvector) -> tuple[bool, Polyvector]:

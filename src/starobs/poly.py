@@ -11,6 +11,7 @@ module also holds the exponent-tuple helpers and the polynomial parser.
 from __future__ import annotations
 
 import itertools
+import operator
 from fractions import Fraction
 from typing import Hashable, Mapping, Sequence
 
@@ -28,11 +29,11 @@ def unit_exponents(dim: int, i: int) -> Exponents:
 
 
 def add_exponents(a: Exponents, b: Exponents) -> Exponents:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(operator.add, a, b))
 
 
 def sub_exponents(a: Exponents, b: Exponents) -> Exponents:
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(operator.sub, a, b))
 
 
 def _accumulate(terms: dict, key, value) -> None:

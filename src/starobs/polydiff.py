@@ -22,7 +22,7 @@ import math
 from fractions import Fraction
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
 
-from .multivec import Polyvector
+from .multivec import Polyvector, sort_with_sign
 from .poly import (
     Exponents,
     Polynomial,
@@ -347,21 +347,12 @@ def hkr_to_cochain(P: Polyvector) -> PolyDiffOp:
     units = [tuple(1 if t == s else 0 for t in range(dim)) for s in range(dim)]
     for idx, c in P.components.items():
         for sigma in itertools.permutations(range(k)):
-            sign = _perm_sign(sigma)
+            sign = sort_with_sign(sigma)[1]
             derivs: list[Exponents] = [zero_exponents(dim)] * k
             for a in range(k):
                 derivs[sigma[a]] = units[idx[a]]
             _accumulate(terms, tuple(derivs), c * (norm * sign))
     return PolyDiffOp(dim, k, terms)
-
-
-def _perm_sign(sigma: Sequence[int]) -> int:
-    sign = 1
-    for a in range(len(sigma)):
-        for b in range(a + 1, len(sigma)):
-            if sigma[a] > sigma[b]:
-                sign = -sign
-    return sign
 
 
 # -- restriction to the generated subalgebra ----------------------------------

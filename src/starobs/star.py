@@ -247,23 +247,12 @@ def compose_diffeo(D: FormalDiffeo, E: FormalDiffeo) -> FormalDiffeo:
     return FormalDiffeo(D.dim, D.order, terms)
 
 
-def invert_diffeo(D: FormalDiffeo) -> FormalDiffeo:
-    """Formal inverse: D o D^-1 = D^-1 o D = id up to the truncation order."""
-    inverse: list[PolyDiffOp] = []
-
-    def inv_term(n: int) -> PolyDiffOp:
-        return inverse[n - 1] if n else PolyDiffOp.identity(D.dim)
-
-    for n in range(1, D.order + 1):
-        acc = PolyDiffOp.zero(D.dim, 1)
-        for k in range(1, n + 1):
-            acc = acc + D.term(k).compose_at(0, inv_term(n - k))
-        inverse.append(-acc)
-    return FormalDiffeo(D.dim, D.order, inverse)
-
-
 def gauge_transform(s: StarProduct, D: FormalDiffeo) -> StarProduct:
     """Conjugated product a *' b = D^-1(D(a) * D(b)) as canonical operators.
+
+    Solved order by order from D(a *' b) = D(a) * D(b): with
+    T_n = sum_{i+j+k=n} B_i(D_j ., D_k .), B'_n = T_n - sum_{r=1..n} D_r o B'_{n-r}
+    and B'_0 = T_0.
 
     Associativity certificates carry over: conjugating an associative-
     to-order-n product yields an associative-to-order-n product.
@@ -272,27 +261,18 @@ def gauge_transform(s: StarProduct, D: FormalDiffeo) -> StarProduct:
         raise ValueError("dimension mismatch")
     if s.order != D.order:
         raise ValueError(f"order mismatch: star {s.order} vs diffeo {D.order}")
-    E = invert_diffeo(D)
-    # T_r = sum_{i+j+k=r} B_i(D_j ., D_k .)
-    inner: list[PolyDiffOp] = []
-    for r in range(s.order + 1):
-        acc = PolyDiffOp.zero(s.dim, 2)
-        for i in range(r + 1):
-            for j in range(r - i + 1):
-                k = r - i - j
-                acc = acc + s.term(i).compose_at(0, D.term(j)).compose_at(1, D.term(k))
-        inner.append(acc)
-    corrections = []
+    terms: list[PolyDiffOp] = []
     for n in range(s.order + 1):
         acc = PolyDiffOp.zero(s.dim, 2)
-        for r in range(n + 1):
-            acc = acc + E.term(r).compose_at(0, inner[n - r])
-        if n == 0:
-            if acc != PolyDiffOp.multiplication(s.dim):
-                raise AssertionError("gauge transform lost the leading product")
-        else:
-            corrections.append(acc)
-    result = StarProduct(s.dim, s.order, corrections)
+        for i in range(n + 1):
+            for j in range(n - i + 1):
+                acc = acc + s.term(i).compose_at(0, D.term(j)).compose_at(1, D.term(n - i - j))
+        for r in range(1, n + 1):
+            acc = acc - D.term(r).compose_at(0, terms[n - r])
+        terms.append(acc)
+    if terms[0] != PolyDiffOp.multiplication(s.dim):
+        raise AssertionError("gauge transform lost the leading product")
+    result = StarProduct(s.dim, s.order, terms[1:])
     result._inherit_certificate(object.__getattribute__(s, "_certified"))
     return result
 

@@ -15,6 +15,7 @@ from helpers import (
     pv_equal,
     rand_poly,
     rand_polyvector,
+    reference_schouten_bracket,
     removable_scenario,
     sign,
     so3_pi,
@@ -185,6 +186,15 @@ def test_schouten_leibniz_over_wedge_random():
             wedge(Q, schouten_bracket(P, R)),
         )
         assert pv_equal(lhs, rhs)
+
+
+def test_schouten_matches_factor_wise_reference():
+    rng = random.Random(10)
+    for _ in range(300):
+        dim = rng.randint(1, 4)
+        P = rand_polyvector(rng, dim, rng.randint(0, 3))
+        Q = rand_polyvector(rng, dim, rng.randint(0, 3))
+        assert schouten_bracket(P, Q) == reference_schouten_bracket(P, Q)
 
 
 # -- jacobi_check -------------------------------------------------------------------

@@ -7,11 +7,13 @@ from helpers import (
     canonical_pi2,
     canonical_pi4,
     expand_freedom,
+    invert_diffeo,
     p2,
     p4,
     plane_pi3,
     rand_op,
     rand_poly,
+    reference_gauge_transform,
     reference_moyal_star,
     so3_pi,
 )
@@ -26,7 +28,6 @@ from starobs import (
     extend_one_order,
     gauge_transform,
     hochschild_d,
-    invert_diffeo,
     moyal_star,
     linsolve,
     parse_polynomial,
@@ -277,6 +278,21 @@ def test_gauge_preserves_associativity_order():
         # recompute residuals from scratch rather than trusting the cache
         fresh = StarProduct(out.dim, out.order, out.corrections)
         assert fresh.certified_order() == 3
+
+
+def test_gauge_transform_matches_explicit_inverse_reference():
+    rng = random.Random(36)
+    for _ in range(20):
+        dim, order = rng.randint(1, 3), rng.randint(1, 3)
+        D = FormalDiffeo(dim, order, [rand_op(rng, dim, 1, order=2) for _ in range(order)])
+        products = [
+            # not associative: random corrections
+            StarProduct(dim, order, [rand_op(rng, dim, 2, order=2) for _ in range(order)]),
+            moyal_star(Polyvector.bivector(dim, {(0, dim - 1): rng.randint(1, 3)}), order),
+        ]
+        for s in products:
+            for diffeo in (D, FormalDiffeo.identity(dim, order)):
+                assert gauge_transform(s, diffeo) == reference_gauge_transform(s, diffeo)
 
 
 def test_gauge_order_mismatch():
