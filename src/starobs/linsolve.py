@@ -108,9 +108,16 @@ def solve_sparse(
             continue
         # normalize on the smallest-index column for determinism
         pc = min(row)
-        pivot = Fraction(row[pc])  # int / int would give a float
-        if pivot != 1:
-            for c in list(row):
+        pivot = row[pc]
+        if pivot == -1:
+            # negating keeps integer entries int
+            for c in row:
+                row[c] = -row[c]
+            for k in br:
+                br[k] = -br[k]
+        elif pivot != 1:
+            pivot = Fraction(pivot)  # int / int would give a float
+            for c in row:
                 row[c] /= pivot
             for k in br:
                 br[k] /= pivot

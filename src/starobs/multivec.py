@@ -136,9 +136,6 @@ class _Alternating:
     def __neg__(self):
         return self._like({i: -p for i, p in self.components.items()})
 
-    def scaled(self, factor: Polynomial | Fraction | int):
-        return self._like({i: p * factor for i, p in self.components.items()})
-
     def __repr__(self):
         body = ", ".join(f"{idx}: {p.to_string()}" for idx, p in sorted(self.components.items()))
         shape = ", ".join(map(str, self._shape()))

@@ -454,8 +454,10 @@ def _unary_ansatz_rows(
                 column = (e, (a,))
                 for mono, c in w.terms.items():
                     eqs._add(((ue, ve), add_exponents(mono, e)), column, c)
-        for mono, c in values[ue, ve].terms.items():
-            eqs._add_rhs(((ue, ve), mono), -c)
+        value = values.get((ue, ve))
+        if value is not None:
+            for mono, c in value.terms.items():
+                eqs._add_rhs(((ue, ve), mono), -c)
     return eqs
 
 

@@ -246,12 +246,18 @@ class PolyDiffOp:
         where d^gamma0 of the coefficient is nonzero.  Each split and each
         coefficient derivative is computed once per call, and the terms
         come out in the order of splitting alpha over all j + 1 factors at
-        once, the first factor varying slowest.
+        once, the first factor varying slowest.  Inserting the identity gives
+        self back, whose terms that path would rebuild in the same order.
         """
         if not 0 <= slot < self.arity:
             raise IndexError(f"slot {slot} out of range for arity {self.arity}")
         if inner.dim != self.dim:
             raise ValueError("dimension mismatch")
+        if inner.arity == 1 and len(inner.terms) == 1:
+            z = zero_exponents(self.dim)
+            c = inner.terms.get((z,))
+            if c is not None and c.terms == {z: 1}:
+                return self
         j = inner.arity
         table: dict[Exponents, Leibniz] = {}
         rest_splits: dict[Exponents, list] = {}
@@ -390,21 +396,36 @@ def _derivatives(polys: Mapping[Exponents, Polynomial], alphas: Iterable[Exponen
 
 
 def _restricted_items(op: PolyDiffOp, mons: list[tuple[Exponents, Polynomial]]) -> Iterator:
-    """(per-slot generator exponents, op value) on every tuple of mons, lazily and in
-    itertools.product order.  A term's product c * d^a_1 u_1 * ... is shared by the
-    tuples with the same leading slots and stops at its first zero factor, as in apply.
+    """(per-slot generator exponents, op value) on the tuples of mons where op is
+    nonzero, lazily and in itertools.product order (sorted key order, mons being
+    lex-sorted).  The stream is sparse: a tuple where op vanishes is not yielded.
+
+    Each prefix of leading slots carries the (key, partial product) pairs of
+    the terms still nonzero on it, c * d^a_1 u_1 * ...; a term drops out at
+    its first zero factor, and a prefix with none left is not descended.  A
+    value is the sum of its live terms in op.terms order, so it equals
+    op.apply on its tuple, term order included.
     """
     derivs = _derivatives(dict(mons), {a for key in op.terms for a in key})
 
-    def walk(slot, exps, partials):
+    def walk(slot, exps, live):
         if slot == op.arity:
-            yield exps, sum(filter(None, partials), Polynomial.zero(op.dim))
+            value = sum((v for _, v in live[1:]), live[0][1])
+            if value:
+                yield exps, value
             return
         for e, _ in mons:
-            step = [v * derivs[key[slot]][e] if v else v for key, v in zip(op.terms, partials)]
-            yield from walk(slot + 1, exps + (e,), step)
+            # a product of nonzero polynomials is nonzero: only a zero factor kills a term
+            step = []
+            for key, v in live:
+                d = derivs[key[slot]][e]
+                if d:
+                    step.append((key, v * d))
+            if step:
+                yield from walk(slot + 1, exps + (e,), step)
 
-    return walk(0, (), list(op.terms.values()))
+    live = list(op.terms.items())
+    return walk(0, (), live) if live else iter(())
 
 
 def restricted_values(
@@ -421,18 +442,25 @@ def restricted_values(
     fix it, slot by slot.  This needs only that the f_i generate C, not
     that they are independent or monomial.
 
-    The table is keyed by per-slot generator exponents.  d^a of each
-    generator monomial is computed once per distinct multi-index a of op,
-    and each value equals op.apply on its tuple, term order included.
+    The table is full: keyed by per-slot generator exponents in
+    itertools.product order, with a zero value where op vanishes.  The
+    nonzero values come from the sparse stream of _restricted_items, which
+    takes d^a of each generator monomial once per distinct multi-index a of
+    op; each equals op.apply on its tuple, term order included.
     """
-    return dict(_restricted_items(op, generator_monomials(system, op.order())))
+    mons = generator_monomials(system, op.order())
+    values = dict(_restricted_items(op, mons))
+    zero = Polynomial.zero(op.dim)
+    keys = itertools.product([e for e, _ in mons], repeat=op.arity)
+    return {exps: values.get(exps, zero) for exps in keys}
 
 
 def vanishes_on_generators(op: PolyDiffOp, system: "IntegrableSystem") -> bool:
     """Whether op restricts to zero on the subalgebra the generators span.
 
-    Decided on the table of restricted_values, which says why its degree
-    suffices, stopping at the first nonzero entry.
+    Decided on the tuples of restricted_values, which says why their degree
+    suffices: true exactly when the sparse stream of _restricted_items
+    yields nothing, so it stops at the first nonzero value.
     """
     mons = generator_monomials(system, op.order())
-    return all(value.is_zero() for _, value in _restricted_items(op, mons))
+    return next(_restricted_items(op, mons), None) is None

@@ -186,6 +186,11 @@ def pv_add(a: Polyvector, b: Polyvector) -> Polyvector:
     return a + b
 
 
+def scaled(P, factor):
+    """A Polyvector or RelativeClass with every component times factor."""
+    return P._like({i: p * factor for i, p in P.components.items()})
+
+
 def sign(exponent: int) -> int:
     return -1 if exponent % 2 else 1
 
@@ -409,6 +414,26 @@ def reference_restricted_values(op, system, slot_degree):
     }
 
 
+def reference_restricted_items(op, mons):
+    """(per-slot generator exponents, op value) on every tuple of mons, zeros
+    included, lazily and in itertools.product order.  A term's product
+    c * d^a_1 u_1 * ... is shared by the tuples with the same leading slots,
+    and every term, dead or not, is carried and tested at every slot: the
+    dense walk the sparse `_restricted_items` replaced."""
+    alphas = {a for key in op.terms for a in key}
+    derivs = {a: {e: p.partial_multi(a) for e, p in mons} for a in alphas}
+
+    def walk(slot, exps, partials):
+        if slot == op.arity:
+            yield exps, sum(filter(None, partials), Polynomial.zero(op.dim))
+            return
+        for e, _ in mons:
+            step = [v * derivs[key[slot]][e] if v else v for key, v in zip(op.terms, partials)]
+            yield from walk(slot + 1, exps + (e,), step)
+
+    return walk(0, (), list(op.terms.values()))
+
+
 # -- row-by-pivot Gauss-Jordan, the reference for the indexed solver ---------------
 
 
@@ -609,7 +634,7 @@ def reference_schouten_bracket(P: Polyvector, Q: Polyvector) -> Polyvector:
     if p == 0:
         # graded antisymmetry: [f, Q] = -(-1)^((0-1)(q-1)) [Q, f]
         sign = -((-1) ** (q - 1))
-        return reference_schouten_bracket(Q, P).scaled(sign)
+        return scaled(reference_schouten_bracket(Q, P), sign)
     degree = p + q - 1
     comps: dict[IndexTuple, Polynomial] = {}
 

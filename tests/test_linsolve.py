@@ -126,6 +126,16 @@ def test_vector_rhs_matches_one_scalar_solve_per_label():
     assert statuses == {"solved", "infeasible"}
 
 
+def test_unit_pivots_keep_integer_entries_int():
+    # a -1 pivot is negated, not divided by Fraction(-1), so integer rows stay int
+    solved = solve_sparse([{0: -1, 1: 2}, {1: -1, 2: 3}], [3, 1], 3, want_nullspace=True)
+    assert solved.solution == {0: -5, 1: -1}
+    assert solved.nullspace == [{2: 1, 0: 6, 1: 3}]
+    values = [*solved.solution.values(), *solved.nullspace[0].values()]
+    assert all(type(v) is int for v in values)
+    assert solve_sparse([{0: 2}], [1], 1).solution == {0: Fraction(1, 2)}
+
+
 def test_cost_scales_with_nonzeros():
     # each row holds its own pivot and one free column: no fill-in at all,
     # but rows x rank is 10^8

@@ -17,6 +17,7 @@ from helpers import (
     rand_polyvector,
     reference_schouten_bracket,
     removable_scenario,
+    scaled,
     sign,
     so3_pi,
 )
@@ -60,7 +61,7 @@ def test_wedge_graded_commutative():
         pdeg, qdeg = rng.randint(0, 2), rng.randint(0, 2)
         P = rand_polyvector(rng, 3, pdeg)
         Q = rand_polyvector(rng, 3, qdeg)
-        assert wedge(P, Q) == wedge(Q, P).scaled(sign(pdeg * qdeg))
+        assert wedge(P, Q) == scaled(wedge(Q, P), sign(pdeg * qdeg))
 
 
 def test_wedge_dimension_mismatch():
@@ -150,7 +151,7 @@ def test_schouten_graded_antisymmetry_random():
         pdeg, qdeg = rng.randint(0, 3), rng.randint(0, 3)
         P = rand_polyvector(rng, dim, pdeg)
         Q = rand_polyvector(rng, dim, qdeg)
-        rhs = schouten_bracket(Q, P).scaled(-sign((pdeg - 1) * (qdeg - 1)))
+        rhs = scaled(schouten_bracket(Q, P), -sign((pdeg - 1) * (qdeg - 1)))
         assert pv_equal(schouten_bracket(P, Q), rhs)
 
 
@@ -165,9 +166,7 @@ def test_schouten_graded_jacobi_random():
         lhs = schouten_bracket(P, schouten_bracket(Q, R))
         rhs = pv_add(
             schouten_bracket(schouten_bracket(P, Q), R),
-            schouten_bracket(Q, schouten_bracket(P, R)).scaled(
-                sign((pdeg - 1) * (qdeg - 1))
-            ),
+            scaled(schouten_bracket(Q, schouten_bracket(P, R)), sign((pdeg - 1) * (qdeg - 1))),
         )
         assert pv_equal(lhs, rhs)
 
@@ -182,7 +181,7 @@ def test_schouten_leibniz_over_wedge_random():
         R = rand_polyvector(rng, 3, rdeg)
         lhs = schouten_bracket(P, wedge(Q, R))
         rhs = pv_add(
-            wedge(schouten_bracket(P, Q), R).scaled(sign((pdeg - 1) * rdeg)),
+            scaled(wedge(schouten_bracket(P, Q), R), sign((pdeg - 1) * rdeg)),
             wedge(Q, schouten_bracket(P, R)),
         )
         assert pv_equal(lhs, rhs)
@@ -341,8 +340,8 @@ def test_alternating_class_core(make, other):
     assert a - b == a + (-b) == make(2, {(0, 1): -x - y, (1, 2): -x})
     assert (a - a).is_zero()
     assert (-a).components == {(0, 1): x}
-    assert a.scaled(y) == make(2, {(1, 0): x * y})
-    assert a.scaled(0).is_zero()
+    assert scaled(a, y) == make(2, {(1, 0): x * y})
+    assert scaled(a, 0).is_zero()
     assert hash(a) == hash(make(2, {(0, 1): -x}))
     with pytest.raises(IndexError):
         make(2, {(0, 3): x})

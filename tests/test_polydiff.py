@@ -343,3 +343,21 @@ def test_compose_at_matches_pairwise_leibniz_reference(dim, outer_arity, inner_a
             want = reference_compose_at(outer, slot, inner)
             assert (got.dim, got.arity) == (want.dim, want.arity)
             assert list(got.terms.items()) == list(want.terms.items())
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_inserting_the_identity_returns_the_outer_operator(dim):
+    # the Leibniz path would rebuild the same terms in the same order
+    rng = random.Random(1100 + dim)
+    identity = PolyDiffOp.identity(dim)
+    for arity in (1, 2, 3):
+        outer = rand_poly_op(rng, dim, arity, order=3)
+        for slot in range(arity):
+            assert outer.compose_at(slot, identity) is outer
+            want = reference_compose_at(outer, slot, identity)
+            assert list(outer.terms.items()) == list(want.terms.items())
+    # a scaled identity or a second term is no identity
+    dx = PolyDiffOp.single(dim, [(1,) + (0,) * (dim - 1)])
+    for inner in (identity.scaled(2), identity + dx):
+        outer = rand_poly_op(rng, dim, 2, order=2)
+        assert outer.compose_at(0, inner) == reference_compose_at(outer, 0, inner)

@@ -8,9 +8,11 @@ the rank at r - 1 is lower, so r is tight.
 
 `restricted_values` memoizes d^a of every generator monomial per
 distinct multi-index and shares each term's coefficient products across
-tuples with common leading slots.  These tests pin it to the per-tuple
-reference in helpers.py: same keys in the same order, the same values
-with their terms in the same order, and a bounded derivative count.
+tuples with common leading slots, carrying only the terms still nonzero.
+These tests pin it to the per-tuple and dense-walk references in
+helpers.py: same keys in the same order (the sparse stream without the
+zero entries), the same values with their terms in the same order, a
+bounded derivative count, and no product spent on a dead term.
 """
 
 import itertools
@@ -22,6 +24,7 @@ from helpers import (
     p4,
     plane_pi3,
     rand_op,
+    reference_restricted_items,
     reference_restricted_values,
 )
 
@@ -57,6 +60,11 @@ def flattened(table):
     return [(key, list(value.terms.items())) for key, value in table.items()]
 
 
+def nonzero(table):
+    """The table without its zero entries, which the sparse stream omits."""
+    return {key: value for key, value in table.items() if value}
+
+
 def non_closed_order_two():
     """Moyal on R^3 with B_2 += z * d_y^2 (u) v, whose Hochschild differential
     is -(2 d_y u d_y v + d_y^2 u v) z w on the subalgebra: not closed."""
@@ -73,7 +81,7 @@ def test_table_matches_per_tuple_reference_on_monomial_generators(arity):
         slot_degree = 2 if arity == 3 else op.order() + 1
         table = dict(_restricted_items(op, generator_monomials(system, slot_degree)))
         reference = reference_restricted_values(op, system, slot_degree)
-        assert flattened(table) == flattened(reference)
+        assert flattened(table) == flattened(nonzero(reference))
         assert vanishes_on_generators(op, system) == all(
             v.is_zero() for v in reference_restricted_values(op, system, op.order() + 1).values()
         )
@@ -87,7 +95,55 @@ def test_table_matches_per_tuple_reference_on_polynomial_generators(arity):
     for _ in range(3):
         op = rand_op(rng, 4, arity, order=2, coeff_degree=1, terms=3)
         table = dict(_restricted_items(op, generator_monomials(system, slot_degree)))
-        assert flattened(table) == flattened(reference_restricted_values(op, system, slot_degree))
+        reference = reference_restricted_values(op, system, slot_degree)
+        assert flattened(table) == flattened(nonzero(reference))
+
+
+@pytest.mark.parametrize("arity", [0, 1, 2, 3])
+def test_sparse_stream_is_the_dense_walk_without_zeros(arity):
+    # monomial and polynomial generators; every third operator has a term
+    # killed by the subalgebra (d_x on k[y, z], a Hamiltonian field on R^4)
+    rng = random.Random(70 + arity)
+    for system, fields in killing_fields():
+        mons = generator_monomials(system, 1 if arity == 3 else 2)
+        for trial in range(6):
+            op = rand_op(rng, system.dim, arity, order=2, coeff_degree=1, terms=3)
+            if arity and trial % 3 == 0:
+                outer = rand_op(rng, system.dim, arity, order=1, coeff_degree=1, terms=2)
+                op = op + outer.compose_at(rng.randrange(arity), rng.choice(fields))
+            sparse = _restricted_items(op, mons)
+            dense = reference_restricted_items(op, mons)
+            expected = [(key, list(v.terms.items())) for key, v in dense if v]
+            assert [(key, list(v.terms.items())) for key, v in sparse] == expected
+    zero = PolyDiffOp.zero(3, arity)
+    assert list(_restricted_items(zero, generator_monomials(plane_system(), 2))) == []
+
+
+def test_dead_term_costs_no_products(monkeypatch):
+    # d_x kills every element of C = k[y, z] in the first slot, so the term
+    # that starts with it is dropped there and adds no product to any slot
+    system = plane_system()
+    mons = generator_monomials(system, 2)
+    live = PolyDiffOp.single(3, [(0, 1, 0), (0, 0, 1), (0, 1, 0)], p3("z"))
+    dead = PolyDiffOp.single(3, [(1, 0, 0), (0, 1, 0), (0, 0, 0)], p3("y"))
+    products = []
+    original = Polynomial.__mul__
+
+    def counting(self, other):
+        products.append(other)
+        return original(self, other)
+
+    monkeypatch.setattr(Polynomial, "__mul__", counting)
+
+    def cost(op):
+        products.clear()
+        values = flattened(dict(_restricted_items(op, mons)))
+        return values, len(products)
+
+    assert cost(dead) == ([], 0)
+    values, products_live = cost(live)
+    assert values and products_live > 0
+    assert cost(live + dead) == (values, products_live)
 
 
 def test_table_matches_reference_on_moyal_differential():
