@@ -41,7 +41,7 @@ from .poly import (
 )
 from .polydiff import (
     PolyDiffOp,
-    _derivatives,
+    _GeneratorTable,
     _restricted_items,
     generator_monomials,
     hkr_to_cochain,
@@ -67,7 +67,7 @@ class Bounds:
 class IntegrableSystem:
     """A Poisson bivector with a commuting, independent generating set."""
 
-    __slots__ = ("dim", "pi", "generators", "_validation")
+    __slots__ = ("dim", "pi", "generators", "_validation", "_monomials")
 
     def __init__(self, pi: Polyvector, generators: list[Polynomial] | tuple[Polynomial, ...]):
         if pi.degree != 2:
@@ -82,6 +82,7 @@ class IntegrableSystem:
         object.__setattr__(self, "pi", pi)
         object.__setattr__(self, "generators", gens)
         object.__setattr__(self, "_validation", None)
+        object.__setattr__(self, "_monomials", _GeneratorTable(gens))
 
     def __setattr__(self, name, value):
         raise AttributeError("IntegrableSystem is immutable")
@@ -386,11 +387,10 @@ def _solve_unary_correction(
     B_n reaches are solved; _unary_ansatz_rows says why that changes nothing.
     """
     target = s.term(n)
-    # the order of B_n + dD; restricted_values says why that degree decides
-    mons = generator_monomials(system, max(target.order(), bounds.op_order))
     alphas = exponents_upto(system.dim, bounds.op_order)
     emons = exponents_upto(system.dim, bounds.degree)
-    eqs = _unary_ansatz_rows(target, mons, alphas, emons, _weight_map(system))
+    # the order of B_n + dD; restricted_values says why that degree decides
+    eqs = _unary_ansatz_rows(target, system, max(target.order(), bounds.op_order), alphas, emons)
     solved = None if eqs is None else eqs._solve()
     if solved is None:
         return None
@@ -399,27 +399,31 @@ def _solve_unary_correction(
 
 def _unary_ansatz_rows(
     target: PolyDiffOp,
-    mons: list[tuple[Exponents, Polynomial]],
+    system: IntegrableSystem,
+    degree: int,
     alphas: list[Exponents],
     emons: list[Exponents],
-    weight: Callable[[Exponents], tuple],
 ) -> _SparseSystem | None:
-    """The live weight blocks of d(D) = -target on all pairs of generator monomials.
+    """The live weight blocks of d(D) = -target on all pairs of generator
+    monomials of degree <= `degree`, read from the system's table.
 
     D ranges over x^e d^a, column (e, (a,)), in the order
     [(e, (a,)) for a in alphas for e in emons].  A row is labelled by the
     pair's generator exponents and an ambient monomial.
 
-    Scaling by weight() commutes with d and with the order-0 product, and
-    generator monomials are homogeneous, so column x^e d^a only meets rows
-    whose ambient monomial, less those of u and v, weighs weight(e - a).
-    The system is thus block-diagonal, and a block with a zero right-hand
-    side is consistent with its columns zero in the solution, so only the
-    columns of live weights (those of rows where the target's table is
-    nonzero) are kept, in the order above, with d^a only for their alphas.
-    None when a live weight has no column: its block reads 0 = b, b != 0.
+    Scaling by _weight_map(system) commutes with d and with the order-0
+    product, and generator monomials are homogeneous, so column x^e d^a only
+    meets rows whose ambient monomial, less those of u and v, weighs
+    weight(e - a).  The system is thus block-diagonal, and a block with a
+    zero right-hand side is consistent with its columns zero in the solution,
+    so only the columns of live weights (those of rows where the target's
+    table is nonzero) are kept, in the order above, with d^a only for their
+    alphas.  None when a live weight has no column: its block reads 0 = b, b != 0.
     """
-    values = dict(_restricted_items(target, mons))
+    weight = _weight_map(system)
+    mons = generator_monomials(system, degree)
+    table = system._monomials
+    values = dict(_restricted_items(target, system, degree))
     # generator monomials are homogeneous: one monomial gives each one's weight
     ambient = {ue: next(iter(u.terms)) for ue, u in mons if not u.is_zero()}
     live = {
@@ -427,33 +431,33 @@ def _unary_ansatz_rows(
         for (ue, ve), value in values.items()
         for mono in value.terms
     }
+    # weight is linear: weight(e - a) = weight(e) - weight(a), each weighed once
+    e_weights = [(e, weight(e)) for e in emons]
     by_alpha: dict[Exponents, list[Exponents]] = {}
     reached = set()
     for a in alphas:
-        for e in emons:
-            w = weight(sub_exponents(e, a))
+        wa = weight(a)
+        for e, we in e_weights:
+            w = sub_exponents(we, wa)
             if w in live:
                 by_alpha.setdefault(a, []).append(e)
                 reached.add(w)
     if reached != live:
         return None
     eqs = _SparseSystem([(e, (a,)) for a, es in by_alpha.items() for e in es])
-    # every generator monomial and every product uv, by exponents (the first pair's uv wins)
-    polys = dict(mons)
-    for (ue, u), (ve, v) in itertools.product(mons, repeat=2):
-        key = add_exponents(ue, ve)
-        if key not in polys:
-            polys[key] = u * v
-    derivs = _derivatives(polys, by_alpha)
+    # d(d^a) = 0 for |a| = 1, a derivation: those columns meet no row
+    evaluated = [(a, es) for a, es in by_alpha.items() if sum(a) != 1]
     for (ue, u), (ve, v) in itertools.product(mons, repeat=2):
         uve = add_exponents(ue, ve)
-        for a, es in by_alpha.items():
-            # d(x^e D) = x^e d(D) (order 0 is commutative): w_a = d(d^a)(u, v) serves every e
-            w = u * derivs[a][ve] - derivs[a][uve] + derivs[a][ue] * v
-            for e in es:
-                column = (e, (a,))
-                for mono, c in w.terms.items():
-                    eqs._add(((ue, ve), add_exponents(mono, e)), column, c)
+        for a, es in evaluated:
+            du, dv, duv = table[a, ue], table[a, ve], table[a, uve]
+            if du or dv or duv:
+                # d(x^e D) = x^e d(D) (order 0 is commutative): w_a = d(d^a)(u, v) serves every e
+                w = u * dv - duv + du * v
+                for e in es:
+                    column = (e, (a,))
+                    for mono, c in w.terms.items():
+                        eqs._add(((ue, ve), add_exponents(mono, e)), column, c)
         value = values.get((ue, ve))
         if value is not None:
             for mono, c in value.terms.items():

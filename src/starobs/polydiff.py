@@ -20,7 +20,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterator, Mapping, Sequence
 
 from .multivec import Polyvector, sort_with_sign
 from .poly import (
@@ -238,16 +238,8 @@ class PolyDiffOp:
     def compose_at(self, slot: int, inner: PolyDiffOp) -> PolyDiffOp:
         """Insert `inner` into argument slot `slot` (0-based), no sign.
 
-        The slot's derivatives are pushed through the inner operator's
-        output by the generalized Leibniz rule, distributing over the
-        inner coefficient and the inner slots; the result is canonical.
-        The slot's d^alpha is split first into d^gamma0 on the inner
-        coefficient and the rest, which is split over the inner slots only
-        where d^gamma0 of the coefficient is nonzero.  Each split and each
-        coefficient derivative is computed once per call, and the terms
-        come out in the order of splitting alpha over all j + 1 factors at
-        once, the first factor varying slowest.  Inserting the identity gives
-        self back, whose terms that path would rebuild in the same order.
+        _compose_into on a fresh term map and Leibniz table.  Inserting the
+        identity gives self back, whose terms that path would rebuild in order.
         """
         if not 0 <= slot < self.arity:
             raise IndexError(f"slot {slot} out of range for arity {self.arity}")
@@ -258,32 +250,50 @@ class PolyDiffOp:
             c = inner.terms.get((z,))
             if c is not None and c.terms == {z: 1}:
                 return self
-        j = inner.arity
-        table: dict[Exponents, Leibniz] = {}
+        terms: dict[DerivKey, dict] = {}
+        self._compose_into(terms, slot, inner, 1, {})
+        return PolyDiffOp._from_term_map(self.dim, self.arity + inner.arity - 1, terms)
+
+    def _compose_into(
+        self, terms: dict, slot: int, inner: PolyDiffOp, sign: int, table: dict[Exponents, Leibniz]
+    ) -> None:
+        """Add sign * (self with `inner` in slot `slot`) to the caller's term map.
+
+        `terms` maps derivative keys to {monomial: coefficient}.  By the Leibniz
+        rule, from the caller's `table`, the slot's d^alpha is split into d^gamma0
+        on the inner coefficient and the rest, split over the inner slots only
+        where d^gamma0 of the coefficient is nonzero: terms come in the order of
+        splitting alpha over all 1 + inner.arity factors, the first varying slowest.
+        """
         rest_splits: dict[Exponents, list] = {}
         derivs: list[dict[Exponents, Polynomial]] = [{} for _ in inner.terms]
-        out_terms: dict[DerivKey, Polynomial] = {}
         for key, c_out in self.terms.items():
             head, tail = key[:slot], key[slot + 1 :]
             for (in_key, c_in), d_in in zip(inner.terms.items(), derivs):
                 for gamma0, rest, w0 in _leibniz(table, key[slot]):
-                    splits = rest_splits.get(rest)
-                    if splits is None:
-                        splits = rest_splits[rest] = _split_over(table, rest, j)
-                    if not splits:
-                        continue
                     dc = d_in.get(gamma0)
                     if dc is None:
                         dc = d_in[gamma0] = c_in.partial_multi(gamma0)
-                    if dc.is_zero():
+                    if not dc:
                         continue
-                    base = c_out * dc
+                    splits = rest_splits.get(rest)
+                    if splits is None:
+                        splits = rest_splits[rest] = _split_over(table, rest, inner.arity)
+                    if not splits:
+                        continue
+                    base = (c_out * dc).terms
                     for gammas, w in splits:
-                        weight = w0 * w
-                        coeff = base * weight if weight != 1 else base
+                        weight = sign * w0 * w
                         inserted = tuple(map(add_exponents, in_key, gammas))
-                        _accumulate(out_terms, head + inserted + tail, coeff)
-        return PolyDiffOp._trusted(self.dim, self.arity + j - 1, out_terms)
+                        acc = terms.setdefault(head + inserted + tail, {})
+                        for mono, c in base.items():
+                            _accumulate(acc, mono, c * weight if weight != 1 else c)
+
+    @classmethod
+    def _from_term_map(cls, dim: int, arity: int, terms: dict) -> PolyDiffOp:
+        """The operator of a _compose_into term map, without its cancelled keys."""
+        polys = {k: Polynomial._trusted(dim, t) for k, t in terms.items() if t}
+        return cls._trusted(dim, arity, polys)
 
     def sorted_terms(self) -> list[tuple[DerivKey, Polynomial]]:
         return sorted(self.terms.items())
@@ -364,49 +374,67 @@ def hkr_to_cochain(P: Polyvector) -> PolyDiffOp:
 # -- restriction to the generated subalgebra ----------------------------------
 
 
+class _GeneratorTable(dict):
+    """d^a of the monomials in one system's generators, keyed by (a, generator
+    exponents), each built once per system on its first lookup (a = 0: the
+    monomial, the one with one factor less times its last generator), and
+    generator_monomials' lists by degree.  Held by IntegrableSystem._monomials.
+    """
+
+    __slots__ = ("generators", "zero", "lists")
+
+    def __init__(self, generators: Sequence[Polynomial]):
+        super().__init__()
+        self.generators = generators
+        self.zero = zero_exponents(generators[0].dim)
+        self.lists: dict[int, list[tuple[Exponents, Polynomial]]] = {}
+
+    def __missing__(self, key: tuple[Exponents, Exponents]) -> Polynomial:
+        a, e = key
+        if any(a):
+            p = self[self.zero, e].partial_multi(a)
+        elif any(e):
+            i = max(k for k, x in enumerate(e) if x)
+            p = self[self.zero, e[:i] + (e[i] - 1,) + e[i + 1 :]] * self.generators[i]
+        else:
+            p = Polynomial.one(len(self.zero))
+        self[key] = p
+        return p
+
+
 def generator_monomials(
     system: "IntegrableSystem", max_degree: int
 ) -> list[tuple[Exponents, Polynomial]]:
     """Monomials in the generators up to the given total degree.
 
     Returns (exponent tuple over generators, expanded polynomial) pairs,
-    in lex order on the exponents; includes the constant 1.
+    in lex order on the exponents; includes the constant 1.  Built once per
+    system and degree and shared by every caller: it must not be mutated.
     """
-    gens = list(system.generators)
-    n = len(gens)
-    powers = []
-    for g in gens:
-        row = [Polynomial.one(g.dim)]
-        for _ in range(max_degree):
-            row.append(row[-1] * g)
-        powers.append(row)
-    out = []
-    for exps in exponents_upto(n, max_degree):
-        poly = Polynomial.one(gens[0].dim)
-        for i, e in enumerate(exps):
-            if e:
-                poly = poly * powers[i][e]
-        out.append((exps, poly))
-    return out
+    table = system._monomials
+    mons = table.lists.get(max_degree)
+    if mons is None:
+        exps = exponents_upto(system.size, max_degree)
+        mons = table.lists[max_degree] = [(e, table[table.zero, e]) for e in exps]
+    return mons
 
 
-def _derivatives(polys: Mapping[Exponents, Polynomial], alphas: Iterable[Exponents]) -> dict:
-    """{a: {key: d^a p}} for every keyed polynomial p, once per distinct multi-index a."""
-    return {a: {e: p.partial_multi(a) for e, p in polys.items()} for a in alphas}
-
-
-def _restricted_items(op: PolyDiffOp, mons: list[tuple[Exponents, Polynomial]]) -> Iterator:
-    """(per-slot generator exponents, op value) on the tuples of mons where op is
-    nonzero, lazily and in itertools.product order (sorted key order, mons being
-    lex-sorted).  The stream is sparse: a tuple where op vanishes is not yielded.
+def _restricted_items(op: PolyDiffOp, system: "IntegrableSystem", degree: int) -> Iterator:
+    """(per-slot generator exponents, op value) on the tuples of generator_monomials
+    (system, degree) where op is nonzero, lazily and in itertools.product order
+    (sorted key order).  The stream is sparse: a tuple where op vanishes is not yielded.
 
     Each prefix of leading slots carries the (key, partial product) pairs of
     the terms still nonzero on it, c * d^a_1 u_1 * ...; a term drops out at
     its first zero factor, and a prefix with none left is not descended.  A
     value is the sum of its live terms in op.terms order, so it equals
-    op.apply on its tuple, term order included.
+    op.apply on its tuple, term order included.  Derivatives come from the
+    system's _GeneratorTable.
     """
-    derivs = _derivatives(dict(mons), {a for key in op.terms for a in key})
+    mons = generator_monomials(system, degree)
+    table = system._monomials
+    alphas = {a for key in op.terms for a in key}
+    derivs = {a: {e: table[a, e] for e, _ in mons} for a in alphas}
 
     def walk(slot, exps, live):
         if slot == op.arity:
@@ -445,11 +473,11 @@ def restricted_values(
     The table is full: keyed by per-slot generator exponents in
     itertools.product order, with a zero value where op vanishes.  The
     nonzero values come from the sparse stream of _restricted_items, which
-    takes d^a of each generator monomial once per distinct multi-index a of
-    op; each equals op.apply on its tuple, term order included.
+    reads d^a of each generator monomial from the system's table; each
+    equals op.apply on its tuple, term order included.
     """
     mons = generator_monomials(system, op.order())
-    values = dict(_restricted_items(op, mons))
+    values = dict(_restricted_items(op, system, op.order()))
     zero = Polynomial.zero(op.dim)
     keys = itertools.product([e for e, _ in mons], repeat=op.arity)
     return {exps: values.get(exps, zero) for exps in keys}
@@ -462,5 +490,4 @@ def vanishes_on_generators(op: PolyDiffOp, system: "IntegrableSystem") -> bool:
     suffices: true exactly when the sparse stream of _restricted_items
     yields nothing, so it stops at the first nonzero value.
     """
-    mons = generator_monomials(system, op.order())
-    return next(_restricted_items(op, mons), None) is None
+    return next(_restricted_items(op, system, op.order()), None) is None

@@ -110,18 +110,17 @@ class StarProduct:
     def _associator(self, n: int, ks: Sequence[int]) -> PolyDiffOp:
         """sum over k in ks of B_k(B_{n-k}(.,.),.) - B_k(., B_{n-k}(.,.)).
 
-        Every insertion is accumulated into one term map, k by k and the
-        first slot before the second, as the running sum would add them.
+        Every insertion is added by PolyDiffOp._compose_into into one term
+        map, with the sign in its weight and one Leibniz table for all of
+        them, k by k and the first slot before the second.
         """
-        terms: dict[DerivKey, Polynomial] = {}
+        terms: dict[DerivKey, dict] = {}
+        table: dict[Exponents, Leibniz] = {}
         for k in ks:
-            outer = self.term(k)
-            inner = self.term(n - k)
-            for key, c in outer.compose_at(0, inner).terms.items():
-                _accumulate(terms, key, c)
-            for key, c in outer.compose_at(1, inner).terms.items():
-                _accumulate(terms, key, -c)
-        return PolyDiffOp._trusted(self.dim, 3, terms)
+            outer, inner = self.term(k), self.term(n - k)
+            outer._compose_into(terms, 0, inner, 1, table)
+            outer._compose_into(terms, 1, inner, -1, table)
+        return PolyDiffOp._from_term_map(self.dim, 3, terms)
 
     def certified_order(self) -> int:
         """Largest n such that all residuals at orders <= n vanish."""
@@ -358,7 +357,7 @@ def extend_one_order(
         for vec in result.nullspace
     ]
     extended = StarProduct(dim, n + 1, list(s.corrections) + [particular])
-    # target plus the B_{n+1} terms is the order-(n+1) associator, by compose_at, not M
+    # target plus the B_{n+1} terms is the order-(n+1) associator, by _compose_into, not M
     if not (target + extended._associator(n + 1, (0, n + 1))).is_zero():
         raise AssertionError("extension failed its built-in residual post-check")
     extended._inherit_certificate(n + 1)

@@ -402,6 +402,22 @@ def reference_compose_at(op: PolyDiffOp, slot: int, inner: PolyDiffOp) -> PolyDi
     return PolyDiffOp(op.dim, op.arity + j - 1, out_terms)
 
 
+def reference_associator(s: StarProduct, n: int, ks) -> PolyDiffOp:
+    """sum over k in ks of B_k(B_{n-k}(.,.),.) - B_k(., B_{n-k}(.,.)), compose then merge.
+
+    Every insertion is built as an operator by compose_at, and the slot-1
+    operators are negated term by term before they are merged in.
+    """
+    terms: dict[DerivKey, Polynomial] = {}
+    for k in ks:
+        outer, inner = s.term(k), s.term(n - k)
+        for key, c in outer.compose_at(0, inner).terms.items():
+            _accumulate(terms, key, c)
+        for key, c in outer.compose_at(1, inner).terms.items():
+            _accumulate(terms, key, -c)
+    return PolyDiffOp(s.dim, 3, terms)
+
+
 # -- per-tuple restricted table, the reference for the memoized one ----------------
 
 

@@ -74,9 +74,9 @@ def as_mapping(labels, rows, rhs):
     return {label: (row, b) for label, row, b in zip(labels, rows, rhs)}
 
 
-def graded_rows(target, mons, alphas, emons, system):
+def graded_rows(target, system, degree, alphas, emons):
     """Columns, row labels, rows and rhs of the system _unary_ansatz_rows assembles."""
-    eqs = _unary_ansatz_rows(target, mons, alphas, emons, _weight_map(system))
+    eqs = _unary_ansatz_rows(target, system, degree, alphas, emons)
     return eqs.columns, (eqs.row_labels, eqs.rows, eqs.rhs)
 
 
@@ -116,9 +116,26 @@ def test_unary_rows_match_per_column_reference_on_planted_product():
     mons = generator_monomials(system, 3)
     alphas, emons = exponents_upto(3, 2), exponents_upto(3, 1)
     target = star.term(2)
-    columns, graded = graded_rows(target, mons, alphas, emons, system)
+    columns, graded = graded_rows(target, system, 3, alphas, emons)
     assert 0 < len(columns) < len(alphas) * len(emons)
     # monomial generators: the solver sees the very same rows, in the same order
+    assert graded == reference_on_columns(target, mons, alphas, emons, columns)
+
+
+def test_unary_rows_match_reference_in_order_with_derivation_and_constant_columns():
+    # D_2 = y d_y^2 + 2z: the weight of y d_y^2 holds the derivation column d_y,
+    # and multiplication by z reaches the pairs (1, v) through the column z d^0
+    system = plane_system("y", "z")
+    gauge = PolyDiffOp.single(3, [(0, 2, 0)], p3("y"))
+    gauge = gauge + PolyDiffOp.single(3, [(0, 0, 0)], p3("2*z"))
+    star = gauge_transform(moyal_star(system.pi, 2), FormalDiffeo.from_parts(3, 2, {2: gauge}))
+    mons = generator_monomials(system, 2)
+    alphas, emons = exponents_upto(3, 2), exponents_upto(3, 1)
+    target = star.term(2)
+    columns, graded = graded_rows(target, system, 2, alphas, emons)
+    assert {(0, 0, 0), (0, 1, 0), (0, 2, 0)} <= {a for _, (a,) in columns}
+    labels = graded[0]
+    assert any(ue == (0, 0) for (ue, _), _ in labels)
     assert graded == reference_on_columns(target, mons, alphas, emons, columns)
 
 
@@ -128,12 +145,12 @@ def test_unary_rows_match_per_column_reference_on_polynomial_generators():
     mons = generator_monomials(system, 2)
     # the target has weight (-2, -2) in (x-degree, p-degree): d^a needs |a| = 4 to reach it
     alphas, emons = exponents_upto(4, 4), exponents_upto(4, 1)
-    columns, graded = graded_rows(target, mons, alphas, emons, system)
+    columns, graded = graded_rows(target, system, 2, alphas, emons)
     assert 0 < len(columns) < len(alphas) * len(emons)
     reference = reference_on_columns(target, mons, alphas, emons, columns)
     assert as_mapping(*graded) == as_mapping(*reference)
     short = exponents_upto(4, 3)
-    assert _unary_ansatz_rows(target, mons, short, emons, _weight_map(system)) is None
+    assert _unary_ansatz_rows(target, system, 2, short, emons) is None
 
 
 @pytest.mark.parametrize(

@@ -6,9 +6,10 @@ rank tests check that claim on ansatz spaces: the restriction map has the
 same rank at degree r as at r + 1, its kernel at r vanishes at r + 1, and
 the rank at r - 1 is lower, so r is tight.
 
-`restricted_values` memoizes d^a of every generator monomial per
-distinct multi-index and shares each term's coefficient products across
-tuples with common leading slots, carrying only the terms still nonzero.
+`restricted_values` reads d^a of every generator monomial from the
+system's table, which builds each monomial and each derivative once per
+system, and shares each term's coefficient products across tuples with
+common leading slots, carrying only the terms still nonzero.
 These tests pin it to the per-tuple and dense-walk references in
 helpers.py: same keys in the same order (the sparse stream without the
 zero entries), the same values with their terms in the same order, a
@@ -79,7 +80,7 @@ def test_table_matches_per_tuple_reference_on_monomial_generators(arity):
     for _ in range(4):
         op = rand_op(rng, 3, arity, order=2, coeff_degree=1, terms=3)
         slot_degree = 2 if arity == 3 else op.order() + 1
-        table = dict(_restricted_items(op, generator_monomials(system, slot_degree)))
+        table = dict(_restricted_items(op, system, slot_degree))
         reference = reference_restricted_values(op, system, slot_degree)
         assert flattened(table) == flattened(nonzero(reference))
         assert vanishes_on_generators(op, system) == all(
@@ -94,7 +95,7 @@ def test_table_matches_per_tuple_reference_on_polynomial_generators(arity):
     slot_degree = 1 if arity == 3 else 2
     for _ in range(3):
         op = rand_op(rng, 4, arity, order=2, coeff_degree=1, terms=3)
-        table = dict(_restricted_items(op, generator_monomials(system, slot_degree)))
+        table = dict(_restricted_items(op, system, slot_degree))
         reference = reference_restricted_values(op, system, slot_degree)
         assert flattened(table) == flattened(nonzero(reference))
 
@@ -105,25 +106,26 @@ def test_sparse_stream_is_the_dense_walk_without_zeros(arity):
     # killed by the subalgebra (d_x on k[y, z], a Hamiltonian field on R^4)
     rng = random.Random(70 + arity)
     for system, fields in killing_fields():
-        mons = generator_monomials(system, 1 if arity == 3 else 2)
+        degree = 1 if arity == 3 else 2
+        mons = generator_monomials(system, degree)
         for trial in range(6):
             op = rand_op(rng, system.dim, arity, order=2, coeff_degree=1, terms=3)
             if arity and trial % 3 == 0:
                 outer = rand_op(rng, system.dim, arity, order=1, coeff_degree=1, terms=2)
                 op = op + outer.compose_at(rng.randrange(arity), rng.choice(fields))
-            sparse = _restricted_items(op, mons)
+            sparse = _restricted_items(op, system, degree)
             dense = reference_restricted_items(op, mons)
             expected = [(key, list(v.terms.items())) for key, v in dense if v]
             assert [(key, list(v.terms.items())) for key, v in sparse] == expected
     zero = PolyDiffOp.zero(3, arity)
-    assert list(_restricted_items(zero, generator_monomials(plane_system(), 2))) == []
+    assert list(_restricted_items(zero, plane_system(), 2)) == []
 
 
 def test_dead_term_costs_no_products(monkeypatch):
     # d_x kills every element of C = k[y, z] in the first slot, so the term
     # that starts with it is dropped there and adds no product to any slot
     system = plane_system()
-    mons = generator_monomials(system, 2)
+    generator_monomials(system, 2)  # the system's monomials, built before counting
     live = PolyDiffOp.single(3, [(0, 1, 0), (0, 0, 1), (0, 1, 0)], p3("z"))
     dead = PolyDiffOp.single(3, [(1, 0, 0), (0, 1, 0), (0, 0, 0)], p3("y"))
     products = []
@@ -137,7 +139,7 @@ def test_dead_term_costs_no_products(monkeypatch):
 
     def cost(op):
         products.clear()
-        values = flattened(dict(_restricted_items(op, mons)))
+        values = flattened(dict(_restricted_items(op, system, 2)))
         return values, len(products)
 
     assert cost(dead) == ([], 0)
@@ -162,6 +164,56 @@ def test_cascade_witness_is_first_nonzero_reference_key():
     first = next(key for key in sorted(reference) if not reference[key].is_zero())
     assert not report.cochain_closed
     assert report.cochain_witness == first
+
+
+def count_calls(monkeypatch, *names):
+    """A list that records every call of the named Polynomial methods."""
+    calls = []
+    for name in names:
+        original = getattr(Polynomial, name)
+
+        def counting(self, *args, _original=original, _name=name):
+            calls.append(_name)
+            return _original(self, *args)
+
+        monkeypatch.setattr(Polynomial, name, counting)
+    return calls
+
+
+@pytest.mark.parametrize("make", [plane_system, rotational_system])
+def test_generator_monomials_are_built_once_per_system(make, monkeypatch):
+    system = make()
+    first = generator_monomials(system, 3)
+    calls = count_calls(monkeypatch, "__mul__", "partial_multi")
+    # a second call, and any lower degree, reads the table and multiplies nothing
+    assert generator_monomials(system, 3) is first
+    assert generator_monomials(system, 2) == [(e, u) for e, u in first if sum(e) <= 2]
+    assert calls == []
+    monkeypatch.undo()
+    # equal to a fresh build, and to the generator powers multiplied out
+    fresh = generator_monomials(make(), 3)
+    assert [(e, list(p.terms.items())) for e, p in first] == [
+        (e, list(p.terms.items())) for e, p in fresh
+    ]
+    gens = system.generators
+    expected = []
+    for exps in exponents_upto(len(gens), 3):
+        poly = Polynomial.one(system.dim)
+        for g, k in zip(gens, exps):
+            poly = poly * g**k
+        expected.append((exps, poly))
+    assert first == expected
+
+
+def test_restricted_walks_share_the_systems_derivatives(monkeypatch):
+    star, system = non_closed_order_two()
+    dop = hochschild_d(star.term(2))
+    table = restricted_values(dop, system)
+    calls = count_calls(monkeypatch, "partial_multi")
+    # a second walk, and another kind of walk, take no derivative
+    assert restricted_values(dop, system) == table
+    assert not vanishes_on_generators(dop, system)
+    assert calls == []
 
 
 def test_table_takes_each_derivative_once(monkeypatch):
@@ -193,11 +245,10 @@ def restriction_rank(system, arity, op_order, coeff_degree, degree):
     keys = list(itertools.product(exponents_upto(dim, op_order), repeat=arity))
     emons = exponents_upto(dim, coeff_degree)
     basis = [(e, key) for key in keys for e in emons]
-    mons = generator_monomials(system, degree)
     rows, index = [], {}
     for ki, key in enumerate(keys):
         # x^e d^key takes the values of d^key times x^e
-        for exps, value in _restricted_items(PolyDiffOp.single(dim, key), mons):
+        for exps, value in _restricted_items(PolyDiffOp.single(dim, key), system, degree):
             for ei, e in enumerate(emons):
                 for mono, c in value.terms.items():
                     label = (exps, add_exponents(mono, e))

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -13,6 +14,7 @@ from helpers import (
     plane_pi3,
     rand_op,
     rand_poly,
+    reference_associator,
     reference_gauge_transform,
     reference_moyal_star,
     so3_pi,
@@ -151,6 +153,35 @@ def test_trivial_star_residuals_vanish():
 def test_residual_order_range():
     with pytest.raises(IndexError):
         bad_star().assoc_residual(3)
+
+
+def random_product(seed, dim, order):
+    """Random bidifferential corrections; the associators at orders >= 1 are nonzero."""
+    rng = random.Random(seed)
+    ops = [rand_op(rng, dim, 2, order=2, coeff_degree=2, terms=3) for _ in range(order)]
+    return StarProduct(dim, order, ops)
+
+
+@pytest.mark.parametrize(
+    "star",
+    [
+        pytest.param(random_product(11, 1, 3), id="random-r1-o3"),
+        pytest.param(random_product(12, 2, 3), id="random-r2-o3"),
+        pytest.param(random_product(13, 3, 2), id="random-r3-o2"),
+        pytest.param(moyal_star(canonical_pi2(), 3), id="moyal-r2-o3"),
+        pytest.param(
+            moyal_star(Polyvector.bivector(3, {(0, 1): 1, (0, 2): Fraction(-1, 2), (1, 2): 3}), 2),
+            id="moyal-r3-o2",
+        ),
+        pytest.param(moyal_star(canonical_pi4(), 2), id="moyal-r4-o2"),
+    ],
+)
+def test_associator_matches_compose_then_merge_reference(star):
+    # every order n and every subset ks of 0..n, the empty one included
+    for n in range(star.order + 1):
+        for size in range(n + 2):
+            for ks in itertools.combinations(range(n + 1), size):
+                assert star._associator(n, ks) == reference_associator(star, n, ks)
 
 
 @pytest.mark.parametrize("k", [-2, -1, 3])
@@ -346,17 +377,17 @@ def test_extension_post_check_property():
 
 
 def test_extension_post_check_reuses_the_target(monkeypatch):
-    # target takes 2n compose_at calls and the post-check adds only B_{n+1}'s four
+    # target takes 2n insertions and the post-check adds only B_{n+1}'s four
     star = moyal_star(canonical_pi2(), 2)
     star.certified_order()
     calls = []
-    compose_at = PolyDiffOp.compose_at
+    compose_into = PolyDiffOp._compose_into
 
-    def counting(self, slot, inner):
+    def counting(self, terms, slot, inner, sign, table):
         calls.append(slot)
-        return compose_at(self, slot, inner)
+        return compose_into(self, terms, slot, inner, sign, table)
 
-    monkeypatch.setattr(PolyDiffOp, "compose_at", counting)
+    monkeypatch.setattr(PolyDiffOp, "_compose_into", counting)
     assert extend_one_order(star, 1, 3).solved
     assert len(calls) == 2 * star.order + 4
 
