@@ -324,6 +324,17 @@ def extend_one_order(
     full system's nullspace in the order of its free columns.  A target
     coordinate with e outside the ansatz, or an arity-3 key no column
     reaches, is undecided at once.
+
+    d keeps the weight w = a + b of a key, so M is block-diagonal by w,
+    and only keys with |w| <= K + 1 (K = operator_order) or the weight
+    of a target key enter the solve.  A column (a, b) with |w| >= K + 2
+    has |a|, |b| >= 2, and for a unit e_i <= a the row (e_i, a - e_i, b)
+    holds -a_i from it and otherwise only the column (e_i, a - e_i + b),
+    which is outside the ansatz as |a - e_i + b| >= K + 1.  A block with
+    |w| >= K + 2 and a zero right-hand side therefore has the one
+    solution 0 and no free column, and since the reduced row-echelon
+    form is unique, dropping it changes neither the particular solution
+    nor the freedom and its order.
     """
     n = s.order
     if s.certified_order() < n:
@@ -332,17 +343,23 @@ def extend_one_order(
     # the order-(n+1) associator without its two B_{n+1} terms
     target = s._associator(n + 1, range(1, n + 1))
 
-    alphas = exponents_upto(dim, operator_order)
+    undecided = ExtensionResult("undecided", n + 1, coefficient_degree, operator_order)
     emons = exponents_upto(dim, coefficient_degree)
-    keys = list(itertools.product(alphas, repeat=2))
+    emon_set = set(emons)
+    if not all(emon_set.issuperset(p.terms) for p in target.terms.values()):
+        return undecided
+    weights = {tuple(map(sum, zip(*k))) for k in target.terms}
+    keys = [
+        (a, b)
+        for a, b in itertools.product(exponents_upto(dim, operator_order), repeat=2)
+        if sum(a) + sum(b) <= operator_order + 1 or tuple(map(sum, zip(a, b))) in weights
+    ]
     matrix: dict[DerivKey, dict[int, int]] = {}  # M by rows
     table: dict[Exponents, Leibniz] = {}
     for ci, key in enumerate(keys):
         for dkey, v in _key_differential(dim, key, table).items():
             matrix.setdefault(dkey, {})[ci] = v
-    undecided = ExtensionResult("undecided", n + 1, coefficient_degree, operator_order)
-    emon_set = set(emons)
-    if not all(k in matrix and emon_set.issuperset(p.terms) for k, p in target.terms.items()):
+    if not all(k in matrix for k in target.terms):
         return undecided
     rhs = [target.terms[k].terms if k in target.terms else {} for k in matrix]
     result = linsolve.solve_sparse(list(matrix.values()), rhs, len(keys), want_nullspace=True)

@@ -4,7 +4,8 @@ For a product that is commutative at order 0, d(x^e D) = x^e d(D), so
 the unary gauge solve evaluates one differential per derivative index
 and shifts it by e, and the one-order extension solves one matrix over
 the derivative keys with one right-hand side per coefficient monomial.
-The unary solve also keeps only the weight blocks its target reaches.
+The unary solve also keeps only the weight blocks its target reaches, and
+the extension only those that can hold a solution or a freedom.
 These tests pin the factored, graded solvers to the per-column
 references in helpers.py.
 """
@@ -43,6 +44,7 @@ from starobs import (
     linsolve,
     moyal_star,
 )
+from starobs import star as star_module
 from starobs.cli import load_problem, op_from_payload, run_command
 from starobs.obstruction import _solve_unary_correction, _unary_ansatz_rows, _weight_map
 from starobs.poly import exponents_upto, zero_exponents
@@ -225,16 +227,21 @@ def test_hochschild_d_matches_term_by_term_reference(dim, arity):
             assert_key_differential_matches_reference(dim, key)
 
 
-def gauged_truncation(pi, n, parts):
-    """Order-n truncation of a gauge-transformed Moyal product, and the bounds of its B_{n+1}."""
+def gauged_product(pi, order, parts):
+    """Moyal product of pi to the given order behind id + sum_k h^k (3/2) x^exps d^alpha."""
     dim = pi.dim
     ops = {
         k: PolyDiffOp.single(dim, [alpha], Polynomial.monomial(dim, exps, Fraction(3, 2)))
         for k, (alpha, exps) in parts.items()
     }
-    full = gauge_transform(moyal_star(pi, n + 1), FormalDiffeo.from_parts(dim, n + 1, ops))
+    return gauge_transform(moyal_star(pi, order), FormalDiffeo.from_parts(dim, order, ops))
+
+
+def gauged_truncation(pi, n, parts):
+    """Order-n truncation of a gauge-transformed Moyal product, and the bounds of its B_{n+1}."""
+    full = gauged_product(pi, n + 1, parts)
     known = full.term(n + 1)
-    return StarProduct(dim, n, full.corrections[:n]), known.coefficient_degree(), known.order()
+    return StarProduct(pi.dim, n, full.corrections[:n]), known.coefficient_degree(), known.order()
 
 
 R2O2 = {1: ((0, 1), (1, 0)), 2: ((0, 2), (0, 0))}
@@ -254,6 +261,10 @@ SOLVED_EXTENSIONS = [
         gauged_truncation(canonical_pi4(), 1, R4O1)[0], 0, 2, id="gauged-r4-o1-degree-0"
     ),
     pytest.param(StarProduct.trivial(2, 2), 1, 1, id="trivial"),
+    # 1,225 keys, of which the graded solve keeps the blocks |w| <= 4 and the target's
+    pytest.param(moyal_star(canonical_pi4(), 2), 0, 3, id="moyal-r4-o2"),
+    # the order-2 target has |w| = 4 = K + 1: no block is kept for the target alone
+    pytest.param(moyal_star(canonical_pi2(), 1), 0, 3, id="target-within-order-plus-one"),
 ]
 
 
@@ -316,21 +327,100 @@ def counting_solves(monkeypatch):
     return solves
 
 
+def weight(key):
+    return tuple(map(sum, zip(*key)))
+
+
 def test_extension_makes_one_solve_over_the_derivative_keys(monkeypatch):
     solves = counting_solves(monkeypatch)
     star = moyal_star(canonical_pi2(), 1)
     for degree in range(3):
         assert extend_one_order(star, degree, 2).solved
-    # one column per derivative key (a, b) with |a|, |b| <= 2, whatever the degree bound
-    assert solves == [len(exponents_upto(2, 2)) ** 2] * 3
+    # one column per derivative key (a, b) with |a|, |b| <= 2 and |a| + |b| <= 3, or
+    # with the weight (2, 2) of every order-2 target key, whatever the degree bound
+    keys = itertools.product(exponents_upto(2, 2), repeat=2)
+    graded = [k for k in keys if sum(map(sum, k)) <= 3 or weight(k) == (2, 2)]
+    assert len(graded) == 30
+    assert solves == [len(graded)] * 3
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+@pytest.mark.parametrize("op_order", [1, 2, 3, 4])
+def test_columns_above_order_plus_one_are_pinned_by_a_row_of_their_own(dim, op_order):
+    # the lemma of extend_one_order: a row of M holding one column forces that
+    # column to 0 in a block with a zero right-hand side.  The pinned columns are
+    # exactly those with |a| + |b| >= K + 2 or with one of a, b zero
+    keys = list(itertools.product(exponents_upto(dim, op_order), repeat=2))
+    rows, table = {}, {}
+    for key in keys:
+        for dkey, v in _key_differential(dim, key, table).items():
+            assert weight(dkey) == weight(key)
+            rows.setdefault(dkey, {})[key] = v
+    pinned = {next(iter(row)) for row in rows.values() if len(row) == 1}
+    assert pinned == {
+        (a, b) for a, b in keys if sum(a) + sum(b) >= op_order + 2 or (sum(a) == 0) != (sum(b) == 0)
+    }
 
 
 def test_extension_target_outside_the_ansatz_makes_no_solve(monkeypatch):
     solves = counting_solves(monkeypatch)
+    differentials = []
+    real_differential = star_module._key_differential
+
+    def counting(dim, key, table):
+        differentials.append(key)
+        return real_differential(dim, key, table)
+
+    monkeypatch.setattr(star_module, "_key_differential", counting)
     star, degree, op_order = gauged_truncation(canonical_pi2(), 2, R2O2)
     # the order-3 target has coefficients of degree 2, above the bound 1
     assert extend_one_order(star, 1, op_order).status == "undecided"
     assert solves == []
+    # decided before M is assembled
+    assert differentials == []
+    assert extend_one_order(star, degree, op_order).solved
+    assert differentials
+
+
+def in_freedom_span(result, op):
+    """Whether op is an exact combination of the freedom basis x^e F of a solved extension."""
+    basis = [_op_coordinates(f) for f in expand_freedom(result)]
+    rows = {}
+    for ci, coords in enumerate(basis):
+        for coord, v in coords.items():
+            rows.setdefault(coord, {})[ci] = v
+    target = _op_coordinates(op)
+    if not rows.keys() >= target.keys():
+        return False
+    labels = list(rows)
+    rhs = [target.get(label, 0) for label in labels]
+    return linsolve.solve_sparse([rows[label] for label in labels], rhs, len(basis)).solved
+
+
+@pytest.mark.parametrize(
+    "full, n",
+    [
+        pytest.param(moyal_star(canonical_pi2(), 2), 1, id="moyal-r2-o1"),
+        pytest.param(moyal_star(canonical_pi2(), 3), 2, id="moyal-r2-o2"),
+        pytest.param(moyal_star(canonical_pi2(), 4), 3, id="moyal-r2-o3"),
+        pytest.param(moyal_star(canonical_pi4(), 2), 1, id="moyal-r4-o1"),
+        pytest.param(moyal_star(canonical_pi4(), 3), 2, id="moyal-r4-o2"),
+        pytest.param(gauged_product(canonical_pi2(), 3, R2O2), 2, id="gauged-r2-o2"),
+        pytest.param(gauged_product(canonical_pi4(), 2, R4O1), 1, id="gauged-r4-o1"),
+    ],
+)
+def test_extension_differs_from_the_true_next_term_by_its_freedom(full, n):
+    # any two solutions differ by a cocycle of the ansatz, and the bounds are
+    # those of the true B_{n+1}, so the difference lies in the reported freedom
+    known = full.term(n + 1)
+    truncated = StarProduct(full.dim, n, full.corrections[:n])
+    result = extend_one_order(truncated, known.coefficient_degree(), known.order())
+    assert result.solved
+    assert in_freedom_span(result, result.particular - known)
+    # d(d_1^2 (x) 1)(f, g, h) = -(d_1^2 f) g h - 2 (d_1 f)(d_1 g) h: not a cocycle
+    z = zero_exponents(full.dim)
+    not_a_cocycle = PolyDiffOp.single(full.dim, ((2,) + z[1:], z))
+    assert not in_freedom_span(result, result.particular - known + not_a_cocycle)
 
 
 def test_weight_map_grades_by_the_scalings_that_keep_generators_homogeneous():
