@@ -27,7 +27,7 @@ from .obstruction import (
     exactness_solve,
     validate_system,
 )
-from .poly import Polynomial, PolynomialParseError, parse_polynomial
+from .poly import Polynomial, PolynomialParseError, _accumulate, parse_polynomial
 from .polydiff import PolyDiffOp
 from .star import FormalDiffeo, StarProduct, extend_one_order, moyal_star
 
@@ -96,7 +96,7 @@ def op_from_payload(
     dim: int, arity: int, payload: list, names: list[str], where: str = "terms"
 ) -> PolyDiffOp:
     """The operator a term list describes; errors name the JSON path below `where`."""
-    acc = PolyDiffOp.zero(dim, arity)
+    terms: dict[tuple, Polynomial] = {}
     for i, term in enumerate(payload):
         at = f"{where}[{i}]"
         if not isinstance(term, dict):
@@ -111,8 +111,8 @@ def op_from_payload(
             if not isinstance(slot, list) or len(slot) != dim:
                 raise ProblemError(f"{here}: expected a list of {dim} integers")
             derivs.append(tuple(_integer(v, f"{here}[{m}]", 0) for m, v in enumerate(slot)))
-        acc = acc + PolyDiffOp.single(dim, derivs, coeff)
-    return acc
+        _accumulate(terms, tuple(derivs), coeff)
+    return PolyDiffOp(dim, arity, terms)
 
 
 def _order_terms(

@@ -178,10 +178,6 @@ class _SparseSystem:
         self.rows: list[dict[int, Fraction]] = []
         self.rhs: list[Fraction] = []
 
-    @property
-    def row_labels(self) -> list[Hashable]:
-        return list(self._row_index)
-
     def _row(self, label: Hashable) -> int:
         r = self._row_index.get(label)
         if r is None:

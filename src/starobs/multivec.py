@@ -170,10 +170,6 @@ class Polyvector(_Alternating):
         return cls(p.dim, 0, {(): p})
 
     @classmethod
-    def coordinate_field(cls, dim: int, i: int) -> Polyvector:
-        return cls(dim, 1, {(i,): Polynomial.one(dim)})
-
-    @classmethod
     def bivector(cls, dim: int, entries: Mapping[tuple[int, int], Polynomial | Fraction | int]) -> Polyvector:
         comps = {}
         for (i, j), v in entries.items():

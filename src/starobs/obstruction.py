@@ -229,12 +229,8 @@ def _cascade(
 ) -> CascadeReport:
     """cocycle_cascade_check without its preconditions, given the order-n class."""
     dop = hochschild_d(s.term(n))
-    table = restricted_values(dop, system)
-    cochain_witness = None
-    for key in sorted(table):
-        if not table[key].is_zero():
-            cochain_witness = key
-            break
+    table = restricted_values(dop, system)  # in sorted key order
+    cochain_witness = next((key for key, value in table.items() if value), None)
     image = d_hor(system, chi)
     class_witness = None if image.is_zero() else min(image.components)
     return CascadeReport(

@@ -70,7 +70,7 @@ def exponents_upto(dim: int, max_total: int) -> list[Exponents]:
 class Polynomial:
     """Immutable sparse polynomial with exact int or Fraction coefficients."""
 
-    __slots__ = ("dim", "terms", "_hash")
+    __slots__ = ("dim", "terms")
 
     def __init__(self, dim: int, terms: Mapping[Exponents, Fraction | int] | None = None):
         if dim < 1:
@@ -91,7 +91,6 @@ class Polynomial:
                 _accumulate(clean, exps, coeff)
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "terms", clean)
-        object.__setattr__(self, "_hash", None)
 
     @classmethod
     def _trusted(cls, dim: int, terms: dict[Exponents, Fraction | int]) -> Polynomial:
@@ -108,7 +107,6 @@ class Polynomial:
         p = object.__new__(cls)
         object.__setattr__(p, "dim", dim)
         object.__setattr__(p, "terms", terms)
-        object.__setattr__(p, "_hash", None)
         return p
 
     def __setattr__(self, name, value):
@@ -218,11 +216,7 @@ class Polynomial:
         return self.dim == other.dim and self.terms == other.terms
 
     def __hash__(self):
-        h = object.__getattribute__(self, "_hash")
-        if h is None:
-            h = hash((self.dim, frozenset(self.terms.items())))
-            object.__setattr__(self, "_hash", h)
-        return h
+        return hash((self.dim, frozenset(self.terms.items())))
 
     # -- calculus ----------------------------------------------------------
 

@@ -207,9 +207,6 @@ class PolyDiffOp:
     def __neg__(self) -> PolyDiffOp:
         return PolyDiffOp._trusted(self.dim, self.arity, {k: -c for k, c in self.terms.items()})
 
-    def scaled(self, factor: Polynomial | Fraction | int) -> PolyDiffOp:
-        return PolyDiffOp(self.dim, self.arity, {k: c * factor for k, c in self.terms.items()})
-
     def _check_compatible(self, other: PolyDiffOp):
         if self.dim != other.dim:
             raise ValueError(f"dimension mismatch: {self.dim} vs {other.dim}")

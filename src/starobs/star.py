@@ -51,10 +51,6 @@ class StarProduct:
     def __setattr__(self, name, value):
         raise AttributeError("StarProduct is immutable")
 
-    @classmethod
-    def trivial(cls, dim: int, order: int) -> StarProduct:
-        return cls(dim, order, [PolyDiffOp.zero(dim, 2)] * order)
-
     def term(self, k: int) -> PolyDiffOp:
         """B_k for 0 <= k <= order; B_0 is the multiplication cochain."""
         if k == 0:
@@ -218,9 +214,6 @@ class FormalDiffeo:
         if not 1 <= k <= self.order:
             raise IndexError(f"order {k} out of range (diffeomorphism order {self.order})")
         return self.terms[k - 1]
-
-    def is_identity(self) -> bool:
-        return all(op.is_zero() for op in self.terms)
 
     def __eq__(self, other):
         if not isinstance(other, FormalDiffeo):

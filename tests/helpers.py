@@ -17,6 +17,7 @@ from starobs import (
     moyal_star,
     parse_polynomial,
 )
+from starobs.cli import ProblemError, _field, _integer, _parse_poly_field
 from starobs.linsolve import LinearSolveResult, _SparseSystem, solve_sparse
 from starobs.multivec import IndexTuple, sort_with_sign
 from starobs.poly import (
@@ -187,8 +188,30 @@ def pv_add(a: Polyvector, b: Polyvector) -> Polyvector:
 
 
 def scaled(P, factor):
-    """A Polyvector or RelativeClass with every component times factor."""
+    """A PolyDiffOp, Polyvector or RelativeClass with every coefficient times factor."""
+    if isinstance(P, PolyDiffOp):
+        return PolyDiffOp(P.dim, P.arity, {k: c * factor for k, c in P.terms.items()})
     return P._like({i: p * factor for i, p in P.components.items()})
+
+
+def coordinate_field(dim: int, i: int) -> Polyvector:
+    """The vector field d_i."""
+    return Polyvector(dim, 1, {(i,): Polynomial.one(dim)})
+
+
+def trivial_star(dim: int, order: int) -> StarProduct:
+    """The undeformed product: every correction B_1..B_order zero."""
+    return StarProduct(dim, order, [PolyDiffOp.zero(dim, 2)] * order)
+
+
+def is_identity(D: FormalDiffeo) -> bool:
+    """Whether every correction D_1..D_order is zero."""
+    return all(op.is_zero() for op in D.terms)
+
+
+def row_labels(eqs: _SparseSystem) -> list:
+    """A sparse system's row labels, in order of first use."""
+    return list(eqs._row_index)
 
 
 def sign(exponent: int) -> int:
@@ -282,7 +305,7 @@ def _op_coordinates(op):
 def expand_freedom(result: ExtensionResult) -> list[PolyDiffOp]:
     """The freedom basis an (operators, shifts) pair stands for: x^e F, F-major."""
     operators, shifts = result.freedom
-    return [op.scaled(Polynomial.monomial(op.dim, e)) for op in operators for e in shifts]
+    return [scaled(op, Polynomial.monomial(op.dim, e)) for op in operators for e in shifts]
 
 
 def reference_extend_one_order(s, coefficient_degree, operator_order):
@@ -577,6 +600,33 @@ def reference_residual_witness(res: PolyDiffOp, names: list[str]) -> dict | None
                             if budget <= 0:
                                 return None
     return None
+
+
+# -- one operator sum per term, the reference for the one-map term-list loader -------
+
+
+def reference_op_from_payload(
+    dim: int, arity: int, payload: list, names: list[str], where: str = "terms"
+) -> PolyDiffOp:
+    """The operator a term list describes, adding one single-term operator per
+    term to a growing sum (quadratic in the number of terms)."""
+    acc = PolyDiffOp.zero(dim, arity)
+    for i, term in enumerate(payload):
+        at = f"{where}[{i}]"
+        if not isinstance(term, dict):
+            raise ProblemError(f"{at}: expected an object, got {type(term).__name__}")
+        coeff = _parse_poly_field(term.get("coeff"), names, f"{at}.coeff")
+        slots = _field(term, "derivs", list, f"{at}.derivs")
+        if len(slots) != arity:
+            raise ProblemError(f"{at}.derivs: expected {arity} derivative slots, got {len(slots)}")
+        derivs = []
+        for k, slot in enumerate(slots):
+            here = f"{at}.derivs[{k}]"
+            if not isinstance(slot, list) or len(slot) != dim:
+                raise ProblemError(f"{here}: expected a list of {dim} integers")
+            derivs.append(tuple(_integer(v, f"{here}[{m}]", 0) for m, v in enumerate(slot)))
+        acc = acc + PolyDiffOp.single(dim, derivs, coeff)
+    return acc
 
 
 # -- ordered-tuple exponential product, the reference for the multiset one ---------

@@ -12,6 +12,7 @@ from helpers import (
     canonical_pi2,
     canonical_pi4,
     flat_scenario,
+    is_identity,
     non_poisson_pi,
     obstructed_scenario,
     op_add,
@@ -22,8 +23,10 @@ from helpers import (
     rand_poly,
     rand_vector_field,
     removable_scenario,
+    scaled,
     sign,
     so3_pi,
+    trivial_star,
 )
 from oracles import gerst_bracket
 
@@ -71,22 +74,20 @@ def test_criterion_1_hochschild_identities():
         # graded antisymmetry
         assert (
             gerst_bracket(phi, psi)
-            + gerst_bracket(psi, phi).scaled(sign((i - 1) * (j - 1)))
+            + scaled(gerst_bracket(psi, phi), sign((i - 1) * (j - 1)))
         ).is_zero()
         # graded Jacobi (Leibniz form)
         lhs = gerst_bracket(phi, gerst_bracket(psi, rho))
         rhs = op_add(
             gerst_bracket(gerst_bracket(phi, psi), rho),
-            gerst_bracket(psi, gerst_bracket(phi, rho)).scaled(
-                sign((i - 1) * (j - 1))
-            ),
+            scaled(gerst_bracket(psi, gerst_bracket(phi, rho)), sign((i - 1) * (j - 1))),
         )
         assert op_equal(lhs, rhs)
         # the differential is bracketing with the product: d = -[., m]
         # uniformly in arity (equivalently (-1)^(arity-1) [m, .])
         d = hochschild_d(phi)
         assert (d + gerst_bracket(phi, m)).is_zero()
-        assert (d - gerst_bracket(m, phi).scaled(sign(i - 1))).is_zero()
+        assert (d - scaled(gerst_bracket(m, phi), sign(i - 1))).is_zero()
         cases += 1
     assert cases >= 100
     report(1, f"d^2, antisymmetry, Jacobi, d = -[.,m] on {cases} random operators")
@@ -182,12 +183,12 @@ def test_criterion_6_obstruction_pipeline():
     star, system = flat_scenario(order=2)
     rep_a = eliminate_to_order(star, system, 2, bounds)
     assert rep_a.status == TRIVIALIZED
-    assert rep_a.gauge.is_identity()
+    assert is_identity(rep_a.gauge)
 
     star_b, system_b = removable_scenario()
     rep_b = eliminate_to_order(star_b, system_b, 2, bounds)
     assert rep_b.status == TRIVIALIZED
-    assert not rep_b.gauge.is_identity()
+    assert not is_identity(rep_b.gauge)
     # independent audit, recomputed from the reported product
     for k in (1, 2):
         op = rep_b.star.term(k)
@@ -230,7 +231,7 @@ def test_criterion_7_gauge_invariance_oracle():
 def test_criterion_8_extension_constraint():
     solved = []
     for base, bounds in (
-        (StarProduct.trivial(2, 2), (1, 1)),
+        (trivial_star(2, 2), (1, 1)),
         (moyal_star(canonical_pi2(), 1), (0, 2)),
         (moyal_star(Polyvector.bivector(3, {(0, 1): 1}), 1), (0, 2)),
     ):

@@ -8,11 +8,13 @@ import pytest
 from helpers import (
     canonical_pi2,
     rand_op,
+    reference_op_from_payload,
     reference_residual_witness,
     removable_scenario,
+    trivial_star,
 )
 
-from starobs import FormalDiffeo, PolyDiffOp, StarProduct, gauge_transform, moyal_star
+from starobs import FormalDiffeo, PolyDiffOp, gauge_transform, moyal_star
 from starobs.cli import (
     ProblemError,
     _residual_witness,
@@ -237,6 +239,58 @@ def test_reported_gauge_reproduces_reported_star():
         assert rebuilt == transformed.term(k)
 
 
+def test_op_from_payload_matches_the_term_by_term_sum():
+    # repeated keys, keys that cancel (and come back after cancelling), zero
+    # coefficients: the same operator, term order included, as one sum per term
+    rng = random.Random(19)
+    names = ["x", "p"]
+    coeffs = ["1", "-1", "1/2", "-1/2", "0", "x", "-x", "x*p - 1", "p^2"]
+    for _ in range(200):
+        arity = rng.randint(0, 2)
+        payload = [
+            {
+                "coeff": rng.choice(coeffs),
+                "derivs": [[rng.randint(0, 1), rng.randint(0, 1)] for _ in range(arity)],
+            }
+            for _ in range(rng.randint(0, 8))
+        ]
+        got = op_from_payload(2, arity, payload, names)
+        want = reference_op_from_payload(2, arity, payload, names)
+        assert got == want
+        assert list(got.terms.items()) == list(want.terms.items())
+    cancelling = [
+        {"coeff": "x", "derivs": [[1, 0]]},
+        {"coeff": "p", "derivs": [[0, 1]]},
+        {"coeff": "-x", "derivs": [[1, 0]]},
+        {"coeff": "2", "derivs": [[1, 0]]},
+    ]
+    op = op_from_payload(2, 1, cancelling, names)
+    assert list(op.terms) == [((0, 1),), ((1, 0),)]
+    assert list(op.terms.items()) == list(reference_op_from_payload(2, 1, cancelling, names).terms.items())
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        [7],
+        [{"coeff": "1", "derivs": [[0, 0]]}, {"coeff": "x +", "derivs": [[0, 0]]}],
+        [{"coeff": "1", "derivs": "no"}],
+        [{"coeff": "1", "derivs": [[0, 0], [0, 0]]}],
+        [{"coeff": "1", "derivs": [[0]]}],
+        [{"coeff": "1", "derivs": [[0, -1]]}],
+        [{"coeff": "1", "derivs": [[0, True]]}],
+        [{"derivs": [[0, 0]]}],
+    ],
+)
+def test_op_from_payload_errors_match_the_term_by_term_sum(payload):
+    with pytest.raises(ProblemError) as got:
+        op_from_payload(2, 1, payload, ["x", "p"], "star.terms.1")
+    with pytest.raises(ProblemError) as want:
+        reference_op_from_payload(2, 1, payload, ["x", "p"], "star.terms.1")
+    assert str(got.value) == str(want.value)
+    assert str(got.value).startswith("star.terms.1[")
+
+
 def test_rationals_serialized_as_fraction_strings():
     # the problem echo renders the half-coefficients of the bracket terms
     report = run_command(load_problem_data(REMOVABLE), "assoc-check", None)
@@ -334,7 +388,7 @@ def test_first_order_undecided_records_its_gauge_step(tmp_path, capsys):
     # a symmetric first-order term that survives on the subalgebra; the
     # (0,0) ansatz cannot remove it
     D = FormalDiffeo.from_parts(2, 2, {1: PolyDiffOp.single(2, [(2, 0)], Fraction(-1, 2))})
-    star = gauge_transform(StarProduct.trivial(2, 2), D)
+    star = gauge_transform(trivial_star(2, 2), D)
     data = dict(
         CANONICAL_PLANE,
         star={"type": "terms", **star_payload(star, ["x", "p"])},

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import reference_solve_sparse
+from helpers import reference_solve_sparse, row_labels
 from starobs.linsolve import _SparseSystem, solve_sparse
 
 
@@ -173,7 +173,7 @@ def test_sparse_system_rows_keep_order_of_first_use():
     system._add("first", "a", Fraction(1))
     system._add("second", "a", Fraction(3))
     system._add("third", "a", Fraction(4))
-    assert system.row_labels == ["second", "first", "third"]
+    assert row_labels(system) == ["second", "first", "third"]
     assert system.rows == [{0: Fraction(3)}, {0: Fraction(1)}, {0: Fraction(4)}]
 
 

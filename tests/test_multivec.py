@@ -5,6 +5,7 @@ import pytest
 from helpers import (
     canonical_pi2,
     canonical_pi4,
+    coordinate_field,
     non_poisson_pi,
     obstructed_scenario,
     p2,
@@ -36,7 +37,7 @@ from starobs import (
 
 
 def dx(i=0):
-    return Polyvector.coordinate_field(2, i)
+    return coordinate_field(2, i)
 
 
 # -- wedge ----------------------------------------------------------------------
@@ -66,7 +67,7 @@ def test_wedge_graded_commutative():
 
 def test_wedge_dimension_mismatch():
     with pytest.raises(ValueError):
-        wedge(dx(), Polyvector.coordinate_field(3, 0))
+        wedge(dx(), coordinate_field(3, 0))
 
 
 # -- poisson bracket --------------------------------------------------------------

@@ -11,6 +11,7 @@ from helpers import (
     rand_poly,
     rand_vector_field,
     reference_compose_at,
+    scaled,
     sign,
 )
 from oracles import cup, gerst_bracket, gerst_circ
@@ -161,7 +162,7 @@ def test_bracket_graded_antisymmetry_random():
         dim = rng.choice([1, 2])
         i, j = rng.randint(0, 2), rng.randint(0, 2)
         phi, psi = rand_op(rng, dim, i, order=1), rand_op(rng, dim, j, order=1)
-        back = gerst_bracket(psi, phi).scaled(sign((i - 1) * (j - 1)))
+        back = scaled(gerst_bracket(psi, phi), sign((i - 1) * (j - 1)))
         assert (gerst_bracket(phi, psi) + back).is_zero()
 
 
@@ -174,9 +175,9 @@ def test_bracket_graded_jacobi_random():
             rand_op(rng, dim, a, order=1, coeff_degree=1) for a in (i, j, k)
         )
         lhs = gerst_bracket(f, gerst_bracket(g, h))
-        rhs = gerst_bracket(gerst_bracket(f, g), h) + gerst_bracket(
-            g, gerst_bracket(f, h)
-        ).scaled(sign((i - 1) * (j - 1)))
+        rhs = gerst_bracket(gerst_bracket(f, g), h) + scaled(
+            gerst_bracket(g, gerst_bracket(f, h)), sign((i - 1) * (j - 1))
+        )
         assert (lhs - rhs).is_zero()
 
 
@@ -190,7 +191,7 @@ def test_differential_is_bracket_with_multiplication():
         m = PolyDiffOp.multiplication(dim)
         d = hochschild_d(phi)
         assert (d + gerst_bracket(phi, m)).is_zero()
-        assert (d - gerst_bracket(m, phi).scaled(sign(arity - 1))).is_zero()
+        assert (d - scaled(gerst_bracket(m, phi), sign(arity - 1))).is_zero()
 
 
 # -- the antisymmetrization map ---------------------------------------------------------
@@ -358,6 +359,6 @@ def test_inserting_the_identity_returns_the_outer_operator(dim):
             assert list(outer.terms.items()) == list(want.terms.items())
     # a scaled identity or a second term is no identity
     dx = PolyDiffOp.single(dim, [(1,) + (0,) * (dim - 1)])
-    for inner in (identity.scaled(2), identity + dx):
+    for inner in (scaled(identity, 2), identity + dx):
         outer = rand_poly_op(rng, dim, 2, order=2)
         assert outer.compose_at(0, inner) == reference_compose_at(outer, 0, inner)

@@ -1,6 +1,7 @@
 """Property tests, run when Hypothesis is installed."""
 
 import json
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -9,7 +10,7 @@ hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
 from starobs import Polynomial, parse_polynomial  # noqa: E402
-from starobs.cli import Problem, load_problem_data  # noqa: E402
+from starobs.cli import Problem, load_problem_data, main  # noqa: E402
 
 NAMES = ["x", "p1", "_q", "Zeta_2"]
 
@@ -39,6 +40,7 @@ def test_to_string_parses_back_to_the_same_terms(p):
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 PLANE_MOMENTA = json.loads((PROBLEMS / "plane_momenta.json").read_text())
+SHIPPED = {p.stem: json.loads(p.read_text()) for p in sorted(PROBLEMS.glob("*.json"))}
 
 # JSON values that often hit the loader's own keys, names and polynomial syntax
 json_values = st.recursive(
@@ -70,3 +72,28 @@ def test_loader_returns_a_problem_or_raises_value_error(field, value):
     except ValueError:
         return
     assert isinstance(problem, Problem)
+
+
+# scalars weighted up, as json_values mostly nests: a small integer reaches the
+# order checks, null an absent entry
+field_values = st.one_of(st.none(), st.booleans(), st.integers(-2, 40), json_values)
+
+
+@st.composite
+def one_field_replaced(draw, name: str) -> dict:
+    data = dict(SHIPPED[name])
+    data[draw(st.sampled_from(sorted(data)))] = draw(field_values)
+    return data
+
+
+@pytest.mark.parametrize("name", sorted(SHIPPED))
+@hypothesis.settings(derandomize=True, deadline=None, database=None, max_examples=40)
+@hypothesis.given(data=st.data())
+def test_main_on_a_shipped_problem_with_one_field_replaced_exits_0_or_1(name, data):
+    """Exit 0 with a report or exit 1 with a message; never exit 2 or a traceback."""
+    problem = data.draw(one_field_replaced(name))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "problem.json"
+        path.write_text(json.dumps(problem), encoding="utf-8")
+        code = main(["--problem", str(path), "--out", str(Path(tmp) / "report.json")])
+    assert code in (0, 1)

@@ -1,9 +1,10 @@
 """Static checks on the package surface, made with the standard library's ast.
 
-Every public name, and every module-level function and class, private
-ones included, is used by the pipeline, the CLI or the benchmark (names
-only the tests need live under tests/), and no module imports a name it
-never uses.
+Every public name, every module-level function and class, private ones
+included, and every method, classmethod, staticmethod and property of a
+class (dunders aside) is used by the pipeline, the CLI or the benchmark
+(names only the tests need live under tests/), and no module imports a
+name it never uses.
 """
 
 import ast
@@ -77,17 +78,39 @@ def test_every_public_name_has_a_caller_outside_the_tests():
     assert uncalled == []
 
 
-def test_every_module_level_definition_has_a_caller_outside_the_tests():
+def _uncalled(definitions) -> list[str]:
+    """The qualified names of the (qualified name, name) definitions whose name
+    no module of src/ or bench/ uses outside a definition of that name."""
     trees = [_tree(p) for p in MODULES]
     trees += [_tree(p) for p in sorted((ROOT / "bench").glob("*.py"))]
-    uncalled = sorted(
-        f"{path.stem}.{node.name}"
-        for path, module in zip(MODULES, trees)
-        for node in module.body
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-        and not any(node.name in _used_names(tree, skip_definition=node.name) for tree in trees)
+    return sorted(
+        qualified
+        for qualified, name in definitions
+        if not any(name in _used_names(tree, skip_definition=name) for tree in trees)
     )
-    assert uncalled == []
+
+
+def test_every_module_level_definition_has_a_caller_outside_the_tests():
+    definitions = [
+        (f"{path.stem}.{node.name}", node.name)
+        for path in MODULES
+        for node in _tree(path).body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+    ]
+    assert _uncalled(definitions) == []
+
+
+def test_every_class_member_has_a_caller_outside_the_tests():
+    definitions = [
+        (f"{path.stem}.{cls.name}.{node.name}", node.name)
+        for path in MODULES
+        for cls in ast.walk(_tree(path))
+        if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+    ]
+    assert _uncalled(definitions) == []
 
 
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])

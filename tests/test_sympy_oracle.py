@@ -1,4 +1,4 @@
-"""The Jacobi witness against an independent sympy computation of the Jacobiator.
+"""The Jacobi witness and the Moyal product against independent sympy computations.
 
 sympy is a test-only oracle: the package itself has no dependencies.
 """
@@ -7,9 +7,17 @@ import itertools
 import random
 
 import pytest
-from helpers import non_poisson_pi, rand_polyvector, so3_pi
+from helpers import (
+    canonical_pi2,
+    canonical_pi4,
+    non_poisson_pi,
+    rand_fraction,
+    rand_poly,
+    rand_polyvector,
+    so3_pi,
+)
 
-from starobs import Polynomial, Polyvector, jacobi_check
+from starobs import Polynomial, Polyvector, jacobi_check, moyal_star
 
 sympy = pytest.importorskip("sympy")
 
@@ -56,3 +64,51 @@ def test_jacobi_witness_is_minus_twice_the_jacobiator(pi):
         assert sympy.expand(to_sympy(witness.component((i, j, k)), xs) + 2 * jac) == 0
         jacobiators.append(jac)
     assert ok == all(jac == 0 for jac in jacobiators)
+
+
+def sympy_moyal_terms(pi: Polyvector, f: Polynomial, g: Polynomial, order: int) -> list:
+    """B_k(f, g) = P^k(f(x) g(y)) / (2^k k!) at y = x for k = 0..order,
+    with P = sum_ij pi^ij d_{x_i} d_{y_j} on functions of two copies of R^dim."""
+    dim = pi.dim
+    xs = sympy.symbols(f"x0:{dim}")
+    ys = sympy.symbols(f"y0:{dim}")
+    m = [[to_sympy(pi.component((i, j)), xs) for j in range(dim)] for i in range(dim)]
+    h = to_sympy(f, xs) * to_sympy(g, ys)
+    out = []
+    for k in range(order + 1):
+        at_diagonal = h.subs(dict(zip(ys, xs)), simultaneous=True)
+        out.append(sympy.expand(at_diagonal / (2**k * sympy.factorial(k))))
+        h = sympy.expand(
+            sum(
+                (m[i][j] * sympy.diff(h, xs[i], ys[j]) for i in range(dim) for j in range(dim)),
+                sympy.Integer(0),
+            )
+        )
+    return out
+
+
+def random_constant_bivector(dim: int) -> Polyvector:
+    rng = random.Random(43)
+    return Polyvector.bivector(
+        dim, {ij: rand_fraction(rng) for ij in itertools.combinations(range(dim), 2)}
+    )
+
+
+@pytest.mark.parametrize(
+    "pi",
+    [canonical_pi2(), canonical_pi4(), random_constant_bivector(3)],
+    ids=["canonical_R2", "canonical_R4", "random_R3"],
+)
+def test_moyal_terms_match_the_exponential_of_the_bidifferential(pi):
+    order = 3
+    star = moyal_star(pi, order)
+    xs = sympy.symbols(f"x0:{pi.dim}")
+    rng = random.Random(47 + pi.dim)
+    top_nonzero = 0
+    for _ in range(4):
+        f = rand_poly(rng, pi.dim, degree=4, terms=3)
+        g = rand_poly(rng, pi.dim, degree=4, terms=3)
+        got = [sympy.expand(to_sympy(b, xs)) for b in star.eval(f, g)]
+        assert got == sympy_moyal_terms(pi, f, g, order)
+        top_nonzero += got[order] != 0
+    assert top_nonzero  # the draws reach B_3
