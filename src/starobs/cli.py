@@ -10,10 +10,12 @@ keys, so identical inputs and seeds produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from typing import Any
 
 from .multivec import Polyvector, RelativeClass, jacobi_check
@@ -510,10 +512,66 @@ def run_command(problem: Problem, command: str, order: int | None) -> dict:
 
 
 def render_report(report: dict) -> str:
-    return json.dumps(report, indent=2, sort_keys=True) + "\n"
+    """The report as JSON text: the bytes of json.dumps(report, indent=2,
+    sort_keys=True) and a trailing newline.
+
+    The stdlib encoder runs in pure Python when given an indent, so the
+    layout is written here instead, escaping strings with the C escaper
+    that encoder uses.  Values are dicts with str keys, lists, str, int,
+    bool and None; anything else raises TypeError.
+    """
+    out: list[str] = []
+    _write_json(report, "\n", out)
+    out.append("\n")
+    return "".join(out)
 
 
+def _write_json(value: Any, newline: str, out: list[str]) -> None:
+    """Append `value` to `out`; `newline` is a line break and the indent it sits at."""
+    if isinstance(value, str):
+        out.append(encode_basestring_ascii(value))
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key in sorted(value):
+            if not isinstance(key, str):
+                raise TypeError(f"report keys must be str, not {type(key).__name__}")
+            out.append(sep)
+            out.append(encode_basestring_ascii(key))
+            out.append(": ")
+            _write_json(value[key], inner, out)
+            sep = "," + inner
+        out.append(newline + "}")
+    elif isinstance(value, list):
+        if not value:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for item in value:
+            out.append(sep)
+            _write_json(item, inner, out)
+            sep = "," + inner
+        out.append(newline + "]")
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    else:
+        raise TypeError(f"cannot render a {type(value).__name__} in a report")
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and shared by every later
+    call in the process; parsing keeps no state in it."""
     parser = argparse.ArgumentParser(
         prog="starobs",
         description=(

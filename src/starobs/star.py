@@ -246,6 +246,12 @@ def gauge_transform(s: StarProduct, D: FormalDiffeo) -> StarProduct:
     T_n = sum_{i+j+k=n} B_i(D_j ., D_k .), B'_n = T_n - sum_{r=1..n} D_r o B'_{n-r}
     and B'_0 = T_0.
 
+    Each B_i(D_j ., .) is built once, by compose_at, which returns B_i itself
+    for the identity D_0.  Order n is one term map: every insertion of D_k
+    (k >= 1) into its second slot and every -D_r o B'_{n-r} is added by
+    PolyDiffOp._compose_into, with one Leibniz table for the whole call, and
+    the k = 0 terms are added as they are.
+
     Associativity certificates carry over: conjugating an associative-
     to-order-n product yields an associative-to-order-n product.
     """
@@ -253,15 +259,25 @@ def gauge_transform(s: StarProduct, D: FormalDiffeo) -> StarProduct:
         raise ValueError("dimension mismatch")
     if s.order != D.order:
         raise ValueError(f"order mismatch: star {s.order} vs diffeo {D.order}")
+    N = s.order
+    left = [[s.term(i).compose_at(0, D.term(j)) for j in range(N + 1 - i)] for i in range(N + 1)]
+    table: dict[Exponents, Leibniz] = {}
     terms: list[PolyDiffOp] = []
-    for n in range(s.order + 1):
-        acc = PolyDiffOp.zero(s.dim, 2)
+    for n in range(N + 1):
+        acc: dict[DerivKey, dict] = {}
         for i in range(n + 1):
             for j in range(n - i + 1):
-                acc = acc + s.term(i).compose_at(0, D.term(j)).compose_at(1, D.term(n - i - j))
+                k = n - i - j
+                if k:
+                    left[i][j]._compose_into(acc, 1, D.term(k), 1, table)
+                else:
+                    for key, c in left[i][j].terms.items():
+                        monomials = acc.setdefault(key, {})
+                        for mono, v in c.terms.items():
+                            _accumulate(monomials, mono, v)
         for r in range(1, n + 1):
-            acc = acc - D.term(r).compose_at(0, terms[n - r])
-        terms.append(acc)
+            D.term(r)._compose_into(acc, 0, terms[n - r], -1, table)
+        terms.append(PolyDiffOp._from_term_map(s.dim, 2, acc))
     if terms[0] != PolyDiffOp.multiplication(s.dim):
         raise AssertionError("gauge transform lost the leading product")
     result = StarProduct(s.dim, s.order, terms[1:])

@@ -4,6 +4,7 @@ generators and the three reference scenarios used across modules."""
 from __future__ import annotations
 
 import itertools
+import json
 import random
 from fractions import Fraction
 from typing import Sequence
@@ -600,6 +601,11 @@ def reference_residual_witness(res: PolyDiffOp, names: list[str]) -> dict | None
                             if budget <= 0:
                                 return None
     return None
+
+
+def reference_render_report(report: dict) -> str:
+    """Reference for `cli.render_report`: the stdlib encoder's indented layout."""
+    return json.dumps(report, indent=2, sort_keys=True) + "\n"
 
 
 # -- one operator sum per term, the reference for the one-map term-list loader -------

@@ -5,10 +5,12 @@ import time
 from fractions import Fraction
 
 import pytest
+from golden.regenerate import PROBLEMS, expected_path, run_cli
 from helpers import (
     canonical_pi2,
     rand_op,
     reference_op_from_payload,
+    reference_render_report,
     reference_residual_witness,
     removable_scenario,
     trivial_star,
@@ -350,6 +352,76 @@ def test_report_text_is_a_json_fixed_point():
     report = run_command(load_problem_data(REMOVABLE), "eliminate", 2)
     text = render_report(report)
     assert render_report(json.loads(text)) == text
+
+
+@pytest.mark.parametrize(
+    "report, message",
+    [
+        ({"result": {"coeff": Fraction(1, 2)}}, "cannot render a Fraction"),
+        ({"result": [1, 2.5]}, "cannot render a float"),
+        ({"result": (1, 2)}, "cannot render a tuple"),
+        ({"classes": {1: "x"}}, "keys must be str, not int"),
+        ({"classes": {("a",): "x"}}, "keys must be str, not tuple"),
+    ],
+)
+def test_render_report_rejects_other_value_and_key_types(report, message):
+    with pytest.raises(TypeError, match=message):
+        render_report(report)
+
+
+def test_render_report_layout():
+    report = {
+        "b": [],
+        "a": {},
+        "c": [True, False, None, -3, 2**70, "h\u00e9\"\\"],
+        "d": {"z": 1, "y": [0]},
+    }
+    text = render_report(report)
+    assert text == reference_render_report(report)
+    assert text == (
+        "{\n"
+        '  "a": {},\n'
+        '  "b": [],\n'
+        '  "c": [\n'
+        "    true,\n"
+        "    false,\n"
+        "    null,\n"
+        "    -3,\n"
+        "    1180591620717411303424,\n"
+        '    "h\\u00e9\\"\\\\"\n'
+        "  ],\n"
+        '  "d": {\n'
+        '    "y": [\n'
+        "      0\n"
+        "    ],\n"
+        '    "z": 1\n'
+        "  }\n"
+        "}\n"
+    )
+
+
+def test_main_reuses_its_parser_without_carrying_flags_over(capsys):
+    # flags of one call must not reach the next call in the same process
+    problem = PROBLEMS / "removable_class.json"
+    flags = ["--seed", "99", "--degree-bound", "0", "--op-order-bound", "0", "--order", "1"]
+    assert main(["--problem", str(problem), "--command", "eliminate", *flags]) == 0
+    first = json.loads(capsys.readouterr().out)
+    assert first["seed"] == 99 and first["problem"]["bounds"]["degree"] == 0
+    code, stdout, _ = run_cli(problem, "eliminate")
+    assert code == 0
+    assert stdout.encode("utf-8") == expected_path(problem, "eliminate", 0).read_bytes()
+
+
+def test_parse_errors_repeat_identically(capsys):
+    errors = []
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            main(["--command", "eliminate"])
+        assert exc.value.code == 2
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1]
+    assert errors[0].startswith("usage: starobs")
+    assert "--problem" in errors[0]
 
 
 def test_eliminate_obstructed_problem_exits_zero(tmp_path, capsys):

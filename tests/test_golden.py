@@ -5,12 +5,21 @@ are rewritten by ``tests/golden/regenerate.py`` when a report change is
 intended.
 """
 
+import json
 from fractions import Fraction
 
 import pytest
-from golden.regenerate import COMMANDS, error_record, expected_path, problem_files, run_cli
+from golden.regenerate import (
+    COMMANDS,
+    GOLDEN,
+    error_record,
+    expected_path,
+    problem_files,
+    run_cli,
+)
 
 from starobs import Polynomial, linsolve
+from starobs.cli import render_report
 
 CASES = [(problem, command) for problem in problem_files() for command in COMMANDS]
 
@@ -32,6 +41,20 @@ def test_report_matches_golden(problem, command):
     assert actual.encode("utf-8") == expected.read_bytes()
 
 
+GOLDEN_FILES = sorted(GOLDEN.glob("*/*.json"))
+
+
+def test_every_golden_is_listed():
+    assert len(GOLDEN_FILES) == 36
+
+
+@pytest.mark.parametrize(
+    "path", GOLDEN_FILES, ids=[f"{p.parent.name}-{p.name}" for p in GOLDEN_FILES]
+)
+def test_golden_text_is_a_render_report_fixed_point(path):
+    """Parsing a golden and rendering it again gives its bytes back."""
+    text = path.read_text(encoding="utf-8")
+    assert render_report(json.loads(text)) == text
 
 
 @pytest.mark.parametrize(

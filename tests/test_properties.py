@@ -5,12 +5,13 @@ import tempfile
 from pathlib import Path
 
 import pytest
+from helpers import reference_render_report
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
 from starobs import Polynomial, parse_polynomial  # noqa: E402
-from starobs.cli import Problem, load_problem_data, main  # noqa: E402
+from starobs.cli import Problem, load_problem_data, main, render_report  # noqa: E402
 
 NAMES = ["x", "p1", "_q", "Zeta_2"]
 
@@ -97,3 +98,35 @@ def test_main_on_a_shipped_problem_with_one_field_replaced_exits_0_or_1(name, da
         path.write_text(json.dumps(problem), encoding="utf-8")
         code = main(["--problem", str(path), "--out", str(Path(tmp) / "report.json")])
     assert code in (0, 1)
+
+
+# report strings: any code point, lone surrogates included, and the characters
+# the escaper treats specially weighted up
+report_strings = st.text(
+    st.characters(exclude_categories=())
+    | st.sampled_from(['"', "\\", "/", "\x00", "\b", "\t", "\n", "\x1f", "\x7f", "\u00e9",
+                       "\u2028", "\ud800", "\udfff", "\U0001f600"]),
+    max_size=8,
+)
+report_ints = st.integers() | st.integers(max_value=-1) | st.integers(2**64, 2**200)
+report_trees = st.recursive(
+    st.none() | st.booleans() | report_ints | report_strings,
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(report_strings, children, max_size=4),
+    max_leaves=20,
+)
+
+
+@st.composite
+def nested_reports(draw):
+    """A report tree, sometimes buried under up to 60 single-entry lists and dicts."""
+    value = draw(report_trees)
+    for key in draw(st.lists(st.none() | report_strings, max_size=60)):
+        value = [value] if key is None else {key: value}
+    return value
+
+
+@hypothesis.settings(derandomize=True, deadline=None, database=None, max_examples=400)
+@hypothesis.given(nested_reports())
+def test_render_report_matches_the_stdlib_encoder(report):
+    assert render_report(report) == reference_render_report(report)

@@ -328,6 +328,24 @@ def test_gauge_transform_matches_explicit_inverse_reference():
                 assert gauge_transform(s, diffeo) == reference_gauge_transform(s, diffeo)
 
 
+def test_gauge_transform_at_order_four_with_zero_diffeo_terms_matches_reference():
+    rng = random.Random(37)
+    for dim, zero in ((1, {2}), (2, {1, 3}), (2, {4}), (3, {2, 3})):
+        D = FormalDiffeo(
+            dim,
+            4,
+            [
+                PolyDiffOp.zero(dim, 1) if k in zero else rand_op(rng, dim, 1, order=2)
+                for k in range(1, 5)
+            ],
+        )
+        products = [StarProduct(dim, 4, [rand_op(rng, dim, 2, order=2) for _ in range(4)])]
+        if dim > 1:
+            products.append(moyal_star(Polyvector.bivector(dim, {(0, dim - 1): 1}), 4))
+        for s in products:
+            assert gauge_transform(s, D) == reference_gauge_transform(s, D)
+
+
 def test_gauge_order_mismatch():
     with pytest.raises(ValueError):
         gauge_transform(moyal_star(canonical_pi2(), 2), FormalDiffeo.identity(2, 3))
