@@ -42,7 +42,6 @@ from .poly import (
 from .polydiff import (
     PolyDiffOp,
     _GeneratorTable,
-    _restricted_items,
     generator_monomials,
     hkr_to_cochain,
     hochschild_d,
@@ -375,18 +374,13 @@ def _weight_map(system: IntegrableSystem) -> Callable[[Exponents], tuple]:
 def _solve_unary_correction(
     s: StarProduct, system: IntegrableSystem, n: int, bounds: Bounds
 ) -> PolyDiffOp | None:
-    """Find D with d(D) cancelling B_n on the subalgebra table.
-
-    The returned unary operator satisfies (B_n + dD)(u, v) = 0 for all
-    monomials u, v in the generators of degree <= the order of B_n + dD,
-    or None when the bounded ansatz has no solution.  Only the weight blocks
-    B_n reaches are solved; _unary_ansatz_rows says why that changes nothing.
+    """D with B_n + dD vanishing on the subalgebra, where the lower orders do, by
+    _unary_ansatz_rows; None when B_n has a nonzero antisymmetric part on generator
+    pairs (dD is symmetric) or the bounded ansatz has no solution.
     """
-    target = s.term(n)
-    alphas = exponents_upto(system.dim, bounds.op_order)
-    emons = exponents_upto(system.dim, bounds.degree)
-    # the order of B_n + dD; restricted_values says why that degree decides
-    eqs = _unary_ansatz_rows(target, system, max(target.order(), bounds.op_order), alphas, emons)
+    if not _raw_class(s, system, n).is_zero():
+        return None
+    eqs = _unary_ansatz_rows(s.term(n), system, bounds)
     solved = None if eqs is None else eqs._solve()
     if solved is None:
         return None
@@ -394,70 +388,73 @@ def _solve_unary_correction(
 
 
 def _unary_ansatz_rows(
-    target: PolyDiffOp,
-    system: IntegrableSystem,
-    degree: int,
-    alphas: list[Exponents],
-    emons: list[Exponents],
+    target: PolyDiffOp, system: IntegrableSystem, bounds: Bounds
 ) -> _SparseSystem | None:
-    """The live weight blocks of d(D) = -target on all pairs of generator
-    monomials of degree <= `degree`, read from the system's table.
+    """The live weight blocks of (B + dD)|_C = 0, B = target, on the generator
+    monomials f^alpha of degree <= max(op order, order(B)) + 1.
 
-    D ranges over x^e d^a, column (e, (a,)), in the order
-    [(e, (a,)) for a in alphas for e in emons].  A row is labelled by the
-    pair's generator exponents and an ambient monomial.
+    On C = k[f_1..f_k] the orders below B vanish, so B|_C is a 2-cocycle, and
+    with no antisymmetric part on generator pairs it is exact, C being
+    polynomial.  phi0(1) = -B(1, 1), phi0(f_i) = 0, phi0(m f_i) = phi0(m) f_i +
+    B(m, f_i) (f_i the last generator, as _GeneratorTable peels it) is a
+    primitive: any primitive less phi0 obeys the Leibniz rule on each such
+    (m, f_i), so by induction it is a derivation.  B + dD = d(D - phi0) thus
+    vanishes on C exactly when D - phi0 is the derivation its values on the
+    f_i fix: D(f^alpha) - sum_i alpha_i f^(alpha - e_i) D(f_i) = phi0(f^alpha).
+    Both sides vanish when |alpha| = 1, and the left one on d^a with |a| = 1
+    (chain rule), so those columns are left out.  [phi0, f] = B(f, .) + phi0(f)
+    on C, so D - phi0 less that derivation has order <= max(op order,
+    order(B) + 1) over C: by restricted_values' lemma that degree decides it.
 
-    Scaling by _weight_map(system) commutes with d and with the order-0
-    product, and generator monomials are homogeneous, so column x^e d^a only
-    meets rows whose ambient monomial, less those of u and v, weighs
-    weight(e - a).  The system is thus block-diagonal, and a block with a
-    zero right-hand side is consistent with its columns zero in the solution,
-    so only the columns of live weights (those of rows where the target's
-    table is nonzero) are kept, in the order above, with d^a only for their
-    alphas.  None when a live weight has no column: its block reads 0 = b, b != 0.
+    Column (e, (a,)) is x^e d^a, a-major, each in lex order up to its bound;
+    it enters row (alpha, ambient monomial) as x^e (d^a f^alpha - sum_i
+    alpha_i f^(alpha - e_i) d^a f_i).  Generator monomials are homogeneous
+    under _weight_map(system), so a column meets only rows whose monomial,
+    less that of f^alpha, weighs weight(e - a): the blocks are independent,
+    and one with a zero right-hand side is solved by zeros.  So only the
+    columns of live weights (where phi0, built from B with d(phi0) = -B, is
+    nonzero) are kept.  None when a live weight has no column: 0 = b there.
     """
     weight = _weight_map(system)
-    mons = generator_monomials(system, degree)
-    table = system._monomials
-    values = dict(_restricted_items(target, system, degree))
+    table, z = system._monomials, system._monomials.zero
+    degree = max(target.order(), bounds.op_order) + 1
+    exps = [e for e, _ in generator_monomials(system, degree)]
+    units = [tuple(int(k == i) for k in range(system.size)) for i in range(system.size)]
+    nought = Polynomial.zero(system.dim)
+
+    def on(ue: Exponents, ve: Exponents) -> Polynomial:  # B(f^ue, f^ve)
+        return sum((c * table[a, ue] * table[b, ve] for (a, b), c in target.terms.items()), nought)
+
+    phi0 = {exps[0]: -on(exps[0], exps[0])}  # exps[0] is 1
+    for alpha in exps[1:]:  # lex order: alpha less its last generator comes first
+        i = max(k for k, x in enumerate(alpha) if x)
+        m = sub_exponents(alpha, units[i])
+        phi0[alpha] = phi0[m] * system.generators[i] + on(m, units[i]) if any(m) else nought
     # generator monomials are homogeneous: one monomial gives each one's weight
-    ambient = {ue: next(iter(u.terms)) for ue, u in mons if not u.is_zero()}
     live = {
-        weight(sub_exponents(mono, add_exponents(ambient[ue], ambient[ve])))
-        for (ue, ve), value in values.items()
+        weight(sub_exponents(mono, next(iter(table[z, alpha].terms))))
+        for alpha, value in phi0.items()
         for mono in value.terms
     }
     # weight is linear: weight(e - a) = weight(e) - weight(a), each weighed once
-    e_weights = [(e, weight(e)) for e in emons]
-    by_alpha: dict[Exponents, list[Exponents]] = {}
-    reached = set()
-    for a in alphas:
-        wa = weight(a)
-        for e, we in e_weights:
-            w = sub_exponents(we, wa)
-            if w in live:
-                by_alpha.setdefault(a, []).append(e)
-                reached.add(w)
-    if reached != live:
+    e_weights = [(e, weight(e)) for e in exponents_upto(system.dim, bounds.degree)]
+    a_weights = [(a, weight(a)) for a in exponents_upto(system.dim, bounds.op_order)]
+    if not live <= {sub_exponents(we, wa) for _, wa in a_weights for _, we in e_weights}:
         return None
-    eqs = _SparseSystem([(e, (a,)) for a, es in by_alpha.items() for e in es])
-    # d(d^a) = 0 for |a| = 1, a derivation: those columns meet no row
-    evaluated = [(a, es) for a, es in by_alpha.items() if sum(a) != 1]
-    for (ue, u), (ve, v) in itertools.product(mons, repeat=2):
-        uve = add_exponents(ue, ve)
-        for a, es in evaluated:
-            du, dv, duv = table[a, ue], table[a, ve], table[a, uve]
-            if du or dv or duv:
-                # d(x^e D) = x^e d(D) (order 0 is commutative): w_a = d(d^a)(u, v) serves every e
-                w = u * dv - duv + du * v
+    by_alpha = [
+        (a, [e for e, we in e_weights if sub_exponents(we, wa) in live]) for a, wa in a_weights
+    ]
+    eqs = _SparseSystem([(e, (a,)) for a, es in by_alpha for e in es])
+    for alpha in exps:
+        lower = [(x, u, table[z, sub_exponents(alpha, u)]) for x, u in zip(alpha, units) if x]
+        for a, es in by_alpha:
+            if es and sum(a) != 1:
+                w = table[a, alpha] - sum((x * f * table[a, u] for x, u, f in lower), nought)
                 for e in es:
-                    column = (e, (a,))
                     for mono, c in w.terms.items():
-                        eqs._add(((ue, ve), add_exponents(mono, e)), column, c)
-        value = values.get((ue, ve))
-        if value is not None:
-            for mono, c in value.terms.items():
-                eqs._add_rhs(((ue, ve), mono), -c)
+                        eqs._add((alpha, add_exponents(mono, e)), (e, (a,)), c)
+        for mono, c in phi0[alpha].terms.items():
+            eqs._add_rhs((alpha, mono), c)
     return eqs
 
 
@@ -481,14 +478,16 @@ def gauge_step(
     Y: RelativeClass,
     bounds: Bounds,
 ) -> GaugeStepResult:
-    """Build the order-n gauge from an exactness witness.
+    """Build the order-n gauge from an exactness witness, given that every
+    correction below order n vanishes on the subalgebra (eliminate_to_order
+    keeps that; it is not re-checked here).
 
-    Lifts Y to a vector field V with V(f_j) = Y_j, places -V at order
-    n-1 of the diffeomorphism (the sign that cancels the class), then
-    solves the bounded linear system for the order-n operator killing
-    the remaining symmetric part on the subalgebra.  The result is
-    post-checked: the transformed product's order-n correction must
-    vanish on the full restricted table.  At order 1 the class is
+    Lifts Y to a vector field V with V(f_j) = Y_j, places -V at order n-1
+    (the sign that cancels the class), then solves for the order-n operator
+    that kills the remaining symmetric part, on generator monomials.  The
+    transformed product's order-n correction is post-checked to vanish on
+    the subalgebra, so a broken precondition gives UNDECIDED or an
+    AssertionError, never a wrong gauge.  At order 1 the class is
     gauge-invariant, so Y must be zero and only the unary solve runs.
     """
     if n < 1 or (n == 1 and not Y.is_zero()):

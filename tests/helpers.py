@@ -21,14 +21,23 @@ from starobs import (
 from starobs.cli import ProblemError, _field, _integer, _parse_poly_field
 from starobs.linsolve import LinearSolveResult, _SparseSystem, solve_sparse
 from starobs.multivec import IndexTuple, sort_with_sign
+from starobs.obstruction import _weight_map
 from starobs.poly import (
+    Exponents,
     _accumulate,
     _gather_monomials,
     add_exponents,
     exponents_upto,
+    sub_exponents,
     zero_exponents,
 )
-from starobs.polydiff import DerivKey, _binom_multi, _sub_multi_indices, generator_monomials
+from starobs.polydiff import (
+    DerivKey,
+    _binom_multi,
+    _restricted_items,
+    _sub_multi_indices,
+    generator_monomials,
+)
 from starobs.star import ExtensionResult, StarProduct
 
 R2 = ["x", "p"]
@@ -273,6 +282,90 @@ def reference_unary_rows(target, mons, alphas, emons):
         for mono, c in target.apply([u, v]).terms.items():
             rhs[row_of(((ue, ve), mono))] = -c
     return list(row_index), rows, rhs
+
+
+def reference_pair_unary_rows(
+    target: PolyDiffOp,
+    system: IntegrableSystem,
+    degree: int,
+    alphas: list[Exponents],
+    emons: list[Exponents],
+) -> _SparseSystem | None:
+    """The live weight blocks of d(D) = -target on all pairs of generator
+    monomials of degree <= `degree`, read from the system's table: the pair
+    assembler the unary gauge solve used before it moved to generator
+    monomials, kept as the reference for that layout.
+
+    D ranges over x^e d^a, column (e, (a,)), in the order
+    [(e, (a,)) for a in alphas for e in emons].  A row is labelled by the
+    pair's generator exponents and an ambient monomial.
+
+    Scaling by _weight_map(system) commutes with d and with the order-0
+    product, and generator monomials are homogeneous, so column x^e d^a only
+    meets rows whose ambient monomial, less those of u and v, weighs
+    weight(e - a).  The system is thus block-diagonal, and a block with a
+    zero right-hand side is consistent with its columns zero in the solution,
+    so only the columns of live weights (those of rows where the target's
+    table is nonzero) are kept, in the order above, with d^a only for their
+    alphas.  None when a live weight has no column: its block reads 0 = b, b != 0.
+    """
+    weight = _weight_map(system)
+    mons = generator_monomials(system, degree)
+    table = system._monomials
+    values = dict(_restricted_items(target, system, degree))
+    # generator monomials are homogeneous: one monomial gives each one's weight
+    ambient = {ue: next(iter(u.terms)) for ue, u in mons if not u.is_zero()}
+    live = {
+        weight(sub_exponents(mono, add_exponents(ambient[ue], ambient[ve])))
+        for (ue, ve), value in values.items()
+        for mono in value.terms
+    }
+    # weight is linear: weight(e - a) = weight(e) - weight(a), each weighed once
+    e_weights = [(e, weight(e)) for e in emons]
+    by_alpha: dict[Exponents, list[Exponents]] = {}
+    reached = set()
+    for a in alphas:
+        wa = weight(a)
+        for e, we in e_weights:
+            w = sub_exponents(we, wa)
+            if w in live:
+                by_alpha.setdefault(a, []).append(e)
+                reached.add(w)
+    if reached != live:
+        return None
+    eqs = _SparseSystem([(e, (a,)) for a, es in by_alpha.items() for e in es])
+    # d(d^a) = 0 for |a| = 1, a derivation: those columns meet no row
+    evaluated = [(a, es) for a, es in by_alpha.items() if sum(a) != 1]
+    for (ue, u), (ve, v) in itertools.product(mons, repeat=2):
+        uve = add_exponents(ue, ve)
+        for a, es in evaluated:
+            du, dv, duv = table[a, ue], table[a, ve], table[a, uve]
+            if du or dv or duv:
+                # d(x^e D) = x^e d(D) (order 0 is commutative): w_a = d(d^a)(u, v) serves every e
+                w = u * dv - duv + du * v
+                for e in es:
+                    column = (e, (a,))
+                    for mono, c in w.terms.items():
+                        eqs._add(((ue, ve), add_exponents(mono, e)), column, c)
+        value = values.get((ue, ve))
+        if value is not None:
+            for mono, c in value.terms.items():
+                eqs._add_rhs(((ue, ve), mono), -c)
+    return eqs
+
+
+def reference_pair_unary_correction(s, system, n, bounds):
+    """The unary gauge solve on the rows of reference_pair_unary_rows, at
+    degree max(order(B_n), op order), as it ran before the monomial rows."""
+    target = s.term(n)
+    alphas = exponents_upto(system.dim, bounds.op_order)
+    emons = exponents_upto(system.dim, bounds.degree)
+    degree = max(target.order(), bounds.op_order)
+    eqs = reference_pair_unary_rows(target, system, degree, alphas, emons)
+    solved = None if eqs is None else eqs._solve()
+    if solved is None:
+        return None
+    return PolyDiffOp(system.dim, 1, _gather_monomials(system.dim, solved[0]))
 
 
 def reference_unary_correction(s, system, n, bounds):

@@ -1,16 +1,19 @@
 """The ansatz kernels factor the coefficient monomial out of each column.
 
 For a product that is commutative at order 0, d(x^e D) = x^e d(D), so
-the unary gauge solve evaluates one differential per derivative index
-and shifts it by e, and the one-order extension solves one matrix over
-the derivative keys with one right-hand side per coefficient monomial.
-The unary solve also keeps only the weight blocks its target reaches, and
-the extension only those that can hold a solution or a freedom.
-These tests pin the factored, graded solvers to the per-column
-references in helpers.py.
+the unary gauge solve evaluates one row value per derivative index and
+generator monomial and shifts it by e, and the one-order extension solves
+one matrix over the derivative keys with one right-hand side per
+coefficient monomial.  The unary solve also keeps only the weight blocks
+its target reaches, and the extension only those that can hold a solution
+or a freedom.  These tests pin the factored, graded solvers to the
+per-column references in helpers.py, and the unary solve on generator
+monomials to the pair assembler it replaced.
 """
 
+import hashlib
 import itertools
+import json
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -27,6 +30,8 @@ from helpers import (
     rand_op,
     reference_extend_one_order,
     reference_hochschild_d,
+    reference_pair_unary_correction,
+    reference_pair_unary_rows,
     reference_unary_correction,
     reference_unary_rows,
     row_labels,
@@ -48,7 +53,13 @@ from starobs import (
     moyal_star,
 )
 from starobs import star as star_module
-from starobs.cli import load_problem, op_from_payload, run_command
+from starobs.cli import (
+    load_problem,
+    load_problem_data,
+    op_from_payload,
+    render_report,
+    run_command,
+)
 from starobs.obstruction import _solve_unary_correction, _unary_ansatz_rows, _weight_map
 from starobs.poly import exponents_upto, zero_exponents
 from starobs.polydiff import _key_differential, generator_monomials
@@ -80,8 +91,8 @@ def as_mapping(labels, rows, rhs):
 
 
 def graded_rows(target, system, degree, alphas, emons):
-    """Columns, row labels, rows and rhs of the system _unary_ansatz_rows assembles."""
-    eqs = _unary_ansatz_rows(target, system, degree, alphas, emons)
+    """Columns, row labels, rows and rhs of the system reference_pair_unary_rows assembles."""
+    eqs = reference_pair_unary_rows(target, system, degree, alphas, emons)
     return eqs.columns, (row_labels(eqs), eqs.rows, eqs.rhs)
 
 
@@ -123,7 +134,7 @@ def test_unary_rows_match_per_column_reference_on_planted_product():
     target = star.term(2)
     columns, graded = graded_rows(target, system, 3, alphas, emons)
     assert 0 < len(columns) < len(alphas) * len(emons)
-    # monomial generators: the solver sees the very same rows, in the same order
+    # monomial generators: the pair assembler sees the very same rows, in the same order
     assert graded == reference_on_columns(target, mons, alphas, emons, columns)
 
 
@@ -155,7 +166,7 @@ def test_unary_rows_match_per_column_reference_on_polynomial_generators():
     reference = reference_on_columns(target, mons, alphas, emons, columns)
     assert as_mapping(*graded) == as_mapping(*reference)
     short = exponents_upto(4, 3)
-    assert _unary_ansatz_rows(target, system, 2, short, emons) is None
+    assert reference_pair_unary_rows(target, system, 2, short, emons) is None
 
 
 @pytest.mark.parametrize(
@@ -188,6 +199,77 @@ def test_unary_correction_matches_reference_solve(system, order, n, alpha, exps,
         assert graded is not None and not graded.is_zero()
     else:
         assert graded is None
+
+
+RANDOM_GENERATORS = [
+    ("y", "z"),
+    ("y + z^2", "z"),
+    ("y + 1", "z"),
+    ("y^2", "z"),
+    ("y", "z^2"),
+    ("y + z", "z^3"),
+]
+
+
+def random_planted(rng):
+    """A flat Moyal product on R^3 behind a random unary gauge of operator order
+    <= 2 at order n <= 3, its system and random bounds up to (2, 3).  The gauge
+    does not differentiate in x, which no generator holds."""
+    system = plane_system(*rng.choice(RANDOM_GENERATORS))
+    n = rng.randint(1, 3)
+    gauge = PolyDiffOp.zero(3, 1)
+    for _ in range(rng.randint(1, 2)):
+        alpha = (0,) + rng.choice(exponents_upto(2, 2))
+        exps = rng.choice(exponents_upto(3, 1))
+        coeff = Fraction(rng.choice([-3, -1, 1, 2]), rng.choice([1, 2]))
+        gauge = gauge + PolyDiffOp.single(3, [alpha], Polynomial.monomial(3, exps, coeff))
+    star = gauge_transform(moyal_star(system.pi, n), FormalDiffeo.from_parts(3, n, {n: gauge}))
+    return system, star, n, Bounds(rng.randint(0, 2), rng.randint(0, 3))
+
+
+def test_unary_correction_matches_pair_reference_on_random_planted_products():
+    rng = random.Random(2101)
+    outcomes = []
+    for case in range(120):
+        system, star, n, bounds = random_planted(rng)
+        got = _solve_unary_correction(star, system, n, bounds)
+        assert got == reference_pair_unary_correction(star, system, n, bounds), case
+        if case < 8:
+            assert got == reference_unary_correction(star, system, n, bounds), case
+        outcomes.append("none" if got is None else "zero" if got.is_zero() else "solved")
+    assert min(outcomes.count(k) for k in ("none", "zero", "solved")) >= 10
+
+
+def test_unary_correction_matches_pair_reference_on_rotation_momenta():
+    system = rotation_system()
+    for star in (moyal_star(system.pi, 2), planted(system, 2, 2, (0, 0, 2, 0), (1, 0, 0, 0), 1)):
+        got = _solve_unary_correction(star, system, 2, Bounds(2, 4))
+        assert got == reference_pair_unary_correction(star, system, 2, Bounds(2, 4))
+
+
+def test_unary_correction_is_none_on_an_antisymmetric_part():
+    # B_1 = d_y (x) d_z is a cocycle with B_1(y, z) - B_1(z, y) = 1, which no
+    # symmetric dD cancels; its monomial rows alone (phi0(yz) = 1) are met by d_y d_z
+    system = plane_system("y", "z")
+    star = StarProduct(3, 1, [PolyDiffOp.single(3, [(0, 1, 0), (0, 0, 1)])])
+    for bounds in (Bounds(0, 2), Bounds(2, 3)):
+        assert _solve_unary_correction(star, system, 1, bounds) is None
+        assert reference_pair_unary_correction(star, system, 1, bounds) is None
+        eqs = _unary_ansatz_rows(star.term(1), system, bounds)
+        assert eqs._solve()[0] == {((0, 0, 0), ((0, 1, 1),)): 1}
+
+
+def test_rotation_momenta_at_bounds_2_6_solves_a_small_monomial_system():
+    system = rotation_system()
+    target = moyal_star(system.pi, 2).term(2)
+    eqs = _unary_ansatz_rows(target, system, Bounds(2, 6))
+    assert (len(eqs.columns), len(eqs.rows)) == (211, 334)
+    assert eqs._solve() is None
+    data = json.loads((PROBLEMS / "rotation_momenta.json").read_text())
+    for (degree, op_order), digest in [((2, 6), "087116a3"), ((2, 4), "553774fc")]:
+        data["bounds"] = {"degree": degree, "op_order": op_order}
+        report = render_report(run_command(load_problem_data(data), "eliminate", None))
+        assert hashlib.sha256(report.encode()).hexdigest().startswith(digest)
 
 
 def assert_key_differential_matches_reference(dim, key, table=None):
