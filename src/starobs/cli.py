@@ -33,15 +33,6 @@ from .poly import Polynomial, PolynomialParseError, _accumulate, parse_polynomia
 from .polydiff import PolyDiffOp
 from .star import FormalDiffeo, StarProduct, extend_one_order, moyal_star
 
-COMMANDS = (
-    "check-poisson",
-    "assoc-check",
-    "commutator-table",
-    "obstruction",
-    "eliminate",
-    "extend-star",
-)
-
 CONVENTIONS = {
     "parameter": "real formal parameter; no imaginary unit in coefficients",
     "commutator": (
@@ -496,6 +487,7 @@ DISPATCH = {
     "eliminate": cmd_eliminate,
     "extend-star": cmd_extend_star,
 }
+COMMANDS = tuple(DISPATCH)
 
 
 def run_command(problem: Problem, command: str, order: int | None) -> dict:

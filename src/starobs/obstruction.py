@@ -198,7 +198,6 @@ class CascadeReport:
     cochain_closed: bool
     cochain_witness: tuple[Exponents, ...] | None
     class_closed: bool
-    class_witness: tuple[int, ...] | None
 
     @property
     def ok(self) -> bool:
@@ -230,15 +229,12 @@ def _cascade(
     dop = hochschild_d(s.term(n))
     table = restricted_values(dop, system)  # in sorted key order
     cochain_witness = next((key for key, value in table.items() if value), None)
-    image = d_hor(system, chi)
-    class_witness = None if image.is_zero() else min(image.components)
     return CascadeReport(
         order=n,
         obstruction=chi,
         cochain_closed=cochain_witness is None,
         cochain_witness=cochain_witness,
-        class_closed=image.is_zero(),
-        class_witness=class_witness,
+        class_closed=d_hor(system, chi).is_zero(),
     )
 
 

@@ -27,10 +27,15 @@ from .poly import Exponents, Polynomial, _accumulate, _gather_monomials, exponen
 from .polydiff import DerivKey, Leibniz, PolyDiffOp, _key_differential
 
 
-class StarProduct:
-    """Truncated deformation of the commutative product."""
+class _OperatorSeries:
+    """Immutable truncated series: a unit plus sum_{k=1..order} h^k C_k.
 
-    __slots__ = ("dim", "order", "corrections", "_certified")
+    The corrections C_k are polydifferential operators on a dim-dimensional
+    space.  A subclass fixes their arity in `_arity` and the order-0
+    operator in `_unit`, a PolyDiffOp constructor taking the dimension.
+    """
+
+    __slots__ = ("dim", "order", "corrections")
 
     def __init__(self, dim: int, order: int, corrections: Sequence[PolyDiffOp]):
         if order < 0:
@@ -41,34 +46,25 @@ class StarProduct:
         for op in corr:
             if op.dim != dim:
                 raise ValueError("correction dimension mismatch")
-            if op.arity != 2:
-                raise ValueError("corrections must have arity 2")
+            if op.arity != self._arity:
+                raise ValueError(f"corrections must have arity {self._arity}")
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "corrections", corr)
-        object.__setattr__(self, "_certified", None)
 
     def __setattr__(self, name, value):
-        raise AttributeError("StarProduct is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     def term(self, k: int) -> PolyDiffOp:
-        """B_k for 0 <= k <= order; B_0 is the multiplication cochain."""
+        """C_k for 0 <= k <= order; C_0 is the unit."""
         if k == 0:
-            return PolyDiffOp.multiplication(self.dim)
+            return self._unit(self.dim)
         if not 1 <= k <= self.order:
-            raise IndexError(f"order {k} out of range (product order {self.order})")
+            raise IndexError(f"order {k} out of range ({type(self).__name__} order {self.order})")
         return self.corrections[k - 1]
 
-    def plus_term(self, k: int, op: PolyDiffOp) -> StarProduct:
-        """Copy of this product with op added to B_k, 1 <= k <= order."""
-        if not 1 <= k <= self.order:
-            raise IndexError(f"order {k} out of range")
-        corr = list(self.corrections)
-        corr[k - 1] = corr[k - 1] + op
-        return StarProduct(self.dim, self.order, corr)
-
     def __eq__(self, other):
-        if not isinstance(other, StarProduct):
+        if type(other) is not type(self):
             return NotImplemented
         return (
             self.dim == other.dim
@@ -77,7 +73,27 @@ class StarProduct:
         )
 
     def __repr__(self):
-        return f"StarProduct(dim={self.dim}, order={self.order})"
+        return f"{type(self).__name__}(dim={self.dim}, order={self.order})"
+
+
+class StarProduct(_OperatorSeries):
+    """Truncated deformation of the commutative product: B_0 = m, arity 2."""
+
+    __slots__ = ("_certified",)
+    _arity = 2
+    _unit = PolyDiffOp.multiplication
+
+    def __init__(self, dim: int, order: int, corrections: Sequence[PolyDiffOp]):
+        super().__init__(dim, order, corrections)
+        object.__setattr__(self, "_certified", None)
+
+    def plus_term(self, k: int, op: PolyDiffOp) -> StarProduct:
+        """Copy of this product with op added to B_k, 1 <= k <= order."""
+        if not 1 <= k <= self.order:
+            raise IndexError(f"order {k} out of range")
+        corr = list(self.corrections)
+        corr[k - 1] = corr[k - 1] + op
+        return StarProduct(self.dim, self.order, corr)
 
     # -- evaluation ----------------------------------------------------------
 
@@ -173,57 +189,25 @@ def moyal_star(pi: Polyvector, order: int) -> StarProduct:
 # -- formal diffeomorphisms ----------------------------------------------------
 
 
-class FormalDiffeo:
+class FormalDiffeo(_OperatorSeries):
     """id + h D_1 + h^2 D_2 + ... with unary polydifferential D_k."""
 
-    __slots__ = ("dim", "order", "terms")
-
-    def __init__(self, dim: int, order: int, terms: Sequence[PolyDiffOp]):
-        t = tuple(terms)
-        if len(t) != order:
-            raise ValueError(f"need {order} operators, got {len(t)}")
-        for op in t:
-            if op.dim != dim:
-                raise ValueError("term dimension mismatch")
-            if op.arity != 1:
-                raise ValueError("terms must have arity 1")
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "terms", t)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FormalDiffeo is immutable")
+    __slots__ = ()
+    _arity = 1
+    _unit = PolyDiffOp.identity
 
     @classmethod
     def identity(cls, dim: int, order: int) -> FormalDiffeo:
-        return cls(dim, order, [PolyDiffOp.zero(dim, 1)] * order)
+        return cls.from_parts(dim, order, {})
 
     @classmethod
     def from_parts(cls, dim: int, order: int, parts: dict[int, PolyDiffOp]) -> FormalDiffeo:
-        terms = [PolyDiffOp.zero(dim, 1)] * order
+        corrections = [PolyDiffOp.zero(dim, 1)] * order
         for k, op in parts.items():
             if not 1 <= k <= order:
                 raise IndexError(f"order {k} out of range")
-            terms[k - 1] = op
-        return cls(dim, order, terms)
-
-    def term(self, k: int) -> PolyDiffOp:
-        """D_k for 0 <= k <= order; D_0 is the identity operator."""
-        if k == 0:
-            return PolyDiffOp.identity(self.dim)
-        if not 1 <= k <= self.order:
-            raise IndexError(f"order {k} out of range (diffeomorphism order {self.order})")
-        return self.terms[k - 1]
-
-    def __eq__(self, other):
-        if not isinstance(other, FormalDiffeo):
-            return NotImplemented
-        return (
-            self.dim == other.dim and self.order == other.order and self.terms == other.terms
-        )
-
-    def __repr__(self):
-        return f"FormalDiffeo(dim={self.dim}, order={self.order})"
+            corrections[k - 1] = op
+        return cls(dim, order, corrections)
 
 
 def compose_diffeo(D: FormalDiffeo, E: FormalDiffeo) -> FormalDiffeo:

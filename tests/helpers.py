@@ -216,7 +216,7 @@ def trivial_star(dim: int, order: int) -> StarProduct:
 
 def is_identity(D: FormalDiffeo) -> bool:
     """Whether every correction D_1..D_order is zero."""
-    return all(op.is_zero() for op in D.terms)
+    return all(op.is_zero() for op in D.corrections)
 
 
 def row_labels(eqs: _SparseSystem) -> list:

@@ -37,6 +37,7 @@ class Mutant(NamedTuple):
 
 
 FACTORED = "tests/test_factored_ansatz.py::"
+RESTRICTED = "tests/test_restricted_table.py::"
 
 MUTANTS = [
     # the unary gauge solve on generator monomials
@@ -142,6 +143,80 @@ MUTANTS = [
             "tests/test_star.py::"
             "test_gauge_transform_at_order_four_with_zero_diffeo_terms_matches_reference",
         ),
+    ),
+    # the factored unary rows and the restricted tables
+    Mutant(
+        "unary rows without the e-shift",
+        "obstruction.py",
+        "eqs._add((alpha, add_exponents(mono, e)), (e, (a,)), c)",
+        "eqs._add((alpha, mono), (e, (a,)), c)",
+        (FACTORED + "test_unary_correction_matches_reference_solve",),
+    ),
+    Mutant(
+        "restricted values multiply each factor on the left",
+        "polydiff.py",
+        "step.append((key, v * d))",
+        "step.append((key, d * v))",
+        (RESTRICTED + "test_table_matches_per_tuple_reference_on_polynomial_generators",),
+    ),
+    # per-system generator tables and the one-map associator
+    Mutant(
+        "associator adds the slot-1 insertions with a plus sign",
+        "star.py",
+        "outer._compose_into(terms, 1, inner, -1, table)",
+        "outer._compose_into(terms, 1, inner, 1, table)",
+        ("tests/test_star.py::test_associator_matches_compose_then_merge_reference",),
+    ),
+    Mutant(
+        "unary rows skip the d^0 columns",
+        "obstruction.py",
+        "            if es and sum(a) != 1:\n",
+        "            if es and sum(a) > 1:\n",
+        (FACTORED + "test_unary_correction_matches_pair_reference_on_random_planted_products",),
+    ),
+    Mutant(
+        "generator monomial lists built on every call",
+        "polydiff.py",
+        "    mons = table.lists.get(max_degree)\n",
+        "    mons = None\n",
+        (RESTRICTED + "test_generator_monomials_are_built_once_per_system",),
+    ),
+    Mutant(
+        "generator table keeps no derivative",
+        "polydiff.py",
+        "        self[key] = p\n",
+        "",
+        (RESTRICTED + "test_restricted_walks_share_the_systems_derivatives",),
+    ),
+    # the loader's one-map merge, the Moyal weights and the cascade witness
+    Mutant(
+        "op_from_payload overwrites a repeated key",
+        "cli.py",
+        "        _accumulate(terms, tuple(derivs), coeff)\n",
+        "        terms[tuple(derivs)] = coeff\n",
+        ("tests/test_cli.py::test_op_from_payload_matches_the_term_by_term_sum",),
+    ),
+    Mutant(
+        "moyal_star without the multiset weight",
+        "star.py",
+        "            for t in set(combo):\n                coeff /= math.factorial(combo.count(t))\n",
+        "",
+        ("tests/test_star.py::test_moyal_matches_ordered_tuple_reference",),
+    ),
+    Mutant(
+        "cascade witness is the last nonzero key",
+        "obstruction.py",
+        "next((key for key, value in table.items() if value), None)",
+        "next((key for key, value in reversed(table.items()) if value), None)",
+        (RESTRICTED + "test_cascade_witness_is_first_nonzero_reference_key",),
+    ),
+    # the shared truncated series base
+    Mutant(
+        "series equality across series types",
+        "star.py",
+        "        if type(other) is not type(self):\n",
+        "        if not isinstance(other, _OperatorSeries):\n",
+        ("tests/test_star.py::test_series_equality_is_type_exact",),
     ),
 ]
 

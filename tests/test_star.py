@@ -466,14 +466,41 @@ def test_extension_cocycle_lies_in_reported_freedom_span():
     assert solution.solved
 
 
-def test_star_rejects_wrong_arity_corrections():
-    with pytest.raises(ValueError):
-        StarProduct(2, 1, [PolyDiffOp.single(2, [(1, 0)])])
+SERIES = {StarProduct: 2, FormalDiffeo: 1}  # each truncated series type and its arity
 
 
-def test_diffeo_rejects_wrong_arity_terms():
+@pytest.mark.parametrize(
+    "order, op_dim, wrong_arity, count",
+    [
+        pytest.param(1, 2, True, 1, id="arity"),
+        pytest.param(1, 3, False, 1, id="dimension"),
+        pytest.param(2, 2, False, 1, id="count"),
+        pytest.param(-1, 2, False, 0, id="negative-order"),
+    ],
+)
+@pytest.mark.parametrize("series", SERIES, ids=lambda cls: cls.__name__)
+def test_series_rejects_a_bad_shape(series, order, op_dim, wrong_arity, count):
+    arity = 3 - SERIES[series] if wrong_arity else SERIES[series]
+    op = PolyDiffOp.single(op_dim, [(1,) + (0,) * (op_dim - 1)] * arity)
+    assert series(2, 1, [PolyDiffOp.single(2, [(1, 0)] * SERIES[series])]).order == 1
     with pytest.raises(ValueError):
-        FormalDiffeo(2, 1, [PolyDiffOp.single(2, [(1, 0), (0, 1)])])
+        series(2, order, [op] * count)
+
+
+@pytest.mark.parametrize("series", SERIES, ids=lambda cls: cls.__name__)
+def test_series_is_immutable_and_named_in_its_repr(series):
+    s = series(2, 1, [PolyDiffOp.zero(2, SERIES[series])])
+    with pytest.raises(AttributeError, match=f"^{series.__name__} is immutable$"):
+        s.order = 2
+    assert s.order == 1
+    assert repr(s) == f"{series.__name__}(dim=2, order=1)"
+
+
+def test_series_equality_is_type_exact():
+    assert StarProduct(2, 0, []) == StarProduct(2, 0, [])
+    assert FormalDiffeo(2, 0, []) == FormalDiffeo.identity(2, 0)
+    assert StarProduct(2, 0, []) != FormalDiffeo(2, 0, [])
+    assert FormalDiffeo(2, 0, []) != StarProduct(2, 0, [])
 
 
 def test_gauge_transform_matches_value_level_oracle():
