@@ -132,6 +132,10 @@ def polyvector_payload(v: Polyvector | RelativeClass, names: list[str]) -> dict:
     return out
 
 
+def _bounds_payload(bounds: Bounds) -> dict:
+    return {"degree": bounds.degree, "op_order": bounds.op_order}
+
+
 def star_payload(s: StarProduct | FormalDiffeo, names: list[str]) -> dict:
     """The order and the operator at each order 1..order."""
     return {
@@ -149,7 +153,7 @@ def problem_payload(problem: Problem) -> dict:
         "coordinates": list(problem.names),
         "poisson": poisson,
         "generators": [g.to_string(problem.names) for g in problem.generators],
-        "bounds": {"degree": problem.bounds.degree, "op_order": problem.bounds.op_order},
+        "bounds": _bounds_payload(problem.bounds),
         "seed": problem.seed,
     }
     if problem.star_spec is not None:
@@ -391,11 +395,11 @@ def cmd_commutator_table(problem: Problem, order: int | None) -> dict:
     return {"order": star.order, "commutators": table}
 
 
-def _exactness_payload(exact: ExactnessResult, names: list[str]) -> dict:
+def _exactness_payload(exact: ExactnessResult, degree_bound: int, names: list[str]) -> dict:
     return {
-        "status": exact.status,
+        "status": "solved" if exact.solved else "infeasible",
         "certificate": exact.certificate,
-        "degree_bound": exact.degree_bound,
+        "degree_bound": degree_bound,
         "witness": None if exact.witness is None else polyvector_payload(exact.witness, names),
     }
 
@@ -409,7 +413,7 @@ def cmd_obstruction(problem: Problem, order: int | None) -> dict:
     exactness = None
     if cascade.class_closed:
         exact = exactness_solve(system, chi, problem.bounds.degree)
-        exactness = _exactness_payload(exact, problem.names)
+        exactness = _exactness_payload(exact, problem.bounds.degree, problem.names)
     return {
         "order": n,
         "class": polyvector_payload(chi, problem.names),
@@ -420,7 +424,7 @@ def cmd_obstruction(problem: Problem, order: int | None) -> dict:
     }
 
 
-def _report_payload(report: ObstructionReport, names: list[str]) -> dict:
+def _report_payload(report: ObstructionReport, bounds: Bounds, names: list[str]) -> dict:
     records = []
     for rec in report.records:
         entry: dict[str, Any] = {
@@ -432,10 +436,10 @@ def _report_payload(report: ObstructionReport, names: list[str]) -> dict:
             entry["closed_on_subalgebra"] = rec.cascade.cochain_closed
             entry["class_closed"] = rec.cascade.class_closed
         if rec.exactness is not None:
-            entry["exactness"] = _exactness_payload(rec.exactness, names)
+            entry["exactness"] = _exactness_payload(rec.exactness, bounds.degree, names)
         if rec.step is not None:
             entry["gauge_step"] = {
-                "status": rec.step.status,
+                "status": "solved" if rec.step.solved else "undecided",
                 "diffeo": None if rec.step.diffeo is None else star_payload(rec.step.diffeo, names),
             }
         records.append(entry)
@@ -447,7 +451,7 @@ def _report_payload(report: ObstructionReport, names: list[str]) -> dict:
         "gauge": star_payload(report.gauge, names),
         "star": star_payload(report.star, names),
         "records": records,
-        "bounds": {"degree": report.bounds.degree, "op_order": report.bounds.op_order},
+        "bounds": _bounds_payload(bounds),
     }
 
 
@@ -456,19 +460,16 @@ def cmd_eliminate(problem: Problem, order: int | None) -> dict:
     system = problem.system()
     n = order if order is not None else star.order
     report = eliminate_to_order(star, system, n, problem.bounds)
-    return _report_payload(report, problem.names)
+    return _report_payload(report, problem.bounds, problem.names)
 
 
 def cmd_extend_star(problem: Problem, order: int | None) -> dict:
     star = _require_star(problem)
     result = extend_one_order(star, problem.bounds.degree, problem.bounds.op_order)
     payload: dict[str, Any] = {
-        "status": result.status,
-        "new_order": result.new_order,
-        "bounds": {
-            "degree": result.coefficient_degree,
-            "op_order": result.operator_order,
-        },
+        "status": "solved" if result.solved else "undecided",
+        "new_order": star.order + 1,
+        "bounds": _bounds_payload(problem.bounds),
     }
     if result.solved:
         payload["candidate"] = op_payload(result.particular, problem.names)

@@ -177,11 +177,6 @@ class Polyvector(_Alternating):
             comps[(i, j)] = poly
         return cls(dim, 2, comps)
 
-    def as_polynomial(self) -> Polynomial:
-        if self.degree != 0:
-            raise ValueError("only degree-0 polyvectors are polynomials")
-        return self.components.get((), Polynomial.zero(self.dim))
-
     def is_constant(self) -> bool:
         return all(p.is_constant() for p in self.components.values())
 

@@ -96,10 +96,13 @@ class IntegrableSystem:
 
 @dataclass
 class ValidationReport:
-    ok: bool
     jacobi_ok: bool
     commuting_failures: list[tuple[int, int, Polynomial]]
     independent: bool
+
+    @property
+    def ok(self) -> bool:
+        return self.jacobi_ok and not self.commuting_failures and self.independent
 
     def failure_messages(self, names: list[str] | None = None) -> list[str]:
         msgs = []
@@ -156,12 +159,7 @@ def validate_system(system: IntegrableSystem) -> ValidationReport:
             not _poly_det([[jacobian[i][k] for k in cols] for i in range(n)]).is_zero()
             for cols in itertools.combinations(range(m), n)
         )
-    report = ValidationReport(
-        ok=jac_ok and not failures and independent,
-        jacobi_ok=jac_ok,
-        commuting_failures=failures,
-        independent=independent,
-    )
+    report = ValidationReport(jac_ok, failures, independent)
     object.__setattr__(system, "_validation", report)
     return report
 
@@ -193,7 +191,6 @@ def _raw_class(s: StarProduct, system: IntegrableSystem, n: int) -> RelativeClas
 
 @dataclass
 class CascadeReport:
-    order: int
     obstruction: RelativeClass
     cochain_closed: bool
     cochain_witness: tuple[Exponents, ...] | None
@@ -230,7 +227,6 @@ def _cascade(
     table = restricted_values(dop, system)  # in sorted key order
     cochain_witness = next((key for key, value in table.items() if value), None)
     return CascadeReport(
-        order=n,
         obstruction=chi,
         cochain_closed=cochain_witness is None,
         cochain_witness=cochain_witness,
@@ -243,14 +239,12 @@ def _cascade(
 
 @dataclass
 class ExactnessResult:
-    status: str  # "solved" | "infeasible"
-    degree_bound: int
     witness: RelativeClass | None = None
-    certificate: str | None = None  # "zero_image" | "rank_at_bound"
+    certificate: str | None = None  # "zero_image" | "rank_at_bound" when there is no witness
 
     @property
     def solved(self) -> bool:
-        return self.status == "solved"
+        return self.witness is not None
 
 
 def exactness_solve(
@@ -258,10 +252,11 @@ def exactness_solve(
 ) -> ExactnessResult:
     """Solve d_hor(Y) = c with polynomial components of bounded degree.
 
-    Returns a witness (post-checked exactly), or an infeasibility
-    certificate: "zero_image" when every generator is a Casimir (then
-    the image is {0} at every degree, so a nonzero class is obstructed
-    outright), "rank_at_bound" when only the bounded system is ruled out.
+    Returns a witness (post-checked exactly), or, with no witness, an
+    infeasibility certificate: "zero_image" when every generator is a
+    Casimir (then the image is {0} at every degree, so a nonzero class is
+    obstructed outright), "rank_at_bound" when only the bounded system is
+    ruled out.
     """
     if c.degree != 2 or c.system_size != system.size:
         raise ValueError("need a degree-2 class for this system")
@@ -270,15 +265,9 @@ def exactness_solve(
     n = system.size
     dim = system.dim
     if c.is_zero():
-        return ExactnessResult(
-            status="solved",
-            degree_bound=degree_bound,
-            witness=RelativeClass.zero(dim, n, 1),
-        )
+        return ExactnessResult(witness=RelativeClass.zero(dim, n, 1))
     if all(hamiltonian_field(system.pi, g).is_zero() for g in system.generators):
-        return ExactnessResult(
-            status="infeasible", degree_bound=degree_bound, certificate="zero_image"
-        )
+        return ExactnessResult(certificate="zero_image")
 
     emons = exponents_upto(dim, degree_bound)
     brackets: dict[tuple[int, Exponents], Polynomial] = {}
@@ -299,13 +288,11 @@ def exactness_solve(
 
     solved = eqs._solve()
     if solved is None:
-        return ExactnessResult(
-            status="infeasible", degree_bound=degree_bound, certificate="rank_at_bound"
-        )
+        return ExactnessResult(certificate="rank_at_bound")
     witness = RelativeClass(dim, n, 1, _gather_monomials(dim, solved[0]))
     if d_hor(system, witness) != c:
         raise AssertionError("exactness witness failed its built-in post-check")
-    return ExactnessResult(status="solved", degree_bound=degree_bound, witness=witness)
+    return ExactnessResult(witness=witness)
 
 
 # -- lifting and gauge construction ---------------------------------------------
@@ -456,15 +443,13 @@ def _unary_ansatz_rows(
 
 @dataclass
 class GaugeStepResult:
-    status: str  # "solved" | "undecided"
-    order: int
     diffeo: FormalDiffeo | None = None
     # the product after the gauge, built once for the post-check
     transformed: StarProduct | None = None
 
     @property
     def solved(self) -> bool:
-        return self.status == "solved"
+        return self.diffeo is not None
 
 
 def gauge_step(
@@ -480,18 +465,20 @@ def gauge_step(
 
     Lifts Y to a vector field V with V(f_j) = Y_j, places -V at order n-1
     (the sign that cancels the class), then solves for the order-n operator
-    that kills the remaining symmetric part, on generator monomials.  The
-    transformed product's order-n correction is post-checked to vanish on
-    the subalgebra, so a broken precondition gives UNDECIDED or an
-    AssertionError, never a wrong gauge.  At order 1 the class is
-    gauge-invariant, so Y must be zero and only the unary solve runs.
+    that kills the remaining symmetric part, on generator monomials.  When
+    the lift or that solve finds nothing within the bounds, the result is
+    empty: no diffeo and no transformed product.  The transformed product's
+    order-n correction is post-checked to vanish on the subalgebra, so a
+    broken precondition gives UNDECIDED or an AssertionError, never a wrong
+    gauge.  At order 1 the class is gauge-invariant, so Y must be zero and
+    only the unary solve runs.
     """
     if n < 1 or (n == 1 and not Y.is_zero()):
         raise ValueError("gauge steps start at order 1, where the witness must be zero")
     _require_certified(s, n)
     lifted = lift_witness(system, Y, bounds.degree)
     if lifted is None:
-        return GaugeStepResult(status="undecided", order=n)
+        return GaugeStepResult()
     partial_parts: dict[int, PolyDiffOp] = {}
     if not lifted.is_zero():
         partial_parts[n - 1] = -hkr_to_cochain(lifted)
@@ -499,7 +486,7 @@ def gauge_step(
     staged = gauge_transform(s, partial) if partial_parts else s
     correction = _solve_unary_correction(staged, system, n, bounds)
     if correction is None:
-        return GaugeStepResult(status="undecided", order=n)
+        return GaugeStepResult()
     parts = dict(partial_parts)
     if not correction.is_zero():
         parts[n] = correction
@@ -507,7 +494,7 @@ def gauge_step(
     transformed = gauge_transform(s, diffeo)
     if not vanishes_on_generators(transformed.term(n), system):
         raise AssertionError("gauge step failed its built-in restriction post-check")
-    return GaugeStepResult(status="solved", order=n, diffeo=diffeo, transformed=transformed)
+    return GaugeStepResult(diffeo, transformed)
 
 
 # -- the elimination loop --------------------------------------------------------
@@ -526,13 +513,18 @@ class OrderRecord:
 @dataclass
 class ObstructionReport:
     status: str
-    order_reached: int
-    classes: list[RelativeClass]
     gauge: FormalDiffeo
     star: StarProduct
-    records: list[OrderRecord]
-    bounds: Bounds
+    records: list[OrderRecord]  # one per order 1..order_reached
     detail: str = ""
+
+    @property
+    def order_reached(self) -> int:
+        return self.records[-1].order
+
+    @property
+    def classes(self) -> list[RelativeClass]:
+        return [r.obstruction for r in self.records]
 
 
 def eliminate_to_order(
@@ -560,17 +552,8 @@ def eliminate_to_order(
     gauge = FormalDiffeo.identity(s.dim, s.order)
     records: list[OrderRecord] = []
 
-    def finish(status: str, order_reached: int, detail: str) -> ObstructionReport:
-        return ObstructionReport(
-            status=status,
-            order_reached=order_reached,
-            classes=[r.obstruction for r in records],
-            gauge=gauge,
-            star=current,
-            records=records,
-            bounds=bounds,
-            detail=detail,
-        )
+    def finish(status: str, detail: str) -> ObstructionReport:
+        return ObstructionReport(status, gauge, current, records, detail)
 
     for n in range(1, order + 1):
         if vanishes_on_generators(current.term(n), system):
@@ -588,7 +571,7 @@ def eliminate_to_order(
             # obstruction, zero leaves only the symmetric part to remove
             if not chi.is_zero():
                 return finish(
-                    OBSTRUCTED, 1, "nonzero first-order commutator on generators (gauge-invariant)"
+                    OBSTRUCTED, "nonzero first-order commutator on generators (gauge-invariant)"
                 )
             witness = RelativeClass.zero(s.dim, system.size, 1)
         else:
@@ -606,19 +589,18 @@ def eliminate_to_order(
                 if exact.certificate == "zero_image":
                     return finish(
                         OBSTRUCTED,
-                        n,
                         "the horizontal differential has identically zero image "
                         "(all generators are Casimirs), so the nonzero class is "
                         "exact at no degree",
                     )
                 return finish(
-                    UNDECIDED, n, f"exactness solve infeasible at degree bound {bounds.degree}"
+                    UNDECIDED, f"exactness solve infeasible at degree bound {bounds.degree}"
                 )
             witness = exact.witness
         step = gauge_step(current, system, n, witness, bounds)
         record.step = step
         if not step.solved:
-            return finish(UNDECIDED, n, f"gauge step at order {n} exhausted the ansatz bounds")
+            return finish(UNDECIDED, f"gauge step at order {n} exhausted the ansatz bounds")
         current = step.transformed
         gauge = compose_diffeo(gauge, step.diffeo)
 
@@ -626,5 +608,5 @@ def eliminate_to_order(
         if not vanishes_on_generators(current.term(k), system):
             raise AssertionError(f"final audit failed at order {k}")
     return finish(
-        TRIVIALIZED, order, "all restricted correction tables vanish after the accumulated gauge"
+        TRIVIALIZED, "all restricted correction tables vanish after the accumulated gauge"
     )

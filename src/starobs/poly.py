@@ -85,7 +85,9 @@ class Polynomial:
                     raise ValueError(f"negative exponent in {exps}")
                 if type(coeff) is not int:
                     if type(coeff) is not Fraction:
-                        coeff = Fraction(coeff)
+                        raise TypeError(
+                            f"coefficients must be int or Fraction, not {type(coeff).__name__}"
+                        )
                     if coeff.denominator == 1:
                         coeff = coeff.numerator
                 _accumulate(clean, exps, coeff)
@@ -319,11 +321,17 @@ class _Parser:
     the interpreter's recursion limit.  A base of more than one term is
     raised at most to MAX_SUM_POWER: a k-term base to the power n has up
     to C(n+k-1, k-1) terms, so (x+y+z+w+1)^24 alone would cost seconds.
-    A monomial base takes any power.
+    A power is rejected when a coefficient of it has more than
+    MAX_COEFFICIENT_DIGITS digits above or below the fraction bar: the
+    interpreter converts no longer integer to a string, so no report could
+    print it.  A monomial base's coefficient c becomes c^n, which is decided
+    before it is computed: (3/7*x)^3000000 alone would take a minute.
     """
 
     MAX_NESTING = 100
     MAX_SUM_POWER = 12
+    MAX_COEFFICIENT_DIGITS = 4300  # the interpreter's default int-to-string limit
+    _COEFFICIENT_BOUND = 10**MAX_COEFFICIENT_DIGITS
     DIGITS = "0123456789"  # str.isdigit also takes digits int() rejects, such as '²'
 
     def __init__(self, text: str, names: Sequence[str]):
@@ -383,18 +391,38 @@ class _Parser:
 
     def factor(self) -> Polynomial:
         base = self.atom()
-        if self.take("^"):
-            self.skip_ws()
-            start = self.pos
-            expo = self.integer("exponent")
-            if len(base.terms) > 1 and expo > self.MAX_SUM_POWER:
-                self.pos = start
+        if not self.take("^"):
+            return base
+        self.skip_ws()
+        start = self.pos
+        expo = self.integer("exponent")
+        end, self.pos = self.pos, start  # errors point at the exponent
+        if len(base.terms) > 1 and expo > self.MAX_SUM_POWER:
+            self.error(
+                f"exponent {expo} on a base of {len(base.terms)} terms "
+                f"exceeds {self.MAX_SUM_POWER}"
+            )
+        if len(base.terms) == 1:
+            self.check_coefficient(next(iter(base.terms.values())), expo)
+        power = base**expo
+        for c in power.terms.values():
+            self.check_coefficient(c, 1)
+        self.pos = end
+        return power
+
+    def check_coefficient(self, c: Fraction | int, n: int):
+        """An error unless c^n has at most MAX_COEFFICIENT_DIGITS digits above
+        and below the fraction bar, decided without computing a longer power."""
+        limit = self._COEFFICIENT_BOUND
+        for k in (abs(c.numerator), c.denominator):
+            # 2^bits <= k, so k^n >= 2^(n bits), past the limit once n bits reaches
+            # its bit length; below that k^n < 2^(2 n bits) is cheap to compute
+            bits = k.bit_length() - 1
+            if n * bits >= limit.bit_length() or k**n >= limit:
                 self.error(
-                    f"exponent {expo} on a base of {len(base.terms)} terms "
-                    f"exceeds {self.MAX_SUM_POWER}"
+                    f"a coefficient of this power has more than "
+                    f"{self.MAX_COEFFICIENT_DIGITS} digits"
                 )
-            return base**expo
-        return base
 
     def atom(self) -> Polynomial:
         ch = self.peek()

@@ -143,10 +143,6 @@ class PolyDiffOp:
         return cls(dim, arity, {})
 
     @classmethod
-    def from_polynomial(cls, p: Polynomial) -> PolyDiffOp:
-        return cls(p.dim, 0, {(): p})
-
-    @classmethod
     def multiplication(cls, dim: int) -> PolyDiffOp:
         """The product cochain m(a, b) = ab."""
         z = zero_exponents(dim)
@@ -349,12 +345,11 @@ def hkr_to_cochain(P: Polyvector) -> PolyDiffOp:
 
     Degree k maps to the arity-k operator
     (1/k!) sum_sigma sgn(sigma) X_1(g_sigma(1)) ... X_k(g_sigma(k)),
-    expanded on the coordinate decomposition of P.
+    expanded on the coordinate decomposition of P; degree 0 gives
+    multiplication by the function, an arity-0 operator.
     """
     dim = P.dim
     k = P.degree
-    if k == 0:
-        return PolyDiffOp.from_polynomial(P.as_polynomial())
     terms: dict[DerivKey, Polynomial] = {}
     norm = Fraction(1, math.factorial(k))
     units = [tuple(1 if t == s else 0 for t in range(dim)) for s in range(dim)]

@@ -274,12 +274,8 @@ def gauge_transform(s: StarProduct, D: FormalDiffeo) -> StarProduct:
 
 @dataclass
 class ExtensionResult:
-    """Outcome of solving the order-(n+1) associativity constraint."""
+    """Outcome of solving the order-(n+1) associativity constraint; empty when undecided."""
 
-    status: str  # "solved" or "undecided"
-    new_order: int
-    coefficient_degree: int
-    operator_order: int
     particular: PolyDiffOp | None = None
     # (operators F with constant coefficients, shifts e): the basis is x^e F, F-major
     freedom: tuple[Sequence[PolyDiffOp], Sequence[Exponents]] = ((), ())
@@ -287,7 +283,7 @@ class ExtensionResult:
 
     @property
     def solved(self) -> bool:
-        return self.status == "solved"
+        return self.particular is not None
 
 
 def extend_one_order(
@@ -297,11 +293,12 @@ def extend_one_order(
 
     Finds B_{n+1} with hochschild_d(B_{n+1}) equal to the lower-order
     associator sum, for n the product's order.  Returns one particular
-    solution plus the cocycle freedom inside the ansatz, or an
-    "undecided" report when the ansatz is too small (never a claim that
-    no extension exists).  The freedom is the pair (operators, shifts):
-    M's nullspace as constant-coefficient operators F and the
-    coefficient monomials e, standing for the basis {x^e F}, F-major.
+    solution plus the cocycle freedom inside the ansatz, or an empty
+    result, with no particular solution, when the ansatz is too small
+    (never a claim that no extension exists).  The freedom is the pair
+    (operators, shifts): M's nullspace as constant-coefficient operators F
+    and the coefficient monomials e, standing for the basis {x^e F},
+    F-major.
 
     The ansatz columns are x^e d^key, key = (a, b) with |a|, |b| <=
     operator_order and |e| <= coefficient_degree.  B_0 is commutative,
@@ -336,11 +333,10 @@ def extend_one_order(
     # the order-(n+1) associator without its two B_{n+1} terms
     target = s._associator(n + 1, range(1, n + 1))
 
-    undecided = ExtensionResult("undecided", n + 1, coefficient_degree, operator_order)
     emons = exponents_upto(dim, coefficient_degree)
     emon_set = set(emons)
     if not all(emon_set.issuperset(p.terms) for p in target.terms.values()):
-        return undecided
+        return ExtensionResult()
     weights = {tuple(map(sum, zip(*k))) for k in target.terms}
     keys = [
         (a, b)
@@ -353,11 +349,11 @@ def extend_one_order(
         for dkey, v in _key_differential(dim, key, table).items():
             matrix.setdefault(dkey, {})[ci] = v
     if not all(k in matrix for k in target.terms):
-        return undecided
+        return ExtensionResult()
     rhs = [target.terms[k].terms if k in target.terms else {} for k in matrix]
     result = linsolve.solve_sparse(list(matrix.values()), rhs, len(keys), want_nullspace=True)
     if not result.solved:
-        return undecided
+        return ExtensionResult()
     solution = {
         (e, keys[ci]): v for e, block in result.solution.items() for ci, v in block.items()
     }
@@ -371,12 +367,4 @@ def extend_one_order(
     if not (target + extended._associator(n + 1, (0, n + 1))).is_zero():
         raise AssertionError("extension failed its built-in residual post-check")
     extended._inherit_certificate(n + 1)
-    return ExtensionResult(
-        status="solved",
-        new_order=n + 1,
-        coefficient_degree=coefficient_degree,
-        operator_order=operator_order,
-        particular=particular,
-        freedom=(operators, emons),
-        extended=extended,
-    )
+    return ExtensionResult(particular, (operators, emons), extended)

@@ -204,6 +204,11 @@ def scaled(P, factor):
     return P._like({i: p * factor for i, p in P.components.items()})
 
 
+def op_from_polynomial(p: Polynomial) -> PolyDiffOp:
+    """The arity-0 operator of a function: multiplication by p."""
+    return PolyDiffOp(p.dim, 0, {(): p})
+
+
 def coordinate_field(dim: int, i: int) -> Polyvector:
     """The vector field d_i."""
     return Polyvector(dim, 1, {(i,): Polynomial.one(dim)})
@@ -428,15 +433,13 @@ def reference_extend_one_order(s, coefficient_degree, operator_order):
         eqs._add_rhs(coord, v)
     solved = eqs._solve(want_nullspace=True)
     if solved is None:
-        return ExtensionResult("undecided", n + 1, coefficient_degree, operator_order, freedom=[])
+        return ExtensionResult(freedom=[])
     solution, nullspace = solved
     particular = PolyDiffOp(dim, 2, _gather_monomials(dim, solution))
     freedom = [PolyDiffOp(dim, 2, _gather_monomials(dim, vec)) for vec in nullspace]
     extended = StarProduct(dim, n + 1, list(s.corrections) + [particular])
     assert extended.assoc_residual(n + 1).is_zero()
-    return ExtensionResult(
-        "solved", n + 1, coefficient_degree, operator_order, particular, freedom, extended
-    )
+    return ExtensionResult(particular, freedom, extended)
 
 
 # -- term-by-term Hochschild differential, the reference for the key-factored one --

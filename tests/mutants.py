@@ -81,7 +81,7 @@ MUTANTS = [
         "extension tests the coefficient degree after assembling M",
         "star.py",
         "    if not all(emon_set.issuperset(p.terms) for p in target.terms.values()):\n"
-        "        return undecided\n"
+        "        return ExtensionResult()\n"
         "    weights = {tuple(map(sum, zip(*k))) for k in target.terms}\n"
         "    keys = [\n"
         "        (a, b)\n"
@@ -106,7 +106,7 @@ MUTANTS = [
         "        for dkey, v in _key_differential(dim, key, table).items():\n"
         "            matrix.setdefault(dkey, {})[ci] = v\n"
         "    if not all(emon_set.issuperset(p.terms) for p in target.terms.values()):\n"
-        "        return undecided\n"
+        "        return ExtensionResult()\n"
         "    if not all(k in matrix for k in target.terms):\n",
         (FACTORED + "test_extension_target_outside_the_ansatz_makes_no_solve",),
     ),
@@ -150,7 +150,7 @@ MUTANTS = [
         "obstruction.py",
         "eqs._add((alpha, add_exponents(mono, e)), (e, (a,)), c)",
         "eqs._add((alpha, mono), (e, (a,)), c)",
-        (FACTORED + "test_unary_correction_matches_reference_solve",),
+        (FACTORED + "test_unary_rows_match_per_column_reference_on_planted_product",),
     ),
     Mutant(
         "restricted values multiply each factor on the left",
@@ -172,7 +172,10 @@ MUTANTS = [
         "obstruction.py",
         "            if es and sum(a) != 1:\n",
         "            if es and sum(a) > 1:\n",
-        (FACTORED + "test_unary_correction_matches_pair_reference_on_random_planted_products",),
+        (
+            FACTORED
+            + "test_unary_rows_match_reference_in_order_with_derivation_and_constant_columns",
+        ),
     ),
     Mutant(
         "generator monomial lists built on every call",
@@ -217,6 +220,28 @@ MUTANTS = [
         "        if type(other) is not type(self):\n",
         "        if not isinstance(other, _OperatorSeries):\n",
         ("tests/test_star.py::test_series_equality_is_type_exact",),
+    ),
+    # results that store only what their solver found: solved is derived
+    Mutant(
+        "an exactness result without a witness counts as solved",
+        "obstruction.py",
+        "        return self.witness is not None\n",
+        "        return True\n",
+        ("tests/test_obstruction.py::test_eliminate_undecided_when_bounds_exhausted",),
+    ),
+    Mutant(
+        "a gauge step without a diffeo counts as solved",
+        "obstruction.py",
+        "        return self.diffeo is not None\n",
+        "        return True\n",
+        ("tests/test_cli.py::test_first_order_undecided_records_its_gauge_step",),
+    ),
+    Mutant(
+        "an extension without a particular solution counts as solved",
+        "star.py",
+        "        return self.particular is not None\n",
+        "        return True\n",
+        ("tests/test_star.py::test_extension_undecided_when_ansatz_too_small",),
     ),
 ]
 

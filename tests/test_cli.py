@@ -644,6 +644,24 @@ def star_with_slot(slot):
             [],
             "star.order: must be at most 32, got 1000000000",
         ),
+        (
+            {"poisson": [[1, 2, "(3/7*x)^400000"]]},
+            [],
+            "poisson[0]: at position 8 in '(3/7*x)^400000': "
+            "a coefficient of this power has more than 4300 digits",
+        ),
+        (
+            {"generators": ["2^20000*y", "z"]},
+            [],
+            "generators[0]: at position 2 in '2^20000*y': "
+            "a coefficient of this power has more than 4300 digits",
+        ),
+        (
+            {"generators": ["y", "(3/7*z)^3000000"]},
+            [],
+            "generators[1]: at position 8 in '(3/7*z)^3000000': "
+            "a coefficient of this power has more than 4300 digits",
+        ),
     ],
     ids=[
         "poisson-not-list",
@@ -680,6 +698,9 @@ def star_with_slot(slot):
         "generator-unicode-digit",
         "generator-number-too-long",
         "star-order-above-cap",
+        "poisson-coefficient-power-too-long",
+        "generator-constant-power-too-long",
+        "generator-monomial-power-too-long",
     ],
 )
 def test_malformed_input_exits_1_naming_the_field(tmp_path, capsys, patch, flags, message):

@@ -96,6 +96,14 @@ def graded_rows(target, system, degree, alphas, emons):
     return eqs.columns, (row_labels(eqs), eqs.rows, eqs.rhs)
 
 
+def assert_monomial_rows_match_pair_reference(star, system, n, bounds, columns):
+    """obstruction's monomial rows keep the pair assembler's columns, in order,
+    and the unary solve gives the pair reference's correction."""
+    assert _unary_ansatz_rows(star.term(n), system, bounds).columns == columns
+    want = reference_pair_unary_correction(star, system, n, bounds)
+    assert _solve_unary_correction(star, system, n, bounds) == want
+
+
 def reference_on_columns(target, mons, alphas, emons, columns):
     """reference_unary_rows on the given columns and the rows they reach or that carry a rhs.
 
@@ -136,6 +144,7 @@ def test_unary_rows_match_per_column_reference_on_planted_product():
     assert 0 < len(columns) < len(alphas) * len(emons)
     # monomial generators: the pair assembler sees the very same rows, in the same order
     assert graded == reference_on_columns(target, mons, alphas, emons, columns)
+    assert_monomial_rows_match_pair_reference(star, system, 2, Bounds(1, 2), columns)
 
 
 def test_unary_rows_match_reference_in_order_with_derivation_and_constant_columns():
@@ -153,11 +162,13 @@ def test_unary_rows_match_reference_in_order_with_derivation_and_constant_column
     labels = graded[0]
     assert any(ue == (0, 0) for (ue, _), _ in labels)
     assert graded == reference_on_columns(target, mons, alphas, emons, columns)
+    assert_monomial_rows_match_pair_reference(star, system, 2, Bounds(1, 2), columns)
 
 
 def test_unary_rows_match_per_column_reference_on_polynomial_generators():
     system = rotation_system()
-    target = moyal_star(system.pi, 2).term(2)
+    star = moyal_star(system.pi, 2)
+    target = star.term(2)
     mons = generator_monomials(system, 2)
     # the target has weight (-2, -2) in (x-degree, p-degree): d^a needs |a| = 4 to reach it
     alphas, emons = exponents_upto(4, 4), exponents_upto(4, 1)
@@ -165,8 +176,10 @@ def test_unary_rows_match_per_column_reference_on_polynomial_generators():
     assert 0 < len(columns) < len(alphas) * len(emons)
     reference = reference_on_columns(target, mons, alphas, emons, columns)
     assert as_mapping(*graded) == as_mapping(*reference)
+    assert_monomial_rows_match_pair_reference(star, system, 2, Bounds(1, 4), columns)
     short = exponents_upto(4, 3)
     assert reference_pair_unary_rows(target, system, 2, short, emons) is None
+    assert _unary_ansatz_rows(target, system, Bounds(1, 3)) is None
 
 
 @pytest.mark.parametrize(
@@ -366,7 +379,7 @@ SOLVED_EXTENSIONS = [
 def test_extension_matches_reference_solve(star, degree, op_order):
     got = extend_one_order(star, degree, op_order)
     want = reference_extend_one_order(star, degree, op_order)
-    assert got.status == want.status
+    assert got.solved == want.solved
     assert got.particular == want.particular
     assert expand_freedom(got) == want.freedom
     if got.solved:
@@ -459,7 +472,7 @@ def test_extension_target_outside_the_ansatz_makes_no_solve(monkeypatch):
     monkeypatch.setattr(star_module, "_key_differential", counting)
     star, degree, op_order = gauged_truncation(canonical_pi2(), 2, R2O2)
     # the order-3 target has coefficients of degree 2, above the bound 1
-    assert extend_one_order(star, 1, op_order).status == "undecided"
+    assert not extend_one_order(star, 1, op_order).solved
     assert solves == []
     # decided before M is assembled
     assert differentials == []

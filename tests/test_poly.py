@@ -135,6 +135,28 @@ def test_parse_huge_power_is_one_monomial():
     assert parse_polynomial("x^1000000", ["x"]) == Polynomial.monomial(1, (1000000,))
 
 
+def test_parse_rejects_a_coefficient_power_no_report_can_print():
+    names = ["x", "y"]
+    start = time.perf_counter()
+    with pytest.raises(PolynomialParseError, match=r"^at position 8 in .*: a coefficient of this"):
+        parse_polynomial("(3/7*x)^3000000", names)
+    assert time.perf_counter() - start < 0.05
+    # 2^14284 has 4,300 digits, the most an int prints; 2^14285 has 4,301
+    assert parse_polynomial("2^14284*x", names) == Polynomial.monomial(2, (1, 0), 2**14284)
+    assert parse_polynomial("(1/2*y)^14284", names).terms == {(0, 14284): Fraction(1, 2**14284)}
+    for text in ("2^14285*x", "(1/2*y)^14285", "(x + 10^400*y)^11"):
+        with pytest.raises(PolynomialParseError, match="more than 4300 digits"):
+            parse_polynomial(text, names)
+
+
+@pytest.mark.parametrize("coeff", [0.5, 1.0, "1/3", True, None])
+def test_polynomial_takes_only_exact_coefficients(coeff):
+    with pytest.raises(TypeError, match="coefficients must be int or Fraction"):
+        Polynomial(1, {(1,): coeff})
+    assert Polynomial(1, {(1,): Fraction(2, 4)}).terms == {(1,): Fraction(1, 2)}
+    assert Polynomial(1, {(1,): Fraction(4, 2)}).terms == {(1,): 2}
+
+
 def test_power_matches_repeated_product():
     base = parse_polynomial("x+1", ["x"])
     product = Polynomial.one(1)

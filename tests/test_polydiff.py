@@ -5,6 +5,7 @@ import pytest
 from helpers import (
     canonical_pi2,
     flat_scenario,
+    op_from_polynomial,
     p2,
     rand_multi_index,
     rand_op,
@@ -47,7 +48,7 @@ def test_apply_tensor_derivatives():
 
 def test_apply_arity_zero():
     c = p2("x*p - 3")
-    assert PolyDiffOp.from_polynomial(c).apply([]) == c
+    assert op_from_polynomial(c).apply([]) == c
 
 
 def test_apply_polynomial_coefficient():
@@ -101,7 +102,7 @@ def test_cup_sign_on_derivations():
 
 
 def test_cup_with_arity_zero():
-    f = PolyDiffOp.from_polynomial(p2("x"))
+    f = op_from_polynomial(p2("x"))
     psi = PolyDiffOp.single(2, [(0, 1)])
     out = cup(f, psi)
     assert out.apply([p2("p^2")]) == p2("2*x*p")
@@ -140,7 +141,7 @@ def test_self_insertion_matches_residual_witness():
 
 def test_circ_rejects_arity_zero_outer():
     with pytest.raises(ValueError):
-        gerst_circ(PolyDiffOp.from_polynomial(p2("x")), dxdp())
+        gerst_circ(op_from_polynomial(p2("x")), dxdp())
 
 
 def test_bracket_with_multiplication_measures_derivation_failure():
@@ -195,6 +196,14 @@ def test_differential_is_bracket_with_multiplication():
 
 
 # -- the antisymmetrization map ---------------------------------------------------------
+
+
+@pytest.mark.parametrize("text", ["x*p + 3", "0", "2/3"])
+def test_function_maps_to_multiplication_by_it(text):
+    op = hkr_to_cochain(Polyvector.from_polynomial(p2(text)))
+    want = op_from_polynomial(p2(text))
+    assert op == want and list(op.terms) == list(want.terms)
+    assert op.arity == 0 and op.apply([]) == p2(text)
 
 
 def test_vector_field_maps_to_itself():
@@ -285,12 +294,12 @@ def test_vanishing_table_predicts_higher_degrees():
 
 
 def test_differential_of_scalar_cochain_vanishes():
-    out = hochschild_d(PolyDiffOp.from_polynomial(p2("x*p")))
+    out = hochschild_d(op_from_polynomial(p2("x*p")))
     assert out.arity == 1 and out.is_zero()
 
 
 def test_restricted_values_arity_zero():
-    op = PolyDiffOp.from_polynomial(p2("x"))
+    op = op_from_polynomial(p2("x"))
     table = restricted_values(op, momentum_line())
     assert table == {(): p2("x")}
 
