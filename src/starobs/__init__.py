@@ -39,8 +39,6 @@ from .obstruction import (
 from .poly import Polynomial, PolynomialParseError, parse_polynomial
 from .polydiff import (
     PolyDiffOp,
-    generator_monomials,
-    hkr_to_cochain,
     hochschild_d,
     restricted_values,
     vanishes_on_generators,
@@ -86,9 +84,7 @@ __all__ = [
     "extend_one_order",
     "gauge_step",
     "gauge_transform",
-    "generator_monomials",
     "hamiltonian_field",
-    "hkr_to_cochain",
     "hochschild_d",
     "jacobi_check",
     "lift_witness",

@@ -274,10 +274,8 @@ def load_problem_data(data: dict) -> Problem:
     ]
 
     bounds_data = _field(data, "bounds", dict, "bounds")
-    bounds = Bounds(
-        degree=_integer(bounds_data.get("degree", 3), "bounds.degree", 0),
-        op_order=_integer(bounds_data.get("op_order", 3), "bounds.op_order", 0),
-    )
+    given = [key for key in ("degree", "op_order") if key in bounds_data]  # else Bounds' default
+    bounds = Bounds(**{key: _integer(bounds_data[key], f"bounds.{key}", 0) for key in given})
     command = data.get("command")
     if command is not None and command not in COMMANDS:
         raise ProblemError(f"unknown command {command!r}; expected one of {', '.join(COMMANDS)}")

@@ -31,18 +31,17 @@ from .poly import _accumulate
 
 @dataclass
 class LinearSolveResult:
-    status: str  # "solved" or "infeasible"
-    # with vector right-hand sides: label -> solution, and residual is a vector
+    # None for infeasible systems; with vector right-hand sides: label -> solution
     solution: dict[int, Fraction] | None = None
     rank: int = 0
-    free_columns: list[int] = field(default_factory=list)
     nullspace: list[dict[int, Fraction]] = field(default_factory=list)
-    # for infeasible systems: a reduced row 0 = residual with residual != 0
+    # for infeasible systems: a reduced row 0 = residual with residual != 0,
+    # a vector with vector right-hand sides
     residual: Fraction | None = None
 
     @property
     def solved(self) -> bool:
-        return self.status == "solved"
+        return self.solution is not None
 
 
 def solve_sparse(
@@ -67,9 +66,9 @@ def solve_sparse(
 
     The pivot rows end in the reduced row-echelon form of the system for
     the given column order, which is unique: a solved result (solution,
-    rank, free columns, nullspace) therefore does not depend on the order
-    of the rows.  Only an infeasible result's residual and partial rank
-    do, as they come from the first row found inconsistent.
+    rank, nullspace) therefore does not depend on the order of the rows.
+    Only an infeasible result's residual and partial rank do, as they come
+    from the first row found inconsistent.
 
     The pivot rows are kept reduced against each other: each has a 1 in
     its own pivot column and a 0 in every other pivot column.  A new row
@@ -104,7 +103,7 @@ def solve_sparse(
         if not row:
             if br:
                 residual = br if vector else br[None]
-                return LinearSolveResult(status="infeasible", rank=len(pivots), residual=residual)
+                return LinearSolveResult(rank=len(pivots), residual=residual)
             continue
         # normalize on the smallest-index column for determinism
         pc = min(row)
@@ -145,21 +144,18 @@ def solve_sparse(
     for pr, pc in pivots:
         for k, v in b[pr].items():
             solutions.setdefault(k, {})[pc] = v
-    free_cols = [c for c in range(ncols) if c not in pivot_of_col]
     nullspace: list[dict[int, Fraction]] = []
     if want_nullspace:
         col_of_pivot_row = dict(pivots)
-        for fc in free_cols:
+        for fc in (c for c in range(ncols) if c not in pivot_of_col):
             vec: dict[int, Fraction] = {fc: 1}
             # rows were made pivots in increasing index order
             for pr in sorted(col_rows.get(fc, ())):
                 vec[col_of_pivot_row[pr]] = -work[pr][fc]
             nullspace.append(vec)
     return LinearSolveResult(
-        status="solved",
         solution=solutions if vector else solutions.get(None, {}),
         rank=len(pivots),
-        free_columns=free_cols,
         nullspace=nullspace,
     )
 

@@ -38,12 +38,12 @@ from .poly import (
     add_exponents,
     exponents_upto,
     sub_exponents,
+    unit_exponents,
 )
 from .polydiff import (
     PolyDiffOp,
     _GeneratorTable,
-    generator_monomials,
-    hkr_to_cochain,
+    _peel,
     hochschild_d,
     restricted_values,
     vanishes_on_generators,
@@ -178,14 +178,12 @@ def _require_certified(s: StarProduct, n: int):
 
 
 def _raw_class(s: StarProduct, system: IntegrableSystem, n: int) -> RelativeClass:
+    """B_n on every ordered pair of distinct generators, as a class: RelativeClass
+    enters (j, i) as -(i, j), so component (i, j) is B_n(f_i, f_j) - B_n(f_j, f_i)."""
     op = s.term(n)
-    comps = {}
     gens = system.generators
-    for i in range(len(gens)):
-        for j in range(i + 1, len(gens)):
-            value = op.apply([gens[i], gens[j]]) - op.apply([gens[j], gens[i]])
-            if not value.is_zero():
-                comps[(i, j)] = value
+    pairs = itertools.permutations(range(len(gens)), 2)
+    comps = {(i, j): op.apply([gens[i], gens[j]]) for i, j in pairs}
     return RelativeClass(system.dim, len(gens), 2, comps)
 
 
@@ -300,39 +298,40 @@ def exactness_solve(
 
 def lift_witness(
     system: IntegrableSystem, Y: RelativeClass, degree_bound: int
-) -> Polyvector | None:
-    """Vector field V with V(f_j) = Y_j for every generator.
+) -> PolyDiffOp | None:
+    """Derivation V = sum_k V_k d_k with V(f_j) = Y_j for every generator.
 
     The componentwise linear system is solved over the ansatz of
-    components of degree at most degree_bound, and the lift is
-    post-checked exactly.  Returns None when the ansatz is exhausted.
+    components of degree at most degree_bound, column (e, (unit_k,)) for
+    x^e d_k, and the lift is post-checked exactly.  Returns None when the
+    ansatz is exhausted.
     """
     if Y.degree != 1 or Y.system_size != system.size:
         raise ValueError("need a degree-1 class for this system")
     dim = system.dim
     if Y.is_zero():
-        return Polyvector.zero(dim, 1)
+        return PolyDiffOp.zero(dim, 1)
 
     emons = exponents_upto(dim, degree_bound)
-    eqs = _SparseSystem([(e, (k,)) for k in range(dim) for e in emons])
+    units = [unit_exponents(dim, k) for k in range(dim)]
+    eqs = _SparseSystem([(e, (u,)) for u in units for e in emons])
     for j, g in enumerate(system.generators):
-        partials = [g.partial(k) for k in range(dim)]
-        for k in range(dim):
+        for k, u in enumerate(units):
+            partial = g.partial(k)
             for e in emons:
-                for mono, v in (Polynomial.monomial(dim, e) * partials[k]).terms.items():
-                    eqs._add((j, mono), (e, (k,)), v)
+                for mono, v in (Polynomial.monomial(dim, e) * partial).terms.items():
+                    eqs._add((j, mono), (e, (u,)), v)
         for mono, v in Y.component((j,)).terms.items():
             eqs._add_rhs((j, mono), v)
 
     solved = eqs._solve()
     if solved is None:
         return None
-    field_ = Polyvector(dim, 1, _gather_monomials(dim, solved[0]))
-    derivation = hkr_to_cochain(field_)
+    derivation = PolyDiffOp(dim, 1, _gather_monomials(dim, solved[0]))
     for j, g in enumerate(system.generators):
         if derivation.apply([g]) != Y.component((j,)):
             raise AssertionError("vector field lift failed its post-check")
-    return field_
+    return derivation
 
 
 def _weight_map(system: IntegrableSystem) -> Callable[[Exponents], tuple]:
@@ -379,11 +378,11 @@ def _unary_ansatz_rows(
     On C = k[f_1..f_k] the orders below B vanish, so B|_C is a 2-cocycle, and
     with no antisymmetric part on generator pairs it is exact, C being
     polynomial.  phi0(1) = -B(1, 1), phi0(f_i) = 0, phi0(m f_i) = phi0(m) f_i +
-    B(m, f_i) (f_i the last generator, as _GeneratorTable peels it) is a
-    primitive: any primitive less phi0 obeys the Leibniz rule on each such
-    (m, f_i), so by induction it is a derivation.  B + dD = d(D - phi0) thus
-    vanishes on C exactly when D - phi0 is the derivation its values on the
-    f_i fix: D(f^alpha) - sum_i alpha_i f^(alpha - e_i) D(f_i) = phi0(f^alpha).
+    B(m, f_i) (i, m = _peel(alpha)) is a primitive: any primitive less phi0
+    obeys the Leibniz rule on each such (m, f_i), so by induction it is a
+    derivation.  B + dD = d(D - phi0) thus vanishes on C exactly when
+    D - phi0 is the derivation its values on the f_i fix:
+    D(f^alpha) - sum_i alpha_i f^(alpha - e_i) D(f_i) = phi0(f^alpha).
     Both sides vanish when |alpha| = 1, and the left one on d^a with |a| = 1
     (chain rule), so those columns are left out.  [phi0, f] = B(f, .) + phi0(f)
     on C, so D - phi0 less that derivation has order <= max(op order,
@@ -401,8 +400,8 @@ def _unary_ansatz_rows(
     weight = _weight_map(system)
     table, z = system._monomials, system._monomials.zero
     degree = max(target.order(), bounds.op_order) + 1
-    exps = [e for e, _ in generator_monomials(system, degree)]
-    units = [tuple(int(k == i) for k in range(system.size)) for i in range(system.size)]
+    exps = exponents_upto(system.size, degree)
+    units = [unit_exponents(system.size, i) for i in range(system.size)]
     nought = Polynomial.zero(system.dim)
 
     def on(ue: Exponents, ve: Exponents) -> Polynomial:  # B(f^ue, f^ve)
@@ -410,8 +409,7 @@ def _unary_ansatz_rows(
 
     phi0 = {exps[0]: -on(exps[0], exps[0])}  # exps[0] is 1
     for alpha in exps[1:]:  # lex order: alpha less its last generator comes first
-        i = max(k for k, x in enumerate(alpha) if x)
-        m = sub_exponents(alpha, units[i])
+        i, m = _peel(alpha)
         phi0[alpha] = phi0[m] * system.generators[i] + on(m, units[i]) if any(m) else nought
     # generator monomials are homogeneous: one monomial gives each one's weight
     live = {
@@ -463,7 +461,7 @@ def gauge_step(
     correction below order n vanishes on the subalgebra (eliminate_to_order
     keeps that; it is not re-checked here).
 
-    Lifts Y to a vector field V with V(f_j) = Y_j, places -V at order n-1
+    Lifts Y to a derivation V with V(f_j) = Y_j, places -V at order n-1
     (the sign that cancels the class), then solves for the order-n operator
     that kills the remaining symmetric part, on generator monomials.  When
     the lift or that solve finds nothing within the bounds, the result is
@@ -481,7 +479,7 @@ def gauge_step(
         return GaugeStepResult()
     partial_parts: dict[int, PolyDiffOp] = {}
     if not lifted.is_zero():
-        partial_parts[n - 1] = -hkr_to_cochain(lifted)
+        partial_parts[n - 1] = -lifted
     partial = FormalDiffeo.from_parts(s.dim, s.order, partial_parts)
     staged = gauge_transform(s, partial) if partial_parts else s
     correction = _solve_unary_correction(staged, system, n, bounds)

@@ -321,11 +321,14 @@ class _Parser:
     the interpreter's recursion limit.  A base of more than one term is
     raised at most to MAX_SUM_POWER: a k-term base to the power n has up
     to C(n+k-1, k-1) terms, so (x+y+z+w+1)^24 alone would cost seconds.
-    A power is rejected when a coefficient of it has more than
+    A sum, difference, product or power is rejected, at its operator (a
+    power at its exponent), when a coefficient of it has more than
     MAX_COEFFICIENT_DIGITS digits above or below the fraction bar: the
     interpreter converts no longer integer to a string, so no report could
-    print it.  A monomial base's coefficient c becomes c^n, which is decided
-    before it is computed: (3/7*x)^3000000 alone would take a minute.
+    print it.  Checking every operation keeps each operand within the cap,
+    so no long chain of them builds a longer coefficient first.  A monomial
+    base's coefficient c becomes c^n, which is decided before it is
+    computed: (3/7*x)^3000000 alone would take a minute.
     """
 
     MAX_NESTING = 100
@@ -375,18 +378,19 @@ class _Parser:
             else:
                 break
         result = self.term() * sign
-        while True:
-            if self.take("+"):
-                result = result + self.term()
-            elif self.take("-"):
-                result = result - self.term()
-            else:
-                return result
+        while (op := self.peek()) in ("+", "-"):
+            at = self.pos
+            self.pos += 1
+            other = self.term()
+            result = self.checked(result + other if op == "+" else result - other, at, "sum")
+        return result
 
     def term(self) -> Polynomial:
         result = self.factor()
-        while self.take("*"):
-            result = result * self.factor()
+        while self.peek() == "*":
+            at = self.pos
+            self.pos += 1
+            result = self.checked(result * self.factor(), at, "product")
         return result
 
     def factor(self) -> Polynomial:
@@ -403,14 +407,20 @@ class _Parser:
                 f"exceeds {self.MAX_SUM_POWER}"
             )
         if len(base.terms) == 1:
-            self.check_coefficient(next(iter(base.terms.values())), expo)
-        power = base**expo
-        for c in power.terms.values():
-            self.check_coefficient(c, 1)
+            self.check_coefficient(next(iter(base.terms.values())), expo, "power")
         self.pos = end
-        return power
+        return self.checked(base**expo, start, "power")
 
-    def check_coefficient(self, c: Fraction | int, n: int):
+    def checked(self, p: Polynomial, at: int, what: str) -> Polynomial:
+        """p, the `what` of the operator at position `at`, unless a coefficient
+        of p is too long for check_coefficient: then an error at `at`."""
+        end, self.pos = self.pos, at
+        for c in p.terms.values():
+            self.check_coefficient(c, 1, what)
+        self.pos = end
+        return p
+
+    def check_coefficient(self, c: Fraction | int, n: int, what: str):
         """An error unless c^n has at most MAX_COEFFICIENT_DIGITS digits above
         and below the fraction bar, decided without computing a longer power."""
         limit = self._COEFFICIENT_BOUND
@@ -420,7 +430,7 @@ class _Parser:
             bits = k.bit_length() - 1
             if n * bits >= limit.bit_length() or k**n >= limit:
                 self.error(
-                    f"a coefficient of this power has more than "
+                    f"a coefficient of this {what} has more than "
                     f"{self.MAX_COEFFICIENT_DIGITS} digits"
                 )
 

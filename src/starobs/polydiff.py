@@ -22,7 +22,6 @@ import math
 from fractions import Fraction
 from typing import TYPE_CHECKING, Iterator, Mapping, Sequence
 
-from .multivec import Polyvector, sort_with_sign
 from .poly import (
     Exponents,
     Polynomial,
@@ -340,80 +339,46 @@ def hochschild_d(op: PolyDiffOp) -> PolyDiffOp:
     return PolyDiffOp._trusted(op.dim, op.arity + 1, terms)
 
 
-def hkr_to_cochain(P: Polyvector) -> PolyDiffOp:
-    """Antisymmetrized first-order cochain of a polyvector field.
-
-    Degree k maps to the arity-k operator
-    (1/k!) sum_sigma sgn(sigma) X_1(g_sigma(1)) ... X_k(g_sigma(k)),
-    expanded on the coordinate decomposition of P; degree 0 gives
-    multiplication by the function, an arity-0 operator.
-    """
-    dim = P.dim
-    k = P.degree
-    terms: dict[DerivKey, Polynomial] = {}
-    norm = Fraction(1, math.factorial(k))
-    units = [tuple(1 if t == s else 0 for t in range(dim)) for s in range(dim)]
-    for idx, c in P.components.items():
-        for sigma in itertools.permutations(range(k)):
-            sign = sort_with_sign(sigma)[1]
-            derivs: list[Exponents] = [zero_exponents(dim)] * k
-            for a in range(k):
-                derivs[sigma[a]] = units[idx[a]]
-            _accumulate(terms, tuple(derivs), c * (norm * sign))
-    return PolyDiffOp(dim, k, terms)
-
-
 # -- restriction to the generated subalgebra ----------------------------------
+
+
+def _peel(e: Exponents) -> tuple[int, Exponents]:
+    """(i, e - e_i) for i the last generator in the nonzero exponents e: the
+    generator monomial f^e as f^(e - e_i) times f_i."""
+    i = max(k for k, x in enumerate(e) if x)
+    return i, e[:i] + (e[i] - 1,) + e[i + 1 :]
 
 
 class _GeneratorTable(dict):
     """d^a of the monomials in one system's generators, keyed by (a, generator
     exponents), each built once per system on its first lookup (a = 0: the
-    monomial, the one with one factor less times its last generator), and
-    generator_monomials' lists by degree.  Held by IntegrableSystem._monomials.
+    monomial, _peel's shorter one times its generator).  Held by
+    IntegrableSystem._monomials.
     """
 
-    __slots__ = ("generators", "zero", "lists")
+    __slots__ = ("generators", "zero")
 
     def __init__(self, generators: Sequence[Polynomial]):
         super().__init__()
         self.generators = generators
         self.zero = zero_exponents(generators[0].dim)
-        self.lists: dict[int, list[tuple[Exponents, Polynomial]]] = {}
 
     def __missing__(self, key: tuple[Exponents, Exponents]) -> Polynomial:
         a, e = key
         if any(a):
             p = self[self.zero, e].partial_multi(a)
         elif any(e):
-            i = max(k for k, x in enumerate(e) if x)
-            p = self[self.zero, e[:i] + (e[i] - 1,) + e[i + 1 :]] * self.generators[i]
+            i, rest = _peel(e)
+            p = self[self.zero, rest] * self.generators[i]
         else:
             p = Polynomial.one(len(self.zero))
         self[key] = p
         return p
 
 
-def generator_monomials(
-    system: "IntegrableSystem", max_degree: int
-) -> list[tuple[Exponents, Polynomial]]:
-    """Monomials in the generators up to the given total degree.
-
-    Returns (exponent tuple over generators, expanded polynomial) pairs,
-    in lex order on the exponents; includes the constant 1.  Built once per
-    system and degree and shared by every caller: it must not be mutated.
-    """
-    table = system._monomials
-    mons = table.lists.get(max_degree)
-    if mons is None:
-        exps = exponents_upto(system.size, max_degree)
-        mons = table.lists[max_degree] = [(e, table[table.zero, e]) for e in exps]
-    return mons
-
-
 def _restricted_items(op: PolyDiffOp, system: "IntegrableSystem", degree: int) -> Iterator:
-    """(per-slot generator exponents, op value) on the tuples of generator_monomials
-    (system, degree) where op is nonzero, lazily and in itertools.product order
+    """(per-slot generator exponents, op value) on the tuples of generator monomials
+    of degree <= `degree` where op is nonzero, lazily and in itertools.product order
     (sorted key order).  The stream is sparse: a tuple where op vanishes is not yielded.
 
     Each prefix of leading slots carries the (key, partial product) pairs of
@@ -423,10 +388,10 @@ def _restricted_items(op: PolyDiffOp, system: "IntegrableSystem", degree: int) -
     op.apply on its tuple, term order included.  Derivatives come from the
     system's _GeneratorTable.
     """
-    mons = generator_monomials(system, degree)
+    mons = exponents_upto(system.size, degree)
     table = system._monomials
     alphas = {a for key in op.terms for a in key}
-    derivs = {a: {e: table[a, e] for e, _ in mons} for a in alphas}
+    derivs = {a: {e: table[a, e] for e in mons} for a in alphas}
 
     def walk(slot, exps, live):
         if slot == op.arity:
@@ -434,7 +399,7 @@ def _restricted_items(op: PolyDiffOp, system: "IntegrableSystem", degree: int) -
             if value:
                 yield exps, value
             return
-        for e, _ in mons:
+        for e in mons:
             # a product of nonzero polynomials is nonzero: only a zero factor kills a term
             step = []
             for key, v in live:
@@ -468,10 +433,9 @@ def restricted_values(
     reads d^a of each generator monomial from the system's table; each
     equals op.apply on its tuple, term order included.
     """
-    mons = generator_monomials(system, op.order())
     values = dict(_restricted_items(op, system, op.order()))
     zero = Polynomial.zero(op.dim)
-    keys = itertools.product([e for e, _ in mons], repeat=op.arity)
+    keys = itertools.product(exponents_upto(system.size, op.order()), repeat=op.arity)
     return {exps: values.get(exps, zero) for exps in keys}
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import random
 from fractions import Fraction
 from typing import Sequence
@@ -15,6 +16,7 @@ from starobs import (
     PolyDiffOp,
     Polynomial,
     Polyvector,
+    RelativeClass,
     moyal_star,
     parse_polynomial,
 )
@@ -36,7 +38,6 @@ from starobs.polydiff import (
     _binom_multi,
     _restricted_items,
     _sub_multi_indices,
-    generator_monomials,
 )
 from starobs.star import ExtensionResult, StarProduct
 
@@ -209,6 +210,14 @@ def op_from_polynomial(p: Polynomial) -> PolyDiffOp:
     return PolyDiffOp(p.dim, 0, {(): p})
 
 
+def generator_monomials(system: IntegrableSystem, max_degree: int) -> list:
+    """(exponents over the generators, expanded polynomial) pairs of the
+    generator monomials up to max_degree, in lex order, read from the
+    system's table."""
+    table = system._monomials
+    return [(e, table[table.zero, e]) for e in exponents_upto(system.size, max_degree)]
+
+
 def coordinate_field(dim: int, i: int) -> Polyvector:
     """The vector field d_i."""
     return Polyvector(dim, 1, {(i,): Polynomial.one(dim)})
@@ -251,6 +260,60 @@ def op_add(a: PolyDiffOp, b: PolyDiffOp) -> PolyDiffOp:
             return a
         raise AssertionError("incompatible arities on nonzero operators")
     return a + b
+
+
+# -- the HKR map and the vector-field lift, the reference for the operator lift ----
+
+
+def hkr_to_cochain(P: Polyvector) -> PolyDiffOp:
+    """Antisymmetrized first-order cochain of a polyvector field.
+
+    Degree k maps to the arity-k operator
+    (1/k!) sum_sigma sgn(sigma) X_1(g_sigma(1)) ... X_k(g_sigma(k)),
+    expanded on the coordinate decomposition of P; degree 0 gives
+    multiplication by the function, an arity-0 operator.
+    """
+    dim = P.dim
+    k = P.degree
+    terms: dict[DerivKey, Polynomial] = {}
+    norm = Fraction(1, math.factorial(k))
+    units = [tuple(1 if t == s else 0 for t in range(dim)) for s in range(dim)]
+    for idx, c in P.components.items():
+        for sigma in itertools.permutations(range(k)):
+            sign = sort_with_sign(sigma)[1]
+            derivs: list[Exponents] = [zero_exponents(dim)] * k
+            for a in range(k):
+                derivs[sigma[a]] = units[idx[a]]
+            _accumulate(terms, tuple(derivs), c * (norm * sign))
+    return PolyDiffOp(dim, k, terms)
+
+
+def reference_lift_witness(
+    system: IntegrableSystem, Y: RelativeClass, degree_bound: int
+) -> Polyvector | None:
+    """Vector field V with V(f_j) = Y_j for every generator, column (e, (k,))
+    for x^e d_k, post-checked through hkr_to_cochain: the lift as it was
+    solved before it returned its derivation."""
+    dim = system.dim
+    if Y.is_zero():
+        return Polyvector.zero(dim, 1)
+    emons = exponents_upto(dim, degree_bound)
+    eqs = _SparseSystem([(e, (k,)) for k in range(dim) for e in emons])
+    for j, g in enumerate(system.generators):
+        for k in range(dim):
+            partial = g.partial(k)
+            for e in emons:
+                for mono, v in (Polynomial.monomial(dim, e) * partial).terms.items():
+                    eqs._add((j, mono), (e, (k,)), v)
+        for mono, v in Y.component((j,)).terms.items():
+            eqs._add_rhs((j, mono), v)
+    solved = eqs._solve()
+    if solved is None:
+        return None
+    field_ = Polyvector(dim, 1, _gather_monomials(dim, solved[0]))
+    derivation = hkr_to_cochain(field_)
+    assert all(derivation.apply([g]) == Y.component((j,)) for j, g in enumerate(system.generators))
+    return field_
 
 
 # -- per-column ansatz assemblers, the reference for the factored kernels ---------
@@ -588,9 +651,9 @@ def reference_solve_sparse(
 
     The pivot rows end in the reduced row-echelon form of the system for
     the given column order, which is unique: a solved result (solution,
-    rank, free columns, nullspace) therefore does not depend on the order
-    of the rows.  Only an infeasible result's residual and partial rank
-    do, as they come from the first row found inconsistent.
+    rank, nullspace) therefore does not depend on the order of the rows.
+    Only an infeasible result's residual and partial rank do, as they come
+    from the first row found inconsistent.
     """
     if len(rows) != len(rhs):
         raise ValueError("row/rhs length mismatch")
@@ -616,7 +679,7 @@ def reference_solve_sparse(
             b[r] -= factor * b[pr]
         if not row:
             if b[r]:
-                return LinearSolveResult(status="infeasible", rank=len(pivots), residual=b[r])
+                return LinearSolveResult(rank=len(pivots), residual=b[r])
             continue
         # normalize on the smallest-index column for determinism
         pc = min(row)
@@ -642,23 +705,16 @@ def reference_solve_sparse(
         pivot_of_col[pc] = r
 
     solution = {pc: b[pr] for pr, pc in pivots if b[pr]}
-    free_cols = [c for c in range(ncols) if c not in pivot_of_col]
     nullspace: list[dict[int, Fraction]] = []
     if want_nullspace:
-        for fc in free_cols:
+        for fc in (c for c in range(ncols) if c not in pivot_of_col):
             vec: dict[int, Fraction] = {fc: Fraction(1)}
             for pr, pc in pivots:
                 v = work[pr].get(fc)
                 if v:
                     vec[pc] = -v
             nullspace.append(vec)
-    return LinearSolveResult(
-        status="solved",
-        solution=solution,
-        rank=len(pivots),
-        free_columns=free_cols,
-        nullspace=nullspace,
-    )
+    return LinearSolveResult(solution=solution, rank=len(pivots), nullspace=nullspace)
 
 
 def reference_residual_witness(res: PolyDiffOp, names: list[str]) -> dict | None:

@@ -178,13 +178,6 @@ MUTANTS = [
         ),
     ),
     Mutant(
-        "generator monomial lists built on every call",
-        "polydiff.py",
-        "    mons = table.lists.get(max_degree)\n",
-        "    mons = None\n",
-        (RESTRICTED + "test_generator_monomials_are_built_once_per_system",),
-    ),
-    Mutant(
         "generator table keeps no derivative",
         "polydiff.py",
         "        self[key] = p\n",
@@ -242,6 +235,34 @@ MUTANTS = [
         "        return self.particular is not None\n",
         "        return True\n",
         ("tests/test_star.py::test_extension_undecided_when_ansatz_too_small",),
+    ),
+    # the operator lift, the class from ordered pairs and the parser's operation caps
+    Mutant(
+        "lift columns on the wrong unit multi-index",
+        "obstruction.py",
+        "    units = [unit_exponents(dim, k) for k in range(dim)]\n",
+        "    units = [unit_exponents(dim, dim - 1 - k) for k in range(dim)]\n",
+        ("tests/test_obstruction.py::test_lift_matches_the_vector_field_reference",),
+    ),
+    Mutant(
+        "class read on unordered pairs, with no antisymmetrization",
+        "obstruction.py",
+        "itertools.permutations(range(len(gens)), 2)",
+        "itertools.combinations(range(len(gens)), 2)",
+        (
+            "tests/test_obstruction.py::"
+            "test_class_is_the_antisymmetrized_operator_on_generator_pairs",
+        ),
+    ),
+    Mutant(
+        "no coefficient check after '*'",
+        "poly.py",
+        '            result = self.checked(result * self.factor(), at, "product")\n',
+        "            result = result * self.factor()\n",
+        (
+            "tests/test_poly.py::"
+            "test_parse_rejects_a_sum_or_product_no_report_can_print_at_its_operator",
+        ),
     ),
 ]
 

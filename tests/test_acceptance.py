@@ -12,6 +12,7 @@ from helpers import (
     canonical_pi2,
     canonical_pi4,
     flat_scenario,
+    hkr_to_cochain,
     is_identity,
     non_poisson_pi,
     obstructed_scenario,
@@ -45,7 +46,6 @@ from starobs import (
     eliminate_to_order,
     extend_one_order,
     gauge_transform,
-    hkr_to_cochain,
     hochschild_d,
     jacobi_check,
     moyal_star,

@@ -528,6 +528,9 @@ def test_cli_bound_flags_override_problem_file(tmp_path, capsys):
 
 DEEP_GENERATOR = "(" * 3000 + "y" + ")" * 3000
 LONG_NUMBER = "7" * 5000  # above the interpreter's 4,300-digit int() limit
+NINES = "9" * 4300  # 10^4300 - 1, the longest integer the interpreter prints
+LONG_SUM = NINES + "*y + y"
+LONG_QUOTIENT_SUM = f"1/{NINES}*y + 1/{NINES[:-1]}7*y"
 
 
 def star_with_slot(slot):
@@ -662,6 +665,24 @@ def star_with_slot(slot):
             "generators[1]: at position 8 in '(3/7*z)^3000000': "
             "a coefficient of this power has more than 4300 digits",
         ),
+        (
+            {"generators": ["2^14000*2^14000*y", "z"]},
+            [],
+            "generators[0]: at position 7 in '2^14000*2^14000*y': "
+            "a coefficient of this product has more than 4300 digits",
+        ),
+        (
+            {"generators": [LONG_SUM, "z"]},
+            [],
+            f"generators[0]: at position 4303 in …{LONG_SUM[4273:]!r}: "
+            "a coefficient of this sum has more than 4300 digits",
+        ),
+        (
+            {"generators": [LONG_QUOTIENT_SUM, "z"]},
+            [],
+            f"generators[0]: at position 4305 in …{LONG_QUOTIENT_SUM[4275:4335]!r}…: "
+            "a coefficient of this sum has more than 4300 digits",
+        ),
     ],
     ids=[
         "poisson-not-list",
@@ -701,6 +722,9 @@ def star_with_slot(slot):
         "poisson-coefficient-power-too-long",
         "generator-constant-power-too-long",
         "generator-monomial-power-too-long",
+        "generator-product-too-long",
+        "generator-sum-too-long",
+        "generator-sum-of-quotients-too-long",
     ],
 )
 def test_malformed_input_exits_1_naming_the_field(tmp_path, capsys, patch, flags, message):

@@ -24,6 +24,7 @@ from helpers import (
     canonical_pi2,
     canonical_pi4,
     expand_freedom,
+    generator_monomials,
     p3,
     p4,
     plane_pi3,
@@ -62,7 +63,7 @@ from starobs.cli import (
 )
 from starobs.obstruction import _solve_unary_correction, _unary_ansatz_rows, _weight_map
 from starobs.poly import exponents_upto, zero_exponents
-from starobs.polydiff import _key_differential, generator_monomials
+from starobs.polydiff import _key_differential
 
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"

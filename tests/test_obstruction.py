@@ -1,18 +1,23 @@
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from helpers import (
     canonical_pi2,
     canonical_pi4,
     flat_scenario,
+    hkr_to_cochain,
     is_identity,
     obstructed_scenario,
     p2,
     p3,
     p4,
     pzw,
+    rand_op,
     rand_poly,
+    rand_vector_field,
+    reference_lift_witness,
     removable_scenario,
     trivial_star,
 )
@@ -35,15 +40,17 @@ from starobs import (
     exactness_solve,
     gauge_step,
     gauge_transform,
-    hkr_to_cochain,
     lift_witness,
     moyal_star,
     restricted_values,
     validate_system,
     vanishes_on_generators,
 )
+from starobs.cli import load_problem
+from starobs.obstruction import _raw_class
 
 BOUNDS = Bounds(degree=2, op_order=2)
+PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 
 
 def two_e12(dim: int) -> RelativeClass:
@@ -127,6 +134,33 @@ def test_class_matches_commutator_coefficients():
                 assert series[2] == chi.component((i, j))
 
 
+def test_class_is_the_antisymmetrized_operator_on_generator_pairs(monkeypatch):
+    # a random, mostly symmetric B_1 on three generators: component (i, j) is
+    # B_1(f_i, f_j) - B_1(f_j, f_i), from one apply per ordered pair
+    rng = random.Random(44)
+    system = IntegrableSystem(canonical_pi2(), [p2("x"), p2("p + x^2"), p2("x*p")])
+    gens = system.generators
+    calls = []
+    original = PolyDiffOp.apply
+
+    def counting(self, args):
+        calls.append(args)
+        return original(self, args)
+
+    for _ in range(10):
+        op = rand_op(rng, 2, 2, order=2, coeff_degree=1, terms=3)
+        expected = {}
+        for i, j in [(0, 1), (0, 2), (1, 2)]:
+            value = op.apply([gens[i], gens[j]]) - op.apply([gens[j], gens[i]])
+            if value:
+                expected[(i, j)] = value
+        monkeypatch.setattr(PolyDiffOp, "apply", counting)
+        calls.clear()
+        assert _raw_class(StarProduct(2, 1, [op]), system, 1) == RelativeClass(2, 3, 2, expected)
+        assert len(calls) == 6
+        monkeypatch.undo()
+
+
 # -- closedness -------------------------------------------------------------------
 
 
@@ -200,14 +234,15 @@ def test_coordinate_lift_closed_form():
     _, system = removable_scenario()
     Y = RelativeClass(3, 2, 1, {(1,): p3("-2*x")})
     lifted = lift_witness(system, Y, 2)
-    assert lifted == Polyvector(3, 1, {(2,): p3("-2*x")})
+    assert lifted == PolyDiffOp.single(3, [(0, 0, 1)], p3("-2*x"))
 
 
 def test_coordinate_lift_honours_degree_bound():
     _, system = removable_scenario()
     Y = RelativeClass(3, 2, 1, {(0,): p3("x^3"), (1,): p3("y")})
     assert lift_witness(system, Y, 2) is None
-    assert lift_witness(system, Y, 3) == Polyvector(3, 1, {(1,): p3("x^3"), (2,): p3("y")})
+    expected = PolyDiffOp(3, 1, {((0, 1, 0),): p3("x^3"), ((0, 0, 1),): p3("y")})
+    assert lift_witness(system, Y, 3) == expected
 
 
 def test_generic_lift_by_linear_solve():
@@ -217,14 +252,46 @@ def test_generic_lift_by_linear_solve():
     Y = RelativeClass(4, 2, 1, {(0,): p4("x1"), (1,): p4("p1")})
     lifted = lift_witness(system, Y, 2)
     assert lifted is not None
-    op = hkr_to_cochain(lifted)
+    assert lifted.arity == 1 and lifted.order() == 1
+    assert all(sum(a) == 1 for (a,) in lifted.terms)  # a derivation: no d^0 term
     for j, g in enumerate(system.generators):
-        assert op.apply([g]) == Y.component((j,))
+        assert lifted.apply([g]) == Y.component((j,))
 
 
 def test_lift_zero_class():
     _, system = removable_scenario()
-    assert lift_witness(system, RelativeClass.zero(3, 2, 1), 2).is_zero()
+    assert lift_witness(system, RelativeClass.zero(3, 2, 1), 2) == PolyDiffOp.zero(3, 1)
+
+
+def lift_systems():
+    """The plane system k[y, z], R^4 k[p1, p2 + p1^2] and rotation_momenta."""
+    rotation = load_problem(str(PROBLEMS / "rotation_momenta.json")).integrable
+    polynomial = IntegrableSystem(canonical_pi4(), [p4("p1"), p4("p2 + p1^2")])
+    return [removable_scenario()[1], polynomial, rotation]
+
+
+@pytest.mark.parametrize("index", range(3), ids=["plane", "p1-p2+p1^2", "rotation_momenta"])
+def test_lift_matches_the_vector_field_reference(index):
+    # the operator lift is the HKR image of the vector-field lift, None and zero included
+    system = lift_systems()[index]
+    rng = random.Random(90 + index)
+    dim, size = system.dim, system.size
+    outcomes = set()
+    for trial in range(24):
+        if trial % 8 == 0:
+            Y = RelativeClass.zero(dim, size, 1)
+        elif trial % 2:  # the generator values of a field: a lift exists at degree 2
+            field = hkr_to_cochain(rand_vector_field(rng, dim, degree=1))
+            values = {(j,): field.apply([g]) for j, g in enumerate(system.generators)}
+            Y = RelativeClass(dim, size, 1, values)
+        else:
+            Y = RelativeClass(dim, size, 1, {(j,): rand_poly(rng, dim) for j in range(size)})
+        for bound in (1, 2):
+            got = lift_witness(system, Y, bound)
+            field_ = reference_lift_witness(system, Y, bound)
+            assert got == (None if field_ is None else hkr_to_cochain(field_))
+            outcomes.add("none" if got is None else "zero" if got.is_zero() else "lift")
+    assert outcomes == {"none", "zero", "lift"}
 
 
 # -- gauge step --------------------------------------------------------------------

@@ -149,6 +149,30 @@ def test_parse_rejects_a_coefficient_power_no_report_can_print():
             parse_polynomial(text, names)
 
 
+def test_parse_rejects_a_sum_or_product_no_report_can_print_at_its_operator():
+    names = ["x", "y"]
+    nines = "9" * 4300  # 10^4300 - 1, the longest integer the interpreter prints
+    cases = [
+        ("2^14000*2^14000*x", 7, "product"),
+        (nines + "*x + x", 4303, "sum"),
+        (nines + "*x - (-x)", 4303, "sum"),
+        (f"1/{nines}*x + 1/{nines[:-1]}7*x", 4305, "sum"),
+        # each term passes; the sum is caught at its first '+', before the
+        # denominators of the others are multiplied in
+        (" + ".join(f"1/{nines[:-1]}{d}*x" for d in "1379" * 25), 4305, "sum"),
+    ]
+    start = time.perf_counter()
+    for text, at, what in cases:
+        message = rf"^at position {at} in .*: a coefficient of this {what} has more than 4300"
+        with pytest.raises(PolynomialParseError, match=message):
+            parse_polynomial(text, names)
+    assert time.perf_counter() - start < 1.0
+    # at 4,300 digits the result still loads
+    loaded = parse_polynomial(nines + "*x + 0*x + y", names)
+    assert loaded.terms == {(1, 0): 10**4300 - 1, (0, 1): 1}
+    assert parse_polynomial("2^14000*2^284*x", names) == Polynomial.monomial(2, (1, 0), 2**14284)
+
+
 @pytest.mark.parametrize("coeff", [0.5, 1.0, "1/3", True, None])
 def test_polynomial_takes_only_exact_coefficients(coeff):
     with pytest.raises(TypeError, match="coefficients must be int or Fraction"):

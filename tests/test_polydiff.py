@@ -5,6 +5,7 @@ import pytest
 from helpers import (
     canonical_pi2,
     flat_scenario,
+    hkr_to_cochain,
     op_from_polynomial,
     p2,
     rand_multi_index,
@@ -22,7 +23,6 @@ from starobs import (
     PolyDiffOp,
     Polynomial,
     Polyvector,
-    hkr_to_cochain,
     hochschild_d,
     moyal_star,
     parse_polynomial,
