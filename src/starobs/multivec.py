@@ -92,7 +92,7 @@ class _Alternating:
                     raise ValueError("component dimension mismatch")
                 key, sign = sort_with_sign(idx)
                 if sign:
-                    _accumulate(clean, key, poly * sign)
+                    _accumulate(clean, key, poly if sign > 0 else -poly)
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "components", clean)

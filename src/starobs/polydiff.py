@@ -321,22 +321,37 @@ def _key_differential(
     return terms
 
 
+def _differential_into(
+    terms: dict, op: PolyDiffOp, sign: int, table: dict[Exponents, Leibniz]
+) -> None:
+    """Add sign * hochschild_d(op) to the caller's term map.
+
+    `terms` maps derivative keys to {monomial: coefficient}, as for
+    PolyDiffOp._compose_into, and `table` is the caller's Leibniz table.
+    B_0 is commutative, so a coefficient c passes through every term of
+    d: d(c d^key) = c d(d^key).  Each term c d^key of op therefore adds c
+    times the integer operator _key_differential(key), whose cancelled
+    keys never reach a coefficient.
+    """
+    for key, c in op.terms.items():
+        for dkey, weight in _key_differential(op.dim, key, table).items():
+            weight *= sign
+            acc = terms.setdefault(dkey, {})
+            for mono, v in c.terms.items():
+                _accumulate(acc, mono, v * weight if weight != 1 else v)
+
+
 def hochschild_d(op: PolyDiffOp) -> PolyDiffOp:
     """Hochschild differential, arity k -> k+1.
 
     d phi (f_1..f_{k+1}) = f_1 phi(f_2..) + sum_j (-1)^j phi(.., f_j f_{j+1}, ..)
                           + (-1)^(k+1) phi(..) f_{k+1}.
 
-    B_0 is commutative, so a coefficient c passes through every term of
-    d: d(c d^key) = c d(d^key).  d phi is therefore the sum over the terms
-    c d^key of phi of c times the integer operator _key_differential(key).
+    _differential_into on a fresh term map and Leibniz table.
     """
-    table: dict[Exponents, Leibniz] = {}
-    terms: dict[DerivKey, Polynomial] = {}
-    for key, c in op.terms.items():
-        for dkey, weight in _key_differential(op.dim, key, table).items():
-            _accumulate(terms, dkey, c * weight)
-    return PolyDiffOp._trusted(op.dim, op.arity + 1, terms)
+    terms: dict[DerivKey, dict] = {}
+    _differential_into(terms, op, 1, {})
+    return PolyDiffOp._from_term_map(op.dim, op.arity + 1, terms)
 
 
 # -- restriction to the generated subalgebra ----------------------------------

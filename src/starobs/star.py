@@ -4,7 +4,12 @@ A star product of order N is the tuple of its correction operators
 B_1..B_N (bidifferential, arity 2) on top of the implicit commutative
 product B_0 = m.  Associativity is not assumed: it is measured per order
 by ``assoc_residual`` and the largest verified prefix is cached as the
-product's certificate.
+product's certificate.  The order-n residual is
+
+    sum_{0<k<n} (B_k o_0 B_{n-k} - B_k o_1 B_{n-k}) - dB_n,
+
+with o_i insertion into slot i and d the Hochschild differential: the
+insertions of m into B_n and of B_n into m sum to -dB_n.
 
 A formal diffeomorphism is id + sum_k h^k D_k with unary operators D_k;
 it acts on star products by conjugation, order by order.  The formal
@@ -24,7 +29,7 @@ from typing import Sequence
 from . import linsolve
 from .multivec import Polyvector
 from .poly import Exponents, Polynomial, _accumulate, _gather_monomials, exponents_upto
-from .polydiff import DerivKey, Leibniz, PolyDiffOp, _key_differential
+from .polydiff import DerivKey, Leibniz, PolyDiffOp, _differential_into, _key_differential
 
 
 class _OperatorSeries:
@@ -113,26 +118,36 @@ class StarProduct(_OperatorSeries):
         """Order-n associator: sum_{k+l=n} B_k(B_l(.,.),.) - B_k(., B_l(.,.)).
 
         The product is associative at order n iff this arity-3 operator
-        is zero in canonical form.
+        is zero in canonical form.  Its k = 0 and k = n terms, the four
+        insertions of m, sum to -dB_n, so with o_i insertion into slot i
+
+            residual_n = sum_{0<k<n} (B_k o_0 B_{n-k} - B_k o_1 B_{n-k}) - dB_n,
+
+        built in one term map by _compose_into and _differential_into.
         """
         if not 0 <= n <= self.order:
             raise IndexError(f"order {n} out of range (product order {self.order})")
-        return self._associator(n, range(n + 1))
+        table: dict[Exponents, Leibniz] = {}
+        terms = self._insertions(n, range(1, n), table)
+        _differential_into(terms, self.term(n), -1, table)
+        return PolyDiffOp._from_term_map(self.dim, 3, terms)
 
     def _associator(self, n: int, ks: Sequence[int]) -> PolyDiffOp:
         """sum over k in ks of B_k(B_{n-k}(.,.),.) - B_k(., B_{n-k}(.,.)).
 
-        Every insertion is added by PolyDiffOp._compose_into into one term
-        map, with the sign in its weight and one Leibniz table for all of
-        them, k by k and the first slot before the second.
+        Every insertion, those of m included, goes through _compose_into.
         """
+        return PolyDiffOp._from_term_map(self.dim, 3, self._insertions(n, ks, {}))
+
+    def _insertions(self, n: int, ks: Sequence[int], table: dict[Exponents, Leibniz]) -> dict:
+        """_associator's term map, by _compose_into with the caller's Leibniz
+        table, the sign in the weight, k by k and the first slot before the second."""
         terms: dict[DerivKey, dict] = {}
-        table: dict[Exponents, Leibniz] = {}
         for k in ks:
             outer, inner = self.term(k), self.term(n - k)
             outer._compose_into(terms, 0, inner, 1, table)
             outer._compose_into(terms, 1, inner, -1, table)
-        return PolyDiffOp._from_term_map(self.dim, 3, terms)
+        return terms
 
     def certified_order(self) -> int:
         """Largest n such that all residuals at orders <= n vanish."""
@@ -363,7 +378,9 @@ def extend_one_order(
         for vec in result.nullspace
     ]
     extended = StarProduct(dim, n + 1, list(s.corrections) + [particular])
-    # target plus the B_{n+1} terms is the order-(n+1) associator, by _compose_into, not M
+    # target plus the B_{n+1} terms is the order-(n+1) associator.  The B_{n+1} terms
+    # go through _compose_into, not -dB_{n+1}: a check on _key_differential, which
+    # built M, would share any fault of M
     if not (target + extended._associator(n + 1, (0, n + 1))).is_zero():
         raise AssertionError("extension failed its built-in residual post-check")
     extended._inherit_certificate(n + 1)

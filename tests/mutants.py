@@ -167,6 +167,21 @@ MUTANTS = [
         "outer._compose_into(terms, 1, inner, 1, table)",
         ("tests/test_star.py::test_associator_matches_compose_then_merge_reference",),
     ),
+    # the residual as the middle insertions minus dB_n
+    Mutant(
+        "residual adds dB_n with a plus sign",
+        "star.py",
+        "_differential_into(terms, self.term(n), -1, table)",
+        "_differential_into(terms, self.term(n), 1, table)",
+        ("tests/test_star.py::test_residual_matches_compose_then_merge_reference",),
+    ),
+    Mutant(
+        "residual composes from k = 0, counting m o B_n twice",
+        "star.py",
+        "terms = self._insertions(n, range(1, n), table)",
+        "terms = self._insertions(n, range(0, n), table)",
+        ("tests/test_star.py::test_residual_matches_compose_then_merge_reference",),
+    ),
     Mutant(
         "unary rows skip the d^0 columns",
         "obstruction.py",

@@ -164,26 +164,33 @@ def random_product(seed, dim, order):
     return StarProduct(dim, order, ops)
 
 
-@pytest.mark.parametrize(
-    "star",
-    [
-        pytest.param(random_product(11, 1, 3), id="random-r1-o3"),
-        pytest.param(random_product(12, 2, 3), id="random-r2-o3"),
-        pytest.param(random_product(13, 3, 2), id="random-r3-o2"),
-        pytest.param(moyal_star(canonical_pi2(), 3), id="moyal-r2-o3"),
-        pytest.param(
-            moyal_star(Polyvector.bivector(3, {(0, 1): 1, (0, 2): Fraction(-1, 2), (1, 2): 3}), 2),
-            id="moyal-r3-o2",
-        ),
-        pytest.param(moyal_star(canonical_pi4(), 2), id="moyal-r4-o2"),
-    ],
-)
+REFERENCE_PRODUCTS = [
+    pytest.param(random_product(11, 1, 3), id="random-r1-o3"),
+    pytest.param(random_product(12, 2, 3), id="random-r2-o3"),
+    pytest.param(random_product(13, 3, 2), id="random-r3-o2"),
+    pytest.param(moyal_star(canonical_pi2(), 3), id="moyal-r2-o3"),
+    pytest.param(
+        moyal_star(Polyvector.bivector(3, {(0, 1): 1, (0, 2): Fraction(-1, 2), (1, 2): 3}), 2),
+        id="moyal-r3-o2",
+    ),
+    pytest.param(moyal_star(canonical_pi4(), 2), id="moyal-r4-o2"),
+]
+
+
+@pytest.mark.parametrize("star", REFERENCE_PRODUCTS)
 def test_associator_matches_compose_then_merge_reference(star):
     # every order n and every subset ks of 0..n, the empty one included
     for n in range(star.order + 1):
         for size in range(n + 2):
             for ks in itertools.combinations(range(n + 1), size):
                 assert star._associator(n, ks) == reference_associator(star, n, ks)
+
+
+@pytest.mark.parametrize("star", REFERENCE_PRODUCTS)
+def test_residual_matches_compose_then_merge_reference(star):
+    # the residual adds -dB_n in place of the four insertions of m
+    for n in range(star.order + 1):
+        assert star.assoc_residual(n) == reference_associator(star, n, range(n + 1))
 
 
 @pytest.mark.parametrize("k", [-2, -1, 3])
