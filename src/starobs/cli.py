@@ -541,6 +541,13 @@ def _write_json(value: Any, newline: str, out: list[str]) -> None:
             out.append("[]")
             return
         inner = newline + "  "
+        for item in value:
+            if type(item) is not int:  # a bool is not a plain int
+                break
+        else:
+            # a list of plain ints (a multi-index, mostly) in one join, with no call per item
+            out.append("[" + inner + ("," + inner).join(map(int.__repr__, value)) + newline + "]")
+            return
         sep = "[" + inner
         for item in value:
             out.append(sep)

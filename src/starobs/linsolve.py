@@ -1,18 +1,23 @@
-"""Sparse exact linear algebra over the rationals.
+"""Sparse exact linear algebra over the rationals, eliminated in integers.
 
 Systems produced by the operator ansatz solvers are sparse (about one
 nonzero per row) but reach thousands of rows and columns.  ``solve_sparse``
-runs Gauss-Jordan elimination on dict rows of ``int`` or ``Fraction`` entries.  Its
-pivot rows are kept reduced against each other (a 1 in their own pivot
-column, a 0 in every other one), so a new row is cleared only at the
-pivot columns it holds, and an index from each non-pivot column to the
-pivot rows nonzero there drives back-elimination and the nullspace: the
-cost is proportional to the entries touched, not to rows x rank.
-Everything is exact; infeasibility comes with the offending reduced row
-so callers can report an honest certificate.  A right-hand side may be a
-sparse vector of labelled values instead of a number: one elimination
-of A then solves A x = b_label for every label, instead of one
-elimination per label.
+runs Gauss-Jordan elimination on dict rows of ``int`` or ``Fraction``
+entries.  Each row and its right-hand side are scaled to integers once, on
+input, and the elimination never leaves the integers: a pivot row is a
+primitive integer vector (the gcd of its entries and its right-hand side
+is 1) with a positive pivot value p, and stands for the normalized row
+row/p.  The pivot rows are kept reduced against each other (a 0 in every
+other pivot column), so a new row is cleared only at the pivot columns it
+holds, and an index from each non-pivot column to the pivot rows nonzero
+there drives back-elimination and the nullspace: the cost is proportional
+to the entries touched, not to rows x rank.  A rational is made once per
+reported entry, when the solution and the nullspace are read out as b/p
+and -row[c]/p.  Everything is exact; infeasibility comes with the
+offending reduced row so callers can report an honest certificate.  A
+right-hand side may be a sparse vector of labelled values instead of a
+number: one elimination of A then solves A x = b_label for every label,
+instead of one elimination per label.
 
 The obstruction solvers assemble their systems with ``_SparseSystem``:
 columns are fixed up front as a list of labels (that list's order is the
@@ -24,6 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Hashable, Sequence
 
 from .poly import _accumulate
@@ -42,6 +48,44 @@ class LinearSolveResult:
     @property
     def solved(self) -> bool:
         return self.solution is not None
+
+
+def _integers(values: dict, scale: int) -> dict:
+    """scale * values as ints; scale is a multiple of every denominator."""
+    return {
+        k: x * scale if type(x) is int else x.numerator * (scale // x.denominator)
+        for k, x in values.items()
+    }
+
+
+def _ratio(a: int, p: int) -> int | Fraction:
+    """a / p, an int when p divides a."""
+    if p == 1:
+        return a
+    q, r = divmod(a, p)
+    return Fraction(a, p) if r else q
+
+
+def _add_multiple(target: dict, source: dict, f: int) -> None:
+    """target += f * source, dropping the entries that cancel."""
+    for c, v in source.items():
+        _accumulate(target, c, f * v)
+
+
+def _multiply(row: dict, br: dict, m: int) -> None:
+    """row and its right-hand side br times m, in place."""
+    for c in row:
+        row[c] *= m
+    for k in br:
+        br[k] *= m
+
+
+def _divide(row: dict, br: dict, g: int) -> None:
+    """row and its right-hand side br divided by g, which divides every entry."""
+    for c in row:
+        row[c] //= g
+    for k in br:
+        br[k] //= g
 
 
 def solve_sparse(
@@ -70,9 +114,26 @@ def solve_sparse(
     Only an infeasible result's residual and partial rank do, as they come
     from the first row found inconsistent.
 
-    The pivot rows are kept reduced against each other: each has a 1 in
-    its own pivot column and a 0 in every other pivot column.  A new row
-    is therefore cleared by the pivot rows of the pivot columns it holds,
+    The elimination is in integers.  A row and its right-hand side are
+    multiplied by the lcm of their denominators on input; that scale,
+    times every later factor the row is scaled by, is kept only to give an
+    inconsistent row's residual back on the input's scale.  A pivot row is
+    primitive with a positive pivot value p, and stands for row/p: it has
+    p in its own pivot column and a 0 in every other pivot column.  A row
+    holding v in a pivot column whose row has pivot value p is cleared as
+    (p/g) row - (v/g) pivot_row, g = gcd(p, v), and back-elimination of a
+    new pivot from an earlier pivot row follows the same rule.  An earlier
+    pivot row that this scales is divided by its content again, and a new
+    pivot row is made primitive, so the entries stay the size of the
+    reduced row-echelon form's own numerators over a common denominator.
+    Every integer row is a positive multiple of the rational row that
+    plain Gauss-Jordan would hold at the same step, so the same entries
+    cancel in the same order and every dict comes out in the same order.
+    The solution and nullspace entries are read out as b/p and
+    -row[c]/p: one division per reported entry, an int when it is
+    integral.
+
+    A new row is cleared by the pivot rows of the pivot columns it holds,
     each once, and ``col_rows`` indexes, for every non-pivot column, the
     pivot rows with a nonzero there; a new pivot is back-eliminated from
     just those rows, and a free column's nullspace vector is read from
@@ -81,69 +142,88 @@ def solve_sparse(
     if len(rows) != len(rhs):
         raise ValueError("row/rhs length mismatch")
     vector = any(isinstance(v, dict) for v in rhs)
-    work = [dict(r) for r in rows]
-    # a number is the single-label case, under the label None
-    b = [{k: x for k, x in (v if vector else {None: v}).items() if x} for v in rhs]
+    work: list[dict[int, int]] = []
+    b: list[dict[Hashable, int]] = []
     pivot_of_col: dict[int, int] = {}
     pivots: list[tuple[int, int]] = []  # (row, col) in elimination order
+    value: dict[int, int] = {}  # pivot row -> its pivot value p
     col_rows: dict[int, set[int]] = {}  # non-pivot column -> pivot rows nonzero there
 
-    for r in range(len(work)):
-        row, br = work[r], b[r]
+    for r, (source, source_b) in enumerate(zip(rows, rhs)):
+        # a number is the single-label case, under the label None
+        br = {k: x for k, x in (source_b if vector else {None: source_b}).items() if x}
+        fractions = [x for x in (*source.values(), *br.values()) if type(x) is not int]
+        scale = 1
+        if fractions:
+            scale = lcm(*(x.denominator for x in fractions))
+            row, br = _integers(source, scale), _integers(br, scale)
+        else:
+            row = dict(source)
+        work.append(row)
+        b.append(br)
         # clear each pivot column the row holds with that column's pivot row
         for pc in [c for c in row if c in pivot_of_col]:
-            factor = -row[pc]
             pr = pivot_of_col[pc]
-            # pivot value first: an int factor times a Fraction v would
-            # take Fraction's reflected __rmul__
-            for c, v in work[pr].items():
-                _accumulate(row, c, v * factor)
-            for k, v in b[pr].items():
-                _accumulate(br, k, v * factor)
+            p, v = value[pr], row[pc]
+            g = gcd(p, v)
+            if g != p:
+                _multiply(row, br, p // g)
+                scale *= p // g
+            f = -(v // g)
+            _add_multiple(row, work[pr], f)
+            if b[pr]:
+                _add_multiple(br, b[pr], f)
         if not row:
             if br:
-                residual = br if vector else br[None]
-                return LinearSolveResult(rank=len(pivots), residual=residual)
+                residual = {k: _ratio(x, scale) for k, x in br.items()}
+                return LinearSolveResult(
+                    rank=len(pivots), residual=residual if vector else residual[None]
+                )
             continue
-        # normalize on the smallest-index column for determinism
+        # the pivot is on the smallest-index column, for determinism; make the row
+        # primitive with a positive pivot
         pc = min(row)
-        pivot = row[pc]
-        if pivot == -1:
-            # negating keeps integer entries int
-            for c in row:
-                row[c] = -row[c]
-            for k in br:
-                br[k] = -br[k]
-        elif pivot != 1:
-            pivot = Fraction(pivot)  # int / int would give a float
-            for c in row:
-                row[c] /= pivot
-            for k in br:
-                br[k] /= pivot
+        g = gcd(*row.values(), *br.values())
+        if row[pc] < 0:
+            g = -g
+        if g != 1:
+            _divide(row, br, g)
+        p = row[pc]
         # back-eliminate from the earlier pivot rows that hold the new pivot column
         for pr in col_rows.pop(pc, ()):
-            prow = work[pr]
-            factor = -prow[pc]
+            prow, bpr = work[pr], b[pr]
+            u = prow[pc]
+            g = gcd(p, u)
+            m = p // g
+            if m != 1:
+                _multiply(prow, bpr, m)
+            f = -(u // g)
             for c, v in row.items():
-                _accumulate(prow, c, factor * v)
+                _accumulate(prow, c, f * v)
                 if c == pc:
                     continue
                 if c in prow:
                     col_rows.setdefault(c, set()).add(pr)
                 else:
                     col_rows[c].discard(pr)
-            for k, v in br.items():
-                _accumulate(b[pr], k, factor * v)
+            _add_multiple(bpr, br, f)
+            if m != 1:
+                content = gcd(*prow.values(), *bpr.values())
+                if content != 1:
+                    _divide(prow, bpr, content)
+                value[pr] = value[pr] * m // content
         for c in row:
             if c != pc:
                 col_rows.setdefault(c, set()).add(r)
         pivots.append((r, pc))
         pivot_of_col[pc] = r
+        value[r] = p
 
     solutions: dict[Hashable, dict[int, Fraction]] = {}
     for pr, pc in pivots:
+        p = value[pr]
         for k, v in b[pr].items():
-            solutions.setdefault(k, {})[pc] = v
+            solutions.setdefault(k, {})[pc] = _ratio(v, p)
     nullspace: list[dict[int, Fraction]] = []
     if want_nullspace:
         col_of_pivot_row = dict(pivots)
@@ -151,7 +231,7 @@ def solve_sparse(
             vec: dict[int, Fraction] = {fc: 1}
             # rows were made pivots in increasing index order
             for pr in sorted(col_rows.get(fc, ())):
-                vec[col_of_pivot_row[pr]] = -work[pr][fc]
+                vec[col_of_pivot_row[pr]] = _ratio(-work[pr][fc], value[pr])
             nullspace.append(vec)
     return LinearSolveResult(
         solution=solutions if vector else solutions.get(None, {}),

@@ -373,8 +373,12 @@ def extend_one_order(
         (e, keys[ci]): v for e, block in result.solution.items() for ci, v in block.items()
     }
     particular = PolyDiffOp(dim, 2, _gather_monomials(dim, solution))
+    # the keys come from the ansatz and the nullspace entries are nonzero
+    zero = (0,) * dim
     operators = [
-        PolyDiffOp(dim, 2, {keys[ci]: Polynomial.constant(dim, v) for ci, v in vec.items()})
+        PolyDiffOp._trusted(
+            dim, 2, {keys[ci]: Polynomial._trusted(dim, {zero: v}) for ci, v in vec.items()}
+        )
         for vec in result.nullspace
     ]
     extended = StarProduct(dim, n + 1, list(s.corrections) + [particular])

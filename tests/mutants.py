@@ -38,6 +38,7 @@ class Mutant(NamedTuple):
 
 FACTORED = "tests/test_factored_ansatz.py::"
 RESTRICTED = "tests/test_restricted_table.py::"
+LINSOLVE = "tests/test_linsolve.py::"
 
 MUTANTS = [
     # the unary gauge solve on generator monomials
@@ -131,6 +132,13 @@ MUTANTS = [
         '            out.append("[]")\n',
         '            out.append("[" + newline + "]")\n',
         ("tests/test_golden.py::test_golden_text_is_a_render_report_fixed_point",),
+    ),
+    Mutant(
+        "a bool joined into a list of ints as an int",
+        "cli.py",
+        "            if type(item) is not int:  # a bool is not a plain int\n",
+        "            if not isinstance(item, int):\n",
+        ("tests/test_properties.py::test_render_report_matches_the_stdlib_encoder",),
     ),
     Mutant(
         "a zero D_k taken for the identity",
@@ -250,6 +258,28 @@ MUTANTS = [
         "        return self.particular is not None\n",
         "        return True\n",
         ("tests/test_star.py::test_extension_undecided_when_ansatz_too_small",),
+    ),
+    # the integer elimination
+    Mutant(
+        "the earlier row is not scaled by p/g before back-elimination",
+        "linsolve.py",
+        "                _multiply(prow, bpr, m)\n",
+        "                pass\n",
+        (LINSOLVE + "test_matches_the_fraction_solver",),
+    ),
+    Mutant(
+        "the readout ignores the pivot value",
+        "linsolve.py",
+        "solutions.setdefault(k, {})[pc] = _ratio(v, p)",
+        "solutions.setdefault(k, {})[pc] = v",
+        (LINSOLVE + "test_matches_the_fraction_solver",),
+    ),
+    Mutant(
+        "an inconsistent row's residual is left on the integer scale",
+        "linsolve.py",
+        "residual = {k: _ratio(x, scale) for k, x in br.items()}",
+        "residual = {k: x for k, x in br.items()}",
+        (LINSOLVE + "test_matches_the_fraction_solver",),
     ),
     # the operator lift, the class from ordered pairs and the parser's operation caps
     Mutant(

@@ -387,6 +387,24 @@ def test_extension_matches_reference_solve(star, degree, op_order):
         assert got.freedom[1] == exponents_upto(star.dim, degree)
 
 
+@pytest.mark.parametrize("star, degree, op_order", SOLVED_EXTENSIONS)
+def test_freedom_equals_its_validated_construction(star, degree, op_order):
+    """The freedom operators skip validation: building them again through the
+    validating constructors gives the same terms in the same order, and every
+    coefficient is an int when it is integral."""
+    operators = extend_one_order(star, degree, op_order).freedom[0]
+    assert operators
+    for op in operators:
+        terms = {key: Polynomial(op.dim, dict(p.terms)) for key, p in op.terms.items()}
+        validated = PolyDiffOp(op.dim, 2, terms)
+        assert validated == op and list(validated.terms) == list(op.terms)
+        for p, q in zip(validated.terms.values(), op.terms.values()):
+            assert list(p.terms.items()) == list(q.terms.items())
+            assert [type(c) for c in p.terms.values()] == [type(c) for c in q.terms.values()]
+        coefficients = [c for p in op.terms.values() for c in p.terms.values()]
+        assert all(type(c) is int or c.denominator > 1 for c in coefficients)
+
+
 def assert_constant_cocycles(operators):
     """Each operator has constant coefficients and a zero term-by-term differential."""
     assert operators

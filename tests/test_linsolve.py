@@ -1,13 +1,20 @@
 """The sparse exact solver and the labelled system assembler.
 
-`solve_sparse` is checked against `reference_solve_sparse`, the plain
-row-by-pivot Gauss-Jordan elimination it replaced: every field must agree,
-dict key order included.  A solve with vector right-hand sides must agree
-with one scalar solve per label.
+`solve_sparse` eliminates in integers.  It is checked against two
+references: `reference_solve_sparse`, the plain row-by-pivot Gauss-Jordan
+elimination, and `reference_fraction_solve_sparse`, the indexed
+elimination in Fractions that it replaced.  Every field must agree, dict
+key order, residual and partial rank included, on random systems and on
+the systems the shipped problems assemble.  A solve with vector
+right-hand sides must agree with one scalar solve per label.
 """
 
 from __future__ import annotations
 
+import contextlib
+import copy
+import io
+import math
 import random
 import time
 from dataclasses import replace
@@ -15,7 +22,11 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import reference_solve_sparse, row_labels
+from golden.regenerate import COMMANDS, problem_files, run_cli
+from helpers import reference_fraction_solve_sparse, reference_solve_sparse, row_labels
+
+from starobs import linsolve
+from starobs.cli import main
 from starobs.linsolve import _SparseSystem, solve_sparse
 
 
@@ -61,14 +72,36 @@ def random_system(rng: random.Random, consistent: bool):
     return rows, rhs, ncols
 
 
+def ordered(value):
+    """value with every dict turned into its list of items, so that == sees key order."""
+    if isinstance(value, dict):
+        return [(k, ordered(v)) for k, v in value.items()]
+    return value
+
+
 def fields(result):
     return (
         result.solved,
         result.rank,
-        result.residual,
-        None if result.solution is None else list(result.solution.items()),
-        [list(vec.items()) for vec in result.nullspace],
+        ordered(result.residual),
+        ordered(result.solution),
+        [ordered(vec) for vec in result.nullspace],
     )
+
+
+def reported_values(result):
+    """Every number the result reports: solution, nullspace and residual entries."""
+    found = [result.solution, *result.nullspace, result.residual]
+    while any(isinstance(x, dict) for x in found):
+        found = [v for x in found for v in (x.values() if isinstance(x, dict) else (x,))]
+    return [x for x in found if x is not None]
+
+
+def assert_exact_types(result):
+    """Each reported number is an int, or a Fraction that is not integral."""
+    values = reported_values(result)
+    bad = [v for v in values if not (type(v) is int or type(v) is Fraction and v.denominator > 1)]
+    assert not bad, bad[:5]
 
 
 def apply_rows(rows, vec):
@@ -125,14 +158,124 @@ def test_vector_rhs_matches_one_scalar_solve_per_label():
     assert outcomes == {True, False}
 
 
+def integer_rows(rows, rhs):
+    """Each row and its rhs times the lcm of their denominators, as ints."""
+    scaled_rows, scaled_rhs = [], []
+    for row, b in zip(rows, rhs):
+        scale = math.lcm(*(Fraction(v).denominator for v in (*row.values(), b)))
+        scaled_rows.append({c: int(v * scale) for c, v in row.items()})
+        scaled_rhs.append(int(b * scale))
+    return scaled_rows, scaled_rhs
+
+
+def labelled_rhs(rng: random.Random, rows, ncols):
+    """A vector rhs for `rows`: up to four labels, each b = A x or (rarely) random."""
+    per_label = {}
+    for label in "abcd"[: rng.randint(1, 4)]:
+        if rng.random() < 0.8:
+            x = {c: Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for c in range(ncols)}
+            per_label[label] = apply_rows(rows, x)
+        else:
+            per_label[label] = [rng.randint(-2, 2) for _ in rows]
+    return [{k: b[r] for k, b in per_label.items() if b[r]} for r in range(len(rows))]
+
+
+@pytest.mark.parametrize("shape", ["scalar", "vector"])
+@pytest.mark.parametrize("entries", ["fraction", "int"])
+def test_matches_the_fraction_solver(entries, shape):
+    """Random systems, consistent or not, with Fraction or int rows and scalar or
+    vector right-hand sides: every field equals the Fraction elimination's, and
+    every reported number is an int exactly when it is integral."""
+    rng = random.Random(f"linsolve:fraction:{entries}:{shape}")
+    outcomes = set()
+    for i in range(300):
+        rows, rhs, ncols = random_system(rng, consistent=i % 2 == 0)
+        if entries == "int":
+            rows, rhs = integer_rows(rows, rhs)
+        if shape == "vector":
+            rhs = labelled_rhs(rng, rows, ncols)
+        snapshot = copy.deepcopy((rows, rhs))
+        for want_nullspace in (False, True):
+            got = solve_sparse(rows, rhs, ncols, want_nullspace)
+            want = reference_fraction_solve_sparse(rows, rhs, ncols, want_nullspace)
+            assert fields(got) == fields(want)
+            assert_exact_types(got)
+            assert (rows, rhs) == snapshot  # the inputs are not modified
+            outcomes.add(got.solved)
+    assert outcomes == {True, False}
+
+
+# larger bounds on shipped problems; rotation_momenta at (2, 6) ends in an
+# inconsistent 334 x 211 system
+LARGER_BOUNDS = [
+    ("rotation_momenta", "eliminate", (2, 6)),
+    ("moyal_extension", "extend-star", (1, 4)),
+    ("removable_class", "eliminate", (3, 3)),
+]
+
+
+def test_matches_the_fraction_solver_on_the_shipped_problems(monkeypatch):
+    """Every system that the golden requests assemble, and those of a few larger bounds.
+
+    The CLI turns an exception into an exit code, so the wrapper records what it
+    sees and the test asserts afterwards.
+    """
+    solve, seen, mismatched = linsolve.solve_sparse, [], []
+
+    def checked(rows, rhs, ncols, want_nullspace=False):
+        got = solve(rows, rhs, ncols, want_nullspace)
+        want = reference_fraction_solve_sparse(rows, rhs, ncols, want_nullspace)
+        seen.append(got)
+        if fields(got) != fields(want):
+            mismatched.append((len(rows), ncols))
+        return got
+
+    monkeypatch.setattr(linsolve, "solve_sparse", checked)
+    for problem in problem_files():
+        for command in COMMANDS:
+            run_cli(problem, command)
+    problems = {path.stem: str(path) for path in problem_files()}
+    for name, command, (degree, op_order) in LARGER_BOUNDS:
+        argv = ["--problem", problems[name], "--command", command]
+        argv += ["--degree-bound", str(degree), "--op-order-bound", str(op_order)]
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(argv) == 0
+    assert not mismatched, mismatched
+    assert len(seen) == 12 and {result.solved for result in seen} == {True, False}
+    for result in seen:
+        assert_exact_types(result)
+
+
+def test_long_chain_with_pivots_2_and_3_matches_and_stays_small():
+    # x_i - x_(i+1) = b_i / p_i with p_i = 2, 3, 2, ...: the reduced rows are
+    # x_j - x_400 = c_j with c_j's denominator dividing 6.  Every new pivot is
+    # back-eliminated from every earlier row, scaling it by 2 or 3 where the
+    # pivots differ; the time bound guards against entries that grow with the
+    # number of eliminations instead of staying the size of the reduced rows'
+    n = 400
+    rows = [{i: 2 + i % 2, i + 1: -(2 + i % 2)} for i in range(n)]
+    rhs = [1 + i % 5 for i in range(n)]
+    start = time.perf_counter()
+    got = solve_sparse(rows, rhs, n + 1, want_nullspace=True)
+    elapsed = time.perf_counter() - start
+    assert fields(got) == fields(reference_fraction_solve_sparse(rows, rhs, n + 1, True))
+    assert got.rank == n and got.nullspace == [{n: 1, **{j: 1 for j in range(n)}}]
+    assert {Fraction(v).denominator for v in got.solution.values()} <= {1, 2, 3, 6}
+    assert elapsed < 1.0, f"solve took {elapsed:.2f} s"
+
+
 def test_unit_pivots_keep_integer_entries_int():
-    # a -1 pivot is negated, not divided by Fraction(-1), so integer rows stay int
+    # a -1 pivot keeps integer rows int
     solved = solve_sparse([{0: -1, 1: 2}, {1: -1, 2: 3}], [3, 1], 3, want_nullspace=True)
     assert solved.solution == {0: -5, 1: -1}
     assert solved.nullspace == [{2: 1, 0: 6, 1: 3}]
     values = [*solved.solution.values(), *solved.nullspace[0].values()]
     assert all(type(v) is int for v in values)
     assert solve_sparse([{0: 2}], [1], 1).solution == {0: Fraction(1, 2)}
+    # so does any pivot, Fraction entries included, wherever the value is integral
+    halved = solve_sparse([{0: 2, 1: Fraction(4)}], [Fraction(6)], 2, want_nullspace=True)
+    assert halved.solution == {0: 3} and halved.nullspace == [{1: 1, 0: -2}]
+    assert_exact_types(halved)
 
 
 def test_cost_scales_with_nonzeros():

@@ -109,8 +109,13 @@ report_strings = st.text(
     max_size=8,
 )
 report_ints = st.integers() | st.integers(max_value=-1) | st.integers(2**64, 2**200)
+# a list of ints is written in one join, and a bool in it must not be
 report_trees = st.recursive(
-    st.none() | st.booleans() | report_ints | report_strings,
+    st.none()
+    | st.booleans()
+    | report_ints
+    | report_strings
+    | st.lists(report_ints | st.booleans(), min_size=1),
     lambda children: st.lists(children, max_size=4)
     | st.dictionaries(report_strings, children, max_size=4),
     max_leaves=20,
