@@ -13,6 +13,10 @@ output with the generalized Leibniz rule, which keeps everything in
 canonical form.  The Hochschild differential here equals -[., m] for
 the multiplication cochain m and the Gerstenhaber bracket built from
 `compose_at`; the tests check that identity in every arity.
+
+Compositions and differentials are summed in a `_TermMap`: integer
+numerators over one denominator per map, so the many contributions that
+cancel do so in ints, and each surviving entry is divided once.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from typing import TYPE_CHECKING, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Iterator, Mapping, Sequence
 
 from .poly import (
     Exponents,
@@ -87,6 +91,63 @@ def _split_over(
         for gamma, rest, weight in _leibniz(table, alpha)
         for split, w in _split_over(table, rest, parts - 1)
     ]
+
+
+class _TermMap(dict):
+    """{derivative key: {monomial: int}}: integer numerators over the one
+    denominator `den`, which PolyDiffOp._compose_into and `add` add to and
+    _from_term_map divides out.  Cancelled keys stay, with no monomials."""
+
+    den = 1
+
+    def scale(self, den: int) -> int:
+        """The factor that puts a sum over `den` over the map's denominator,
+        the map first rescaled to their lcm when den does not divide it."""
+        if self.den % den:
+            factor = den // math.gcd(self.den, den)
+            for acc in self.values():
+                for mono in acc:
+                    acc[mono] *= factor
+            self.den *= factor
+        return self.den // den
+
+    def add(self, op: PolyDiffOp, sign: int, expand: Callable) -> None:
+        """Add sign * op with each term c d^key taken to c times the integer
+        operator expand(key), a {derivative key: int} map."""
+        den, numerators = _numerators(op)
+        sign *= self.scale(den)
+        for key, c in numerators.items():
+            for dkey, weight in expand(key).items():
+                weight *= sign
+                acc = self.setdefault(dkey, {})
+                for mono, v in c.items():
+                    _accumulate(acc, mono, v * weight if weight != 1 else v)
+
+
+def _numerators(op: PolyDiffOp) -> tuple[int, dict[DerivKey, dict[Exponents, int]]]:
+    """(d, {key: {monomial: int}}) with op's terms these numerators over d,
+    the lcm of its coefficients' denominators; an int-only op's coefficient
+    dicts are passed through."""
+    den = math.lcm(*[v.denominator for c in op.terms.values() for v in c.terms.values()])
+    if den == 1:
+        return 1, {key: c.terms for key, c in op.terms.items()}
+    return den, {key: {e: v.numerator * (den // v.denominator) for e, v in c.terms.items()}
+                 for key, c in op.terms.items()}
+
+
+def _int_partial(t: dict[Exponents, int], gamma: Exponents) -> dict[Exponents, int]:
+    """d^gamma of the polynomial with integer coefficients t, as
+    Polynomial.partial_multi would give it, monomial order included."""
+    if not any(gamma):
+        return t
+    out = {}
+    for mono, v in t.items():
+        rest = sub_exponents(mono, gamma)
+        if min(rest) >= 0:
+            for e, g in zip(mono, gamma):
+                v *= math.perm(e, g)
+            out[rest] = v
+    return out
 
 
 class PolyDiffOp:
@@ -242,30 +303,35 @@ class PolyDiffOp:
             c = inner.terms.get((z,))
             if c is not None and c.terms == {z: 1}:
                 return self
-        terms: dict[DerivKey, dict] = {}
+        terms = _TermMap()
         self._compose_into(terms, slot, inner, 1, {})
         return PolyDiffOp._from_term_map(self.dim, self.arity + inner.arity - 1, terms)
 
     def _compose_into(
-        self, terms: dict, slot: int, inner: PolyDiffOp, sign: int, table: dict[Exponents, Leibniz]
+        self, terms: _TermMap, slot: int, inner: PolyDiffOp, sign: int,
+        table: dict[Exponents, Leibniz],
     ) -> None:
         """Add sign * (self with `inner` in slot `slot`) to the caller's term map.
 
-        `terms` maps derivative keys to {monomial: coefficient}.  By the Leibniz
-        rule, from the caller's `table`, the slot's d^alpha is split into d^gamma0
-        on the inner coefficient and the rest, split over the inner slots only
-        where d^gamma0 of the coefficient is nonzero: terms come in the order of
-        splitting alpha over all 1 + inner.arity factors, the first varying slowest.
+        Both operators enter as integer numerators, summed over the product of
+        their denominators.  By the Leibniz rule, from the caller's `table`, the
+        slot's d^alpha is split into d^gamma0 on the inner coefficient and the
+        rest, split over the inner slots only where d^gamma0 of the coefficient
+        is nonzero: terms come in the order of splitting alpha over all
+        1 + inner.arity factors, the first varying slowest.
         """
+        den_out, outer_terms = _numerators(self)
+        den_in, inner_terms = _numerators(inner)
+        sign *= terms.scale(den_out * den_in)
         rest_splits: dict[Exponents, list] = {}
-        derivs: list[dict[Exponents, Polynomial]] = [{} for _ in inner.terms]
-        for key, c_out in self.terms.items():
+        derivs: list[dict[Exponents, dict]] = [{} for _ in inner_terms]
+        for key, c_out in outer_terms.items():
             head, tail = key[:slot], key[slot + 1 :]
-            for (in_key, c_in), d_in in zip(inner.terms.items(), derivs):
+            for (in_key, c_in), d_in in zip(inner_terms.items(), derivs):
                 for gamma0, rest, w0 in _leibniz(table, key[slot]):
                     dc = d_in.get(gamma0)
                     if dc is None:
-                        dc = d_in[gamma0] = c_in.partial_multi(gamma0)
+                        dc = d_in[gamma0] = _int_partial(c_in, gamma0)
                     if not dc:
                         continue
                     splits = rest_splits.get(rest)
@@ -273,7 +339,10 @@ class PolyDiffOp:
                         splits = rest_splits[rest] = _split_over(table, rest, inner.arity)
                     if not splits:
                         continue
-                    base = (c_out * dc).terms
+                    base: dict[Exponents, int] = {}  # c_out * dc, in Polynomial.__mul__'s order
+                    for e1, v1 in c_out.items():
+                        for e2, v2 in dc.items():
+                            _accumulate(base, add_exponents(e1, e2), v1 * v2)
                     for gammas, w in splits:
                         weight = sign * w0 * w
                         inserted = tuple(map(add_exponents, in_key, gammas))
@@ -282,8 +351,15 @@ class PolyDiffOp:
                             _accumulate(acc, mono, c * weight if weight != 1 else c)
 
     @classmethod
-    def _from_term_map(cls, dim: int, arity: int, terms: dict) -> PolyDiffOp:
-        """The operator of a _compose_into term map, without its cancelled keys."""
+    def _from_term_map(cls, dim: int, arity: int, terms: _TermMap) -> PolyDiffOp:
+        """The operator of a term map, without its cancelled keys.  Each
+        numerator v left is divided once, in place, to v // den where den
+        divides it and to Fraction(v, den) otherwise."""
+        den = terms.den
+        if den != 1:
+            for t in terms.values():
+                for mono, v in t.items():
+                    t[mono] = v // den if not v % den else Fraction(v, den)
         polys = {k: Polynomial._trusted(dim, t) for k, t in terms.items() if t}
         return cls._trusted(dim, arity, polys)
 
@@ -322,23 +398,18 @@ def _key_differential(
 
 
 def _differential_into(
-    terms: dict, op: PolyDiffOp, sign: int, table: dict[Exponents, Leibniz]
+    terms: _TermMap, op: PolyDiffOp, sign: int, table: dict[Exponents, Leibniz]
 ) -> None:
     """Add sign * hochschild_d(op) to the caller's term map.
 
-    `terms` maps derivative keys to {monomial: coefficient}, as for
-    PolyDiffOp._compose_into, and `table` is the caller's Leibniz table.
+    `terms` is a _TermMap, as for PolyDiffOp._compose_into, and `table` is
+    the caller's Leibniz table.
     B_0 is commutative, so a coefficient c passes through every term of
     d: d(c d^key) = c d(d^key).  Each term c d^key of op therefore adds c
     times the integer operator _key_differential(key), whose cancelled
     keys never reach a coefficient.
     """
-    for key, c in op.terms.items():
-        for dkey, weight in _key_differential(op.dim, key, table).items():
-            weight *= sign
-            acc = terms.setdefault(dkey, {})
-            for mono, v in c.terms.items():
-                _accumulate(acc, mono, v * weight if weight != 1 else v)
+    terms.add(op, sign, lambda key: _key_differential(op.dim, key, table))
 
 
 def hochschild_d(op: PolyDiffOp) -> PolyDiffOp:
@@ -349,7 +420,7 @@ def hochschild_d(op: PolyDiffOp) -> PolyDiffOp:
 
     _differential_into on a fresh term map and Leibniz table.
     """
-    terms: dict[DerivKey, dict] = {}
+    terms = _TermMap()
     _differential_into(terms, op, 1, {})
     return PolyDiffOp._from_term_map(op.dim, op.arity + 1, terms)
 

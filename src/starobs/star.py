@@ -29,7 +29,9 @@ from typing import Sequence
 from . import linsolve
 from .multivec import Polyvector
 from .poly import Exponents, Polynomial, _accumulate, _gather_monomials, exponents_upto
-from .polydiff import DerivKey, Leibniz, PolyDiffOp, _differential_into, _key_differential
+from .polydiff import (
+    DerivKey, Leibniz, PolyDiffOp, _TermMap, _differential_into, _key_differential
+)
 
 
 class _OperatorSeries:
@@ -139,10 +141,10 @@ class StarProduct(_OperatorSeries):
         """
         return PolyDiffOp._from_term_map(self.dim, 3, self._insertions(n, ks, {}))
 
-    def _insertions(self, n: int, ks: Sequence[int], table: dict[Exponents, Leibniz]) -> dict:
+    def _insertions(self, n: int, ks: Sequence[int], table: dict[Exponents, Leibniz]) -> _TermMap:
         """_associator's term map, by _compose_into with the caller's Leibniz
         table, the sign in the weight, k by k and the first slot before the second."""
-        terms: dict[DerivKey, dict] = {}
+        terms = _TermMap()
         for k in ks:
             outer, inner = self.term(k), self.term(n - k)
             outer._compose_into(terms, 0, inner, 1, table)
@@ -249,7 +251,7 @@ def gauge_transform(s: StarProduct, D: FormalDiffeo) -> StarProduct:
     for the identity D_0.  Order n is one term map: every insertion of D_k
     (k >= 1) into its second slot and every -D_r o B'_{n-r} is added by
     PolyDiffOp._compose_into, with one Leibniz table for the whole call, and
-    the k = 0 terms are added as they are.
+    the k = 0 terms by _TermMap.add.
 
     Associativity certificates carry over: conjugating an associative-
     to-order-n product yields an associative-to-order-n product.
@@ -263,17 +265,14 @@ def gauge_transform(s: StarProduct, D: FormalDiffeo) -> StarProduct:
     table: dict[Exponents, Leibniz] = {}
     terms: list[PolyDiffOp] = []
     for n in range(N + 1):
-        acc: dict[DerivKey, dict] = {}
+        acc = _TermMap()
         for i in range(n + 1):
             for j in range(n - i + 1):
                 k = n - i - j
                 if k:
                     left[i][j]._compose_into(acc, 1, D.term(k), 1, table)
                 else:
-                    for key, c in left[i][j].terms.items():
-                        monomials = acc.setdefault(key, {})
-                        for mono, v in c.terms.items():
-                            _accumulate(monomials, mono, v)
+                    acc.add(left[i][j], 1, lambda key: {key: 1})
         for r in range(1, n + 1):
             D.term(r)._compose_into(acc, 0, terms[n - r], -1, table)
         terms.append(PolyDiffOp._from_term_map(s.dim, 2, acc))

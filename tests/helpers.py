@@ -35,8 +35,12 @@ from starobs.poly import (
 )
 from starobs.polydiff import (
     DerivKey,
+    Leibniz,
     _binom_multi,
+    _key_differential,
+    _leibniz,
     _restricted_items,
+    _split_over,
     _sub_multi_indices,
 )
 from starobs.star import ExtensionResult, StarProduct
@@ -601,6 +605,67 @@ def reference_associator(s: StarProduct, n: int, ks) -> PolyDiffOp:
     return PolyDiffOp(s.dim, 3, terms)
 
 
+# -- term maps of exact coefficients, the reference for the integer ones -------------
+
+
+def reference_compose_into(
+    op: PolyDiffOp, terms: dict, slot: int, inner: PolyDiffOp, sign: int, table: dict
+) -> None:
+    """Add sign * (op with `inner` in slot `slot`) to the term map `terms`.
+
+    `terms` maps derivative keys to {monomial: coefficient}, int or
+    Fraction, and every contribution is added as a Fraction product.  By
+    the Leibniz rule, from the caller's `table`, the slot's d^alpha is split
+    into d^gamma0 on the inner coefficient and the rest, split over the inner
+    slots only where d^gamma0 of the coefficient is nonzero: terms come in the
+    order of splitting alpha over all 1 + inner.arity factors, the first
+    varying slowest.
+    """
+    rest_splits: dict[Exponents, list] = {}
+    derivs: list[dict[Exponents, Polynomial]] = [{} for _ in inner.terms]
+    for key, c_out in op.terms.items():
+        head, tail = key[:slot], key[slot + 1 :]
+        for (in_key, c_in), d_in in zip(inner.terms.items(), derivs):
+            for gamma0, rest, w0 in _leibniz(table, key[slot]):
+                dc = d_in.get(gamma0)
+                if dc is None:
+                    dc = d_in[gamma0] = c_in.partial_multi(gamma0)
+                if not dc:
+                    continue
+                splits = rest_splits.get(rest)
+                if splits is None:
+                    splits = rest_splits[rest] = _split_over(table, rest, inner.arity)
+                if not splits:
+                    continue
+                base = (c_out * dc).terms
+                for gammas, w in splits:
+                    weight = sign * w0 * w
+                    inserted = tuple(map(add_exponents, in_key, gammas))
+                    acc = terms.setdefault(head + inserted + tail, {})
+                    for mono, c in base.items():
+                        _accumulate(acc, mono, c * weight if weight != 1 else c)
+
+
+def reference_differential_into(
+    terms: dict, op: PolyDiffOp, sign: int, table: dict[Exponents, Leibniz]
+) -> None:
+    """Add sign * hochschild_d(op) to the exact-coefficient term map `terms`:
+    each term c d^key of op adds c times the integer operator
+    _key_differential(key)."""
+    for key, c in op.terms.items():
+        for dkey, weight in _key_differential(op.dim, key, table).items():
+            weight *= sign
+            acc = terms.setdefault(dkey, {})
+            for mono, v in c.terms.items():
+                _accumulate(acc, mono, v * weight if weight != 1 else v)
+
+
+def reference_from_term_map(dim: int, arity: int, terms: dict) -> PolyDiffOp:
+    """The operator of an exact-coefficient term map, without its cancelled keys."""
+    polys = {k: Polynomial._trusted(dim, t) for k, t in terms.items() if t}
+    return PolyDiffOp._trusted(dim, arity, polys)
+
+
 # -- per-tuple restricted table, the reference for the memoized one ----------------
 
 
@@ -683,7 +748,7 @@ def reference_solve_sparse(
             continue
         # normalize on the smallest-index column for determinism
         pc = min(row)
-        pivot = row[pc]
+        pivot = Fraction(row[pc])
         if pivot != 1:
             for c in list(row):
                 row[c] /= pivot

@@ -39,6 +39,7 @@ class Mutant(NamedTuple):
 FACTORED = "tests/test_factored_ansatz.py::"
 RESTRICTED = "tests/test_restricted_table.py::"
 LINSOLVE = "tests/test_linsolve.py::"
+TERM_MAPS = "tests/test_star.py::"
 
 MUTANTS = [
     # the unary gauge solve on generator monomials
@@ -308,6 +309,42 @@ MUTANTS = [
             "tests/test_poly.py::"
             "test_parse_rejects_a_sum_or_product_no_report_can_print_at_its_operator",
         ),
+    ),
+    # integer term maps over one denominator per map
+    Mutant(
+        "a term map is not rescaled when a new denominator does not divide its own",
+        "polydiff.py",
+        "        if self.den % den:\n",
+        "        if False:\n",
+        (TERM_MAPS + "test_term_map_rescales_when_a_new_denominator_arrives",),
+    ),
+    Mutant(
+        "a rescaled term map keeps its old entries' numerators",
+        "polydiff.py",
+        "                    acc[mono] *= factor\n",
+        "                    acc[mono] *= 1\n",
+        (TERM_MAPS + "test_term_map_rescales_when_a_new_denominator_arrives",),
+    ),
+    Mutant(
+        "_from_term_map ignores the map's denominator",
+        "polydiff.py",
+        "        den = terms.den\n",
+        "        den = 1\n",
+        (TERM_MAPS + "test_term_maps_match_the_fraction_kernels",),
+    ),
+    Mutant(
+        "an operator's numerators are not brought to its common denominator",
+        "polydiff.py",
+        "v.numerator * (den // v.denominator)",
+        "v.numerator",
+        (TERM_MAPS + "test_term_map_rescales_when_a_new_denominator_arrives",),
+    ),
+    Mutant(
+        "integer derivatives weigh each exponent by a binomial, not a falling factorial",
+        "polydiff.py",
+        "v *= math.perm(e, g)",
+        "v *= math.comb(e, g)",
+        (TERM_MAPS + "test_term_maps_match_the_fraction_kernels",),
     ),
 ]
 

@@ -278,6 +278,27 @@ def test_unit_pivots_keep_integer_entries_int():
     assert_exact_types(halved)
 
 
+def test_row_by_pivot_reference_stays_exact_on_integer_rows():
+    # the reference divides by its pivot as a Fraction: with an int pivot it
+    # used to return floats, {0: -0.5, 1: 0.666...} on the first system
+    rng = random.Random("linsolve:integer rows")
+    systems = [([{0: 2, 1: 3}, {1: 3, 2: 2}], [1, 2], 3)]
+    for _ in range(200):
+        ncols = rng.randint(1, 8)
+        rows = [
+            {c: rng.choice([-3, -2, -1, 1, 2, 3]) for c in rng.sample(range(ncols), size)}
+            for size in (rng.randint(1, ncols) for _ in range(rng.randint(1, 8)))
+        ]
+        systems.append((rows, [rng.randint(-4, 4) for _ in rows], ncols))
+    for rows, rhs, ncols in systems:
+        got = solve_sparse(rows, rhs, ncols, want_nullspace=True)
+        want = reference_solve_sparse(rows, rhs, ncols, want_nullspace=True)
+        assert fields(got) == fields(want)
+        assert all(type(v) in (int, Fraction) for v in reported_values(want))
+    first = reference_solve_sparse(*systems[0], want_nullspace=True)
+    assert first.solution == {0: Fraction(-1, 2), 1: Fraction(2, 3)}
+
+
 def test_cost_scales_with_nonzeros():
     # each row holds its own pivot and one free column: no fill-in at all,
     # but rows x rank is 10^8

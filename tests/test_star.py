@@ -16,6 +16,9 @@ from helpers import (
     rand_op,
     rand_poly,
     reference_associator,
+    reference_compose_into,
+    reference_differential_into,
+    reference_from_term_map,
     reference_gauge_transform,
     reference_moyal_star,
     so3_pi,
@@ -38,6 +41,7 @@ from starobs import (
     poisson_bracket,
 )
 from starobs import star as star_module
+from starobs.polydiff import _differential_into, _TermMap
 
 P1 = lambda t: parse_polynomial(t, ["x"])
 
@@ -191,6 +195,123 @@ def test_residual_matches_compose_then_merge_reference(star):
     # the residual adds -dB_n in place of the four insertions of m
     for n in range(star.order + 1):
         assert star.assoc_residual(n) == reference_associator(star, n, range(n + 1))
+
+
+# -- integer term maps against the exact-coefficient kernels they replaced ------------
+
+
+def assert_ints_where_integral(op: PolyDiffOp):
+    for c in op.terms.values():
+        for v in c.terms.values():
+            assert type(v) is int or type(v) is Fraction and v.denominator > 1, v
+
+
+def assert_same_terms(got: PolyDiffOp, want: PolyDiffOp):
+    """Keys and monomials in the same order, equal values, and every value an
+    int exactly where it is integral."""
+    assert (got.dim, got.arity) == (want.dim, want.arity)
+    assert list(got.terms) == list(want.terms)
+    for key, c in got.terms.items():
+        assert list(c.terms.items()) == list(want.terms[key].terms.items())
+    assert_ints_where_integral(got)
+
+
+def fraction_op(rng, dim, arity, den, terms=3):
+    """Random operator whose coefficients are multiples of 1/den, integral ones included."""
+    out = {}
+    for _ in range(terms):
+        key = tuple(tuple(rng.randint(0, 2) for _ in range(dim)) for _ in range(arity))
+        coeff = {
+            tuple(rng.randint(0, 2) for _ in range(dim)): Fraction(rng.randint(-6, 6) or 1, den)
+            for _ in range(2)
+        }
+        out[key] = Polynomial(dim, coeff)
+    return PolyDiffOp(dim, arity, out)
+
+
+def copy_map(terms: _TermMap) -> _TermMap:
+    """A copy for _from_term_map, which divides the map it is given in place."""
+    copy = _TermMap({k: dict(t) for k, t in terms.items()})
+    copy.den = terms.den
+    return copy
+
+
+@pytest.mark.parametrize("star", REFERENCE_PRODUCTS)
+def test_term_maps_match_the_fraction_kernels(star):
+    # every insertion B_k o_slot B_(n-k) and every dB_n, with either sign,
+    # alone and summed in one map as the residual sums them
+    dim = star.dim
+    for n in range(star.order + 1):
+        got, want, table = _TermMap(), {}, {}
+        for k in range(n + 1):
+            outer, inner = star.term(k), star.term(n - k)
+            for slot, sign in itertools.product((0, 1), (1, -1)):
+                alone_got, alone_want = _TermMap(), {}
+                for ours, theirs in ((alone_got, alone_want), (got, want)):
+                    outer._compose_into(ours, slot, inner, sign, table)
+                    reference_compose_into(outer, theirs, slot, inner, sign, {})
+                assert_same_terms(
+                    PolyDiffOp._from_term_map(dim, 3, alone_got),
+                    reference_from_term_map(dim, 3, alone_want),
+                )
+        for sign in (1, -1):
+            alone_got, alone_want = _TermMap(), {}
+            for ours, theirs in ((alone_got, alone_want), (got, want)):
+                _differential_into(ours, star.term(n), sign, table)
+                reference_differential_into(theirs, star.term(n), sign, {})
+            assert_same_terms(
+                PolyDiffOp._from_term_map(dim, 3, alone_got),
+                reference_from_term_map(dim, 3, alone_want),
+            )
+        assert_same_terms(
+            PolyDiffOp._from_term_map(dim, 3, got), reference_from_term_map(dim, 3, want)
+        )
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_term_map_rescales_when_a_new_denominator_arrives(dim):
+    # one map takes int-only operators first, then operators over 1/2, 1/3 and
+    # 1/7, so its denominator grows partway through, each time with entries in it
+    rng = random.Random(2700 + dim)
+    for _ in range(4):
+        got, want, table = _TermMap(), {}, {}
+        dens = []
+        for den in (1, 1, 2, 1, 3, 6, 7, 2):
+            kind = rng.randrange(3)
+            if kind == 0:  # a bidifferential operator into a bidifferential one
+                outer, inner = fraction_op(rng, dim, 2, den), fraction_op(rng, dim, 2, 1)
+            elif kind == 1:  # a unary operator into a tridifferential one
+                outer, inner = fraction_op(rng, dim, 3, 1), fraction_op(rng, dim, 1, den)
+            if kind < 2:
+                slot, sign = rng.randrange(outer.arity), rng.choice((1, -1, 2))
+                outer._compose_into(got, slot, inner, sign, table)
+                reference_compose_into(outer, want, slot, inner, sign, {})
+            else:
+                op, sign = fraction_op(rng, dim, 2, den), rng.choice((1, -1))
+                _differential_into(got, op, sign, table)
+                reference_differential_into(want, op, sign, {})
+            dens.append(got.den)
+            assert_same_terms(
+                PolyDiffOp._from_term_map(dim, 3, copy_map(got)),
+                reference_from_term_map(dim, 3, {k: dict(t) for k, t in want.items()}),
+            )
+        assert dens[0] == 1 and dens[-1] > 1 and dens == sorted(dens)
+
+
+def test_gauge_transform_with_fraction_gauges_matches_reference():
+    # Moyal products conjugated by gauges whose coefficients are multiples of
+    # 1/2, 1/3 and 1/7: every order's map gets a new denominator partway through
+    rng = random.Random(2701)
+    pi3 = Polyvector.bivector(3, {(0, 1): 1, (0, 2): Fraction(-1, 2), (1, 2): 3})
+    for s in (moyal_star(canonical_pi2(), 3), moyal_star(pi3, 2), moyal_star(canonical_pi4(), 2)):
+        for dens in ((2, 3, 7), (7, 1, 2), (1, 1, 3)):
+            D = FormalDiffeo(
+                s.dim, s.order, [fraction_op(rng, s.dim, 1, den, terms=2) for den in dens[: s.order]]
+            )
+            got = gauge_transform(s, D)
+            assert got == reference_gauge_transform(s, D)
+            for op in got.corrections:
+                assert_ints_where_integral(op)
 
 
 @pytest.mark.parametrize("k", [-2, -1, 3])
