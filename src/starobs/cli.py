@@ -125,11 +125,10 @@ def _order_terms(
 
 def polyvector_payload(v: Polyvector | RelativeClass, names: list[str]) -> dict:
     """Components keyed by their 1-based index tuple, e.g. "(1,2)"."""
-    out = {}
-    for idx, p in sorted(v.components.items()):
-        key = "(" + ",".join(str(i + 1) for i in idx) + ")"
-        out[key] = p.to_string(names)
-    return out
+    return {
+        "(" + ",".join(str(i + 1) for i in idx) + ")": p.to_string(names)
+        for idx, p in sorted(v.components.items())
+    }
 
 
 def _bounds_payload(bounds: Bounds) -> dict:
@@ -145,9 +144,8 @@ def star_payload(s: StarProduct | FormalDiffeo, names: list[str]) -> dict:
 
 
 def problem_payload(problem: Problem) -> dict:
-    poisson = []
-    for (i, j), coeff in sorted(problem.pi.components.items()):
-        poisson.append([i + 1, j + 1, coeff.to_string(problem.names)])
+    comps = sorted(problem.pi.components.items())
+    poisson = [[i + 1, j + 1, coeff.to_string(problem.names)] for (i, j), coeff in comps]
     payload: dict[str, Any] = {
         "dimension": problem.dim,
         "coordinates": list(problem.names),
@@ -245,7 +243,9 @@ def load_problem_data(data: dict) -> Problem:
     if star_spec is not None:
         if not isinstance(star_spec, dict) or "type" not in star_spec:
             raise ProblemError("'star' must be an object with a 'type'")
-        order = _integer(star_spec.get("order", 0), "star.order", 1)
+        if "order" not in star_spec:
+            raise ProblemError("star.order: missing; expected an integer of at least 1")
+        order = _integer(star_spec["order"], "star.order", 1)
         if order > MAX_STAR_ORDER:
             raise ProblemError(f"star.order: must be at most {MAX_STAR_ORDER}, got {order}")
         if star_spec["type"] == "moyal":
@@ -337,18 +337,12 @@ def _residual_witness(res: PolyDiffOp, names: list[str]) -> dict | None:
         return None
     key = min(res.terms, key=lambda k: (sum(map(sum, k)), *map(sum, k), *k))
     args = [Polynomial.monomial(res.dim, e) for e in key]
-    return {
-        "args": [p.to_string(names) for p in args],
-        "value": res.apply(args).to_string(names),
-    }
+    return {"args": [p.to_string(names) for p in args], "value": res.apply(args).to_string(names)}
 
 
 def cmd_check_poisson(problem: Problem, order: int | None) -> dict:
     ok, witness = jacobi_check(problem.pi)
-    return {
-        "poisson": ok,
-        "witness": polyvector_payload(witness, problem.names),
-    }
+    return {"poisson": ok, "witness": polyvector_payload(witness, problem.names)}
 
 
 def cmd_assoc_check(problem: Problem, order: int | None) -> dict:
@@ -357,18 +351,10 @@ def cmd_assoc_check(problem: Problem, order: int | None) -> dict:
     residuals = []
     for n in range(1, upto + 1):
         res = star.assoc_residual(n)
-        residuals.append(
-            {
-                "order": n,
-                "zero": res.is_zero(),
-                "witness": _residual_witness(res, problem.names),
-            }
-        )
-    certified = 0
-    for r in residuals:
-        if not r["zero"]:
-            break
-        certified = r["order"]
+        witness = _residual_witness(res, problem.names)
+        residuals.append({"order": n, "zero": res.is_zero(), "witness": witness})
+    # one less than the first order with a nonzero residual
+    certified = next((r["order"] - 1 for r in residuals if not r["zero"]), upto)
     return {
         "max_order_checked": upto,
         "certified_order": certified,
@@ -383,13 +369,8 @@ def cmd_commutator_table(problem: Problem, order: int | None) -> dict:
     gens = system.generators
     for i in range(len(gens)):
         for j in range(i + 1, len(gens)):
-            series = star.commutator(gens[i], gens[j])
-            table.append(
-                {
-                    "pair": f"({i + 1},{j + 1})",
-                    "series": [c.to_string(problem.names) for c in series],
-                }
-            )
+            series = [c.to_string(problem.names) for c in star.commutator(gens[i], gens[j])]
+            table.append({"pair": f"({i + 1},{j + 1})", "series": series})
     return {"order": star.order, "commutators": table}
 
 

@@ -30,6 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
+from operator import add
 from typing import Hashable, Sequence
 
 from .poly import _accumulate
@@ -281,3 +282,21 @@ class _SparseSystem:
         solution = {cols[ci]: v for ci, v in result.solution.items()}
         nullspace = [{cols[ci]: v for ci, v in vec.items()} for vec in result.nullspace]
         return solution, nullspace
+
+
+def _weight_blocks(outer: Sequence, inner: Sequence, keep: set) -> tuple[list, set]:
+    """The columns (o, i) whose weight w(o) + w(i) is in keep, and the kept weights
+    no column reaches.  A graded solve is block-diagonal by weight, and each
+    caller's own lemma says which blocks it may leave out.  outer and inner are
+    (label, weight) lists; the columns come outer-major, as (o, [i, ...]) with the
+    inner labels in their given order and no o that keeps none.  Each pair of
+    distinct weights is added once.
+    """
+    inner_weights = dict.fromkeys(w for _, w in inner)
+    kept: dict[Hashable, list] = {}
+    reached = set()
+    for wo in dict.fromkeys(w for _, w in outer):
+        sums = {wi: w for wi in inner_weights if (w := tuple(map(add, wo, wi))) in keep}
+        reached.update(sums.values())
+        kept[wo] = [i for i, wi in inner if wi in sums]
+    return [(o, kept[w]) for o, w in outer if kept[w]], keep - reached

@@ -22,7 +22,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable
 
-from .linsolve import _SparseSystem
+from .linsolve import _SparseSystem, _weight_blocks
 from .multivec import (
     Polyvector,
     RelativeClass,
@@ -393,9 +393,10 @@ def _unary_ansatz_rows(
     alpha_i f^(alpha - e_i) d^a f_i).  Generator monomials are homogeneous
     under _weight_map(system), so a column meets only rows whose monomial,
     less that of f^alpha, weighs weight(e - a): the blocks are independent,
-    and one with a zero right-hand side is solved by zeros.  So only the
-    columns of live weights (where phi0, built from B with d(phi0) = -B, is
-    nonzero) are kept.  None when a live weight has no column: 0 = b there.
+    and one with a zero right-hand side is solved by zeros.  So _weight_blocks
+    pairs each a, weighed -weight(a), with each e and keeps the live weights,
+    where phi0 (built from B with d(phi0) = -B) is nonzero.  None when a live
+    weight has no column: 0 = b there.
     """
     weight = _weight_map(system)
     table, z = system._monomials, system._monomials.zero
@@ -417,19 +418,19 @@ def _unary_ansatz_rows(
         for alpha, value in phi0.items()
         for mono in value.terms
     }
-    # weight is linear: weight(e - a) = weight(e) - weight(a), each weighed once
-    e_weights = [(e, weight(e)) for e in exponents_upto(system.dim, bounds.degree)]
-    a_weights = [(a, weight(a)) for a in exponents_upto(system.dim, bounds.op_order)]
-    if not live <= {sub_exponents(we, wa) for _, wa in a_weights for _, we in e_weights}:
+    # weight is linear: weight(e - a) = weight(e) + (-weight(a))
+    by_alpha, unreached = _weight_blocks(
+        [(a, tuple(-w for w in weight(a))) for a in exponents_upto(system.dim, bounds.op_order)],
+        [(e, weight(e)) for e in exponents_upto(system.dim, bounds.degree)],
+        live,
+    )
+    if unreached:
         return None
-    by_alpha = [
-        (a, [e for e, we in e_weights if sub_exponents(we, wa) in live]) for a, wa in a_weights
-    ]
     eqs = _SparseSystem([(e, (a,)) for a, es in by_alpha for e in es])
     for alpha in exps:
         lower = [(x, u, table[z, sub_exponents(alpha, u)]) for x, u in zip(alpha, units) if x]
         for a, es in by_alpha:
-            if es and sum(a) != 1:
+            if sum(a) != 1:
                 w = table[a, alpha] - sum((x * f * table[a, u] for x, u, f in lower), nought)
                 for e in es:
                     for mono, c in w.terms.items():

@@ -329,16 +329,17 @@ def extend_one_order(
     coordinate with e outside the ansatz, or an arity-3 key no column
     reaches, is undecided at once.
 
-    d keeps the weight w = a + b of a key, so M is block-diagonal by w,
-    and only keys with |w| <= K + 1 (K = operator_order) or the weight
-    of a target key enter the solve.  A column (a, b) with |w| >= K + 2
-    has |a|, |b| >= 2, and for a unit e_i <= a the row (e_i, a - e_i, b)
-    holds -a_i from it and otherwise only the column (e_i, a - e_i + b),
-    which is outside the ansatz as |a - e_i + b| >= K + 1.  A block with
-    |w| >= K + 2 and a zero right-hand side therefore has the one
-    solution 0 and no free column, and since the reduced row-echelon
-    form is unique, dropping it changes neither the particular solution
-    nor the freedom and its order.
+    d keeps the weight w = a + b of a key, so M is block-diagonal by w.
+    linsolve._weight_blocks pairs the multi-indices of order <= K
+    (K = operator_order), each weighed by itself, and keeps the keys with
+    |w| <= K + 1 or the weight of a target key.  A column (a, b) with
+    |w| >= K + 2 has |a|, |b| >= 2, and for a unit e_i <= a the row
+    (e_i, a - e_i, b) holds -a_i from it and otherwise only the column
+    (e_i, a - e_i + b), which is outside the ansatz as |a - e_i + b| >=
+    K + 1.  A block with |w| >= K + 2 and a zero right-hand side
+    therefore has the one solution 0 and no free column, and since the
+    reduced row-echelon form is unique, dropping it changes neither the
+    particular solution nor the freedom and its order.
     """
     n = s.order
     if s.certified_order() < n:
@@ -351,12 +352,10 @@ def extend_one_order(
     emon_set = set(emons)
     if not all(emon_set.issuperset(p.terms) for p in target.terms.values()):
         return ExtensionResult()
-    weights = {tuple(map(sum, zip(*k))) for k in target.terms}
-    keys = [
-        (a, b)
-        for a, b in itertools.product(exponents_upto(dim, operator_order), repeat=2)
-        if sum(a) + sum(b) <= operator_order + 1 or tuple(map(sum, zip(a, b))) in weights
-    ]
+    upto = exponents_upto(dim, operator_order + 1)
+    multi = [(a, a) for a in upto if sum(a) <= operator_order]
+    keep = set(upto) | {tuple(map(sum, zip(*k))) for k in target.terms}
+    keys = [(a, b) for a, bs in linsolve._weight_blocks(multi, multi, keep)[0] for b in bs]
     matrix: dict[DerivKey, dict[int, int]] = {}  # M by rows
     table: dict[Exponents, Leibniz] = {}
     for ci, key in enumerate(keys):

@@ -509,6 +509,35 @@ def reference_extend_one_order(s, coefficient_degree, operator_order):
     return ExtensionResult(particular, freedom, extended)
 
 
+# -- the weight-block filters that linsolve._weight_blocks replaced ---------------
+
+
+def reference_unary_columns(weight, live, dim, bounds):
+    """_unary_ansatz_rows' columns (e, (a,)) as its own filter chose them: every
+    (e, a) pair weighed as weight(e) - weight(a), a-major, kept when that weight
+    is live; None when some live weight has no pair."""
+    e_weights = [(e, weight(e)) for e in exponents_upto(dim, bounds.degree)]
+    a_weights = [(a, weight(a)) for a in exponents_upto(dim, bounds.op_order)]
+    if not live <= {sub_exponents(we, wa) for _, wa in a_weights for _, we in e_weights}:
+        return None
+    by_alpha = [
+        (a, [e for e, we in e_weights if sub_exponents(we, wa) in live]) for a, wa in a_weights
+    ]
+    return [(e, (a,)) for a, es in by_alpha for e in es]
+
+
+def reference_extension_keys(target, dim, operator_order):
+    """extend_one_order's derivative keys (a, b) as its own filter chose them:
+    |a|, |b| <= K in product order, kept when |a| + |b| <= K + 1 or a + b is the
+    weight of a key of the target."""
+    weights = {tuple(map(sum, zip(*k))) for k in target.terms}
+    return [
+        (a, b)
+        for a, b in itertools.product(exponents_upto(dim, operator_order), repeat=2)
+        if sum(a) + sum(b) <= operator_order + 1 or tuple(map(sum, zip(a, b))) in weights
+    ]
+
+
 # -- term-by-term Hochschild differential, the reference for the key-factored one --
 
 

@@ -68,15 +68,15 @@ MUTANTS = [
     Mutant(
         "extension keeps the blocks with |w| <= K, not K + 1",
         "star.py",
-        "if sum(a) + sum(b) <= operator_order + 1 or",
-        "if sum(a) + sum(b) <= operator_order or",
+        "    upto = exponents_upto(dim, operator_order + 1)\n",
+        "    upto = exponents_upto(dim, operator_order)\n",
         (FACTORED + "test_extension_matches_reference_solve",),
     ),
     Mutant(
         "extension drops the target's weight blocks",
         "star.py",
-        " or tuple(map(sum, zip(a, b))) in weights",
-        "",
+        " | {tuple(map(sum, zip(*k))) for k in target.terms}\n",
+        "\n",
         (FACTORED + "test_extension_matches_reference_solve",),
     ),
     Mutant(
@@ -84,24 +84,22 @@ MUTANTS = [
         "star.py",
         "    if not all(emon_set.issuperset(p.terms) for p in target.terms.values()):\n"
         "        return ExtensionResult()\n"
-        "    weights = {tuple(map(sum, zip(*k))) for k in target.terms}\n"
-        "    keys = [\n"
-        "        (a, b)\n"
-        "        for a, b in itertools.product(exponents_upto(dim, operator_order), repeat=2)\n"
-        "        if sum(a) + sum(b) <= operator_order + 1 or tuple(map(sum, zip(a, b))) in weights\n"
-        "    ]\n"
+        "    upto = exponents_upto(dim, operator_order + 1)\n"
+        "    multi = [(a, a) for a in upto if sum(a) <= operator_order]\n"
+        "    keep = set(upto) | {tuple(map(sum, zip(*k))) for k in target.terms}\n"
+        "    keys = [(a, b) for a, bs in linsolve._weight_blocks(multi, multi, keep)[0]"
+        " for b in bs]\n"
         "    matrix: dict[DerivKey, dict[int, int]] = {}  # M by rows\n"
         "    table: dict[Exponents, Leibniz] = {}\n"
         "    for ci, key in enumerate(keys):\n"
         "        for dkey, v in _key_differential(dim, key, table).items():\n"
         "            matrix.setdefault(dkey, {})[ci] = v\n"
         "    if not all(k in matrix for k in target.terms):\n",
-        "    weights = {tuple(map(sum, zip(*k))) for k in target.terms}\n"
-        "    keys = [\n"
-        "        (a, b)\n"
-        "        for a, b in itertools.product(exponents_upto(dim, operator_order), repeat=2)\n"
-        "        if sum(a) + sum(b) <= operator_order + 1 or tuple(map(sum, zip(a, b))) in weights\n"
-        "    ]\n"
+        "    upto = exponents_upto(dim, operator_order + 1)\n"
+        "    multi = [(a, a) for a in upto if sum(a) <= operator_order]\n"
+        "    keep = set(upto) | {tuple(map(sum, zip(*k))) for k in target.terms}\n"
+        "    keys = [(a, b) for a, bs in linsolve._weight_blocks(multi, multi, keep)[0]"
+        " for b in bs]\n"
         "    matrix: dict[DerivKey, dict[int, int]] = {}  # M by rows\n"
         "    table: dict[Exponents, Leibniz] = {}\n"
         "    for ci, key in enumerate(keys):\n"
@@ -194,8 +192,8 @@ MUTANTS = [
     Mutant(
         "unary rows skip the d^0 columns",
         "obstruction.py",
-        "            if es and sum(a) != 1:\n",
-        "            if es and sum(a) > 1:\n",
+        "            if sum(a) != 1:\n",
+        "            if sum(a) > 1:\n",
         (
             FACTORED
             + "test_unary_rows_match_reference_in_order_with_derivation_and_constant_columns",
@@ -301,6 +299,13 @@ MUTANTS = [
         ),
     ),
     Mutant(
+        "class read on unordered pairs, against the verdicts of gauged products",
+        "obstruction.py",
+        "itertools.permutations(range(len(gens)), 2)",
+        "itertools.combinations(range(len(gens)), 2)",
+        ("tests/test_gauge_invariance.py::test_verdicts_agree_across_random_gauges",),
+    ),
+    Mutant(
         "no coefficient check after '*'",
         "poly.py",
         '            result = self.checked(result * self.factor(), at, "product")\n',
@@ -345,6 +350,14 @@ MUTANTS = [
         "v *= math.perm(e, g)",
         "v *= math.comb(e, g)",
         (TERM_MAPS + "test_term_maps_match_the_fraction_kernels",),
+    ),
+    # one weight-block selector for the graded solves
+    Mutant(
+        "unary columns pair a by weight(a), not -weight(a)",
+        "obstruction.py",
+        "[(a, tuple(-w for w in weight(a))) for a in",
+        "[(a, weight(a)) for a in",
+        (FACTORED + "test_rotation_momenta_columns_match_the_replaced_weight_filter",),
     ),
 ]
 

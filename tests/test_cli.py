@@ -566,6 +566,7 @@ def star_with_slot(slot):
             [],
             "star.order: expected an integer, got float",
         ),
+        ({"star": {"type": "moyal"}}, [], "star.order: missing; expected an integer of at least 1"),
         ({"order": 2.5}, [], "order: expected an integer, got float"),
         ({"order": -1}, [], "order: must be at least 1, got -1"),
         ({}, ["--order", "-1"], "--order: must be at least 1, got -1"),
@@ -696,6 +697,7 @@ def star_with_slot(slot):
         "coordinate-not-string",
         "poisson-index-float",
         "star-order-float",
+        "star-order-missing",
         "order-float",
         "order-negative",
         "order-flag-negative",

@@ -29,10 +29,13 @@ from helpers import (
     p4,
     plane_pi3,
     rand_op,
+    reference_associator,
     reference_extend_one_order,
+    reference_extension_keys,
     reference_hochschild_d,
     reference_pair_unary_correction,
     reference_pair_unary_rows,
+    reference_unary_columns,
     reference_unary_correction,
     reference_unary_rows,
     row_labels,
@@ -53,6 +56,7 @@ from starobs import (
     linsolve,
     moyal_star,
 )
+from starobs import obstruction as obstruction_module
 from starobs import star as star_module
 from starobs.cli import (
     load_problem,
@@ -183,7 +187,7 @@ def test_unary_rows_match_per_column_reference_on_polynomial_generators():
     assert _unary_ansatz_rows(target, system, Bounds(1, 3)) is None
 
 
-@pytest.mark.parametrize(
+PLANTED = pytest.mark.parametrize(
     "system, order, n, alpha, exps, bounds",
     [
         (plane_system("y", "z"), 2, 2, (0, 0, 2), (0, 0, 1), Bounds(1, 2)),
@@ -205,6 +209,9 @@ def test_unary_rows_match_per_column_reference_on_polynomial_generators():
         "bounds-too-small",
     ],
 )
+
+
+@PLANTED
 def test_unary_correction_matches_reference_solve(system, order, n, alpha, exps, bounds):
     star = planted(system, order, n, alpha, exps, Fraction(-2, 3))
     graded = _solve_unary_correction(star, system, n, bounds)
@@ -367,16 +374,15 @@ SOLVED_EXTENSIONS = [
 ]
 
 
-@pytest.mark.parametrize(
-    "star, degree, op_order",
-    SOLVED_EXTENSIONS
-    + [
-        pytest.param(moyal_star(canonical_pi2(), 1), 0, 1, id="bounds-too-small"),
-        pytest.param(
-            gauged_truncation(canonical_pi2(), 2, R2O2)[0], 1, 3, id="target-above-degree-bound"
-        ),
-    ],
-)
+EXTENSIONS = SOLVED_EXTENSIONS + [
+    pytest.param(moyal_star(canonical_pi2(), 1), 0, 1, id="bounds-too-small"),
+    pytest.param(
+        gauged_truncation(canonical_pi2(), 2, R2O2)[0], 1, 3, id="target-above-degree-bound"
+    ),
+]
+
+
+@pytest.mark.parametrize("star, degree, op_order", EXTENSIONS)
 def test_extension_matches_reference_solve(star, degree, op_order):
     got = extend_one_order(star, degree, op_order)
     want = reference_extend_one_order(star, degree, op_order)
@@ -479,16 +485,22 @@ def test_columns_above_order_plus_one_are_pinned_by_a_row_of_their_own(dim, op_o
     }
 
 
-def test_extension_target_outside_the_ansatz_makes_no_solve(monkeypatch):
-    solves = counting_solves(monkeypatch)
-    differentials = []
+def recording_key_differentials(monkeypatch):
+    """Record the key of every _key_differential call of extend_one_order, in order."""
+    keys = []
     real_differential = star_module._key_differential
 
-    def counting(dim, key, table):
-        differentials.append(key)
+    def recording(dim, key, table):
+        keys.append(key)
         return real_differential(dim, key, table)
 
-    monkeypatch.setattr(star_module, "_key_differential", counting)
+    monkeypatch.setattr(star_module, "_key_differential", recording)
+    return keys
+
+
+def test_extension_target_outside_the_ansatz_makes_no_solve(monkeypatch):
+    solves = counting_solves(monkeypatch)
+    differentials = recording_key_differentials(monkeypatch)
     star, degree, op_order = gauged_truncation(canonical_pi2(), 2, R2O2)
     # the order-3 target has coefficients of degree 2, above the bound 1
     assert not extend_one_order(star, 1, op_order).solved
@@ -561,3 +573,80 @@ def test_rotation_momenta_at_bounds_3_3_has_no_live_column(monkeypatch):
     # the one solve is the weight map's nullspace over the 4 coordinates:
     # none of the 1,225 ansatz columns reaches the target's weight
     assert solves == [4]
+
+
+# -- the one weight-block selector against the filters it replaced ----------------
+
+
+class Selected(Exception):
+    """Stops _unary_ansatz_rows once its weight blocks are chosen."""
+
+
+def unary_selection(monkeypatch, target, system, bounds, assemble=True):
+    """The live weights _unary_ansatz_rows hands the selector, and its columns
+    (None when a live weight has no column).  Without assemble, the call stops
+    after the selection and the columns are read off the selector's blocks."""
+    calls = []
+
+    def selecting(outer, inner, keep):
+        calls.append((keep, linsolve._weight_blocks(outer, inner, keep)))
+        if not assemble:
+            raise Selected
+        return calls[-1][1]
+
+    monkeypatch.setattr(obstruction_module, "_weight_blocks", selecting)
+    try:
+        eqs = _unary_ansatz_rows(target, system, bounds)
+        columns = None if eqs is None else eqs.columns
+    except Selected:
+        blocks, unreached = calls[0][1]
+        columns = None if unreached else [(e, (a,)) for a, es in blocks for e in es]
+    [(live, _)] = calls
+    return live, columns
+
+
+@pytest.mark.parametrize(
+    "bounds, count",
+    [(Bounds(2, 6), 211), (Bounds(4, 8), 1414), (Bounds(6, 10), 5754)],
+    ids=["2-6", "4-8", "6-10"],
+)
+def test_rotation_momenta_columns_match_the_replaced_weight_filter(monkeypatch, bounds, count):
+    system = rotation_system()
+    target = moyal_star(system.pi, 2).term(2)
+    live, columns = unary_selection(monkeypatch, target, system, bounds, assemble=False)
+    assert columns == reference_unary_columns(_weight_map(system), live, 4, bounds)
+    assert len(columns) == count
+
+
+@PLANTED
+def test_planted_columns_match_the_replaced_weight_filter(
+    monkeypatch, system, order, n, alpha, exps, bounds
+):
+    target = planted(system, order, n, alpha, exps, Fraction(-2, 3)).term(n)
+    live, columns = unary_selection(monkeypatch, target, system, bounds)
+    assert live
+    assert columns == reference_unary_columns(_weight_map(system), live, system.dim, bounds)
+
+
+def test_random_planted_columns_match_the_replaced_weight_filter(monkeypatch):
+    rng = random.Random(2101)
+    outcomes = []
+    for case in range(60):
+        system, star, n, bounds = random_planted(rng)
+        live, columns = unary_selection(monkeypatch, star.term(n), system, bounds)
+        assert columns == reference_unary_columns(_weight_map(system), live, 3, bounds), case
+        outcomes.append(columns is None)
+    assert 10 <= sum(outcomes) <= 50
+
+
+@pytest.mark.parametrize("star, degree, op_order", EXTENSIONS)
+def test_extension_keys_match_the_replaced_key_filter(monkeypatch, star, degree, op_order):
+    keys = recording_key_differentials(monkeypatch)
+    extend_one_order(star, degree, op_order)
+    n = star.order
+    target = reference_associator(star, n + 1, range(1, n + 1))
+    emons = set(exponents_upto(star.dim, degree))
+    if all(emons.issuperset(p.terms) for p in target.terms.values()):
+        assert keys == reference_extension_keys(target, star.dim, op_order)
+    else:
+        assert keys == []  # decided before any key is chosen
