@@ -95,6 +95,7 @@ def op_from_payload(
         if not isinstance(term, dict):
             raise ProblemError(f"{at}: expected an object, got {type(term).__name__}")
         coeff = _parse_poly_field(term.get("coeff"), names, f"{at}.coeff")
+        _present(term.get("derivs"), f"{at}.derivs", f"{arity} derivative slots")
         slots = _field(term, "derivs", list, f"{at}.derivs")
         if len(slots) != arity:
             raise ProblemError(f"{at}.derivs: expected {arity} derivative slots, got {len(slots)}")
@@ -173,7 +174,14 @@ def problem_payload(problem: Problem) -> dict:
 # -- problem loading -------------------------------------------------------------
 
 
+def _present(value: Any, where: str, expected: str) -> None:
+    """The one rule for a required field: an absent key or a JSON null is missing."""
+    if value is None:
+        raise ProblemError(f"{where}: missing; expected {expected}")
+
+
 def _parse_poly_field(text: Any, names: list[str], where: str) -> Polynomial:
+    _present(text, where, "a polynomial string")
     if not isinstance(text, str):
         raise ProblemError(f"{where}: expected a polynomial string, got {type(text).__name__}")
     try:
@@ -183,6 +191,7 @@ def _parse_poly_field(text: Any, names: list[str], where: str) -> Polynomial:
 
 
 def _integer(value: Any, where: str, minimum: int | None = None) -> int:
+    _present(value, where, "an integer" + (f" of at least {minimum}" if minimum is not None else ""))
     if isinstance(value, bool) or not isinstance(value, int):
         raise ProblemError(f"{where}: expected an integer, got {type(value).__name__}")
     if minimum is not None and value < minimum:
@@ -243,9 +252,7 @@ def load_problem_data(data: dict) -> Problem:
     if star_spec is not None:
         if not isinstance(star_spec, dict) or "type" not in star_spec:
             raise ProblemError("'star' must be an object with a 'type'")
-        if "order" not in star_spec:
-            raise ProblemError("star.order: missing; expected an integer of at least 1")
-        order = _integer(star_spec["order"], "star.order", 1)
+        order = _integer(star_spec.get("order"), "star.order", 1)
         if order > MAX_STAR_ORDER:
             raise ProblemError(f"star.order: must be at most {MAX_STAR_ORDER}, got {order}")
         if star_spec["type"] == "moyal":

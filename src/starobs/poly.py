@@ -10,7 +10,6 @@ module also holds the exponent-tuple helpers and the polynomial parser.
 
 from __future__ import annotations
 
-import itertools
 import operator
 from fractions import Fraction
 from typing import Hashable, Mapping, Sequence
@@ -57,14 +56,13 @@ def _gather_monomials(dim: int, vec: Mapping[tuple[Exponents, Hashable], Fractio
 
 
 def exponents_upto(dim: int, max_total: int) -> list[Exponents]:
-    """All exponent tuples with total degree <= max_total, in lex order."""
-    out = [
-        e
-        for e in itertools.product(range(max_total + 1), repeat=dim)
-        if sum(e) <= max_total
+    """All exponent tuples with total degree <= max_total, in lex order: built
+    first coordinate first, so the work is proportional to the output."""
+    if dim == 0:
+        return [()]
+    return [
+        (a,) + rest for a in range(max_total + 1) for rest in exponents_upto(dim - 1, max_total - a)
     ]
-    out.sort()
-    return out
 
 
 class Polynomial:

@@ -17,10 +17,15 @@ the multiplication cochain m and the Gerstenhaber bracket built from
 Compositions and differentials are summed in a `_TermMap`: integer
 numerators over one denominator per map, so the many contributions that
 cancel do so in ints, and each surviving entry is divided once.
+
+The Leibniz splittings of d^alpha, `_leibniz` and `_split_over`, are pure
+functions of the multi-index: each is memoized per multi-index for the
+whole process, as immutable tuples.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -55,42 +60,33 @@ def _sub_multi_indices(alpha: Exponents) -> list[Exponents]:
     return [tuple(b) for b in itertools.product(*(range(a + 1) for a in alpha))]
 
 
-Leibniz = list[tuple[Exponents, Exponents, int]]
+@functools.cache
+def _leibniz(alpha: Exponents) -> tuple[tuple[Exponents, Exponents, int], ...]:
+    """((gamma, alpha - gamma, C(alpha, gamma)), ...) for gamma <= alpha, in
+    _sub_multi_indices order: the two-factor Leibniz rule for d^alpha."""
+    return tuple(
+        (gamma, sub_exponents(alpha, gamma), _binom_multi(alpha, gamma))
+        for gamma in _sub_multi_indices(alpha)
+    )
 
 
-def _leibniz(table: dict[Exponents, Leibniz], alpha: Exponents) -> Leibniz:
-    """[(gamma, alpha - gamma, C(alpha, gamma))] for gamma <= alpha, in
-    _sub_multi_indices order: the two-factor Leibniz rule for d^alpha.
-
-    `table` is a dict owned by one call; each alpha is split once into it.
-    """
-    rows = table.get(alpha)
-    if rows is None:
-        rows = table[alpha] = [
-            (gamma, sub_exponents(alpha, gamma), _binom_multi(alpha, gamma))
-            for gamma in _sub_multi_indices(alpha)
-        ]
-    return rows
-
-
-def _split_over(
-    table: dict[Exponents, Leibniz], alpha: Exponents, parts: int
-) -> list[tuple[tuple[Exponents, ...], int]]:
+@functools.cache
+def _split_over(alpha: Exponents, parts: int) -> tuple[tuple[tuple[Exponents, ...], int], ...]:
     """Ways to write alpha as an ordered sum of `parts` multi-indices.
 
     Returns (split, multinomial weight) pairs, the Leibniz rule for d^alpha
-    over `parts` factors, splitting off one factor at a time by `table`:
+    over `parts` factors, splitting off one factor at a time by _leibniz:
     the first part varies slowest, each in _sub_multi_indices order.
     """
     if parts == 0:
-        return [((), 1)] if not any(alpha) else []
+        return (((), 1),) if not any(alpha) else ()
     if parts == 1:
-        return [((alpha,), 1)]
-    return [
+        return (((alpha,), 1),)
+    return tuple(
         ((gamma,) + split, weight * w)
-        for gamma, rest, weight in _leibniz(table, alpha)
-        for split, w in _split_over(table, rest, parts - 1)
-    ]
+        for gamma, rest, weight in _leibniz(alpha)
+        for split, w in _split_over(rest, parts - 1)
+    )
 
 
 class _TermMap(dict):
@@ -291,8 +287,8 @@ class PolyDiffOp:
     def compose_at(self, slot: int, inner: PolyDiffOp) -> PolyDiffOp:
         """Insert `inner` into argument slot `slot` (0-based), no sign.
 
-        _compose_into on a fresh term map and Leibniz table.  Inserting the
-        identity gives self back, whose terms that path would rebuild in order.
+        _compose_into on a fresh term map.  Inserting the identity gives
+        self back, whose terms that path would rebuild in order.
         """
         if not 0 <= slot < self.arity:
             raise IndexError(f"slot {slot} out of range for arity {self.arity}")
@@ -304,39 +300,33 @@ class PolyDiffOp:
             if c is not None and c.terms == {z: 1}:
                 return self
         terms = _TermMap()
-        self._compose_into(terms, slot, inner, 1, {})
+        self._compose_into(terms, slot, inner, 1)
         return PolyDiffOp._from_term_map(self.dim, self.arity + inner.arity - 1, terms)
 
-    def _compose_into(
-        self, terms: _TermMap, slot: int, inner: PolyDiffOp, sign: int,
-        table: dict[Exponents, Leibniz],
-    ) -> None:
+    def _compose_into(self, terms: _TermMap, slot: int, inner: PolyDiffOp, sign: int) -> None:
         """Add sign * (self with `inner` in slot `slot`) to the caller's term map.
 
         Both operators enter as integer numerators, summed over the product of
-        their denominators.  By the Leibniz rule, from the caller's `table`, the
-        slot's d^alpha is split into d^gamma0 on the inner coefficient and the
-        rest, split over the inner slots only where d^gamma0 of the coefficient
-        is nonzero: terms come in the order of splitting alpha over all
-        1 + inner.arity factors, the first varying slowest.
+        their denominators.  By the Leibniz rule, the slot's d^alpha is split
+        into d^gamma0 on the inner coefficient and the rest, split over the
+        inner slots only where d^gamma0 of the coefficient is nonzero: terms
+        come in the order of splitting alpha over all 1 + inner.arity factors,
+        the first varying slowest.
         """
         den_out, outer_terms = _numerators(self)
         den_in, inner_terms = _numerators(inner)
         sign *= terms.scale(den_out * den_in)
-        rest_splits: dict[Exponents, list] = {}
         derivs: list[dict[Exponents, dict]] = [{} for _ in inner_terms]
         for key, c_out in outer_terms.items():
             head, tail = key[:slot], key[slot + 1 :]
             for (in_key, c_in), d_in in zip(inner_terms.items(), derivs):
-                for gamma0, rest, w0 in _leibniz(table, key[slot]):
+                for gamma0, rest, w0 in _leibniz(key[slot]):
                     dc = d_in.get(gamma0)
                     if dc is None:
                         dc = d_in[gamma0] = _int_partial(c_in, gamma0)
                     if not dc:
                         continue
-                    splits = rest_splits.get(rest)
-                    if splits is None:
-                        splits = rest_splits[rest] = _split_over(table, rest, inner.arity)
+                    splits = _split_over(rest, inner.arity)
                     if not splits:
                         continue
                     base: dict[Exponents, int] = {}  # c_out * dc, in Polynomial.__mul__'s order
@@ -374,15 +364,12 @@ class PolyDiffOp:
 # -- complex structure --------------------------------------------------------
 
 
-def _key_differential(
-    dim: int, key: DerivKey, table: dict[Exponents, Leibniz]
-) -> dict[DerivKey, int]:
+def _key_differential(dim: int, key: DerivKey) -> dict[DerivKey, int]:
     """hochschild_d of the constant operator d^key, in integers.
 
     For key = (a_1..a_k), d(d^key)(f_1..f_{k+1}) is f_1 d^key(f_2..),
     then (-1)^j d^key(.., f_j f_{j+1}, ..) for j = 1..k with the Leibniz
     rule splitting d^(a_j) over f_j f_{j+1}, then (-1)^(k+1) d^key(..) f_{k+1}.
-    The splittings come from `table`, which the caller shares across keys.
     """
     k = len(key)
     z = zero_exponents(dim)
@@ -392,24 +379,21 @@ def _key_differential(
     for j in range(1, k + 1):
         sign = (-1) ** j
         head, tail = key[: j - 1], key[j:]
-        for beta, rest, weight in _leibniz(table, key[j - 1]):
+        for beta, rest, weight in _leibniz(key[j - 1]):
             _accumulate(terms, head + (beta, rest) + tail, sign * weight)
     return terms
 
 
-def _differential_into(
-    terms: _TermMap, op: PolyDiffOp, sign: int, table: dict[Exponents, Leibniz]
-) -> None:
+def _differential_into(terms: _TermMap, op: PolyDiffOp, sign: int) -> None:
     """Add sign * hochschild_d(op) to the caller's term map.
 
-    `terms` is a _TermMap, as for PolyDiffOp._compose_into, and `table` is
-    the caller's Leibniz table.
+    `terms` is a _TermMap, as for PolyDiffOp._compose_into.
     B_0 is commutative, so a coefficient c passes through every term of
     d: d(c d^key) = c d(d^key).  Each term c d^key of op therefore adds c
     times the integer operator _key_differential(key), whose cancelled
     keys never reach a coefficient.
     """
-    terms.add(op, sign, lambda key: _key_differential(op.dim, key, table))
+    terms.add(op, sign, lambda key: _key_differential(op.dim, key))
 
 
 def hochschild_d(op: PolyDiffOp) -> PolyDiffOp:
@@ -418,10 +402,10 @@ def hochschild_d(op: PolyDiffOp) -> PolyDiffOp:
     d phi (f_1..f_{k+1}) = f_1 phi(f_2..) + sum_j (-1)^j phi(.., f_j f_{j+1}, ..)
                           + (-1)^(k+1) phi(..) f_{k+1}.
 
-    _differential_into on a fresh term map and Leibniz table.
+    _differential_into on a fresh term map.
     """
     terms = _TermMap()
-    _differential_into(terms, op, 1, {})
+    _differential_into(terms, op, 1)
     return PolyDiffOp._from_term_map(op.dim, op.arity + 1, terms)
 
 

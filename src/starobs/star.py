@@ -29,9 +29,7 @@ from typing import Sequence
 from . import linsolve
 from .multivec import Polyvector
 from .poly import Exponents, Polynomial, _accumulate, _gather_monomials, exponents_upto
-from .polydiff import (
-    DerivKey, Leibniz, PolyDiffOp, _TermMap, _differential_into, _key_differential
-)
+from .polydiff import DerivKey, PolyDiffOp, _TermMap, _differential_into, _key_differential
 
 
 class _OperatorSeries:
@@ -129,9 +127,8 @@ class StarProduct(_OperatorSeries):
         """
         if not 0 <= n <= self.order:
             raise IndexError(f"order {n} out of range (product order {self.order})")
-        table: dict[Exponents, Leibniz] = {}
-        terms = self._insertions(n, range(1, n), table)
-        _differential_into(terms, self.term(n), -1, table)
+        terms = self._insertions(n, range(1, n))
+        _differential_into(terms, self.term(n), -1)
         return PolyDiffOp._from_term_map(self.dim, 3, terms)
 
     def _associator(self, n: int, ks: Sequence[int]) -> PolyDiffOp:
@@ -139,16 +136,16 @@ class StarProduct(_OperatorSeries):
 
         Every insertion, those of m included, goes through _compose_into.
         """
-        return PolyDiffOp._from_term_map(self.dim, 3, self._insertions(n, ks, {}))
+        return PolyDiffOp._from_term_map(self.dim, 3, self._insertions(n, ks))
 
-    def _insertions(self, n: int, ks: Sequence[int], table: dict[Exponents, Leibniz]) -> _TermMap:
-        """_associator's term map, by _compose_into with the caller's Leibniz
-        table, the sign in the weight, k by k and the first slot before the second."""
+    def _insertions(self, n: int, ks: Sequence[int]) -> _TermMap:
+        """_associator's term map, by _compose_into with the sign in the
+        weight, k by k and the first slot before the second."""
         terms = _TermMap()
         for k in ks:
             outer, inner = self.term(k), self.term(n - k)
-            outer._compose_into(terms, 0, inner, 1, table)
-            outer._compose_into(terms, 1, inner, -1, table)
+            outer._compose_into(terms, 0, inner, 1)
+            outer._compose_into(terms, 1, inner, -1)
         return terms
 
     def certified_order(self) -> int:
@@ -250,8 +247,7 @@ def gauge_transform(s: StarProduct, D: FormalDiffeo) -> StarProduct:
     Each B_i(D_j ., .) is built once, by compose_at, which returns B_i itself
     for the identity D_0.  Order n is one term map: every insertion of D_k
     (k >= 1) into its second slot and every -D_r o B'_{n-r} is added by
-    PolyDiffOp._compose_into, with one Leibniz table for the whole call, and
-    the k = 0 terms by _TermMap.add.
+    PolyDiffOp._compose_into, and the k = 0 terms by _TermMap.add.
 
     Associativity certificates carry over: conjugating an associative-
     to-order-n product yields an associative-to-order-n product.
@@ -262,7 +258,6 @@ def gauge_transform(s: StarProduct, D: FormalDiffeo) -> StarProduct:
         raise ValueError(f"order mismatch: star {s.order} vs diffeo {D.order}")
     N = s.order
     left = [[s.term(i).compose_at(0, D.term(j)) for j in range(N + 1 - i)] for i in range(N + 1)]
-    table: dict[Exponents, Leibniz] = {}
     terms: list[PolyDiffOp] = []
     for n in range(N + 1):
         acc = _TermMap()
@@ -270,11 +265,11 @@ def gauge_transform(s: StarProduct, D: FormalDiffeo) -> StarProduct:
             for j in range(n - i + 1):
                 k = n - i - j
                 if k:
-                    left[i][j]._compose_into(acc, 1, D.term(k), 1, table)
+                    left[i][j]._compose_into(acc, 1, D.term(k), 1)
                 else:
                     acc.add(left[i][j], 1, lambda key: {key: 1})
         for r in range(1, n + 1):
-            D.term(r)._compose_into(acc, 0, terms[n - r], -1, table)
+            D.term(r)._compose_into(acc, 0, terms[n - r], -1)
         terms.append(PolyDiffOp._from_term_map(s.dim, 2, acc))
     if terms[0] != PolyDiffOp.multiplication(s.dim):
         raise AssertionError("gauge transform lost the leading product")
@@ -357,9 +352,8 @@ def extend_one_order(
     keep = set(upto) | {tuple(map(sum, zip(*k))) for k in target.terms}
     keys = [(a, b) for a, bs in linsolve._weight_blocks(multi, multi, keep)[0] for b in bs]
     matrix: dict[DerivKey, dict[int, int]] = {}  # M by rows
-    table: dict[Exponents, Leibniz] = {}
     for ci, key in enumerate(keys):
-        for dkey, v in _key_differential(dim, key, table).items():
+        for dkey, v in _key_differential(dim, key).items():
             matrix.setdefault(dkey, {})[ci] = v
     if not all(k in matrix for k in target.terms):
         return ExtensionResult()

@@ -35,7 +35,6 @@ from starobs.poly import (
 )
 from starobs.polydiff import (
     DerivKey,
-    Leibniz,
     _binom_multi,
     _key_differential,
     _leibniz,
@@ -565,7 +564,7 @@ def reference_hochschild_d(op: PolyDiffOp) -> PolyDiffOp:
     return PolyDiffOp(dim, k + 1, terms)
 
 
-# -- Leibniz rule split per pair of terms, the reference for the one-table compose_at --
+# -- Leibniz rule split per pair of terms, the reference for compose_at -------------
 
 
 def reference_splittings(alpha, parts):
@@ -637,33 +636,27 @@ def reference_associator(s: StarProduct, n: int, ks) -> PolyDiffOp:
 # -- term maps of exact coefficients, the reference for the integer ones -------------
 
 
-def reference_compose_into(
-    op: PolyDiffOp, terms: dict, slot: int, inner: PolyDiffOp, sign: int, table: dict
-) -> None:
+def reference_compose_into(op: PolyDiffOp, terms: dict, slot: int, inner: PolyDiffOp, sign: int):
     """Add sign * (op with `inner` in slot `slot`) to the term map `terms`.
 
     `terms` maps derivative keys to {monomial: coefficient}, int or
     Fraction, and every contribution is added as a Fraction product.  By
-    the Leibniz rule, from the caller's `table`, the slot's d^alpha is split
-    into d^gamma0 on the inner coefficient and the rest, split over the inner
-    slots only where d^gamma0 of the coefficient is nonzero: terms come in the
-    order of splitting alpha over all 1 + inner.arity factors, the first
-    varying slowest.
+    the Leibniz rule, the slot's d^alpha is split into d^gamma0 on the inner
+    coefficient and the rest, split over the inner slots only where d^gamma0
+    of the coefficient is nonzero: terms come in the order of splitting alpha
+    over all 1 + inner.arity factors, the first varying slowest.
     """
-    rest_splits: dict[Exponents, list] = {}
     derivs: list[dict[Exponents, Polynomial]] = [{} for _ in inner.terms]
     for key, c_out in op.terms.items():
         head, tail = key[:slot], key[slot + 1 :]
         for (in_key, c_in), d_in in zip(inner.terms.items(), derivs):
-            for gamma0, rest, w0 in _leibniz(table, key[slot]):
+            for gamma0, rest, w0 in _leibniz(key[slot]):
                 dc = d_in.get(gamma0)
                 if dc is None:
                     dc = d_in[gamma0] = c_in.partial_multi(gamma0)
                 if not dc:
                     continue
-                splits = rest_splits.get(rest)
-                if splits is None:
-                    splits = rest_splits[rest] = _split_over(table, rest, inner.arity)
+                splits = _split_over(rest, inner.arity)
                 if not splits:
                     continue
                 base = (c_out * dc).terms
@@ -675,14 +668,12 @@ def reference_compose_into(
                         _accumulate(acc, mono, c * weight if weight != 1 else c)
 
 
-def reference_differential_into(
-    terms: dict, op: PolyDiffOp, sign: int, table: dict[Exponents, Leibniz]
-) -> None:
+def reference_differential_into(terms: dict, op: PolyDiffOp, sign: int) -> None:
     """Add sign * hochschild_d(op) to the exact-coefficient term map `terms`:
     each term c d^key of op adds c times the integer operator
     _key_differential(key)."""
     for key, c in op.terms.items():
-        for dkey, weight in _key_differential(op.dim, key, table).items():
+        for dkey, weight in _key_differential(op.dim, key).items():
             weight *= sign
             acc = terms.setdefault(dkey, {})
             for mono, v in c.terms.items():
@@ -1178,3 +1169,18 @@ def reference_gauge_transform(s: StarProduct, D: FormalDiffeo) -> StarProduct:
     result = StarProduct(s.dim, s.order, corrections)
     result._inherit_certificate(object.__getattribute__(s, "_certified"))
     return result
+
+
+# -- filtered and sorted product, the reference for the first-coordinate-first one ---
+
+
+def reference_exponents_upto(dim: int, max_total: int) -> list[Exponents]:
+    """All exponent tuples with total degree <= max_total, in lex order, by
+    filtering every tuple of entries <= max_total and sorting the rest."""
+    out = [
+        e
+        for e in itertools.product(range(max_total + 1), repeat=dim)
+        if sum(e) <= max_total
+    ]
+    out.sort()
+    return out

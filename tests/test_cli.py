@@ -567,6 +567,26 @@ def star_with_slot(slot):
             "star.order: expected an integer, got float",
         ),
         ({"star": {"type": "moyal"}}, [], "star.order: missing; expected an integer of at least 1"),
+        (
+            {"star": {"type": "moyal", "order": None}},
+            [],
+            "star.order: missing; expected an integer of at least 1",
+        ),
+        (
+            json.dumps({k: v for k, v in REMOVABLE.items() if k != "dimension"}),
+            [],
+            "dimension: missing; expected an integer of at least 1",
+        ),
+        (
+            {"star": dict(REMOVABLE["star"], terms={"1": [{"derivs": [[1, 0, 0], [0, 1, 0]]}]})},
+            [],
+            "star.terms.1[0].coeff: missing; expected a polynomial string",
+        ),
+        (
+            {"star": dict(REMOVABLE["star"], terms={"1": [{"coeff": "1/2"}]})},
+            [],
+            "star.terms.1[0].derivs: missing; expected 2 derivative slots",
+        ),
         ({"order": 2.5}, [], "order: expected an integer, got float"),
         ({"order": -1}, [], "order: must be at least 1, got -1"),
         ({}, ["--order", "-1"], "--order: must be at least 1, got -1"),
@@ -698,6 +718,10 @@ def star_with_slot(slot):
         "poisson-index-float",
         "star-order-float",
         "star-order-missing",
+        "star-order-null",
+        "dimension-missing",
+        "star-term-coeff-missing",
+        "star-term-derivs-missing",
         "order-float",
         "order-negative",
         "order-flag-negative",

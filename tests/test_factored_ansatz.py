@@ -293,12 +293,10 @@ def test_rotation_momenta_at_bounds_2_6_solves_a_small_monomial_system():
         assert hashlib.sha256(report.encode()).hexdigest().startswith(digest)
 
 
-def assert_key_differential_matches_reference(dim, key, table=None):
-    """_key_differential(key) is d(d^key), coordinate for coordinate and in order,
-    on a fresh Leibniz table or on the given one."""
+def assert_key_differential_matches_reference(dim, key):
+    """_key_differential(key) is d(d^key), coordinate for coordinate and in order."""
     z = zero_exponents(dim)
-    table = {} if table is None else table
-    got = [((dkey, z), v) for dkey, v in _key_differential(dim, key, table).items()]
+    got = [((dkey, z), v) for dkey, v in _key_differential(dim, key).items()]
     want = _op_coordinates(reference_hochschild_d(PolyDiffOp.single(dim, key)))
     assert got == list(want.items())
 
@@ -308,18 +306,6 @@ def assert_key_differential_matches_reference(dim, key, table=None):
 def test_key_differential_matches_hochschild_d(dim, op_order):
     for key in itertools.product(exponents_upto(dim, op_order), repeat=2):
         assert_key_differential_matches_reference(dim, key)
-
-
-@pytest.mark.parametrize("dim, op_order", [(2, 3), (4, 3)])
-def test_one_leibniz_table_serves_every_key_of_a_call(dim, op_order):
-    # keys in reverse and in extend_one_order's order, so each key meets a table
-    # filled by others; a table entry spoiled by one key would show on a later one
-    keys = list(itertools.product(exponents_upto(dim, op_order), repeat=2))
-    for order in (keys[::-1], keys):
-        table = {}
-        for key in order:
-            assert_key_differential_matches_reference(dim, key, table)
-        assert set(table) == set(exponents_upto(dim, op_order))
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
@@ -474,9 +460,9 @@ def test_columns_above_order_plus_one_are_pinned_by_a_row_of_their_own(dim, op_o
     # column to 0 in a block with a zero right-hand side.  The pinned columns are
     # exactly those with |a| + |b| >= K + 2 or with one of a, b zero
     keys = list(itertools.product(exponents_upto(dim, op_order), repeat=2))
-    rows, table = {}, {}
+    rows = {}
     for key in keys:
-        for dkey, v in _key_differential(dim, key, table).items():
+        for dkey, v in _key_differential(dim, key).items():
             assert weight(dkey) == weight(key)
             rows.setdefault(dkey, {})[key] = v
     pinned = {next(iter(row)) for row in rows.values() if len(row) == 1}
@@ -490,9 +476,9 @@ def recording_key_differentials(monkeypatch):
     keys = []
     real_differential = star_module._key_differential
 
-    def recording(dim, key, table):
+    def recording(dim, key):
         keys.append(key)
-        return real_differential(dim, key, table)
+        return real_differential(dim, key)
 
     monkeypatch.setattr(star_module, "_key_differential", recording)
     return keys

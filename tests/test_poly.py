@@ -3,10 +3,10 @@ import time
 from fractions import Fraction
 
 import pytest
-from helpers import R2, p2, rand_poly
+from helpers import R2, p2, rand_poly, reference_exponents_upto
 
 from starobs import Polynomial, PolynomialParseError, parse_polynomial
-from starobs.poly import _Parser
+from starobs.poly import _Parser, exponents_upto
 
 
 def test_difference_of_squares():
@@ -204,3 +204,17 @@ def test_parse_rejects_a_large_power_of_a_sum_before_expanding_it():
     big = Polynomial.monomial(4, (100, 100, 0, 0), 2**100)
     assert parse_polynomial("(2*x*y)^100", names) == big
     assert parse_polynomial("(x + y - y)^40", names) == Polynomial.monomial(4, (40, 0, 0, 0))
+
+
+@pytest.mark.parametrize("dim", range(6))
+def test_exponents_upto_matches_the_filtered_product(dim):
+    for max_total in range(7):
+        assert exponents_upto(dim, max_total) == reference_exponents_upto(dim, max_total)
+
+
+def test_exponents_upto_works_in_proportion_to_its_output():
+    # the filtered product took 0.8 s at dim 8, degree 6 for 3,003 tuples
+    start = time.perf_counter()
+    assert len(exponents_upto(8, 6)) == 3003
+    assert len(exponents_upto(6, 12)) == 18564
+    assert time.perf_counter() - start < 0.25

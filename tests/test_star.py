@@ -41,7 +41,8 @@ from starobs import (
     poisson_bracket,
 )
 from starobs import star as star_module
-from starobs.polydiff import _differential_into, _TermMap
+from starobs.poly import exponents_upto
+from starobs.polydiff import _differential_into, _leibniz, _split_over, _TermMap
 
 P1 = lambda t: parse_polynomial(t, ["x"])
 
@@ -197,6 +198,48 @@ def test_residual_matches_compose_then_merge_reference(star):
         assert star.assoc_residual(n) == reference_associator(star, n, range(n + 1))
 
 
+def memo_results(star):
+    """The terms of every kernel that splits d^alpha, on one product: each
+    B_i o_slot B_j, each dB_k, each residual and, for an associative product,
+    the next-order extension with its freedom."""
+    n = star.order
+    ops = [
+        star.term(i).compose_at(slot, star.term(j))
+        for i, j in itertools.product(range(n + 1), repeat=2)
+        for slot in (0, 1)
+    ]
+    ops += [hochschild_d(star.term(k)) for k in range(n + 1)]
+    ops += [star.assoc_residual(k) for k in range(n + 1)]
+    if star.certified_order() == n:
+        result = extend_one_order(star, 0, n + 1)
+        assert result.solved
+        ops += [result.particular, *result.freedom[0]]
+    return [[(key, list(c.terms.items())) for key, c in op.terms.items()] for op in ops]
+
+
+def clear_leibniz_memos():
+    _leibniz.cache_clear()
+    _split_over.cache_clear()
+
+
+def test_cold_and_warm_leibniz_memos_give_the_same_terms():
+    # the splittings are memoized for the whole process, so no result may
+    # depend on which multi-indices were split before it, or in what order
+    products = [param.values[0] for param in REFERENCE_PRODUCTS]
+    cold = []
+    for star in products:
+        clear_leibniz_memos()
+        cold.append(memo_results(star))
+    clear_leibniz_memos()
+    for star in products[::-1]:
+        for alpha in exponents_upto(star.dim, 6)[::-1]:
+            for parts in (3, 2, 1, 0):
+                assert type(_split_over(alpha, parts)) is tuple
+            assert type(_leibniz(alpha)) is tuple
+    warm = [memo_results(star) for star in products[::-1]][::-1]
+    assert cold == warm
+
+
 # -- integer term maps against the exact-coefficient kernels they replaced ------------
 
 
@@ -242,14 +285,14 @@ def test_term_maps_match_the_fraction_kernels(star):
     # alone and summed in one map as the residual sums them
     dim = star.dim
     for n in range(star.order + 1):
-        got, want, table = _TermMap(), {}, {}
+        got, want = _TermMap(), {}
         for k in range(n + 1):
             outer, inner = star.term(k), star.term(n - k)
             for slot, sign in itertools.product((0, 1), (1, -1)):
                 alone_got, alone_want = _TermMap(), {}
                 for ours, theirs in ((alone_got, alone_want), (got, want)):
-                    outer._compose_into(ours, slot, inner, sign, table)
-                    reference_compose_into(outer, theirs, slot, inner, sign, {})
+                    outer._compose_into(ours, slot, inner, sign)
+                    reference_compose_into(outer, theirs, slot, inner, sign)
                 assert_same_terms(
                     PolyDiffOp._from_term_map(dim, 3, alone_got),
                     reference_from_term_map(dim, 3, alone_want),
@@ -257,8 +300,8 @@ def test_term_maps_match_the_fraction_kernels(star):
         for sign in (1, -1):
             alone_got, alone_want = _TermMap(), {}
             for ours, theirs in ((alone_got, alone_want), (got, want)):
-                _differential_into(ours, star.term(n), sign, table)
-                reference_differential_into(theirs, star.term(n), sign, {})
+                _differential_into(ours, star.term(n), sign)
+                reference_differential_into(theirs, star.term(n), sign)
             assert_same_terms(
                 PolyDiffOp._from_term_map(dim, 3, alone_got),
                 reference_from_term_map(dim, 3, alone_want),
@@ -274,7 +317,7 @@ def test_term_map_rescales_when_a_new_denominator_arrives(dim):
     # 1/7, so its denominator grows partway through, each time with entries in it
     rng = random.Random(2700 + dim)
     for _ in range(4):
-        got, want, table = _TermMap(), {}, {}
+        got, want = _TermMap(), {}
         dens = []
         for den in (1, 1, 2, 1, 3, 6, 7, 2):
             kind = rng.randrange(3)
@@ -284,12 +327,12 @@ def test_term_map_rescales_when_a_new_denominator_arrives(dim):
                 outer, inner = fraction_op(rng, dim, 3, 1), fraction_op(rng, dim, 1, den)
             if kind < 2:
                 slot, sign = rng.randrange(outer.arity), rng.choice((1, -1, 2))
-                outer._compose_into(got, slot, inner, sign, table)
-                reference_compose_into(outer, want, slot, inner, sign, {})
+                outer._compose_into(got, slot, inner, sign)
+                reference_compose_into(outer, want, slot, inner, sign)
             else:
                 op, sign = fraction_op(rng, dim, 2, den), rng.choice((1, -1))
-                _differential_into(got, op, sign, table)
-                reference_differential_into(want, op, sign, {})
+                _differential_into(got, op, sign)
+                reference_differential_into(want, op, sign)
             dens.append(got.den)
             assert_same_terms(
                 PolyDiffOp._from_term_map(dim, 3, copy_map(got)),
@@ -531,9 +574,9 @@ def test_extension_post_check_reuses_the_target(monkeypatch):
     calls = []
     compose_into = PolyDiffOp._compose_into
 
-    def counting(self, terms, slot, inner, sign, table):
+    def counting(self, terms, slot, inner, sign):
         calls.append(slot)
-        return compose_into(self, terms, slot, inner, sign, table)
+        return compose_into(self, terms, slot, inner, sign)
 
     monkeypatch.setattr(PolyDiffOp, "_compose_into", counting)
     assert extend_one_order(star, 1, 3).solved

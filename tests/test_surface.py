@@ -3,8 +3,8 @@
 Every public name, every module-level function and class, private ones
 included, and every method, classmethod, staticmethod and property of a
 class (dunders aside) is used by the pipeline, the CLI or the benchmark
-(names only the tests need live under tests/), and no module imports a
-name it never uses.
+(names only the tests need live under tests/), no module imports a
+name it never uses, and the only functools memos are the ones named here.
 """
 
 import ast
@@ -127,3 +127,24 @@ def test_no_unused_imports(path):
                 if bound not in used:
                     unused.append(bound)
     assert unused == []
+
+
+def _memoized(node: ast.FunctionDef | ast.AsyncFunctionDef) -> bool:
+    """Whether a functools.cache or lru_cache decorator, called or not, wraps node."""
+    for decorator in node.decorator_list:
+        target = decorator.func if isinstance(decorator, ast.Call) else decorator
+        name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", None)
+        if name in ("cache", "lru_cache"):
+            return True
+    return False
+
+
+def test_the_only_memos_are_the_parser_and_the_leibniz_splittings():
+    # a functools memo is state that outlives its call: each one is reviewed
+    memoized = sorted(
+        f"{path.stem}.{node.name}"
+        for path in MODULES
+        for node in ast.walk(_tree(path))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and _memoized(node)
+    )
+    assert memoized == ["cli.build_parser", "polydiff._leibniz", "polydiff._split_over"]
