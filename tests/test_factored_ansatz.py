@@ -67,7 +67,7 @@ from starobs.cli import (
 )
 from starobs.obstruction import _solve_unary_correction, _unary_ansatz_rows, _weight_map
 from starobs.poly import exponents_upto, zero_exponents
-from starobs.polydiff import _key_differential
+from starobs.polydiff import _key_differential, _leibniz
 
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
@@ -306,6 +306,20 @@ def assert_key_differential_matches_reference(dim, key):
 def test_key_differential_matches_hochschild_d(dim, op_order):
     for key in itertools.product(exponents_upto(dim, op_order), repeat=2):
         assert_key_differential_matches_reference(dim, key)
+
+
+@pytest.mark.parametrize("dim, op_order", [(2, 3), (4, 3)])
+def test_one_leibniz_table_serves_every_key_of_a_call(dim, op_order):
+    # the Leibniz table is _leibniz's process-wide memo; keys in reverse and in
+    # extend_one_order's order, so each key meets a memo filled by others: an
+    # entry spoiled by one key would show on a later one
+    keys = list(itertools.product(exponents_upto(dim, op_order), repeat=2))
+    _leibniz.cache_clear()
+    for order in (keys[::-1], keys):
+        for key in order:
+            assert_key_differential_matches_reference(dim, key)
+        # one entry per multi-index of the keys, each split once
+        assert _leibniz.cache_info().misses == len(exponents_upto(dim, op_order))
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
