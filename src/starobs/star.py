@@ -127,21 +127,15 @@ class StarProduct(_OperatorSeries):
         """
         if not 0 <= n <= self.order:
             raise IndexError(f"order {n} out of range (product order {self.order})")
-        terms = self._insertions(n, range(1, n))
+        terms = self._insertions(n, range(1, n), _TermMap())
         _differential_into(terms, self.term(n), -1)
         return PolyDiffOp._from_term_map(self.dim, 3, terms)
 
-    def _associator(self, n: int, ks: Sequence[int]) -> PolyDiffOp:
-        """sum over k in ks of B_k(B_{n-k}(.,.),.) - B_k(., B_{n-k}(.,.)).
-
-        Every insertion, those of m included, goes through _compose_into.
-        """
-        return PolyDiffOp._from_term_map(self.dim, 3, self._insertions(n, ks))
-
-    def _insertions(self, n: int, ks: Sequence[int]) -> _TermMap:
-        """_associator's term map, by _compose_into with the sign in the
-        weight, k by k and the first slot before the second."""
-        terms = _TermMap()
+    def _insertions(self, n: int, ks: Sequence[int], terms: _TermMap) -> _TermMap:
+        """Add sum over k in ks of B_k(B_{n-k}(.,.),.) - B_k(., B_{n-k}(.,.))
+        to `terms` and return it.  Every insertion, those of m included, goes
+        through _compose_into with the sign in the weight, k by k and the
+        first slot before the second."""
         for k in ks:
             outer, inner = self.term(k), self.term(n - k)
             outer._compose_into(terms, 0, inner, 1)
@@ -335,34 +329,43 @@ def extend_one_order(
     therefore has the one solution 0 and no free column, and since the
     reduced row-echelon form is unique, dropping it changes neither the
     particular solution nor the freedom and its order.
+
+    The target is one integer term map from right-hand side to post-check.
+    The right-hand sides are its numerators over its one denominator den,
+    and each solution entry is divided by den once.  The post-check adds
+    B_{n+1}'s four insertions into the same map, which then sums the whole
+    order-(n+1) associator, and asks that no entry is left.
     """
     n = s.order
     if s.certified_order() < n:
         raise ValueError(f"product is only associative to order {s.certified_order()}, not {n}")
     dim = s.dim
-    # the order-(n+1) associator without its two B_{n+1} terms
-    target = s._associator(n + 1, range(1, n + 1))
+    # the order-(n+1) associator without its two B_{n+1} terms, over terms.den;
+    # a cancelled key stays, with no monomials
+    terms = s._insertions(n + 1, range(1, n + 1), _TermMap())
 
     emons = exponents_upto(dim, coefficient_degree)
     emon_set = set(emons)
-    if not all(emon_set.issuperset(p.terms) for p in target.terms.values()):
+    if not all(emon_set.issuperset(t) for t in terms.values()):
         return ExtensionResult()
     upto = exponents_upto(dim, operator_order + 1)
     multi = [(a, a) for a in upto if sum(a) <= operator_order]
-    keep = set(upto) | {tuple(map(sum, zip(*k))) for k in target.terms}
+    keep = set(upto) | {tuple(map(sum, zip(*k))) for k, t in terms.items() if t}
     keys = [(a, b) for a, bs in linsolve._weight_blocks(multi, multi, keep)[0] for b in bs]
     matrix: dict[DerivKey, dict[int, int]] = {}  # M by rows
     for ci, key in enumerate(keys):
         for dkey, v in _key_differential(dim, key).items():
             matrix.setdefault(dkey, {})[ci] = v
-    if not all(k in matrix for k in target.terms):
+    if not all(k in matrix for k, t in terms.items() if t):
         return ExtensionResult()
-    rhs = [target.terms[k].terms if k in target.terms else {} for k in matrix]
+    rhs = [terms.get(k, {}) for k in matrix]
     result = linsolve.solve_sparse(list(matrix.values()), rhs, len(keys), want_nullspace=True)
     if not result.solved:
         return ExtensionResult()
     solution = {
-        (e, keys[ci]): v for e, block in result.solution.items() for ci, v in block.items()
+        (e, keys[ci]): Fraction(v, terms.den)
+        for e, block in result.solution.items()
+        for ci, v in block.items()
     }
     particular = PolyDiffOp(dim, 2, _gather_monomials(dim, solution))
     # the keys come from the ansatz and the nullspace entries are nonzero
@@ -377,7 +380,8 @@ def extend_one_order(
     # target plus the B_{n+1} terms is the order-(n+1) associator.  The B_{n+1} terms
     # go through _compose_into, not -dB_{n+1}: a check on _key_differential, which
     # built M, would share any fault of M
-    if not (target + extended._associator(n + 1, (0, n + 1))).is_zero():
+    extended._insertions(n + 1, (0, n + 1), terms)
+    if any(terms.values()):
         raise AssertionError("extension failed its built-in residual post-check")
     extended._inherit_certificate(n + 1)
     return ExtensionResult(particular, (operators, emons), extended)

@@ -41,6 +41,7 @@ from starobs.polydiff import (
     _restricted_items,
     _split_over,
     _sub_multi_indices,
+    _TermMap,
 )
 from starobs.star import ExtensionResult, StarProduct
 
@@ -482,7 +483,7 @@ def reference_extend_one_order(s, coefficient_degree, operator_order):
     """
     n = s.order
     dim = s.dim
-    target = s._associator(n + 1, range(1, n + 1))
+    target = associator(s, n + 1, range(1, n + 1))
     alphas = exponents_upto(dim, operator_order)
     emons = exponents_upto(dim, coefficient_degree)
     basis = [(e, key) for key in itertools.product(alphas, repeat=2) for e in emons]
@@ -615,6 +616,12 @@ def reference_compose_at(op: PolyDiffOp, slot: int, inner: PolyDiffOp) -> PolyDi
                 )
                 _accumulate(out_terms, key[:slot] + inserted + key[slot + 1 :], coeff)
     return PolyDiffOp(op.dim, op.arity + j - 1, out_terms)
+
+
+def associator(s: StarProduct, n: int, ks) -> PolyDiffOp:
+    """sum over k in ks of B_k(B_{n-k}(.,.),.) - B_k(., B_{n-k}(.,.)) as an
+    operator: StarProduct._insertions' integer term map, divided out."""
+    return PolyDiffOp._from_term_map(s.dim, 3, s._insertions(n, ks, _TermMap()))
 
 
 def reference_associator(s: StarProduct, n: int, ks) -> PolyDiffOp:

@@ -75,38 +75,52 @@ MUTANTS = [
     Mutant(
         "extension drops the target's weight blocks",
         "star.py",
-        " | {tuple(map(sum, zip(*k))) for k in target.terms}\n",
+        " | {tuple(map(sum, zip(*k))) for k, t in terms.items() if t}\n",
         "\n",
         (FACTORED + "test_extension_matches_reference_solve",),
     ),
     Mutant(
         "extension tests the coefficient degree after assembling M",
         "star.py",
-        "    if not all(emon_set.issuperset(p.terms) for p in target.terms.values()):\n"
+        "    if not all(emon_set.issuperset(t) for t in terms.values()):\n"
         "        return ExtensionResult()\n"
         "    upto = exponents_upto(dim, operator_order + 1)\n"
         "    multi = [(a, a) for a in upto if sum(a) <= operator_order]\n"
-        "    keep = set(upto) | {tuple(map(sum, zip(*k))) for k in target.terms}\n"
+        "    keep = set(upto) | {tuple(map(sum, zip(*k))) for k, t in terms.items() if t}\n"
         "    keys = [(a, b) for a, bs in linsolve._weight_blocks(multi, multi, keep)[0]"
         " for b in bs]\n"
         "    matrix: dict[DerivKey, dict[int, int]] = {}  # M by rows\n"
         "    for ci, key in enumerate(keys):\n"
         "        for dkey, v in _key_differential(dim, key).items():\n"
         "            matrix.setdefault(dkey, {})[ci] = v\n"
-        "    if not all(k in matrix for k in target.terms):\n",
+        "    if not all(k in matrix for k, t in terms.items() if t):\n",
         "    upto = exponents_upto(dim, operator_order + 1)\n"
         "    multi = [(a, a) for a in upto if sum(a) <= operator_order]\n"
-        "    keep = set(upto) | {tuple(map(sum, zip(*k))) for k in target.terms}\n"
+        "    keep = set(upto) | {tuple(map(sum, zip(*k))) for k, t in terms.items() if t}\n"
         "    keys = [(a, b) for a, bs in linsolve._weight_blocks(multi, multi, keep)[0]"
         " for b in bs]\n"
         "    matrix: dict[DerivKey, dict[int, int]] = {}  # M by rows\n"
         "    for ci, key in enumerate(keys):\n"
         "        for dkey, v in _key_differential(dim, key).items():\n"
         "            matrix.setdefault(dkey, {})[ci] = v\n"
-        "    if not all(emon_set.issuperset(p.terms) for p in target.terms.values()):\n"
+        "    if not all(emon_set.issuperset(t) for t in terms.values()):\n"
         "        return ExtensionResult()\n"
-        "    if not all(k in matrix for k in target.terms):\n",
+        "    if not all(k in matrix for k, t in terms.items() if t):\n",
         (FACTORED + "test_extension_target_outside_the_ansatz_makes_no_solve",),
+    ),
+    Mutant(
+        "extension solution entries not divided by the target's denominator",
+        "star.py",
+        "Fraction(v, terms.den)",
+        "Fraction(v, 1)",
+        (FACTORED + "test_extension_divides_the_integer_solution_by_the_targets_denominator",),
+    ),
+    Mutant(
+        "extension post-check never fires",
+        "star.py",
+        "    if any(terms.values()):\n",
+        "    if False:\n",
+        ("tests/test_star.py::test_extension_post_check_catches_a_perturbed_solve",),
     ),
     # the cached parser, the JSON writer and the one-map gauge transform
     Mutant(
@@ -183,8 +197,8 @@ MUTANTS = [
     Mutant(
         "residual composes from k = 0, counting m o B_n twice",
         "star.py",
-        "terms = self._insertions(n, range(1, n))",
-        "terms = self._insertions(n, range(0, n))",
+        "terms = self._insertions(n, range(1, n), _TermMap())",
+        "terms = self._insertions(n, range(0, n), _TermMap())",
         ("tests/test_star.py::test_residual_matches_compose_then_merge_reference",),
     ),
     Mutant(

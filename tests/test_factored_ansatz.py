@@ -67,7 +67,7 @@ from starobs.cli import (
 )
 from starobs.obstruction import _solve_unary_correction, _unary_ansatz_rows, _weight_map
 from starobs.poly import exponents_upto, zero_exponents
-from starobs.polydiff import _key_differential, _leibniz
+from starobs.polydiff import _key_differential, _leibniz, _TermMap
 
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
@@ -509,6 +509,44 @@ def test_extension_target_outside_the_ansatz_makes_no_solve(monkeypatch):
     assert differentials == []
     assert extend_one_order(star, degree, op_order).solved
     assert differentials
+
+
+def recording_right_hand_sides(monkeypatch):
+    """Record a copy of the right-hand sides of every solve_sparse call: the
+    extension's post-check adds into the dicts it passes."""
+    seen = []
+    real_solve = linsolve.solve_sparse
+
+    def recording(rows, rhs, ncols, want_nullspace=False):
+        seen.append([dict(b) for b in rhs])
+        return real_solve(rows, rhs, ncols, want_nullspace)
+
+    monkeypatch.setattr(linsolve, "solve_sparse", recording)
+    return seen
+
+
+@pytest.mark.parametrize("star, degree, op_order", SOLVED_EXTENSIONS)
+def test_extension_right_hand_sides_are_integer_numerators(monkeypatch, star, degree, op_order):
+    seen = recording_right_hand_sides(monkeypatch)
+    assert extend_one_order(star, degree, op_order).solved
+    [rhs] = seen
+    assert all(type(v) is int for b in rhs for v in b.values())
+
+
+SOLVED_BY_ID = {p.id: p.values for p in SOLVED_EXTENSIONS}
+
+
+@pytest.mark.parametrize(
+    "case, den", [("gauged-r2-o2", 16), ("moyal-r2-o3", 192), ("trivial", 1)]
+)
+def test_extension_divides_the_integer_solution_by_the_targets_denominator(case, den):
+    star, degree, op_order = SOLVED_BY_ID[case]
+    n = star.order
+    assert star._insertions(n + 1, range(1, n + 1), _TermMap()).den == den
+    got = extend_one_order(star, degree, op_order)
+    want = reference_extend_one_order(star, degree, op_order)
+    assert got.particular == want.particular
+    assert expand_freedom(got) == want.freedom
 
 
 def in_freedom_span(result, op):

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 from helpers import (
+    associator,
     canonical_pi2,
     canonical_pi4,
     expand_freedom,
@@ -188,7 +189,7 @@ def test_associator_matches_compose_then_merge_reference(star):
     for n in range(star.order + 1):
         for size in range(n + 2):
             for ks in itertools.combinations(range(n + 1), size):
-                assert star._associator(n, ks) == reference_associator(star, n, ks)
+                assert associator(star, n, ks) == reference_associator(star, n, ks)
 
 
 @pytest.mark.parametrize("star", REFERENCE_PRODUCTS)
