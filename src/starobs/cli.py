@@ -459,10 +459,7 @@ def cmd_extend_star(problem: Problem, order: int | None) -> dict:
     }
     if result.solved:
         payload["candidate"] = op_payload(result.particular, problem.names)
-        operators, shifts = result.freedom
-        payload["freedom_rank"] = len(operators) * len(shifts)
-        payload["freedom"] = [op_payload(op, problem.names) for op in operators]
-        payload["freedom_shifts"] = [list(e) for e in shifts]
+        payload["freedom"] = "candidate + any Hochschild 2-cocycle dD + beta is also a solution"
     return payload
 
 

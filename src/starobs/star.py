@@ -28,7 +28,7 @@ from typing import Sequence
 
 from . import linsolve
 from .multivec import Polyvector
-from .poly import Exponents, Polynomial, _accumulate, _gather_monomials, exponents_upto
+from .poly import Polynomial, _accumulate, _gather_monomials, exponents_upto
 from .polydiff import DerivKey, PolyDiffOp, _TermMap, _differential_into, _key_differential
 
 
@@ -277,11 +277,10 @@ def gauge_transform(s: StarProduct, D: FormalDiffeo) -> StarProduct:
 
 @dataclass
 class ExtensionResult:
-    """Outcome of solving the order-(n+1) associativity constraint; empty when undecided."""
+    """Outcome of solving the order-(n+1) associativity constraint; empty when undecided.
+    Any other solution differs from `particular` by a Hochschild 2-cocycle dD + beta."""
 
     particular: PolyDiffOp | None = None
-    # (operators F with constant coefficients, shifts e): the basis is x^e F, F-major
-    freedom: tuple[Sequence[PolyDiffOp], Sequence[Exponents]] = ((), ())
     extended: StarProduct | None = None
 
     @property
@@ -296,39 +295,30 @@ def extend_one_order(
 
     Finds B_{n+1} with hochschild_d(B_{n+1}) equal to the lower-order
     associator sum, for n the product's order.  Returns one particular
-    solution plus the cocycle freedom inside the ansatz, or an empty
-    result, with no particular solution, when the ansatz is too small
-    (never a claim that no extension exists).  The freedom is the pair
-    (operators, shifts): M's nullspace as constant-coefficient operators F
-    and the coefficient monomials e, standing for the basis {x^e F},
-    F-major.
+    solution, or an empty result, with no particular solution, when the
+    ansatz is too small (never a claim that no extension exists).  Two
+    solutions differ by a Hochschild 2-cocycle, by HKR dD + beta with D
+    unary and beta a bivector field, and the particular solution plus
+    any such cocycle is again one; that freedom is stated, not listed.
 
     The ansatz columns are x^e d^key, key = (a, b) with |a|, |b| <=
     operator_order and |e| <= coefficient_degree.  B_0 is commutative,
     so d(x^e d^key) = x^e d(d^key), whose coefficients are constant
     integers: column (e, key) reaches only the rows (dkey, e), with the
-    same entries for every e.  The system is I_emons (x) M, with M one
-    column per key and one row per arity-3 key, so grouping the
-    target's coordinates (dkey, e) by e gives M X = B with one
-    right-hand side per coefficient monomial, and one elimination of
-    [M | B] solves every block.  The reduced row-echelon form is unique,
-    so the particular solution is sum_e x^e X_e, and the freedom is M's
-    nullspace shifted by each e: taken F-major, then by e, it is the
-    full system's nullspace in the order of its free columns.  A target
-    coordinate with e outside the ansatz, or an arity-3 key no column
-    reaches, is undecided at once.
+    same entries for every e.  So the system is M X = B, with M one
+    column per key and one row per arity-3 key and one right-hand side
+    per coefficient monomial of the target, and one elimination of
+    [M | B] solves every block; a monomial the target lacks gets 0.  A
+    target monomial of degree above coefficient_degree, or an arity-3
+    key no column reaches, is undecided at once.
 
     d keeps the weight w = a + b of a key, so M is block-diagonal by w.
     linsolve._weight_blocks pairs the multi-indices of order <= K
-    (K = operator_order), each weighed by itself, and keeps the keys with
-    |w| <= K + 1 or the weight of a target key.  A column (a, b) with
-    |w| >= K + 2 has |a|, |b| >= 2, and for a unit e_i <= a the row
-    (e_i, a - e_i, b) holds -a_i from it and otherwise only the column
-    (e_i, a - e_i + b), which is outside the ansatz as |a - e_i + b| >=
-    K + 1.  A block with |w| >= K + 2 and a zero right-hand side
-    therefore has the one solution 0 and no free column, and since the
-    reduced row-echelon form is unique, dropping it changes neither the
-    particular solution nor the freedom and its order.
+    (K = operator_order), each weighed by itself, and keeps the keys
+    whose weight is that of a target key.  Every other block has a zero
+    right-hand side, so its part of the particular solution, read from
+    the unique reduced row-echelon form, is 0: leaving it out keeps the
+    candidate.
 
     The target is one integer term map from right-hand side to post-check.
     The right-hand sides are its numerators over its one denominator den,
@@ -344,13 +334,10 @@ def extend_one_order(
     # a cancelled key stays, with no monomials
     terms = s._insertions(n + 1, range(1, n + 1), _TermMap())
 
-    emons = exponents_upto(dim, coefficient_degree)
-    emon_set = set(emons)
-    if not all(emon_set.issuperset(t) for t in terms.values()):
+    if any(sum(e) > coefficient_degree for t in terms.values() for e in t):
         return ExtensionResult()
-    upto = exponents_upto(dim, operator_order + 1)
-    multi = [(a, a) for a in upto if sum(a) <= operator_order]
-    keep = set(upto) | {tuple(map(sum, zip(*k))) for k, t in terms.items() if t}
+    multi = [(a, a) for a in exponents_upto(dim, operator_order)]
+    keep = {tuple(map(sum, zip(*k))) for k, t in terms.items() if t}
     keys = [(a, b) for a, bs in linsolve._weight_blocks(multi, multi, keep)[0] for b in bs]
     matrix: dict[DerivKey, dict[int, int]] = {}  # M by rows
     for ci, key in enumerate(keys):
@@ -359,7 +346,7 @@ def extend_one_order(
     if not all(k in matrix for k, t in terms.items() if t):
         return ExtensionResult()
     rhs = [terms.get(k, {}) for k in matrix]
-    result = linsolve.solve_sparse(list(matrix.values()), rhs, len(keys), want_nullspace=True)
+    result = linsolve.solve_sparse(list(matrix.values()), rhs, len(keys))
     if not result.solved:
         return ExtensionResult()
     solution = {
@@ -368,14 +355,6 @@ def extend_one_order(
         for ci, v in block.items()
     }
     particular = PolyDiffOp(dim, 2, _gather_monomials(dim, solution))
-    # the keys come from the ansatz and the nullspace entries are nonzero
-    zero = (0,) * dim
-    operators = [
-        PolyDiffOp._trusted(
-            dim, 2, {keys[ci]: Polynomial._trusted(dim, {zero: v}) for ci, v in vec.items()}
-        )
-        for vec in result.nullspace
-    ]
     extended = StarProduct(dim, n + 1, list(s.corrections) + [particular])
     # target plus the B_{n+1} terms is the order-(n+1) associator.  The B_{n+1} terms
     # go through _compose_into, not -dB_{n+1}: a check on _key_differential, which
@@ -384,4 +363,4 @@ def extend_one_order(
     if any(terms.values()):
         raise AssertionError("extension failed its built-in residual post-check")
     extended._inherit_certificate(n + 1)
-    return ExtensionResult(particular, (operators, emons), extended)
+    return ExtensionResult(particular, extended)

@@ -468,18 +468,11 @@ def _op_coordinates(op):
     return coords
 
 
-def expand_freedom(result: ExtensionResult) -> list[PolyDiffOp]:
-    """The freedom basis an (operators, shifts) pair stands for: x^e F, F-major."""
-    operators, shifts = result.freedom
-    return [scaled(op, Polynomial.monomial(op.dim, e)) for op in operators for e in shifts]
-
-
 def reference_extend_one_order(s, coefficient_degree, operator_order):
     """The one-order extension as one scalar system over every column x^e d^key.
 
     Columns are (e, key), key-major, each the coordinates of one
     d(d^key) per key shifted by e; rows are (arity-3 key, monomial).
-    Its freedom is the flat list of the full system's nullspace vectors.
     """
     n = s.order
     dim = s.dim
@@ -498,15 +491,13 @@ def reference_extend_one_order(s, coefficient_degree, operator_order):
             eqs._add((dkey, add_exponents(mono, emon)), (emon, key), c)
     for coord, v in _op_coordinates(target).items():
         eqs._add_rhs(coord, v)
-    solved = eqs._solve(want_nullspace=True)
+    solved = eqs._solve()
     if solved is None:
-        return ExtensionResult(freedom=[])
-    solution, nullspace = solved
-    particular = PolyDiffOp(dim, 2, _gather_monomials(dim, solution))
-    freedom = [PolyDiffOp(dim, 2, _gather_monomials(dim, vec)) for vec in nullspace]
+        return ExtensionResult()
+    particular = PolyDiffOp(dim, 2, _gather_monomials(dim, solved[0]))
     extended = StarProduct(dim, n + 1, list(s.corrections) + [particular])
     assert extended.assoc_residual(n + 1).is_zero()
-    return ExtensionResult(particular, freedom, extended)
+    return ExtensionResult(particular, extended)
 
 
 # -- the weight-block filters that linsolve._weight_blocks replaced ---------------
@@ -527,9 +518,9 @@ def reference_unary_columns(weight, live, dim, bounds):
 
 
 def reference_extension_keys(target, dim, operator_order):
-    """extend_one_order's derivative keys (a, b) as its own filter chose them:
-    |a|, |b| <= K in product order, kept when |a| + |b| <= K + 1 or a + b is the
-    weight of a key of the target."""
+    """extend_one_order's derivative keys (a, b) as its own filter chose them while
+    it listed the freedom: |a|, |b| <= K in product order, kept when |a| + |b| <=
+    K + 1 or a + b is the weight of a key of the target."""
     weights = {tuple(map(sum, zip(*k))) for k in target.terms}
     return [
         (a, b)

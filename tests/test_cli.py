@@ -526,6 +526,20 @@ def test_cli_bound_flags_override_problem_file(tmp_path, capsys):
     assert report["result"]["bounds"]["op_order"] == 3
 
 
+def test_extend_star_at_a_huge_degree_bound_solves_at_once(capsys):
+    # the degree bound is only compared with the target's monomials, never enumerated
+    problem = PROBLEMS / "moyal_extension.json"
+    golden = json.loads(expected_path(problem, "extend-star", 0).read_text())["result"]
+    argv = ["--problem", str(problem), "--command", "extend-star", "--degree-bound", "99999999"]
+    start = time.perf_counter()
+    assert main(argv) == 0
+    assert time.perf_counter() - start < 1.0
+    result = json.loads(capsys.readouterr().out)["result"]
+    assert result["status"] == "solved"
+    assert result["bounds"] == {"degree": 99999999, "op_order": 3}
+    assert result["candidate"] == golden["candidate"]
+
+
 DEEP_GENERATOR = "(" * 3000 + "y" + ")" * 3000
 LONG_NUMBER = "7" * 5000  # above the interpreter's 4,300-digit int() limit
 NINES = "9" * 4300  # 10^4300 - 1, the longest integer the interpreter prints

@@ -8,7 +8,6 @@ from helpers import (
     associator,
     canonical_pi2,
     canonical_pi4,
-    expand_freedom,
     invert_diffeo,
     is_identity,
     p2,
@@ -20,6 +19,7 @@ from helpers import (
     reference_compose_into,
     reference_differential_into,
     reference_from_term_map,
+    reference_hochschild_d,
     reference_gauge_transform,
     reference_moyal_star,
     so3_pi,
@@ -202,7 +202,7 @@ def test_residual_matches_compose_then_merge_reference(star):
 def memo_results(star):
     """The terms of every kernel that splits d^alpha, on one product: each
     B_i o_slot B_j, each dB_k, each residual and, for an associative product,
-    the next-order extension with its freedom."""
+    the next-order extension."""
     n = star.order
     ops = [
         star.term(i).compose_at(slot, star.term(j))
@@ -214,7 +214,7 @@ def memo_results(star):
     if star.certified_order() == n:
         result = extend_one_order(star, 0, n + 1)
         assert result.solved
-        ops += [result.particular, *result.freedom[0]]
+        ops.append(result.particular)
     return [[(key, list(c.terms.items())) for key, c in op.terms.items()] for op in ops]
 
 
@@ -607,35 +607,20 @@ def test_extension_undecided_when_ansatz_too_small():
 
 
 def test_extension_cocycle_lies_in_reported_freedom_span():
-    # the commuting-derivation cocycle must be expressible in the
-    # nullspace basis the solver reports alongside the particular solution
-    from starobs.linsolve import solve_sparse
-
+    # the reported freedom is every Hochschild 2-cocycle: the commuting-derivation
+    # cocycle and the candidate's difference from the Moyal B_2 are cocycles
     star = moyal_star(plane_pi3(), 1)
     result = extend_one_order(star, 0, 2)
     assert result.solved
     cocycle = PolyDiffOp.single(3, [(0, 1, 0), (0, 0, 1)]) - PolyDiffOp.single(
         3, [(0, 0, 1), (0, 1, 0)]
     )
-
-    def coords(op):
-        out = {}
-        for key, poly in op.terms.items():
-            for mono, c in poly.terms.items():
-                out[(key, mono)] = c
-        return out
-
-    target = coords(cocycle)
-    basis_coords = [coords(op) for op in expand_freedom(result)]
-    row_keys = sorted(set(target) | {k for b in basis_coords for k in b})
-    row_index = {k: r for r, k in enumerate(row_keys)}
-    rows = [dict() for _ in row_keys]
-    for ci, b in enumerate(basis_coords):
-        for k, v in b.items():
-            rows[row_index[k]][ci] = v
-    rhs = [target.get(k, Fraction(0)) for k in row_keys]
-    solution = solve_sparse(rows, rhs, len(basis_coords))
-    assert solution.solved
+    assert reference_hochschild_d(cocycle).is_zero()
+    difference = result.particular - moyal_star(plane_pi3(), 2).term(2)
+    assert reference_hochschild_d(difference).is_zero()
+    # d(d_1^2 (x) 1)(f, g, h) = -(d_1^2 f) g h - 2 (d_1 f)(d_1 g) h: not a cocycle
+    not_a_cocycle = PolyDiffOp.single(3, [(2, 0, 0), (0, 0, 0)])
+    assert not reference_hochschild_d(difference + not_a_cocycle).is_zero()
 
 
 SERIES = {StarProduct: 2, FormalDiffeo: 1}  # each truncated series type and its arity
