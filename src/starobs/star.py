@@ -278,7 +278,9 @@ def gauge_transform(s: StarProduct, D: FormalDiffeo) -> StarProduct:
 @dataclass
 class ExtensionResult:
     """Outcome of solving the order-(n+1) associativity constraint; empty when undecided.
-    Any other solution differs from `particular` by a Hochschild 2-cocycle dD + beta."""
+
+    Any other solution differs from `particular` by a Hochschild 2-cocycle dD + beta.
+    """
 
     particular: PolyDiffOp | None = None
     extended: StarProduct | None = None

@@ -66,46 +66,49 @@ MUTANTS = [
     ),
     # the graded extension solve
     Mutant(
-        "extension keeps the blocks with |w| <= K, not K + 1",
+        "extension caps |a|, |b| at K - 1, not K",
         "star.py",
-        "    upto = exponents_upto(dim, operator_order + 1)\n",
-        "    upto = exponents_upto(dim, operator_order)\n",
+        "    multi = [(a, a) for a in exponents_upto(dim, operator_order)]\n",
+        "    multi = [(a, a) for a in exponents_upto(dim, operator_order - 1)]\n",
         (FACTORED + "test_extension_matches_reference_solve",),
     ),
     Mutant(
-        "extension drops the target's weight blocks",
+        "extension keeps none of the target's weight blocks",
         "star.py",
-        " | {tuple(map(sum, zip(*k))) for k, t in terms.items() if t}\n",
-        "\n",
+        "    keep = {tuple(map(sum, zip(*k))) for k, t in terms.items() if t}\n",
+        "    keep = set()\n",
         (FACTORED + "test_extension_matches_reference_solve",),
     ),
     Mutant(
-        "extension tests the coefficient degree after assembling M",
+        "extension undecided on a target monomial of degree equal to the bound",
         "star.py",
-        "    if not all(emon_set.issuperset(t) for t in terms.values()):\n"
+        "sum(e) > coefficient_degree",
+        "sum(e) >= coefficient_degree",
+        (FACTORED + "test_extension_matches_reference_solve",),
+    ),
+    Mutant(
+        "extension tests the coefficient degree after building M",
+        "star.py",
+        "    if any(sum(e) > coefficient_degree for t in terms.values() for e in t):\n"
         "        return ExtensionResult()\n"
-        "    upto = exponents_upto(dim, operator_order + 1)\n"
-        "    multi = [(a, a) for a in upto if sum(a) <= operator_order]\n"
-        "    keep = set(upto) | {tuple(map(sum, zip(*k))) for k, t in terms.items() if t}\n"
+        "    multi = [(a, a) for a in exponents_upto(dim, operator_order)]\n"
+        "    keep = {tuple(map(sum, zip(*k))) for k, t in terms.items() if t}\n"
+        "    keys = [(a, b) for a, bs in linsolve._weight_blocks(multi, multi, keep)[0]"
+        " for b in bs]\n"
+        "    matrix: dict[DerivKey, dict[int, int]] = {}  # M by rows\n"
+        "    for ci, key in enumerate(keys):\n"
+        "        for dkey, v in _key_differential(dim, key).items():\n"
+        "            matrix.setdefault(dkey, {})[ci] = v\n",
+        "    multi = [(a, a) for a in exponents_upto(dim, operator_order)]\n"
+        "    keep = {tuple(map(sum, zip(*k))) for k, t in terms.items() if t}\n"
         "    keys = [(a, b) for a, bs in linsolve._weight_blocks(multi, multi, keep)[0]"
         " for b in bs]\n"
         "    matrix: dict[DerivKey, dict[int, int]] = {}  # M by rows\n"
         "    for ci, key in enumerate(keys):\n"
         "        for dkey, v in _key_differential(dim, key).items():\n"
         "            matrix.setdefault(dkey, {})[ci] = v\n"
-        "    if not all(k in matrix for k, t in terms.items() if t):\n",
-        "    upto = exponents_upto(dim, operator_order + 1)\n"
-        "    multi = [(a, a) for a in upto if sum(a) <= operator_order]\n"
-        "    keep = set(upto) | {tuple(map(sum, zip(*k))) for k, t in terms.items() if t}\n"
-        "    keys = [(a, b) for a, bs in linsolve._weight_blocks(multi, multi, keep)[0]"
-        " for b in bs]\n"
-        "    matrix: dict[DerivKey, dict[int, int]] = {}  # M by rows\n"
-        "    for ci, key in enumerate(keys):\n"
-        "        for dkey, v in _key_differential(dim, key).items():\n"
-        "            matrix.setdefault(dkey, {})[ci] = v\n"
-        "    if not all(emon_set.issuperset(t) for t in terms.values()):\n"
-        "        return ExtensionResult()\n"
-        "    if not all(k in matrix for k, t in terms.items() if t):\n",
+        "    if any(sum(e) > coefficient_degree for t in terms.values() for e in t):\n"
+        "        return ExtensionResult()\n",
         (FACTORED + "test_extension_target_outside_the_ansatz_makes_no_solve",),
     ),
     Mutant(

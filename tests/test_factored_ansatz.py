@@ -361,7 +361,7 @@ SOLVED_EXTENSIONS = [
     pytest.param(trivial_star(2, 2), 1, 1, id="trivial"),
     # 1,225 keys, of which the graded solve keeps the target's weight blocks
     pytest.param(moyal_star(canonical_pi4(), 2), 0, 3, id="moyal-r4-o2"),
-    # the order-2 target has |w| = 4 = K + 1
+    # an operator-order bound above the order 2 that the order-2 target needs
     pytest.param(moyal_star(canonical_pi2(), 1), 0, 3, id="target-within-order-plus-one"),
 ]
 

@@ -19,8 +19,8 @@ from helpers import (
     reference_compose_into,
     reference_differential_into,
     reference_from_term_map,
-    reference_hochschild_d,
     reference_gauge_transform,
+    reference_hochschild_d,
     reference_moyal_star,
     so3_pi,
     trivial_star,
