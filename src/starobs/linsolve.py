@@ -287,8 +287,8 @@ class _SparseSystem:
 def _weight_blocks(outer: Sequence, inner: Sequence, keep: set) -> tuple[list, set]:
     """The columns (o, i) whose weight w(o) + w(i) is in keep, and the kept weights
     no column reaches.  A graded solve is block-diagonal by weight, and a block
-    whose right-hand side is zero is solved by zero, so both callers keep just
-    the weights their right-hand side reaches.  outer and inner are
+    whose right-hand side is zero is solved by zero, so the unary gauge solve
+    keeps just the weights its right-hand side reaches.  outer and inner are
     (label, weight) lists; the columns come outer-major, as (o, [i, ...]) with the
     inner labels in their given order and no o that keeps none.  Each pair of
     distinct weights is added once.

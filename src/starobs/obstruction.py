@@ -42,8 +42,13 @@ from .poly import (
 )
 from .polydiff import (
     PolyDiffOp,
+    _add_into,
+    _divided,
+    _evaluate,
     _GeneratorTable,
+    _numerators,
     _peel,
+    _product,
     hochschild_d,
     restricted_values,
     vanishes_on_generators,
@@ -179,12 +184,16 @@ def _require_certified(s: StarProduct, n: int):
 
 def _raw_class(s: StarProduct, system: IntegrableSystem, n: int) -> RelativeClass:
     """B_n on every ordered pair of distinct generators, as a class: RelativeClass
-    enters (j, i) as -(i, j), so component (i, j) is B_n(f_i, f_j) - B_n(f_j, f_i)."""
-    op = s.term(n)
-    gens = system.generators
-    pairs = itertools.permutations(range(len(gens)), 2)
-    comps = {(i, j): op.apply([gens[i], gens[j]]) for i, j in pairs}
-    return RelativeClass(system.dim, len(gens), 2, comps)
+    enters (j, i) as -(i, j), so component (i, j) is B_n(f_i, f_j) - B_n(f_j, f_i).
+    Each B_n(f_i, f_j) is read from the system's table at the unit exponents,
+    B_n's numerators over its denominator, and divided once."""
+    den, numerators = _numerators(s.term(n))
+    units = [unit_exponents(system.size, i) for i in range(system.size)]
+    comps = {}
+    for i, j in itertools.permutations(range(system.size), 2):
+        value = _evaluate(numerators, system._monomials, (units[i], units[j]))
+        comps[i, j] = Polynomial._trusted(system.dim, _divided(value, den))
+    return RelativeClass(system.dim, system.size, 2, comps)
 
 
 @dataclass
@@ -268,19 +277,23 @@ def exactness_solve(
         return ExactnessResult(certificate="zero_image")
 
     emons = exponents_upto(dim, degree_bound)
-    brackets: dict[tuple[int, Exponents], Polynomial] = {}
-    for i, g in enumerate(system.generators):
-        for e in emons:
-            brackets[(i, e)] = poisson_bracket(system.pi, g, Polynomial.monomial(dim, e))
+    # {f_i, x^e} = sum_k e_k x^(e - unit_k) {f_i, x_k}: one bracket per generator
+    # and coordinate, shifted by each ansatz monomial
+    brackets = [
+        [poisson_bracket(system.pi, g, Polynomial.variable(dim, k)).terms for k in range(dim)]
+        for g in system.generators
+    ]
+    steps = [[(k, x, e[:k] + (x - 1,) + e[k + 1 :]) for k, x in enumerate(e) if x] for e in emons]
     eqs = _SparseSystem([(e, (j,)) for j in range(n) for e in emons])
     for i in range(n):
         for j in range(i + 1, n):
             # {f_i, g_j} - {f_j, g_i} = c_ij
-            for e in emons:
-                for mono, v in brackets[(i, e)].terms.items():
-                    eqs._add(((i, j), mono), (e, (j,)), v)
-                for mono, v in brackets[(j, e)].terms.items():
-                    eqs._add(((i, j), mono), (e, (i,)), -v)
+            for e, shifts in zip(emons, steps):
+                for k, x, shift in shifts:
+                    for mono, v in brackets[i][k].items():
+                        eqs._add(((i, j), add_exponents(mono, shift)), (e, (j,)), x * v)
+                    for mono, v in brackets[j][k].items():
+                        eqs._add(((i, j), add_exponents(mono, shift)), (e, (i,)), -x * v)
             for mono, v in c.component((i, j)).terms.items():
                 eqs._add_rhs(((i, j), mono), v)
 
@@ -317,10 +330,10 @@ def lift_witness(
     eqs = _SparseSystem([(e, (u,)) for u in units for e in emons])
     for j, g in enumerate(system.generators):
         for k, u in enumerate(units):
-            partial = g.partial(k)
-            for e in emons:
-                for mono, v in (Polynomial.monomial(dim, e) * partial).terms.items():
-                    eqs._add((j, mono), (e, (u,)), v)
+            partial = g.partial(k).terms
+            for e in emons:  # x^e d_k f_j: d_k f_j shifted by e
+                for mono, v in partial.items():
+                    eqs._add((j, add_exponents(mono, e)), (e, (u,)), v)
         for mono, v in Y.component((j,)).terms.items():
             eqs._add_rhs((j, mono), v)
 
@@ -397,26 +410,33 @@ def _unary_ansatz_rows(
     pairs each a, weighed -weight(a), with each e and keeps the live weights,
     where phi0 (built from B with d(phi0) = -B) is nonzero.  None when a live
     weight has no column: 0 = b there.
+
+    Everything is read from the system's _GeneratorTable as plain dicts: phi0
+    is built as den * phi0 from B's numerators over its one denominator den,
+    and each right-hand side is divided by den once.
     """
     weight = _weight_map(system)
     table, z = system._monomials, system._monomials.zero
     degree = max(target.order(), bounds.op_order) + 1
     exps = exponents_upto(system.size, degree)
     units = [unit_exponents(system.size, i) for i in range(system.size)]
-    nought = Polynomial.zero(system.dim)
+    den, numerators = _numerators(target)
 
-    def on(ue: Exponents, ve: Exponents) -> Polynomial:  # B(f^ue, f^ve)
-        return sum((c * table[a, ue] * table[b, ve] for (a, b), c in target.terms.items()), nought)
-
-    phi0 = {exps[0]: -on(exps[0], exps[0])}  # exps[0] is 1
+    # den * phi0, from B's numerators: den * B(f^ue, f^ve) is _evaluate's value
+    one = exps[0]
+    phi0 = {one: {mono: -c for mono, c in _evaluate(numerators, table, (one, one)).items()}}
     for alpha in exps[1:]:  # lex order: alpha less its last generator comes first
         i, m = _peel(alpha)
-        phi0[alpha] = phi0[m] * system.generators[i] + on(m, units[i]) if any(m) else nought
+        value = {}
+        if any(m):
+            value = _product(phi0[m], table.generators[i])
+            _add_into(value, _evaluate(numerators, table, (m, units[i])))
+        phi0[alpha] = value
     # generator monomials are homogeneous: one monomial gives each one's weight
     live = {
-        weight(sub_exponents(mono, next(iter(table[z, alpha].terms))))
+        weight(sub_exponents(mono, next(iter(table[z, alpha]))))
         for alpha, value in phi0.items()
-        for mono in value.terms
+        for mono in value
     }
     # weight is linear: weight(e - a) = weight(e) + (-weight(a))
     by_alpha, unreached = _weight_blocks(
@@ -431,11 +451,16 @@ def _unary_ansatz_rows(
         lower = [(x, u, table[z, sub_exponents(alpha, u)]) for x, u in zip(alpha, units) if x]
         for a, es in by_alpha:
             if sum(a) != 1:
-                w = table[a, alpha] - sum((x * f * table[a, u] for x, u, f in lower), nought)
+                # w = d^a f^alpha - sum_i alpha_i f^(alpha - e_i) d^a f_i
+                chain: dict[Exponents, int] = {}
+                for x, u, f in lower:
+                    _add_into(chain, _product(f, table[a, u]), x)
+                w = dict(table[a, alpha])
+                _add_into(w, chain, -1)
                 for e in es:
-                    for mono, c in w.terms.items():
+                    for mono, c in w.items():
                         eqs._add((alpha, add_exponents(mono, e)), (e, (a,)), c)
-        for mono, c in phi0[alpha].terms.items():
+        for mono, c in _divided(phi0[alpha], den).items():
             eqs._add_rhs((alpha, mono), c)
     return eqs
 

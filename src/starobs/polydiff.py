@@ -16,7 +16,11 @@ the multiplication cochain m and the Gerstenhaber bracket built from
 
 Compositions and differentials are summed in a `_TermMap`: integer
 numerators over one denominator per map, so the many contributions that
-cancel do so in ints, and each surviving entry is divided once.
+cancel do so in ints, and each surviving entry is divided once.  The
+values on generator monomials are read the same way: the system's
+`_GeneratorTable` holds d^a of each generator monomial as a plain
+{monomial: coefficient} dict, an operator enters as its numerators over
+one denominator, and each reported value is divided once.
 
 The Leibniz splittings of d^alpha, `_leibniz` and `_split_over`, are pure
 functions of the multi-index: each is memoized per multi-index for the
@@ -132,8 +136,8 @@ def _numerators(op: PolyDiffOp) -> tuple[int, dict[DerivKey, dict[Exponents, int
 
 
 def _int_partial(t: dict[Exponents, int], gamma: Exponents) -> dict[Exponents, int]:
-    """d^gamma of the polynomial with integer coefficients t, as
-    Polynomial.partial_multi would give it, monomial order included."""
+    """d^gamma of the polynomial with coefficients t (integers in the term maps),
+    as Polynomial.partial_multi would give it, monomial order included."""
     if not any(gamma):
         return t
     out = {}
@@ -144,6 +148,31 @@ def _int_partial(t: dict[Exponents, int], gamma: Exponents) -> dict[Exponents, i
                 v *= math.perm(e, g)
             out[rest] = v
     return out
+
+
+def _product(p: dict[Exponents, int], q: dict[Exponents, int]) -> dict[Exponents, int]:
+    """The product of the polynomials with coefficients p and q, as
+    Polynomial.__mul__ would give it, monomial order included."""
+    out: dict[Exponents, int] = {}
+    for e1, c1 in p.items():
+        for e2, c2 in q.items():
+            _accumulate(out, add_exponents(e1, e2), c1 * c2)
+    return out
+
+
+def _add_into(acc: dict[Exponents, int], t: dict[Exponents, int], factor: int = 1) -> None:
+    """acc += factor * t in place, t's monomials in order, as Polynomial.__add__."""
+    for mono, v in t.items():
+        _accumulate(acc, mono, v * factor)
+
+
+def _divided(t: dict[Exponents, int], den: int) -> dict[Exponents, int]:
+    """t with each value v divided by den in place, to v // den where den
+    divides it and to Fraction(v, den) otherwise; t is returned."""
+    if den != 1:
+        for mono, v in t.items():
+            t[mono] = v // den if not v % den else Fraction(v, den)
+    return t
 
 
 class PolyDiffOp:
@@ -329,10 +358,7 @@ class PolyDiffOp:
                     splits = _split_over(rest, inner.arity)
                     if not splits:
                         continue
-                    base: dict[Exponents, int] = {}  # c_out * dc, in Polynomial.__mul__'s order
-                    for e1, v1 in c_out.items():
-                        for e2, v2 in dc.items():
-                            _accumulate(base, add_exponents(e1, e2), v1 * v2)
+                    base = _product(c_out, dc)
                     for gammas, w in splits:
                         weight = sign * w0 * w
                         inserted = tuple(map(add_exponents, in_key, gammas))
@@ -343,14 +369,9 @@ class PolyDiffOp:
     @classmethod
     def _from_term_map(cls, dim: int, arity: int, terms: _TermMap) -> PolyDiffOp:
         """The operator of a term map, without its cancelled keys.  Each
-        numerator v left is divided once, in place, to v // den where den
-        divides it and to Fraction(v, den) otherwise."""
+        numerator left is divided once, in place, by _divided."""
         den = terms.den
-        if den != 1:
-            for t in terms.values():
-                for mono, v in t.items():
-                    t[mono] = v // den if not v % den else Fraction(v, den)
-        polys = {k: Polynomial._trusted(dim, t) for k, t in terms.items() if t}
+        polys = {k: Polynomial._trusted(dim, _divided(t, den)) for k, t in terms.items() if t}
         return cls._trusted(dim, arity, polys)
 
     def sorted_terms(self) -> list[tuple[DerivKey, Polynomial]]:
@@ -421,29 +442,53 @@ def _peel(e: Exponents) -> tuple[int, Exponents]:
 
 class _GeneratorTable(dict):
     """d^a of the monomials in one system's generators, keyed by (a, generator
-    exponents), each built once per system on its first lookup (a = 0: the
-    monomial, _peel's shorter one times its generator).  Held by
-    IntegrableSystem._monomials.
+    exponents), each a plain {monomial: coefficient} dict built once per
+    system on its first lookup: the monomial (a = 0) as _peel's shorter one
+    times its generator, by _product, and d^a of it by _int_partial.  The
+    entries are shared, never written to.  Held by IntegrableSystem._monomials.
     """
 
     __slots__ = ("generators", "zero")
 
     def __init__(self, generators: Sequence[Polynomial]):
         super().__init__()
-        self.generators = generators
+        self.generators = [g.terms for g in generators]
         self.zero = zero_exponents(generators[0].dim)
 
-    def __missing__(self, key: tuple[Exponents, Exponents]) -> Polynomial:
+    def __missing__(self, key: tuple[Exponents, Exponents]) -> dict[Exponents, int]:
         a, e = key
         if any(a):
-            p = self[self.zero, e].partial_multi(a)
+            p = _int_partial(self[self.zero, e], a)
         elif any(e):
             i, rest = _peel(e)
-            p = self[self.zero, rest] * self.generators[i]
+            p = _product(self[self.zero, rest], self.generators[i])
         else:
-            p = Polynomial.one(len(self.zero))
+            p = {self.zero: 1}
         self[key] = p
         return p
+
+
+def _evaluate(
+    numerators: dict[DerivKey, dict[Exponents, int]],
+    table: _GeneratorTable,
+    exps: tuple[Exponents, ...],
+) -> dict[Exponents, int]:
+    """An operator's value on one tuple of generator monomials, f^exps, times
+    its denominator: numerators are _numerators(op)'s.  Each term is c times
+    its factors d^a f^e from the table, left to right, and stops at its first
+    zero factor; the terms are summed in op.terms order, so once divided the
+    value equals op.apply on the tuple, term order included.
+    """
+    value: dict[Exponents, int] = {}
+    for key, c in numerators.items():
+        for a, e in zip(key, exps):
+            d = table[a, e]
+            if not d:
+                break
+            c = _product(c, d)
+        else:
+            _add_into(value, c)
+    return value
 
 
 def _restricted_items(op: PolyDiffOp, system: "IntegrableSystem", degree: int) -> Iterator:
@@ -451,23 +496,27 @@ def _restricted_items(op: PolyDiffOp, system: "IntegrableSystem", degree: int) -
     of degree <= `degree` where op is nonzero, lazily and in itertools.product order
     (sorted key order).  The stream is sparse: a tuple where op vanishes is not yielded.
 
-    Each prefix of leading slots carries the (key, partial product) pairs of
-    the terms still nonzero on it, c * d^a_1 u_1 * ...; a term drops out at
-    its first zero factor, and a prefix with none left is not descended.  A
-    value is the sum of its live terms in op.terms order, so it equals
-    op.apply on its tuple, term order included.  Derivatives come from the
-    system's _GeneratorTable.
+    op enters as its numerators over one denominator.  Each prefix of leading
+    slots carries the (key, partial product) pairs of the terms still nonzero
+    on it, c * d^a_1 u_1 * ..., plain dicts; a term drops out at its first zero
+    factor, and a prefix with none left is not descended.  A value is the sum
+    of its live terms in op.terms order, divided by the denominator once, so
+    it equals op.apply on its tuple, term order included.  Derivatives come
+    from the system's _GeneratorTable.
     """
     mons = exponents_upto(system.size, degree)
     table = system._monomials
-    alphas = {a for key in op.terms for a in key}
+    den, numerators = _numerators(op)
+    alphas = {a for key in numerators for a in key}
     derivs = {a: {e: table[a, e] for e in mons} for a in alphas}
 
     def walk(slot, exps, live):
         if slot == op.arity:
-            value = sum((v for _, v in live[1:]), live[0][1])
+            value: dict[Exponents, int] = {}
+            for _, v in live:
+                _add_into(value, v)
             if value:
-                yield exps, value
+                yield exps, Polynomial._trusted(op.dim, _divided(value, den))
             return
         for e in mons:
             # a product of nonzero polynomials is nonzero: only a zero factor kills a term
@@ -475,11 +524,11 @@ def _restricted_items(op: PolyDiffOp, system: "IntegrableSystem", degree: int) -
             for key, v in live:
                 d = derivs[key[slot]][e]
                 if d:
-                    step.append((key, v * d))
+                    step.append((key, _product(v, d)))
             if step:
                 yield from walk(slot + 1, exps + (e,), step)
 
-    live = list(op.terms.items())
+    live = list(numerators.items())
     return walk(0, (), live) if live else iter(())
 
 
@@ -500,8 +549,9 @@ def restricted_values(
     The table is full: keyed by per-slot generator exponents in
     itertools.product order, with a zero value where op vanishes.  The
     nonzero values come from the sparse stream of _restricted_items, which
-    reads d^a of each generator monomial from the system's table; each
-    equals op.apply on its tuple, term order included.
+    reads d^a of each generator monomial from the system's table as a plain
+    dict and divides each value by op's denominator once; each equals
+    op.apply on its tuple, term order included.
     """
     values = dict(_restricted_items(op, system, op.order()))
     zero = Polynomial.zero(op.dim)

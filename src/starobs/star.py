@@ -28,8 +28,15 @@ from typing import Sequence
 
 from . import linsolve
 from .multivec import Polyvector
-from .poly import Polynomial, _accumulate, _gather_monomials, exponents_upto
-from .polydiff import DerivKey, PolyDiffOp, _TermMap, _differential_into, _key_differential
+from .poly import Polynomial, _accumulate, _gather_monomials
+from .polydiff import (
+    DerivKey,
+    PolyDiffOp,
+    _differential_into,
+    _key_differential,
+    _leibniz,
+    _TermMap,
+)
 
 
 class _OperatorSeries:
@@ -315,12 +322,12 @@ def extend_one_order(
     key no column reaches, is undecided at once.
 
     d keeps the weight w = a + b of a key, so M is block-diagonal by w.
-    linsolve._weight_blocks pairs the multi-indices of order <= K
-    (K = operator_order), each weighed by itself, and keeps the keys
-    whose weight is that of a target key.  Every other block has a zero
-    right-hand side, so its part of the particular solution, read from
-    the unique reduced row-echelon form, is 0: leaving it out keeps the
-    candidate.
+    The keys are the Leibniz splits a + b = w of each target key's weight
+    w with |a|, |b| <= K (K = operator_order), sorted: the product order
+    of the multi-indices of order <= K, so only the target's weights are
+    ever listed.  Every other block has a zero right-hand side, so its
+    part of the particular solution, read from the unique reduced
+    row-echelon form, is 0: leaving it out keeps the candidate.
 
     The target is one integer term map from right-hand side to post-check.
     The right-hand sides are its numerators over its one denominator den,
@@ -338,9 +345,9 @@ def extend_one_order(
 
     if any(sum(e) > coefficient_degree for t in terms.values() for e in t):
         return ExtensionResult()
-    multi = [(a, a) for a in exponents_upto(dim, operator_order)]
     keep = {tuple(map(sum, zip(*k))) for k, t in terms.items() if t}
-    keys = [(a, b) for a, bs in linsolve._weight_blocks(multi, multi, keep)[0] for b in bs]
+    splits = (split[:2] for w in keep for split in _leibniz(w))
+    keys = sorted(key for key in splits if max(map(sum, key)) <= operator_order)
     matrix: dict[DerivKey, dict[int, int]] = {}  # M by rows
     for ci, key in enumerate(keys):
         for dkey, v in _key_differential(dim, key).items():

@@ -11,17 +11,22 @@ from fractions import Fraction
 from typing import Hashable, Sequence
 
 from starobs import (
+    ExactnessResult,
     FormalDiffeo,
     IntegrableSystem,
     PolyDiffOp,
     Polynomial,
     Polyvector,
     RelativeClass,
+    d_hor,
+    hamiltonian_field,
     moyal_star,
     parse_polynomial,
+    poisson_bracket,
 )
+from starobs import obstruction, polydiff
 from starobs.cli import ProblemError, _field, _integer, _parse_poly_field
-from starobs.linsolve import LinearSolveResult, _SparseSystem, solve_sparse
+from starobs.linsolve import LinearSolveResult, _SparseSystem, _weight_blocks, solve_sparse
 from starobs.multivec import IndexTuple, sort_with_sign
 from starobs.obstruction import _weight_map
 from starobs.poly import (
@@ -36,9 +41,10 @@ from starobs.poly import (
 from starobs.polydiff import (
     DerivKey,
     _binom_multi,
+    _GeneratorTable,
     _key_differential,
     _leibniz,
-    _restricted_items,
+    _peel,
     _split_over,
     _sub_multi_indices,
     _TermMap,
@@ -217,9 +223,34 @@ def op_from_polynomial(p: Polynomial) -> PolyDiffOp:
 def generator_monomials(system: IntegrableSystem, max_degree: int) -> list:
     """(exponents over the generators, expanded polynomial) pairs of the
     generator monomials up to max_degree, in lex order, read from the
-    system's table."""
+    system's table and wrapped as Polynomials."""
     table = system._monomials
-    return [(e, table[table.zero, e]) for e in exponents_upto(system.size, max_degree)]
+    return [
+        (e, Polynomial(system.dim, table[table.zero, e]))
+        for e in exponents_upto(system.size, max_degree)
+    ]
+
+
+def record_table_work(monkeypatch) -> tuple[list, list]:
+    """(misses, products): lists that record the key of every generator-table
+    miss and the second factor of every dict product, in polydiff and in
+    obstruction, until monkeypatch is undone."""
+    misses, products = [], []
+    missing = _GeneratorTable.__missing__
+    product = polydiff._product
+
+    def counting_missing(self, key):
+        misses.append(key)
+        return missing(self, key)
+
+    def counting_product(p, q):
+        products.append(q)
+        return product(p, q)
+
+    monkeypatch.setattr(_GeneratorTable, "__missing__", counting_missing)
+    monkeypatch.setattr(polydiff, "_product", counting_product)
+    monkeypatch.setattr(obstruction, "_product", counting_product)
+    return misses, products
 
 
 def coordinate_field(dim: int, i: int) -> Polyvector:
@@ -320,6 +351,41 @@ def reference_lift_witness(
     return field_
 
 
+def reference_exactness_solve(
+    system: IntegrableSystem, c: RelativeClass, degree_bound: int
+) -> ExactnessResult:
+    """obstruction.exactness_solve with one Poisson bracket {f_i, x^e} per
+    generator and ansatz monomial, each a Polynomial, as it was assembled before
+    it shifted {f_i, x_k} by each monomial; the witness is post-checked."""
+    n, dim = system.size, system.dim
+    if c.is_zero():
+        return ExactnessResult(witness=RelativeClass.zero(dim, n, 1))
+    if all(hamiltonian_field(system.pi, g).is_zero() for g in system.generators):
+        return ExactnessResult(certificate="zero_image")
+    emons = exponents_upto(dim, degree_bound)
+    brackets = {
+        (i, e): poisson_bracket(system.pi, g, Polynomial.monomial(dim, e))
+        for i, g in enumerate(system.generators)
+        for e in emons
+    }
+    eqs = _SparseSystem([(e, (j,)) for j in range(n) for e in emons])
+    for i in range(n):
+        for j in range(i + 1, n):
+            for e in emons:
+                for mono, v in brackets[(i, e)].terms.items():
+                    eqs._add(((i, j), mono), (e, (j,)), v)
+                for mono, v in brackets[(j, e)].terms.items():
+                    eqs._add(((i, j), mono), (e, (i,)), -v)
+            for mono, v in c.component((i, j)).terms.items():
+                eqs._add_rhs(((i, j), mono), v)
+    solved = eqs._solve()
+    if solved is None:
+        return ExactnessResult(certificate="rank_at_bound")
+    witness = RelativeClass(dim, n, 1, _gather_monomials(dim, solved[0]))
+    assert d_hor(system, witness) == c
+    return ExactnessResult(witness=witness)
+
+
 # -- per-column ansatz assemblers, the reference for the factored kernels ---------
 
 
@@ -383,8 +449,8 @@ def reference_pair_unary_rows(
     """
     weight = _weight_map(system)
     mons = generator_monomials(system, degree)
-    table = system._monomials
-    values = dict(_restricted_items(target, system, degree))
+    table = ReferenceGeneratorTable(system)
+    values = dict(reference_table_restricted_items(target, system, degree))
     # generator monomials are homogeneous: one monomial gives each one's weight
     ambient = {ue: next(iter(u.terms)) for ue, u in mons if not u.is_zero()}
     live = {
@@ -714,6 +780,116 @@ def reference_restricted_items(op, mons):
             yield from walk(slot + 1, exps + (e,), step)
 
     return walk(0, (), list(op.terms.values()))
+
+
+# -- the Polynomial kernels on generator monomials, the reference for the raw table --
+
+
+class ReferenceGeneratorTable(dict):
+    """d^a of the generator monomials as Polynomials, keyed by (a, generator
+    exponents), each built on its first lookup: the monomial as _peel's
+    shorter one times its generator, by Polynomial.__mul__, and d^a of it by
+    Polynomial.partial_multi.  The table the systems held before their
+    entries became plain dicts."""
+
+    def __init__(self, system: IntegrableSystem):
+        super().__init__()
+        self.generators = system.generators
+        self.zero = zero_exponents(system.dim)
+
+    def __missing__(self, key):
+        a, e = key
+        if any(a):
+            p = self[self.zero, e].partial_multi(a)
+        elif any(e):
+            i, rest = _peel(e)
+            p = self[self.zero, rest] * self.generators[i]
+        else:
+            p = Polynomial.one(len(self.zero))
+        self[key] = p
+        return p
+
+
+def reference_table_restricted_items(op, system, degree):
+    """The sparse stream of polydiff._restricted_items in Polynomials: each
+    term's partial product c * d^a_1 u_1 * ... is a Polynomial with op's own
+    coefficients, read from a ReferenceGeneratorTable."""
+    mons = exponents_upto(system.size, degree)
+    table = ReferenceGeneratorTable(system)
+    alphas = {a for key in op.terms for a in key}
+    derivs = {a: {e: table[a, e] for e in mons} for a in alphas}
+
+    def walk(slot, exps, live):
+        if slot == op.arity:
+            value = sum((v for _, v in live[1:]), live[0][1])
+            if value:
+                yield exps, value
+            return
+        for e in mons:
+            step = []
+            for key, v in live:
+                d = derivs[key[slot]][e]
+                if d:
+                    step.append((key, v * d))
+            if step:
+                yield from walk(slot + 1, exps + (e,), step)
+
+    live = list(op.terms.items())
+    return walk(0, (), live) if live else iter(())
+
+
+def reference_raw_class(s: StarProduct, system: IntegrableSystem, n: int) -> RelativeClass:
+    """obstruction._raw_class by one PolyDiffOp.apply per ordered pair of generators."""
+    op = s.term(n)
+    gens = system.generators
+    pairs = itertools.permutations(range(len(gens)), 2)
+    comps = {(i, j): op.apply([gens[i], gens[j]]) for i, j in pairs}
+    return RelativeClass(system.dim, len(gens), 2, comps)
+
+
+def reference_unary_ansatz_rows(target, system, bounds):
+    """obstruction._unary_ansatz_rows in Polynomials: B(f^ue, f^ve), phi0 and the
+    column polynomials w are Polynomials with the target's own coefficients,
+    read from a ReferenceGeneratorTable."""
+    weight = _weight_map(system)
+    table = ReferenceGeneratorTable(system)
+    z = table.zero
+    degree = max(target.order(), bounds.op_order) + 1
+    exps = exponents_upto(system.size, degree)
+    units = [tuple(int(k == i) for k in range(system.size)) for i in range(system.size)]
+    nought = Polynomial.zero(system.dim)
+
+    def on(ue, ve):  # B(f^ue, f^ve)
+        return sum((c * table[a, ue] * table[b, ve] for (a, b), c in target.terms.items()), nought)
+
+    phi0 = {exps[0]: -on(exps[0], exps[0])}
+    for alpha in exps[1:]:
+        i, m = _peel(alpha)
+        phi0[alpha] = phi0[m] * system.generators[i] + on(m, units[i]) if any(m) else nought
+    live = {
+        weight(sub_exponents(mono, next(iter(table[z, alpha].terms))))
+        for alpha, value in phi0.items()
+        for mono in value.terms
+    }
+    by_alpha, unreached = _weight_blocks(
+        [(a, tuple(-w for w in weight(a))) for a in exponents_upto(system.dim, bounds.op_order)],
+        [(e, weight(e)) for e in exponents_upto(system.dim, bounds.degree)],
+        live,
+    )
+    if unreached:
+        return None
+    eqs = _SparseSystem([(e, (a,)) for a, es in by_alpha for e in es])
+    for alpha in exps:
+        lower = [(x, u, table[z, sub_exponents(alpha, u)]) for x, u in zip(alpha, units) if x]
+        for a, es in by_alpha:
+            if sum(a) != 1:
+                w = table[a, alpha] - sum((x * f * table[a, u] for x, u, f in lower), nought)
+                for e in es:
+                    for mono, c in w.terms.items():
+                        eqs._add((alpha, add_exponents(mono, e)), (e, (a,)), c)
+        for mono, c in phi0[alpha].terms.items():
+            eqs._add_rhs((alpha, mono), c)
+    return eqs
 
 
 # -- row-by-pivot Gauss-Jordan, the reference for the indexed solver ---------------

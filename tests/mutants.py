@@ -60,16 +60,16 @@ MUTANTS = [
     Mutant(
         "phi0(1) = +B(1, 1)",
         "obstruction.py",
-        "phi0 = {exps[0]: -on(exps[0], exps[0])}",
-        "phi0 = {exps[0]: on(exps[0], exps[0])}",
+        "phi0 = {one: {mono: -c for mono, c in",
+        "phi0 = {one: {mono: c for mono, c in",
         (FACTORED + "test_unary_correction_matches_pair_reference_on_random_planted_products",),
     ),
     # the graded extension solve
     Mutant(
         "extension caps |a|, |b| at K - 1, not K",
         "star.py",
-        "    multi = [(a, a) for a in exponents_upto(dim, operator_order)]\n",
-        "    multi = [(a, a) for a in exponents_upto(dim, operator_order - 1)]\n",
+        "if max(map(sum, key)) <= operator_order)",
+        "if max(map(sum, key)) < operator_order)",
         (FACTORED + "test_extension_matches_reference_solve",),
     ),
     Mutant(
@@ -91,18 +91,16 @@ MUTANTS = [
         "star.py",
         "    if any(sum(e) > coefficient_degree for t in terms.values() for e in t):\n"
         "        return ExtensionResult()\n"
-        "    multi = [(a, a) for a in exponents_upto(dim, operator_order)]\n"
         "    keep = {tuple(map(sum, zip(*k))) for k, t in terms.items() if t}\n"
-        "    keys = [(a, b) for a, bs in linsolve._weight_blocks(multi, multi, keep)[0]"
-        " for b in bs]\n"
+        "    splits = (split[:2] for w in keep for split in _leibniz(w))\n"
+        "    keys = sorted(key for key in splits if max(map(sum, key)) <= operator_order)\n"
         "    matrix: dict[DerivKey, dict[int, int]] = {}  # M by rows\n"
         "    for ci, key in enumerate(keys):\n"
         "        for dkey, v in _key_differential(dim, key).items():\n"
         "            matrix.setdefault(dkey, {})[ci] = v\n",
-        "    multi = [(a, a) for a in exponents_upto(dim, operator_order)]\n"
         "    keep = {tuple(map(sum, zip(*k))) for k, t in terms.items() if t}\n"
-        "    keys = [(a, b) for a, bs in linsolve._weight_blocks(multi, multi, keep)[0]"
-        " for b in bs]\n"
+        "    splits = (split[:2] for w in keep for split in _leibniz(w))\n"
+        "    keys = sorted(key for key in splits if max(map(sum, key)) <= operator_order)\n"
         "    matrix: dict[DerivKey, dict[int, int]] = {}  # M by rows\n"
         "    for ci, key in enumerate(keys):\n"
         "        for dkey, v in _key_differential(dim, key).items():\n"
@@ -177,8 +175,8 @@ MUTANTS = [
     Mutant(
         "restricted values multiply each factor on the left",
         "polydiff.py",
-        "step.append((key, v * d))",
-        "step.append((key, d * v))",
+        "step.append((key, _product(v, d)))",
+        "step.append((key, _product(d, v)))",
         (RESTRICTED + "test_table_matches_per_tuple_reference_on_polynomial_generators",),
     ),
     # per-system generator tables and the one-map associator
@@ -306,8 +304,8 @@ MUTANTS = [
     Mutant(
         "class read on unordered pairs, with no antisymmetrization",
         "obstruction.py",
-        "itertools.permutations(range(len(gens)), 2)",
-        "itertools.combinations(range(len(gens)), 2)",
+        "itertools.permutations(range(system.size), 2)",
+        "itertools.combinations(range(system.size), 2)",
         (
             "tests/test_obstruction.py::"
             "test_class_is_the_antisymmetrized_operator_on_generator_pairs",
@@ -316,8 +314,8 @@ MUTANTS = [
     Mutant(
         "class read on unordered pairs, against the verdicts of gauged products",
         "obstruction.py",
-        "itertools.permutations(range(len(gens)), 2)",
-        "itertools.combinations(range(len(gens)), 2)",
+        "itertools.permutations(range(system.size), 2)",
+        "itertools.combinations(range(system.size), 2)",
         ("tests/test_gauge_invariance.py::test_verdicts_agree_across_random_gauges",),
     ),
     Mutant(
@@ -365,6 +363,38 @@ MUTANTS = [
         "v *= math.perm(e, g)",
         "v *= math.comb(e, g)",
         (TERM_MAPS + "test_term_maps_match_the_fraction_kernels",),
+    ),
+    # evaluations on generator monomials from the raw table, in numerators
+    Mutant(
+        "restricted values are not divided by the operator's denominator",
+        "polydiff.py",
+        "yield exps, Polynomial._trusted(op.dim, _divided(value, den))",
+        "yield exps, Polynomial._trusted(op.dim, value)",
+        ("tests/test_raw_table.py::test_restricted_stream_matches_the_polynomial_walk",),
+    ),
+    Mutant(
+        "unary right-hand sides are not divided by the target's denominator",
+        "obstruction.py",
+        "for mono, c in _divided(phi0[alpha], den).items():",
+        "for mono, c in phi0[alpha].items():",
+        ("tests/test_raw_table.py::test_unary_rows_match_the_polynomial_rows",),
+    ),
+    Mutant(
+        "class reads B_n(f_j, f_i) for component (i, j)",
+        "obstruction.py",
+        "(units[i], units[j])",
+        "(units[j], units[i])",
+        (
+            "tests/test_obstruction.py::"
+            "test_class_is_the_antisymmetrized_operator_on_generator_pairs",
+        ),
+    ),
+    Mutant(
+        "lift shifts d_k f_j one step past x^e",
+        "obstruction.py",
+        "eqs._add((j, add_exponents(mono, e)), (e, (u,)), v)",
+        "eqs._add((j, add_exponents(mono, e[:-1] + (e[-1] + 1,))), (e, (u,)), v)",
+        ("tests/test_obstruction.py::test_lift_matches_the_vector_field_reference",),
     ),
     # one weight-block selector for the graded solves
     Mutant(

@@ -9,6 +9,7 @@ from golden.regenerate import PROBLEMS, expected_path, run_cli
 from helpers import (
     canonical_pi2,
     rand_op,
+    reference_extend_one_order,
     reference_op_from_payload,
     reference_render_report,
     reference_residual_witness,
@@ -23,6 +24,7 @@ from starobs.cli import (
     load_problem_data,
     main,
     op_from_payload,
+    op_payload,
     problem_payload,
     render_report,
     run_command,
@@ -538,6 +540,24 @@ def test_extend_star_at_a_huge_degree_bound_solves_at_once(capsys):
     assert result["status"] == "solved"
     assert result["bounds"] == {"degree": 99999999, "op_order": 3}
     assert result["candidate"] == golden["candidate"]
+
+
+def test_extend_star_at_a_huge_op_order_bound_solves_at_once(capsys):
+    # the operator-order bound is only compared with the splits of the target's
+    # weights, never enumerated
+    problem = PROBLEMS / "moyal_extension.json"
+    argv = ["--problem", str(problem), "--command", "extend-star", "--op-order-bound", "99999999"]
+    start = time.perf_counter()
+    assert main(argv) == 0
+    assert time.perf_counter() - start < 1.0
+    result = json.loads(capsys.readouterr().out)["result"]
+    assert result["status"] == "solved"
+    # the order-3 target has weight (3, 3), so from K = 6 on every split is a key;
+    # at K = 6 the candidate is the full-ansatz reference's
+    assert main(argv[:-1] + ["6"]) == 0
+    at_six = json.loads(capsys.readouterr().out)["result"]["candidate"]
+    want = reference_extend_one_order(moyal_star(canonical_pi2(), 2), 1, 6).particular
+    assert result["candidate"] == at_six == op_payload(want, ["x", "p"])
 
 
 DEEP_GENERATOR = "(" * 3000 + "y" + ")" * 3000

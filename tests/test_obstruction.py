@@ -17,6 +17,7 @@ from helpers import (
     rand_op,
     rand_poly,
     rand_vector_field,
+    record_table_work,
     reference_lift_witness,
     removable_scenario,
     trivial_star,
@@ -136,28 +137,30 @@ def test_class_matches_commutator_coefficients():
 
 def test_class_is_the_antisymmetrized_operator_on_generator_pairs(monkeypatch):
     # a random, mostly symmetric B_1 on three generators: component (i, j) is
-    # B_1(f_i, f_j) - B_1(f_j, f_i), from one apply per ordered pair
+    # B_1(f_i, f_j) - B_1(f_j, f_i), read from the table at the unit exponents
     rng = random.Random(44)
-    system = IntegrableSystem(canonical_pi2(), [p2("x"), p2("p + x^2"), p2("x*p")])
-    gens = system.generators
-    calls = []
-    original = PolyDiffOp.apply
+    units = {(1, 0, 0), (0, 1, 0), (0, 0, 1)}
 
-    def counting(self, args):
-        calls.append(args)
-        return original(self, args)
+    def forbidden(self, args):
+        raise AssertionError("the class is read from the table, not applied")
 
     for _ in range(10):
+        system = IntegrableSystem(canonical_pi2(), [p2("x"), p2("p + x^2"), p2("x*p")])
+        gens = system.generators
         op = rand_op(rng, 2, 2, order=2, coeff_degree=1, terms=3)
         expected = {}
         for i, j in [(0, 1), (0, 2), (1, 2)]:
             value = op.apply([gens[i], gens[j]]) - op.apply([gens[j], gens[i]])
             if value:
                 expected[(i, j)] = value
-        monkeypatch.setattr(PolyDiffOp, "apply", counting)
-        calls.clear()
+        monkeypatch.setattr(PolyDiffOp, "apply", forbidden)
+        misses, products = record_table_work(monkeypatch)
         assert _raw_class(StarProduct(2, 1, [op]), system, 1) == RelativeClass(2, 3, 2, expected)
-        assert len(calls) == 6
+        # each entry is built once, at a unit exponent or the constant 1 below it,
+        # and each of the 6 ordered pairs takes at most two products per term
+        assert len(set(misses)) == len(misses)
+        assert {e for _, e in misses} <= units | {(0, 0, 0)}
+        assert len(products) <= 3 + 6 * 2 * len(op.terms)
         monkeypatch.undo()
 
 

@@ -27,6 +27,7 @@ from helpers import (
     p4,
     plane_pi3,
     rand_op,
+    record_table_work,
     reference_restricted_items,
     reference_restricted_values,
 )
@@ -129,14 +130,7 @@ def test_dead_term_costs_no_products(monkeypatch):
     generator_monomials(system, 2)  # the system's monomials, built before counting
     live = PolyDiffOp.single(3, [(0, 1, 0), (0, 0, 1), (0, 1, 0)], p3("z"))
     dead = PolyDiffOp.single(3, [(1, 0, 0), (0, 1, 0), (0, 0, 0)], p3("y"))
-    products = []
-    original = Polynomial.__mul__
-
-    def counting(self, other):
-        products.append(other)
-        return original(self, other)
-
-    monkeypatch.setattr(Polynomial, "__mul__", counting)
+    _, products = record_table_work(monkeypatch)
 
     def cost(op):
         products.clear()
@@ -167,29 +161,19 @@ def test_cascade_witness_is_first_nonzero_reference_key():
     assert report.cochain_witness == first
 
 
-def count_calls(monkeypatch, *names):
-    """A list that records every call of the named Polynomial methods."""
-    calls = []
-    for name in names:
-        original = getattr(Polynomial, name)
-
-        def counting(self, *args, _original=original, _name=name):
-            calls.append(_name)
-            return _original(self, *args)
-
-        monkeypatch.setattr(Polynomial, name, counting)
-    return calls
-
-
 @pytest.mark.parametrize("make", [plane_system, rotational_system])
 def test_generator_monomials_are_built_once_per_system(make, monkeypatch):
     system = make()
+    misses, products = record_table_work(monkeypatch)
     first = generator_monomials(system, 3)
-    calls = count_calls(monkeypatch, "__mul__", "partial_multi")
+    # each monomial is one miss, and one product but for the constant 1
+    assert misses == [(system._monomials.zero, e) for e in exponents_upto(system.size, 3)]
+    assert len(products) == len(misses) - 1
+    misses.clear()
     # a second call, and any lower degree, reads the table and multiplies nothing
     assert generator_monomials(system, 3) == first
     assert generator_monomials(system, 2) == [(e, u) for e, u in first if sum(e) <= 2]
-    assert calls == []
+    assert misses == [] and len(products) == len(first) - 1
     monkeypatch.undo()
     # equal to a fresh build, and to the generator powers multiplied out
     fresh = generator_monomials(make(), 3)
@@ -210,11 +194,11 @@ def test_restricted_walks_share_the_systems_derivatives(monkeypatch):
     star, system = non_closed_order_two()
     dop = hochschild_d(star.term(2))
     table = restricted_values(dop, system)
-    calls = count_calls(monkeypatch, "partial_multi")
-    # a second walk, and another kind of walk, take no derivative
+    misses, _ = record_table_work(monkeypatch)
+    # a second walk, and another kind of walk, build no table entry
     assert restricted_values(dop, system) == table
     assert not vanishes_on_generators(dop, system)
-    assert calls == []
+    assert misses == []
 
 
 def test_table_takes_each_derivative_once(monkeypatch):
@@ -223,16 +207,14 @@ def test_table_takes_each_derivative_once(monkeypatch):
     dop = hochschild_d(star.term(2))
     mons = generator_monomials(system, dop.order())
     alphas = {a for key in dop.terms for a in key}
-    calls = []
-    original = Polynomial.partial_multi
-
-    def counting(self, alpha):
-        calls.append(alpha)
-        return original(self, alpha)
-
-    monkeypatch.setattr(Polynomial, "partial_multi", counting)
+    misses, _ = record_table_work(monkeypatch)
     restricted_values(dop, system)
-    assert 0 < len(calls) <= len(mons) * len(alphas)
+    derivatives = [key for key in misses if any(key[0])]
+    assert 0 < len(derivatives) == len(set(derivatives)) <= len(mons) * len(alphas)
+    assert set(misses) == set(derivatives)  # the monomials were already built
+    misses.clear()
+    restricted_values(dop, system)
+    assert misses == []
 
 
 # -- the degree that decides: order(op), not order(op) + 1 --------------------------
