@@ -19,10 +19,13 @@ right-hand side may be a sparse vector of labelled values instead of a
 number: one elimination of A then solves A x = b_label for every label,
 instead of one elimination per label.
 
+The scaling to integers, the row sums and the divisions are `poly`'s
+dict kernels `_integers`, `_add_into` and `_ratio`.
+
 The obstruction solvers assemble their systems with ``_SparseSystem``:
 columns are fixed up front as a list of labels (that list's order is the
 solve's column order), a row is created the first time its label is
-used, and the solution and nullspace come back keyed by column label.
+used, and the solution comes back keyed by column label.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from math import gcd, lcm
 from operator import add
 from typing import Hashable, Sequence
 
-from .poly import _accumulate
+from .poly import _accumulate, _add_into, _integers, _ratio
 
 
 @dataclass
@@ -49,28 +52,6 @@ class LinearSolveResult:
     @property
     def solved(self) -> bool:
         return self.solution is not None
-
-
-def _integers(values: dict, scale: int) -> dict:
-    """scale * values as ints; scale is a multiple of every denominator."""
-    return {
-        k: x * scale if type(x) is int else x.numerator * (scale // x.denominator)
-        for k, x in values.items()
-    }
-
-
-def _ratio(a: int, p: int) -> int | Fraction:
-    """a / p, an int when p divides a."""
-    if p == 1:
-        return a
-    q, r = divmod(a, p)
-    return Fraction(a, p) if r else q
-
-
-def _add_multiple(target: dict, source: dict, f: int) -> None:
-    """target += f * source, dropping the entries that cancel."""
-    for c, v in source.items():
-        _accumulate(target, c, f * v)
 
 
 def _multiply(row: dict, br: dict, m: int) -> None:
@@ -171,9 +152,9 @@ def solve_sparse(
                 _multiply(row, br, p // g)
                 scale *= p // g
             f = -(v // g)
-            _add_multiple(row, work[pr], f)
+            _add_into(row, work[pr], f)
             if b[pr]:
-                _add_multiple(br, b[pr], f)
+                _add_into(br, b[pr], f)
         if not row:
             if br:
                 residual = {k: _ratio(x, scale) for k, x in br.items()}
@@ -207,7 +188,7 @@ def solve_sparse(
                     col_rows.setdefault(c, set()).add(pr)
                 else:
                     col_rows[c].discard(pr)
-            _add_multiple(bpr, br, f)
+            _add_into(bpr, br, f)
             if m != 1:
                 content = gcd(*prow.values(), *bpr.values())
                 if content != 1:
@@ -271,17 +252,12 @@ class _SparseSystem:
         """b[row] += value."""
         self.rhs[self._row(row)] += value
 
-    def _solve(
-        self, want_nullspace: bool = False
-    ) -> tuple[dict[Hashable, Fraction], list[dict[Hashable, Fraction]]] | None:
-        """(particular solution, nullspace basis) keyed by column label, or None."""
-        result = solve_sparse(self.rows, self.rhs, len(self.columns), want_nullspace)
+    def _solve(self) -> dict[Hashable, Fraction] | None:
+        """A particular solution keyed by column label, or None when there is none."""
+        result = solve_sparse(self.rows, self.rhs, len(self.columns))
         if not result.solved:
             return None
-        cols = self.columns
-        solution = {cols[ci]: v for ci, v in result.solution.items()}
-        nullspace = [{cols[ci]: v for ci, v in vec.items()} for vec in result.nullspace]
-        return solution, nullspace
+        return {self.columns[ci]: v for ci, v in result.solution.items()}
 
 
 def _weight_blocks(outer: Sequence, inner: Sequence, keep: set) -> tuple[list, set]:

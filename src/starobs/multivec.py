@@ -31,7 +31,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import TYPE_CHECKING, Mapping, Sequence
 
-from .poly import Polynomial, _accumulate
+from .poly import Polynomial, _accumulate, _add_into
 
 if TYPE_CHECKING:  # pragma: no cover
     from .obstruction import IntegrableSystem
@@ -126,8 +126,7 @@ class _Alternating:
         if self._shape() != other._shape():
             raise ValueError(f"shape mismatch: {self._shape()} vs {other._shape()}")
         comps = dict(self.components)
-        for idx, p in other.components.items():
-            _accumulate(comps, idx, p)
+        _add_into(comps, other.components)
         return self._like(comps)
 
     def __sub__(self, other):

@@ -22,6 +22,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable
 
+from . import linsolve
 from .linsolve import _SparseSystem, _weight_blocks
 from .multivec import (
     Polyvector,
@@ -34,7 +35,10 @@ from .multivec import (
 from .poly import (
     Exponents,
     Polynomial,
+    _add_into,
+    _divided,
     _gather_monomials,
+    _product,
     add_exponents,
     exponents_upto,
     sub_exponents,
@@ -42,13 +46,10 @@ from .poly import (
 )
 from .polydiff import (
     PolyDiffOp,
-    _add_into,
-    _divided,
     _evaluate,
     _GeneratorTable,
     _numerators,
     _peel,
-    _product,
     hochschild_d,
     restricted_values,
     vanishes_on_generators,
@@ -300,7 +301,7 @@ def exactness_solve(
     solved = eqs._solve()
     if solved is None:
         return ExactnessResult(certificate="rank_at_bound")
-    witness = RelativeClass(dim, n, 1, _gather_monomials(dim, solved[0]))
+    witness = RelativeClass(dim, n, 1, _gather_monomials(dim, solved))
     if d_hor(system, witness) != c:
         raise AssertionError("exactness witness failed its built-in post-check")
     return ExactnessResult(witness=witness)
@@ -340,7 +341,7 @@ def lift_witness(
     solved = eqs._solve()
     if solved is None:
         return None
-    derivation = PolyDiffOp(dim, 1, _gather_monomials(dim, solved[0]))
+    derivation = PolyDiffOp(dim, 1, _gather_monomials(dim, solved))
     for j, g in enumerate(system.generators):
         if derivation.apply([g]) != Y.component((j,)):
             raise AssertionError("vector field lift failed its post-check")
@@ -354,6 +355,7 @@ def _weight_map(system: IntegrableSystem) -> Callable[[Exponents], tuple]:
     differences between each generator's monomials; weights are read
     against a basis of that rational nullspace.  Monomial generators give
     the exponent vector itself, generators homogeneous for no scaling ().
+    The columns are the coordinates, so the nullspace is read as the solver gives it.
     """
     dim = system.dim
     eqs = _SparseSystem(range(dim))
@@ -362,7 +364,9 @@ def _weight_map(system: IntegrableSystem) -> Callable[[Exponents], tuple]:
         for k, mono in enumerate(monos[1:]):
             for i in range(dim):
                 eqs._add((gi, k), i, mono[i] - monos[0][i])
-    basis = eqs._solve(want_nullspace=True)[1] if eqs.rows else [{i: 1} for i in range(dim)]
+    basis = [{i: 1} for i in range(dim)]
+    if eqs.rows:
+        basis = linsolve.solve_sparse(eqs.rows, eqs.rhs, dim, want_nullspace=True).nullspace
     return lambda e: tuple(sum(c * e[i] for i, c in vec.items()) for vec in basis)
 
 
@@ -379,7 +383,7 @@ def _solve_unary_correction(
     solved = None if eqs is None else eqs._solve()
     if solved is None:
         return None
-    return PolyDiffOp(system.dim, 1, _gather_monomials(system.dim, solved[0]))
+    return PolyDiffOp(system.dim, 1, _gather_monomials(system.dim, solved))
 
 
 def _unary_ansatz_rows(

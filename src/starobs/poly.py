@@ -6,10 +6,16 @@ an ``int`` when the coefficient is integral, otherwise a ``Fraction``,
 never a float.  The zero polynomial has an empty term map.  All values are
 immutable after construction, so they can be shared freely.  The
 module also holds the exponent-tuple helpers and the polynomial parser.
+
+It owns the {monomial: coefficient} dict format, and with it the one loop
+for each operation on such dicts: `_add_into`, `_product`, `_partial`,
+`_integers`, `_ratio` and `_divided`.  Polynomials, the operators'
+integer term maps and the sparse solver's rows all run on these.
 """
 
 from __future__ import annotations
 
+import math
 import operator
 from fractions import Fraction
 from typing import Hashable, Mapping, Sequence
@@ -45,6 +51,65 @@ def _accumulate(terms: dict, key, value) -> None:
         terms[key] = total
     else:
         del terms[key]
+
+
+def _add_into(acc: dict, t: Mapping, factor=1) -> None:
+    """acc += factor * t in place, t's keys in order, the sums that cancel dropped."""
+    if factor == 1:
+        for key, v in t.items():
+            _accumulate(acc, key, v)
+    else:
+        for key, v in t.items():
+            _accumulate(acc, key, v * factor)
+
+
+def _product(p: Mapping, q: Mapping) -> dict:
+    """The product of the polynomials with coefficients p and q."""
+    out: dict[Exponents, Fraction | int] = {}
+    for e1, c1 in p.items():
+        for e2, c2 in q.items():
+            _accumulate(out, add_exponents(e1, e2), c1 * c2)
+    return out
+
+
+def _partial(t: Mapping, gamma: Exponents) -> Mapping:
+    """d^gamma of the polynomial with coefficients t, int or Fraction, in one
+    pass: x^e goes to e!/(e - gamma)! x^(e - gamma), so no two monomials meet
+    and t's order is kept.  t itself when gamma is zero."""
+    if not any(gamma):
+        return t
+    out = {}
+    for mono, v in t.items():
+        rest = sub_exponents(mono, gamma)
+        if min(rest) >= 0:
+            for e, g in zip(mono, gamma):
+                v *= math.perm(e, g)
+            out[rest] = v
+    return out
+
+
+def _integers(values: Mapping, scale: int) -> dict:
+    """scale * values as ints; scale is a multiple of every denominator."""
+    return {
+        k: x * scale if type(x) is int else x.numerator * (scale // x.denominator)
+        for k, x in values.items()
+    }
+
+
+def _ratio(a: int, p: int) -> int | Fraction:
+    """a / p, an int when p divides a."""
+    if p == 1:
+        return a
+    q, r = divmod(a, p)
+    return Fraction(a, p) if r else q
+
+
+def _divided(t: dict, den: int) -> dict:
+    """t with each value v replaced by _ratio(v, den), in place; t is returned."""
+    if den != 1:
+        for mono, v in t.items():
+            t[mono] = _ratio(v, den)
+    return t
 
 
 def _gather_monomials(dim: int, vec: Mapping[tuple[Exponents, Hashable], Fraction]) -> dict:
@@ -152,8 +217,7 @@ class Polynomial:
         if q is None:
             return NotImplemented
         terms = dict(self.terms)
-        for exps, c in q.terms.items():
-            _accumulate(terms, exps, c)
+        _add_into(terms, q.terms)
         return Polynomial._trusted(self.dim, terms)
 
     __radd__ = __add__
@@ -181,11 +245,7 @@ class Polynomial:
         q = self._coerce(other)
         if q is None:
             return NotImplemented
-        terms: dict[Exponents, Fraction | int] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in q.terms.items():
-                _accumulate(terms, add_exponents(e1, e2), c1 * c2)
-        return Polynomial._trusted(self.dim, terms)
+        return Polynomial._trusted(self.dim, _product(self.terms, q.terms))
 
     __rmul__ = __mul__
 
@@ -233,14 +293,10 @@ class Polynomial:
         return Polynomial._trusted(self.dim, terms)
 
     def partial_multi(self, alpha: Exponents) -> Polynomial:
-        """Iterated partial derivative with multi-index alpha."""
-        p = self
-        for i, k in enumerate(alpha):
-            for _ in range(k):
-                p = p.partial(i)
-                if p.is_zero():
-                    return p
-        return p
+        """Iterated partial derivative with multi-index alpha, by _partial."""
+        if not any(alpha):
+            return self
+        return Polynomial._trusted(self.dim, _partial(self.terms, alpha))
 
     def degree(self) -> int:
         """Total degree; the zero polynomial reports 0."""

@@ -20,7 +20,9 @@ cancel do so in ints, and each surviving entry is divided once.  The
 values on generator monomials are read the same way: the system's
 `_GeneratorTable` holds d^a of each generator monomial as a plain
 {monomial: coefficient} dict, an operator enters as its numerators over
-one denominator, and each reported value is divided once.
+one denominator, and each reported value is divided once.  Every sum,
+product, derivative, scaling and division of those dicts is one of
+`poly`'s kernels.
 
 The Leibniz splittings of d^alpha, `_leibniz` and `_split_over`, are pure
 functions of the multi-index: each is memoized per multi-index for the
@@ -39,6 +41,11 @@ from .poly import (
     Exponents,
     Polynomial,
     _accumulate,
+    _add_into,
+    _divided,
+    _integers,
+    _partial,
+    _product,
     add_exponents,
     exponents_upto,
     sub_exponents,
@@ -118,10 +125,7 @@ class _TermMap(dict):
         sign *= self.scale(den)
         for key, c in numerators.items():
             for dkey, weight in expand(key).items():
-                weight *= sign
-                acc = self.setdefault(dkey, {})
-                for mono, v in c.items():
-                    _accumulate(acc, mono, v * weight if weight != 1 else v)
+                _add_into(self.setdefault(dkey, {}), c, sign * weight)
 
 
 def _numerators(op: PolyDiffOp) -> tuple[int, dict[DerivKey, dict[Exponents, int]]]:
@@ -129,50 +133,9 @@ def _numerators(op: PolyDiffOp) -> tuple[int, dict[DerivKey, dict[Exponents, int
     the lcm of its coefficients' denominators; an int-only op's coefficient
     dicts are passed through."""
     den = math.lcm(*[v.denominator for c in op.terms.values() for v in c.terms.values()])
-    if den == 1:
-        return 1, {key: c.terms for key, c in op.terms.items()}
-    return den, {key: {e: v.numerator * (den // v.denominator) for e, v in c.terms.items()}
-                 for key, c in op.terms.items()}
-
-
-def _int_partial(t: dict[Exponents, int], gamma: Exponents) -> dict[Exponents, int]:
-    """d^gamma of the polynomial with coefficients t (integers in the term maps),
-    as Polynomial.partial_multi would give it, monomial order included."""
-    if not any(gamma):
-        return t
-    out = {}
-    for mono, v in t.items():
-        rest = sub_exponents(mono, gamma)
-        if min(rest) >= 0:
-            for e, g in zip(mono, gamma):
-                v *= math.perm(e, g)
-            out[rest] = v
-    return out
-
-
-def _product(p: dict[Exponents, int], q: dict[Exponents, int]) -> dict[Exponents, int]:
-    """The product of the polynomials with coefficients p and q, as
-    Polynomial.__mul__ would give it, monomial order included."""
-    out: dict[Exponents, int] = {}
-    for e1, c1 in p.items():
-        for e2, c2 in q.items():
-            _accumulate(out, add_exponents(e1, e2), c1 * c2)
-    return out
-
-
-def _add_into(acc: dict[Exponents, int], t: dict[Exponents, int], factor: int = 1) -> None:
-    """acc += factor * t in place, t's monomials in order, as Polynomial.__add__."""
-    for mono, v in t.items():
-        _accumulate(acc, mono, v * factor)
-
-
-def _divided(t: dict[Exponents, int], den: int) -> dict[Exponents, int]:
-    """t with each value v divided by den in place, to v // den where den
-    divides it and to Fraction(v, den) otherwise; t is returned."""
-    if den != 1:
-        for mono, v in t.items():
-            t[mono] = v // den if not v % den else Fraction(v, den)
-    return t
+    return den, {
+        key: c.terms if den == 1 else _integers(c.terms, den) for key, c in op.terms.items()
+    }
 
 
 class PolyDiffOp:
@@ -278,8 +241,7 @@ class PolyDiffOp:
     def __add__(self, other: PolyDiffOp) -> PolyDiffOp:
         self._check_compatible(other)
         terms = dict(self.terms)
-        for key, c in other.terms.items():
-            _accumulate(terms, key, c)
+        _add_into(terms, other.terms)
         return PolyDiffOp._trusted(self.dim, self.arity, terms)
 
     def __sub__(self, other: PolyDiffOp) -> PolyDiffOp:
@@ -352,7 +314,7 @@ class PolyDiffOp:
                 for gamma0, rest, w0 in _leibniz(key[slot]):
                     dc = d_in.get(gamma0)
                     if dc is None:
-                        dc = d_in[gamma0] = _int_partial(c_in, gamma0)
+                        dc = d_in[gamma0] = _partial(c_in, gamma0)
                     if not dc:
                         continue
                     splits = _split_over(rest, inner.arity)
@@ -360,11 +322,8 @@ class PolyDiffOp:
                         continue
                     base = _product(c_out, dc)
                     for gammas, w in splits:
-                        weight = sign * w0 * w
-                        inserted = tuple(map(add_exponents, in_key, gammas))
-                        acc = terms.setdefault(head + inserted + tail, {})
-                        for mono, c in base.items():
-                            _accumulate(acc, mono, c * weight if weight != 1 else c)
+                        inserted = head + tuple(map(add_exponents, in_key, gammas)) + tail
+                        _add_into(terms.setdefault(inserted, {}), base, sign * w0 * w)
 
     @classmethod
     def _from_term_map(cls, dim: int, arity: int, terms: _TermMap) -> PolyDiffOp:
@@ -444,7 +403,7 @@ class _GeneratorTable(dict):
     """d^a of the monomials in one system's generators, keyed by (a, generator
     exponents), each a plain {monomial: coefficient} dict built once per
     system on its first lookup: the monomial (a = 0) as _peel's shorter one
-    times its generator, by _product, and d^a of it by _int_partial.  The
+    times its generator, by _product, and d^a of it by _partial.  The
     entries are shared, never written to.  Held by IntegrableSystem._monomials.
     """
 
@@ -458,7 +417,7 @@ class _GeneratorTable(dict):
     def __missing__(self, key: tuple[Exponents, Exponents]) -> dict[Exponents, int]:
         a, e = key
         if any(a):
-            p = _int_partial(self[self.zero, e], a)
+            p = _partial(self[self.zero, e], a)
         elif any(e):
             i, rest = _peel(e)
             p = _product(self[self.zero, rest], self.generators[i])

@@ -345,7 +345,7 @@ def reference_lift_witness(
     solved = eqs._solve()
     if solved is None:
         return None
-    field_ = Polyvector(dim, 1, _gather_monomials(dim, solved[0]))
+    field_ = Polyvector(dim, 1, _gather_monomials(dim, solved))
     derivation = hkr_to_cochain(field_)
     assert all(derivation.apply([g]) == Y.component((j,)) for j, g in enumerate(system.generators))
     return field_
@@ -381,7 +381,7 @@ def reference_exactness_solve(
     solved = eqs._solve()
     if solved is None:
         return ExactnessResult(certificate="rank_at_bound")
-    witness = RelativeClass(dim, n, 1, _gather_monomials(dim, solved[0]))
+    witness = RelativeClass(dim, n, 1, _gather_monomials(dim, solved))
     assert d_hor(system, witness) == c
     return ExactnessResult(witness=witness)
 
@@ -503,7 +503,7 @@ def reference_pair_unary_correction(s, system, n, bounds):
     solved = None if eqs is None else eqs._solve()
     if solved is None:
         return None
-    return PolyDiffOp(system.dim, 1, _gather_monomials(system.dim, solved[0]))
+    return PolyDiffOp(system.dim, 1, _gather_monomials(system.dim, solved))
 
 
 def reference_unary_correction(s, system, n, bounds):
@@ -560,7 +560,7 @@ def reference_extend_one_order(s, coefficient_degree, operator_order):
     solved = eqs._solve()
     if solved is None:
         return ExtensionResult()
-    particular = PolyDiffOp(dim, 2, _gather_monomials(dim, solved[0]))
+    particular = PolyDiffOp(dim, 2, _gather_monomials(dim, solved))
     extended = StarProduct(dim, n + 1, list(s.corrections) + [particular])
     assert extended.assoc_residual(n + 1).is_zero()
     return ExtensionResult(particular, extended)
@@ -663,7 +663,7 @@ def reference_compose_at(op: PolyDiffOp, slot: int, inner: PolyDiffOp) -> PolyDi
         for in_key, c_in in inner.terms.items():
             for split, weight in reference_splittings(alpha, j + 1):
                 gamma0, gammas = split[0], split[1:]
-                coeff = c_out * c_in.partial_multi(gamma0)
+                coeff = reference_mul(c_out, reference_partial_multi(c_in, gamma0))
                 if coeff.is_zero():
                     continue
                 if weight != 1:
@@ -717,13 +717,13 @@ def reference_compose_into(op: PolyDiffOp, terms: dict, slot: int, inner: PolyDi
             for gamma0, rest, w0 in _leibniz(key[slot]):
                 dc = d_in.get(gamma0)
                 if dc is None:
-                    dc = d_in[gamma0] = c_in.partial_multi(gamma0)
+                    dc = d_in[gamma0] = reference_partial_multi(c_in, gamma0)
                 if not dc:
                     continue
                 splits = _split_over(rest, inner.arity)
                 if not splits:
                     continue
-                base = (c_out * dc).terms
+                base = reference_product(c_out.terms, dc.terms)
                 for gammas, w in splits:
                     weight = sign * w0 * w
                     inserted = tuple(map(add_exponents, in_key, gammas))
@@ -750,6 +750,94 @@ def reference_from_term_map(dim: int, arity: int, terms: dict) -> PolyDiffOp:
     return PolyDiffOp._trusted(dim, arity, polys)
 
 
+# -- the coefficient-dict loops that the poly kernels replaced ----------------------
+# Each is the loop as it stood before poly held one kernel per operation, and calls
+# none of those kernels (_accumulate is the one shared step), so that a reference
+# built on them stays independent of the code it checks.
+
+
+def reference_product(p: dict, q: dict) -> dict:
+    """The product of two coefficient dicts by Polynomial.__mul__'s own loop."""
+    out: dict = {}
+    for e1, c1 in p.items():
+        for e2, c2 in q.items():
+            _accumulate(out, add_exponents(e1, e2), c1 * c2)
+    return out
+
+
+def reference_sum(p: dict, q: dict) -> dict:
+    """A copy of p with q added, by Polynomial.__add__'s own loop."""
+    out = dict(p)
+    for e, c in q.items():
+        _accumulate(out, e, c)
+    return out
+
+
+def reference_add_multiple(target: dict, source: dict, f) -> None:
+    """target += f * source in place, by the solver's own _add_multiple loop."""
+    for c, v in source.items():
+        _accumulate(target, c, f * v)
+
+
+def reference_partial_multi(p: Polynomial, alpha: Exponents) -> Polynomial:
+    """d^alpha of p as iterated single-variable derivatives: Polynomial.partial_multi
+    as it was before it took the multi-index in one pass."""
+    for i, k in enumerate(alpha):
+        for _ in range(k):
+            p = p.partial(i)
+            if p.is_zero():
+                return p
+    return p
+
+
+def reference_numerators(op: PolyDiffOp) -> tuple[int, dict]:
+    """(d, {key: {monomial: int}}) by polydiff._numerators' own expressions: op's
+    coefficients as numerators over d, the lcm of their denominators."""
+    den = math.lcm(*[v.denominator for c in op.terms.values() for v in c.terms.values()])
+    if den == 1:
+        return 1, {key: c.terms for key, c in op.terms.items()}
+    return den, {key: {e: v.numerator * (den // v.denominator) for e, v in c.terms.items()}
+                 for key, c in op.terms.items()}
+
+
+def reference_divided(t: dict, den: int) -> dict:
+    """A copy of t with each value divided by den, by polydiff._divided's own
+    expression: v // den where den divides v, Fraction(v, den) otherwise."""
+    if den == 1:
+        return dict(t)
+    return {mono: v // den if not v % den else Fraction(v, den) for mono, v in t.items()}
+
+
+def reference_mul(p: Polynomial, q: Polynomial) -> Polynomial:
+    return Polynomial._trusted(p.dim, reference_product(p.terms, q.terms))
+
+
+def reference_add(p: Polynomial, q: Polynomial) -> Polynomial:
+    return Polynomial._trusted(p.dim, reference_sum(p.terms, q.terms))
+
+
+def reference_total(polys, dim: int) -> Polynomial:
+    """The sum of polys, left to right, by reference_add."""
+    total = Polynomial.zero(dim)
+    for p in polys:
+        total = reference_add(total, p)
+    return total
+
+
+def reference_apply(op: PolyDiffOp, args: Sequence[Polynomial]) -> Polynomial:
+    """PolyDiffOp.apply on the replaced loops: each term's coefficient times its
+    slots' derivatives, left to right, stopped at a zero, summed in op.terms order."""
+    total = Polynomial.zero(op.dim)
+    for key, coeff in op.terms.items():
+        value = coeff
+        for alpha, arg in zip(key, args):
+            value = reference_mul(value, reference_partial_multi(arg, alpha))
+            if value.is_zero():
+                break
+        total = reference_add(total, value)
+    return total
+
+
 # -- per-tuple restricted table, the reference for the memoized one ----------------
 
 
@@ -757,7 +845,7 @@ def reference_restricted_values(op, system, slot_degree):
     """Values of op on all tuples of generator monomials, one apply per tuple."""
     mons = generator_monomials(system, slot_degree)
     return {
-        tuple(e for e, _ in combo): op.apply([p for _, p in combo])
+        tuple(e for e, _ in combo): reference_apply(op, [p for _, p in combo])
         for combo in itertools.product(mons, repeat=op.arity)
     }
 
@@ -769,14 +857,17 @@ def reference_restricted_items(op, mons):
     and every term, dead or not, is carried and tested at every slot: the
     dense walk the sparse `_restricted_items` replaced."""
     alphas = {a for key in op.terms for a in key}
-    derivs = {a: {e: p.partial_multi(a) for e, p in mons} for a in alphas}
+    derivs = {a: {e: reference_partial_multi(p, a) for e, p in mons} for a in alphas}
 
     def walk(slot, exps, partials):
         if slot == op.arity:
-            yield exps, sum(filter(None, partials), Polynomial.zero(op.dim))
+            yield exps, reference_total(filter(None, partials), op.dim)
             return
         for e, _ in mons:
-            step = [v * derivs[key[slot]][e] if v else v for key, v in zip(op.terms, partials)]
+            step = [
+                reference_mul(v, derivs[key[slot]][e]) if v else v
+                for key, v in zip(op.terms, partials)
+            ]
             yield from walk(slot + 1, exps + (e,), step)
 
     return walk(0, (), list(op.terms.values()))
@@ -788,9 +879,9 @@ def reference_restricted_items(op, mons):
 class ReferenceGeneratorTable(dict):
     """d^a of the generator monomials as Polynomials, keyed by (a, generator
     exponents), each built on its first lookup: the monomial as _peel's
-    shorter one times its generator, by Polynomial.__mul__, and d^a of it by
-    Polynomial.partial_multi.  The table the systems held before their
-    entries became plain dicts."""
+    shorter one times its generator, by reference_mul, and d^a of it by
+    reference_partial_multi.  The table the systems held before their
+    entries became plain dicts, on the loops Polynomial ran then."""
 
     def __init__(self, system: IntegrableSystem):
         super().__init__()
@@ -800,10 +891,10 @@ class ReferenceGeneratorTable(dict):
     def __missing__(self, key):
         a, e = key
         if any(a):
-            p = self[self.zero, e].partial_multi(a)
+            p = reference_partial_multi(self[self.zero, e], a)
         elif any(e):
             i, rest = _peel(e)
-            p = self[self.zero, rest] * self.generators[i]
+            p = reference_mul(self[self.zero, rest], self.generators[i])
         else:
             p = Polynomial.one(len(self.zero))
         self[key] = p
@@ -813,7 +904,8 @@ class ReferenceGeneratorTable(dict):
 def reference_table_restricted_items(op, system, degree):
     """The sparse stream of polydiff._restricted_items in Polynomials: each
     term's partial product c * d^a_1 u_1 * ... is a Polynomial with op's own
-    coefficients, read from a ReferenceGeneratorTable."""
+    coefficients, read from a ReferenceGeneratorTable and multiplied and
+    summed by the replaced loops."""
     mons = exponents_upto(system.size, degree)
     table = ReferenceGeneratorTable(system)
     alphas = {a for key in op.terms for a in key}
@@ -821,7 +913,7 @@ def reference_table_restricted_items(op, system, degree):
 
     def walk(slot, exps, live):
         if slot == op.arity:
-            value = sum((v for _, v in live[1:]), live[0][1])
+            value = reference_total((v for _, v in live), op.dim)
             if value:
                 yield exps, value
             return
@@ -830,7 +922,7 @@ def reference_table_restricted_items(op, system, degree):
             for key, v in live:
                 d = derivs[key[slot]][e]
                 if d:
-                    step.append((key, v * d))
+                    step.append((key, reference_mul(v, d)))
             if step:
                 yield from walk(slot + 1, exps + (e,), step)
 
@@ -839,18 +931,18 @@ def reference_table_restricted_items(op, system, degree):
 
 
 def reference_raw_class(s: StarProduct, system: IntegrableSystem, n: int) -> RelativeClass:
-    """obstruction._raw_class by one PolyDiffOp.apply per ordered pair of generators."""
+    """obstruction._raw_class by one reference_apply per ordered pair of generators."""
     op = s.term(n)
     gens = system.generators
     pairs = itertools.permutations(range(len(gens)), 2)
-    comps = {(i, j): op.apply([gens[i], gens[j]]) for i, j in pairs}
+    comps = {(i, j): reference_apply(op, [gens[i], gens[j]]) for i, j in pairs}
     return RelativeClass(system.dim, len(gens), 2, comps)
 
 
 def reference_unary_ansatz_rows(target, system, bounds):
     """obstruction._unary_ansatz_rows in Polynomials: B(f^ue, f^ve), phi0 and the
     column polynomials w are Polynomials with the target's own coefficients,
-    read from a ReferenceGeneratorTable."""
+    read from a ReferenceGeneratorTable and built by the replaced loops."""
     weight = _weight_map(system)
     table = ReferenceGeneratorTable(system)
     z = table.zero
@@ -860,12 +952,20 @@ def reference_unary_ansatz_rows(target, system, bounds):
     nought = Polynomial.zero(system.dim)
 
     def on(ue, ve):  # B(f^ue, f^ve)
-        return sum((c * table[a, ue] * table[b, ve] for (a, b), c in target.terms.items()), nought)
+        products = (
+            reference_mul(reference_mul(c, table[a, ue]), table[b, ve])
+            for (a, b), c in target.terms.items()
+        )
+        return reference_total(products, system.dim)
 
     phi0 = {exps[0]: -on(exps[0], exps[0])}
     for alpha in exps[1:]:
         i, m = _peel(alpha)
-        phi0[alpha] = phi0[m] * system.generators[i] + on(m, units[i]) if any(m) else nought
+        if any(m):
+            shifted = reference_mul(phi0[m], system.generators[i])
+            phi0[alpha] = reference_add(shifted, on(m, units[i]))
+        else:
+            phi0[alpha] = nought
     live = {
         weight(sub_exponents(mono, next(iter(table[z, alpha].terms))))
         for alpha, value in phi0.items()
@@ -883,7 +983,8 @@ def reference_unary_ansatz_rows(target, system, bounds):
         lower = [(x, u, table[z, sub_exponents(alpha, u)]) for x, u in zip(alpha, units) if x]
         for a, es in by_alpha:
             if sum(a) != 1:
-                w = table[a, alpha] - sum((x * f * table[a, u] for x, u, f in lower), nought)
+                chain = (reference_mul(f * x, table[a, u]) for x, u, f in lower)
+                w = reference_add(table[a, alpha], -reference_total(chain, system.dim))
                 for e in es:
                     for mono, c in w.terms.items():
                         eqs._add((alpha, add_exponents(mono, e)), (e, (a,)), c)

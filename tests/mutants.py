@@ -40,6 +40,7 @@ FACTORED = "tests/test_factored_ansatz.py::"
 RESTRICTED = "tests/test_restricted_table.py::"
 LINSOLVE = "tests/test_linsolve.py::"
 TERM_MAPS = "tests/test_star.py::"
+KERNELS = "tests/test_properties.py::"
 
 MUTANTS = [
     # the unary gauge solve on generator monomials
@@ -352,14 +353,14 @@ MUTANTS = [
     ),
     Mutant(
         "an operator's numerators are not brought to its common denominator",
-        "polydiff.py",
-        "v.numerator * (den // v.denominator)",
-        "v.numerator",
+        "poly.py",
+        "x.numerator * (scale // x.denominator)",
+        "x.numerator",
         (TERM_MAPS + "test_term_map_rescales_when_a_new_denominator_arrives",),
     ),
     Mutant(
         "integer derivatives weigh each exponent by a binomial, not a falling factorial",
-        "polydiff.py",
+        "poly.py",
         "v *= math.perm(e, g)",
         "v *= math.comb(e, g)",
         (TERM_MAPS + "test_term_maps_match_the_fraction_kernels",),
@@ -395,6 +396,21 @@ MUTANTS = [
         "eqs._add((j, add_exponents(mono, e)), (e, (u,)), v)",
         "eqs._add((j, add_exponents(mono, e[:-1] + (e[-1] + 1,))), (e, (u,)), v)",
         ("tests/test_obstruction.py::test_lift_matches_the_vector_field_reference",),
+    ),
+    # one loop per sparse-dict operation, in poly
+    Mutant(
+        "a dict sum drops its factor",
+        "poly.py",
+        "            _accumulate(acc, key, v * factor)\n",
+        "            _accumulate(acc, key, v)\n",
+        (KERNELS + "test_the_shared_kernels_match_the_loops_they_replaced",),
+    ),
+    Mutant(
+        "a dict product keeps the last of the terms that meet on a monomial",
+        "poly.py",
+        "            _accumulate(out, add_exponents(e1, e2), c1 * c2)\n",
+        "            out[add_exponents(e1, e2)] = c1 * c2\n",
+        (KERNELS + "test_the_shared_kernels_match_the_loops_they_replaced",),
     ),
     # one weight-block selector for the graded solves
     Mutant(

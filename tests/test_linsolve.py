@@ -348,16 +348,16 @@ def test_sparse_system_infeasible_solve_is_none():
     system._add("r2", "a", Fraction(2))
     system._add_rhs("r2", Fraction(3))
     assert system._solve() is None
-    assert system._solve(want_nullspace=True) is None
 
 
-def test_sparse_system_solution_and_nullspace_keyed_by_label():
+def test_sparse_system_solution_keyed_by_label_and_nullspace_by_column():
     # x + 2y = 3 over the columns (y, x, z): y is the pivot, x and z are free
     system = _SparseSystem(["y", "x", "z"])
     system._add("eq", "x", Fraction(1))
     system._add("eq", "y", Fraction(2))
     system._add_rhs("eq", Fraction(3))
-    solution, nullspace = system._solve(want_nullspace=True)
-    assert solution == {"y": Fraction(3, 2)}
-    assert nullspace == [{"x": 1, "y": Fraction(-1, 2)}, {"z": 1}]
-    assert system._solve() == (solution, [])
+    assert system._solve() == {"y": Fraction(3, 2)}
+    # the nullspace, which only the weight map reads, comes from the solver by column index
+    solved = solve_sparse(system.rows, system.rhs, len(system.columns), want_nullspace=True)
+    assert solved.nullspace == [{1: 1, 0: Fraction(-1, 2)}, {2: 1}]
+    assert [list(vec) for vec in solved.nullspace] == [[1, 0], [2]]

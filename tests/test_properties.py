@@ -4,14 +4,28 @@ import json
 import tempfile
 from pathlib import Path
 
+import math
+
 import pytest
-from helpers import reference_render_report
+from helpers import (
+    reference_add,
+    reference_add_multiple,
+    reference_divided,
+    reference_mul,
+    reference_numerators,
+    reference_partial_multi,
+    reference_product,
+    reference_render_report,
+    reference_sum,
+)
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
-from starobs import Polynomial, parse_polynomial  # noqa: E402
+from starobs import PolyDiffOp, Polynomial, parse_polynomial  # noqa: E402
 from starobs.cli import Problem, load_problem_data, main, render_report  # noqa: E402
+from starobs.poly import _add_into, _divided, _integers, _partial, _product  # noqa: E402
+from starobs.polydiff import _numerators  # noqa: E402
 
 NAMES = ["x", "p1", "_q", "Zeta_2"]
 
@@ -37,6 +51,68 @@ def test_to_string_parses_back_to_the_same_terms(p):
     types = {e: type(c) for e, c in q.terms.items()}
     assert types == {e: type(c) for e, c in p.terms.items()}
     assert all(t is int or q.terms[e].denominator > 1 for e, t in types.items())
+
+
+@st.composite
+def kernel_operands(draw) -> tuple[Polynomial, Polynomial, tuple[int, ...]]:
+    """Two polynomials of one dimension, int-only in about half the draws, small
+    enough that monomials meet in a product, and a multi-index, zero included."""
+    dim = draw(st.integers(1, 3))
+    exponents = st.tuples(*[st.integers(0, 3)] * dim)
+    values = draw(st.sampled_from([st.integers(-20, 20).filter(bool), coefficients]))
+    p = Polynomial(dim, draw(st.dictionaries(exponents, values, max_size=5)))
+    q = Polynomial(dim, draw(st.dictionaries(exponents, values, max_size=5)))
+    return p, q, draw(exponents)
+
+
+def typed(d) -> list:
+    """d's items in order, each with its value's type: int and Fraction differ."""
+    return [(k, v, type(v)) for k, v in d.items()]
+
+
+# factors as the program's values are: an integral one is an int
+factors = st.sampled_from([1, -1]) | coefficients.map(
+    lambda c: c.numerator if c.denominator == 1 else c
+)
+
+
+@hypothesis.settings(derandomize=True, deadline=None, database=None, max_examples=300)
+@hypothesis.given(kernel_operands(), factors, st.integers(1, 12))
+def test_the_shared_kernels_match_the_loops_they_replaced(operands, factor, divisor):
+    """Each poly kernel, and each Polynomial operation on one, gives its replaced
+    loop's dict: the same values of the same types in the same order."""
+    p, q, gamma = operands
+    zero = (0,) * p.dim
+    assert typed(_product(p.terms, q.terms)) == typed(reference_product(p.terms, q.terms))
+    assert typed((p * q).terms) == typed(reference_mul(p, q).terms)
+    acc = dict(p.terms)
+    _add_into(acc, q.terms)
+    assert typed(acc) == typed(reference_sum(p.terms, q.terms))
+    assert typed((p + q).terms) == typed(reference_add(p, q).terms)
+    for f in (1, -1, factor):
+        got, want = dict(p.terms), dict(p.terms)
+        _add_into(got, q.terms, f)
+        reference_add_multiple(want, q.terms, f)
+        assert typed(got) == typed(want)
+    # the replaced derivative made an integral Fraction an int at each step, _partial
+    # keeps a value's type: the values and their order agree, and the Polynomial's types
+    for alpha in (gamma, zero):
+        assert list(_partial(p.terms, alpha).items()) == list(
+            reference_partial_multi(p, alpha).terms.items()
+        )
+        assert typed(p.partial_multi(alpha).terms) == typed(reference_partial_multi(p, alpha).terms)
+    assert _partial(p.terms, zero) is p.terms
+    op = PolyDiffOp.single(p.dim, (zero, gamma), p) + PolyDiffOp.single(p.dim, (gamma, zero), q)
+    den, numerators = _numerators(op)
+    want_den, want = reference_numerators(op)
+    assert den == want_den and list(numerators) == list(want)
+    assert all(typed(numerators[key]) == typed(want[key]) for key in want)
+    lcm = math.lcm(*[v.denominator for v in p.terms.values()])
+    for scale in (lcm, lcm * divisor):
+        scaled = _integers(p.terms, scale)
+        assert typed(scaled) == typed({e: int(v * scale) for e, v in p.terms.items()})
+        for d in (1, divisor, scale, math.lcm(scale, divisor)):
+            assert typed(_divided(dict(scaled), d)) == typed(reference_divided(scaled, d))
 
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"

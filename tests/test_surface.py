@@ -4,7 +4,8 @@ Every public name, every module-level function and class, private ones
 included, and every method, classmethod, staticmethod and property of a
 class (dunders aside) is used by the pipeline, the CLI or the benchmark
 (names only the tests need live under tests/), no module imports a
-name it never uses, and the only functools memos are the ones named here.
+name it never uses, the only functools memos are the ones named here, and
+only `poly` defines the coefficient-dict kernels.
 """
 
 import ast
@@ -148,3 +149,31 @@ def test_the_only_memos_are_the_parser_and_the_leibniz_splittings():
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and _memoized(node)
     )
     assert memoized == ["cli.build_parser", "polydiff._leibniz", "polydiff._split_over"]
+
+
+KERNELS = ("_product", "_add_into", "_partial", "_int_partial", "_add_multiple", "_integers",
+           "_ratio", "_divided")
+
+
+def _bound_names(tree: ast.AST):
+    """Names bound anywhere in tree by a def or by a plain assignment."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield node.name
+        elif isinstance(node, ast.Assign):
+            yield from (t.id for t in node.targets if isinstance(t, ast.Name))
+
+
+def test_only_poly_defines_the_coefficient_kernels():
+    # one loop per operation on {monomial: coefficient} dicts: a second definition,
+    # under a kernel's name or a replaced one's, is a second copy to keep in step
+    defined = sorted(
+        f"{path.stem}.{name}"
+        for path in MODULES
+        for name in _bound_names(_tree(path))
+        if name in KERNELS
+    )
+    assert defined == [
+        "poly._add_into", "poly._divided", "poly._integers", "poly._partial", "poly._product",
+        "poly._ratio",
+    ]

@@ -1,4 +1,5 @@
-"""The Jacobi witness and the Moyal product against independent sympy computations.
+"""The Jacobi witness, the Moyal product and the coefficient kernels against
+independent sympy computations.
 
 sympy is a test-only oracle: the package itself has no dependencies.
 """
@@ -12,12 +13,14 @@ from helpers import (
     canonical_pi4,
     non_poisson_pi,
     rand_fraction,
+    rand_multi_index,
     rand_poly,
     rand_polyvector,
     so3_pi,
 )
 
 from starobs import Polynomial, Polyvector, jacobi_check, moyal_star
+from starobs.poly import _integers, _partial, _product
 
 sympy = pytest.importorskip("sympy")
 
@@ -112,3 +115,24 @@ def test_moyal_terms_match_the_exponential_of_the_bidifferential(pi):
         assert got == sympy_moyal_terms(pi, f, g, order)
         top_nonzero += got[order] != 0
     assert top_nonzero  # the draws reach B_3
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_dict_product_and_derivative_match_expand_and_diff(seed):
+    """poly._product against sympy.expand and poly._partial against sympy.diff, on
+    Fraction coefficients and on their integer numerators."""
+    rng = random.Random(53 + seed)
+    dim = 1 + seed % 3
+    xs = sympy.symbols(f"x0:{dim}")
+    p, q = (rand_poly(rng, dim, degree=4, terms=4) for _ in range(2))
+    if seed % 2:
+        p, q = (Polynomial(dim, _integers(f.terms, 6)) for f in (p, q))
+    product = Polynomial(dim, _product(p.terms, q.terms))
+    assert sympy.expand(to_sympy(product, xs) - to_sympy(p, xs) * to_sympy(q, xs)) == 0
+    for order in range(4):
+        gamma = rand_multi_index(rng, dim, order)
+        derivative = Polynomial(dim, _partial(p.terms, gamma))
+        want = to_sympy(p, xs)
+        for x, k in zip(xs, gamma):
+            want = sympy.diff(want, x, k)
+        assert sympy.expand(to_sympy(derivative, xs) - want) == 0
