@@ -96,8 +96,9 @@ def _integers(values: Mapping, scale: int) -> dict:
     }
 
 
-def _ratio(a: int, p: int) -> int | Fraction:
-    """a / p, an int when p divides a."""
+def _ratio(a: int | Fraction, p: int) -> int | Fraction:
+    """a / p, an int when p divides a; a is a Fraction in apply's values on
+    arguments with Fraction coefficients."""
     if p == 1:
         return a
     q, r = divmod(a, p)

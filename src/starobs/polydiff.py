@@ -16,13 +16,13 @@ the multiplication cochain m and the Gerstenhaber bracket built from
 
 Compositions and differentials are summed in a `_TermMap`: integer
 numerators over one denominator per map, so the many contributions that
-cancel do so in ints, and each surviving entry is divided once.  The
-values on generator monomials are read the same way: the system's
-`_GeneratorTable` holds d^a of each generator monomial as a plain
-{monomial: coefficient} dict, an operator enters as its numerators over
-one denominator, and each reported value is divided once.  Every sum,
-product, derivative, scaling and division of those dicts is one of
-`poly`'s kernels.
+cancel do so in ints, and each surviving entry is divided once.  Every
+evaluation is one walk, `_values`: an operator enters as its numerators
+over one denominator, each slot's d^a is read from a table of plain
+{monomial: coefficient} dicts (d^a of apply's arguments, or the system's
+`_GeneratorTable` of d^a of each generator monomial), and each reported
+value is divided once.  Every sum, product, derivative, scaling and
+division of those dicts is one of `poly`'s kernels.
 
 The Leibniz splittings of d^alpha, `_leibniz` and `_split_over`, are pure
 functions of the multi-index: each is memoized per multi-index for the
@@ -259,21 +259,21 @@ class PolyDiffOp:
     # -- action -------------------------------------------------------------
 
     def apply(self, args: Sequence[Polynomial]) -> Polynomial:
-        """Evaluate on a tuple of polynomials; multilinear and exact."""
+        """Evaluate on a tuple of polynomials; multilinear and exact.
+
+        _evaluate on the slot indices, over a table of d^a of each argument
+        for the multi-indices its slot takes, divided by the denominator once.
+        """
         if len(args) != self.arity:
             raise ValueError(f"arity {self.arity} operator applied to {len(args)} arguments")
         for a in args:
             if a.dim != self.dim:
                 raise ValueError("argument dimension mismatch")
-        total = Polynomial.zero(self.dim)
-        for key, coeff in self.terms.items():
-            value = coeff
-            for alpha, arg in zip(key, args):
-                value = value * arg.partial_multi(alpha)
-                if value.is_zero():
-                    break
-            total = total + value
-        return total
+        den, numerators = _numerators(self)
+        pairs = dict.fromkeys((a, k) for key in numerators for k, a in enumerate(key))
+        table = {(a, k): args[k].partial_multi(a).terms for a, k in pairs}
+        value = _evaluate(numerators, table, range(self.arity))
+        return Polynomial._trusted(self.dim, _divided(value, den))
 
     def compose_at(self, slot: int, inner: PolyDiffOp) -> PolyDiffOp:
         """Insert `inner` into argument slot `slot` (0-based), no sign.
@@ -427,61 +427,34 @@ class _GeneratorTable(dict):
         return p
 
 
-def _evaluate(
-    numerators: dict[DerivKey, dict[Exponents, int]],
-    table: _GeneratorTable,
-    exps: tuple[Exponents, ...],
-) -> dict[Exponents, int]:
-    """An operator's value on one tuple of generator monomials, f^exps, times
-    its denominator: numerators are _numerators(op)'s.  Each term is c times
-    its factors d^a f^e from the table, left to right, and stops at its first
-    zero factor; the terms are summed in op.terms order, so once divided the
-    value equals op.apply on the tuple, term order included.
+def _values(
+    numerators: dict[DerivKey, dict[Exponents, int]], table: Mapping, slots: Sequence
+) -> Iterator[tuple[tuple, dict]]:
+    """(exps, den * value) for each exps in itertools.product(*slots) where the
+    operator is nonzero, lazily and in that order: numerators are
+    _numerators(op)'s over den, and table[a, e] is d^a of slot argument e as a
+    {monomial: coefficient} dict.  The one loop that evaluates an operator.
+
+    Each prefix of leading slots carries the (key, partial product) pairs of
+    the terms still nonzero on it, c * d^a_1 u_1 * ...; a term drops out at its
+    first zero factor, and a prefix with none left is not descended.  A value
+    is the sum of its live terms in op.terms order, a fresh dict.
     """
-    value: dict[Exponents, int] = {}
-    for key, c in numerators.items():
-        for a, e in zip(key, exps):
-            d = table[a, e]
-            if not d:
-                break
-            c = _product(c, d)
-        else:
-            _add_into(value, c)
-    return value
-
-
-def _restricted_items(op: PolyDiffOp, system: "IntegrableSystem", degree: int) -> Iterator:
-    """(per-slot generator exponents, op value) on the tuples of generator monomials
-    of degree <= `degree` where op is nonzero, lazily and in itertools.product order
-    (sorted key order).  The stream is sparse: a tuple where op vanishes is not yielded.
-
-    op enters as its numerators over one denominator.  Each prefix of leading
-    slots carries the (key, partial product) pairs of the terms still nonzero
-    on it, c * d^a_1 u_1 * ..., plain dicts; a term drops out at its first zero
-    factor, and a prefix with none left is not descended.  A value is the sum
-    of its live terms in op.terms order, divided by the denominator once, so
-    it equals op.apply on its tuple, term order included.  Derivatives come
-    from the system's _GeneratorTable.
-    """
-    mons = exponents_upto(system.size, degree)
-    table = system._monomials
-    den, numerators = _numerators(op)
-    alphas = {a for key in numerators for a in key}
-    derivs = {a: {e: table[a, e] for e in mons} for a in alphas}
+    arity = len(slots)
 
     def walk(slot, exps, live):
-        if slot == op.arity:
+        if slot == arity:
             value: dict[Exponents, int] = {}
             for _, v in live:
                 _add_into(value, v)
             if value:
-                yield exps, Polynomial._trusted(op.dim, _divided(value, den))
+                yield exps, value
             return
-        for e in mons:
+        for e in slots[slot]:
             # a product of nonzero polynomials is nonzero: only a zero factor kills a term
             step = []
             for key, v in live:
-                d = derivs[key[slot]][e]
+                d = table[key[slot], e]
                 if d:
                     step.append((key, _product(v, d)))
             if step:
@@ -489,6 +462,28 @@ def _restricted_items(op: PolyDiffOp, system: "IntegrableSystem", degree: int) -
 
     live = list(numerators.items())
     return walk(0, (), live) if live else iter(())
+
+
+def _evaluate(
+    numerators: dict[DerivKey, dict[Exponents, int]], table: Mapping, exps: Sequence
+) -> dict:
+    """den * the operator's value on the one tuple of slot arguments exps, by _values."""
+    return next(_values(numerators, table, [(e,) for e in exps]), (exps, {}))[1]
+
+
+def _restricted_items(op: PolyDiffOp, system: "IntegrableSystem", degree: int) -> Iterator:
+    """(per-slot generator exponents, op value) on the tuples of generator monomials
+    of degree <= `degree` where op is nonzero, lazily and in itertools.product order
+    (sorted key order): _values over the system's _GeneratorTable, every slot
+    ranging over those monomials, each value divided by op's denominator once.
+    The stream is sparse: a tuple where op vanishes is not yielded.
+    """
+    den, numerators = _numerators(op)
+    slots = [exponents_upto(system.size, degree)] * op.arity
+    return (
+        (exps, Polynomial._trusted(op.dim, _divided(value, den)))
+        for exps, value in _values(numerators, system._monomials, slots)
+    )
 
 
 def restricted_values(
@@ -507,10 +502,9 @@ def restricted_values(
 
     The table is full: keyed by per-slot generator exponents in
     itertools.product order, with a zero value where op vanishes.  The
-    nonzero values come from the sparse stream of _restricted_items, which
-    reads d^a of each generator monomial from the system's table as a plain
-    dict and divides each value by op's denominator once; each equals
-    op.apply on its tuple, term order included.
+    nonzero values come from the sparse stream of _restricted_items.  It and
+    op.apply both run _values, so each equals op.apply on its tuple, term
+    order included.
     """
     values = dict(_restricted_items(op, system, op.order()))
     zero = Polynomial.zero(op.dim)
@@ -523,6 +517,7 @@ def vanishes_on_generators(op: PolyDiffOp, system: "IntegrableSystem") -> bool:
 
     Decided on the tuples of restricted_values, which says why their degree
     suffices: true exactly when the sparse stream of _restricted_items
-    yields nothing, so it stops at the first nonzero value.
+    yields nothing, so it stops at the first nonzero value, having read only
+    the table entries the walk reached.
     """
     return next(_restricted_items(op, system, op.order()), None) is None

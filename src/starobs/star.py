@@ -28,7 +28,7 @@ from typing import Sequence
 
 from . import linsolve
 from .multivec import Polyvector
-from .poly import Polynomial, _accumulate, _gather_monomials
+from .poly import Polynomial, _accumulate, _gather_monomials, _ratio
 from .polydiff import (
     DerivKey,
     PolyDiffOp,
@@ -359,7 +359,7 @@ def extend_one_order(
     if not result.solved:
         return ExtensionResult()
     solution = {
-        (e, keys[ci]): Fraction(v, terms.den)
+        (e, keys[ci]): _ratio(v, terms.den)
         for e, block in result.solution.items()
         for ci, v in block.items()
     }

@@ -113,8 +113,8 @@ MUTANTS = [
     Mutant(
         "extension solution entries not divided by the target's denominator",
         "star.py",
-        "Fraction(v, terms.den)",
-        "Fraction(v, 1)",
+        "_ratio(v, terms.den)",
+        "_ratio(v, 1)",
         (FACTORED + "test_extension_divides_the_integer_solution_by_the_targets_denominator",),
     ),
     Mutant(
@@ -369,8 +369,8 @@ MUTANTS = [
     Mutant(
         "restricted values are not divided by the operator's denominator",
         "polydiff.py",
-        "yield exps, Polynomial._trusted(op.dim, _divided(value, den))",
-        "yield exps, Polynomial._trusted(op.dim, value)",
+        "(exps, Polynomial._trusted(op.dim, _divided(value, den)))",
+        "(exps, Polynomial._trusted(op.dim, value))",
         ("tests/test_raw_table.py::test_restricted_stream_matches_the_polynomial_walk",),
     ),
     Mutant(
@@ -396,6 +396,20 @@ MUTANTS = [
         "eqs._add((j, add_exponents(mono, e)), (e, (u,)), v)",
         "eqs._add((j, add_exponents(mono, e[:-1] + (e[-1] + 1,))), (e, (u,)), v)",
         ("tests/test_obstruction.py::test_lift_matches_the_vector_field_reference",),
+    ),
+    Mutant(
+        "apply does not divide by the operator's denominator",
+        "polydiff.py",
+        "        return Polynomial._trusted(self.dim, _divided(value, den))\n",
+        "        return Polynomial._trusted(self.dim, value)\n",
+        (KERNELS + "test_apply_matches_the_replaced_term_loop",),
+    ),
+    Mutant(
+        "apply reads every slot's derivative from the first argument",
+        "polydiff.py",
+        "args[k].partial_multi(a).terms",
+        "args[0].partial_multi(a).terms",
+        (KERNELS + "test_apply_matches_the_replaced_term_loop",),
     ),
     # one loop per sparse-dict operation, in poly
     Mutant(

@@ -10,6 +10,7 @@ import pytest
 from helpers import (
     reference_add,
     reference_add_multiple,
+    reference_apply,
     reference_divided,
     reference_mul,
     reference_numerators,
@@ -113,6 +114,53 @@ def test_the_shared_kernels_match_the_loops_they_replaced(operands, factor, divi
         assert typed(scaled) == typed({e: int(v * scale) for e, v in p.terms.items()})
         for d in (1, divisor, scale, math.lcm(scale, divisor)):
             assert typed(_divided(dict(scaled), d)) == typed(reference_divided(scaled, d))
+
+
+@st.composite
+def applications(draw) -> tuple[PolyDiffOp, PolyDiffOp, list[Polynomial]]:
+    """Two operators of one arity, 0 to 3, and nonzero arguments for them, int-only
+    in about half the draws; the first has a term on the zero multi-index in
+    about half the draws."""
+    dim = draw(st.integers(1, 3))
+    arity = draw(st.integers(0, 3))
+    values = draw(st.sampled_from([st.integers(-20, 20).filter(bool), coefficients]))
+    exponents = st.tuples(*[st.integers(0, 2)] * dim)
+    polys = st.dictionaries(exponents, values, min_size=1, max_size=3).map(
+        lambda t: Polynomial(dim, t)
+    )
+
+    def ops(exponents, min_size):
+        keys = st.tuples(*[exponents] * arity)
+        terms = st.dictionaries(keys, polys, min_size=min_size, max_size=4)
+        return terms.map(lambda t: PolyDiffOp(dim, arity, t))
+
+    op = draw(ops(exponents, 0))
+    if draw(st.booleans()):
+        op = op + PolyDiffOp.single(dim, [(0,) * dim] * arity, draw(polys))
+    # first derivatives at most, so that the second operator's terms seldom vanish
+    part = draw(ops(st.tuples(*[st.integers(0, 1)] * dim), 1))
+    return op, part, list(draw(st.tuples(*[polys] * arity)))
+
+
+@hypothesis.settings(derandomize=True, deadline=None, database=None, max_examples=300)
+@hypothesis.given(applications())
+def test_apply_matches_the_replaced_term_loop(application):
+    """PolyDiffOp.apply on the one evaluation walk gives the Polynomial loop's
+    value, the same values of the same types in the same order: on the drawn
+    arguments; with the second operator less its slot-swapped copy added, on
+    equal first two arguments, where those terms cancel; and with a zero
+    argument in a middle slot."""
+    op, part, args = application
+    cases = [(op, args)]
+    if op.arity >= 2:
+        swapped = {(k[1], k[0]) + k[2:]: c for k, c in part.terms.items()}
+        cancelling = op + part - PolyDiffOp(op.dim, op.arity, swapped)
+        cases.append((cancelling, [args[0], *args[:1], *args[2:]]))
+    if op.arity == 3:
+        cases.append((op, [args[0], Polynomial.zero(op.dim), args[2]]))
+    for operator, arguments in cases:
+        want = reference_apply(operator, arguments)
+        assert typed(operator.apply(arguments).terms) == typed(want.terms)
 
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"

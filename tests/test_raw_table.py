@@ -7,10 +7,11 @@ denominator and divide each reported value once; the lift and the exactness
 solve shift one polynomial per generator and coordinate by each ansatz
 monomial.  These tests pin each of them to the Polynomial form it replaced,
 kept in helpers.py: the same values with their terms in the same order, the
-same rows and right-hand sides, the same witnesses.  The cases are the
-shipped problems, planted products on R^3 and R^4, and a system whose
-generators have non-integral coefficients, so that table entries hold
-Fractions.
+same rows and right-hand sides, the same witnesses; and one test checks
+that apply and each evaluation on generator monomials run on the one walk,
+polydiff._values.  The cases are the shipped problems, planted products on
+R^3 and R^4, and a system whose generators have non-integral coefficients,
+so that table entries hold Fractions.
 """
 
 import random
@@ -47,6 +48,7 @@ from starobs import (
     restricted_values,
     vanishes_on_generators,
 )
+from starobs import polydiff
 from starobs.cli import load_problem
 from starobs.obstruction import _raw_class, _unary_ansatz_rows
 from starobs.poly import exponents_upto
@@ -181,6 +183,28 @@ def test_kernels_take_no_polynomial_product_and_apply_nothing(star, system, boun
         assert vanishes_on_generators(op, fresh) == (not values)
         assert _raw_class(star, fresh, n) == chi
         _unary_ansatz_rows(op, fresh, bounds)
+
+
+def test_every_evaluation_runs_on_the_one_walk(monkeypatch):
+    # apply, the class, phi0 and the restricted stream have no term loop of their own
+    star, system, bounds = next(c.values for c in CASES if c.id == "r3")
+    op, calls, values = star.term(2), [], polydiff._values
+
+    def counting(*args):
+        calls.append(args)
+        return values(*args)
+
+    monkeypatch.setattr(polydiff, "_values", counting)
+    runs = {
+        "apply": lambda: op.apply(system.generators),
+        "_raw_class": lambda: _raw_class(star, system, 2),
+        "_unary_ansatz_rows": lambda: _unary_ansatz_rows(op, system, bounds),
+        "_restricted_items": lambda: list(_restricted_items(op, system, 1)),
+    }
+    for name, run in runs.items():
+        calls.clear()
+        run()
+        assert calls, name
 
 
 @pytest.mark.parametrize("star, system, bounds", CASES)
