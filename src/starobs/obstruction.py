@@ -50,6 +50,7 @@ from .polydiff import (
     _GeneratorTable,
     _numerators,
     _peel,
+    _values,
     hochschild_d,
     restricted_values,
     vanishes_on_generators,
@@ -186,13 +187,14 @@ def _require_certified(s: StarProduct, n: int):
 def _raw_class(s: StarProduct, system: IntegrableSystem, n: int) -> RelativeClass:
     """B_n on every ordered pair of distinct generators, as a class: RelativeClass
     enters (j, i) as -(i, j), so component (i, j) is B_n(f_i, f_j) - B_n(f_j, f_i).
-    Each B_n(f_i, f_j) is read from the system's table at the unit exponents,
-    B_n's numerators over its denominator, and divided once."""
+    Every B_n(f_i, f_j) comes from one _values walk over the system's table,
+    B_n's numerators on the unit exponents in both slots, each divided once."""
     den, numerators = _numerators(s.term(n))
     units = [unit_exponents(system.size, i) for i in range(system.size)]
+    values = dict(_values(numerators, system._monomials, [units, units]))
     comps = {}
     for i, j in itertools.permutations(range(system.size), 2):
-        value = _evaluate(numerators, system._monomials, (units[i], units[j]))
+        value = values.get((units[i], units[j]), {})
         comps[i, j] = Polynomial._trusted(system.dim, _divided(value, den))
     return RelativeClass(system.dim, system.size, 2, comps)
 

@@ -4,9 +4,11 @@ An arity-k operator is a finite sum of terms
 
     c(x) * d^(a_1) tensor ... tensor d^(a_k)
 
-stored as a map from k-tuples of derivative multi-indices to polynomial
-coefficients.  Terms with equal multi-index tuples are merged and zero
-coefficients pruned, so operator equality is decidable syntactically.
+stored as integer numerators, a map from k-tuples of derivative multi-indices
+to {monomial: int} dicts, over one reduced denominator.  Terms with equal
+multi-index tuples are merged and zero coefficients pruned, so operator
+equality is decidable syntactically.  The polynomial coefficients, `terms`,
+are built from the numerators on their first read.
 
 Composition pushes outer derivatives through an inserted operator's
 output with the generalized Leibniz rule, which keeps everything in
@@ -14,11 +16,11 @@ canonical form.  The Hochschild differential here equals -[., m] for
 the multiplication cochain m and the Gerstenhaber bracket built from
 `compose_at`; the tests check that identity in every arity.
 
-Compositions and differentials are summed in a `_TermMap`: integer
+Compositions, differentials and operator sums go into a `_TermMap`: integer
 numerators over one denominator per map, so the many contributions that
-cancel do so in ints, and each surviving entry is divided once.  Every
-evaluation is one walk, `_values`: an operator enters as its numerators
-over one denominator, each slot's d^a is read from a table of plain
+cancel do so in ints, and the map, reduced once, is the new operator's
+store.  Every evaluation is one walk, `_values`: an operator enters as its
+numerators over its denominator, each slot's d^a is read from a table of plain
 {monomial: coefficient} dicts (d^a of apply's arguments, or the system's
 `_GeneratorTable` of d^a of each generator monomial), and each reported
 value is divided once.  Every sum, product, derivative, scaling and
@@ -103,7 +105,7 @@ def _split_over(alpha: Exponents, parts: int) -> tuple[tuple[tuple[Exponents, ..
 class _TermMap(dict):
     """{derivative key: {monomial: int}}: integer numerators over the one
     denominator `den`, which PolyDiffOp._compose_into and `add` add to and
-    _from_term_map divides out.  Cancelled keys stay, with no monomials."""
+    _from_term_map makes an operator of.  Cancelled keys stay, with no monomials."""
 
     den = 1
 
@@ -129,19 +131,17 @@ class _TermMap(dict):
 
 
 def _numerators(op: PolyDiffOp) -> tuple[int, dict[DerivKey, dict[Exponents, int]]]:
-    """(d, {key: {monomial: int}}) with op's terms these numerators over d,
-    the lcm of its coefficients' denominators; an int-only op's coefficient
-    dicts are passed through."""
-    den = math.lcm(*[v.denominator for c in op.terms.values() for v in c.terms.values()])
-    return den, {
-        key: c.terms if den == 1 else _integers(c.terms, den) for key, c in op.terms.items()
-    }
+    """op's store, (d, {key: {monomial: int}}) with op's terms these numerators
+    over d, the lcm of its coefficients' denominators in lowest terms, so that
+    gcd(d, every numerator) = 1.  Shared: never written to."""
+    return op._store
 
 
 class PolyDiffOp:
-    """Immutable polydifferential operator of fixed arity."""
+    """Immutable polydifferential operator of fixed arity, stored as the
+    integer numerators that _numerators reads; `terms` is derived from them."""
 
-    __slots__ = ("dim", "arity", "terms")
+    __slots__ = ("dim", "arity", "_store", "_terms")
 
     def __init__(
         self,
@@ -163,26 +163,38 @@ class PolyDiffOp:
                 if coeff.dim != dim:
                     raise ValueError("coefficient dimension mismatch")
                 _accumulate(clean, key, coeff)
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "arity", arity)
-        object.__setattr__(self, "terms", clean)
+        den = math.lcm(*[v.denominator for c in clean.values() for v in c.terms.values()])
+        numerators = {key: _integers(c.terms, den) for key, c in clean.items()}
+        for name, value in zip(self.__slots__, (dim, arity, (den, numerators), clean)):
+            object.__setattr__(self, name, value)
 
     @classmethod
-    def _trusted(cls, dim: int, arity: int, terms: dict[DerivKey, Polynomial]) -> PolyDiffOp:
-        """An operator on terms that arithmetic built from valid operators.
+    def _trusted(cls, dim: int, arity: int, den: int, numerators: dict) -> PolyDiffOp:
+        """An operator on numerators that arithmetic built from valid operators.
 
-        The keys are arity-tuples of valid multi-indices and the values
-        nonzero Polynomials of dimension dim, so none of __init__'s checks is
-        repeated.  The dict is taken, not copied.
+        The keys are arity-tuples of valid multi-indices of dimension dim, the
+        dicts nonzero and den shares no factor with every numerator, so none of
+        __init__'s checks is repeated.  The dicts are taken, not copied.
         """
         op = object.__new__(cls)
-        object.__setattr__(op, "dim", dim)
-        object.__setattr__(op, "arity", arity)
-        object.__setattr__(op, "terms", terms)
+        for name, value in zip(cls.__slots__, (dim, arity, (den, numerators), None)):
+            object.__setattr__(op, name, value)
         return op
 
     def __setattr__(self, name, value):
         raise AttributeError("PolyDiffOp is immutable")
+
+    @property
+    def terms(self) -> dict[DerivKey, Polynomial]:
+        """{key: Polynomial}, the numerators over den, built on first read and kept."""
+        if self._terms is None:
+            den, numerators = self._store
+            terms = {
+                k: Polynomial._trusted(self.dim, _divided(dict(t), den))
+                for k, t in numerators.items()
+            }
+            object.__setattr__(self, "_terms", terms)
+        return self._terms
 
     # -- constructors ------------------------------------------------------
 
@@ -213,18 +225,18 @@ class PolyDiffOp:
     # -- structure ----------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._store[1]
 
     def order(self) -> int:
         """Max total derivative degree taken in any one slot."""
         best = 0
-        for key in self.terms:
+        for key in self._store[1]:
             for a in key:
                 best = max(best, sum(a))
         return best
 
     def coefficient_degree(self) -> int:
-        return max((p.degree() for p in self.terms.values()), default=0)
+        return max((sum(e) for t in self._store[1].values() for e in t), default=0)
 
     def __eq__(self, other):
         if not isinstance(other, PolyDiffOp):
@@ -232,23 +244,28 @@ class PolyDiffOp:
         return (
             self.dim == other.dim
             and self.arity == other.arity
-            and self.terms == other.terms
+            and self._store == other._store
         )
 
     def __hash__(self):
-        return hash((self.dim, self.arity, frozenset(self.terms.items())))
+        den, numerators = self._store
+        frozen = frozenset((key, frozenset(t.items())) for key, t in numerators.items())
+        return hash((self.dim, self.arity, den, frozen))
 
     def __add__(self, other: PolyDiffOp) -> PolyDiffOp:
         self._check_compatible(other)
-        terms = dict(self.terms)
-        _add_into(terms, other.terms)
-        return PolyDiffOp._trusted(self.dim, self.arity, terms)
+        terms = _TermMap()
+        for op in (self, other):
+            terms.add(op, 1, lambda key: {key: 1})
+        return PolyDiffOp._from_term_map(self.dim, self.arity, terms)
 
     def __sub__(self, other: PolyDiffOp) -> PolyDiffOp:
         return self + (-other)
 
     def __neg__(self) -> PolyDiffOp:
-        return PolyDiffOp._trusted(self.dim, self.arity, {k: -c for k, c in self.terms.items()})
+        den, numerators = self._store
+        negated = {k: {mono: -v for mono, v in t.items()} for k, t in numerators.items()}
+        return PolyDiffOp._trusted(self.dim, self.arity, den, negated)
 
     def _check_compatible(self, other: PolyDiffOp):
         if self.dim != other.dim:
@@ -261,8 +278,8 @@ class PolyDiffOp:
     def apply(self, args: Sequence[Polynomial]) -> Polynomial:
         """Evaluate on a tuple of polynomials; multilinear and exact.
 
-        _evaluate on the slot indices, over a table of d^a of each argument
-        for the multi-indices its slot takes, divided by the denominator once.
+        _evaluate on the slot indices, over an _ArgumentTable of d^a of each
+        argument, divided by the denominator once.
         """
         if len(args) != self.arity:
             raise ValueError(f"arity {self.arity} operator applied to {len(args)} arguments")
@@ -270,9 +287,7 @@ class PolyDiffOp:
             if a.dim != self.dim:
                 raise ValueError("argument dimension mismatch")
         den, numerators = _numerators(self)
-        pairs = dict.fromkeys((a, k) for key in numerators for k, a in enumerate(key))
-        table = {(a, k): args[k].partial_multi(a).terms for a, k in pairs}
-        value = _evaluate(numerators, table, range(self.arity))
+        value = _evaluate(numerators, _ArgumentTable(args), range(self.arity))
         return Polynomial._trusted(self.dim, _divided(value, den))
 
     def compose_at(self, slot: int, inner: PolyDiffOp) -> PolyDiffOp:
@@ -285,11 +300,9 @@ class PolyDiffOp:
             raise IndexError(f"slot {slot} out of range for arity {self.arity}")
         if inner.dim != self.dim:
             raise ValueError("dimension mismatch")
-        if inner.arity == 1 and len(inner.terms) == 1:
-            z = zero_exponents(self.dim)
-            c = inner.terms.get((z,))
-            if c is not None and c.terms == {z: 1}:
-                return self
+        z = zero_exponents(self.dim)
+        if inner.arity == 1 and inner._store == (1, {(z,): {z: 1}}):
+            return self
         terms = _TermMap()
         self._compose_into(terms, slot, inner, 1)
         return PolyDiffOp._from_term_map(self.dim, self.arity + inner.arity - 1, terms)
@@ -327,11 +340,15 @@ class PolyDiffOp:
 
     @classmethod
     def _from_term_map(cls, dim: int, arity: int, terms: _TermMap) -> PolyDiffOp:
-        """The operator of a term map, without its cancelled keys.  Each
-        numerator left is divided once, in place, by _divided."""
+        """The operator of a term map, without its cancelled keys: the map's dicts,
+        each numerator divided in place by _divided by the gcd that the map's
+        denominator shares with them all, become its store."""
         den = terms.den
-        polys = {k: Polynomial._trusted(dim, _divided(t, den)) for k, t in terms.items() if t}
-        return cls._trusted(dim, arity, polys)
+        numerators = {k: t for k, t in terms.items() if t}
+        common = math.gcd(den, *[v for t in numerators.values() for v in t.values()])
+        for t in numerators.values():
+            _divided(t, common)
+        return cls._trusted(dim, arity, den // common, numerators)
 
     def sorted_terms(self) -> list[tuple[DerivKey, Polynomial]]:
         return sorted(self.terms.items())
@@ -397,6 +414,19 @@ def _peel(e: Exponents) -> tuple[int, Exponents]:
     generator monomial f^e as f^(e - e_i) times f_i."""
     i = max(k for k, x in enumerate(e) if x)
     return i, e[:i] + (e[i] - 1,) + e[i + 1 :]
+
+
+class _ArgumentTable(dict):
+    """d^a of apply's argument in slot k, keyed by (a, k), each a plain {monomial:
+    coefficient} dict taken on its first lookup: only where the walk reaches."""
+
+    def __init__(self, args: Sequence[Polynomial]):
+        self.args = args
+
+    def __missing__(self, key: tuple[Exponents, int]) -> Mapping:
+        a, k = key
+        d = self[key] = self.args[k].partial_multi(a).terms
+        return d
 
 
 class _GeneratorTable(dict):

@@ -44,10 +44,11 @@ class _OperatorSeries:
 
     The corrections C_k are polydifferential operators on a dim-dimensional
     space.  A subclass fixes their arity in `_arity` and the order-0
-    operator in `_unit`, a PolyDiffOp constructor taking the dimension.
+    operator in `_unit`, a PolyDiffOp constructor taking the dimension, which
+    a series calls once, on its first term(0), and keeps in `_unit_term`.
     """
 
-    __slots__ = ("dim", "order", "corrections")
+    __slots__ = ("dim", "order", "corrections", "_unit_term")
 
     def __init__(self, dim: int, order: int, corrections: Sequence[PolyDiffOp]):
         if order < 0:
@@ -63,6 +64,7 @@ class _OperatorSeries:
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "corrections", corr)
+        object.__setattr__(self, "_unit_term", None)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -70,7 +72,9 @@ class _OperatorSeries:
     def term(self, k: int) -> PolyDiffOp:
         """C_k for 0 <= k <= order; C_0 is the unit."""
         if k == 0:
-            return self._unit(self.dim)
+            if self._unit_term is None:
+                object.__setattr__(self, "_unit_term", self._unit(self.dim))
+            return self._unit_term
         if not 1 <= k <= self.order:
             raise IndexError(f"order {k} out of range ({type(self).__name__} order {self.order})")
         return self.corrections[k - 1]
@@ -272,7 +276,7 @@ def gauge_transform(s: StarProduct, D: FormalDiffeo) -> StarProduct:
         for r in range(1, n + 1):
             D.term(r)._compose_into(acc, 0, terms[n - r], -1)
         terms.append(PolyDiffOp._from_term_map(s.dim, 2, acc))
-    if terms[0] != PolyDiffOp.multiplication(s.dim):
+    if terms[0] != s.term(0):
         raise AssertionError("gauge transform lost the leading product")
     result = StarProduct(s.dim, s.order, terms[1:])
     result._inherit_certificate(object.__getattribute__(s, "_certified"))

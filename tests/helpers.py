@@ -747,7 +747,7 @@ def reference_differential_into(terms: dict, op: PolyDiffOp, sign: int) -> None:
 def reference_from_term_map(dim: int, arity: int, terms: dict) -> PolyDiffOp:
     """The operator of an exact-coefficient term map, without its cancelled keys."""
     polys = {k: Polynomial._trusted(dim, t) for k, t in terms.items() if t}
-    return PolyDiffOp._trusted(dim, arity, polys)
+    return PolyDiffOp(dim, arity, polys)
 
 
 # -- the coefficient-dict loops that the poly kernels replaced ----------------------
@@ -791,7 +791,8 @@ def reference_partial_multi(p: Polynomial, alpha: Exponents) -> Polynomial:
 
 
 def reference_numerators(op: PolyDiffOp) -> tuple[int, dict]:
-    """(d, {key: {monomial: int}}) by polydiff._numerators' own expressions: op's
+    """(d, {key: {monomial: int}}) from op's Polynomial coefficients, as
+    polydiff._numerators computed it before operators stored it: the
     coefficients as numerators over d, the lcm of their denominators."""
     den = math.lcm(*[v.denominator for c in op.terms.values() for v in c.terms.values()])
     if den == 1:

@@ -156,10 +156,10 @@ MUTANTS = [
     Mutant(
         "a zero D_k taken for the identity",
         "polydiff.py",
-        "        if inner.arity == 1 and len(inner.terms) == 1:\n",
-        "        if not inner.terms:\n"
+        "        if inner.arity == 1 and inner._store == (1, {(z,): {z: 1}}):\n",
+        "        if inner.is_zero():\n"
         "            return self\n"
-        "        if inner.arity == 1 and len(inner.terms) == 1:\n",
+        "        if inner.arity == 1 and inner._store == (1, {(z,): {z: 1}}):\n",
         (
             "tests/test_star.py::"
             "test_gauge_transform_at_order_four_with_zero_diffeo_terms_matches_reference",
@@ -350,6 +350,13 @@ MUTANTS = [
         "        den = terms.den\n",
         "        den = 1\n",
         (TERM_MAPS + "test_term_maps_match_the_fraction_kernels",),
+    ),
+    Mutant(
+        "_from_term_map skips the gcd reduction",
+        "polydiff.py",
+        "        common = math.gcd(den, ",
+        "        common = 1 or math.gcd(den, ",
+        ("tests/test_polydiff.py::test_an_unreduced_term_map_gives_the_canonical_operator",),
     ),
     Mutant(
         "an operator's numerators are not brought to its common denominator",

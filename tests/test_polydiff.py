@@ -19,10 +19,12 @@ from helpers import (
 from oracles import cup, gerst_bracket, gerst_circ
 
 from starobs import (
+    FormalDiffeo,
     IntegrableSystem,
     PolyDiffOp,
     Polynomial,
     Polyvector,
+    gauge_transform,
     hochschild_d,
     moyal_star,
     parse_polynomial,
@@ -30,7 +32,7 @@ from starobs import (
     schouten_bracket,
     vanishes_on_generators,
 )
-from starobs.polydiff import _restricted_items
+from starobs.polydiff import _numerators, _restricted_items, _TermMap
 
 P1 = lambda t: parse_polynomial(t, ["x"])
 
@@ -371,3 +373,58 @@ def test_inserting_the_identity_returns_the_outer_operator(dim):
     for inner in (scaled(identity, 2), identity + dx):
         outer = rand_poly_op(rng, dim, 2, order=2)
         assert outer.compose_at(0, inner) == reference_compose_at(outer, 0, inner)
+
+
+# -- the numerator store ----------------------------------------------------------
+
+
+def test_an_unreduced_term_map_gives_the_canonical_operator():
+    # numerators over 12, all even, and a cancelled key: the operator is the one
+    # built from the Polynomials, over 6, with its hash and its numerators
+    dx, dp, z = (1, 0), (0, 1), (0, 0)
+    terms = _TermMap({(dx, z): {z: 6, (1, 1): -4}, (z, dp): {}, (z, z): {(2, 0): 8}})
+    terms.den = 12
+    got = PolyDiffOp._from_term_map(2, 2, terms)
+    want = PolyDiffOp(
+        2,
+        2,
+        {
+            (dx, z): Polynomial(2, {z: Fraction(1, 2), (1, 1): Fraction(-1, 3)}),
+            (z, z): Polynomial(2, {(2, 0): Fraction(2, 3)}),
+        },
+    )
+    assert got == want and hash(got) == hash(want)
+    stored = (6, {(dx, z): {z: 3, (1, 1): -2}, (z, z): {(2, 0): 4}})
+    assert _numerators(got) == _numerators(want) == stored
+    assert list(got.terms.items()) == list(want.terms.items())
+    # numerators that the denominator divides leave integer coefficients over 1
+    terms = _TermMap({(dx, dp): {z: 4, (0, 2): -8}})
+    terms.den = 4
+    integral = PolyDiffOp._from_term_map(2, 2, terms)
+    assert _numerators(integral) == (1, {(dx, dp): {z: 1, (0, 2): -2}})
+
+
+def test_no_kernel_renumerates_an_operator():
+    # the operators that kernels hand each other keep their numerators: every read
+    # returns the one stored pair
+    s = moyal_star(canonical_pi2(), 2)
+    D = FormalDiffeo(
+        2,
+        2,
+        [
+            PolyDiffOp.single(2, [(1, 0)], p2("x*p") * Fraction(1, 3)),
+            PolyDiffOp.single(2, [(0, 2)], Fraction(1, 7)),
+        ],
+    )
+    gauged = gauge_transform(s, D)
+    bent = s.plus_term(2, PolyDiffOp.single(2, [(1, 0), (0, 0)], p2("x") * Fraction(1, 2)))
+    ops = [
+        s.term(2).compose_at(1, D.term(1)),
+        hochschild_d(D.term(2)),
+        gauged.term(1),
+        gauged.term(2),
+        bent.assoc_residual(2),
+    ]
+    for op in ops:
+        assert not op.is_zero()
+        assert _numerators(op) is _numerators(op)

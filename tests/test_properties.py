@@ -2,6 +2,7 @@
 
 import json
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 import math
@@ -161,6 +162,47 @@ def test_apply_matches_the_replaced_term_loop(application):
     for operator, arguments in cases:
         want = reference_apply(operator, arguments)
         assert typed(operator.apply(arguments).terms) == typed(want.terms)
+
+
+@st.composite
+def operator_pairs(draw) -> tuple[PolyDiffOp, PolyDiffOp]:
+    """Two operators of one dimension and arity, 1 to 3, int-only in about half
+    the draws."""
+    dim = draw(st.integers(1, 3))
+    arity = draw(st.integers(1, 3))
+    values = draw(st.sampled_from([st.integers(-20, 20).filter(bool), coefficients]))
+    exponents = st.tuples(*[st.integers(0, 2)] * dim)
+    polys = st.dictionaries(exponents, values, max_size=3).map(lambda t: Polynomial(dim, t))
+    ops = st.dictionaries(st.tuples(*[exponents] * arity), polys, max_size=4).map(
+        lambda t: PolyDiffOp(dim, arity, t)
+    )
+    return draw(ops), draw(ops)
+
+
+@hypothesis.settings(derandomize=True, deadline=None, database=None, max_examples=300)
+@hypothesis.given(operator_pairs())
+def test_an_operator_is_stored_as_its_reduced_numerators(pair):
+    """den is the lcm of the coefficients' reduced denominators and shares no
+    factor with every numerator, the view is those numerators over den, and the
+    operator rebuilt from its view, or from sums whose maps are not reduced, is
+    the same operator with the same hash and numerators."""
+    op, other = pair
+    den, numerators = _numerators(op)
+    values = [v for c in op.terms.values() for v in c.terms.values()]
+    assert den == math.lcm(*[Fraction(v).denominator for v in values])
+    assert math.gcd(den, *[v for t in numerators.values() for v in t.values()]) == 1
+    assert all(type(v) is int for t in numerators.values() for v in t.values())
+    rebuilt = PolyDiffOp(op.dim, op.arity, op.terms)
+    assert rebuilt == op and hash(rebuilt) == hash(op) and _numerators(rebuilt) == (den, numerators)
+    summed = (op + other) - other
+    assert summed == op and hash(summed) == hash(op) and _numerators(summed) == (den, numerators)
+    # the view built from the numerators: an int exactly where a value is integral
+    view = {k: {e: Fraction(v, den) for e, v in t.items()} for k, t in numerators.items()}
+    for built in (op, summed):
+        assert view == {k: dict(c.terms) for k, c in built.terms.items()}
+        for c in built.terms.values():
+            assert all(type(v) is int or v.denominator > 1 for v in c.terms.values())
+    assert (op - op).is_zero() and _numerators(op - op) == (1, {})
 
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"

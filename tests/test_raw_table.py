@@ -48,7 +48,7 @@ from starobs import (
     restricted_values,
     vanishes_on_generators,
 )
-from starobs import polydiff
+from starobs import obstruction, polydiff
 from starobs.cli import load_problem
 from starobs.obstruction import _raw_class, _unary_ansatz_rows
 from starobs.poly import exponents_upto
@@ -195,6 +195,7 @@ def test_every_evaluation_runs_on_the_one_walk(monkeypatch):
         return values(*args)
 
     monkeypatch.setattr(polydiff, "_values", counting)
+    monkeypatch.setattr(obstruction, "_values", counting)
     runs = {
         "apply": lambda: op.apply(system.generators),
         "_raw_class": lambda: _raw_class(star, system, 2),
