@@ -32,7 +32,6 @@ from .obstruction import (
     cocycle_cascade_check,
     eliminate_to_order,
     exactness_solve,
-    gauge_step,
     lift_witness,
     validate_system,
 )
@@ -82,7 +81,6 @@ __all__ = [
     "eliminate_to_order",
     "exactness_solve",
     "extend_one_order",
-    "gauge_step",
     "gauge_transform",
     "hamiltonian_field",
     "hochschild_d",

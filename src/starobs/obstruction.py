@@ -373,13 +373,13 @@ def _weight_map(system: IntegrableSystem) -> Callable[[Exponents], tuple]:
 
 
 def _solve_unary_correction(
-    s: StarProduct, system: IntegrableSystem, n: int, bounds: Bounds
+    s: StarProduct, system: IntegrableSystem, n: int, chi: RelativeClass, bounds: Bounds
 ) -> PolyDiffOp | None:
     """D with B_n + dD vanishing on the subalgebra, where the lower orders do, by
-    _unary_ansatz_rows; None when B_n has a nonzero antisymmetric part on generator
-    pairs (dD is symmetric) or the bounded ansatz has no solution.
+    _unary_ansatz_rows; None when chi, the caller's _raw_class(s, system, n), is
+    nonzero (dD is symmetric on generator pairs) or the bounded ansatz has no solution.
     """
-    if not _raw_class(s, system, n).is_zero():
+    if not chi.is_zero():
         return None
     eqs = _unary_ansatz_rows(s.term(n), system, bounds)
     solved = None if eqs is None else eqs._solve()
@@ -486,38 +486,39 @@ def gauge_step(
     s: StarProduct,
     system: IntegrableSystem,
     n: int,
+    chi: RelativeClass,
     Y: RelativeClass,
     bounds: Bounds,
 ) -> GaugeStepResult:
-    """Build the order-n gauge from an exactness witness, given that every
-    correction below order n vanishes on the subalgebra (eliminate_to_order
-    keeps that; it is not re-checked here).
+    """Build the order-n gauge from chi = _raw_class(s, system, n) and a witness Y
+    with d_hor(Y) = chi.  The preconditions are eliminate_to_order's invariants,
+    not re-checked here: s is certified to order n, and every correction below
+    order n vanishes on the subalgebra.
 
-    Lifts Y to a derivation V with V(f_j) = Y_j, places -V at order n-1
-    (the sign that cancels the class), then solves for the order-n operator
-    that kills the remaining symmetric part, on generator monomials.  When
-    the lift or that solve finds nothing within the bounds, the result is
-    empty: no diffeo and no transformed product.  The transformed product's
-    order-n correction is post-checked to vanish on the subalgebra, so a
-    broken precondition gives UNDECIDED or an AssertionError, never a wrong
-    gauge.  At order 1 the class is gauge-invariant, so Y must be zero and
-    only the unary solve runs.
+    Lifts Y to a derivation V with V(f_j) = Y_j, stages -V at order n-1 (the
+    sign that cancels the class) and reads the staged product's class once;
+    then solves for the order-n operator that kills the remaining symmetric
+    part on generator monomials, given the class of the product it solves on
+    (chi when nothing is staged).  When the lift or that solve finds nothing
+    within the bounds, the result is empty.  The transformed product's order-n
+    correction is post-checked to vanish on the subalgebra, so a broken
+    precondition gives UNDECIDED or an AssertionError, never a wrong gauge.  At
+    order 1 the class is gauge-invariant: Y must be zero, only the unary solve runs.
     """
     if n < 1 or (n == 1 and not Y.is_zero()):
         raise ValueError("gauge steps start at order 1, where the witness must be zero")
-    _require_certified(s, n)
     lifted = lift_witness(system, Y, bounds.degree)
     if lifted is None:
         return GaugeStepResult()
-    partial_parts: dict[int, PolyDiffOp] = {}
+    parts: dict[int, PolyDiffOp] = {}
+    staged = s
     if not lifted.is_zero():
-        partial_parts[n - 1] = -lifted
-    partial = FormalDiffeo.from_parts(s.dim, s.order, partial_parts)
-    staged = gauge_transform(s, partial) if partial_parts else s
-    correction = _solve_unary_correction(staged, system, n, bounds)
+        parts[n - 1] = -lifted
+        staged = gauge_transform(s, FormalDiffeo.from_parts(s.dim, s.order, parts))
+        chi = _raw_class(staged, system, n)
+    correction = _solve_unary_correction(staged, system, n, chi, bounds)
     if correction is None:
         return GaugeStepResult()
-    parts = dict(partial_parts)
     if not correction.is_zero():
         parts[n] = correction
     diffeo = FormalDiffeo.from_parts(s.dim, s.order, parts)
@@ -627,7 +628,7 @@ def eliminate_to_order(
                     UNDECIDED, f"exactness solve infeasible at degree bound {bounds.degree}"
                 )
             witness = exact.witness
-        step = gauge_step(current, system, n, witness, bounds)
+        step = gauge_step(current, system, n, chi, witness, bounds)
         record.step = step
         if not step.solved:
             return finish(UNDECIDED, f"gauge step at order {n} exhausted the ansatz bounds")

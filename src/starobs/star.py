@@ -230,15 +230,16 @@ class FormalDiffeo(_OperatorSeries):
 
 
 def compose_diffeo(D: FormalDiffeo, E: FormalDiffeo) -> FormalDiffeo:
-    """(D o E)(a) = D(E(a)), truncated at the common order."""
+    """(D o E)(a) = D(E(a)), truncated at the common order.  Order n adds every
+    D_k o E_{n-k}, identity ends included, into one term map, as gauge_transform does."""
     if D.dim != E.dim or D.order != E.order:
         raise ValueError("dimension/order mismatch")
     terms = []
     for n in range(1, D.order + 1):
-        acc = PolyDiffOp.zero(D.dim, 1)
+        acc = _TermMap()
         for k in range(n + 1):
-            acc = acc + D.term(k).compose_at(0, E.term(n - k))
-        terms.append(acc)
+            D.term(k)._compose_into(acc, 0, E.term(n - k), 1)
+        terms.append(PolyDiffOp._from_term_map(D.dim, 1, acc))
     return FormalDiffeo(D.dim, D.order, terms)
 
 

@@ -1447,6 +1447,23 @@ def reference_gauge_transform(s: StarProduct, D: FormalDiffeo) -> StarProduct:
     return result
 
 
+# -- one operator sum per insertion, the reference for the one-map diffeo composition
+
+
+def reference_compose_diffeo(D: FormalDiffeo, E: FormalDiffeo) -> FormalDiffeo:
+    """(D o E)(a) = D(E(a)): order n from a zero operator plus, for each k, the sum
+    with D_k.compose_at(0, E_{n-k})."""
+    if D.dim != E.dim or D.order != E.order:
+        raise ValueError("dimension/order mismatch")
+    terms = []
+    for n in range(1, D.order + 1):
+        acc = PolyDiffOp.zero(D.dim, 1)
+        for k in range(n + 1):
+            acc = acc + D.term(k).compose_at(0, E.term(n - k))
+        terms.append(acc)
+    return FormalDiffeo(D.dim, D.order, terms)
+
+
 # -- filtered and sorted product, the reference for the first-coordinate-first one ---
 
 

@@ -54,9 +54,16 @@ MUTANTS = [
     Mutant(
         "unary solve without the antisymmetric-part guard",
         "obstruction.py",
-        "    if not _raw_class(s, system, n).is_zero():\n        return None\n",
+        "    if not chi.is_zero():\n        return None\n",
         "",
         (FACTORED + "test_unary_correction_is_none_on_an_antisymmetric_part",),
+    ),
+    Mutant(
+        "the staged step reuses the loop's class",
+        "obstruction.py",
+        "        chi = _raw_class(staged, system, n)\n",
+        "",
+        ("tests/test_obstruction.py::test_gauge_step_removable_post_condition",),
     ),
     Mutant(
         "phi0(1) = +B(1, 1)",
@@ -202,6 +209,13 @@ MUTANTS = [
         "terms = self._insertions(n, range(1, n), _TermMap())",
         "terms = self._insertions(n, range(0, n), _TermMap())",
         ("tests/test_star.py::test_residual_matches_compose_then_merge_reference",),
+    ),
+    Mutant(
+        "compose_diffeo skips k = 0",
+        "star.py",
+        "        for k in range(n + 1):\n            D.term(k)._compose_into(",
+        "        for k in range(1, n + 1):\n            D.term(k)._compose_into(",
+        (KERNELS + "test_compose_diffeo_matches_the_replaced_sum_loop",),
     ),
     Mutant(
         "unary rows skip the d^0 columns",

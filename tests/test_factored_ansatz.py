@@ -57,7 +57,12 @@ from starobs import (
 from starobs import obstruction as obstruction_module
 from starobs import star as star_module
 from starobs.cli import load_problem_data, render_report, run_command
-from starobs.obstruction import _solve_unary_correction, _unary_ansatz_rows, _weight_map
+from starobs.obstruction import (
+    _raw_class,
+    _solve_unary_correction,
+    _unary_ansatz_rows,
+    _weight_map,
+)
 from starobs.poly import exponents_upto, zero_exponents
 from starobs.polydiff import _key_differential, _leibniz, _TermMap
 
@@ -98,7 +103,7 @@ def assert_monomial_rows_match_pair_reference(star, system, n, bounds, columns):
     and the unary solve gives the pair reference's correction."""
     assert _unary_ansatz_rows(star.term(n), system, bounds).columns == columns
     want = reference_pair_unary_correction(star, system, n, bounds)
-    assert _solve_unary_correction(star, system, n, bounds) == want
+    assert _solve_unary_correction(star, system, n, _raw_class(star, system, n), bounds) == want
 
 
 def reference_on_columns(target, mons, alphas, emons, columns):
@@ -206,7 +211,7 @@ PLANTED = pytest.mark.parametrize(
 @PLANTED
 def test_unary_correction_matches_reference_solve(system, order, n, alpha, exps, bounds):
     star = planted(system, order, n, alpha, exps, Fraction(-2, 3))
-    graded = _solve_unary_correction(star, system, n, bounds)
+    graded = _solve_unary_correction(star, system, n, _raw_class(star, system, n), bounds)
     assert graded == reference_unary_correction(star, system, n, bounds)
     if sum(alpha) <= bounds.op_order:
         assert graded is not None and not graded.is_zero()
@@ -245,7 +250,7 @@ def test_unary_correction_matches_pair_reference_on_random_planted_products():
     outcomes = []
     for case in range(120):
         system, star, n, bounds = random_planted(rng)
-        got = _solve_unary_correction(star, system, n, bounds)
+        got = _solve_unary_correction(star, system, n, _raw_class(star, system, n), bounds)
         assert got == reference_pair_unary_correction(star, system, n, bounds), case
         if case < 8:
             assert got == reference_unary_correction(star, system, n, bounds), case
@@ -256,7 +261,7 @@ def test_unary_correction_matches_pair_reference_on_random_planted_products():
 def test_unary_correction_matches_pair_reference_on_rotation_momenta():
     system = rotation_system()
     for star in (moyal_star(system.pi, 2), planted(system, 2, 2, (0, 0, 2, 0), (1, 0, 0, 0), 1)):
-        got = _solve_unary_correction(star, system, 2, Bounds(2, 4))
+        got = _solve_unary_correction(star, system, 2, _raw_class(star, system, 2), Bounds(2, 4))
         assert got == reference_pair_unary_correction(star, system, 2, Bounds(2, 4))
 
 
@@ -265,8 +270,10 @@ def test_unary_correction_is_none_on_an_antisymmetric_part():
     # symmetric dD cancels; its monomial rows alone (phi0(yz) = 1) are met by d_y d_z
     system = plane_system("y", "z")
     star = StarProduct(3, 1, [PolyDiffOp.single(3, [(0, 1, 0), (0, 0, 1)])])
+    chi = _raw_class(star, system, 1)
+    assert chi.component((0, 1)) == Polynomial.one(3)
     for bounds in (Bounds(0, 2), Bounds(2, 3)):
-        assert _solve_unary_correction(star, system, 1, bounds) is None
+        assert _solve_unary_correction(star, system, 1, chi, bounds) is None
         assert reference_pair_unary_correction(star, system, 1, bounds) is None
         eqs = _unary_ansatz_rows(star.term(1), system, bounds)
         assert eqs._solve() == {((0, 0, 0), ((0, 1, 1),)): 1}
@@ -517,7 +524,8 @@ def test_rotation_momenta_at_bounds_3_3_has_no_live_column(monkeypatch):
     system = rotation_system()
     star = moyal_star(system.pi, 2)
     solves = counting_solves(monkeypatch)
-    assert _solve_unary_correction(star, system, 2, Bounds(3, 3)) is None
+    chi = _raw_class(star, system, 2)
+    assert _solve_unary_correction(star, system, 2, chi, Bounds(3, 3)) is None
     # the one solve is the weight map's nullspace over the 4 coordinates:
     # none of the 1,225 ansatz columns reaches the target's weight
     assert solves == [4]

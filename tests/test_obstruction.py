@@ -39,7 +39,6 @@ from starobs import (
     d_hor,
     eliminate_to_order,
     exactness_solve,
-    gauge_step,
     gauge_transform,
     lift_witness,
     moyal_star,
@@ -47,8 +46,9 @@ from starobs import (
     validate_system,
     vanishes_on_generators,
 )
+from starobs import obstruction
 from starobs.cli import load_problem
-from starobs.obstruction import _raw_class
+from starobs.obstruction import _raw_class, gauge_step
 
 BOUNDS = Bounds(degree=2, op_order=2)
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
@@ -302,8 +302,8 @@ def test_lift_matches_the_vector_field_reference(index):
 
 def test_gauge_step_removable_post_condition():
     star, system = removable_scenario()
-    exact = exactness_solve(system, cocycle_cascade_check(star, system, 2).obstruction, 2)
-    step = gauge_step(star, system, 2, exact.witness, BOUNDS)
+    chi = cocycle_cascade_check(star, system, 2).obstruction
+    step = gauge_step(star, system, 2, chi, exactness_solve(system, chi, 2).witness, BOUNDS)
     assert step.solved
     transformed = gauge_transform(star, step.diffeo)
     assert vanishes_on_generators(transformed.term(2), system)
@@ -312,7 +312,8 @@ def test_gauge_step_removable_post_condition():
 
 def test_gauge_step_zero_witness_is_symmetric_cleanup():
     star, system = flat_scenario(order=2)
-    step = gauge_step(star, system, 2, RelativeClass.zero(3, 2, 1), BOUNDS)
+    chi = _raw_class(star, system, 2)
+    step = gauge_step(star, system, 2, chi, RelativeClass.zero(3, 2, 1), BOUNDS)
     assert step.solved
     assert is_identity(step.diffeo)
 
@@ -321,7 +322,8 @@ def test_gauge_step_identity_on_momentum_subalgebra():
     star = moyal_star(canonical_pi4(), 3)
     system = IntegrableSystem(canonical_pi4(), [p4("p1"), p4("p2")])
     for n in (2, 3):
-        step = gauge_step(star, system, n, RelativeClass.zero(4, 2, 1), BOUNDS)
+        chi = _raw_class(star, system, n)
+        step = gauge_step(star, system, n, chi, RelativeClass.zero(4, 2, 1), BOUNDS)
         assert step.solved
         assert is_identity(step.diffeo)
 
@@ -330,14 +332,15 @@ def test_gauge_step_at_order_one_takes_only_a_zero_witness():
     D = FormalDiffeo.from_parts(2, 2, {1: PolyDiffOp.single(2, [(2, 0)], Fraction(-1, 2))})
     star = gauge_transform(trivial_star(2, 2), D)
     system = IntegrableSystem(canonical_pi2(), [p2("x")])
-    step = gauge_step(star, system, 1, RelativeClass.zero(2, 1, 1), BOUNDS)
+    chi = _raw_class(star, system, 1)
+    step = gauge_step(star, system, 1, chi, RelativeClass.zero(2, 1, 1), BOUNDS)
     assert step.solved
     assert not vanishes_on_generators(star.term(1), system)
     assert vanishes_on_generators(step.transformed.term(1), system)
     nonzero = RelativeClass(2, 1, 1, {(0,): Polynomial.one(2)})
     for n, Y in ((1, nonzero), (0, RelativeClass.zero(2, 1, 1))):
         with pytest.raises(ValueError, match="start at order 1"):
-            gauge_step(star, system, n, Y, BOUNDS)
+            gauge_step(star, system, n, chi, Y, BOUNDS)
 
 
 # -- elimination --------------------------------------------------------------------
@@ -364,6 +367,48 @@ def test_eliminate_removable():
         assert all(v.is_zero() for v in table.values())
     # the reported gauge reproduces the reported product
     assert gauge_transform(star, report.gauge) == report.star
+
+
+def test_eliminate_reads_each_class_once_and_composes_in_term_maps(monkeypatch):
+    # the shipped removable_class product behind id + h/3 d_y d_z: a zero-witness
+    # step at order 1, then the lift of a nonzero witness staged at order 2
+    problem = load_problem(str(PROBLEMS / "removable_class.json"))
+    D = FormalDiffeo.from_parts(3, 2, {1: PolyDiffOp.single(3, [(0, 1, 1)], Fraction(1, 3))})
+    star, system = gauge_transform(problem.star, D), problem.integrable
+    reads, inside, made = [], [], []
+    raw_class, add, zero = obstruction._raw_class, PolyDiffOp.__add__, PolyDiffOp.zero
+    compose = obstruction.compose_diffeo
+
+    def read(s, system, n):
+        reads.append((s, n))
+        return raw_class(s, system, n)
+
+    def composing(D, E):
+        inside.append(True)
+        try:
+            return compose(D, E)
+        finally:
+            inside.pop()
+
+    def summed(a, b):
+        made.extend(["sum"] * len(inside))
+        return add(a, b)
+
+    def zeroed(cls, dim, arity):
+        made.extend(["zero"] * len(inside))
+        return zero(dim, arity)
+
+    monkeypatch.setattr(obstruction, "_raw_class", read)
+    monkeypatch.setattr(obstruction, "compose_diffeo", composing)
+    monkeypatch.setattr(PolyDiffOp, "__add__", summed)
+    monkeypatch.setattr(PolyDiffOp, "zero", classmethod(zeroed))
+    report = eliminate_to_order(star, system, 2, Bounds(2, 4))
+    assert report.status == TRIVIALIZED
+    first, second = report.records
+    assert first.exactness is None and first.step.solved
+    assert not second.exactness.witness.is_zero() and not second.step.diffeo.term(1).is_zero()
+    assert [i for i, read in enumerate(reads) if read in reads[:i]] == []
+    assert made == []
 
 
 def test_eliminate_obstructed():

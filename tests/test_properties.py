@@ -12,6 +12,7 @@ from helpers import (
     reference_add,
     reference_add_multiple,
     reference_apply,
+    reference_compose_diffeo,
     reference_divided,
     reference_mul,
     reference_numerators,
@@ -24,7 +25,7 @@ from helpers import (
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
-from starobs import PolyDiffOp, Polynomial, parse_polynomial  # noqa: E402
+from starobs import FormalDiffeo, PolyDiffOp, Polynomial, compose_diffeo, parse_polynomial  # noqa: E402
 from starobs.cli import Problem, load_problem_data, main, render_report  # noqa: E402
 from starobs.poly import _add_into, _divided, _integers, _partial, _product  # noqa: E402
 from starobs.polydiff import _numerators  # noqa: E402
@@ -203,6 +204,35 @@ def test_an_operator_is_stored_as_its_reduced_numerators(pair):
         for c in built.terms.values():
             assert all(type(v) is int or v.denominator > 1 for v in c.terms.values())
     assert (op - op).is_zero() and _numerators(op - op) == (1, {})
+
+
+@st.composite
+def diffeo_pairs(draw) -> tuple[FormalDiffeo, FormalDiffeo]:
+    """Two unary formal diffeos of one dimension, 1 to 3, and order, 1 to 3, int-only
+    in about half the draws; each part is zero, the identity or a drawn operator."""
+    dim = draw(st.integers(1, 3))
+    order = draw(st.integers(1, 3))
+    values = draw(st.sampled_from([st.integers(-20, 20).filter(bool), coefficients]))
+    exponents = st.tuples(*[st.integers(0, 2)] * dim)
+    polys = st.dictionaries(exponents, values, max_size=3).map(lambda t: Polynomial(dim, t))
+    drawn = st.dictionaries(st.tuples(exponents), polys, min_size=1, max_size=3).map(
+        lambda t: PolyDiffOp(dim, 1, t)
+    )
+    parts = st.sampled_from([PolyDiffOp.zero(dim, 1), PolyDiffOp.identity(dim)]) | drawn
+    diffeos = st.lists(parts, min_size=order, max_size=order).map(
+        lambda ops: FormalDiffeo(dim, order, ops)
+    )
+    return draw(diffeos), draw(diffeos)
+
+
+@hypothesis.settings(derandomize=True, deadline=None, database=None, max_examples=200)
+@hypothesis.given(diffeo_pairs())
+def test_compose_diffeo_matches_the_replaced_sum_loop(pair):
+    """compose_diffeo, every insertion into one term map per order, gives the diffeo
+    of the loop that summed one compose_at operator at a time, in both orders."""
+    D, E = pair
+    for outer, inner in ((D, E), (E, D)):
+        assert compose_diffeo(outer, inner) == reference_compose_diffeo(outer, inner)
 
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
