@@ -391,11 +391,13 @@ def test_eliminate_reads_each_class_once_and_composes_in_term_maps(monkeypatch):
             inside.pop()
 
     def summed(a, b):
-        made.extend(["sum"] * len(inside))
+        if inside:
+            made.append("sum")
         return add(a, b)
 
     def zeroed(cls, dim, arity):
-        made.extend(["zero"] * len(inside))
+        if inside:
+            made.append("zero")
         return zero(dim, arity)
 
     monkeypatch.setattr(obstruction, "_raw_class", read)
