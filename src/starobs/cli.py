@@ -29,8 +29,8 @@ from .obstruction import (
     exactness_solve,
     validate_system,
 )
-from .poly import Polynomial, PolynomialParseError, _accumulate, parse_polynomial
-from .polydiff import PolyDiffOp
+from .poly import Polynomial, PolynomialParseError, _add_into, parse_polynomial
+from .polydiff import PolyDiffOp, _numerated
 from .star import FormalDiffeo, StarProduct, extend_one_order, moyal_star
 
 CONVENTIONS = {
@@ -88,8 +88,10 @@ def op_payload(op: PolyDiffOp, names: list[str]) -> list[dict]:
 def op_from_payload(
     dim: int, arity: int, payload: list, names: list[str], where: str = "terms"
 ) -> PolyDiffOp:
-    """The operator a term list describes; errors name the JSON path below `where`."""
-    terms: dict[tuple, Polynomial] = {}
+    """The operator a term list describes; errors name the JSON path below `where`.
+    Each coefficient dict is added into its key's, a key whose sum cancels is
+    dropped, and the dicts are numerated into the operator's store."""
+    terms: dict[tuple, dict] = {}
     for i, term in enumerate(payload):
         at = f"{where}[{i}]"
         if not isinstance(term, dict):
@@ -105,8 +107,11 @@ def op_from_payload(
             if not isinstance(slot, list) or len(slot) != dim:
                 raise ProblemError(f"{here}: expected a list of {dim} integers")
             derivs.append(tuple(_integer(v, f"{here}[{m}]", 0) for m, v in enumerate(slot)))
-        _accumulate(terms, tuple(derivs), coeff)
-    return PolyDiffOp(dim, arity, terms)
+        acc = terms.setdefault(tuple(derivs), {})
+        _add_into(acc, coeff.terms)
+        if not acc:
+            del terms[tuple(derivs)]
+    return PolyDiffOp._trusted(dim, arity, *_numerated(terms))
 
 
 def _order_terms(

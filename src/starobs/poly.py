@@ -8,8 +8,8 @@ immutable after construction, so they can be shared freely.  The
 module also holds the exponent-tuple helpers and the polynomial parser.
 
 It owns the {monomial: coefficient} dict format, and with it the one loop
-for each operation on such dicts: `_add_into`, `_product`, `_partial`,
-`_integers`, `_ratio` and `_divided`.  Polynomials, the operators'
+for each operation on such dicts: `_add_into`, `_product`, `_power`,
+`_partial`, `_integers`, `_ratio` and `_divided`.  Polynomials, the operators'
 integer term maps and the sparse solver's rows all run on these.
 """
 
@@ -72,6 +72,18 @@ def _product(p: Mapping, q: Mapping) -> dict:
     return out
 
 
+def _power(p: Mapping, n: int, one: Exponents) -> dict:
+    """p^n by square and multiply, from the constant 1 on the monomial `one`."""
+    result = {one: 1}
+    while n:
+        if n & 1:
+            result = _product(result, p)
+        n >>= 1
+        if n:
+            p = _product(p, p)
+    return result
+
+
 def _partial(t: Mapping, gamma: Exponents) -> Mapping:
     """d^gamma of the polynomial with coefficients t, int or Fraction, in one
     pass: x^e goes to e!/(e - gamma)! x^(e - gamma), so no two monomials meet
@@ -97,8 +109,8 @@ def _integers(values: Mapping, scale: int) -> dict:
 
 
 def _ratio(a: int | Fraction, p: int) -> int | Fraction:
-    """a / p, an int when p divides a; a is a Fraction in apply's values on
-    arguments with Fraction coefficients."""
+    """a / p, an int when p divides a; a is a Fraction in the extension's
+    solution entries, which the sparse solve has already divided."""
     if p == 1:
         return a
     q, r = divmod(a, p)
@@ -253,15 +265,7 @@ class Polynomial:
     def __pow__(self, n: int) -> Polynomial:
         if n < 0:
             raise ValueError("negative powers are not polynomials")
-        result = Polynomial.one(self.dim)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
+        return Polynomial._trusted(self.dim, _power(self.terms, n, zero_exponents(self.dim)))
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -365,7 +369,8 @@ class PolynomialParseError(ValueError):
 
 
 class _Parser:
-    """Recursive-descent parser for polynomial expressions.
+    """Recursive-descent parser for polynomial expressions, evaluated to
+    {monomial: coefficient} dicts by `poly`'s kernels.
 
     Grammar: sums and differences of terms, terms are '*'-separated
     factors, factors are integers, rationals like 3/4, declared variable
@@ -383,7 +388,8 @@ class _Parser:
     print it.  Checking every operation keeps each operand within the cap,
     so no long chain of them builds a longer coefficient first.  A monomial
     base's coefficient c becomes c^n, which is decided before it is
-    computed: (3/7*x)^3000000 alone would take a minute.
+    computed: (3/7*x)^3000000 alone would take a minute.  Every dict is
+    fresh, so sums add into the left operand in place.
     """
 
     MAX_NESTING = 100
@@ -398,6 +404,8 @@ class _Parser:
         self.depth = 0
         self.names = list(names)
         self.dim = len(self.names)
+        if not self.dim:
+            raise ValueError("polynomial needs at least one variable")
 
     def error(self, message: str):
         raise PolynomialParseError(self.text, self.pos, message)
@@ -416,14 +424,14 @@ class _Parser:
             return True
         return False
 
-    def parse(self) -> Polynomial:
+    def parse(self) -> dict:
         p = self.expr()
         self.skip_ws()
         if self.pos != len(self.text):
             self.error("unexpected trailing input")
         return p
 
-    def expr(self) -> Polynomial:
+    def expr(self) -> dict:
         sign = 1
         while True:
             if self.take("-"):
@@ -432,23 +440,25 @@ class _Parser:
                 pass
             else:
                 break
-        result = self.term() * sign
+        result = self.term()
+        if sign < 0:
+            result = {e: -c for e, c in result.items()}
         while (op := self.peek()) in ("+", "-"):
             at = self.pos
             self.pos += 1
-            other = self.term()
-            result = self.checked(result + other if op == "+" else result - other, at, "sum")
+            _add_into(result, self.term(), 1 if op == "+" else -1)
+            self.checked(result, at, "sum")
         return result
 
-    def term(self) -> Polynomial:
+    def term(self) -> dict:
         result = self.factor()
         while self.peek() == "*":
             at = self.pos
             self.pos += 1
-            result = self.checked(result * self.factor(), at, "product")
+            result = self.checked(_product(result, self.factor()), at, "product")
         return result
 
-    def factor(self) -> Polynomial:
+    def factor(self) -> dict:
         base = self.atom()
         if not self.take("^"):
             return base
@@ -456,21 +466,21 @@ class _Parser:
         start = self.pos
         expo = self.integer("exponent")
         end, self.pos = self.pos, start  # errors point at the exponent
-        if len(base.terms) > 1 and expo > self.MAX_SUM_POWER:
+        if len(base) > 1 and expo > self.MAX_SUM_POWER:
             self.error(
-                f"exponent {expo} on a base of {len(base.terms)} terms "
+                f"exponent {expo} on a base of {len(base)} terms "
                 f"exceeds {self.MAX_SUM_POWER}"
             )
-        if len(base.terms) == 1:
-            self.check_coefficient(next(iter(base.terms.values())), expo, "power")
+        if len(base) == 1:
+            self.check_coefficient(next(iter(base.values())), expo, "power")
         self.pos = end
-        return self.checked(base**expo, start, "power")
+        return self.checked(_power(base, expo, zero_exponents(self.dim)), start, "power")
 
-    def checked(self, p: Polynomial, at: int, what: str) -> Polynomial:
+    def checked(self, p: dict, at: int, what: str) -> dict:
         """p, the `what` of the operator at position `at`, unless a coefficient
         of p is too long for check_coefficient: then an error at `at`."""
         end, self.pos = self.pos, at
-        for c in p.terms.values():
+        for c in p.values():
             self.check_coefficient(c, 1, what)
         self.pos = end
         return p
@@ -489,7 +499,7 @@ class _Parser:
                     f"{self.MAX_COEFFICIENT_DIGITS} digits"
                 )
 
-    def atom(self) -> Polynomial:
+    def atom(self) -> dict:
         ch = self.peek()
         if ch == "(":
             self.take("(")
@@ -507,13 +517,13 @@ class _Parser:
                 den = self.integer("denominator")
                 if den == 0:
                     self.error("zero denominator")
-                return Polynomial.constant(self.dim, Fraction(num, den))
-            return Polynomial.constant(self.dim, num)
+                num = _ratio(num, den)
+            return {zero_exponents(self.dim): num} if num else {}
         if ch.isalpha() or ch == "_":
             name = self.name()
             if name not in self.names:
                 self.error(f"unknown variable {name!r} (declared: {', '.join(self.names)})")
-            return Polynomial.variable(self.dim, self.names.index(name))
+            return {unit_exponents(self.dim, self.names.index(name)): 1}
         self.error("expected a number, variable or '('")
 
     def integer(self, what: str) -> int:
@@ -541,4 +551,5 @@ class _Parser:
 
 def parse_polynomial(text: str, names: Sequence[str]) -> Polynomial:
     """Parse a polynomial string with the given variable binding."""
-    return _Parser(text, names).parse()
+    parser = _Parser(text, names)
+    return Polynomial._trusted(parser.dim, parser.parse())

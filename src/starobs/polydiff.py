@@ -130,6 +130,13 @@ class _TermMap(dict):
                 _add_into(self.setdefault(dkey, {}), c, sign * weight)
 
 
+def _numerated(coefficients: Mapping[DerivKey, Mapping]) -> tuple[int, dict]:
+    """(d, {key: {monomial: int}}) for valid {key: {monomial: coefficient}} dicts,
+    none empty: their numerators over d, the lcm of their reduced denominators."""
+    den = math.lcm(*[v.denominator for t in coefficients.values() for v in t.values()])
+    return den, {key: _integers(t, den) for key, t in coefficients.items()}
+
+
 def _numerators(op: PolyDiffOp) -> tuple[int, dict[DerivKey, dict[Exponents, int]]]:
     """op's store, (d, {key: {monomial: int}}) with op's terms these numerators
     over d, the lcm of its coefficients' denominators in lowest terms, so that
@@ -163,9 +170,8 @@ class PolyDiffOp:
                 if coeff.dim != dim:
                     raise ValueError("coefficient dimension mismatch")
                 _accumulate(clean, key, coeff)
-        den = math.lcm(*[v.denominator for c in clean.values() for v in c.terms.values()])
-        numerators = {key: _integers(c.terms, den) for key, c in clean.items()}
-        for name, value in zip(self.__slots__, (dim, arity, (den, numerators), clean)):
+        store = _numerated({key: c.terms for key, c in clean.items()})
+        for name, value in zip(self.__slots__, (dim, arity, store, clean)):
             object.__setattr__(self, name, value)
 
     @classmethod
@@ -279,7 +285,8 @@ class PolyDiffOp:
         """Evaluate on a tuple of polynomials; multilinear and exact.
 
         _evaluate on the slot indices, over an _ArgumentTable of d^a of each
-        argument, divided by the denominator once.
+        argument scaled to integers, divided once by the operator's denominator
+        times the arguments' scales.
         """
         if len(args) != self.arity:
             raise ValueError(f"arity {self.arity} operator applied to {len(args)} arguments")
@@ -287,8 +294,9 @@ class PolyDiffOp:
             if a.dim != self.dim:
                 raise ValueError("argument dimension mismatch")
         den, numerators = _numerators(self)
-        value = _evaluate(numerators, _ArgumentTable(args), range(self.arity))
-        return Polynomial._trusted(self.dim, _divided(value, den))
+        table = _ArgumentTable(args)
+        value = _evaluate(numerators, table, range(self.arity))
+        return Polynomial._trusted(self.dim, _divided(value, den * table.scale))
 
     def compose_at(self, slot: int, inner: PolyDiffOp) -> PolyDiffOp:
         """Insert `inner` into argument slot `slot` (0-based), no sign.
@@ -417,11 +425,19 @@ def _peel(e: Exponents) -> tuple[int, Exponents]:
 
 
 class _ArgumentTable(dict):
-    """d^a of apply's argument in slot k, keyed by (a, k), each a plain {monomial:
-    coefficient} dict taken on its first lookup: only where the walk reaches."""
+    """d^a of apply's argument in slot k times its scale, the lcm of its
+    coefficients' denominators, keyed by (a, k): each a plain {monomial: int}
+    dict taken on its first lookup, only where the walk reaches.  `scale` is
+    the product of the arguments' scales."""
 
     def __init__(self, args: Sequence[Polynomial]):
-        self.args = args
+        self.args, self.scale = [], 1
+        for arg in args:
+            s = math.lcm(*[v.denominator for v in arg.terms.values()])
+            if s != 1:
+                arg = Polynomial._trusted(arg.dim, _integers(arg.terms, s))
+            self.args.append(arg)
+            self.scale *= s
 
     def __missing__(self, key: tuple[Exponents, int]) -> Mapping:
         a, k = key

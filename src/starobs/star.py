@@ -23,12 +23,11 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 from . import linsolve
 from .multivec import Polyvector
-from .poly import Polynomial, _accumulate, _gather_monomials, _ratio
+from .poly import Polynomial, _accumulate, _gather_monomials, _ratio, zero_exponents
 from .polydiff import (
     DerivKey,
     PolyDiffOp,
@@ -176,32 +175,39 @@ def moyal_star(pi: Polyvector, order: int) -> StarProduct:
     requires a constant bivector (for which the Jacobi identity is
     automatic), and is associative at every order.  The sum runs over
     multisets of entries, each weighted by its k!/prod n_t! orderings.
+    B_k is one integer per key over 2^k k! L^k, L the lcm of the entries'
+    denominators, reduced once by _from_term_map into its store.
     """
     if pi.degree != 2:
         raise ValueError("need a degree-2 polyvector")
     if not pi.is_constant():
         raise ValueError("this construction requires a constant bivector")
     dim = pi.dim
-    entries: list[tuple[int, int, Fraction]] = []
-    for (i, j), poly in pi.components.items():
-        c = poly.constant_term()
+    z = zero_exponents(dim)
+    constants = [poly.constant_term() for poly in pi.components.values()]
+    L = math.lcm(*[c.denominator for c in constants])
+    entries: list[tuple[int, int, int]] = []  # L times each signed entry
+    for (i, j), c in zip(pi.components, constants):
+        c = c.numerator * (L // c.denominator)
         entries.append((i, j, c))
         entries.append((j, i, -c))
     corrections = []
     for k in range(1, order + 1):
-        terms: dict[DerivKey, Polynomial] = {}
+        weights: dict[DerivKey, int] = {}
         for combo in itertools.combinations_with_replacement(range(len(entries)), k):
             alpha = [0] * dim
             beta = [0] * dim
-            coeff = Fraction(1, 2**k)
+            weight = math.factorial(k)
             for t in set(combo):
-                coeff /= math.factorial(combo.count(t))
+                weight //= math.factorial(combo.count(t))
             for i, j, c in (entries[t] for t in combo):
                 alpha[i] += 1
                 beta[j] += 1
-                coeff *= c
-            _accumulate(terms, (tuple(alpha), tuple(beta)), Polynomial.constant(dim, coeff))
-        corrections.append(PolyDiffOp(dim, 2, terms))
+                weight *= c
+            _accumulate(weights, (tuple(alpha), tuple(beta)), weight)
+        terms = _TermMap((key, {z: v}) for key, v in weights.items())
+        terms.den = 2**k * math.factorial(k) * L**k
+        corrections.append(PolyDiffOp._from_term_map(dim, 2, terms))
     return StarProduct(dim, order, corrections)
 
 

@@ -31,6 +31,7 @@ from starobs.multivec import IndexTuple, sort_with_sign
 from starobs.obstruction import _weight_map
 from starobs.poly import (
     Exponents,
+    PolynomialParseError,
     _accumulate,
     _gather_monomials,
     add_exponents,
@@ -1274,7 +1275,7 @@ def reference_op_from_payload(
 # -- ordered-tuple exponential product, the reference for the multiset one ---------
 
 
-def reference_moyal_star(pi: Polyvector, order: int) -> StarProduct:
+def reference_ordered_moyal_star(pi: Polyvector, order: int) -> StarProduct:
     """Constant-coefficient exponential star product of a bivector.
 
     B_k = 1/(2^k k!) sum pi^(i1 j1)...pi^(ik jk) d_{i1..ik} tensor d_{j1..jk},
@@ -1308,6 +1309,226 @@ def reference_moyal_star(pi: Polyvector, order: int) -> StarProduct:
         corrections.append(PolyDiffOp(dim, 2, terms))
     star = StarProduct(dim, order, corrections)
     return star
+
+
+# -- Fraction-coefficient multiset product, the reference for the numerator one ------
+
+
+def reference_moyal_star(pi: Polyvector, order: int) -> StarProduct:
+    """star.moyal_star as it was before it built numerator stores: one Fraction
+    coefficient per multiset of entries, 1/(2^k prod n_t!) times the entries,
+    merged as constant Polynomials and handed to PolyDiffOp's constructor."""
+    if pi.degree != 2:
+        raise ValueError("need a degree-2 polyvector")
+    if not pi.is_constant():
+        raise ValueError("this construction requires a constant bivector")
+    dim = pi.dim
+    entries: list[tuple[int, int, Fraction]] = []
+    for (i, j), poly in pi.components.items():
+        c = poly.constant_term()
+        entries.append((i, j, c))
+        entries.append((j, i, -c))
+    corrections = []
+    for k in range(1, order + 1):
+        terms: dict[DerivKey, Polynomial] = {}
+        for combo in itertools.combinations_with_replacement(range(len(entries)), k):
+            alpha = [0] * dim
+            beta = [0] * dim
+            coeff = Fraction(1, 2**k)
+            for t in set(combo):
+                coeff /= math.factorial(combo.count(t))
+            for i, j, c in (entries[t] for t in combo):
+                alpha[i] += 1
+                beta[j] += 1
+                coeff *= c
+            _accumulate(terms, (tuple(alpha), tuple(beta)), Polynomial.constant(dim, coeff))
+        corrections.append(PolyDiffOp(dim, 2, terms))
+    return StarProduct(dim, order, corrections)
+
+
+# -- Polynomial-valued parser, the reference for the dict-valued one -----------------
+
+
+class _ReferenceParser:
+    """Recursive-descent parser for polynomial expressions, evaluated to
+    Polynomials: poly._Parser as it was before it ran on coefficient dicts.
+
+    Grammar: sums and differences of terms, terms are '*'-separated
+    factors, factors are integers, rationals like 3/4, declared variable
+    names, parenthesised expressions, optionally raised with '^' to a
+    non-negative integer power.  Multiplication must be explicit.
+    Parentheses nest at most MAX_NESTING deep: each level costs four
+    frames (expr, term, factor, atom), and the cap keeps them well below
+    the interpreter's recursion limit.  A base of more than one term is
+    raised at most to MAX_SUM_POWER: a k-term base to the power n has up
+    to C(n+k-1, k-1) terms, so (x+y+z+w+1)^24 alone would cost seconds.
+    A sum, difference, product or power is rejected, at its operator (a
+    power at its exponent), when a coefficient of it has more than
+    MAX_COEFFICIENT_DIGITS digits above or below the fraction bar: the
+    interpreter converts no longer integer to a string, so no report could
+    print it.  Checking every operation keeps each operand within the cap,
+    so no long chain of them builds a longer coefficient first.  A monomial
+    base's coefficient c becomes c^n, which is decided before it is
+    computed: (3/7*x)^3000000 alone would take a minute.
+    """
+
+    MAX_NESTING = 100
+    MAX_SUM_POWER = 12
+    MAX_COEFFICIENT_DIGITS = 4300  # the interpreter's default int-to-string limit
+    _COEFFICIENT_BOUND = 10**MAX_COEFFICIENT_DIGITS
+    DIGITS = "0123456789"  # str.isdigit also takes digits int() rejects, such as '²'
+
+    def __init__(self, text: str, names: Sequence[str]):
+        self.text = text
+        self.pos = 0
+        self.depth = 0
+        self.names = list(names)
+        self.dim = len(self.names)
+
+    def error(self, message: str):
+        raise PolynomialParseError(self.text, self.pos, message)
+
+    def skip_ws(self):
+        while self.pos < len(self.text) and self.text[self.pos].isspace():
+            self.pos += 1
+
+    def peek(self) -> str:
+        self.skip_ws()
+        return self.text[self.pos] if self.pos < len(self.text) else ""
+
+    def take(self, ch: str) -> bool:
+        if self.peek() == ch:
+            self.pos += 1
+            return True
+        return False
+
+    def parse(self) -> Polynomial:
+        p = self.expr()
+        self.skip_ws()
+        if self.pos != len(self.text):
+            self.error("unexpected trailing input")
+        return p
+
+    def expr(self) -> Polynomial:
+        sign = 1
+        while True:
+            if self.take("-"):
+                sign = -sign
+            elif self.take("+"):
+                pass
+            else:
+                break
+        result = self.term() * sign
+        while (op := self.peek()) in ("+", "-"):
+            at = self.pos
+            self.pos += 1
+            other = self.term()
+            result = self.checked(result + other if op == "+" else result - other, at, "sum")
+        return result
+
+    def term(self) -> Polynomial:
+        result = self.factor()
+        while self.peek() == "*":
+            at = self.pos
+            self.pos += 1
+            result = self.checked(result * self.factor(), at, "product")
+        return result
+
+    def factor(self) -> Polynomial:
+        base = self.atom()
+        if not self.take("^"):
+            return base
+        self.skip_ws()
+        start = self.pos
+        expo = self.integer("exponent")
+        end, self.pos = self.pos, start  # errors point at the exponent
+        if len(base.terms) > 1 and expo > self.MAX_SUM_POWER:
+            self.error(
+                f"exponent {expo} on a base of {len(base.terms)} terms "
+                f"exceeds {self.MAX_SUM_POWER}"
+            )
+        if len(base.terms) == 1:
+            self.check_coefficient(next(iter(base.terms.values())), expo, "power")
+        self.pos = end
+        return self.checked(base**expo, start, "power")
+
+    def checked(self, p: Polynomial, at: int, what: str) -> Polynomial:
+        """p, the `what` of the operator at position `at`, unless a coefficient
+        of p is too long for check_coefficient: then an error at `at`."""
+        end, self.pos = self.pos, at
+        for c in p.terms.values():
+            self.check_coefficient(c, 1, what)
+        self.pos = end
+        return p
+
+    def check_coefficient(self, c: Fraction | int, n: int, what: str):
+        """An error unless c^n has at most MAX_COEFFICIENT_DIGITS digits above
+        and below the fraction bar, decided without computing a longer power."""
+        limit = self._COEFFICIENT_BOUND
+        for k in (abs(c.numerator), c.denominator):
+            # 2^bits <= k, so k^n >= 2^(n bits), past the limit once n bits reaches
+            # its bit length; below that k^n < 2^(2 n bits) is cheap to compute
+            bits = k.bit_length() - 1
+            if n * bits >= limit.bit_length() or k**n >= limit:
+                self.error(
+                    f"a coefficient of this {what} has more than "
+                    f"{self.MAX_COEFFICIENT_DIGITS} digits"
+                )
+
+    def atom(self) -> Polynomial:
+        ch = self.peek()
+        if ch == "(":
+            self.take("(")
+            self.depth += 1
+            if self.depth > self.MAX_NESTING:
+                self.error(f"parentheses nested deeper than {self.MAX_NESTING}")
+            p = self.expr()
+            if not self.take(")"):
+                self.error("expected ')'")
+            self.depth -= 1
+            return p
+        if ch in self.DIGITS:
+            num = self.integer("number")
+            if self.take("/"):
+                den = self.integer("denominator")
+                if den == 0:
+                    self.error("zero denominator")
+                return Polynomial.constant(self.dim, Fraction(num, den))
+            return Polynomial.constant(self.dim, num)
+        if ch.isalpha() or ch == "_":
+            name = self.name()
+            if name not in self.names:
+                self.error(f"unknown variable {name!r} (declared: {', '.join(self.names)})")
+            return Polynomial.variable(self.dim, self.names.index(name))
+        self.error("expected a number, variable or '('")
+
+    def integer(self, what: str) -> int:
+        self.skip_ws()
+        start = self.pos
+        while self.pos < len(self.text) and self.text[self.pos] in self.DIGITS:
+            self.pos += 1
+        if start == self.pos:
+            self.error(f"expected {what}")
+        try:
+            return int(self.text[start : self.pos])
+        except ValueError:  # longer than the interpreter converts
+            self.pos = start
+            self.error(f"{what} has too many digits")
+
+    def name(self) -> str:
+        self.skip_ws()
+        start = self.pos
+        while self.pos < len(self.text) and (
+            self.text[self.pos].isalnum() or self.text[self.pos] == "_"
+        ):
+            self.pos += 1
+        return self.text[start : self.pos]
+
+
+def reference_parse_polynomial(text: str, names: Sequence[str]) -> Polynomial:
+    """parse_polynomial on _ReferenceParser: every atom, sum, product and power a
+    Polynomial, as before the parser ran on coefficient dicts."""
+    return _ReferenceParser(text, names).parse()
 
 
 # -- factor-wise Schouten bracket, the reference for the xi-derivative one -------

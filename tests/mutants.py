@@ -238,16 +238,30 @@ MUTANTS = [
     Mutant(
         "op_from_payload overwrites a repeated key",
         "cli.py",
-        "        _accumulate(terms, tuple(derivs), coeff)\n",
-        "        terms[tuple(derivs)] = coeff\n",
+        "        acc = terms.setdefault(tuple(derivs), {})\n",
+        "        acc = terms[tuple(derivs)] = {}\n",
+        ("tests/test_cli.py::test_op_from_payload_matches_the_term_by_term_sum",),
+    ),
+    Mutant(
+        "op_from_payload keeps a key whose sum cancels",
+        "cli.py",
+        "        if not acc:\n            del terms[tuple(derivs)]\n",
+        "",
         ("tests/test_cli.py::test_op_from_payload_matches_the_term_by_term_sum",),
     ),
     Mutant(
         "moyal_star without the multiset weight",
         "star.py",
-        "            for t in set(combo):\n                coeff /= math.factorial(combo.count(t))\n",
+        "            for t in set(combo):\n                weight //= math.factorial(combo.count(t))\n",
         "",
         ("tests/test_star.py::test_moyal_matches_ordered_tuple_reference",),
+    ),
+    Mutant(
+        "moyal_star drops the 2^k from each order's denominator",
+        "star.py",
+        "terms.den = 2**k * math.factorial(k) * L**k",
+        "terms.den = math.factorial(k) * L**k",
+        ("tests/test_star.py::test_moyal_stores_match_the_fraction_builder",),
     ),
     Mutant(
         "cascade witness is the last nonzero key",
@@ -336,12 +350,26 @@ MUTANTS = [
     Mutant(
         "no coefficient check after '*'",
         "poly.py",
-        '            result = self.checked(result * self.factor(), at, "product")\n',
-        "            result = result * self.factor()\n",
+        '            result = self.checked(_product(result, self.factor()), at, "product")\n',
+        "            result = _product(result, self.factor())\n",
         (
             "tests/test_poly.py::"
             "test_parse_rejects_a_sum_or_product_no_report_can_print_at_its_operator",
         ),
+    ),
+    Mutant(
+        "no coefficient check after '+' or '-'",
+        "poly.py",
+        '            self.checked(result, at, "sum")\n',
+        "",
+        (KERNELS + "test_parser_matches_the_replaced_polynomial_parser",),
+    ),
+    Mutant(
+        "a difference parsed as a sum",
+        "poly.py",
+        '_add_into(result, self.term(), 1 if op == "+" else -1)',
+        "_add_into(result, self.term())",
+        (KERNELS + "test_parser_matches_the_replaced_polynomial_parser",),
     ),
     # integer term maps over one denominator per map
     Mutant(
@@ -421,8 +449,15 @@ MUTANTS = [
     Mutant(
         "apply does not divide by the operator's denominator",
         "polydiff.py",
-        "        return Polynomial._trusted(self.dim, _divided(value, den))\n",
-        "        return Polynomial._trusted(self.dim, value)\n",
+        "_divided(value, den * table.scale)",
+        "_divided(value, table.scale)",
+        (KERNELS + "test_apply_matches_the_replaced_term_loop",),
+    ),
+    Mutant(
+        "apply keeps only the last argument's scale",
+        "polydiff.py",
+        "            self.scale *= s\n",
+        "            self.scale = s\n",
         (KERNELS + "test_apply_matches_the_replaced_term_loop",),
     ),
     Mutant(

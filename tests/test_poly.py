@@ -102,6 +102,13 @@ def test_parse_error_quotes_a_window_around_the_position():
     assert str(info.value).startswith(f"at position 81 in …{text[51:111]!r}…: ")
 
 
+@pytest.mark.parametrize("text", ["1", "1/2", "(3)^2", "0", "", "x", "1 +"])
+def test_parse_with_no_variables_raises_value_error(text):
+    # a polynomial needs at least one variable: no text parses to dimension 0
+    with pytest.raises(ValueError):
+        parse_polynomial(text, [])
+
+
 def test_parse_requires_explicit_multiplication():
     with pytest.raises(PolynomialParseError):
         p2("3 x")

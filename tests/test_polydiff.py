@@ -12,6 +12,7 @@ from helpers import (
     rand_op,
     rand_poly,
     rand_vector_field,
+    reference_apply,
     reference_compose_at,
     scaled,
     sign,
@@ -428,3 +429,25 @@ def test_no_kernel_renumerates_an_operator():
     for op in ops:
         assert not op.is_zero()
         assert _numerators(op) is _numerators(op)
+
+
+def test_apply_differentiates_each_argument_scaled_to_integers(monkeypatch):
+    # each argument enters the walk times the lcm of its denominators, still through
+    # Polynomial.partial_multi, and the value is divided once by 6 * 4 * the
+    # operator's denominator
+    op = PolyDiffOp(2, 2, {((1, 0), (0, 1)): p2("1/3*x"), ((0, 0), (0, 0)): p2("1/2")})
+    args = [p2("1/2*x^2 + 1/3*p"), p2("3/4*p^2 - x")]
+    seen = []
+    partial_multi = Polynomial.partial_multi
+
+    def recording(p, alpha):
+        seen.append(p)
+        return partial_multi(p, alpha)
+
+    monkeypatch.setattr(Polynomial, "partial_multi", recording)
+    value = op.apply(args)
+    assert set(seen) == {args[0] * 6, args[1] * 4}
+    assert all(type(c) is int for p in seen for c in p.terms.values())
+    want = reference_apply(op, args)
+    assert list(value.terms.items()) == list(want.terms.items())
+    assert [type(c) for c in value.terms.values()] == [type(c) for c in want.terms.values()]

@@ -16,6 +16,7 @@ from helpers import (
     reference_divided,
     reference_mul,
     reference_numerators,
+    reference_parse_polynomial,
     reference_partial_multi,
     reference_product,
     reference_render_report,
@@ -26,6 +27,7 @@ hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
 from starobs import FormalDiffeo, PolyDiffOp, Polynomial, compose_diffeo, parse_polynomial  # noqa: E402
+from starobs import PolynomialParseError  # noqa: E402
 from starobs.cli import Problem, load_problem_data, main, render_report  # noqa: E402
 from starobs.poly import _add_into, _divided, _integers, _partial, _product  # noqa: E402
 from starobs.polydiff import _numerators  # noqa: E402
@@ -54,6 +56,78 @@ def test_to_string_parses_back_to_the_same_terms(p):
     types = {e: type(c) for e, c in q.terms.items()}
     assert types == {e: type(c) for e, c in p.terms.items()}
     assert all(t is int or q.terms[e].denominator > 1 for e, t in types.items())
+
+
+# parser input: mostly well-formed expressions over NAMES, some with one character
+# inserted or deleted, and the strings that reach each cap or a digit or space
+# that str.isdigit or str.isspace takes but int() does not
+NINES = "9" * 4300  # the longest integer the interpreter converts
+numbers = (
+    st.integers(0, 10**6).map(str)
+    | st.sampled_from(["0", "3/4", "10/5", "0/3", "1/0", NINES, NINES + "9", "1/" + NINES])
+)
+atoms = numbers | st.sampled_from(NAMES + ["y", "p", "Zeta", "x\u00b2", "x\u0663"])
+spaces = st.sampled_from(["", "", " ", "\t", "\n", "\u00a0", "\u2003"])
+expressions = st.recursive(
+    atoms,
+    lambda children: st.one_of(
+        st.tuples(children, spaces).map(lambda t: f"({t[1]}{t[0]})"),
+        st.tuples(children, st.sampled_from(["+", "-", "*", "+-", "--"]), spaces, children).map(
+            lambda t: f"{t[0]}{t[2]}{t[1]}{t[2]}{t[3]}"
+        ),
+        st.tuples(children, st.sampled_from(["0", "1", "2", "3", "2/3", "", "x"])).map(
+            lambda t: f"({t[0]})^{t[1]}"
+        ),
+        children.map(lambda e: "-" + e),
+    ),
+    max_leaves=8,
+)
+capped = st.one_of(
+    st.integers(98, 102).map(lambda n: "(" * n + "x" + ")" * n),
+    st.sampled_from(["(x+p1)^12", "(x+p1)^13", "(x - 1)^4300", "(2*x)^20000", "x^99999999",
+                     "(3/7*x)^3000000", "2^14000*2^14000*x", NINES + "*x + x", NINES + "*x - x",
+                     f"1/{NINES}*x + 1/{NINES[:-1]}7*x", "2^14000*2^284*x", "(x\u00b2)", "x\u0663"]),
+)
+
+
+@st.composite
+def parser_inputs(draw) -> str:
+    text = draw(expressions | capped)
+    if draw(st.booleans()):
+        at = draw(st.integers(0, len(text)))
+        if draw(st.booleans()):
+            text = text[:at] + draw(st.sampled_from("()+-*/^ x09\u00b2\u0663\u00a0_")) + text[at:]
+        else:
+            text = text[:at] + text[at + 1 :]
+    return text
+
+
+def parsed(parse, text: str, names: list[str]):
+    """parse's polynomial as its dimension and typed terms, or its error's message
+    and position."""
+    try:
+        p = parse(text, names)
+    except PolynomialParseError as error:
+        return "error", str(error), error.pos
+    return "polynomial", p.dim, typed(p.terms)
+
+
+@hypothesis.settings(derandomize=True, deadline=None, database=None, max_examples=400)
+@hypothesis.given(st.integers(1, len(NAMES)), parser_inputs())
+@hypothesis.example(2, "(" * 101 + "x" + ")" * 101)
+@hypothesis.example(2, "(x+p1)^13")
+@hypothesis.example(2, NINES + "9")
+@hypothesis.example(2, NINES + "*" + NINES)
+@hypothesis.example(2, NINES + "*x + x")
+@hypothesis.example(1, "(3/7*x)^3000000")
+@hypothesis.example(2, "1/2*x + 1/2*x - p1 + 2/4")
+@hypothesis.example(4, "\u00a0x\u2003*\tZeta_2 - _q^2 + p1\u00b2")
+@hypothesis.example(2, "x\u0663 + 1")
+def test_parser_matches_the_replaced_polynomial_parser(dim, text):
+    """The dict-valued parser gives the Polynomial-valued one's terms, in order
+    and of the same types, or the same PolynomialParseError message and position."""
+    names = NAMES[:dim]
+    assert parsed(parse_polynomial, text, names) == parsed(reference_parse_polynomial, text, names)
 
 
 @st.composite
@@ -163,6 +237,28 @@ def test_apply_matches_the_replaced_term_loop(application):
     for operator, arguments in cases:
         want = reference_apply(operator, arguments)
         assert typed(operator.apply(arguments).terms) == typed(want.terms)
+
+
+def test_applications_draw_arguments_over_different_denominators():
+    """Some draws of applications() hand apply arguments whose coefficients have
+    different lcm denominators, neither 1, so each argument's own scale counts."""
+
+    def scale(p):
+        return math.lcm(*[Fraction(v).denominator for v in p.terms.values()])
+
+    def different(application):
+        scales = [scale(p) for p in application[2]]
+        return min(scales, default=1) > 1 and len(set(scales)) > 1
+
+    hits = []
+
+    @hypothesis.settings(derandomize=True, deadline=None, database=None, max_examples=300)
+    @hypothesis.given(applications())
+    def draw(application):
+        hits.append(different(application))
+
+    draw()
+    assert sum(hits) >= 10
 
 
 @st.composite

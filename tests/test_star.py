@@ -22,6 +22,7 @@ from helpers import (
     reference_gauge_transform,
     reference_hochschild_d,
     reference_moyal_star,
+    reference_ordered_moyal_star,
     so3_pi,
     trivial_star,
 )
@@ -43,7 +44,7 @@ from starobs import (
 )
 from starobs import star as star_module
 from starobs.poly import exponents_upto
-from starobs.polydiff import _differential_into, _leibniz, _split_over, _TermMap
+from starobs.polydiff import _differential_into, _leibniz, _numerators, _split_over, _TermMap
 
 P1 = lambda t: parse_polynomial(t, ["x"])
 
@@ -97,11 +98,50 @@ def test_requires_constant_bivector():
     ids=["R3-8", "R3-12", "R4-two-4", "R4-two-6", "R4-three-4", "R4-three-6", "R3-rational-5"],
 )
 def test_moyal_matches_ordered_tuple_reference(pi, order):
-    built, reference = moyal_star(pi, order), reference_moyal_star(pi, order)
+    built, reference = moyal_star(pi, order), reference_ordered_moyal_star(pi, order)
     for ours, theirs in zip(built.corrections, reference.corrections):
         assert list(ours.terms.items()) == list(theirs.terms.items())
         for c, d in zip(ours.terms.values(), theirs.terms.values()):
             assert [type(v) for v in c.terms.values()] == [type(v) for v in d.terms.values()]
+
+
+# R^4 entries with pi^13 pi^24 = -pi^14 pi^23, whose d_1 d_2 (x) d_3 d_4 terms cancel at order 2
+CANCELLING = {(0, 2): 1, (1, 3): 1, (0, 3): 1, (1, 2): -1}
+
+
+@pytest.mark.parametrize(
+    "pi",
+    [
+        canonical_pi2(),
+        Polyvector.bivector(2, {(0, 1): Fraction(-3, 4)}),
+        plane_pi3(),
+        Polyvector.bivector(3, {(0, 1): Fraction(3, 2), (1, 2): Fraction(-2, 5), (0, 2): 7}),
+        canonical_pi4(),
+        Polyvector.bivector(4, CANCELLING),
+        Polyvector.bivector(4, {k: Fraction(v, 6) for k, v in CANCELLING.items()}),
+        Polyvector.bivector(4, {(0, 2): Fraction(1, 3), (1, 3): 2, (0, 1): Fraction(-5, 2)}),
+    ],
+    ids=["R2-int", "R2-rational", "R3-int", "R3-rational", "R4-int", "R4-cancelling",
+         "R4-cancelling-rational", "R4-rational"],
+)
+def test_moyal_stores_match_the_fraction_builder(pi):
+    # the numerator stores built directly equal those PolyDiffOp's constructor made
+    # from the Fraction coefficients, key order included, and so do the certificates
+    for order in range(1, 5):
+        built, reference = moyal_star(pi, order), reference_moyal_star(pi, order)
+        for ours, theirs in zip(built.corrections, reference.corrections, strict=True):
+            assert _numerators(ours) == _numerators(theirs)
+            assert list(_numerators(ours)[1]) == list(_numerators(theirs)[1])
+    assert built.certified_order() == reference.certified_order() == 4
+
+
+def test_moyal_drops_the_keys_whose_weights_cancel():
+    # at order 2 the two multisets that reach d_1 d_2 (x) d_3 d_4 cancel, so the key
+    # is absent, as it was from the Fraction builder
+    key = ((1, 1, 0, 0), (0, 0, 1, 1))
+    for pi in (CANCELLING, {(0, 2): 1, (1, 3): 1, (0, 3): 1, (1, 2): 1}):
+        B2 = moyal_star(Polyvector.bivector(4, pi), 2).term(2)
+        assert (key in _numerators(B2)[1]) == (pi[1, 2] == 1)
 
 
 def test_moyal_visits_each_multiset_of_entries_once(monkeypatch):
