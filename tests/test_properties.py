@@ -59,8 +59,8 @@ def test_to_string_parses_back_to_the_same_terms(p):
 
 
 # parser input: mostly well-formed expressions over NAMES, some with one character
-# inserted or deleted, and the strings that reach each cap or a digit or space
-# that str.isdigit or str.isspace takes but int() does not
+# inserted or deleted, the strings that reach each cap, and non-ASCII digits (which
+# str.isdigit takes and the grammar does not) and whitespace
 NINES = "9" * 4300  # the longest integer the interpreter converts
 numbers = (
     st.integers(0, 10**6).map(str)
@@ -241,7 +241,7 @@ def test_apply_matches_the_replaced_term_loop(application):
 
 def test_applications_draw_arguments_over_different_denominators():
     """Some draws of applications() hand apply arguments whose coefficients have
-    different lcm denominators, neither 1, so each argument's own scale counts."""
+    different lcm denominators, none of them 1, so each argument's own scale counts."""
 
     def scale(p):
         return math.lcm(*[Fraction(v).denominator for v in p.terms.values()])

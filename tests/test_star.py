@@ -220,6 +220,14 @@ REFERENCE_PRODUCTS = [
         id="moyal-r3-o2",
     ),
     pytest.param(moyal_star(canonical_pi4(), 2), id="moyal-r4-o2"),
+    # stores from PolyDiffOp's constructor, not from a term map, so a fault in how
+    # _from_term_map divides cannot reach the operands' denominators
+    pytest.param(
+        reference_moyal_star(
+            Polyvector.bivector(3, {(0, 1): 1, (0, 2): Fraction(-1, 2), (1, 2): 3}), 2
+        ),
+        id="fraction-moyal-r3-o2",
+    ),
 ]
 
 
