@@ -29,7 +29,7 @@ from .obstruction import (
     exactness_solve,
     validate_system,
 )
-from .poly import Polynomial, PolynomialParseError, _add_into, parse_polynomial
+from .poly import Polynomial, PolynomialParseError, _add_into, is_name, parse_polynomial
 from .polydiff import PolyDiffOp, _numerated
 from .star import FormalDiffeo, StarProduct, extend_one_order, moyal_star
 
@@ -227,11 +227,7 @@ def load_problem_data(data: dict) -> Problem:
         raise ProblemError("coordinate names must be distinct")
     # a report renders coordinates by name, so each name must parse back as its variable
     for k, name in enumerate(names):
-        try:
-            readable = parse_polynomial(name, names) == Polynomial.variable(dim, k)
-        except PolynomialParseError:
-            readable = False
-        if not readable:
+        if not is_name(name):
             raise ProblemError(f"coordinates[{k}]: {name!r} does not parse as a variable name")
 
     comps = {}
@@ -456,15 +452,21 @@ def cmd_eliminate(problem: Problem, order: int | None) -> dict:
 
 def cmd_extend_star(problem: Problem, order: int | None) -> dict:
     star = _require_star(problem)
-    result = extend_one_order(star, problem.bounds.degree, problem.bounds.op_order)
+    result = extend_one_order(star)
     payload: dict[str, Any] = {
-        "status": "solved" if result.solved else "undecided",
+        "status": "solved" if result.solved else "no_extension",
         "new_order": star.order + 1,
         "bounds": _bounds_payload(problem.bounds),
     }
     if result.solved:
         payload["candidate"] = op_payload(result.particular, problem.names)
         payload["freedom"] = "candidate + any Hochschild 2-cocycle dD + beta is also a solution"
+    else:
+        payload["trivector"] = polyvector_payload(result.trivector, problem.names)
+        payload["scope"] = (
+            "the trivector, the target antisymmetrized on coordinate triples, is nonzero, "
+            "so no correction at new_order exists with the given lower orders"
+        )
     return payload
 
 

@@ -368,6 +368,12 @@ class PolynomialParseError(ValueError):
         super().__init__(f"at position {pos} in {quoted}: {message}")
 
 
+def is_name(text: str) -> bool:
+    """The parser's rule for a variable name: a letter (str.isalpha) or '_',
+    then letters, digits (str.isalnum, so also '²' and '٣') or '_'."""
+    return (text[:1].isalpha() or text[:1] == "_") and all(c.isalnum() or c == "_" for c in text)
+
+
 class _Parser:
     """Recursive-descent parser for polynomial expressions, evaluated to
     {monomial: coefficient} dicts by `poly`'s kernels.
@@ -519,7 +525,7 @@ class _Parser:
                     self.error("zero denominator")
                 num = _ratio(num, den)
             return {zero_exponents(self.dim): num} if num else {}
-        if ch.isalpha() or ch == "_":
+        if is_name(ch):
             name = self.name()
             if name not in self.names:
                 self.error(f"unknown variable {name!r} (declared: {', '.join(self.names)})")
@@ -540,11 +546,10 @@ class _Parser:
             self.error(f"{what} has too many digits")
 
     def name(self) -> str:
-        self.skip_ws()
+        # atom found a name's first character at pos; c continues it when "_" + c is a name
         start = self.pos
-        while self.pos < len(self.text) and (
-            self.text[self.pos].isalnum() or self.text[self.pos] == "_"
-        ):
+        self.pos += 1
+        while self.pos < len(self.text) and is_name("_" + self.text[self.pos]):
             self.pos += 1
         return self.text[start : self.pos]
 

@@ -295,87 +295,45 @@ def gauge_transform(s: StarProduct, D: FormalDiffeo) -> StarProduct:
 
 @dataclass
 class ExtensionResult:
-    """Outcome of solving the order-(n+1) associativity constraint; empty when undecided.
+    """Outcome of the order-(n+1) associativity constraint with B_1..B_n fixed:
+    a particular solution, or the nonzero trivector showing that none exists.
 
     Any other solution differs from `particular` by a Hochschild 2-cocycle dD + beta.
     """
 
     particular: PolyDiffOp | None = None
     extended: StarProduct | None = None
+    trivector: Polyvector | None = None
 
     @property
     def solved(self) -> bool:
         return self.particular is not None
 
 
-def extend_one_order(
-    s: StarProduct, coefficient_degree: int, operator_order: int
-) -> ExtensionResult:
-    """Solve the next-order associativity constraint within an ansatz.
+def extend_one_order(s: StarProduct) -> ExtensionResult:
+    """Decide the next-order associativity constraint with B_1..B_n fixed.
 
-    Finds B_{n+1} with hochschild_d(B_{n+1}) equal to the lower-order
-    associator sum, for n the product's order.  Returns one particular
-    solution, or an empty result, with no particular solution, when the
-    ansatz is too small (never a claim that no extension exists).  Two
-    solutions differ by a Hochschild 2-cocycle, by HKR dD + beta with D
-    unary and beta a bivector field, and the particular solution plus
-    any such cocycle is again one; that freedom is stated, not listed.
+    _solve_target finds B_{n+1} with hochschild_d(B_{n+1}) equal to the
+    lower-order associator sum, for n the product's order, or the nonzero
+    trivector showing that none exists with these B_1..B_n.  Two solutions
+    differ by a Hochschild 2-cocycle, by HKR dD + beta with D unary and beta
+    a bivector field, and the particular solution plus any such cocycle is
+    again one; that freedom is stated, not listed.
 
-    The ansatz columns are x^e d^key, key = (a, b) with |a|, |b| <=
-    operator_order and |e| <= coefficient_degree.  B_0 is commutative,
-    so d(x^e d^key) = x^e d(d^key), whose coefficients are constant
-    integers: column (e, key) reaches only the rows (dkey, e), with the
-    same entries for every e.  So the system is M X = B, with M one
-    column per key and one row per arity-3 key and one right-hand side
-    per coefficient monomial of the target, and one elimination of
-    [M | B] solves every block; a monomial the target lacks gets 0.  A
-    target monomial of degree above coefficient_degree, or an arity-3
-    key no column reaches, is undecided at once.
-
-    d keeps the weight w = a + b of a key, so M is block-diagonal by w.
-    The keys are the Leibniz splits a + b = w of each target key's weight
-    w with |a|, |b| <= K (K = operator_order), sorted: the product order
-    of the multi-indices of order <= K, so only the target's weights are
-    ever listed.  Every other block has a zero right-hand side, so its
-    part of the particular solution, read from the unique reduced
-    row-echelon form, is 0: leaving it out keeps the candidate.
-
-    The target is one integer term map from right-hand side to post-check.
-    The right-hand sides are its numerators over its one denominator den,
-    and each solution entry is divided by den once.  The post-check adds
-    B_{n+1}'s four insertions into the same map, which then sums the whole
-    order-(n+1) associator, and asks that no entry is left.
+    The target is one integer term map from right-hand side to post-check:
+    the post-check adds B_{n+1}'s four insertions into it, which then sums
+    the whole order-(n+1) associator, and asks that no entry is left.
     """
     n = s.order
     if s.certified_order() < n:
         raise ValueError(f"product is only associative to order {s.certified_order()}, not {n}")
-    dim = s.dim
     # the order-(n+1) associator without its two B_{n+1} terms, over terms.den;
     # a cancelled key stays, with no monomials
     terms = s._insertions(n + 1, range(1, n + 1), _TermMap())
-
-    if any(sum(e) > coefficient_degree for t in terms.values() for e in t):
-        return ExtensionResult()
-    keep = {tuple(map(sum, zip(*k))) for k, t in terms.items() if t}
-    splits = (split[:2] for w in keep for split in _leibniz(w))
-    keys = sorted(key for key in splits if max(map(sum, key)) <= operator_order)
-    matrix: dict[DerivKey, dict[int, int]] = {}  # M by rows
-    for ci, key in enumerate(keys):
-        for dkey, v in _key_differential(dim, key).items():
-            matrix.setdefault(dkey, {})[ci] = v
-    if not all(k in matrix for k, t in terms.items() if t):
-        return ExtensionResult()
-    rhs = [terms.get(k, {}) for k in matrix]
-    result = linsolve.solve_sparse(list(matrix.values()), rhs, len(keys))
-    if not result.solved:
-        return ExtensionResult()
-    solution = {
-        (e, keys[ci]): _ratio(v, terms.den)
-        for e, block in result.solution.items()
-        for ci, v in block.items()
-    }
-    particular = PolyDiffOp(dim, 2, _gather_monomials(dim, solution))
-    extended = StarProduct(dim, n + 1, list(s.corrections) + [particular])
+    particular, trivector = _solve_target(s.dim, terms)
+    if particular is None:
+        return ExtensionResult(trivector=trivector)
+    extended = StarProduct(s.dim, n + 1, list(s.corrections) + [particular])
     # target plus the B_{n+1} terms is the order-(n+1) associator.  The B_{n+1} terms
     # go through _compose_into, not -dB_{n+1}: a check on _key_differential, which
     # built M, would share any fault of M
@@ -384,3 +342,86 @@ def extend_one_order(
         raise AssertionError("extension failed its built-in residual post-check")
     extended._inherit_certificate(n + 1)
     return ExtensionResult(particular, extended)
+
+
+def _solve_target(dim: int, terms: _TermMap) -> tuple[PolyDiffOp | None, Polyvector | None]:
+    """(B, None) with dB = T for the arity-3 target T in `terms`, or (None, Alt T).
+
+    The first solve keeps the slot orders within K_T, T's largest: d never
+    raises a slot's order, so these columns span a subcomplex.  If it fails,
+    Alt T decides (_trivector).  Alt dC = 0 for every 2-cochain C: the middle
+    terms of d are symmetric in a pair of arguments, and the outer two cancel
+    under the cyclic shift.  So a nonzero Alt T shows that no B exists, and
+    by HKR a zero one that T is exact, and then every split is solved: on
+    R^1, T = d(d^(1, K+1)) has slot orders <= K but no solution within K.
+    """
+    live = [key for key, t in terms.items() if t]
+    particular = _solve_columns(dim, terms, max((sum(a) for k in live for a in k), default=0))
+    if particular is not None:
+        return particular, None
+    trivector = _trivector(dim, terms)
+    if not trivector.is_zero():
+        return None, trivector
+    particular = _solve_columns(dim, terms, max(sum(map(sum, k)) for k in live))
+    if particular is None:
+        raise AssertionError("a target with zero trivector is not exact")
+    return particular, None
+
+
+def _solve_columns(dim: int, terms: _TermMap, bound: int) -> PolyDiffOp | None:
+    """B with dB = T over the columns x^e d^(a, b) with |a|, |b| <= bound, or None.
+
+    B_0 is commutative, so d(x^e d^key) = x^e d(d^key), whose coefficients
+    are constant integers: column (e, key) reaches only the rows (dkey, e),
+    with the same entries for every e.  So the system is M X = B, with M one
+    column per key and one row per arity-3 key and one right-hand side per
+    coefficient monomial of the target, and one elimination of [M | B]
+    solves every block; a monomial the target lacks gets 0.
+
+    d keeps the weight w = a + b of a key, so M is block-diagonal by w.  The
+    keys are the Leibniz splits a + b = w of each target key's weight w with
+    |a|, |b| <= bound, sorted: the product order of the multi-indices, so
+    only the target's weights are ever listed.  Every other block has a zero
+    right-hand side, so its part of the particular solution, read from the
+    unique reduced row-echelon form, is 0: leaving it out keeps the
+    candidate.  An arity-3 key that no column reaches fails at once.
+
+    The right-hand sides are the target's numerators over its one
+    denominator den, and each solution entry is divided by den once.
+    """
+    keep = {tuple(map(sum, zip(*k))) for k, t in terms.items() if t}
+    splits = (split[:2] for w in keep for split in _leibniz(w))
+    keys = sorted(key for key in splits if max(map(sum, key)) <= bound)
+    matrix: dict[DerivKey, dict[int, int]] = {}  # M by rows
+    for ci, key in enumerate(keys):
+        for dkey, v in _key_differential(dim, key).items():
+            matrix.setdefault(dkey, {})[ci] = v
+    if not all(k in matrix for k, t in terms.items() if t):
+        return None
+    rhs = [terms.get(k, {}) for k in matrix]
+    result = linsolve.solve_sparse(list(matrix.values()), rhs, len(keys))
+    if not result.solved:
+        return None
+    solution = {
+        (e, keys[ci]): _ratio(v, terms.den)
+        for e, block in result.solution.items()
+        for ci, v in block.items()
+    }
+    return PolyDiffOp(dim, 2, _gather_monomials(dim, solution))
+
+
+def _trivector(dim: int, terms: _TermMap) -> Polyvector:
+    """Alt T: the arity-3 target T evaluated by apply on every ordering of each
+    coordinate triple, each value signed by its ordering's parity."""
+    copy = _TermMap((k, dict(t)) for k, t in terms.items())
+    copy.den = terms.den
+    target = PolyDiffOp._from_term_map(dim, 3, copy)
+    xs = [Polynomial.variable(dim, i) for i in range(dim)]
+    components = {}
+    for triple in itertools.combinations(range(dim), 3):
+        signed = zip((1, -1, -1, 1, 1, -1), itertools.permutations(triple))
+        components[triple] = sum(
+            (sign * target.apply([xs[i] for i in perm]) for sign, perm in signed),
+            Polynomial.zero(dim),
+        )
+    return Polyvector(dim, 3, components)

@@ -72,13 +72,20 @@ MUTANTS = [
         "phi0 = {one: {mono: c for mono, c in",
         (FACTORED + "test_unary_correction_matches_pair_reference_on_random_planted_products",),
     ),
-    # the graded extension solve
+    # the graded extension solve and its decision
     Mutant(
-        "extension caps |a|, |b| at K - 1, not K",
+        "extension caps |a|, |b| below the bound, not at it",
         "star.py",
-        "if max(map(sum, key)) <= operator_order)",
-        "if max(map(sum, key)) < operator_order)",
-        (FACTORED + "test_extension_matches_reference_solve",),
+        "if max(map(sum, key)) <= bound)",
+        "if max(map(sum, key)) < bound)",
+        (FACTORED + "test_extension_keys_match_the_replaced_key_filter",),
+    ),
+    Mutant(
+        "extension's first solve at K_T - 1",
+        "star.py",
+        "max((sum(a) for k in live for a in k), default=0)",
+        "max((sum(a) for k in live for a in k), default=0) - 1",
+        (FACTORED + "test_extension_keys_match_the_replaced_key_filter",),
     ),
     Mutant(
         "extension keeps none of the target's weight blocks",
@@ -88,34 +95,25 @@ MUTANTS = [
         (FACTORED + "test_extension_matches_reference_solve",),
     ),
     Mutant(
-        "extension undecided on a target monomial of degree equal to the bound",
+        "extension solves without the target's unreached keys",
         "star.py",
-        "sum(e) > coefficient_degree",
-        "sum(e) >= coefficient_degree",
-        (FACTORED + "test_extension_matches_reference_solve",),
+        "    if not all(k in matrix for k, t in terms.items() if t):\n        return None\n",
+        "",
+        (TERM_MAPS + "test_a_target_beyond_the_slot_order_subcomplex_solves_over_every_split",),
     ),
     Mutant(
-        "extension tests the coefficient degree after building M",
+        "a zero trivector reported as no extension, the second solve skipped",
         "star.py",
-        "    if any(sum(e) > coefficient_degree for t in terms.values() for e in t):\n"
-        "        return ExtensionResult()\n"
-        "    keep = {tuple(map(sum, zip(*k))) for k, t in terms.items() if t}\n"
-        "    splits = (split[:2] for w in keep for split in _leibniz(w))\n"
-        "    keys = sorted(key for key in splits if max(map(sum, key)) <= operator_order)\n"
-        "    matrix: dict[DerivKey, dict[int, int]] = {}  # M by rows\n"
-        "    for ci, key in enumerate(keys):\n"
-        "        for dkey, v in _key_differential(dim, key).items():\n"
-        "            matrix.setdefault(dkey, {})[ci] = v\n",
-        "    keep = {tuple(map(sum, zip(*k))) for k, t in terms.items() if t}\n"
-        "    splits = (split[:2] for w in keep for split in _leibniz(w))\n"
-        "    keys = sorted(key for key in splits if max(map(sum, key)) <= operator_order)\n"
-        "    matrix: dict[DerivKey, dict[int, int]] = {}  # M by rows\n"
-        "    for ci, key in enumerate(keys):\n"
-        "        for dkey, v in _key_differential(dim, key).items():\n"
-        "            matrix.setdefault(dkey, {})[ci] = v\n"
-        "    if any(sum(e) > coefficient_degree for t in terms.values() for e in t):\n"
-        "        return ExtensionResult()\n",
-        (FACTORED + "test_extension_target_outside_the_ansatz_makes_no_solve",),
+        "    if not trivector.is_zero():\n",
+        "    if True:\n",
+        (TERM_MAPS + "test_a_target_beyond_the_slot_order_subcomplex_solves_over_every_split",),
+    ),
+    Mutant(
+        "the trivector drops the sign of one ordering",
+        "star.py",
+        "(1, -1, -1, 1, 1, -1)",
+        "(1, -1, -1, 1, 1, 1)",
+        (KERNELS + "test_the_trivector_of_a_coboundary_is_zero",),
     ),
     Mutant(
         "extension solution entries not divided by the target's denominator",
@@ -298,7 +296,7 @@ MUTANTS = [
         "star.py",
         "        return self.particular is not None\n",
         "        return True\n",
-        ("tests/test_star.py::test_extension_undecided_when_ansatz_too_small",),
+        (TERM_MAPS + "test_extension_of_a_non_poisson_bracket_is_refused_with_its_trivector",),
     ),
     # the integer elimination
     Mutant(

@@ -199,16 +199,39 @@ def test_eliminate_command_and_zero_class_serialization():
 
 
 def test_extend_star_command():
-    # the next correction of the order-2 exponential product needs
-    # third-order operators, so widen the operator bound
-    data = dict(CANONICAL_PLANE, bounds={"degree": 0, "op_order": 3})
-    report = run_command(load_problem_data(data), "extend-star", None)
-    assert report["result"]["status"] == "solved"
-    assert report["result"]["new_order"] == 3
-    # an ansatz below the needed operator order reports undecided
-    small = dict(CANONICAL_PLANE, bounds={"degree": 0, "op_order": 2})
-    report = run_command(load_problem_data(small), "extend-star", None)
-    assert report["result"]["status"] == "undecided"
+    # the next correction of the order-2 exponential product needs third-order
+    # operators; the bounds, which eliminate uses, do not change the candidate
+    results = []
+    for op_order in (3, 2):
+        data = dict(CANONICAL_PLANE, bounds={"degree": 0, "op_order": op_order})
+        result = run_command(load_problem_data(data), "extend-star", None)["result"]
+        assert result["status"] == "solved"
+        assert result["new_order"] == 3
+        assert "trivector" not in result
+        results.append(result)
+    assert results[0]["candidate"] == results[1]["candidate"]
+
+
+def half_bracket_terms(entries):
+    """An order-1 'terms' star B_1 = pi/2 from [(i, j, coefficient)], 1-based."""
+    terms = []
+    for i, j, coeff in entries:
+        a, b = ([int(k == m) for k in (1, 2, 3)] for m in (i, j))
+        terms.append({"coeff": f"1/2*{coeff}", "derivs": [a, b]})
+        terms.append({"coeff": f"-1/2*{coeff}", "derivs": [b, a]})
+    return {"type": "terms", "order": 1, "terms": {"1": terms}}
+
+
+def test_extend_star_reports_no_extension_with_its_trivector():
+    # x dx^dy + y dy^dz is not Poisson, and B_1 = pi/2 has no order-2 correction
+    entries = [(1, 2, "x"), (2, 3, "y")]
+    data = dict(SO3, poisson=[list(e) for e in entries], star=half_bracket_terms(entries))
+    result = run_command(load_problem_data(data), "extend-star", None)["result"]
+    assert result["status"] == "no_extension"
+    assert result["new_order"] == 2
+    assert result["trivector"] == {"(1,2,3)": "-x"}
+    assert "given lower orders" in result["scope"]
+    assert "candidate" not in result
 
 
 def test_unknown_command_rejected():
@@ -529,7 +552,7 @@ def test_cli_bound_flags_override_problem_file(tmp_path, capsys):
 
 
 def test_extend_star_at_a_huge_degree_bound_solves_at_once(capsys):
-    # the degree bound is only compared with the target's monomials, never enumerated
+    # extend-star reads no bound: the columns come from the target
     problem = PROBLEMS / "moyal_extension.json"
     golden = json.loads(expected_path(problem, "extend-star", 0).read_text())["result"]
     argv = ["--problem", str(problem), "--command", "extend-star", "--degree-bound", "99999999"]
@@ -543,8 +566,7 @@ def test_extend_star_at_a_huge_degree_bound_solves_at_once(capsys):
 
 
 def test_extend_star_at_a_huge_op_order_bound_solves_at_once(capsys):
-    # the operator-order bound is only compared with the splits of the target's
-    # weights, never enumerated
+    # extend-star reads no bound: the columns come from the target
     problem = PROBLEMS / "moyal_extension.json"
     argv = ["--problem", str(problem), "--command", "extend-star", "--op-order-bound", "99999999"]
     start = time.perf_counter()
@@ -552,8 +574,8 @@ def test_extend_star_at_a_huge_op_order_bound_solves_at_once(capsys):
     assert time.perf_counter() - start < 1.0
     result = json.loads(capsys.readouterr().out)["result"]
     assert result["status"] == "solved"
-    # the order-3 target has weight (3, 3), so from K = 6 on every split is a key;
-    # at K = 6 the candidate is the full-ansatz reference's
+    # the order-3 target has weight (3, 3), so from K = 6 on every split is a key
+    # of the bounded reference; its candidate there is the one at K_T = 3
     assert main(argv[:-1] + ["6"]) == 0
     at_six = json.loads(capsys.readouterr().out)["result"]["candidate"]
     want = reference_extend_one_order(moyal_star(canonical_pi2(), 2), 1, 6).particular

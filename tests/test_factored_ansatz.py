@@ -353,6 +353,8 @@ R2O2 = {1: ((0, 1), (1, 0)), 2: ((0, 2), (0, 0))}
 R4O1 = {1: ((0, 0, 1, 0), (1, 0, 0, 0))}
 
 
+# each case with the bounds (degree, op_order) that the replaced bounded solve took;
+# the unbounded solve reads its columns from the target and ignores them
 SOLVED_EXTENSIONS = [
     pytest.param(moyal_star(canonical_pi2(), 1), 0, 2, id="moyal-r2-o1"),
     pytest.param(moyal_star(canonical_pi2(), 2), 0, 3, id="moyal-r2-o2"),
@@ -381,11 +383,24 @@ EXTENSIONS = SOLVED_EXTENSIONS + [
 ]
 
 
+def target_of(star):
+    """The order-(n+1) target of an order-n product, by the reference associator."""
+    n = star.order
+    return reference_associator(star, n + 1, range(1, n + 1))
+
+
 @pytest.mark.parametrize("star, degree, op_order", EXTENSIONS)
 def test_extension_matches_reference_solve(star, degree, op_order):
-    got = extend_one_order(star, degree, op_order)
-    want = reference_extend_one_order(star, degree, op_order)
-    assert got.solved == want.solved
+    # every case extends, those whose bounds were too small for the bounded solve
+    # too, with the bounded reference's candidate at K = K_T, the target's largest
+    # slot order, and a degree bound that covers the target
+    target = target_of(star)
+    got = extend_one_order(star)
+    want = reference_extend_one_order(
+        star, max(degree, target.coefficient_degree()), target.order()
+    )
+    assert got.solved and want.solved
+    assert got.trivector is None
     assert got.particular == want.particular
 
 
@@ -409,14 +424,14 @@ def weight(key):
 def test_extension_makes_one_solve_over_the_derivative_keys(monkeypatch):
     solves = counting_solves(monkeypatch)
     star = moyal_star(canonical_pi2(), 1)
-    for degree in range(3):
-        assert extend_one_order(star, degree, 2).solved
-    # one column per derivative key (a, b) with |a|, |b| <= 2 and the weight (2, 2)
-    # of every order-2 target key, whatever the degree bound
+    assert extend_one_order(star).solved
+    # one column per derivative key (a, b) with |a|, |b| <= K_T = 2 and the weight
+    # (2, 2) of every order-2 target key
+    assert target_of(star).order() == 2
     keys = itertools.product(exponents_upto(2, 2), repeat=2)
     graded = [k for k in keys if weight(k) == (2, 2)]
     assert len(graded) == 3
-    assert solves == [len(graded)] * 3
+    assert solves == [len(graded)]
 
 
 def recording_key_differentials(monkeypatch):
@@ -432,17 +447,16 @@ def recording_key_differentials(monkeypatch):
     return keys
 
 
-def test_extension_target_outside_the_ansatz_makes_no_solve(monkeypatch):
+def test_extension_of_a_target_above_a_degree_bound_makes_one_solve(monkeypatch):
     solves = counting_solves(monkeypatch)
     differentials = recording_key_differentials(monkeypatch)
-    star, degree, op_order = gauged_truncation(canonical_pi2(), 2, R2O2)
-    # the order-3 target has coefficients of degree 2, above the bound 1
-    assert not extend_one_order(star, 1, op_order).solved
-    assert solves == []
-    # decided before M is assembled
-    assert differentials == []
-    assert extend_one_order(star, degree, op_order).solved
-    assert differentials
+    star = gauged_truncation(canonical_pi2(), 2, R2O2)[0]
+    # the order-3 target has coefficients of degree 2: no degree is checked, and
+    # every coefficient monomial is one right-hand side of the one solve
+    assert target_of(star).coefficient_degree() == 2
+    assert extend_one_order(star).solved
+    assert len(solves) == 1
+    assert solves == [len(differentials)]
 
 
 def recording_right_hand_sides(monkeypatch):
@@ -462,7 +476,7 @@ def recording_right_hand_sides(monkeypatch):
 @pytest.mark.parametrize("star, degree, op_order", SOLVED_EXTENSIONS)
 def test_extension_right_hand_sides_are_integer_numerators(monkeypatch, star, degree, op_order):
     seen = recording_right_hand_sides(monkeypatch)
-    assert extend_one_order(star, degree, op_order).solved
+    assert extend_one_order(star).solved
     [rhs] = seen
     assert all(type(v) is int for b in rhs for v in b.values())
 
@@ -477,8 +491,9 @@ def test_extension_divides_the_integer_solution_by_the_targets_denominator(case,
     star, degree, op_order = SOLVED_BY_ID[case]
     n = star.order
     assert star._insertions(n + 1, range(1, n + 1), _TermMap()).den == den
-    got = extend_one_order(star, degree, op_order)
-    want = reference_extend_one_order(star, degree, op_order)
+    target = target_of(star)
+    got = extend_one_order(star)
+    want = reference_extend_one_order(star, target.coefficient_degree(), target.order())
     assert got.particular == want.particular
 
 
@@ -498,7 +513,7 @@ def test_extension_differs_from_the_true_next_term_by_its_freedom(full, n):
     # any two solutions differ by a Hochschild 2-cocycle, the freedom the report states
     known = full.term(n + 1)
     truncated = StarProduct(full.dim, n, full.corrections[:n])
-    result = extend_one_order(truncated, known.coefficient_degree(), known.order())
+    result = extend_one_order(truncated)
     assert result.solved
     assert reference_hochschild_d(result.particular - known).is_zero()
     # d(d_1^2 (x) 1)(f, g, h) = -(d_1^2 f) g h - 2 (d_1 f)(d_1 g) h: not a cocycle
@@ -597,15 +612,11 @@ def test_random_planted_columns_match_the_replaced_weight_filter(monkeypatch):
 
 @pytest.mark.parametrize("star, degree, op_order", EXTENSIONS)
 def test_extension_keys_match_the_replaced_key_filter(monkeypatch, star, degree, op_order):
+    # the keys are the replaced filter's at K = K_T, whatever the case's bounds,
+    # less the blocks with |a| + |b| <= K + 1 that it also kept
     keys = recording_key_differentials(monkeypatch)
-    extend_one_order(star, degree, op_order)
-    n = star.order
-    target = reference_associator(star, n + 1, range(1, n + 1))
-    emons = set(exponents_upto(star.dim, degree))
-    if all(emons.issuperset(p.terms) for p in target.terms.values()):
-        # the replaced filter also kept every block with |a| + |b| <= K + 1
-        weights = {weight(k) for k in target.terms}
-        want = reference_extension_keys(target, star.dim, op_order)
-        assert keys == [k for k in want if weight(k) in weights]
-    else:
-        assert keys == []  # decided before any key is chosen
+    extend_one_order(star)
+    target = target_of(star)
+    weights = {weight(k) for k in target.terms}
+    want = reference_extension_keys(target, star.dim, target.order())
+    assert keys == [k for k in want if weight(k) in weights]

@@ -91,7 +91,9 @@ def test_run_stores_no_float_and_no_integral_fraction(problem, command, monkeypa
     monkeypatch.setattr(Polynomial, "_trusted", classmethod(recording_trusted))
     monkeypatch.setattr(linsolve, "solve_sparse", recording_solve)
     run_cli(problem, command)
-    assert coefficients and trusted_coefficients
+    # every run stores a Polynomial by _trusted; since the loader checks coordinate
+    # names without building their variables, some store none by __init__
+    assert trusted_coefficients
     coefficients += trusted_coefficients
     exact = [type(c) is int or (type(c) is Fraction and c.denominator > 1) for c in coefficients]
     assert all(exact), [c for c, ok in zip(coefficients, exact) if not ok][:5]

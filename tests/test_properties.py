@@ -29,8 +29,9 @@ st = hypothesis.strategies
 from starobs import FormalDiffeo, PolyDiffOp, Polynomial, compose_diffeo, parse_polynomial  # noqa: E402
 from starobs import PolynomialParseError  # noqa: E402
 from starobs.cli import Problem, load_problem_data, main, render_report  # noqa: E402
-from starobs.poly import _add_into, _divided, _integers, _partial, _product  # noqa: E402
-from starobs.polydiff import _numerators  # noqa: E402
+from starobs.poly import _add_into, _divided, _integers, _partial, _product, is_name  # noqa: E402
+from starobs.polydiff import _differential_into, _numerators, _TermMap  # noqa: E402
+from starobs.star import _trivector  # noqa: E402
 
 NAMES = ["x", "p1", "_q", "Zeta_2"]
 
@@ -190,6 +191,58 @@ def test_the_shared_kernels_match_the_loops_they_replaced(operands, factor, divi
         assert typed(scaled) == typed({e: int(v * scale) for e, v in p.terms.items()})
         for d in (1, divisor, scale, math.lcm(scale, divisor)):
             assert typed(_divided(dict(scaled), d)) == typed(reference_divided(scaled, d))
+
+
+# coordinate names: letters, '_', digits that int() takes and digits it does not,
+# operators, inner and outer whitespace, NBSP among it, and the empty string
+name_texts = st.text(st.sampled_from("xZé_09\u00b2\u0663+*( \u00a0\u2003"), max_size=4)
+
+
+def parses_back(name: str, names: list[str]) -> bool:
+    """The loader's replaced check: the name parses as its own variable."""
+    try:
+        return parse_polynomial(name, names) == Polynomial.variable(len(names), names.index(name))
+    except PolynomialParseError:
+        return False
+
+
+@hypothesis.settings(derandomize=True, deadline=None, database=None, max_examples=400)
+@hypothesis.given(name_texts, st.booleans())
+@hypothesis.example("", False)
+@hypothesis.example("x\u00b2", True)
+@hypothesis.example("\u00b2x", True)
+@hypothesis.example("x\u0663", False)
+@hypothesis.example("_", True)
+@hypothesis.example(" x", True)
+@hypothesis.example("x\u00a0", True)
+@hypothesis.example("x y", True)
+def test_is_name_agrees_with_the_replaced_parse_back_check(name, with_x):
+    names = [name] + (["x"] if with_x and name != "x" else [])
+    assert is_name(name) == parses_back(name, names)
+
+
+@st.composite
+def cochains(draw) -> PolyDiffOp:
+    """A 2-cochain on R^3 or R^4: up to four terms, each slot of order at most 2
+    in each coordinate, each coefficient a sum of up to two monomials of degree
+    at most 2 in each coordinate."""
+    dim = draw(st.integers(3, 4))
+    indices = st.tuples(*[st.integers(0, 2)] * dim)
+    polys = st.dictionaries(indices, coefficients, min_size=1, max_size=2).map(
+        lambda t: Polynomial(dim, t)
+    )
+    terms = st.dictionaries(st.tuples(indices, indices), polys, min_size=1, max_size=4)
+    return PolyDiffOp(dim, 2, draw(terms))
+
+
+@hypothesis.settings(derandomize=True, deadline=None, database=None, max_examples=100)
+@hypothesis.given(cochains())
+def test_the_trivector_of_a_coboundary_is_zero(cochain):
+    """Alt dC, dC evaluated on coordinate triples and antisymmetrized, is zero:
+    a nonzero trivector of a target shows that no cochain reaches it."""
+    terms = _TermMap()
+    _differential_into(terms, cochain, 1)
+    assert _trivector(cochain.dim, terms).is_zero()
 
 
 @st.composite

@@ -8,9 +8,11 @@ from helpers import (
     associator,
     canonical_pi2,
     canonical_pi4,
+    hkr_to_cochain,
     invert_diffeo,
     is_identity,
     p2,
+    p3,
     p4,
     plane_pi3,
     rand_op,
@@ -37,6 +39,7 @@ from starobs import (
     extend_one_order,
     gauge_transform,
     hochschild_d,
+    jacobi_check,
     moyal_star,
     linsolve,
     parse_polynomial,
@@ -260,7 +263,7 @@ def memo_results(star):
     ops += [hochschild_d(star.term(k)) for k in range(n + 1)]
     ops += [star.assoc_residual(k) for k in range(n + 1)]
     if star.certified_order() == n:
-        result = extend_one_order(star, 0, n + 1)
+        result = extend_one_order(star)
         assert result.solved
         ops.append(result.particular)
     return [[(key, list(c.terms.items())) for key, c in op.terms.items()] for op in ops]
@@ -575,7 +578,7 @@ def test_gauge_order_mismatch():
 
 
 def test_extending_trivial_star():
-    result = extend_one_order(trivial_star(2, 2), 1, 1)
+    result = extend_one_order(trivial_star(2, 2))
     assert result.solved
     assert result.particular.is_zero()
     assert result.extended.certified_order() == 3
@@ -583,7 +586,7 @@ def test_extending_trivial_star():
 
 def test_extending_truncated_exponential_product():
     full = moyal_star(canonical_pi2(), 2)
-    result = extend_one_order(moyal_star(canonical_pi2(), 1), 0, 2)
+    result = extend_one_order(moyal_star(canonical_pi2(), 1))
     assert result.solved
     # the found candidate differs from the canonical continuation by a cocycle
     diff = result.particular - full.term(2)
@@ -594,7 +597,7 @@ def test_extending_truncated_exponential_product():
 
 def test_extension_freedom_contains_commuting_derivation_pair():
     star = moyal_star(plane_pi3(), 1)
-    result = extend_one_order(star, 0, 2)
+    result = extend_one_order(star)
     assert result.solved
     cocycle = PolyDiffOp.single(3, [(0, 1, 0), (0, 0, 1)]) - PolyDiffOp.single(
         3, [(0, 0, 1), (0, 1, 0)]
@@ -608,7 +611,7 @@ def test_extension_post_check_property():
     # every solved extension already passed its built-in residual check;
     # verify independently for a couple of bases
     for base in (moyal_star(canonical_pi2(), 1), trivial_star(3, 1)):
-        result = extend_one_order(base, 1, 2)
+        result = extend_one_order(base)
         if result.solved:
             fresh = StarProduct(
                 result.extended.dim, result.extended.order, result.extended.corrections
@@ -628,7 +631,7 @@ def test_extension_post_check_reuses_the_target(monkeypatch):
         return compose_into(self, terms, slot, inner, sign)
 
     monkeypatch.setattr(PolyDiffOp, "_compose_into", counting)
-    assert extend_one_order(star, 1, 3).solved
+    assert extend_one_order(star).solved
     assert len(calls) == 2 * star.order + 4
 
 
@@ -643,22 +646,53 @@ def test_extension_post_check_catches_a_perturbed_solve(monkeypatch):
 
     monkeypatch.setattr(linsolve, "solve_sparse", perturbed)
     with pytest.raises(AssertionError, match="residual post-check"):
-        extend_one_order(moyal_star(canonical_pi2(), 2), 1, 3)
+        extend_one_order(moyal_star(canonical_pi2(), 2))
 
 
-def test_extension_undecided_when_ansatz_too_small():
-    # the truncated exponential product needs order-2 operators at the
-    # next order; an order-1 ansatz must report undecided, not failure
-    result = extend_one_order(moyal_star(canonical_pi2(), 1), 0, 1)
+def test_extension_solves_where_an_order_one_ansatz_was_too_small():
+    # the truncated exponential product needs order-2 operators at the next
+    # order; the columns are read from the target, so none is missing
+    result = extend_one_order(moyal_star(canonical_pi2(), 1))
+    assert result.solved
+    assert result.trivector is None
+    assert result.particular.order() == 2
+
+
+def half_bracket_product(pi: Polyvector) -> StarProduct:
+    """The order-1 product B_1 = pi/2, certified to order 1."""
+    star = StarProduct(pi.dim, 1, [hkr_to_cochain(pi)])
+    assert star.certified_order() == 1
+    return star
+
+
+def test_extension_of_a_non_poisson_bracket_is_refused_with_its_trivector():
+    # B_1 = (x dx^dy + y dy^dz)/2: the order-2 target, antisymmetrized on
+    # (x, y, z), is -x, half the Jacobiator -2x of the bivector
+    pi = Polyvector.bivector(3, {(0, 1): p3("x"), (1, 2): p3("y")})
+    assert jacobi_check(pi)[1].components == {(0, 1, 2): p3("-2*x")}
+    result = extend_one_order(half_bracket_product(pi))
     assert not result.solved
-    assert result.particular is None
+    assert result.particular is None and result.extended is None
+    assert result.trivector == Polyvector(3, 3, {(0, 1, 2): p3("-x")})
+
+
+def test_extension_of_a_linear_poisson_bracket_reaches_order_four():
+    pi = Polyvector.bivector(3, {(0, 1): p3("z"), (1, 2): p3("x")})
+    assert jacobi_check(pi)[0]
+    star = half_bracket_product(pi)
+    for n in (2, 3, 4):
+        result = extend_one_order(star)
+        assert result.solved and result.trivector is None
+        star = result.extended
+        # an independent residual re-check of the built-in post-check
+        assert StarProduct(3, n, star.corrections).assoc_residual(n).is_zero()
 
 
 def test_extension_cocycle_lies_in_reported_freedom_span():
     # the reported freedom is every Hochschild 2-cocycle: the commuting-derivation
     # cocycle and the candidate's difference from the Moyal B_2 are cocycles
     star = moyal_star(plane_pi3(), 1)
-    result = extend_one_order(star, 0, 2)
+    result = extend_one_order(star)
     assert result.solved
     cocycle = PolyDiffOp.single(3, [(0, 1, 0), (0, 0, 1)]) - PolyDiffOp.single(
         3, [(0, 0, 1), (0, 1, 0)]
@@ -669,6 +703,30 @@ def test_extension_cocycle_lies_in_reported_freedom_span():
     # d(d_1^2 (x) 1)(f, g, h) = -(d_1^2 f) g h - 2 (d_1 f)(d_1 g) h: not a cocycle
     not_a_cocycle = PolyDiffOp.single(3, [(2, 0, 0), (0, 0, 0)])
     assert not reference_hochschild_d(difference + not_a_cocycle).is_zero()
+
+
+@pytest.mark.parametrize("K", [1, 2, 3])
+def test_a_target_beyond_the_slot_order_subcomplex_solves_over_every_split(monkeypatch, K):
+    # on R^1, T = d(d^(1, K+1)) has slot orders <= K, and no column within K reaches
+    # all its keys; its trivector is zero (R^1 has no coordinate triple), so the
+    # second solve, over every split of the weight K + 2, decides
+    T = _TermMap()
+    _differential_into(T, PolyDiffOp.single(1, ((1,), (K + 1,))), 1)
+    assert max(sum(a) for key, t in T.items() if t for a in key) == K
+    bounds = []
+    solve_columns = star_module._solve_columns
+
+    def recording(dim, terms, bound):
+        found = solve_columns(dim, terms, bound)
+        bounds.append((bound, found is not None))
+        return found
+
+    monkeypatch.setattr(star_module, "_solve_columns", recording)
+    particular, trivector = star_module._solve_target(1, T)
+    assert bounds == [(K, False), (K + 2, True)]
+    assert trivector is None
+    want = PolyDiffOp._from_term_map(1, 3, T)
+    assert reference_hochschild_d(particular) == want
 
 
 SERIES = {StarProduct: 2, FormalDiffeo: 1}  # each truncated series type and its arity
