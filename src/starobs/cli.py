@@ -464,8 +464,8 @@ def cmd_extend_star(problem: Problem, order: int | None) -> dict:
     else:
         payload["trivector"] = polyvector_payload(result.trivector, problem.names)
         payload["scope"] = (
-            "the trivector, the target antisymmetrized on coordinate triples, is nonzero, "
-            "so no correction at new_order exists with the given lower orders"
+            "the target antisymmetrized on coordinate triples is this nonzero trivector, so no "
+            "correction at new_order exists with the given lower orders; others may extend"
         )
     return payload
 
