@@ -204,9 +204,15 @@ def _integer(value: Any, where: str, minimum: int | None = None) -> int:
     return value
 
 
+def _optional(data: dict, key: str, default: Any) -> Any:
+    """data[key], or `default` when the key is absent or a JSON null."""
+    value = data.get(key)
+    return default if value is None else value
+
+
 def _field(data: dict, key: str, kind: type, where: str) -> Any:
-    """data[key] (an empty `kind` when absent), checked to be a list or an object."""
-    value = data.get(key, kind())
+    """data[key] (an empty `kind` when absent or null), checked to be a list or an object."""
+    value = _optional(data, key, kind())
     if not isinstance(value, kind):
         expected = "a list" if kind is list else "an object"
         raise ProblemError(f"{where}: expected {expected}, got {type(value).__name__}")
@@ -251,7 +257,7 @@ def load_problem_data(data: dict) -> Problem:
     star = None
     star_spec = data.get("star")
     if star_spec is not None:
-        if not isinstance(star_spec, dict) or "type" not in star_spec:
+        if not isinstance(star_spec, dict) or star_spec.get("type") is None:
             raise ProblemError("'star' must be an object with a 'type'")
         order = _integer(star_spec.get("order"), "star.order", 1)
         if order > MAX_STAR_ORDER:
@@ -282,13 +288,14 @@ def load_problem_data(data: dict) -> Problem:
     ]
 
     bounds_data = _field(data, "bounds", dict, "bounds")
-    given = [key for key in ("degree", "op_order") if key in bounds_data]  # else Bounds' default
+    given = [key for key in ("degree", "op_order") if bounds_data.get(key) is not None]
     bounds = Bounds(**{key: _integer(bounds_data[key], f"bounds.{key}", 0) for key in given})
     command = data.get("command")
     if command is not None and command not in COMMANDS:
         raise ProblemError(f"unknown command {command!r}; expected one of {', '.join(COMMANDS)}")
-    order = _integer(data["order"], "order", 1) if "order" in data else None
-    seed = _integer(data.get("seed", 0), "seed")
+    order = _optional(data, "order", None)
+    order = None if order is None else _integer(order, "order", 1)
+    seed = _integer(_optional(data, "seed", 0), "seed")
 
     problem = Problem(
         dim=dim,

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 import operator
+import re
 from fractions import Fraction
 from typing import Hashable, Mapping, Sequence
 
@@ -378,6 +379,11 @@ class _Parser:
     """Recursive-descent parser for polynomial expressions, evaluated to
     {monomial: coefficient} dicts by `poly`'s kernels.
 
+    The text is tokenized once into (start, text) tokens: runs of ASCII
+    digits, runs of `is_name`'s characters (str.isalnum or '_'), and each
+    other character but whitespace, then an empty token for the end of
+    input.  An error is given its position, so the parser only moves forward.
+
     Grammar: sums and differences of terms, terms are '*'-separated
     factors, factors are integers, rationals like 3/4, declared variable
     names, parenthesised expressions, optionally raised with '^' to a
@@ -403,55 +409,51 @@ class _Parser:
     MAX_COEFFICIENT_DIGITS = 4300  # the interpreter's default int-to-string limit
     _COEFFICIENT_BOUND = 10**MAX_COEFFICIENT_DIGITS
     DIGITS = "0123456789"  # str.isdigit also takes digits int() rejects, such as '²'
+    TOKEN = re.compile(r"[0-9]+|\w+|\S")  # \w is str.isalnum or '_', \s str.isspace
 
     def __init__(self, text: str, names: Sequence[str]):
         self.text = text
-        self.pos = 0
+        self.tokens = [(m.start(), m.group()) for m in self.TOKEN.finditer(text)]
+        self.tokens.append((len(text), ""))
+        self.i = 0
         self.depth = 0
         self.names = list(names)
         self.dim = len(self.names)
         if not self.dim:
             raise ValueError("polynomial needs at least one variable")
 
-    def error(self, message: str):
-        raise PolynomialParseError(self.text, self.pos, message)
-
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
+    def error(self, at: int, message: str):
+        raise PolynomialParseError(self.text, at, message)
 
     def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
+        return self.tokens[self.i][1]
 
-    def take(self, ch: str) -> bool:
-        if self.peek() == ch:
-            self.pos += 1
+    def next(self) -> tuple[int, str]:
+        self.i += 1
+        return self.tokens[self.i - 1]
+
+    def take(self, text: str) -> bool:
+        if self.peek() == text:
+            self.i += 1
             return True
         return False
 
     def parse(self) -> dict:
         p = self.expr()
-        self.skip_ws()
-        if self.pos != len(self.text):
-            self.error("unexpected trailing input")
+        at, rest = self.tokens[self.i]
+        if rest:
+            self.error(at, "unexpected trailing input")
         return p
 
     def expr(self) -> dict:
-        sign = 1
-        while True:
-            if self.take("-"):
-                sign = -sign
-            elif self.take("+"):
-                pass
-            else:
-                break
+        negate = False
+        while self.peek() in ("+", "-"):
+            negate ^= self.next()[1] == "-"
         result = self.term()
-        if sign < 0:
+        if negate:
             result = {e: -c for e, c in result.items()}
         while (op := self.peek()) in ("+", "-"):
-            at = self.pos
-            self.pos += 1
+            at = self.next()[0]
             _add_into(result, self.term(), 1 if op == "+" else -1)
             self.checked(result, at, "sum")
         return result
@@ -459,8 +461,7 @@ class _Parser:
     def term(self) -> dict:
         result = self.factor()
         while self.peek() == "*":
-            at = self.pos
-            self.pos += 1
+            at = self.next()[0]
             result = self.checked(_product(result, self.factor()), at, "product")
         return result
 
@@ -468,32 +469,27 @@ class _Parser:
         base = self.atom()
         if not self.take("^"):
             return base
-        self.skip_ws()
-        start = self.pos
-        expo = self.integer("exponent")
-        end, self.pos = self.pos, start  # errors point at the exponent
+        at, digits = self.next()  # errors point at the exponent
+        expo = self.integer(at, digits, "exponent")
         if len(base) > 1 and expo > self.MAX_SUM_POWER:
             self.error(
-                f"exponent {expo} on a base of {len(base)} terms "
-                f"exceeds {self.MAX_SUM_POWER}"
+                at,
+                f"exponent {expo} on a base of {len(base)} terms exceeds {self.MAX_SUM_POWER}",
             )
         if len(base) == 1:
-            self.check_coefficient(next(iter(base.values())), expo, "power")
-        self.pos = end
-        return self.checked(_power(base, expo, zero_exponents(self.dim)), start, "power")
+            self.check_coefficient(next(iter(base.values())), expo, "power", at)
+        return self.checked(_power(base, expo, zero_exponents(self.dim)), at, "power")
 
     def checked(self, p: dict, at: int, what: str) -> dict:
         """p, the `what` of the operator at position `at`, unless a coefficient
         of p is too long for check_coefficient: then an error at `at`."""
-        end, self.pos = self.pos, at
         for c in p.values():
-            self.check_coefficient(c, 1, what)
-        self.pos = end
+            self.check_coefficient(c, 1, what, at)
         return p
 
-    def check_coefficient(self, c: Fraction | int, n: int, what: str):
-        """An error unless c^n has at most MAX_COEFFICIENT_DIGITS digits above
-        and below the fraction bar, decided without computing a longer power."""
+    def check_coefficient(self, c: Fraction | int, n: int, what: str, at: int):
+        """An error at `at` unless c^n has at most MAX_COEFFICIENT_DIGITS digits
+        above and below the fraction bar, decided without computing a longer power."""
         limit = self._COEFFICIENT_BOUND
         for k in (abs(c.numerator), c.denominator):
             # 2^bits <= k, so k^n >= 2^(n bits), past the limit once n bits reaches
@@ -501,57 +497,47 @@ class _Parser:
             bits = k.bit_length() - 1
             if n * bits >= limit.bit_length() or k**n >= limit:
                 self.error(
+                    at,
                     f"a coefficient of this {what} has more than "
-                    f"{self.MAX_COEFFICIENT_DIGITS} digits"
+                    f"{self.MAX_COEFFICIENT_DIGITS} digits",
                 )
 
     def atom(self) -> dict:
-        ch = self.peek()
-        if ch == "(":
-            self.take("(")
+        at, text = self.next()
+        if text == "(":
             self.depth += 1
             if self.depth > self.MAX_NESTING:
-                self.error(f"parentheses nested deeper than {self.MAX_NESTING}")
+                self.error(at + 1, f"parentheses nested deeper than {self.MAX_NESTING}")
             p = self.expr()
             if not self.take(")"):
-                self.error("expected ')'")
+                self.error(self.tokens[self.i][0], "expected ')'")
             self.depth -= 1
             return p
-        if ch in self.DIGITS:
-            num = self.integer("number")
+        if text[:1] in self.DIGITS:  # the end token too: it reads "expected number"
+            num = self.integer(at, text, "number")
             if self.take("/"):
-                den = self.integer("denominator")
+                at, text = self.next()
+                den = self.integer(at, text, "denominator")
                 if den == 0:
-                    self.error("zero denominator")
+                    self.error(at + len(text), "zero denominator")
                 num = _ratio(num, den)
             return {zero_exponents(self.dim): num} if num else {}
-        if is_name(ch):
-            name = self.name()
-            if name not in self.names:
-                self.error(f"unknown variable {name!r} (declared: {', '.join(self.names)})")
-            return {unit_exponents(self.dim, self.names.index(name)): 1}
-        self.error("expected a number, variable or '('")
+        if is_name(text):
+            if text not in self.names:
+                self.error(
+                    at + len(text), f"unknown variable {text!r} (declared: {', '.join(self.names)})"
+                )
+            return {unit_exponents(self.dim, self.names.index(text)): 1}
+        self.error(at, "expected a number, variable or '('")
 
-    def integer(self, what: str) -> int:
-        self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos] in self.DIGITS:
-            self.pos += 1
-        if start == self.pos:
-            self.error(f"expected {what}")
+    def integer(self, at: int, digits: str, what: str) -> int:
+        """The value of the token (at, digits), which must be a run of ASCII digits."""
+        if not digits.isascii() or not digits.isdigit():
+            self.error(at, f"expected {what}")
         try:
-            return int(self.text[start : self.pos])
+            return int(digits)
         except ValueError:  # longer than the interpreter converts
-            self.pos = start
-            self.error(f"{what} has too many digits")
-
-    def name(self) -> str:
-        # atom found a name's first character at pos; c continues it when "_" + c is a name
-        start = self.pos
-        self.pos += 1
-        while self.pos < len(self.text) and is_name("_" + self.text[self.pos]):
-            self.pos += 1
-        return self.text[start : self.pos]
+            self.error(at, f"{what} has too many digits")
 
 
 def parse_polynomial(text: str, names: Sequence[str]) -> Polynomial:

@@ -363,6 +363,30 @@ MUTANTS = [
         (KERNELS + "test_parser_matches_the_replaced_polynomial_parser",),
     ),
     Mutant(
+        "the unknown-name error points at the name's start",
+        "poly.py",
+        "                    at + len(text), f\"unknown variable",
+        "                    at, f\"unknown variable",
+        ("tests/test_poly.py::test_parse_error_quotes_a_window_around_the_position",),
+    ),
+    Mutant(
+        "the nesting error points at its '('",
+        "poly.py",
+        "self.error(at + 1, f\"parentheses nested deeper",
+        "self.error(at, f\"parentheses nested deeper",
+        (
+            "tests/test_cli.py::"
+            "test_malformed_input_exits_1_naming_the_field[generator-nested-deep]",
+        ),
+    ),
+    Mutant(
+        "the zero-denominator error points at the denominator's start",
+        "poly.py",
+        'self.error(at + len(text), "zero denominator")',
+        'self.error(at, "zero denominator")',
+        (KERNELS + "test_parser_matches_the_replaced_polynomial_parser",),
+    ),
+    Mutant(
         "a difference parsed as a sum",
         "poly.py",
         '_add_into(result, self.term(), 1 if op == "+" else -1)',

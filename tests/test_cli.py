@@ -1,4 +1,5 @@
 import copy
+import functools
 import json
 import random
 import time
@@ -123,6 +124,34 @@ def test_load_rejects_moyal_on_nonconstant_bivector():
     data = dict(SO3, star={"type": "moyal", "order": 2})
     with pytest.raises(ProblemError, match="constant"):
         load_problem_data(data)
+
+
+
+@pytest.mark.parametrize(
+    "path",
+    [
+        ("order",),
+        ("seed",),
+        ("command",),
+        ("bounds",),
+        ("bounds", "degree"),
+        ("bounds", "op_order"),
+        ("generators",),
+        ("poisson",),
+        ("star",),
+        ("star", "terms"),
+        ("star", "terms", "2"),
+    ],
+    ids=".".join,
+)
+def test_a_null_optional_field_loads_like_its_absent_field(path):
+    given = dict(REMOVABLE, order=2, command="eliminate")
+    null, absent = copy.deepcopy(given), copy.deepcopy(given)
+    *outer, key = path
+    functools.reduce(dict.get, outer, null)[key] = None
+    del functools.reduce(dict.get, outer, absent)[key]
+    loaded, want = load_problem_data(null), load_problem_data(absent)
+    assert (problem_payload(loaded), loaded.order) == (problem_payload(want), want.order)
 
 
 # -- commands --------------------------------------------------------------------
@@ -760,6 +789,16 @@ def star_with_slot(slot):
             f"generators[0]: at position 4305 in …{LONG_QUOTIENT_SUM[4275:4335]!r}…: "
             "a coefficient of this sum has more than 4300 digits",
         ),
+        # null is absent, on a required field too; 0, "" and [] are values
+        ({"dimension": None}, [], "dimension: missing; expected an integer of at least 1"),
+        ({"star": {"type": None, "order": 2}}, [], "'star' must be an object with a 'type'"),
+        ({"coordinates": None}, [], "'coordinates' must list exactly 3 names"),
+        ({"order": 0}, [], "order: must be at least 1, got 0"),
+        ({"seed": ""}, [], "seed: expected an integer, got str"),
+        ({"bounds": []}, [], "bounds: expected an object, got list"),
+        ({"bounds": {"degree": ""}}, [], "bounds.degree: expected an integer, got str"),
+        ({"generators": ""}, [], "generators: expected a list, got str"),
+        ({"poisson": 0}, [], "poisson: expected a list, got int"),
     ],
     ids=[
         "poisson-not-list",
@@ -807,6 +846,15 @@ def star_with_slot(slot):
         "generator-product-too-long",
         "generator-sum-too-long",
         "generator-sum-of-quotients-too-long",
+        "dimension-null",
+        "star-type-null",
+        "coordinates-null",
+        "order-zero",
+        "seed-empty-string",
+        "bounds-empty-list",
+        "bounds-degree-empty-string",
+        "generators-empty-string",
+        "poisson-zero",
     ],
 )
 def test_malformed_input_exits_1_naming_the_field(tmp_path, capsys, patch, flags, message):

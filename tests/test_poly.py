@@ -1,4 +1,5 @@
 import random
+import sys
 import time
 from fractions import Fraction
 
@@ -100,6 +101,19 @@ def test_parse_error_quotes_a_window_around_the_position():
     with pytest.raises(PolynomialParseError) as info:
         p2(text)
     assert str(info.value).startswith(f"at position 81 in …{text[51:111]!r}…: ")
+
+
+def test_the_token_classes_are_isspace_and_the_name_characters():
+    """On every code point, the tokenizer skips exactly what str.isspace takes,
+    and a name's run goes on exactly over is_name's isalnum() or '_'."""
+    code_points = [chr(k) for k in range(sys.maxunicode + 1)]
+    # joined by '_', a name character falls in a token of two or more characters,
+    # and any other character but whitespace is a token of its own
+    tokens = _Parser.TOKEN.findall("_".join(code_points))
+    kept = set("".join(tokens))
+    assert {c for c in code_points if c not in kept} == {c for c in code_points if c.isspace()}
+    runs = set("".join(t for t in tokens if len(t) > 1))
+    assert runs == {c for c in code_points if c.isalnum() or c == "_"}
 
 
 @pytest.mark.parametrize("text", ["1", "1/2", "(3)^2", "0", "", "x", "1 +"])

@@ -124,6 +124,19 @@ def parsed(parse, text: str, names: list[str]):
 @hypothesis.example(2, "1/2*x + 1/2*x - p1 + 2/4")
 @hypothesis.example(4, "\u00a0x\u2003*\tZeta_2 - _q^2 + p1\u00b2")
 @hypothesis.example(2, "x\u0663 + 1")
+@hypothesis.example(2, "x+")  # end of input after each operator
+@hypothesis.example(2, "x*")
+@hypothesis.example(2, "x^")
+@hypothesis.example(2, "3/")
+@hypothesis.example(2, "(")
+@hypothesis.example(2, "")
+@hypothesis.example(2, " \t ")
+@hypothesis.example(2, "3 / 4")
+@hypothesis.example(2, "x ^ 2")
+@hypothesis.example(2, "x\u00b2\u0663")  # a name that runs into non-ASCII digits
+@hypothesis.example(2, "\u00b2x")  # an atom that starts with one
+@hypothesis.example(2, "q + x")  # an unknown name, then a space
+@hypothesis.example(2, "x + q ")
 def test_parser_matches_the_replaced_polynomial_parser(dim, text):
     """The dict-valued parser gives the Polynomial-valued one's terms, in order
     and of the same types, or the same PolynomialParseError message and position."""
