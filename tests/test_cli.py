@@ -126,7 +126,6 @@ def test_load_rejects_moyal_on_nonconstant_bivector():
         load_problem_data(data)
 
 
-
 @pytest.mark.parametrize(
     "path",
     [
