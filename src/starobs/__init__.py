@@ -12,7 +12,6 @@ from .multivec import (
     Polyvector,
     RelativeClass,
     d_hor,
-    hamiltonian_field,
     jacobi_check,
     poisson_bracket,
     schouten_bracket,
@@ -82,7 +81,6 @@ __all__ = [
     "exactness_solve",
     "extend_one_order",
     "gauge_transform",
-    "hamiltonian_field",
     "hochschild_d",
     "jacobi_check",
     "lift_witness",

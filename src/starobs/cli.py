@@ -223,6 +223,7 @@ def load_problem_data(data: dict) -> Problem:
     if not isinstance(data, dict):
         raise ProblemError("problem file must contain a JSON object")
     dim = _integer(data.get("dimension"), "dimension", 1)
+    _present(data.get("coordinates"), "coordinates", f"a list of {dim} names")
     names = _field(data, "coordinates", list, "coordinates")
     for k, name in enumerate(names):
         if not isinstance(name, str):

@@ -19,13 +19,16 @@ right-hand side may be a sparse vector of labelled values instead of a
 number: one elimination of A then solves A x = b_label for every label,
 instead of one elimination per label.
 
-The scaling to integers, the row sums and the divisions are `poly`'s
-dict kernels `_integers`, `_add_into` and `_ratio`.
+The scaling to integers, the row sums, the in-place scalings and the
+divisions are `poly`'s dict kernels `_integers`, `_add_into`,
+`_multiplied`, `_divided` and `_ratio`.
 
 The obstruction solvers assemble their systems with ``_SparseSystem``:
 columns are fixed up front as a list of labels (that list's order is the
 solve's column order), a row is created the first time its label is
-used, and the solution comes back keyed by column label.
+used, and the solution comes back keyed by column label.  The exactness,
+lift and unary gauge solves enter each polynomial shifted by an ansatz
+monomial with ``_add_shifted``.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from math import gcd, lcm
 from operator import add
 from typing import Hashable, Sequence
 
-from .poly import _accumulate, _add_into, _integers, _ratio
+from .poly import _accumulate, _add_into, _divided, _integers, _multiplied, _ratio, add_exponents
 
 
 @dataclass
@@ -52,22 +55,6 @@ class LinearSolveResult:
     @property
     def solved(self) -> bool:
         return self.solution is not None
-
-
-def _multiply(row: dict, br: dict, m: int) -> None:
-    """row and its right-hand side br times m, in place."""
-    for c in row:
-        row[c] *= m
-    for k in br:
-        br[k] *= m
-
-
-def _divide(row: dict, br: dict, g: int) -> None:
-    """row and its right-hand side br divided by g, which divides every entry."""
-    for c in row:
-        row[c] //= g
-    for k in br:
-        br[k] //= g
 
 
 def solve_sparse(
@@ -149,8 +136,10 @@ def solve_sparse(
             p, v = value[pr], row[pc]
             g = gcd(p, v)
             if g != p:
-                _multiply(row, br, p // g)
-                scale *= p // g
+                m = p // g
+                _multiplied(row, m)
+                _multiplied(br, m)
+                scale *= m
             f = -(v // g)
             _add_into(row, work[pr], f)
             if b[pr]:
@@ -169,7 +158,8 @@ def solve_sparse(
         if row[pc] < 0:
             g = -g
         if g != 1:
-            _divide(row, br, g)
+            _divided(row, g)
+            _divided(br, g)
         p = row[pc]
         # back-eliminate from the earlier pivot rows that hold the new pivot column
         for pr in col_rows.pop(pc, ()):
@@ -178,7 +168,8 @@ def solve_sparse(
             g = gcd(p, u)
             m = p // g
             if m != 1:
-                _multiply(prow, bpr, m)
+                _multiplied(prow, m)
+                _multiplied(bpr, m)
             f = -(u // g)
             for c, v in row.items():
                 _accumulate(prow, c, f * v)
@@ -192,7 +183,8 @@ def solve_sparse(
             if m != 1:
                 content = gcd(*prow.values(), *bpr.values())
                 if content != 1:
-                    _divide(prow, bpr, content)
+                    _divided(prow, content)
+                    _divided(bpr, content)
                 value[pr] = value[pr] * m // content
         for c in row:
             if c != pc:
@@ -247,6 +239,12 @@ class _SparseSystem:
     def _add(self, row: Hashable, column: Hashable, value: Fraction):
         """A[row, column] += value."""
         _accumulate(self.rows[self._row(row)], self._column_index[column], value)
+
+    def _add_shifted(self, group: Hashable, base: dict, shift: tuple, column: Hashable, factor=1):
+        """A[(group, e + shift), column] += factor * v for each term v x^e of base."""
+        ci = self._column_index[column]
+        for mono, v in base.items():
+            _accumulate(self.rows[self._row((group, add_exponents(mono, shift)))], ci, v * factor)
 
     def _add_rhs(self, row: Hashable, value: Fraction):
         """b[row] += value."""

@@ -165,10 +165,6 @@ class Polyvector(_Alternating):
         return cls(dim, degree, {})
 
     @classmethod
-    def from_polynomial(cls, p: Polynomial) -> Polyvector:
-        return cls(p.dim, 0, {(): p})
-
-    @classmethod
     def bivector(cls, dim: int, entries: Mapping[tuple[int, int], Polynomial | Fraction | int]) -> Polyvector:
         comps = {}
         for (i, j), v in entries.items():
@@ -223,11 +219,6 @@ def jacobi_check(pi: Polyvector) -> tuple[bool, Polyvector]:
         raise ValueError("jacobi_check needs a degree-2 polyvector")
     witness = schouten_bracket(pi, pi)
     return witness.is_zero(), witness
-
-
-def hamiltonian_field(pi: Polyvector, f: Polynomial) -> Polyvector:
-    """Vector field {f, .} = [pi, f] in this module's conventions."""
-    return schouten_bracket(pi, Polyvector.from_polynomial(f))
 
 
 # -- relative classes --------------------------------------------------------

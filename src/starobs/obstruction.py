@@ -24,14 +24,7 @@ from typing import Callable
 
 from . import linsolve
 from .linsolve import _SparseSystem, _weight_blocks
-from .multivec import (
-    Polyvector,
-    RelativeClass,
-    d_hor,
-    hamiltonian_field,
-    jacobi_check,
-    poisson_bracket,
-)
+from .multivec import Polyvector, RelativeClass, d_hor, jacobi_check, poisson_bracket
 from .poly import (
     Exponents,
     Polynomial,
@@ -39,7 +32,6 @@ from .poly import (
     _divided,
     _gather_monomials,
     _product,
-    add_exponents,
     exponents_upto,
     sub_exponents,
     unit_exponents,
@@ -276,16 +268,16 @@ def exactness_solve(
     dim = system.dim
     if c.is_zero():
         return ExactnessResult(witness=RelativeClass.zero(dim, n, 1))
-    if all(hamiltonian_field(system.pi, g).is_zero() for g in system.generators):
-        return ExactnessResult(certificate="zero_image")
-
-    emons = exponents_upto(dim, degree_bound)
     # {f_i, x^e} = sum_k e_k x^(e - unit_k) {f_i, x_k}: one bracket per generator
     # and coordinate, shifted by each ansatz monomial
     brackets = [
         [poisson_bracket(system.pi, g, Polynomial.variable(dim, k)).terms for k in range(dim)]
         for g in system.generators
     ]
+    if not any(any(row) for row in brackets):  # every generator is a Casimir
+        return ExactnessResult(certificate="zero_image")
+
+    emons = exponents_upto(dim, degree_bound)
     steps = [[(k, x, e[:k] + (x - 1,) + e[k + 1 :]) for k, x in enumerate(e) if x] for e in emons]
     eqs = _SparseSystem([(e, (j,)) for j in range(n) for e in emons])
     for i in range(n):
@@ -293,10 +285,8 @@ def exactness_solve(
             # {f_i, g_j} - {f_j, g_i} = c_ij
             for e, shifts in zip(emons, steps):
                 for k, x, shift in shifts:
-                    for mono, v in brackets[i][k].items():
-                        eqs._add(((i, j), add_exponents(mono, shift)), (e, (j,)), x * v)
-                    for mono, v in brackets[j][k].items():
-                        eqs._add(((i, j), add_exponents(mono, shift)), (e, (i,)), -x * v)
+                    eqs._add_shifted((i, j), brackets[i][k], shift, (e, (j,)), x)
+                    eqs._add_shifted((i, j), brackets[j][k], shift, (e, (i,)), -x)
             for mono, v in c.component((i, j)).terms.items():
                 eqs._add_rhs(((i, j), mono), v)
 
@@ -335,8 +325,7 @@ def lift_witness(
         for k, u in enumerate(units):
             partial = g.partial(k).terms
             for e in emons:  # x^e d_k f_j: d_k f_j shifted by e
-                for mono, v in partial.items():
-                    eqs._add((j, add_exponents(mono, e)), (e, (u,)), v)
+                eqs._add_shifted(j, partial, e, (e, (u,)))
         for mono, v in Y.component((j,)).terms.items():
             eqs._add_rhs((j, mono), v)
 
@@ -464,8 +453,7 @@ def _unary_ansatz_rows(
                 w = dict(table[a, alpha])
                 _add_into(w, chain, -1)
                 for e in es:
-                    for mono, c in w.items():
-                        eqs._add((alpha, add_exponents(mono, e)), (e, (a,)), c)
+                    eqs._add_shifted(alpha, w, e, (e, (a,)))
         for mono, c in _divided(phi0[alpha], den).items():
             eqs._add_rhs((alpha, mono), c)
     return eqs

@@ -9,8 +9,9 @@ module also holds the exponent-tuple helpers and the polynomial parser.
 
 It owns the {monomial: coefficient} dict format, and with it the one loop
 for each operation on such dicts: `_add_into`, `_product`, `_power`,
-`_partial`, `_integers`, `_ratio` and `_divided`.  Polynomials, the operators'
-integer term maps and the sparse solver's rows all run on these.
+`_partial`, `_integers`, `_ratio`, `_multiplied` and `_divided`.
+Polynomials, the operators' integer term maps and the sparse solver's
+rows all run on these.
 """
 
 from __future__ import annotations
@@ -88,16 +89,19 @@ def _power(p: Mapping, n: int, one: Exponents) -> dict:
 def _partial(t: Mapping, gamma: Exponents) -> Mapping:
     """d^gamma of the polynomial with coefficients t, int or Fraction, in one
     pass: x^e goes to e!/(e - gamma)! x^(e - gamma), so no two monomials meet
-    and t's order is kept.  t itself when gamma is zero."""
+    and t's order is kept.  t itself when gamma is zero.  Only the coordinates
+    that gamma differentiates are read, so a unit gamma costs one test a term."""
     if not any(gamma):
         return t
+    orders = [(k, g) for k, g in enumerate(gamma) if g]
     out = {}
     for mono, v in t.items():
-        rest = sub_exponents(mono, gamma)
-        if min(rest) >= 0:
-            for e, g in zip(mono, gamma):
-                v *= math.perm(e, g)
-            out[rest] = v
+        for k, g in orders:
+            if mono[k] < g:
+                break
+            v *= math.perm(mono[k], g)
+        else:
+            out[sub_exponents(mono, gamma)] = v
     return out
 
 
@@ -116,6 +120,14 @@ def _ratio(a: int | Fraction, p: int) -> int | Fraction:
         return a
     q, r = divmod(a, p)
     return Fraction(a, p) if r else q
+
+
+def _multiplied(t: dict, m: int) -> dict:
+    """t with each value v replaced by v * m, in place; t is returned."""
+    if m != 1:
+        for mono, v in t.items():
+            t[mono] = v * m
+    return t
 
 
 def _divided(t: dict, den: int) -> dict:
@@ -287,16 +299,10 @@ class Polynomial:
     # -- calculus ----------------------------------------------------------
 
     def partial(self, i: int) -> Polynomial:
-        """Formal partial derivative with respect to variable i."""
+        """Formal partial derivative with respect to variable i, by _partial."""
         if not 0 <= i < self.dim:
             raise IndexError(f"variable index {i} out of range for dim {self.dim}")
-        terms: dict[Exponents, Fraction | int] = {}
-        for exps, c in self.terms.items():
-            if exps[i]:
-                e = list(exps)
-                e[i] -= 1
-                _accumulate(terms, tuple(e), c * exps[i])
-        return Polynomial._trusted(self.dim, terms)
+        return Polynomial._trusted(self.dim, _partial(self.terms, unit_exponents(self.dim, i)))
 
     def partial_multi(self, alpha: Exponents) -> Polynomial:
         """Iterated partial derivative with multi-index alpha, by _partial."""
@@ -513,7 +519,7 @@ class _Parser:
                 self.error(self.tokens[self.i][0], "expected ')'")
             self.depth -= 1
             return p
-        if text[:1] in self.DIGITS:  # the end token too: it reads "expected number"
+        if text and text[0] in self.DIGITS:
             num = self.integer(at, text, "number")
             if self.take("/"):
                 at, text = self.next()

@@ -46,6 +46,7 @@ from .poly import (
     _add_into,
     _divided,
     _integers,
+    _multiplied,
     _partial,
     _product,
     add_exponents,
@@ -115,8 +116,7 @@ class _TermMap(dict):
         if self.den % den:
             factor = den // math.gcd(self.den, den)
             for acc in self.values():
-                for mono in acc:
-                    acc[mono] *= factor
+                _multiplied(acc, factor)
             self.den *= factor
         return self.den // den
 

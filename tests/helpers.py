@@ -10,6 +10,8 @@ import random
 from fractions import Fraction
 from typing import Hashable, Sequence
 
+from oracles import hamiltonian_field
+
 from starobs import (
     ExactnessResult,
     FormalDiffeo,
@@ -19,7 +21,6 @@ from starobs import (
     Polyvector,
     RelativeClass,
     d_hor,
-    hamiltonian_field,
     moyal_star,
     parse_polynomial,
     poisson_bracket,
@@ -780,12 +781,23 @@ def reference_add_multiple(target: dict, source: dict, f) -> None:
         _accumulate(target, c, f * v)
 
 
+def reference_partial(p: Polynomial, i: int) -> Polynomial:
+    """d_i p by Polynomial.partial's own loop, as it was before it called _partial."""
+    terms: dict = {}
+    for exps, c in p.terms.items():
+        if exps[i]:
+            e = list(exps)
+            e[i] -= 1
+            _accumulate(terms, tuple(e), c * exps[i])
+    return Polynomial._trusted(p.dim, terms)
+
+
 def reference_partial_multi(p: Polynomial, alpha: Exponents) -> Polynomial:
-    """d^alpha of p as iterated single-variable derivatives: Polynomial.partial_multi
-    as it was before it took the multi-index in one pass."""
+    """d^alpha of p as iterated single-variable derivatives by reference_partial:
+    Polynomial.partial_multi as it was before it took the multi-index in one pass."""
     for i, k in enumerate(alpha):
         for _ in range(k):
-            p = p.partial(i)
+            p = reference_partial(p, i)
             if p.is_zero():
                 return p
     return p
@@ -1487,7 +1499,7 @@ class _ReferenceParser:
                 self.error("expected ')'")
             self.depth -= 1
             return p
-        if ch in self.DIGITS:
+        if ch and ch in self.DIGITS:
             num = self.integer("number")
             if self.take("/"):
                 den = self.integer("denominator")

@@ -174,8 +174,8 @@ MUTANTS = [
     Mutant(
         "unary rows without the e-shift",
         "obstruction.py",
-        "eqs._add((alpha, add_exponents(mono, e)), (e, (a,)), c)",
-        "eqs._add((alpha, mono), (e, (a,)), c)",
+        "eqs._add_shifted(alpha, w, e, (e, (a,)))",
+        "eqs._add_shifted(alpha, w, (0,) * len(e), (e, (a,)))",
         (FACTORED + "test_unary_rows_match_per_column_reference_on_planted_product",),
     ),
     Mutant(
@@ -302,7 +302,7 @@ MUTANTS = [
     Mutant(
         "the earlier row is not scaled by p/g before back-elimination",
         "linsolve.py",
-        "                _multiply(prow, bpr, m)\n",
+        "                _multiplied(prow, m)\n                _multiplied(bpr, m)\n",
         "                pass\n",
         (LINSOLVE + "test_matches_the_fraction_solver",),
     ),
@@ -404,8 +404,8 @@ MUTANTS = [
     Mutant(
         "a rescaled term map keeps its old entries' numerators",
         "polydiff.py",
-        "                    acc[mono] *= factor\n",
-        "                    acc[mono] *= 1\n",
+        "                _multiplied(acc, factor)\n",
+        "                _multiplied(acc, 1)\n",
         (TERM_MAPS + "test_term_map_rescales_when_a_new_denominator_arrives",),
     ),
     Mutant(
@@ -432,8 +432,8 @@ MUTANTS = [
     Mutant(
         "integer derivatives weigh each exponent by a binomial, not a falling factorial",
         "poly.py",
-        "v *= math.perm(e, g)",
-        "v *= math.comb(e, g)",
+        "v *= math.perm(mono[k], g)",
+        "v *= math.comb(mono[k], g)",
         (TERM_MAPS + "test_term_maps_match_the_fraction_kernels",),
     ),
     # evaluations on generator monomials from the raw table, in numerators
@@ -464,8 +464,8 @@ MUTANTS = [
     Mutant(
         "lift shifts d_k f_j one step past x^e",
         "obstruction.py",
-        "eqs._add((j, add_exponents(mono, e)), (e, (u,)), v)",
-        "eqs._add((j, add_exponents(mono, e[:-1] + (e[-1] + 1,))), (e, (u,)), v)",
+        "eqs._add_shifted(j, partial, e, (e, (u,)))",
+        "eqs._add_shifted(j, partial, e[:-1] + (e[-1] + 1,), (e, (u,)))",
         ("tests/test_obstruction.py::test_lift_matches_the_vector_field_reference",),
     ),
     Mutant(
@@ -503,6 +503,21 @@ MUTANTS = [
         "            _accumulate(out, add_exponents(e1, e2), c1 * c2)\n",
         "            out[add_exponents(e1, e2)] = c1 * c2\n",
         (KERNELS + "test_the_shared_kernels_match_the_loops_they_replaced",),
+    ),
+    Mutant(
+        "a dict scaling in place multiplies by nothing",
+        "poly.py",
+        "            t[mono] = v * m\n",
+        "            pass\n",
+        (KERNELS + "test_the_shared_kernels_match_the_loops_they_replaced",),
+    ),
+    # one shifted-row entry for the exactness, lift and unary solves
+    Mutant(
+        "a shifted row drops its factor",
+        "linsolve.py",
+        "ci, v * factor)",
+        "ci, v)",
+        ("tests/test_raw_table.py::test_exactness_matches_the_monomial_bracket_solve",),
     ),
     # one weight-block selector for the graded solves
     Mutant(

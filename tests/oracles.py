@@ -2,7 +2,8 @@
 
 None of these is on the pipeline's path: the cup product and the
 Gerstenhaber circle product and bracket of Hochschild cochains, the
-exterior product of polyvector fields and the Poisson differential.
+exterior product of polyvector fields, the Poisson differential, a
+function as a degree-0 polyvector and its Hamiltonian vector field.
 Acceptance criterion 1 and the graded identities of the Schouten
 bracket are stated in terms of them.
 
@@ -86,3 +87,13 @@ def d_pi(pi: Polyvector, T: Polyvector) -> Polyvector:
     if not ok:
         raise ValueError("bivector does not satisfy the Jacobi identity")
     return schouten_bracket(pi, T)
+
+
+def from_polynomial(p: Polynomial) -> Polyvector:
+    """p as a degree-0 polyvector field."""
+    return Polyvector(p.dim, 0, {(): p})
+
+
+def hamiltonian_field(pi: Polyvector, f: Polynomial) -> Polyvector:
+    """Vector field {f, .} = [pi, f] in multivec's conventions."""
+    return schouten_bracket(pi, from_polynomial(f))

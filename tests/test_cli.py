@@ -791,7 +791,12 @@ def star_with_slot(slot):
         # null is absent, on a required field too; 0, "" and [] are values
         ({"dimension": None}, [], "dimension: missing; expected an integer of at least 1"),
         ({"star": {"type": None, "order": 2}}, [], "'star' must be an object with a 'type'"),
-        ({"coordinates": None}, [], "'coordinates' must list exactly 3 names"),
+        ({"coordinates": None}, [], "coordinates: missing; expected a list of 3 names"),
+        (
+            json.dumps({k: v for k, v in REMOVABLE.items() if k != "coordinates"}),
+            [],
+            "coordinates: missing; expected a list of 3 names",
+        ),
         ({"order": 0}, [], "order: must be at least 1, got 0"),
         ({"seed": ""}, [], "seed: expected an integer, got str"),
         ({"bounds": []}, [], "bounds: expected an object, got list"),
@@ -848,6 +853,7 @@ def star_with_slot(slot):
         "dimension-null",
         "star-type-null",
         "coordinates-null",
+        "coordinates-missing",
         "order-zero",
         "seed-empty-string",
         "bounds-empty-list",

@@ -22,7 +22,7 @@ from helpers import (
     sign,
     so3_pi,
 )
-from oracles import d_pi, wedge
+from oracles import d_pi, from_polynomial, hamiltonian_field, wedge
 
 from starobs import (
     IntegrableSystem,
@@ -113,12 +113,12 @@ def test_bracket_requires_degree_two():
 
 
 def test_derivation_on_functions():
-    out = schouten_bracket(dx(), Polyvector.from_polynomial(p2("x^2")))
-    assert out == Polyvector.from_polynomial(p2("2*x"))
+    out = schouten_bracket(dx(), from_polynomial(p2("x^2")))
+    assert out == from_polynomial(p2("2*x"))
 
 
 def test_bivector_contracts_differential():
-    out = schouten_bracket(canonical_pi2(), Polyvector.from_polynomial(p2("x")))
+    out = schouten_bracket(canonical_pi2(), from_polynomial(p2("x")))
     assert out == dx(1)
 
 
@@ -228,12 +228,12 @@ def test_jacobi_requires_bivector():
 
 
 def test_d_pi_on_coordinate():
-    out = d_pi(canonical_pi2(), Polyvector.from_polynomial(p2("x")))
+    out = d_pi(canonical_pi2(), from_polynomial(p2("x")))
     assert out == dx(1)
 
 
 def test_d_pi_squared_on_function():
-    step = d_pi(canonical_pi2(), Polyvector.from_polynomial(p2("x^3")))
+    step = d_pi(canonical_pi2(), from_polynomial(p2("x^3")))
     assert d_pi(canonical_pi2(), step).is_zero()
 
 
@@ -244,7 +244,7 @@ def test_d_pi_on_vector_field():
 
 def test_d_pi_rejects_non_poisson():
     with pytest.raises(ValueError):
-        d_pi(non_poisson_pi(), Polyvector.from_polynomial(p3("x")))
+        d_pi(non_poisson_pi(), from_polynomial(p3("x")))
 
 
 def test_d_pi_squared_random_corpus():
@@ -364,8 +364,6 @@ def test_polyvector_component_lookup_antisymmetric():
 
 def test_hamiltonian_field_matches_bracket():
     from helpers import rand_poly as _rand
-
-    from starobs import hamiltonian_field
 
     rng = random.Random(77)
     pi = canonical_pi2()

@@ -103,6 +103,15 @@ def test_parse_error_quotes_a_window_around_the_position():
     assert str(info.value).startswith(f"at position 81 in …{text[51:111]!r}…: ")
 
 
+@pytest.mark.parametrize("text, pos", [("x+", 2), ("x*", 2), ("(", 1), ("", 0)])
+def test_a_missing_atom_at_the_end_of_input_says_what_could_stand_there(text, pos):
+    # the end token is no digit, so it reads as any other character that starts no atom
+    with pytest.raises(PolynomialParseError) as info:
+        p2(text)
+    assert info.value.pos == pos
+    assert str(info.value) == f"at position {pos} in {text!r}: expected a number, variable or '('"
+
+
 def test_the_token_classes_are_isspace_and_the_name_characters():
     """On every code point, the tokenizer skips exactly what str.isspace takes,
     and a name's run goes on exactly over is_name's isalnum() or '_'."""

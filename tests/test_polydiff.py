@@ -17,7 +17,7 @@ from helpers import (
     scaled,
     sign,
 )
-from oracles import cup, gerst_bracket, gerst_circ
+from oracles import cup, from_polynomial, gerst_bracket, gerst_circ
 
 from starobs import (
     FormalDiffeo,
@@ -203,7 +203,7 @@ def test_differential_is_bracket_with_multiplication():
 
 @pytest.mark.parametrize("text", ["x*p + 3", "0", "2/3"])
 def test_function_maps_to_multiplication_by_it(text):
-    op = hkr_to_cochain(Polyvector.from_polynomial(p2(text)))
+    op = hkr_to_cochain(from_polynomial(p2(text)))
     want = op_from_polynomial(p2(text))
     assert op == want and list(op.terms) == list(want.terms)
     assert op.arity == 0 and op.apply([]) == p2(text)

@@ -17,6 +17,7 @@ from helpers import (
     reference_mul,
     reference_numerators,
     reference_parse_polynomial,
+    reference_partial,
     reference_partial_multi,
     reference_product,
     reference_render_report,
@@ -29,7 +30,15 @@ st = hypothesis.strategies
 from starobs import FormalDiffeo, PolyDiffOp, Polynomial, compose_diffeo, parse_polynomial  # noqa: E402
 from starobs import PolynomialParseError  # noqa: E402
 from starobs.cli import Problem, load_problem_data, main, render_report  # noqa: E402
-from starobs.poly import _add_into, _divided, _integers, _partial, _product, is_name  # noqa: E402
+from starobs.poly import (  # noqa: E402
+    _add_into,
+    _divided,
+    _integers,
+    _multiplied,
+    _partial,
+    _product,
+    is_name,
+)
 from starobs.polydiff import _differential_into, _numerators, _TermMap  # noqa: E402
 from starobs.star import _trivector  # noqa: E402
 
@@ -185,6 +194,10 @@ def test_the_shared_kernels_match_the_loops_they_replaced(operands, factor, divi
         _add_into(got, q.terms, f)
         reference_add_multiple(want, q.terms, f)
         assert typed(got) == typed(want)
+        # the in-place scaling is the solver's and the term maps' replaced v * m loop
+        scaled = dict(p.terms)
+        assert _multiplied(scaled, f) is scaled
+        assert typed(scaled) == typed({e: v * f for e, v in p.terms.items()})
     # the replaced derivative made an integral Fraction an int at each step, _partial
     # keeps a value's type: the values and their order agree, and the Polynomial's types
     for alpha in (gamma, zero):
@@ -204,6 +217,18 @@ def test_the_shared_kernels_match_the_loops_they_replaced(operands, factor, divi
         assert typed(scaled) == typed({e: int(v * scale) for e, v in p.terms.items()})
         for d in (1, divisor, scale, math.lcm(scale, divisor)):
             assert typed(_divided(dict(scaled), d)) == typed(reference_divided(scaled, d))
+
+
+@hypothesis.settings(derandomize=True, deadline=None, database=None, max_examples=300)
+@hypothesis.given(polynomials(), st.integers(0, len(NAMES) - 1))
+def test_partial_matches_the_replaced_derivative_loop(p, i):
+    """Polynomial.partial, now _partial on a unit multi-index, gives the replaced
+    loop's terms: the same values of the same types in the same order."""
+    if i >= p.dim:
+        with pytest.raises(IndexError):
+            p.partial(i)
+        return
+    assert typed(p.partial(i).terms) == typed(reference_partial(p, i).terms)
 
 
 # coordinate names: letters, '_', digits that int() takes and digits it does not,

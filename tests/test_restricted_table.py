@@ -31,13 +31,13 @@ from helpers import (
     reference_restricted_items,
     reference_restricted_values,
 )
+from oracles import hamiltonian_field
 
 from starobs import (
     IntegrableSystem,
     PolyDiffOp,
     Polynomial,
     Polyvector,
-    hamiltonian_field,
     hochschild_d,
     moyal_star,
     restricted_values,

@@ -152,7 +152,7 @@ def test_the_only_memos_are_the_parser_and_the_leibniz_splittings():
 
 
 KERNELS = ("_product", "_power", "_add_into", "_partial", "_int_partial", "_add_multiple",
-           "_integers", "_ratio", "_divided")
+           "_integers", "_ratio", "_multiplied", "_multiply", "_divided", "_divide")
 
 
 def _bound_names(tree: ast.AST):
@@ -174,6 +174,6 @@ def test_only_poly_defines_the_coefficient_kernels():
         if name in KERNELS
     )
     assert defined == [
-        "poly._add_into", "poly._divided", "poly._integers", "poly._partial", "poly._power",
-        "poly._product", "poly._ratio",
+        "poly._add_into", "poly._divided", "poly._integers", "poly._multiplied", "poly._partial",
+        "poly._power", "poly._product", "poly._ratio",
     ]
