@@ -31,7 +31,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import TYPE_CHECKING, Mapping, Sequence
 
-from .poly import Polynomial, _accumulate, _add_into
+from .poly import Polynomial, _accumulate, _add_into, _partial, _product, unit_exponents
 
 if TYPE_CHECKING:  # pragma: no cover
     from .obstruction import IntegrableSystem
@@ -177,15 +177,18 @@ class Polyvector(_Alternating):
 
 
 def poisson_bracket(pi: Polyvector, f: Polynomial, g: Polynomial) -> Polynomial:
-    """{f, g} = sum_{i<j} pi_ij (d_i f d_j g - d_j f d_i g)."""
+    """{f, g} = sum_{i<j} pi_ij (d_i f d_j g - d_j f d_i g), on `poly`'s dict kernels."""
     if pi.degree != 2:
         raise ValueError("the bracket needs a degree-2 polyvector")
     if pi.dim != f.dim or pi.dim != g.dim:
         raise ValueError("dimension mismatch")
-    total = Polynomial.zero(f.dim)
+    total: dict = {}
     for (i, j), c in pi.components.items():
-        total = total + c * (f.partial(i) * g.partial(j) - f.partial(j) * g.partial(i))
-    return total
+        ui, uj = unit_exponents(f.dim, i), unit_exponents(f.dim, j)
+        term = _product(_partial(f.terms, ui), _partial(g.terms, uj))
+        _add_into(term, _product(_partial(f.terms, uj), _partial(g.terms, ui)), -1)
+        _add_into(total, _product(c.terms, term))
+    return Polynomial._trusted(f.dim, total)
 
 
 def schouten_bracket(P: Polyvector, Q: Polyvector) -> Polyvector:

@@ -830,6 +830,19 @@ def reference_add(p: Polynomial, q: Polynomial) -> Polynomial:
     return Polynomial._trusted(p.dim, reference_sum(p.terms, q.terms))
 
 
+def reference_poisson_bracket(pi: Polyvector, f: Polynomial, g: Polynomial) -> Polynomial:
+    """{f, g} = sum_{i<j} pi_ij (d_i f d_j g - d_j f d_i g) in Polynomial arithmetic on
+    the replaced loops: multivec.poisson_bracket as it was before it ran on poly's
+    dict kernels."""
+    total = Polynomial.zero(f.dim)
+    for (i, j), c in pi.components.items():
+        fi, fj = reference_partial(f, i), reference_partial(f, j)
+        gi, gj = reference_partial(g, i), reference_partial(g, j)
+        term = reference_add(reference_mul(fi, gj), -reference_mul(fj, gi))
+        total = reference_add(total, reference_mul(c, term))
+    return total
+
+
 def reference_total(polys, dim: int) -> Polynomial:
     """The sum of polys, left to right, by reference_add."""
     total = Polynomial.zero(dim)

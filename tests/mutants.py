@@ -511,6 +511,13 @@ MUTANTS = [
         "            pass\n",
         (KERNELS + "test_the_shared_kernels_match_the_loops_they_replaced",),
     ),
+    Mutant(
+        "a Poisson bracket adds d_j f d_i g instead of subtracting it",
+        "multivec.py",
+        "_product(_partial(f.terms, uj), _partial(g.terms, ui)), -1)",
+        "_product(_partial(f.terms, uj), _partial(g.terms, ui)))",
+        (KERNELS + "test_poisson_bracket_matches_the_replaced_polynomial_loop",),
+    ),
     # one shifted-row entry for the exactness, lift and unary solves
     Mutant(
         "a shifted row drops its factor",

@@ -19,6 +19,7 @@ from helpers import (
     reference_parse_polynomial,
     reference_partial,
     reference_partial_multi,
+    reference_poisson_bracket,
     reference_product,
     reference_render_report,
     reference_sum,
@@ -27,7 +28,8 @@ from helpers import (
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
-from starobs import FormalDiffeo, PolyDiffOp, Polynomial, compose_diffeo, parse_polynomial  # noqa: E402
+from starobs import FormalDiffeo, PolyDiffOp, Polynomial, Polyvector, compose_diffeo  # noqa: E402
+from starobs import parse_polynomial, poisson_bracket  # noqa: E402
 from starobs import PolynomialParseError  # noqa: E402
 from starobs.cli import Problem, load_problem_data, main, render_report  # noqa: E402
 from starobs.poly import (  # noqa: E402
@@ -229,6 +231,30 @@ def test_partial_matches_the_replaced_derivative_loop(p, i):
             p.partial(i)
         return
     assert typed(p.partial(i).terms) == typed(reference_partial(p, i).terms)
+
+
+@st.composite
+def bracket_operands(draw) -> tuple[Polyvector, Polynomial, Polynomial]:
+    """A bivector with random polynomial entries on some coordinate pairs, and two
+    polynomials, over coefficients that are ints or Fractions."""
+    dim = draw(st.integers(2, 3))
+    exponents = st.tuples(*[st.integers(0, 2)] * dim)
+    terms = st.dictionaries(exponents, coefficients, max_size=3)
+    pairs = [(i, j) for i in range(dim) for j in range(i + 1, dim)]
+    pi = Polyvector(dim, 2, {ij: Polynomial(dim, draw(terms)) for ij in pairs if draw(st.booleans())})
+    return pi, Polynomial(dim, draw(terms)), Polynomial(dim, draw(terms))
+
+
+@hypothesis.settings(derandomize=True, deadline=None, database=None, max_examples=200)
+@hypothesis.given(bracket_operands())
+def test_poisson_bracket_matches_the_replaced_polynomial_loop(operands):
+    """poisson_bracket on the dict kernels gives the Polynomial loop's terms, in order
+    and of the same types, for two polynomials and for each coordinate function."""
+    pi, f, g = operands
+    for h in [g] + [Polynomial.variable(pi.dim, k) for k in range(pi.dim)]:
+        assert typed(poisson_bracket(pi, f, h).terms) == typed(
+            reference_poisson_bracket(pi, f, h).terms
+        )
 
 
 # coordinate names: letters, '_', digits that int() takes and digits it does not,
