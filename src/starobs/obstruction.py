@@ -63,9 +63,24 @@ class Bounds:
 
 
 class IntegrableSystem:
-    """A Poisson bivector with a commuting, independent generating set."""
+    """A Poisson bivector with a commuting, independent generating set.
 
-    __slots__ = ("dim", "pi", "generators", "_validation", "_monomials")
+    What depends only on (pi, generators) is kept on the system, so every
+    order of every request reads it: the validation report, the generator
+    monomials' derivatives (`_monomials`), and three tables, each built on its
+    first read (by _jacobian, _hamiltonian and _Weights):
+    - `jacobian`, J[j][k] = d_k f_j, read by validate_system's minors and
+      lift_witness's rows;
+    - `hamiltonian`, H[j][k] = {f_j, x_k}, read by exactness_solve;
+    - `weights`, the unary gauge solve's grading.
+    J and H hold plain {monomial: coefficient} dicts, ints wherever a value is
+    integral; the entries are shared, never written to.
+    """
+
+    __slots__ = (
+        "dim", "pi", "generators", "_validation", "_monomials",
+        "_jacobian", "_hamiltonian", "_weights",
+    )
 
     def __init__(self, pi: Polyvector, generators: list[Polynomial] | tuple[Polynomial, ...]):
         if pi.degree != 2:
@@ -81,9 +96,31 @@ class IntegrableSystem:
         object.__setattr__(self, "generators", gens)
         object.__setattr__(self, "_validation", None)
         object.__setattr__(self, "_monomials", _GeneratorTable(gens))
+        for slot in ("_jacobian", "_hamiltonian", "_weights"):
+            object.__setattr__(self, slot, None)
 
     def __setattr__(self, name, value):
         raise AttributeError("IntegrableSystem is immutable")
+
+    def _kept(self, slot: str, build: Callable[[IntegrableSystem], object]):
+        """The table in `slot`, set to build(self) on its first read."""
+        table = getattr(self, slot)
+        if table is None:
+            table = build(self)
+            object.__setattr__(self, slot, table)
+        return table
+
+    @property
+    def jacobian(self) -> list[list[dict]]:
+        return self._kept("_jacobian", _jacobian)
+
+    @property
+    def hamiltonian(self) -> list[list[dict]]:
+        return self._kept("_hamiltonian", _hamiltonian)
+
+    @property
+    def weights(self) -> _Weights:
+        return self._kept("_weights", _Weights)
 
     @property
     def size(self) -> int:
@@ -91,6 +128,30 @@ class IntegrableSystem:
 
     def __repr__(self):
         return f"IntegrableSystem(dim={self.dim}, n={self.size})"
+
+
+def _jacobian(system: IntegrableSystem) -> list[list[dict]]:
+    """J[j][k] = d_k f_j."""
+    return [[g.partial(k).terms for k in range(system.dim)] for g in system.generators]
+
+
+def _hamiltonian(system: IntegrableSystem) -> list[list[dict]]:
+    """H[j][k] = {f_j, x_k}, from J: poisson_bracket(pi, f_j, x_k) adds
+    pi_il (d_i f_j d_l x_k - d_l f_j d_i x_k) over pi's components, so
+    pi_ik J[j][i] where l = k and -pi_kl J[j][l] where i = k, in that order."""
+    table = []
+    for row in system.jacobian:
+        out = []
+        for k in range(system.dim):
+            value: dict = {}
+            for (i, l), c in system.pi.components.items():
+                if l == k:
+                    _add_into(value, _product(c.terms, row[i]))
+                elif i == k:
+                    _add_into(value, _product(c.terms, row[l]), -1)
+            out.append(Polynomial._trusted(system.dim, value).terms)
+        table.append(out)
+    return table
 
 
 @dataclass
@@ -153,7 +214,7 @@ def validate_system(system: IntegrableSystem) -> ValidationReport:
     n, m = len(gens), system.dim
     independent = False
     if n <= m:
-        jacobian = [[g.partial(k) for k in range(m)] for g in gens]
+        jacobian = [[Polynomial._trusted(m, t) for t in row] for row in system.jacobian]
         independent = any(
             not _poly_det([[jacobian[i][k] for k in cols] for i in range(n)]).is_zero()
             for cols in itertools.combinations(range(m), n)
@@ -227,7 +288,7 @@ def _cascade(
     """cocycle_cascade_check without its preconditions, given the order-n class."""
     dop = hochschild_d(s.term(n))
     table = restricted_values(dop, system)  # in sorted key order
-    cochain_witness = next((key for key, value in table.items() if value), None)
+    cochain_witness = next((key for key, value in table.items() if value.terms), None)
     return CascadeReport(
         obstruction=chi,
         cochain_closed=cochain_witness is None,
@@ -254,8 +315,11 @@ def exactness_solve(
 ) -> ExactnessResult:
     """Solve d_hor(Y) = c with polynomial components of bounded degree.
 
-    Returns a witness (post-checked exactly), or, with no witness, an
-    infeasibility certificate: "zero_image" when every generator is a
+    {f_i, x^e} = sum_k e_k x^(e - unit_k) H[i][k], so the rows shift the
+    system's Hamiltonian table H[i][k] = {f_i, x_k} by each ansatz monomial,
+    only where H[i][k] is nonzero.  Returns a witness (post-checked exactly
+    by d_hor, which does not read H), or, with no witness, an infeasibility
+    certificate: "zero_image" when every H entry is zero, every generator a
     Casimir (then the image is {0} at every degree, so a nonzero class is
     obstructed outright), "rank_at_bound" when only the bounded system is
     ruled out.
@@ -268,13 +332,8 @@ def exactness_solve(
     dim = system.dim
     if c.is_zero():
         return ExactnessResult(witness=RelativeClass.zero(dim, n, 1))
-    # {f_i, x^e} = sum_k e_k x^(e - unit_k) {f_i, x_k}: one bracket per generator
-    # and coordinate, shifted by each ansatz monomial
-    brackets = [
-        [poisson_bracket(system.pi, g, Polynomial.variable(dim, k)).terms for k in range(dim)]
-        for g in system.generators
-    ]
-    if not any(any(row) for row in brackets):  # every generator is a Casimir
+    H = system.hamiltonian
+    if not any(any(row) for row in H):  # every generator is a Casimir
         return ExactnessResult(certificate="zero_image")
 
     emons = exponents_upto(dim, degree_bound)
@@ -285,8 +344,10 @@ def exactness_solve(
             # {f_i, g_j} - {f_j, g_i} = c_ij
             for e, shifts in zip(emons, steps):
                 for k, x, shift in shifts:
-                    eqs._add_shifted((i, j), brackets[i][k], shift, (e, (j,)), x)
-                    eqs._add_shifted((i, j), brackets[j][k], shift, (e, (i,)), -x)
+                    if H[i][k]:
+                        eqs._add_shifted((i, j), H[i][k], shift, (e, (j,)), x)
+                    if H[j][k]:
+                        eqs._add_shifted((i, j), H[j][k], shift, (e, (i,)), -x)
             for mono, v in c.component((i, j)).terms.items():
                 eqs._add_rhs(((i, j), mono), v)
 
@@ -309,8 +370,10 @@ def lift_witness(
 
     The componentwise linear system is solved over the ansatz of
     components of degree at most degree_bound, column (e, (unit_k,)) for
-    x^e d_k, and the lift is post-checked exactly.  Returns None when the
-    ansatz is exhausted.
+    x^e d_k, whose rows shift the system's Jacobian table J[j][k] = d_k f_j
+    by e, only where J[j][k] is nonzero.  The lift is post-checked exactly
+    by apply, which does not read J.  Returns None when the ansatz is
+    exhausted.
     """
     if Y.degree != 1 or Y.system_size != system.size:
         raise ValueError("need a degree-1 class for this system")
@@ -321,11 +384,11 @@ def lift_witness(
     emons = exponents_upto(dim, degree_bound)
     units = [unit_exponents(dim, k) for k in range(dim)]
     eqs = _SparseSystem([(e, (u,)) for u in units for e in emons])
-    for j, g in enumerate(system.generators):
-        for k, u in enumerate(units):
-            partial = g.partial(k).terms
-            for e in emons:  # x^e d_k f_j: d_k f_j shifted by e
-                eqs._add_shifted(j, partial, e, (e, (u,)))
+    for j, row in enumerate(system.jacobian):
+        for u, d in zip(units, row):
+            if d:
+                for e in emons:  # x^e d_k f_j: d_k f_j shifted by e
+                    eqs._add_shifted(j, d, e, (e, (u,)))
         for mono, v in Y.component((j,)).terms.items():
             eqs._add_rhs((j, mono), v)
 
@@ -359,6 +422,38 @@ def _weight_map(system: IntegrableSystem) -> Callable[[Exponents], tuple]:
     if eqs.rows:
         basis = linsolve.solve_sparse(eqs.rows, eqs.rhs, dim, want_nullspace=True).nullspace
     return lambda e: tuple(sum(c * e[i] for i, c in vec.items()) for vec in basis)
+
+
+class _Weights(dict):
+    """Each exponent vector's weight under _weight_map(system), keyed by the
+    exponents and built on its first lookup (weight is linear, so any integer
+    vector is a key), and for each Bounds the unary solve's column lists, built
+    on first use by `columns`.  Held by IntegrableSystem.weights; shared,
+    never written to.
+    """
+
+    __slots__ = ("weight", "dim", "_columns")
+
+    def __init__(self, system: IntegrableSystem):
+        super().__init__()
+        self.weight, self.dim, self._columns = _weight_map(system), system.dim, {}
+
+    def __missing__(self, e: tuple) -> tuple:
+        w = self[e] = self.weight(e)
+        return w
+
+    def columns(self, bounds: Bounds) -> tuple[list, list]:
+        """_weight_blocks' outer and inner lists: (a, -weight(a)) for each d^a up to
+        bounds.op_order and (e, weight(e)) for each x^e up to bounds.degree, in lex
+        order; weight is linear, so weight(e - a) = weight(e) + (-weight(a))."""
+        lists = self._columns.get(bounds)
+        if lists is None:
+            ops, exps = (exponents_upto(self.dim, b) for b in (bounds.op_order, bounds.degree))
+            lists = self._columns[bounds] = (
+                [(a, tuple(-w for w in self[a])) for a in ops],
+                [(e, self[e]) for e in exps],
+            )
+        return lists
 
 
 def _solve_unary_correction(
@@ -403,14 +498,15 @@ def _unary_ansatz_rows(
     less that of f^alpha, weighs weight(e - a): the blocks are independent,
     and one with a zero right-hand side is solved by zeros.  So _weight_blocks
     pairs each a, weighed -weight(a), with each e and keeps the live weights,
-    where phi0 (built from B with d(phi0) = -B) is nonzero.  None when a live
+    where phi0 (built from B with d(phi0) = -B) is nonzero; the weights and
+    both column lists are read from the system's _Weights.  None when a live
     weight has no column: 0 = b there.
 
     Everything is read from the system's _GeneratorTable as plain dicts: phi0
     is built as den * phi0 from B's numerators over its one denominator den,
     and each right-hand side is divided by den once.
     """
-    weight = _weight_map(system)
+    weights = system.weights
     table, z = system._monomials, system._monomials.zero
     degree = max(target.order(), bounds.op_order) + 1
     exps = exponents_upto(system.size, degree)
@@ -429,16 +525,11 @@ def _unary_ansatz_rows(
         phi0[alpha] = value
     # generator monomials are homogeneous: one monomial gives each one's weight
     live = {
-        weight(sub_exponents(mono, next(iter(table[z, alpha]))))
+        weights[sub_exponents(mono, next(iter(table[z, alpha])))]
         for alpha, value in phi0.items()
         for mono in value
     }
-    # weight is linear: weight(e - a) = weight(e) + (-weight(a))
-    by_alpha, unreached = _weight_blocks(
-        [(a, tuple(-w for w in weight(a))) for a in exponents_upto(system.dim, bounds.op_order)],
-        [(e, weight(e)) for e in exponents_upto(system.dim, bounds.degree)],
-        live,
-    )
+    by_alpha, unreached = _weight_blocks(*weights.columns(bounds), live)
     if unreached:
         return None
     eqs = _SparseSystem([(e, (a,)) for a, es in by_alpha for e in es])
@@ -452,6 +543,8 @@ def _unary_ansatz_rows(
                     _add_into(chain, _product(f, table[a, u]), x)
                 w = dict(table[a, alpha])
                 _add_into(w, chain, -1)
+                if not w:  # no entry in any of alpha's rows
+                    continue
                 for e in es:
                     eqs._add_shifted(alpha, w, e, (e, (a,)))
         for mono, c in _divided(phi0[alpha], den).items():
@@ -484,8 +577,10 @@ def gauge_step(
     order n vanishes on the subalgebra.
 
     Lifts Y to a derivation V with V(f_j) = Y_j, stages -V at order n-1 (the
-    sign that cancels the class) and reads the staged product's class once;
-    then solves for the order-n operator that kills the remaining symmetric
+    sign that cancels the class) and reads the staged product's class once.
+    The staged product is built to order n only: its order-n term reads B_k
+    and the gauge's parts at orders <= n alone, so it is the full transform's.
+    Then it solves for the order-n operator that kills the remaining symmetric
     part on generator monomials, given the class of the product it solves on
     (chi when nothing is staged).  When the lift or that solve finds nothing
     within the bounds, the result is empty.  The transformed product's order-n
@@ -502,7 +597,8 @@ def gauge_step(
     staged = s
     if not lifted.is_zero():
         parts[n - 1] = -lifted
-        staged = gauge_transform(s, FormalDiffeo.from_parts(s.dim, s.order, parts))
+        truncated = StarProduct(s.dim, n, s.corrections[:n])
+        staged = gauge_transform(truncated, FormalDiffeo.from_parts(s.dim, n, parts))
         chi = _raw_class(staged, system, n)
     correction = _solve_unary_correction(staged, system, n, chi, bounds)
     if correction is None:

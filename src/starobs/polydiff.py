@@ -323,16 +323,23 @@ class PolyDiffOp:
         into d^gamma0 on the inner coefficient and the rest, split over the
         inner slots only where d^gamma0 of the coefficient is nonzero: terms
         come in the order of splitting alpha over all 1 + inner.arity factors,
-        the first varying slowest.
+        the first varying slowest.  A zero operator adds nothing, and a
+        constant inner coefficient takes only gamma0 = 0, _leibniz's first
+        split, of weight 1: every split skipped would add zero.
         """
         den_out, outer_terms = _numerators(self)
         den_in, inner_terms = _numerators(inner)
+        if not outer_terms or not inner_terms:
+            return
         sign *= terms.scale(den_out * den_in)
+        z = zero_exponents(self.dim)
         derivs: list[dict[Exponents, dict]] = [{} for _ in inner_terms]
+        constants = [len(c_in) == 1 and z in c_in for c_in in inner_terms.values()]
         for key, c_out in outer_terms.items():
             head, tail = key[:slot], key[slot + 1 :]
-            for (in_key, c_in), d_in in zip(inner_terms.items(), derivs):
-                for gamma0, rest, w0 in _leibniz(key[slot]):
+            leibniz = _leibniz(key[slot])
+            for (in_key, c_in), d_in, constant in zip(inner_terms.items(), derivs, constants):
+                for gamma0, rest, w0 in leibniz[:1] if constant else leibniz:
                     dc = d_in.get(gamma0)
                     if dc is None:
                         dc = d_in[gamma0] = _partial(c_in, gamma0)
@@ -547,15 +554,16 @@ def restricted_values(
     that they are independent or monomial.
 
     The table is full: keyed by per-slot generator exponents in
-    itertools.product order, with a zero value where op vanishes.  The
-    nonzero values come from the sparse stream of _restricted_items.  It and
+    itertools.product order, with one shared zero value where op vanishes.
+    The nonzero values come from the sparse stream of _restricted_items,
+    written over the zeros in place, so the key order stays.  It and
     op.apply both run _values, so each equals op.apply on its tuple, term
     order included.
     """
-    values = dict(_restricted_items(op, system, op.order()))
-    zero = Polynomial.zero(op.dim)
     keys = itertools.product(exponents_upto(system.size, op.order()), repeat=op.arity)
-    return {exps: values.get(exps, zero) for exps in keys}
+    table = dict.fromkeys(keys, Polynomial.zero(op.dim))
+    table.update(_restricted_items(op, system, op.order()))
+    return table
 
 
 def vanishes_on_generators(op: PolyDiffOp, system: "IntegrableSystem") -> bool:

@@ -27,13 +27,14 @@ from typing import Sequence
 
 from . import linsolve
 from .multivec import Polyvector
-from .poly import Polynomial, _accumulate, _gather_monomials, _ratio, zero_exponents
+from .poly import Polynomial, _accumulate, _ratio, zero_exponents
 from .polydiff import (
     DerivKey,
     PolyDiffOp,
     _differential_into,
     _key_differential,
     _leibniz,
+    _numerated,
     _TermMap,
 )
 
@@ -347,29 +348,36 @@ def extend_one_order(s: StarProduct) -> ExtensionResult:
 def _solve_target(dim: int, terms: _TermMap) -> tuple[PolyDiffOp | None, Polyvector | None]:
     """(B, None) with dB = T for the arity-3 target T in `terms`, or (None, Alt T).
 
-    The first solve keeps the slot orders within K_T, T's largest: d never
-    raises a slot's order, so these columns span a subcomplex.  If it fails,
-    Alt T decides (_trivector).  Alt dC = 0 for every 2-cochain C: the middle
-    terms of d are symmetric in a pair of arguments, and the outer two cancel
-    under the cyclic shift.  So a nonzero Alt T shows that no B exists, and
-    by HKR a zero one that T is exact, and then every split is solved: on
-    R^1, T = d(d^(1, K+1)) has slot orders <= K but no solution within K.
+    One pass over T's live keys gives each one's weight, K_T (T's largest
+    slot order) and T's largest total order.  The first solve keeps the slot
+    orders within K_T: d never raises a slot's order, so these columns span
+    a subcomplex.  If it fails, Alt T decides (_trivector).  Alt dC = 0 for
+    every 2-cochain C: the middle terms of d are symmetric in a pair of
+    arguments, and the outer two cancel under the cyclic shift.  So a nonzero
+    Alt T shows that no B exists, and by HKR a zero one that T is exact, and
+    then every split is solved: on R^1, T = d(d^(1, K+1)) has slot orders
+    <= K but no solution within K.
     """
-    live = [key for key, t in terms.items() if t]
-    particular = _solve_columns(dim, terms, max((sum(a) for k in live for a in k), default=0))
+    live, slot_order, order = {}, 0, 0  # live key -> its weight
+    for key, t in terms.items():
+        if t:
+            weight = live[key] = tuple(map(sum, zip(*key)))
+            slot_order, order = max(slot_order, *map(sum, key)), max(order, sum(weight))
+    particular = _solve_columns(dim, terms, live, slot_order)
     if particular is not None:
         return particular, None
     trivector = _trivector(dim, terms)
     if not trivector.is_zero():
         return None, trivector
-    particular = _solve_columns(dim, terms, max(sum(map(sum, k)) for k in live))
+    particular = _solve_columns(dim, terms, live, order)
     if particular is None:
         raise AssertionError("a target with zero trivector is not exact")
     return particular, None
 
 
-def _solve_columns(dim: int, terms: _TermMap, bound: int) -> PolyDiffOp | None:
-    """B with dB = T over the columns x^e d^(a, b) with |a|, |b| <= bound, or None.
+def _solve_columns(dim: int, terms: _TermMap, live: dict, bound: int) -> PolyDiffOp | None:
+    """B with dB = T over the columns x^e d^(a, b) with |a|, |b| <= bound, or None;
+    `live` maps each key where T is nonzero to its weight.
 
     B_0 is commutative, so d(x^e d^key) = x^e d(d^key), whose coefficients
     are constant integers: column (e, key) reaches only the rows (dkey, e),
@@ -387,27 +395,26 @@ def _solve_columns(dim: int, terms: _TermMap, bound: int) -> PolyDiffOp | None:
     candidate.  An arity-3 key that no column reaches fails at once.
 
     The right-hand sides are the target's numerators over its one
-    denominator den, and each solution entry is divided by den once.
+    denominator den, and each solution entry is divided by den once, into
+    the coefficient dicts that _numerated makes the candidate's store of.
     """
-    keep = {tuple(map(sum, zip(*k))) for k, t in terms.items() if t}
-    splits = (split[:2] for w in keep for split in _leibniz(w))
+    splits = (split[:2] for w in set(live.values()) for split in _leibniz(w))
     keys = sorted(key for key in splits if max(map(sum, key)) <= bound)
     matrix: dict[DerivKey, dict[int, int]] = {}  # M by rows
     for ci, key in enumerate(keys):
         for dkey, v in _key_differential(dim, key).items():
             matrix.setdefault(dkey, {})[ci] = v
-    if not all(k in matrix for k, t in terms.items() if t):
+    if not all(k in matrix for k in live):
         return None
     rhs = [terms.get(k, {}) for k in matrix]
     result = linsolve.solve_sparse(list(matrix.values()), rhs, len(keys))
     if not result.solved:
         return None
-    solution = {
-        (e, keys[ci]): _ratio(v, terms.den)
-        for e, block in result.solution.items()
-        for ci, v in block.items()
-    }
-    return PolyDiffOp(dim, 2, _gather_monomials(dim, solution))
+    coefficients: dict[DerivKey, dict] = {}
+    for e, block in result.solution.items():
+        for ci, v in block.items():
+            coefficients.setdefault(keys[ci], {})[e] = _ratio(v, terms.den)
+    return PolyDiffOp._trusted(dim, 2, *_numerated(coefficients))
 
 
 def _trivector(dim: int, terms: _TermMap) -> Polyvector:

@@ -83,21 +83,21 @@ MUTANTS = [
     Mutant(
         "extension's first solve at K_T - 1",
         "star.py",
-        "max((sum(a) for k in live for a in k), default=0)",
-        "max((sum(a) for k in live for a in k), default=0) - 1",
+        "    particular = _solve_columns(dim, terms, live, slot_order)\n",
+        "    particular = _solve_columns(dim, terms, live, slot_order - 1)\n",
         (FACTORED + "test_extension_keys_match_the_replaced_key_filter",),
     ),
     Mutant(
         "extension keeps none of the target's weight blocks",
         "star.py",
-        "    keep = {tuple(map(sum, zip(*k))) for k, t in terms.items() if t}\n",
-        "    keep = set()\n",
+        "for w in set(live.values())",
+        "for w in set()",
         (FACTORED + "test_extension_matches_reference_solve",),
     ),
     Mutant(
         "extension solves without the target's unreached keys",
         "star.py",
-        "    if not all(k in matrix for k, t in terms.items() if t):\n        return None\n",
+        "    if not all(k in matrix for k in live):\n        return None\n",
         "",
         (TERM_MAPS + "test_a_target_beyond_the_slot_order_subcomplex_solves_over_every_split",),
     ),
@@ -264,8 +264,8 @@ MUTANTS = [
     Mutant(
         "cascade witness is the last nonzero key",
         "obstruction.py",
-        "next((key for key, value in table.items() if value), None)",
-        "next((key for key, value in reversed(table.items()) if value), None)",
+        "next((key for key, value in table.items() if value.terms), None)",
+        "next((key for key, value in reversed(table.items()) if value.terms), None)",
         (RESTRICTED + "test_cascade_witness_is_first_nonzero_reference_key",),
     ),
     # the shared truncated series base
@@ -464,8 +464,8 @@ MUTANTS = [
     Mutant(
         "lift shifts d_k f_j one step past x^e",
         "obstruction.py",
-        "eqs._add_shifted(j, partial, e, (e, (u,)))",
-        "eqs._add_shifted(j, partial, e[:-1] + (e[-1] + 1,), (e, (u,)))",
+        "eqs._add_shifted(j, d, e, (e, (u,)))",
+        "eqs._add_shifted(j, d, e[:-1] + (e[-1] + 1,), (e, (u,)))",
         ("tests/test_obstruction.py::test_lift_matches_the_vector_field_reference",),
     ),
     Mutant(
@@ -530,9 +530,45 @@ MUTANTS = [
     Mutant(
         "unary columns pair a by weight(a), not -weight(a)",
         "obstruction.py",
-        "[(a, tuple(-w for w in weight(a))) for a in",
-        "[(a, weight(a)) for a in",
+        "[(a, tuple(-w for w in self[a])) for a in",
+        "[(a, self[a]) for a in",
         (FACTORED + "test_rotation_momenta_columns_match_the_replaced_weight_filter",),
+    ),
+    # per-system tables and no Leibniz work on zero or constant operands
+    Mutant(
+        "the Hamiltonian table flips the sign of pi's first component",
+        "obstruction.py",
+        "            for (i, l), c in system.pi.components.items():\n",
+        "            for (i, l), c in system.pi.components.items():\n"
+        "                c = -c if (i, l) == next(iter(system.pi.components)) else c\n",
+        (
+            "tests/test_obstruction.py::"
+            "test_jacobian_and_hamiltonian_tables_match_partial_and_poisson_bracket",
+        ),
+    ),
+    Mutant(
+        "the exactness rows skip a nonempty H entry",
+        "obstruction.py",
+        "                    if H[i][k]:\n",
+        "                    if H[i][k] and k:\n",
+        ("tests/test_raw_table.py::test_exactness_matches_the_monomial_bracket_solve",),
+    ),
+    Mutant(
+        "the lift rows skip a nonempty J entry",
+        "obstruction.py",
+        "            if d:\n",
+        "            if d and u != units[0]:\n",
+        ("tests/test_obstruction.py::test_lift_matches_the_vector_field_reference",),
+    ),
+    Mutant(
+        "the constant shortcut taken for a coefficient with a constant term",
+        "polydiff.py",
+        "constants = [len(c_in) == 1 and z in c_in for",
+        "constants = [z in c_in for",
+        (
+            TERM_MAPS
+            + "test_compose_into_matches_the_reference_on_zero_operators_and_constant_coefficients",
+        ),
     ),
 ]
 

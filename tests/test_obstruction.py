@@ -20,6 +20,7 @@ from helpers import (
     record_table_work,
     reference_lift_witness,
     removable_scenario,
+    so3_pi,
     trivial_star,
 )
 
@@ -48,6 +49,8 @@ from starobs import (
 )
 from starobs import obstruction
 from starobs.cli import load_problem
+from starobs.linsolve import _SparseSystem
+from starobs.multivec import poisson_bracket
 from starobs.obstruction import _raw_class, gauge_step
 
 BOUNDS = Bounds(degree=2, op_order=2)
@@ -615,3 +618,120 @@ def test_eliminate_checks_each_flatness_table_once(monkeypatch):
     # post-check each; then the final audit of orders 1..3.  Re-running the
     # public preconditions would re-check the lower orders at every order.
     assert len(calls) == 1 + 2 * 2 + 3
+
+
+# -- per-system tables ------------------------------------------------------------
+
+
+def table_systems():
+    """Every shipped system, and so(3)* with generators x^2 + y^2 + z^2 and z: the
+    first non-constant bivector with generators here."""
+    shipped = [load_problem(str(path)).integrable for path in sorted(PROBLEMS.glob("*.json"))]
+    so3 = IntegrableSystem(so3_pi(), [p3("x^2 + y^2 + z^2"), p3("z")])
+    return [system for system in shipped if system is not None] + [so3]
+
+
+@pytest.mark.parametrize("index", range(6))
+def test_jacobian_and_hamiltonian_tables_match_partial_and_poisson_bracket(index):
+    # entry by entry, monomials in order, every integral value an int
+    system = table_systems()[index]
+    assert len(table_systems()) == 6
+    for j, g in enumerate(system.generators):
+        for k in range(system.dim):
+            x_k = Polynomial.variable(system.dim, k)
+            for got, want in [
+                (system.jacobian[j][k], g.partial(k).terms),
+                (system.hamiltonian[j][k], poisson_bracket(system.pi, g, x_k).terms),
+            ]:
+                assert list(got.items()) == list(want.items())
+                assert all(type(v) is int for v in got.values() if v == int(v))
+    assert any(any(row) for row in system.hamiltonian) == (index != 0)  # casimir_obstruction
+
+
+def test_so3_tables_are_not_constant():
+    system = table_systems()[-1]
+    # {x^2 + y^2 + z^2, .} = 0 and {z, x} = y, {z, y} = -x: H is linear, not constant
+    assert system.hamiltonian[0] == [{}, {}, {}]
+    assert system.hamiltonian[1] == [{(0, 1, 0): 1}, {(1, 0, 0): -1}, {}]
+    assert system.jacobian[0] == [{(1, 0, 0): 2}, {(0, 1, 0): 2}, {(0, 0, 1): 2}]
+
+
+def test_eliminate_builds_each_table_once_and_shifts_no_empty_row(monkeypatch):
+    # the shipped problems, and two products that lift nonzero witnesses at
+    # several orders: the gauged removable_class and the three-order messy gauge
+    built, empty, variables, inside = [], [], [], []
+    shifted, variable = _SparseSystem._add_shifted, Polynomial.variable.__func__
+    exactness = obstruction.exactness_solve
+
+    def counted(name, build):
+        def counting(system):
+            built.append((name, id(system)))
+            return build(system)
+
+        monkeypatch.setattr(obstruction, name, counting)
+
+    def adding(eqs, group, base, shift, column, factor=1):
+        if not base:
+            empty.append(group)
+        return shifted(eqs, group, base, shift, column, factor)
+
+    def making(cls, dim, i):
+        if inside:
+            variables.append(i)
+        return variable(cls, dim, i)
+
+    def solving(*args):
+        inside.append(True)
+        try:
+            return exactness(*args)
+        finally:
+            inside.pop()
+
+    for name in ("_jacobian", "_hamiltonian", "_Weights"):
+        counted(name, getattr(obstruction, name))
+    monkeypatch.setattr(_SparseSystem, "_add_shifted", adding)
+    monkeypatch.setattr(Polynomial, "variable", classmethod(making))
+    monkeypatch.setattr(obstruction, "exactness_solve", solving)
+    runs = []
+    for path in sorted(PROBLEMS.glob("*.json")):
+        problem = load_problem(str(path))
+        if problem.integrable is not None and problem.star is not None:
+            runs.append((problem.star, problem.integrable, problem.star.order, problem.bounds))
+    problem = load_problem(str(PROBLEMS / "removable_class.json"))
+    D = FormalDiffeo.from_parts(3, 2, {1: PolyDiffOp.single(3, [(0, 1, 1)], Fraction(1, 3))})
+    runs.append((gauge_transform(problem.star, D), problem.integrable, 2, Bounds(2, 4)))
+    runs.append((*messy_gauge_scenario(), 3, Bounds(degree=3, op_order=3)))
+    statuses = []
+    for star, system, order, bounds in runs:
+        statuses.append(eliminate_to_order(star, system, order, bounds).status)
+    assert statuses.count(TRIVIALIZED) == 5 and OBSTRUCTED in statuses
+    assert empty == [] and variables == []
+    assert len(built) == len(set(built))  # each table at most once per system
+    assert {name for name, _ in built} == {"_jacobian", "_hamiltonian", "_Weights"}
+
+
+@pytest.mark.parametrize("scenario", ["removable", "obstructed", "flat", "messy"])
+def test_the_staged_order_n_term_is_the_full_transforms(scenario):
+    # gauge_step stages -V on the product truncated to order n: the order-n term
+    # of that transform equals the full transform's, key for key and in order
+    star, _ = {
+        "removable": removable_scenario,
+        "obstructed": obstructed_scenario,
+        "flat": flat_scenario,
+        "messy": messy_gauge_scenario,
+    }[scenario]()
+    rng = random.Random(len(scenario))
+    dim = star.dim
+    for n in range(2, star.order + 1):
+        for trial in range(3):
+            field = hkr_to_cochain(rand_vector_field(rng, dim, degree=1 + trial % 2))
+            parts = {n - 1: field}
+            if trial == 2:
+                parts[n] = rand_op(rng, dim, 1)
+            truncated = StarProduct(dim, n, star.corrections[:n])
+            got = gauge_transform(truncated, FormalDiffeo.from_parts(dim, n, parts)).term(n)
+            want = gauge_transform(star, FormalDiffeo.from_parts(dim, star.order, parts)).term(n)
+            assert got == want
+            assert list(got.terms) == list(want.terms)
+            for key, c in got.terms.items():
+                assert list(c.terms.items()) == list(want.terms[key].terms.items())

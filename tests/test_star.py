@@ -15,6 +15,7 @@ from helpers import (
     p3,
     p4,
     plane_pi3,
+    rand_multi_index,
     rand_op,
     rand_poly,
     reference_associator,
@@ -46,7 +47,7 @@ from starobs import (
     poisson_bracket,
 )
 from starobs import star as star_module
-from starobs.poly import exponents_upto
+from starobs.poly import _divided, exponents_upto, unit_exponents, zero_exponents
 from starobs.polydiff import _differential_into, _leibniz, _numerators, _split_over, _TermMap
 
 P1 = lambda t: parse_polynomial(t, ["x"])
@@ -393,6 +394,47 @@ def test_term_map_rescales_when_a_new_denominator_arrives(dim):
         assert dens[0] == 1 and dens[-1] > 1 and dens == sorted(dens)
 
 
+def mixed_op(rng, dim, arity, terms):
+    """Random operator with up to `terms` keys, zero for none, whose coefficients
+    are constants, a constant plus a coordinate, or a monomial of degree <= 2."""
+    z, out = zero_exponents(dim), {}
+    for _ in range(terms):
+        key = tuple(rand_multi_index(rng, dim, 2) for _ in range(arity))
+        c = Fraction(rng.choice((-3, -1, 1, 2, 5)), rng.choice((1, 1, 2, 3)))
+        kind = rng.randrange(3)
+        if kind == 0:
+            coeff = {z: c}
+        elif kind == 1:
+            coeff = {z: c, unit_exponents(dim, rng.randrange(dim)): 1}
+        else:
+            coeff = {rand_multi_index(rng, dim, 2): c}
+        out[key] = Polynomial(dim, coeff)
+    return PolyDiffOp(dim, arity, out)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_compose_into_matches_the_reference_on_zero_operators_and_constant_coefficients(dim):
+    # one running map, compared after every insertion: keys (cancelled ones
+    # included) and monomials in the same order, values equal over the map's den
+    rng = random.Random(4100 + dim)
+    z, seen = zero_exponents(dim), set()
+    got, want = _TermMap(), {}
+    for step in range(30):
+        outer = mixed_op(rng, dim, rng.choice((1, 2)), 0 if step % 7 == 6 else rng.randint(1, 3))
+        inner = mixed_op(rng, dim, rng.choice((1, 2)), 0 if step % 5 == 4 else rng.randint(1, 3))
+        slot, sign = rng.randrange(outer.arity), rng.choice((1, -1, 2))
+        outer._compose_into(got, slot, inner, sign)
+        reference_compose_into(outer, want, slot, inner, sign)
+        assert list(got) == list(want)
+        for key, t in got.items():
+            assert list(_divided(dict(t), got.den).items()) == list(want[key].items())
+        if outer.is_zero() or inner.is_zero():
+            seen.add("zero outer" if outer.is_zero() else "zero inner")
+        for c in inner.terms.values():
+            seen.add("constant" if list(c.terms) == [z] else "plus" if z in c.terms else "none")
+    assert seen == {"zero outer", "zero inner", "constant", "plus", "none"}
+
+
 def test_gauge_transform_with_fraction_gauges_matches_reference():
     # Moyal products conjugated by gauges whose coefficients are multiples of
     # 1/2, 1/3 and 1/7: every order's map gets a new denominator partway through
@@ -716,8 +758,8 @@ def test_a_target_beyond_the_slot_order_subcomplex_solves_over_every_split(monke
     bounds = []
     solve_columns = star_module._solve_columns
 
-    def recording(dim, terms, bound):
-        found = solve_columns(dim, terms, bound)
+    def recording(dim, terms, live, bound):
+        found = solve_columns(dim, terms, live, bound)
         bounds.append((bound, found is not None))
         return found
 
