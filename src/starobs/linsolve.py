@@ -26,9 +26,10 @@ divisions are `poly`'s dict kernels `_integers`, `_add_into`,
 The obstruction solvers assemble their systems with ``_SparseSystem``:
 columns are fixed up front as a list of labels (that list's order is the
 solve's column order), a row is created the first time its label is
-used, and the solution comes back keyed by column label.  The exactness,
-lift and unary gauge solves enter each polynomial shifted by an ansatz
-monomial with ``_add_shifted``.
+used, and with (monomial, key) column labels the solution comes back
+grouped as {key: {monomial: value}}, the coefficient dicts its callers
+take as they are.  The exactness, lift and unary gauge solves enter each
+polynomial shifted by an ansatz monomial with ``_add_shifted``.
 """
 
 from __future__ import annotations
@@ -219,6 +220,7 @@ class _SparseSystem:
 
     Rows keep the order in which their labels were first used; an entry
     added twice to one position is summed, and a zero sum is dropped.
+    `_solve` groups its solution by the key of each (monomial, key) column.
     """
 
     def __init__(self, columns: Sequence[Hashable]):
@@ -250,12 +252,17 @@ class _SparseSystem:
         """b[row] += value."""
         self.rhs[self._row(row)] += value
 
-    def _solve(self) -> dict[Hashable, Fraction] | None:
-        """A particular solution keyed by column label, or None when there is none."""
+    def _solve(self) -> dict[Hashable, dict[tuple, Fraction]] | None:
+        """A particular solution as {key: {monomial: value}} over (monomial, key)
+        columns, keys in order of first use, or None when there is none."""
         result = solve_sparse(self.rows, self.rhs, len(self.columns))
         if not result.solved:
             return None
-        return {self.columns[ci]: v for ci, v in result.solution.items()}
+        solution: dict[Hashable, dict[tuple, Fraction]] = {}
+        for ci, v in result.solution.items():
+            mono, key = self.columns[ci]
+            solution.setdefault(key, {})[mono] = v
+        return solution
 
 
 def _weight_blocks(outer: Sequence, inner: Sequence, keep: set) -> tuple[list, set]:

@@ -24,6 +24,11 @@ suite:
 
 With these choices the bracket of a bivector with a function is the
 Hamiltonian vector field of the function.
+
+The Poisson bracket {f, g} has one formula, `_bracket`, over the gradients
+of f and g as per-coordinate {monomial: coefficient} dicts: poisson_bracket
+(and with it d_hor), the system's Hamiltonian table and the validation's
+commuting test all run on it.
 """
 
 from __future__ import annotations
@@ -176,19 +181,26 @@ class Polyvector(_Alternating):
         return all(p.is_constant() for p in self.components.values())
 
 
+def _bracket(pi: Polyvector, df: Sequence[Mapping], dg: Sequence[Mapping]) -> dict:
+    """{f, g} = sum_{i<j} pi_ij (d_i f d_j g - d_j f d_i g) from the gradients df and
+    dg, per-coordinate derivative dicts: the one bracket formula, on `poly`'s kernels."""
+    total: dict = {}
+    for (i, j), c in pi.components.items():
+        term = _product(df[i], dg[j])
+        _add_into(term, _product(df[j], dg[i]), -1)
+        _add_into(total, _product(c.terms, term))
+    return total
+
+
 def poisson_bracket(pi: Polyvector, f: Polynomial, g: Polynomial) -> Polynomial:
-    """{f, g} = sum_{i<j} pi_ij (d_i f d_j g - d_j f d_i g), on `poly`'s dict kernels."""
+    """{f, g}: _bracket on the gradients of f and g."""
     if pi.degree != 2:
         raise ValueError("the bracket needs a degree-2 polyvector")
     if pi.dim != f.dim or pi.dim != g.dim:
         raise ValueError("dimension mismatch")
-    total: dict = {}
-    for (i, j), c in pi.components.items():
-        ui, uj = unit_exponents(f.dim, i), unit_exponents(f.dim, j)
-        term = _product(_partial(f.terms, ui), _partial(g.terms, uj))
-        _add_into(term, _product(_partial(f.terms, uj), _partial(g.terms, ui)), -1)
-        _add_into(total, _product(c.terms, term))
-    return Polynomial._trusted(f.dim, total)
+    units = [unit_exponents(f.dim, k) for k in range(f.dim)]
+    df, dg = ([_partial(h.terms, u) for u in units] for h in (f, g))
+    return Polynomial._trusted(f.dim, _bracket(pi, df, dg))
 
 
 def schouten_bracket(P: Polyvector, Q: Polyvector) -> Polyvector:

@@ -24,22 +24,23 @@ from typing import Callable
 
 from . import linsolve
 from .linsolve import _SparseSystem, _weight_blocks
-from .multivec import Polyvector, RelativeClass, d_hor, jacobi_check, poisson_bracket
+from .multivec import Polyvector, RelativeClass, _bracket, d_hor, jacobi_check
 from .poly import (
     Exponents,
     Polynomial,
     _add_into,
     _divided,
-    _gather_monomials,
     _product,
     exponents_upto,
     sub_exponents,
     unit_exponents,
+    zero_exponents,
 )
 from .polydiff import (
     PolyDiffOp,
     _evaluate,
     _GeneratorTable,
+    _numerated,
     _numerators,
     _peel,
     _values,
@@ -66,11 +67,12 @@ class IntegrableSystem:
     """A Poisson bivector with a commuting, independent generating set.
 
     What depends only on (pi, generators) is kept on the system, so every
-    order of every request reads it: the validation report, the generator
-    monomials' derivatives (`_monomials`), and three tables, each built on its
-    first read (by _jacobian, _hamiltonian and _Weights):
-    - `jacobian`, J[j][k] = d_k f_j, read by validate_system's minors and
-      lift_witness's rows;
+    order of every request reads it: the generator monomials' derivatives
+    (`_monomials`), and four entries, each built on its first read by _kept
+    (by _validate, _jacobian, _hamiltonian and _Weights):
+    - the validation report, read by validate_system;
+    - `jacobian`, J[j][k] = d_k f_j, read by _validate's brackets and minors
+      and lift_witness's rows;
     - `hamiltonian`, H[j][k] = {f_j, x_k}, read by exactness_solve;
     - `weights`, the unary gauge solve's grading.
     J and H hold plain {monomial: coefficient} dicts, ints wherever a value is
@@ -94,9 +96,8 @@ class IntegrableSystem:
         object.__setattr__(self, "dim", pi.dim)
         object.__setattr__(self, "pi", pi)
         object.__setattr__(self, "generators", gens)
-        object.__setattr__(self, "_validation", None)
         object.__setattr__(self, "_monomials", _GeneratorTable(gens))
-        for slot in ("_jacobian", "_hamiltonian", "_weights"):
+        for slot in ("_validation", "_jacobian", "_hamiltonian", "_weights"):
             object.__setattr__(self, slot, None)
 
     def __setattr__(self, name, value):
@@ -136,22 +137,13 @@ def _jacobian(system: IntegrableSystem) -> list[list[dict]]:
 
 
 def _hamiltonian(system: IntegrableSystem) -> list[list[dict]]:
-    """H[j][k] = {f_j, x_k}, from J: poisson_bracket(pi, f_j, x_k) adds
-    pi_il (d_i f_j d_l x_k - d_l f_j d_i x_k) over pi's components, so
-    pi_ik J[j][i] where l = k and -pi_kl J[j][l] where i = k, in that order."""
-    table = []
-    for row in system.jacobian:
-        out = []
-        for k in range(system.dim):
-            value: dict = {}
-            for (i, l), c in system.pi.components.items():
-                if l == k:
-                    _add_into(value, _product(c.terms, row[i]))
-                elif i == k:
-                    _add_into(value, _product(c.terms, row[l]), -1)
-            out.append(Polynomial._trusted(system.dim, value).terms)
-        table.append(out)
-    return table
+    """H[j][k] = {f_j, x_k}: _bracket on J[j] and x_k's unit gradient."""
+    dim, one = system.dim, {zero_exponents(system.dim): 1}
+    units = [[one if l == k else {} for l in range(dim)] for k in range(dim)]
+    return [
+        [Polynomial._trusted(dim, _bracket(system.pi, row, u)).terms for u in units]
+        for row in system.jacobian
+    ]
 
 
 @dataclass
@@ -178,50 +170,40 @@ class ValidationReport:
         return msgs
 
 
-def _poly_det(matrix: list[list[Polynomial]]) -> Polynomial:
-    n = len(matrix)
-    dim = matrix[0][0].dim
-    if n == 1:
+def _det(matrix: list[list[dict]]) -> dict:
+    """The determinant of a square matrix of {monomial: coefficient} dicts, by
+    cofactor expansion along the first row."""
+    if len(matrix) == 1:
         return matrix[0][0]
-    total = Polynomial.zero(dim)
-    for c in range(n):
-        entry = matrix[0][c]
-        if entry.is_zero():
-            continue
-        minor = [row[:c] + row[c + 1 :] for row in matrix[1:]]
-        term = entry * _poly_det(minor)
-        total = total + (term if c % 2 == 0 else -term)
+    total: dict = {}
+    for c, entry in enumerate(matrix[0]):
+        if entry:
+            minor = [row[:c] + row[c + 1 :] for row in matrix[1:]]
+            _add_into(total, _product(entry, _det(minor)), -1 if c % 2 else 1)
     return total
 
 
 def validate_system(system: IntegrableSystem) -> ValidationReport:
-    """Jacobi, pairwise commutativity and functional independence checks.
+    """Jacobi, pairwise commutativity and functional independence checks,
+    computed once per system by _validate and kept on it."""
+    return system._kept("_validation", _validate)
 
-    Independence is decided symbolically: some maximal Jacobian minor is
-    a nonzero polynomial.  The report is computed once per system and
-    kept on it.
-    """
-    if system._validation is not None:
-        return system._validation
+
+def _validate(system: IntegrableSystem) -> ValidationReport:
+    """The brackets {f_i, f_j} are _bracket on rows of J; independence is
+    decided symbolically: some maximal minor of J is a nonzero polynomial."""
     jac_ok, _ = jacobi_check(system.pi)
+    J, n, m = system.jacobian, system.size, system.dim
     failures = []
-    gens = system.generators
-    for i in range(len(gens)):
-        for j in range(i + 1, len(gens)):
-            br = poisson_bracket(system.pi, gens[i], gens[j])
-            if not br.is_zero():
-                failures.append((i, j, br))
-    n, m = len(gens), system.dim
-    independent = False
-    if n <= m:
-        jacobian = [[Polynomial._trusted(m, t) for t in row] for row in system.jacobian]
-        independent = any(
-            not _poly_det([[jacobian[i][k] for k in cols] for i in range(n)]).is_zero()
-            for cols in itertools.combinations(range(m), n)
-        )
-    report = ValidationReport(jac_ok, failures, independent)
-    object.__setattr__(system, "_validation", report)
-    return report
+    for i, j in itertools.combinations(range(n), 2):
+        br = Polynomial._trusted(m, _bracket(system.pi, J[i], J[j]))
+        if br:
+            failures.append((i, j, br))
+    independent = n <= m and any(
+        _det([[J[i][k] for k in cols] for i in range(n)])
+        for cols in itertools.combinations(range(m), n)
+    )
+    return ValidationReport(jac_ok, failures, independent)
 
 
 # -- obstruction classes -------------------------------------------------------
@@ -354,7 +336,8 @@ def exactness_solve(
     solved = eqs._solve()
     if solved is None:
         return ExactnessResult(certificate="rank_at_bound")
-    witness = RelativeClass(dim, n, 1, _gather_monomials(dim, solved))
+    components = {key: Polynomial._trusted(dim, t) for key, t in solved.items()}
+    witness = RelativeClass(dim, n, 1, components)
     if d_hor(system, witness) != c:
         raise AssertionError("exactness witness failed its built-in post-check")
     return ExactnessResult(witness=witness)
@@ -395,7 +378,7 @@ def lift_witness(
     solved = eqs._solve()
     if solved is None:
         return None
-    derivation = PolyDiffOp(dim, 1, _gather_monomials(dim, solved))
+    derivation = PolyDiffOp._trusted(dim, 1, *_numerated(solved))
     for j, g in enumerate(system.generators):
         if derivation.apply([g]) != Y.component((j,)):
             raise AssertionError("vector field lift failed its post-check")
@@ -469,7 +452,7 @@ def _solve_unary_correction(
     solved = None if eqs is None else eqs._solve()
     if solved is None:
         return None
-    return PolyDiffOp(system.dim, 1, _gather_monomials(system.dim, solved))
+    return PolyDiffOp._trusted(system.dim, 1, *_numerated(solved))
 
 
 def _unary_ansatz_rows(

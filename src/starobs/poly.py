@@ -10,8 +10,10 @@ module also holds the exponent-tuple helpers and the polynomial parser.
 It owns the {monomial: coefficient} dict format, and with it the one loop
 for each operation on such dicts: `_add_into`, `_product`, `_power`,
 `_partial`, `_integers`, `_ratio`, `_multiplied` and `_divided`.
-Polynomials, the operators' integer term maps and the sparse solver's
-rows all run on these.
+Polynomials, the operators' integer term maps, the Poisson bracket, the
+system's Jacobian and Hamiltonian tables and the sparse solver's rows and
+grouped solutions all run on these: between load and report the pipeline
+keeps the dicts, and a Polynomial is only made where a value is handed on.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import math
 import operator
 import re
 from fractions import Fraction
-from typing import Hashable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 Exponents = tuple[int, ...]
 
@@ -136,14 +138,6 @@ def _divided(t: dict, den: int) -> dict:
         for mono, v in t.items():
             t[mono] = _ratio(v, den)
     return t
-
-
-def _gather_monomials(dim: int, vec: Mapping[tuple[Exponents, Hashable], Fraction]) -> dict:
-    """{(e, key): v} -> {key: sum of v x^e}, keys in order of first use."""
-    terms: dict[Hashable, dict[Exponents, Fraction]] = {}
-    for (e, key), v in vec.items():
-        terms.setdefault(key, {})[e] = v
-    return {key: Polynomial(dim, t) for key, t in terms.items()}
 
 
 def exponents_upto(dim: int, max_total: int) -> list[Exponents]:
@@ -303,12 +297,6 @@ class Polynomial:
         if not 0 <= i < self.dim:
             raise IndexError(f"variable index {i} out of range for dim {self.dim}")
         return Polynomial._trusted(self.dim, _partial(self.terms, unit_exponents(self.dim, i)))
-
-    def partial_multi(self, alpha: Exponents) -> Polynomial:
-        """Iterated partial derivative with multi-index alpha, by _partial."""
-        if not any(alpha):
-            return self
-        return Polynomial._trusted(self.dim, _partial(self.terms, alpha))
 
     def degree(self) -> int:
         """Total degree; the zero polynomial reports 0."""

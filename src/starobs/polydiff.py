@@ -212,11 +212,12 @@ class PolyDiffOp:
     def multiplication(cls, dim: int) -> PolyDiffOp:
         """The product cochain m(a, b) = ab."""
         z = zero_exponents(dim)
-        return cls(dim, 2, {(z, z): Polynomial.one(dim)})
+        return cls._trusted(dim, 2, 1, {(z, z): {z: 1}})
 
     @classmethod
     def identity(cls, dim: int) -> PolyDiffOp:
-        return cls(dim, 1, {(zero_exponents(dim),): Polynomial.one(dim)})
+        z = zero_exponents(dim)
+        return cls._trusted(dim, 1, 1, {(z,): {z: 1}})
 
     @classmethod
     def single(
@@ -432,23 +433,21 @@ def _peel(e: Exponents) -> tuple[int, Exponents]:
 
 
 class _ArgumentTable(dict):
-    """d^a of apply's argument in slot k times its scale, the lcm of its
-    coefficients' denominators, keyed by (a, k): each a plain {monomial: int}
-    dict taken on its first lookup, only where the walk reaches.  `scale` is
-    the product of the arguments' scales."""
+    """d^a of argument k times its scale, the lcm of its coefficients'
+    denominators, keyed by (a, k): each a plain {monomial: int} dict taken by
+    _partial from the scaled argument's dict on its first lookup, only where the
+    walk reaches.  `scale` is the product of the arguments' scales."""
 
     def __init__(self, args: Sequence[Polynomial]):
         self.args, self.scale = [], 1
         for arg in args:
             s = math.lcm(*[v.denominator for v in arg.terms.values()])
-            if s != 1:
-                arg = Polynomial._trusted(arg.dim, _integers(arg.terms, s))
-            self.args.append(arg)
+            self.args.append(_integers(arg.terms, s) if s != 1 else arg.terms)
             self.scale *= s
 
     def __missing__(self, key: tuple[Exponents, int]) -> Mapping:
         a, k = key
-        d = self[key] = self.args[k].partial_multi(a).terms
+        d = self[key] = _partial(self.args[k], a)
         return d
 
 

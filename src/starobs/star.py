@@ -27,15 +27,17 @@ from typing import Sequence
 
 from . import linsolve
 from .multivec import Polyvector
-from .poly import Polynomial, _accumulate, _ratio, zero_exponents
+from .poly import Polynomial, _accumulate, _add_into, _divided, _ratio, zero_exponents
 from .polydiff import (
     DerivKey,
     PolyDiffOp,
+    _ArgumentTable,
     _differential_into,
     _key_differential,
     _leibniz,
     _numerated,
     _TermMap,
+    _values,
 )
 
 
@@ -155,7 +157,7 @@ class StarProduct(_OperatorSeries):
 
     def certified_order(self) -> int:
         """Largest n such that all residuals at orders <= n vanish."""
-        cached = object.__getattribute__(self, "_certified")
+        cached = self._certified
         if cached is not None:
             return cached
         n = 0
@@ -287,7 +289,7 @@ def gauge_transform(s: StarProduct, D: FormalDiffeo) -> StarProduct:
     if terms[0] != s.term(0):
         raise AssertionError("gauge transform lost the leading product")
     result = StarProduct(s.dim, s.order, terms[1:])
-    result._inherit_certificate(object.__getattribute__(s, "_certified"))
+    result._inherit_certificate(s._certified)
     return result
 
 
@@ -418,17 +420,17 @@ def _solve_columns(dim: int, terms: _TermMap, live: dict, bound: int) -> PolyDif
 
 
 def _trivector(dim: int, terms: _TermMap) -> Polyvector:
-    """Alt T: the arity-3 target T evaluated by apply on every ordering of each
-    coordinate triple, each value signed by its ordering's parity."""
-    copy = _TermMap((k, dict(t)) for k, t in terms.items())
-    copy.den = terms.den
-    target = PolyDiffOp._from_term_map(dim, 3, copy)
-    xs = [Polynomial.variable(dim, i) for i in range(dim)]
+    """Alt T: the arity-3 target T on every ordering of each coordinate triple,
+    each value signed by its ordering's parity.  One _values walk of T's live
+    numerators over the coordinate functions' _ArgumentTable gives every
+    ordering's value; each component is divided by T's denominator once."""
+    table = _ArgumentTable([Polynomial.variable(dim, i) for i in range(dim)])
+    live = {key: t for key, t in terms.items() if t}
+    values = dict(_values(live, table, [range(dim)] * 3))
     components = {}
     for triple in itertools.combinations(range(dim), 3):
-        signed = zip((1, -1, -1, 1, 1, -1), itertools.permutations(triple))
-        components[triple] = sum(
-            (sign * target.apply([xs[i] for i in perm]) for sign, perm in signed),
-            Polynomial.zero(dim),
-        )
+        value: dict = {}
+        for sign, perm in zip((1, -1, -1, 1, 1, -1), itertools.permutations(triple)):
+            _add_into(value, values.get(perm, {}), sign)
+        components[triple] = Polynomial._trusted(dim, _divided(value, terms.den))
     return Polyvector(dim, 3, components)

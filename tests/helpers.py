@@ -34,7 +34,6 @@ from starobs.poly import (
     Exponents,
     PolynomialParseError,
     _accumulate,
-    _gather_monomials,
     add_exponents,
     exponents_upto,
     sub_exponents,
@@ -325,6 +324,13 @@ def hkr_to_cochain(P: Polyvector) -> PolyDiffOp:
     return PolyDiffOp(dim, k, terms)
 
 
+def polynomials(dim: int, solved: dict) -> dict:
+    """{key: Polynomial} from a _SparseSystem._solve solution {key: {monomial: value}},
+    each by the validating constructor, as the solves built them before they read
+    the grouped solution as it comes."""
+    return {key: Polynomial(dim, t) for key, t in solved.items()}
+
+
 def reference_lift_witness(
     system: IntegrableSystem, Y: RelativeClass, degree_bound: int
 ) -> Polyvector | None:
@@ -347,7 +353,7 @@ def reference_lift_witness(
     solved = eqs._solve()
     if solved is None:
         return None
-    field_ = Polyvector(dim, 1, _gather_monomials(dim, solved))
+    field_ = Polyvector(dim, 1, polynomials(dim, solved))
     derivation = hkr_to_cochain(field_)
     assert all(derivation.apply([g]) == Y.component((j,)) for j, g in enumerate(system.generators))
     return field_
@@ -383,7 +389,7 @@ def reference_exactness_solve(
     solved = eqs._solve()
     if solved is None:
         return ExactnessResult(certificate="rank_at_bound")
-    witness = RelativeClass(dim, n, 1, _gather_monomials(dim, solved))
+    witness = RelativeClass(dim, n, 1, polynomials(dim, solved))
     assert d_hor(system, witness) == c
     return ExactnessResult(witness=witness)
 
@@ -505,7 +511,7 @@ def reference_pair_unary_correction(s, system, n, bounds):
     solved = None if eqs is None else eqs._solve()
     if solved is None:
         return None
-    return PolyDiffOp(system.dim, 1, _gather_monomials(system.dim, solved))
+    return PolyDiffOp(system.dim, 1, polynomials(system.dim, solved))
 
 
 def reference_unary_correction(s, system, n, bounds):
@@ -562,7 +568,7 @@ def reference_extend_one_order(s, coefficient_degree, operator_order):
     solved = eqs._solve()
     if solved is None:
         return ExtensionResult()
-    particular = PolyDiffOp(dim, 2, _gather_monomials(dim, solved))
+    particular = PolyDiffOp(dim, 2, polynomials(dim, solved))
     extended = StarProduct(dim, n + 1, list(s.corrections) + [particular])
     assert extended.assoc_residual(n + 1).is_zero()
     return ExtensionResult(particular, extended)
@@ -828,6 +834,24 @@ def reference_mul(p: Polynomial, q: Polynomial) -> Polynomial:
 
 def reference_add(p: Polynomial, q: Polynomial) -> Polynomial:
     return Polynomial._trusted(p.dim, reference_sum(p.terms, q.terms))
+
+
+def reference_poly_det(matrix: list[list[Polynomial]]) -> Polynomial:
+    """The determinant of a square matrix of Polynomials by cofactor expansion along
+    the first row, in Polynomial arithmetic: the validation's minors as they were
+    taken before they ran on the Jacobian table's dicts."""
+    n = len(matrix)
+    if n == 1:
+        return matrix[0][0]
+    total = Polynomial.zero(matrix[0][0].dim)
+    for c in range(n):
+        entry = matrix[0][c]
+        if entry.is_zero():
+            continue
+        minor = [row[:c] + row[c + 1 :] for row in matrix[1:]]
+        term = entry * reference_poly_det(minor)
+        total = total + (term if c % 2 == 0 else -term)
+    return total
 
 
 def reference_poisson_bracket(pi: Polyvector, f: Polynomial, g: Polynomial) -> Polynomial:

@@ -485,8 +485,8 @@ MUTANTS = [
     Mutant(
         "apply reads every slot's derivative from the first argument",
         "polydiff.py",
-        "args[k].partial_multi(a).terms",
-        "args[0].partial_multi(a).terms",
+        "_partial(self.args[k], a)",
+        "_partial(self.args[0], a)",
         (KERNELS + "test_apply_matches_the_replaced_term_loop",),
     ),
     # one loop per sparse-dict operation, in poly
@@ -512,11 +512,36 @@ MUTANTS = [
         (KERNELS + "test_the_shared_kernels_match_the_loops_they_replaced",),
     ),
     Mutant(
-        "a Poisson bracket adds d_j f d_i g instead of subtracting it",
+        "a Poisson bracket passes g's gradient before f's",
         "multivec.py",
-        "_product(_partial(f.terms, uj), _partial(g.terms, ui)), -1)",
-        "_product(_partial(f.terms, uj), _partial(g.terms, ui)))",
+        "_bracket(pi, df, dg))",
+        "_bracket(pi, dg, df))",
         (KERNELS + "test_poisson_bracket_matches_the_replaced_polynomial_loop",),
+    ),
+    # one bracket formula, one solver read-out, one determinant on J's dicts
+    Mutant(
+        "the bracket formula adds d_j f d_i g instead of subtracting it",
+        "multivec.py",
+        "_add_into(term, _product(df[j], dg[i]), -1)",
+        "_add_into(term, _product(df[j], dg[i]))",
+        (
+            "tests/test_obstruction.py::"
+            "test_jacobian_and_hamiltonian_tables_match_partial_and_poisson_bracket",
+        ),
+    ),
+    Mutant(
+        "the solve read-out swaps monomial and key",
+        "linsolve.py",
+        "            mono, key = self.columns[ci]\n",
+        "            key, mono = self.columns[ci]\n",
+        (LINSOLVE + "test_sparse_system_solution_keyed_by_label_and_nullspace_by_column",),
+    ),
+    Mutant(
+        "a determinant without the cofactor sign",
+        "obstruction.py",
+        "_det(minor)), -1 if c % 2 else 1)",
+        "_det(minor)), 1)",
+        (KERNELS + "test_det_matches_the_replaced_polynomial_cofactor_expansion",),
     ),
     # one shifted-row entry for the exactness, lift and unary solves
     Mutant(
@@ -536,11 +561,10 @@ MUTANTS = [
     ),
     # per-system tables and no Leibniz work on zero or constant operands
     Mutant(
-        "the Hamiltonian table flips the sign of pi's first component",
+        "the Hamiltonian table brackets x_k with f_j, not f_j with x_k",
         "obstruction.py",
-        "            for (i, l), c in system.pi.components.items():\n",
-        "            for (i, l), c in system.pi.components.items():\n"
-        "                c = -c if (i, l) == next(iter(system.pi.components)) else c\n",
+        "_bracket(system.pi, row, u)",
+        "_bracket(system.pi, u, row)",
         (
             "tests/test_obstruction.py::"
             "test_jacobian_and_hamiltonian_tables_match_partial_and_poisson_bracket",

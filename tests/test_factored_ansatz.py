@@ -276,7 +276,7 @@ def test_unary_correction_is_none_on_an_antisymmetric_part():
         assert _solve_unary_correction(star, system, 1, chi, bounds) is None
         assert reference_pair_unary_correction(star, system, 1, bounds) is None
         eqs = _unary_ansatz_rows(star.term(1), system, bounds)
-        assert eqs._solve() == {((0, 0, 0), ((0, 1, 1),)): 1}
+        assert eqs._solve() == {((0, 1, 1),): {(0, 0, 0): 1}}
 
 
 def test_rotation_momenta_at_bounds_2_6_solves_a_small_monomial_system():

@@ -352,13 +352,22 @@ def test_sparse_system_infeasible_solve_is_none():
 
 
 def test_sparse_system_solution_keyed_by_label_and_nullspace_by_column():
-    # x + 2y = 3 over the columns (y, x, z): y is the pivot, x and z are free
-    system = _SparseSystem(["y", "x", "z"])
-    system._add("eq", "x", Fraction(1))
-    system._add("eq", "y", Fraction(2))
+    # x + 2y = 3 over the columns (y, x, z): y is the pivot, x and z are free; each
+    # column is a (monomial, key) label, and the solution comes back grouped by key
+    y, x, z = ((0,), "b"), ((1,), "a"), ((0,), "a")
+    system = _SparseSystem([y, x, z])
+    system._add("eq", x, Fraction(1))
+    system._add("eq", y, Fraction(2))
     system._add_rhs("eq", Fraction(3))
-    assert system._solve() == {"y": Fraction(3, 2)}
+    assert system._solve() == {"b": {(0,): Fraction(3, 2)}}
     # the nullspace, which only the weight map reads, comes from the solver by column index
     solved = solve_sparse(system.rows, system.rhs, len(system.columns), want_nullspace=True)
     assert solved.nullspace == [{1: 1, 0: Fraction(-1, 2)}, {2: 1}]
     assert [list(vec) for vec in solved.nullspace] == [[1, 0], [2]]
+    # x - y = 1 as well pins x: both keys, in order of first use
+    system._add("eq2", x, Fraction(1))
+    system._add("eq2", y, Fraction(-1))
+    system._add_rhs("eq2", Fraction(1))
+    solved = system._solve()
+    assert solved == {"b": {(0,): Fraction(2, 3)}, "a": {(1,): Fraction(5, 3)}}
+    assert list(solved) == ["b", "a"]

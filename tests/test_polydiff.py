@@ -33,6 +33,7 @@ from starobs import (
     schouten_bracket,
     vanishes_on_generators,
 )
+from starobs import polydiff
 from starobs.polydiff import _numerators, _restricted_items, _TermMap
 
 P1 = lambda t: parse_polynomial(t, ["x"])
@@ -432,19 +433,19 @@ def test_no_kernel_renumerates_an_operator():
 
 
 def test_apply_differentiates_each_argument_scaled_to_integers(monkeypatch):
-    # each argument enters the walk times the lcm of its denominators, still through
-    # Polynomial.partial_multi, and the value is divided once by 6 * 4 * the
-    # operator's denominator
+    # each argument's dict enters the walk times the lcm of its denominators, through
+    # polydiff._partial, and the value is divided once by 6 * 4 * the operator's
+    # denominator
     op = PolyDiffOp(2, 2, {((1, 0), (0, 1)): p2("1/3*x"), ((0, 0), (0, 0)): p2("1/2")})
     args = [p2("1/2*x^2 + 1/3*p"), p2("3/4*p^2 - x")]
     seen = []
-    partial_multi = Polynomial.partial_multi
+    partial = polydiff._partial
 
-    def recording(p, alpha):
-        seen.append(p)
-        return partial_multi(p, alpha)
+    def recording(t, alpha):
+        seen.append(Polynomial(2, t))
+        return partial(t, alpha)
 
-    monkeypatch.setattr(Polynomial, "partial_multi", recording)
+    monkeypatch.setattr(polydiff, "_partial", recording)
     value = op.apply(args)
     assert set(seen) == {args[0] * 6, args[1] * 4}
     assert all(type(c) is int for p in seen for c in p.terms.values())

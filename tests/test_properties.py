@@ -20,6 +20,7 @@ from helpers import (
     reference_partial,
     reference_partial_multi,
     reference_poisson_bracket,
+    reference_poly_det,
     reference_product,
     reference_render_report,
     reference_sum,
@@ -32,6 +33,7 @@ from starobs import FormalDiffeo, PolyDiffOp, Polynomial, Polyvector, compose_di
 from starobs import parse_polynomial, poisson_bracket  # noqa: E402
 from starobs import PolynomialParseError  # noqa: E402
 from starobs.cli import Problem, load_problem_data, main, render_report  # noqa: E402
+from starobs.obstruction import _det  # noqa: E402
 from starobs.poly import (  # noqa: E402
     _add_into,
     _divided,
@@ -201,12 +203,12 @@ def test_the_shared_kernels_match_the_loops_they_replaced(operands, factor, divi
         assert _multiplied(scaled, f) is scaled
         assert typed(scaled) == typed({e: v * f for e, v in p.terms.items()})
     # the replaced derivative made an integral Fraction an int at each step, _partial
-    # keeps a value's type: the values and their order agree, and the Polynomial's types
+    # keeps a value's type: the values and their order agree, and the types once an
+    # integral Fraction is made an int
     for alpha in (gamma, zero):
-        assert list(_partial(p.terms, alpha).items()) == list(
-            reference_partial_multi(p, alpha).terms.items()
-        )
-        assert typed(p.partial_multi(alpha).terms) == typed(reference_partial_multi(p, alpha).terms)
+        got, want = _partial(p.terms, alpha), reference_partial_multi(p, alpha).terms
+        assert list(got.items()) == list(want.items())
+        assert typed(Polynomial._trusted(p.dim, dict(got)).terms) == typed(want)
     assert _partial(p.terms, zero) is p.terms
     op = PolyDiffOp.single(p.dim, (zero, gamma), p) + PolyDiffOp.single(p.dim, (gamma, zero), q)
     den, numerators = _numerators(op)
@@ -255,6 +257,28 @@ def test_poisson_bracket_matches_the_replaced_polynomial_loop(operands):
         assert typed(poisson_bracket(pi, f, h).terms) == typed(
             reference_poisson_bracket(pi, f, h).terms
         )
+
+
+@st.composite
+def square_matrices(draw) -> list[list[Polynomial]]:
+    """A square matrix, 1 by 1 to 4 by 4, of polynomials in 1 to 3 variables with
+    int and Fraction coefficients, about a third of its entries zero."""
+    dim, n = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    exponents = st.tuples(*[st.integers(0, 2)] * dim)
+    terms = st.dictionaries(exponents, coefficients, min_size=1, max_size=3)
+    entries = st.one_of(st.just({}), terms, terms)
+    return [[Polynomial(dim, draw(entries)) for _ in range(n)] for _ in range(n)]
+
+
+@hypothesis.settings(derandomize=True, deadline=None, database=None, max_examples=200)
+@hypothesis.given(square_matrices())
+def test_det_matches_the_replaced_polynomial_cofactor_expansion(matrix):
+    """The validation's _det on the entries' dicts is the Polynomial cofactor
+    expansion's determinant, and zero on a matrix with a repeated row."""
+    rows = [[p.terms for p in row] for row in matrix]
+    assert Polynomial._trusted(matrix[0][0].dim, dict(_det(rows))) == reference_poly_det(matrix)
+    if len(rows) > 1:
+        assert not _det([rows[0], rows[0], *rows[2:]])
 
 
 # coordinate names: letters, '_', digits that int() takes and digits it does not,

@@ -174,8 +174,16 @@ def test_kernels_take_no_polynomial_product_and_apply_nothing(star, system, boun
         raise AssertionError("a rewritten kernel used the Polynomial path")
 
     for cls, name in [(Polynomial, "__mul__"), (Polynomial, "__rmul__"),
-                      (Polynomial, "partial_multi"), (PolyDiffOp, "apply")]:
+                      (Polynomial, "partial"), (PolyDiffOp, "apply")]:
         monkeypatch.setattr(cls, name, forbidden)
+    # every derivative is _partial's, of a generator monomial in the system's table
+    differentiated, partial = [], polydiff._partial
+
+    def watched(t, alpha):
+        differentiated.append(t)
+        return partial(t, alpha)
+
+    monkeypatch.setattr(polydiff, "_partial", watched)
     for n, (values, chi) in zip(range(1, star.order + 1), expected):
         op = star.term(n)
         table = restricted_values(op, fresh)
@@ -183,6 +191,8 @@ def test_kernels_take_no_polynomial_product_and_apply_nothing(star, system, boun
         assert vanishes_on_generators(op, fresh) == (not values)
         assert _raw_class(star, fresh, n) == chi
         _unary_ansatz_rows(op, fresh, bounds)
+    monomials = {id(t) for t in fresh._monomials.values()}
+    assert differentiated and all(id(t) in monomials for t in differentiated)
 
 
 def test_every_evaluation_runs_on_the_one_walk(monkeypatch):
