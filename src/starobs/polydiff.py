@@ -326,33 +326,45 @@ class PolyDiffOp:
         come in the order of splitting alpha over all 1 + inner.arity factors,
         the first varying slowest.  A zero operator adds nothing, and a
         constant inner coefficient takes only gamma0 = 0, _leibniz's first
-        split, of weight 1: every split skipped would add zero.
+        split, of weight 1: every split skipped would add zero.  Adding a zero
+        multi-index is the identity, so no key is shifted by one: an inner key
+        of zero multi-indices inserts the split itself, and a zero rest, whose
+        one split is all zeros, inserts the inner key.
         """
         den_out, outer_terms = _numerators(self)
         den_in, inner_terms = _numerators(inner)
         if not outer_terms or not inner_terms:
             return
         sign *= terms.scale(den_out * den_in)
-        z = zero_exponents(self.dim)
-        derivs: list[dict[Exponents, dict]] = [{} for _ in inner_terms]
-        constants = [len(c_in) == 1 and z in c_in for c_in in inner_terms.values()]
+        z, arity, entry = zero_exponents(self.dim), inner.arity, terms.setdefault
+        # per inner term: key, coefficient, its d^gamma0 by gamma0, whether the
+        # coefficient is constant, whether the key is all zeros
+        inners = [
+            (in_key, c_in, {}, len(c_in) == 1 and z in c_in, not any(map(any, in_key)))
+            for in_key, c_in in inner_terms.items()
+        ]
         for key, c_out in outer_terms.items():
             head, tail = key[:slot], key[slot + 1 :]
             leibniz = _leibniz(key[slot])
-            for (in_key, c_in), d_in, constant in zip(inner_terms.items(), derivs, constants):
-                for gamma0, rest, w0 in leibniz[:1] if constant else leibniz:
+            first = leibniz[:1]
+            for in_key, c_in, d_in, constant, zero_key in inners:
+                for gamma0, rest, w0 in first if constant else leibniz:
                     dc = d_in.get(gamma0)
                     if dc is None:
                         dc = d_in[gamma0] = _partial(c_in, gamma0)
                     if not dc:
                         continue
-                    splits = _split_over(rest, inner.arity)
-                    if not splits:
-                        continue
-                    base = _product(c_out, dc)
+                    if any(rest):
+                        splits, shifted = _split_over(rest, arity), not zero_key
+                        if not splits:
+                            continue
+                    else:  # the one split is all zeros: the inner key stays
+                        splits, shifted = ((in_key, 1),), False
+                    base, weight = _product(c_out, dc), sign * w0
                     for gammas, w in splits:
-                        inserted = head + tuple(map(add_exponents, in_key, gammas)) + tail
-                        _add_into(terms.setdefault(inserted, {}), base, sign * w0 * w)
+                        if shifted:
+                            gammas = tuple(map(add_exponents, in_key, gammas))
+                        _add_into(entry(head + gammas + tail, {}), base, weight * w)
 
     @classmethod
     def _from_term_map(cls, dim: int, arity: int, terms: _TermMap) -> PolyDiffOp:
@@ -492,28 +504,29 @@ def _values(
     first zero factor, and a prefix with none left is not descended.  A value
     is the sum of its live terms in op.terms order, a fresh dict.
     """
-    arity = len(slots)
+    return _walk(table, slots, 0, (), list(numerators.items()))
 
-    def walk(slot, exps, live):
-        if slot == arity:
-            value: dict[Exponents, int] = {}
-            for _, v in live:
-                _add_into(value, v)
-            if value:
-                yield exps, value
-            return
-        for e in slots[slot]:
-            # a product of nonzero polynomials is nonzero: only a zero factor kills a term
-            step = []
-            for key, v in live:
-                d = table[key[slot], e]
-                if d:
-                    step.append((key, _product(v, d)))
-            if step:
-                yield from walk(slot + 1, exps + (e,), step)
 
-    live = list(numerators.items())
-    return walk(0, (), live) if live else iter(())
+def _walk(table: Mapping, slots: Sequence, slot: int, exps: tuple, live: list) -> Iterator:
+    """_values from slot `slot` on, for the prefix exps and its live (key,
+    partial product) pairs.  A module-level generator, so a walk holds no
+    reference to itself and its table is freed with its last frame."""
+    if slot == len(slots):
+        value: dict[Exponents, int] = {}
+        for _, v in live:
+            _add_into(value, v)
+        if value:
+            yield exps, value
+        return
+    for e in slots[slot]:
+        # a product of nonzero polynomials is nonzero: only a zero factor kills a term
+        step = []
+        for key, v in live:
+            d = table[key[slot], e]
+            if d:
+                step.append((key, _product(v, d)))
+        if step:
+            yield from _walk(table, slots, slot + 1, exps + (e,), step)
 
 
 def _evaluate(

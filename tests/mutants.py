@@ -587,11 +587,32 @@ MUTANTS = [
     Mutant(
         "the constant shortcut taken for a coefficient with a constant term",
         "polydiff.py",
-        "constants = [len(c_in) == 1 and z in c_in for",
-        "constants = [z in c_in for",
+        "len(c_in) == 1 and z in c_in, not any",
+        "z in c_in, not any",
         (
             TERM_MAPS
             + "test_compose_into_matches_the_reference_on_zero_operators_and_constant_coefficients",
+        ),
+    ),
+    # composition without shifting by zero
+    Mutant(
+        "the zero-key path taken for a key with one zero slot",
+        "polydiff.py",
+        "not any(map(any, in_key)))",
+        "not all(map(any, in_key)))",
+        (
+            TERM_MAPS
+            + "test_compose_into_matches_the_reference_on_zero_keys_with_polynomial_coefficients",
+        ),
+    ),
+    Mutant(
+        "the inner key kept for a rest that is zero in its first coordinate only",
+        "polydiff.py",
+        "                    if any(rest):\n",
+        "                    if rest[0]:\n",
+        (
+            TERM_MAPS
+            + "test_compose_into_matches_the_reference_on_zero_keys_with_polynomial_coefficients",
         ),
     ),
 ]

@@ -14,6 +14,7 @@ R^3 and R^4, and a system whose generators have non-integral coefficients,
 so that table entries hold Fractions.
 """
 
+import gc
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -41,6 +42,7 @@ from starobs import (
     Polynomial,
     RelativeClass,
     d_hor,
+    eliminate_to_order,
     exactness_solve,
     gauge_transform,
     hochschild_d,
@@ -216,6 +218,34 @@ def test_every_evaluation_runs_on_the_one_walk(monkeypatch):
         calls.clear()
         run()
         assert calls, name
+
+
+def test_evaluation_walks_leave_no_garbage():
+    # with the collector paused, eliminate on every case, apply, and a flatness
+    # test that stops at its first value: a walk that referred to itself would
+    # leave a cycle holding its table until the collector ran
+    def made_by_polydiff(obj):
+        code = getattr(obj, "__code__", getattr(obj, "gi_code", None))
+        tables = (polydiff._ArgumentTable, polydiff._GeneratorTable)
+        return isinstance(obj, tables) or getattr(code, "co_filename", None) == polydiff.__file__
+
+    gc.collect()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        for case in CASES:
+            star, system, bounds = case.values
+            eliminate_to_order(star, system, star.order, bounds)
+            op = star.term(star.order)
+            op.apply([system.generators[-1]] * op.arity)
+            vanishes_on_generators(op, system)
+        gc.collect()
+        left = [obj for obj in gc.garbage if made_by_polydiff(obj)]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        gc.enable()
+    assert left == []
 
 
 @pytest.mark.parametrize("star, system, bounds", CASES)

@@ -46,6 +46,7 @@ from starobs import (
     parse_polynomial,
     poisson_bracket,
 )
+from starobs import polydiff as polydiff_module
 from starobs import star as star_module
 from starobs.poly import _divided, exponents_upto, unit_exponents, zero_exponents
 from starobs.polydiff import _differential_into, _leibniz, _numerators, _split_over, _TermMap
@@ -435,6 +436,79 @@ def test_compose_into_matches_the_reference_on_zero_operators_and_constant_coeff
     assert seen == {"zero outer", "zero inner", "constant", "plus", "none"}
 
 
+def multiplication_gauge(dim, parts):
+    """FormalDiffeo id + sum_k h^k D_k, each D_k a sum of c x^e d^alpha terms
+    given as (alpha, e, c); alpha = 0 is a multiplication term."""
+    terms = []
+    for part in parts:
+        op = PolyDiffOp.zero(dim, 1)
+        for alpha, e, c in part:
+            op = op + PolyDiffOp.single(dim, [alpha], Polynomial.monomial(dim, e, c))
+        terms.append(op)
+    return FormalDiffeo(dim, len(parts), terms)
+
+
+ZERO_KEY_PRODUCTS = [
+    # bench's gauged R^2 order-2 builder's gauge, x and 2y^2 times the identity added
+    pytest.param(
+        moyal_star(Polyvector.bivector(2, {(0, 1): Fraction(2, 3)}), 3),
+        multiplication_gauge(
+            2,
+            [
+                [((0, 1), (1, 0), Fraction(1, 2)), ((0, 0), (1, 0), 1)],
+                [((0, 2), (0, 0), Fraction(-3, 2)), ((0, 0), (0, 2), 2)],
+                [],
+            ],
+        ),
+        id="r2-o3",
+    ),
+    pytest.param(
+        moyal_star(Polyvector.bivector(3, {(0, 1): 1, (0, 2): Fraction(-1, 2), (1, 2): 3}), 2),
+        multiplication_gauge(
+            3, [[((0, 0, 0), (0, 1, 1), Fraction(1, 3)), ((1, 0, 1), (1, 0, 0), -2)], []]
+        ),
+        id="r3-o2",
+    ),
+    # bench's gauged R^4 order-1 builder's gauge, p2 times the identity added
+    pytest.param(
+        moyal_star(canonical_pi4(), 2),
+        multiplication_gauge(
+            4,
+            [
+                [((0, 0, 1, 0), (1, 0, 0, 0), Fraction(1, 2)), ((0, 0, 0, 0), (0, 0, 0, 1), 3)],
+                [((0, 0, 0, 0), (0, 0, 1, 0), Fraction(-1, 2))],
+            ],
+        ),
+        id="r4-o2",
+    ),
+]
+
+
+@pytest.mark.parametrize("star, D", ZERO_KEY_PRODUCTS)
+def test_compose_into_matches_the_reference_on_zero_keys_with_polynomial_coefficients(star, D):
+    # every B_k and D_k of a product gauged by multiplication terms into every
+    # B_k, both slots of a bidifferential outer, both signs: keys (cancelled
+    # ones included) and monomials in the same order as the reference's
+    gauged = gauge_transform(star, D)
+    inners = [gauged.term(k) for k in range(gauged.order + 1)]
+    inners += [D.term(k) for k in range(1, D.order + 1)]
+
+    def zero_keys(op):
+        return [c for key, c in op.terms.items() if not any(map(any, key))]
+
+    # a zero key with a non-constant coefficient, next to derivative keys
+    mixed = [op for op in inners if len(zero_keys(op)) < len(op.terms)]
+    assert any(c.degree() > 0 for op in mixed for c in zero_keys(op))
+    for outer, inner in itertools.product(inners[: gauged.order + 1], inners):
+        for slot, sign in itertools.product(range(outer.arity), (1, -1)):
+            got, want = _TermMap(), {}
+            outer._compose_into(got, slot, inner, sign)
+            reference_compose_into(outer, want, slot, inner, sign)
+            assert list(got) == list(want)
+            for key, t in got.items():
+                assert list(_divided(dict(t), got.den).items()) == list(want[key].items())
+
+
 def test_gauge_transform_with_fraction_gauges_matches_reference():
     # Moyal products conjugated by gauges whose coefficients are multiples of
     # 1/2, 1/3 and 1/7: every order's map gets a new denominator partway through
@@ -675,6 +749,32 @@ def test_extension_post_check_reuses_the_target(monkeypatch):
     monkeypatch.setattr(PolyDiffOp, "_compose_into", counting)
     assert extend_one_order(star).solved
     assert len(calls) == 2 * star.order + 4
+
+
+def test_extension_post_check_shifts_no_key(monkeypatch):
+    # the post-check inserts m into and around B_{n+1}: either the inner key or
+    # the split is all zeros, and adding a zero multi-index is no work
+    star = moyal_star(canonical_pi4(), 2)
+    star.certified_order()
+    shifts, post_check = [], []
+    add, insertions = polydiff_module.add_exponents, StarProduct._insertions
+
+    def adding(a, b):
+        shifts.append(post_check[-1] if post_check else False)
+        return add(a, b)
+
+    def inserting(self, n, ks, terms):
+        post_check.append(tuple(ks) == (0, n))
+        try:
+            return insertions(self, n, ks, terms)
+        finally:
+            post_check.pop()
+
+    monkeypatch.setattr(polydiff_module, "add_exponents", adding)
+    monkeypatch.setattr(StarProduct, "_insertions", inserting)
+    assert extend_one_order(star).solved
+    assert False in shifts  # the target's middle insertions do shift keys
+    assert shifts.count(True) == 0
 
 
 def test_extension_post_check_catches_a_perturbed_solve(monkeypatch):
