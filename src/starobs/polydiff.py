@@ -395,17 +395,38 @@ def _key_differential(dim: int, key: DerivKey) -> dict[DerivKey, int]:
     For key = (a_1..a_k), d(d^key)(f_1..f_{k+1}) is f_1 d^key(f_2..),
     then (-1)^j d^key(.., f_j f_{j+1}, ..) for j = 1..k with the Leibniz
     rule splitting d^(a_j) over f_j f_{j+1}, then (-1)^(k+1) d^key(..) f_{k+1}.
+
+    Only the proper splits (0 < beta < a_j) survive that sum.  The improper
+    split beta = a_j of slot j and beta = 0 of slot j + 1 give one key, a 0
+    put between a_j and a_(j+1), with opposite signs; so do f_1 d^key(f_2..)
+    and beta = 0 of slot 1, and (-1)^(k+1) d^key(..) f_(k+1) and beta = a_k
+    of slot k.  A zero slot's one split is both of its improper splits, so a
+    run of r zero slots from slot j on chains r + 2 terms of alternating sign
+    on one key, the run lengthened by a 0: they sum to 0 for r even and to
+    (-1)^(j+1) for r odd, as do the r terms (-1)^(i+1) of its slots i, the
+    one term each zero slot adds here.  Proper-split keys differ from each
+    other and from every run's key.
+
+    The terms come in the order of the full sum, the cancelled keys taken
+    out: a trailing run's key first, where f_(k+1)'s term left it, then each
+    slot's proper splits in order, and each other run's key after the splits
+    of the slot before it.  _leibniz is read once for every slot.
     """
     k = len(key)
     z = zero_exponents(dim)
     terms: dict[DerivKey, int] = {}
-    _accumulate(terms, (z,) + key, 1)
-    _accumulate(terms, key + (z,), (-1) ** (k + 1))
-    for j in range(1, k + 1):
+    last = k
+    while last and not any(key[last - 1]):
+        last -= 1
+    for j in itertools.chain(range(last + 1, k + 1), range(1, last + 1)):
         sign = (-1) ** j
         head, tail = key[: j - 1], key[j:]
-        for beta, rest, weight in _leibniz(key[j - 1]):
-            _accumulate(terms, head + (beta, rest) + tail, sign * weight)
+        leibniz = _leibniz(key[j - 1])
+        if len(leibniz) == 1:
+            _accumulate(terms, head + (z, z) + tail, -sign)
+            continue
+        for beta, rest, weight in leibniz[1:-1]:
+            terms[head + (beta, rest) + tail] = sign * weight
     return terms
 
 
@@ -415,8 +436,8 @@ def _differential_into(terms: _TermMap, op: PolyDiffOp, sign: int) -> None:
     `terms` is a _TermMap, as for PolyDiffOp._compose_into.
     B_0 is commutative, so a coefficient c passes through every term of
     d: d(c d^key) = c d(d^key).  Each term c d^key of op therefore adds c
-    times the integer operator _key_differential(key), whose cancelled
-    keys never reach a coefficient.
+    times the integer operator _key_differential(key), which holds no
+    cancelled key.
     """
     terms.add(op, sign, lambda key: _key_differential(op.dim, key))
 

@@ -23,6 +23,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from operator import add
 from typing import Sequence
 
 from . import linsolve
@@ -363,8 +364,10 @@ def _solve_target(dim: int, terms: _TermMap) -> tuple[PolyDiffOp | None, Polyvec
     live, slot_order, order = {}, 0, 0  # live key -> its weight
     for key, t in terms.items():
         if t:
-            weight = live[key] = tuple(map(sum, zip(*key)))
-            slot_order, order = max(slot_order, *map(sum, key)), max(order, sum(weight))
+            a, b, c = key
+            live[key] = tuple(map(add, map(add, a, b), c))
+            sa, sb, sc = sum(a), sum(b), sum(c)
+            slot_order, order = max(slot_order, sa, sb, sc), max(order, sa + sb + sc)
     particular = _solve_columns(dim, terms, live, slot_order)
     if particular is not None:
         return particular, None
@@ -396,6 +399,14 @@ def _solve_columns(dim: int, terms: _TermMap, live: dict, bound: int) -> PolyDif
     unique reduced row-echelon form, is 0: leaving it out keeps the
     candidate.  An arity-3 key that no column reaches fails at once.
 
+    Most rows hold one entry.  A later one-entry row v x_c = t in a column c
+    that an earlier one, v0 x_c = t0, already pins is v/v0 times it when
+    t v0 = t0 v, monomial for monomial, and contradicts it otherwise.  So it
+    is checked by that cross-multiplication, and None returned when the check
+    fails, instead of being solved: proportional rows span the same row
+    space, so the reduced row-echelon form, and with it the candidate, is
+    the one that the whole system gives.
+
     The right-hand sides are the target's numerators over its one
     denominator den, and each solution entry is divided by den once, into
     the coefficient dicts that _numerated makes the candidate's store of.
@@ -408,8 +419,20 @@ def _solve_columns(dim: int, terms: _TermMap, live: dict, bound: int) -> PolyDif
             matrix.setdefault(dkey, {})[ci] = v
     if not all(k in matrix for k in live):
         return None
-    rhs = [terms.get(k, {}) for k in matrix]
-    result = linsolve.solve_sparse(list(matrix.values()), rhs, len(keys))
+    rows, rhs, pinned = [], [], {}  # pinned: column -> its first one-entry row
+    for dkey, row in matrix.items():
+        t = terms.get(dkey, {})
+        if len(row) == 1:
+            [(c, v)] = row.items()
+            if c in pinned:
+                v0, t0 = pinned[c]
+                if {e: x * v0 for e, x in t.items()} != {e: x * v for e, x in t0.items()}:
+                    return None
+                continue
+            pinned[c] = v, t
+        rows.append(row)
+        rhs.append(t)
+    result = linsolve.solve_sparse(rows, rhs, len(keys))
     if not result.solved:
         return None
     coefficients: dict[DerivKey, dict] = {}

@@ -34,6 +34,7 @@ from starobs.poly import (
     Exponents,
     PolynomialParseError,
     _accumulate,
+    _ratio,
     add_exponents,
     exponents_upto,
     sub_exponents,
@@ -45,6 +46,7 @@ from starobs.polydiff import (
     _GeneratorTable,
     _key_differential,
     _leibniz,
+    _numerated,
     _peel,
     _split_over,
     _sub_multi_indices,
@@ -628,6 +630,60 @@ def reference_hochschild_d(op: PolyDiffOp) -> PolyDiffOp:
                 weight = _binom_multi(alpha, beta) * sign
                 _accumulate(terms, key[: j - 1] + (beta, rest) + key[j:], c * weight)
     return PolyDiffOp(dim, k + 1, terms)
+
+
+# -- the boundary-term loop, the reference for the proper-split differential ---------
+
+
+def reference_key_differential(dim: int, key: DerivKey) -> dict[DerivKey, int]:
+    """polydiff._key_differential as it was before it enumerated only proper splits:
+    the boundary terms (z,) + key and key + (z,), then every Leibniz split of
+    every slot, each added by _accumulate, so cancelled keys are deleted and a
+    key put back after its deletion moves to the end."""
+    k = len(key)
+    z = zero_exponents(dim)
+    terms: dict[DerivKey, int] = {}
+    _accumulate(terms, (z,) + key, 1)
+    _accumulate(terms, key + (z,), (-1) ** (k + 1))
+    for j in range(1, k + 1):
+        sign = (-1) ** j
+        head, tail = key[: j - 1], key[j:]
+        for beta, rest, weight in _leibniz(key[j - 1]):
+            _accumulate(terms, head + (beta, rest) + tail, sign * weight)
+    return terms
+
+
+# -- the all-rows extension solve, the reference for the one-row-per-pinned-column one
+
+
+def reference_extension_matrix(dim: int, live: dict, bound: int):
+    """The column keys of star._solve_columns and its M by rows,
+    {arity-3 key: {column: entry}}, built by reference_key_differential."""
+    splits = (split[:2] for w in set(live.values()) for split in _leibniz(w))
+    keys = sorted(key for key in splits if max(map(sum, key)) <= bound)
+    matrix: dict[DerivKey, dict[int, int]] = {}
+    for ci, key in enumerate(keys):
+        for dkey, v in reference_key_differential(dim, key).items():
+            matrix.setdefault(dkey, {})[ci] = v
+    return keys, matrix
+
+
+def reference_solve_columns(dim: int, terms: _TermMap, live: dict, bound: int):
+    """star._solve_columns as it was before it dropped the repeated one-entry
+    rows of a column: every row of M goes to solve_sparse, which alone checks
+    consistency."""
+    keys, matrix = reference_extension_matrix(dim, live, bound)
+    if not all(k in matrix for k in live):
+        return None
+    rhs = [terms.get(k, {}) for k in matrix]
+    result = solve_sparse(list(matrix.values()), rhs, len(keys))
+    if not result.solved:
+        return None
+    coefficients: dict[DerivKey, dict] = {}
+    for e, block in result.solution.items():
+        for ci, v in block.items():
+            coefficients.setdefault(keys[ci], {})[e] = _ratio(v, terms.den)
+    return PolyDiffOp._trusted(dim, 2, *_numerated(coefficients))
 
 
 # -- Leibniz rule split per pair of terms, the reference for compose_at -------------

@@ -615,6 +615,37 @@ MUTANTS = [
             + "test_compose_into_matches_the_reference_on_zero_keys_with_polynomial_coefficients",
         ),
     ),
+    # the Hochschild differential from proper splits, one row per pinned column
+    Mutant(
+        "a later one-entry row of a pinned column dropped without the cross-check",
+        "star.py",
+        "                if {e: x * v0 for e, x in t.items()}"
+        " != {e: x * v for e, x in t0.items()}:\n"
+        "                    return None\n",
+        "",
+        (FACTORED + "test_solve_columns_refuses_a_perturbed_target_like_the_all_rows_reference",),
+    ),
+    Mutant(
+        "the zero-slot term's sign flipped",
+        "polydiff.py",
+        "head + (z, z) + tail, -sign)",
+        "head + (z, z) + tail, sign)",
+        (FACTORED + "test_key_differential_matches_the_boundary_term_loop",),
+    ),
+    Mutant(
+        "the trailing zero run handled in slot order",
+        "polydiff.py",
+        "itertools.chain(range(last + 1, k + 1), range(1, last + 1))",
+        "range(1, k + 1)",
+        (FACTORED + "test_key_differential_matches_the_boundary_term_loop",),
+    ),
+    Mutant(
+        "the improper split beta = a_j kept",
+        "polydiff.py",
+        "leibniz[1:-1]",
+        "leibniz[1:]",
+        (FACTORED + "test_key_differential_matches_the_boundary_term_loop",),
+    ),
 ]
 
 

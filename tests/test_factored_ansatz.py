@@ -11,9 +11,11 @@ monomials to the pair assembler it replaced.
 """
 
 import hashlib
+import importlib.util
 import itertools
 import json
 import random
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -30,9 +32,12 @@ from helpers import (
     reference_associator,
     reference_extend_one_order,
     reference_extension_keys,
+    reference_extension_matrix,
     reference_hochschild_d,
+    reference_key_differential,
     reference_pair_unary_correction,
     reference_pair_unary_rows,
+    reference_solve_columns,
     reference_unary_columns,
     reference_unary_correction,
     reference_unary_rows,
@@ -63,11 +68,12 @@ from starobs.obstruction import (
     _unary_ansatz_rows,
     _weight_map,
 )
-from starobs.poly import exponents_upto, zero_exponents
+from starobs.poly import _accumulate, exponents_upto, zero_exponents
 from starobs.polydiff import _key_differential, _leibniz, _TermMap
 
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
+BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
 def planted(system, order, n, alpha, exps, coeff):
@@ -319,6 +325,27 @@ def test_one_leibniz_table_serves_every_key_of_a_call(dim, op_order):
             assert_key_differential_matches_reference(dim, key)
         # one entry per multi-index of the keys, each split once
         assert _leibniz.cache_info().misses == len(exponents_upto(dim, op_order))
+
+
+def test_key_differential_matches_the_boundary_term_loop():
+    # every zero pattern of arity 1-4: leading, interior and trailing zero runs of
+    # odd and even length, and the all-zero key; then random keys
+    rng = random.Random(4401)
+    keys = []
+    for dim in range(1, 5):
+        z = zero_exponents(dim)
+        nonzero = [a for a in exponents_upto(dim, 3) if any(a)]
+        for arity in range(1, 5):
+            for zeros in itertools.product((False, True), repeat=arity):
+                for _ in range(3):
+                    keys.append((dim, tuple(z if zero else rng.choice(nonzero) for zero in zeros)))
+        alphas = exponents_upto(dim, 3)
+        for _ in range(300):
+            keys.append((dim, tuple(rng.choice(alphas) for _ in range(rng.randint(1, 4)))))
+    for dim, key in keys:
+        got = _key_differential(dim, key)
+        assert list(got.items()) == list(reference_key_differential(dim, key).items()), key
+        assert all(got.values())
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
@@ -620,3 +647,112 @@ def test_extension_keys_match_the_replaced_key_filter(monkeypatch, star, degree,
     weights = {weight(k) for k in target.terms}
     want = reference_extension_keys(target, star.dim, target.order())
     assert keys == [k for k in want if weight(k) in weights]
+
+
+# -- the extension solve with one row per pinned column ---------------------------
+
+
+def live_weights(terms):
+    """{key: its weight} for each key where the target term map is nonzero."""
+    return {key: weight(key) for key, t in terms.items() if t}
+
+
+def solve_inputs(star):
+    """The next-order target term map of star, its live keys' weights and the two
+    bounds that _solve_target tries: K_T and the target's order."""
+    n = star.order
+    terms = star._insertions(n + 1, range(1, n + 1), _TermMap())
+    live = live_weights(terms)
+    slot_order = max((max(map(sum, key)) for key in live), default=0)
+    return terms, live, (slot_order, max(map(sum, live.values()), default=0))
+
+
+def store_items(op):
+    """An operator's store as lists, so that a comparison sees the order of every dict."""
+    if op is None:
+        return None
+    den, numerators = op._store
+    return den, [(key, list(c.items())) for key, c in numerators.items()]
+
+
+def assert_solve_columns_match_reference(dim, terms, live, bound):
+    got = star_module._solve_columns(dim, terms, live, bound)
+    want = reference_solve_columns(dim, terms, live, bound)
+    assert store_items(got) == store_items(want)
+    return got
+
+
+def bench_extend_products(seed):
+    """The products of bench/workloads.py's seeded `extend` cases."""
+    workloads = sys.modules.get("bench_workloads")
+    if workloads is None:
+        spec = importlib.util.spec_from_file_location("bench_workloads", BENCH / "workloads.py")
+        workloads = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(workloads)
+    return [load_problem_data(case.problem).star for case in workloads.build("extend", seed)]
+
+
+SHIPPED_PRODUCTS = [
+    "casimir_obstruction",
+    "moyal_extension",
+    "plane_momenta",
+    "removable_class",
+    "rotation_momenta",
+]
+
+
+def test_solve_columns_matches_the_all_rows_reference():
+    stars = [p.values[0] for p in SOLVED_EXTENSIONS]
+    stars += bench_extend_products(1) + bench_extend_products(7)
+    for name in SHIPPED_PRODUCTS:
+        data = json.loads((PROBLEMS / f"{name}.json").read_text())
+        stars.append(load_problem_data(data).star)
+    for star in stars:
+        terms, live, bounds = solve_inputs(star)
+        for bound in bounds:
+            assert_solve_columns_match_reference(star.dim, terms, live, bound)
+        # every one of these products extends within K_T
+        assert star_module._solve_columns(star.dim, terms, live, bounds[0]) is not None
+
+
+def perturbed(terms, dkey):
+    """A copy of the target term map with 1 added to the constant monomial at dkey."""
+    copy = _TermMap({key: dict(t) for key, t in terms.items()})
+    copy.den = terms.den
+    _accumulate(copy.setdefault(dkey, {}), zero_exponents(len(dkey[0])), 1)
+    return copy
+
+
+@pytest.mark.parametrize(
+    "star, duplicates, two_entry, refused",
+    [
+        pytest.param(gauged_truncation(canonical_pi2(), 2, R2O2)[0], 24, 10, 9, id="gauged-r2-o2"),
+        pytest.param(moyal_star(canonical_pi2(), 2), 20, 0, 0, id="moyal-r2-o2"),
+    ],
+)
+def test_solve_columns_refuses_a_perturbed_target_like_the_all_rows_reference(
+    star, duplicates, two_entry, refused
+):
+    terms, live, (bound, _) = solve_inputs(star)
+    _, matrix = reference_extension_matrix(star.dim, live, bound)
+    pinned, later, pairs = set(), [], []
+    for dkey, row in matrix.items():
+        if len(row) == 2:
+            pairs.append(dkey)
+        elif len(row) == 1:
+            [c] = row
+            if c in pinned:
+                later.append(dkey)
+            pinned.add(c)
+    assert (len(later), len(pairs)) == (duplicates, two_entry)
+    # a later one-entry row of a pinned column, its right-hand side changed: the
+    # cross-multiplication check refuses it, as the whole system does
+    for dkey in later:
+        p = perturbed(terms, dkey)
+        assert assert_solve_columns_match_reference(star.dim, p, live_weights(p), bound) is None
+    # a two-entry row changed: solve_sparse decides, as before
+    nones = 0
+    for dkey in pairs:
+        p = perturbed(terms, dkey)
+        nones += assert_solve_columns_match_reference(star.dim, p, live_weights(p), bound) is None
+    assert nones == refused
