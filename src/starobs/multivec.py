@@ -45,23 +45,14 @@ IndexTuple = tuple[int, ...]
 
 
 def sort_with_sign(indices: Sequence[int]) -> tuple[IndexTuple, int]:
-    """Sort an index tuple, returning (sorted tuple, permutation sign).
-
-    A repeated index gives sign 0.
-    """
-    idx = list(indices)
-    sign = 1
-    # insertion sort, counting transpositions
-    for i in range(1, len(idx)):
-        j = i
-        while j > 0 and idx[j - 1] > idx[j]:
-            idx[j - 1], idx[j] = idx[j], idx[j - 1]
-            sign = -sign
-            j -= 1
-    for a, b in zip(idx, idx[1:]):
-        if a == b:
-            return tuple(idx), 0
-    return tuple(idx), sign
+    """Sort an index tuple, returning (sorted tuple, permutation sign): the parity
+    of its inversions, 0 for a repeated index.  The one rule that signs an
+    ordering; every alternating class is entered through _Alternating, which reads it."""
+    key = tuple(sorted(indices))
+    if any(a == b for a, b in zip(key, key[1:])):
+        return key, 0
+    inversions = sum(a > b for r, a in enumerate(indices) for b in indices[r + 1 :])
+    return key, -1 if inversions % 2 else 1
 
 
 class _Alternating:
@@ -268,15 +259,15 @@ class RelativeClass(_Alternating):
 
 
 def d_hor(system: "IntegrableSystem", c: RelativeClass) -> RelativeClass:
-    """Horizontal differential: w tensor v goes to sum_i {f_i, w} e_i ^ v."""
+    """Horizontal differential: w tensor v goes to sum_i {f_i, w} e_i ^ v, each
+    (i,) + v entered into the class, which signs it; no bracket for i in v."""
     n = len(system.generators)
     if c.system_size != n:
         raise ValueError(f"class is for {c.system_size} generators, system has {n}")
-    comps: dict[IndexTuple, Polynomial] = {}
-    for idx, w in c.components.items():
-        for i, f in enumerate(system.generators):
-            if i in idx:
-                continue
-            key, sign = sort_with_sign((i,) + idx)
-            _accumulate(comps, key, poisson_bracket(system.pi, f, w) * sign)
+    comps = {
+        (i,) + idx: poisson_bracket(system.pi, f, w)
+        for idx, w in c.components.items()
+        for i, f in enumerate(system.generators)
+        if i not in idx
+    }
     return RelativeClass(c.dim, n, c.degree + 1, comps)

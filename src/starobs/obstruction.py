@@ -20,10 +20,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable
+from operator import add
+from typing import Callable, Hashable, Sequence
 
 from . import linsolve
-from .linsolve import _SparseSystem, _weight_blocks
+from .linsolve import _SparseSystem
 from .multivec import Polyvector, RelativeClass, _bracket, d_hor, jacobi_check
 from .poly import (
     Exponents,
@@ -220,17 +221,17 @@ def _require_certified(s: StarProduct, n: int):
 
 
 def _raw_class(s: StarProduct, system: IntegrableSystem, n: int) -> RelativeClass:
-    """B_n on every ordered pair of distinct generators, as a class: RelativeClass
-    enters (j, i) as -(i, j), so component (i, j) is B_n(f_i, f_j) - B_n(f_j, f_i).
-    Every B_n(f_i, f_j) comes from one _values walk over the system's table,
-    B_n's numerators on the unit exponents in both slots, each divided once."""
+    """B_n on every ordered pair of generators, as a class: RelativeClass enters
+    (j, i) as -(i, j) and drops (i, i), so component (i, j) is B_n(f_i, f_j) -
+    B_n(f_j, f_i).  Every B_n(f_i, f_j) comes from one _values walk over the
+    system's table, B_n's numerators on the unit exponents in both slots, each
+    divided once and entered at (i, j)."""
     den, numerators = _numerators(s.term(n))
-    units = [unit_exponents(system.size, i) for i in range(system.size)]
-    values = dict(_values(numerators, system._monomials, [units, units]))
-    comps = {}
-    for i, j in itertools.permutations(range(system.size), 2):
-        value = values.get((units[i], units[j]), {})
-        comps[i, j] = Polynomial._trusted(system.dim, _divided(value, den))
+    units = {unit_exponents(system.size, i): i for i in range(system.size)}
+    comps = {
+        (units[u], units[v]): Polynomial._trusted(system.dim, _divided(value, den))
+        for (u, v), value in _values(numerators, system._monomials, [units, units])
+    }
     return RelativeClass(system.dim, system.size, 2, comps)
 
 
@@ -385,58 +386,56 @@ def lift_witness(
     return derivation
 
 
-def _weight_map(system: IntegrableSystem) -> Callable[[Exponents], tuple]:
-    """Each exponent vector's weight under every scaling that keeps the generators homogeneous.
-
-    A scaling x_i -> t^w_i x_i does so when w is orthogonal to the
-    differences between each generator's monomials; weights are read
-    against a basis of that rational nullspace.  Monomial generators give
-    the exponent vector itself, generators homogeneous for no scaling ().
-    The columns are the coordinates, so the nullspace is read as the solver gives it.
-    """
-    dim = system.dim
-    eqs = _SparseSystem(range(dim))
-    for gi, g in enumerate(system.generators):
-        monos = list(g.terms)
-        for k, mono in enumerate(monos[1:]):
-            for i in range(dim):
-                eqs._add((gi, k), i, mono[i] - monos[0][i])
-    basis = [{i: 1} for i in range(dim)]
-    if eqs.rows:
-        basis = linsolve.solve_sparse(eqs.rows, eqs.rhs, dim, want_nullspace=True).nullspace
-    return lambda e: tuple(sum(c * e[i] for i, c in vec.items()) for vec in basis)
-
-
 class _Weights(dict):
-    """Each exponent vector's weight under _weight_map(system), keyed by the
-    exponents and built on its first lookup (weight is linear, so any integer
-    vector is a key), and for each Bounds the unary solve's column lists, built
-    on first use by `columns`.  Held by IntegrableSystem.weights; shared,
-    never written to.
+    """Each exponent vector's weight under every scaling that keeps the generators
+    homogeneous, keyed by the exponents and built on its first lookup (weight is
+    linear, so any integer vector is a key).  Held by IntegrableSystem.weights;
+    shared, never written to.
+
+    A scaling x_i -> t^w_i x_i does so when w is orthogonal to the differences
+    between each generator's monomials; weights are read against `basis`, a basis
+    of that rational nullspace.  Monomial generators give the exponent vector
+    itself, generators homogeneous for no scaling ().  The columns are the
+    coordinates, so the nullspace is read as the solver gives it.
     """
 
-    __slots__ = ("weight", "dim", "_columns")
+    __slots__ = ("basis",)
 
     def __init__(self, system: IntegrableSystem):
         super().__init__()
-        self.weight, self.dim, self._columns = _weight_map(system), system.dim, {}
+        dim = system.dim
+        eqs = _SparseSystem(range(dim))
+        for gi, g in enumerate(system.generators):
+            monos = list(g.terms)
+            for k, mono in enumerate(monos[1:]):
+                for i in range(dim):
+                    eqs._add((gi, k), i, mono[i] - monos[0][i])
+        self.basis = [{i: 1} for i in range(dim)]
+        if eqs.rows:
+            self.basis = linsolve.solve_sparse(eqs.rows, eqs.rhs, dim, want_nullspace=True).nullspace
 
     def __missing__(self, e: tuple) -> tuple:
-        w = self[e] = self.weight(e)
+        w = self[e] = tuple(sum(c * e[i] for i, c in vec.items()) for vec in self.basis)
         return w
 
-    def columns(self, bounds: Bounds) -> tuple[list, list]:
-        """_weight_blocks' outer and inner lists: (a, -weight(a)) for each d^a up to
-        bounds.op_order and (e, weight(e)) for each x^e up to bounds.degree, in lex
-        order; weight is linear, so weight(e - a) = weight(e) + (-weight(a))."""
-        lists = self._columns.get(bounds)
-        if lists is None:
-            ops, exps = (exponents_upto(self.dim, b) for b in (bounds.op_order, bounds.degree))
-            lists = self._columns[bounds] = (
-                [(a, tuple(-w for w in self[a])) for a in ops],
-                [(e, self[e]) for e in exps],
-            )
-        return lists
+
+def _weight_blocks(outer: Sequence, inner: Sequence, keep: set) -> tuple[list, set]:
+    """The columns (o, i) whose weight w(o) + w(i) is in keep, and the kept weights
+    no column reaches.  A graded solve is block-diagonal by weight, and a block
+    whose right-hand side is zero is solved by zero, so the unary gauge solve
+    keeps just the weights its right-hand side reaches.  outer and inner are
+    (label, weight) lists; the columns come outer-major, as (o, [i, ...]) with the
+    inner labels in their given order and no o that keeps none.  Each pair of
+    distinct weights is added once.
+    """
+    inner_weights = dict.fromkeys(w for _, w in inner)
+    kept: dict[Hashable, list] = {}
+    reached = set()
+    for wo in dict.fromkeys(w for _, w in outer):
+        sums = {wi: w for wi in inner_weights if (w := tuple(map(add, wo, wi))) in keep}
+        reached.update(sums.values())
+        kept[wo] = [i for i, wi in inner if wi in sums]
+    return [(o, kept[w]) for o, w in outer if kept[w]], keep - reached
 
 
 def _solve_unary_correction(
@@ -470,19 +469,18 @@ def _unary_ansatz_rows(
     D - phi0 is the derivation its values on the f_i fix:
     D(f^alpha) - sum_i alpha_i f^(alpha - e_i) D(f_i) = phi0(f^alpha).
     Both sides vanish when |alpha| = 1, and the left one on d^a with |a| = 1
-    (chain rule), so those columns are left out.  [phi0, f] = B(f, .) + phi0(f)
+    (chain rule), so those columns enter no row.  [phi0, f] = B(f, .) + phi0(f)
     on C, so D - phi0 less that derivation has order <= max(op order,
     order(B) + 1) over C: by restricted_values' lemma that degree decides it.
 
     Column (e, (a,)) is x^e d^a, a-major, each in lex order up to its bound;
     it enters row (alpha, ambient monomial) as x^e (d^a f^alpha - sum_i
     alpha_i f^(alpha - e_i) d^a f_i).  Generator monomials are homogeneous
-    under _weight_map(system), so a column meets only rows whose monomial,
+    under the system's _Weights, so a column meets only rows whose monomial,
     less that of f^alpha, weighs weight(e - a): the blocks are independent,
     and one with a zero right-hand side is solved by zeros.  So _weight_blocks
     pairs each a, weighed -weight(a), with each e and keeps the live weights,
-    where phi0 (built from B with d(phi0) = -B) is nonzero; the weights and
-    both column lists are read from the system's _Weights.  None when a live
+    where phi0 (built from B with d(phi0) = -B) is nonzero.  None when a live
     weight has no column: 0 = b there.
 
     Everything is read from the system's _GeneratorTable as plain dicts: phi0
@@ -512,7 +510,12 @@ def _unary_ansatz_rows(
         for alpha, value in phi0.items()
         for mono in value
     }
-    by_alpha, unreached = _weight_blocks(*weights.columns(bounds), live)
+    # weight is linear: weight(e - a) = weight(e) + (-weight(a))
+    by_alpha, unreached = _weight_blocks(
+        [(a, tuple(-w for w in weights[a])) for a in exponents_upto(system.dim, bounds.op_order)],
+        [(e, weights[e]) for e in exponents_upto(system.dim, bounds.degree)],
+        live,
+    )
     if unreached:
         return None
     eqs = _SparseSystem([(e, (a,)) for a, es in by_alpha for e in es])

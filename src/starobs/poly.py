@@ -208,10 +208,6 @@ class Polynomial:
         return cls(dim, {zero_exponents(dim): value})
 
     @classmethod
-    def one(cls, dim: int) -> Polynomial:
-        return cls.constant(dim, 1)
-
-    @classmethod
     def variable(cls, dim: int, i: int) -> Polynomial:
         if not 0 <= i < dim:
             raise IndexError(f"variable index {i} out of range for dim {dim}")

@@ -28,7 +28,7 @@ from typing import Sequence
 
 from . import linsolve
 from .multivec import Polyvector
-from .poly import Polynomial, _accumulate, _add_into, _divided, _ratio, zero_exponents
+from .poly import Polynomial, _accumulate, _divided, _ratio, zero_exponents
 from .polydiff import (
     DerivKey,
     PolyDiffOp,
@@ -443,17 +443,13 @@ def _solve_columns(dim: int, terms: _TermMap, live: dict, bound: int) -> PolyDif
 
 
 def _trivector(dim: int, terms: _TermMap) -> Polyvector:
-    """Alt T: the arity-3 target T on every ordering of each coordinate triple,
-    each value signed by its ordering's parity.  One _values walk of T's live
-    numerators over the coordinate functions' _ArgumentTable gives every
-    ordering's value; each component is divided by T's denominator once."""
+    """Alt T: the arity-3 target T on every ordered coordinate triple, each value
+    entered into the trivector, which signs it by its ordering's parity and drops
+    a repeated index.  One _values walk of T's live numerators over the coordinate
+    functions' _ArgumentTable gives every value, each divided by T's denominator."""
     table = _ArgumentTable([Polynomial.variable(dim, i) for i in range(dim)])
     live = {key: t for key, t in terms.items() if t}
-    values = dict(_values(live, table, [range(dim)] * 3))
-    components = {}
-    for triple in itertools.combinations(range(dim), 3):
-        value: dict = {}
-        for sign, perm in zip((1, -1, -1, 1, 1, -1), itertools.permutations(triple)):
-            _add_into(value, values.get(perm, {}), sign)
-        components[triple] = Polynomial._trusted(dim, _divided(value, terms.den))
-    return Polyvector(dim, 3, components)
+    values = _values(live, table, [range(dim)] * 3)
+    return Polyvector(
+        dim, 3, {perm: Polynomial._trusted(dim, _divided(v, terms.den)) for perm, v in values}
+    )

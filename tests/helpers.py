@@ -27,13 +27,15 @@ from starobs import (
 )
 from starobs import obstruction, polydiff
 from starobs.cli import ProblemError, _field, _integer, _parse_poly_field
-from starobs.linsolve import LinearSolveResult, _SparseSystem, _weight_blocks, solve_sparse
+from starobs.linsolve import LinearSolveResult, _SparseSystem, solve_sparse
 from starobs.multivec import IndexTuple, sort_with_sign
-from starobs.obstruction import _weight_map
+from starobs.obstruction import _weight_blocks
 from starobs.poly import (
     Exponents,
     PolynomialParseError,
     _accumulate,
+    _add_into,
+    _divided,
     _ratio,
     add_exponents,
     exponents_upto,
@@ -42,6 +44,7 @@ from starobs.poly import (
 )
 from starobs.polydiff import (
     DerivKey,
+    _ArgumentTable,
     _binom_multi,
     _GeneratorTable,
     _key_differential,
@@ -51,6 +54,7 @@ from starobs.polydiff import (
     _split_over,
     _sub_multi_indices,
     _TermMap,
+    _values,
 )
 from starobs.star import ExtensionResult, StarProduct
 
@@ -258,7 +262,7 @@ def record_table_work(monkeypatch) -> tuple[list, list]:
 
 def coordinate_field(dim: int, i: int) -> Polyvector:
     """The vector field d_i."""
-    return Polyvector(dim, 1, {(i,): Polynomial.one(dim)})
+    return Polyvector(dim, 1, {(i,): Polynomial.constant(dim, 1)})
 
 
 def trivial_star(dim: int, order: int) -> StarProduct:
@@ -448,7 +452,7 @@ def reference_pair_unary_rows(
     [(e, (a,)) for a in alphas for e in emons].  A row is labelled by the
     pair's generator exponents and an ambient monomial.
 
-    Scaling by _weight_map(system) commutes with d and with the order-0
+    Scaling by the system's weights commutes with d and with the order-0
     product, and generator monomials are homogeneous, so column x^e d^a only
     meets rows whose ambient monomial, less those of u and v, weighs
     weight(e - a).  The system is thus block-diagonal, and a block with a
@@ -457,7 +461,7 @@ def reference_pair_unary_rows(
     table is nonzero) are kept, in the order above, with d^a only for their
     alphas.  None when a live weight has no column: its block reads 0 = b, b != 0.
     """
-    weight = _weight_map(system)
+    weight = system.weights.__getitem__
     mons = generator_monomials(system, degree)
     table = ReferenceGeneratorTable(system)
     values = dict(reference_table_restricted_items(target, system, degree))
@@ -576,15 +580,15 @@ def reference_extend_one_order(s, coefficient_degree, operator_order):
     return ExtensionResult(particular, extended)
 
 
-# -- the weight-block filters that linsolve._weight_blocks replaced ---------------
+# -- the weight-block filters that obstruction._weight_blocks replaced ------------
 
 
-def reference_unary_columns(weight, live, dim, bounds):
+def reference_unary_columns(weights, live, dim, bounds):
     """_unary_ansatz_rows' columns (e, (a,)) as its own filter chose them: every
-    (e, a) pair weighed as weight(e) - weight(a), a-major, kept when that weight
+    (e, a) pair weighed as weights[e] - weights[a], a-major, kept when that weight
     is live; None when some live weight has no pair."""
-    e_weights = [(e, weight(e)) for e in exponents_upto(dim, bounds.degree)]
-    a_weights = [(a, weight(a)) for a in exponents_upto(dim, bounds.op_order)]
+    e_weights = [(e, weights[e]) for e in exponents_upto(dim, bounds.degree)]
+    a_weights = [(a, weights[a]) for a in exponents_upto(dim, bounds.op_order)]
     if not live <= {sub_exponents(we, wa) for _, wa in a_weights for _, we in e_weights}:
         return None
     by_alpha = [
@@ -1003,7 +1007,7 @@ class ReferenceGeneratorTable(dict):
             i, rest = _peel(e)
             p = reference_mul(self[self.zero, rest], self.generators[i])
         else:
-            p = Polynomial.one(len(self.zero))
+            p = Polynomial.constant(len(self.zero), 1)
         self[key] = p
         return p
 
@@ -1046,11 +1050,60 @@ def reference_raw_class(s: StarProduct, system: IntegrableSystem, n: int) -> Rel
     return RelativeClass(system.dim, len(gens), 2, comps)
 
 
+# -- the signed orderings that multivec._Alternating now decides alone ------------
+
+
+def reference_sort_with_sign(indices: Sequence[int]) -> tuple[IndexTuple, int]:
+    """multivec.sort_with_sign by its replaced insertion sort, which flips the sign
+    at every transposition; a repeated index gives sign 0."""
+    idx = list(indices)
+    sign = 1
+    for i in range(1, len(idx)):
+        j = i
+        while j > 0 and idx[j - 1] > idx[j]:
+            idx[j - 1], idx[j] = idx[j], idx[j - 1]
+            sign = -sign
+            j -= 1
+    for a, b in zip(idx, idx[1:]):
+        if a == b:
+            return tuple(idx), 0
+    return tuple(idx), sign
+
+
+def reference_trivector(dim: int, terms: _TermMap) -> Polyvector:
+    """star._trivector by its replaced loop: the six orderings of each increasing
+    coordinate triple signed by a hand-written table, summed, then divided by the
+    target's denominator once."""
+    table = _ArgumentTable([Polynomial.variable(dim, i) for i in range(dim)])
+    live = {key: t for key, t in terms.items() if t}
+    values = dict(_values(live, table, [range(dim)] * 3))
+    components = {}
+    for triple in itertools.combinations(range(dim), 3):
+        value: dict = {}
+        for sign, perm in zip((1, -1, -1, 1, 1, -1), itertools.permutations(triple)):
+            _add_into(value, values.get(perm, {}), sign)
+        components[triple] = Polynomial._trusted(dim, _divided(value, terms.den))
+    return Polyvector(dim, 3, components)
+
+
+def reference_d_hor(system: IntegrableSystem, c: RelativeClass) -> RelativeClass:
+    """multivec.d_hor by its replaced loop, which sorts each (i,) + idx itself and
+    accumulates the signed bracket on the sorted key."""
+    comps: dict[IndexTuple, Polynomial] = {}
+    for idx, w in c.components.items():
+        for i, f in enumerate(system.generators):
+            if i in idx:
+                continue
+            key, sign = reference_sort_with_sign((i,) + idx)
+            _accumulate(comps, key, poisson_bracket(system.pi, f, w) * sign)
+    return RelativeClass(c.dim, system.size, c.degree + 1, comps)
+
+
 def reference_unary_ansatz_rows(target, system, bounds):
     """obstruction._unary_ansatz_rows in Polynomials: B(f^ue, f^ve), phi0 and the
     column polynomials w are Polynomials with the target's own coefficients,
     read from a ReferenceGeneratorTable and built by the replaced loops."""
-    weight = _weight_map(system)
+    weight = system.weights.__getitem__
     table = ReferenceGeneratorTable(system)
     z = table.zero
     degree = max(target.order(), bounds.op_order) + 1
@@ -1700,8 +1753,8 @@ def reference_schouten_bracket(P: Polyvector, Q: Polyvector) -> Polyvector:
             # factor lists: the polynomial coefficient rides on factor 0
             for r, ir in enumerate(I):
                 for s, js in enumerate(J):
-                    c1 = a if r == 0 else Polynomial.one(dim)
-                    c2 = b if s == 0 else Polynomial.one(dim)
+                    c1 = a if r == 0 else Polynomial.constant(dim, 1)
+                    c2 = b if s == 0 else Polynomial.constant(dim, 1)
                     terms = _lie_bracket_terms(c1, ir, c2, js)
                     if not terms:
                         continue
@@ -1709,7 +1762,7 @@ def reference_schouten_bracket(P: Polyvector, Q: Polyvector) -> Polyvector:
                     rest_i = I[:r] + I[r + 1 :]
                     rest_j = J[:s] + J[s + 1 :]
                     # coefficients of the untouched leading factors
-                    carried = Polynomial.one(dim)
+                    carried = Polynomial.constant(dim, 1)
                     if r != 0:
                         carried = carried * a
                     if s != 0:

@@ -109,10 +109,10 @@ MUTANTS = [
         (TERM_MAPS + "test_a_target_beyond_the_slot_order_subcomplex_solves_over_every_split",),
     ),
     Mutant(
-        "the trivector drops the sign of one ordering",
-        "star.py",
-        "(1, -1, -1, 1, 1, -1)",
-        "(1, -1, -1, 1, 1, 1)",
+        "the trivector drops the sign of one ordering: three inversions signed as even",
+        "multivec.py",
+        "-1 if inversions % 2 else 1",
+        "-1 if inversions == 1 else 1",
         (KERNELS + "test_the_trivector_of_a_coboundary_is_zero",),
     ),
     Mutant(
@@ -331,8 +331,8 @@ MUTANTS = [
     Mutant(
         "class read on unordered pairs, with no antisymmetrization",
         "obstruction.py",
-        "itertools.permutations(range(system.size), 2)",
-        "itertools.combinations(range(system.size), 2)",
+        "[units, units])\n",
+        "[units, units]) if units[u] < units[v]\n",
         (
             "tests/test_obstruction.py::"
             "test_class_is_the_antisymmetrized_operator_on_generator_pairs",
@@ -341,8 +341,8 @@ MUTANTS = [
     Mutant(
         "class read on unordered pairs, against the verdicts of gauged products",
         "obstruction.py",
-        "itertools.permutations(range(system.size), 2)",
-        "itertools.combinations(range(system.size), 2)",
+        "[units, units])\n",
+        "[units, units]) if units[u] < units[v]\n",
         ("tests/test_gauge_invariance.py::test_verdicts_agree_across_random_gauges",),
     ),
     Mutant(
@@ -454,8 +454,8 @@ MUTANTS = [
     Mutant(
         "class reads B_n(f_j, f_i) for component (i, j)",
         "obstruction.py",
-        "(units[i], units[j])",
-        "(units[j], units[i])",
+        "(units[u], units[v]): ",
+        "(units[v], units[u]): ",
         (
             "tests/test_obstruction.py::"
             "test_class_is_the_antisymmetrized_operator_on_generator_pairs",
@@ -555,8 +555,8 @@ MUTANTS = [
     Mutant(
         "unary columns pair a by weight(a), not -weight(a)",
         "obstruction.py",
-        "[(a, tuple(-w for w in self[a])) for a in",
-        "[(a, self[a]) for a in",
+        "[(a, tuple(-w for w in weights[a])) for a in",
+        "[(a, weights[a]) for a in",
         (FACTORED + "test_rotation_momenta_columns_match_the_replaced_weight_filter",),
     ),
     # per-system tables and no Leibniz work on zero or constant operands
@@ -645,6 +645,42 @@ MUTANTS = [
         "leibniz[1:-1]",
         "leibniz[1:]",
         (FACTORED + "test_key_differential_matches_the_boundary_term_loop",),
+    ),
+    # one alternating rule and one grading class
+    Mutant(
+        "sort_with_sign's parity inverted",
+        "multivec.py",
+        "-1 if inversions % 2 else 1",
+        "1 if inversions % 2 else -1",
+        ("tests/test_multivec.py::test_sort_with_sign_matches_the_insertion_sort",),
+    ),
+    Mutant(
+        "sort_with_sign signs a repeated index",
+        "multivec.py",
+        "    if any(a == b for a, b in zip(key, key[1:])):\n        return key, 0\n",
+        "",
+        ("tests/test_multivec.py::test_sort_with_sign_matches_the_insertion_sort",),
+    ),
+    Mutant(
+        "d_hor enters idx + (i,), not (i,) + idx",
+        "multivec.py",
+        "(i,) + idx: poisson_bracket",
+        "idx + (i,): poisson_bracket",
+        ("tests/test_obstruction.py::test_d_hor_matches_the_sort_and_accumulate_loop",),
+    ),
+    Mutant(
+        "the trivector's values left undivided",
+        "star.py",
+        "_divided(v, terms.den)) for perm, v in values",
+        "_divided(v, 1)) for perm, v in values",
+        (TERM_MAPS + "test_trivector_matches_the_sign_table_loop_on_random_targets",),
+    ),
+    Mutant(
+        "the weight table weighs by the first basis vector only",
+        "obstruction.py",
+        "for vec in self.basis)",
+        "for vec in self.basis[:1])",
+        (FACTORED + "test_weight_map_grades_by_the_scalings_that_keep_generators_homogeneous",),
     ),
 ]
 

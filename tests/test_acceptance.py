@@ -100,7 +100,7 @@ def test_criterion_2_exponential_product_correctness():
             assert star.assoc_residual(n).is_zero()
     star = moyal_star(canonical_pi2(), 4)
     comm = star.commutator(p2("x"), p2("p"))
-    assert comm[1] == Polynomial.one(2)
+    assert comm[1] == Polynomial.constant(2, 1)
     assert all(comm[k].is_zero() for k in (0, 2, 3, 4))
     H = p2("x^2 + p^2") * Fraction(1, 2)
     hh = star.eval(H, H)

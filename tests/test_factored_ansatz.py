@@ -66,7 +66,6 @@ from starobs.obstruction import (
     _raw_class,
     _solve_unary_correction,
     _unary_ansatz_rows,
-    _weight_map,
 )
 from starobs.poly import _accumulate, exponents_upto, zero_exponents
 from starobs.polydiff import _key_differential, _leibniz, _TermMap
@@ -277,7 +276,7 @@ def test_unary_correction_is_none_on_an_antisymmetric_part():
     system = plane_system("y", "z")
     star = StarProduct(3, 1, [PolyDiffOp.single(3, [(0, 1, 0), (0, 0, 1)])])
     chi = _raw_class(star, system, 1)
-    assert chi.component((0, 1)) == Polynomial.one(3)
+    assert chi.component((0, 1)) == Polynomial.constant(3, 1)
     for bounds in (Bounds(0, 2), Bounds(2, 3)):
         assert _solve_unary_correction(star, system, 1, chi, bounds) is None
         assert reference_pair_unary_correction(star, system, 1, bounds) is None
@@ -552,14 +551,14 @@ def test_extension_differs_from_the_true_next_term_by_its_freedom(full, n):
 def test_weight_map_grades_by_the_scalings_that_keep_generators_homogeneous():
     for e in exponents_upto(3, 3):
         # monomial generators constrain no scaling: Z^dim
-        assert _weight_map(plane_system("y", "z"))(e) == e
+        assert plane_system("y", "z").weights[e] == e
         # y + z^2 ties y to twice z and leaves x free
-        assert _weight_map(plane_system("y + z^2", "z"))(e) == (e[0], 2 * e[1] + e[2])
+        assert plane_system("y + z^2", "z").weights[e] == (e[0], 2 * e[1] + e[2])
         # a constant term pins y at weight 0
-        assert _weight_map(plane_system("y + 1", "z"))(e) == (e[0], e[2])
-    weight = _weight_map(rotation_system())
+        assert plane_system("y + 1", "z").weights[e] == (e[0], e[2])
+    weights = rotation_system().weights
     for e in exponents_upto(4, 3):
-        assert weight(e) == (e[0] + e[1], e[2] + e[3])
+        assert weights[e] == (e[0] + e[1], e[2] + e[3])
 
 
 def test_rotation_momenta_at_bounds_3_3_has_no_live_column(monkeypatch):
@@ -568,7 +567,7 @@ def test_rotation_momenta_at_bounds_3_3_has_no_live_column(monkeypatch):
     solves = counting_solves(monkeypatch)
     chi = _raw_class(star, system, 2)
     assert _solve_unary_correction(star, system, 2, chi, Bounds(3, 3)) is None
-    # the one solve is the weight map's nullspace over the 4 coordinates:
+    # the one solve is the weight table's nullspace over the 4 coordinates:
     # none of the 1,225 ansatz columns reaches the target's weight
     assert solves == [4]
 
@@ -584,10 +583,10 @@ def unary_selection(monkeypatch, target, system, bounds, assemble=True):
     """The live weights _unary_ansatz_rows hands the selector, and its columns
     (None when a live weight has no column).  Without assemble, the call stops
     after the selection and the columns are read off the selector's blocks."""
-    calls = []
+    calls, select = [], obstruction_module._weight_blocks
 
     def selecting(outer, inner, keep):
-        calls.append((keep, linsolve._weight_blocks(outer, inner, keep)))
+        calls.append((keep, select(outer, inner, keep)))
         if not assemble:
             raise Selected
         return calls[-1][1]
@@ -612,7 +611,7 @@ def test_rotation_momenta_columns_match_the_replaced_weight_filter(monkeypatch, 
     system = rotation_system()
     target = moyal_star(system.pi, 2).term(2)
     live, columns = unary_selection(monkeypatch, target, system, bounds, assemble=False)
-    assert columns == reference_unary_columns(_weight_map(system), live, 4, bounds)
+    assert columns == reference_unary_columns(system.weights, live, 4, bounds)
     assert len(columns) == count
 
 
@@ -623,7 +622,7 @@ def test_planted_columns_match_the_replaced_weight_filter(
     target = planted(system, order, n, alpha, exps, Fraction(-2, 3)).term(n)
     live, columns = unary_selection(monkeypatch, target, system, bounds)
     assert live
-    assert columns == reference_unary_columns(_weight_map(system), live, system.dim, bounds)
+    assert columns == reference_unary_columns(system.weights, live, system.dim, bounds)
 
 
 def test_random_planted_columns_match_the_replaced_weight_filter(monkeypatch):
@@ -632,7 +631,7 @@ def test_random_planted_columns_match_the_replaced_weight_filter(monkeypatch):
     for case in range(60):
         system, star, n, bounds = random_planted(rng)
         live, columns = unary_selection(monkeypatch, star.term(n), system, bounds)
-        assert columns == reference_unary_columns(_weight_map(system), live, 3, bounds), case
+        assert columns == reference_unary_columns(system.weights, live, 3, bounds), case
         outcomes.append(columns is None)
     assert 10 <= sum(outcomes) <= 50
 

@@ -360,7 +360,7 @@ def test_sparse_system_solution_keyed_by_label_and_nullspace_by_column():
     system._add("eq", y, Fraction(2))
     system._add_rhs("eq", Fraction(3))
     assert system._solve() == {"b": {(0,): Fraction(3, 2)}}
-    # the nullspace, which only the weight map reads, comes from the solver by column index
+    # the nullspace, which only the weight table reads, comes from the solver by column index
     solved = solve_sparse(system.rows, system.rhs, len(system.columns), want_nullspace=True)
     assert solved.nullspace == [{1: 1, 0: Fraction(-1, 2)}, {2: 1}]
     assert [list(vec) for vec in solved.nullspace] == [[1, 0], [2]]

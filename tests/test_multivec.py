@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -17,6 +18,7 @@ from helpers import (
     rand_poly,
     rand_polyvector,
     reference_schouten_bracket,
+    reference_sort_with_sign,
     removable_scenario,
     scaled,
     sign,
@@ -34,6 +36,7 @@ from starobs import (
     poisson_bracket,
     schouten_bracket,
 )
+from starobs.multivec import sort_with_sign
 
 
 def dx(i=0):
@@ -74,7 +77,7 @@ def test_wedge_dimension_mismatch():
 
 
 def test_canonical_normalization():
-    assert poisson_bracket(canonical_pi2(), p2("x"), p2("p")) == Polynomial.one(2)
+    assert poisson_bracket(canonical_pi2(), p2("x"), p2("p")) == Polynomial.constant(2, 1)
 
 
 def test_hamiltonian_flow_example():
@@ -269,6 +272,17 @@ def test_relative_class_canonicalization():
     assert RelativeClass(4, 2, 2, {(0, 0): p4("x1")}).is_zero()
 
 
+def test_sort_with_sign_matches_the_insertion_sort():
+    # every tuple of length 0-4 over the indices 0-3, repeats included
+    signs = []
+    for length in range(5):
+        for indices in itertools.product(range(4), repeat=length):
+            want = reference_sort_with_sign(indices)
+            assert sort_with_sign(indices) == sort_with_sign(list(indices)) == want, indices
+            signs.append(want[1])
+    assert (len(signs), signs.count(1), signs.count(-1)) == (341, 35, 30)
+
+
 def test_d_hor_on_coordinate_function():
     system = canonical_r4_system()
     c = RelativeClass(4, 2, 0, {(): p4("x1")})
@@ -316,7 +330,7 @@ def test_d_hor_size_mismatch():
 
 
 def test_wedge_above_top_degree_is_zero():
-    top = Polyvector(2, 2, {(0, 1): Polynomial.one(2)})
+    top = Polyvector(2, 2, {(0, 1): Polynomial.constant(2, 1)})
     assert wedge(top, dx()).is_zero()
     assert wedge(top, top).is_zero()
 

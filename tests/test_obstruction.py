@@ -16,6 +16,7 @@ from helpers import (
     pzw,
     rand_op,
     rand_poly,
+    reference_d_hor,
     rand_vector_field,
     record_table_work,
     reference_lift_witness,
@@ -80,7 +81,7 @@ def test_noncommuting_generators_rejected():
     report = validate_system(system)
     assert not report.ok
     (i, j, bracket), = report.commuting_failures
-    assert (i, j) == (0, 1) and bracket == Polynomial.one(2)
+    assert (i, j) == (0, 1) and bracket == Polynomial.constant(2, 1)
 
 
 def test_non_poisson_bivector_rejected():
@@ -340,7 +341,7 @@ def test_gauge_step_at_order_one_takes_only_a_zero_witness():
     assert step.solved
     assert not vanishes_on_generators(star.term(1), system)
     assert vanishes_on_generators(step.transformed.term(1), system)
-    nonzero = RelativeClass(2, 1, 1, {(0,): Polynomial.one(2)})
+    nonzero = RelativeClass(2, 1, 1, {(0,): Polynomial.constant(2, 1)})
     for n, Y in ((1, nonzero), (0, RelativeClass.zero(2, 1, 1))):
         with pytest.raises(ValueError, match="start at order 1"):
             gauge_step(star, system, n, chi, Y, BOUNDS)
@@ -629,6 +630,22 @@ def table_systems():
     shipped = [load_problem(str(path)).integrable for path in sorted(PROBLEMS.glob("*.json"))]
     so3 = IntegrableSystem(so3_pi(), [p3("x^2 + y^2 + z^2"), p3("z")])
     return [system for system in shipped if system is not None] + [so3]
+
+
+def test_d_hor_matches_the_sort_and_accumulate_loop():
+    # random classes of degree 0-2, their keys in any order, on every table system
+    rng = random.Random(4502)
+    nonzero = 0
+    for system in table_systems():
+        for degree in range(min(2, system.size) + 1):
+            for _ in range(8):
+                keys = [tuple(rng.sample(range(system.size), degree)) for _ in range(3)]
+                comps = {key: rand_poly(rng, system.dim) for key in keys}
+                c = RelativeClass(system.dim, system.size, degree, comps)
+                got, want = d_hor(system, c), reference_d_hor(system, c)
+                assert got == want and repr(got) == repr(want)
+                nonzero += not got.is_zero()
+    assert nonzero >= 40
 
 
 @pytest.mark.parametrize("index", range(6))

@@ -16,7 +16,7 @@ def test_difference_of_squares():
 
 def test_multiplicative_unit():
     q = p2("3*x^2*p - 1/2")
-    assert q * Polynomial.one(2) == q
+    assert q * Polynomial.constant(2, 1) == q
 
 
 def test_exponent_addition():
@@ -144,7 +144,7 @@ def test_to_string_canonical_and_stable():
 
 
 def test_parse_power_zero():
-    assert p2("x^0") == Polynomial.one(2)
+    assert p2("x^0") == Polynomial.constant(2, 1)
 
 
 def test_polynomial_immutability():
@@ -213,11 +213,11 @@ def test_polynomial_takes_only_exact_coefficients(coeff):
 
 def test_power_matches_repeated_product():
     base = parse_polynomial("x+1", ["x"])
-    product = Polynomial.one(1)
+    product = Polynomial.constant(1, 1)
     for _ in range(7):
         product = product * base
     assert base**7 == product
-    assert base**0 == Polynomial.one(1)
+    assert base**0 == Polynomial.constant(1, 1)
     assert base**1 == base
 
 

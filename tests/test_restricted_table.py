@@ -183,7 +183,7 @@ def test_generator_monomials_are_built_once_per_system(make, monkeypatch):
     gens = system.generators
     expected = []
     for exps in exponents_upto(len(gens), 3):
-        poly = Polynomial.one(system.dim)
+        poly = Polynomial.constant(system.dim, 1)
         for g, k in zip(gens, exps):
             poly = poly * g**k
         expected.append((exps, poly))

@@ -26,6 +26,7 @@ from helpers import (
     reference_hochschild_d,
     reference_moyal_star,
     reference_ordered_moyal_star,
+    reference_trivector,
     so3_pi,
     trivial_star,
 )
@@ -79,7 +80,7 @@ def test_energy_square():
 def test_unit_is_transparent():
     star = moyal_star(canonical_pi2(), 4)
     f = p2("x^2*p - 3*x")
-    series = star.eval(f, Polynomial.one(2))
+    series = star.eval(f, Polynomial.constant(2, 1))
     assert series[0] == f
     assert all(series[k].is_zero() for k in range(1, 5))
 
@@ -545,7 +546,7 @@ def test_canonical_commutator():
     star = moyal_star(canonical_pi2(), 3)
     series = star.commutator(p2("x"), p2("p"))
     assert series[0].is_zero()
-    assert series[1] == Polynomial.one(2)
+    assert series[1] == Polynomial.constant(2, 1)
     assert series[2].is_zero()
     assert series[3].is_zero()
 
@@ -816,6 +817,34 @@ def test_extension_of_a_non_poisson_bracket_is_refused_with_its_trivector():
     assert not result.solved
     assert result.particular is None and result.extended is None
     assert result.trivector == Polyvector(3, 3, {(0, 1, 2): p3("-x")})
+
+
+def test_trivector_of_the_non_poisson_half_bracket_matches_the_sign_table_loop():
+    # the README's example: the order-2 target of B_1 = (x dx^dy + y dy^dz)/2
+    pi = Polyvector.bivector(3, {(0, 1): p3("x"), (1, 2): p3("y")})
+    terms = half_bracket_product(pi)._insertions(2, range(1, 2), _TermMap())
+    assert terms.den != 1
+    got = star_module._trivector(3, terms)
+    assert got == reference_trivector(3, terms) == Polyvector(3, 3, {(0, 1, 2): p3("-x")})
+
+
+def test_trivector_matches_the_sign_table_loop_on_random_targets():
+    # arity-3 term maps with slot orders <= 1, the ones coordinates see, over a
+    # denominator; below dimension 3 both trivectors are zero
+    rng = random.Random(4501)
+    nonzero = 0
+    for case in range(200):
+        dim = 1 + case % 4
+        terms = _TermMap()
+        terms.den = rng.choice((1, 2, 3, 6))
+        for _ in range(rng.randint(1, 6)):
+            key = tuple(rand_multi_index(rng, dim, 1) for _ in range(3))
+            terms[key] = {rand_multi_index(rng, dim, 1): rng.choice((-3, -1, 1, 2, 5))}
+        got, want = star_module._trivector(dim, terms), reference_trivector(dim, terms)
+        assert got == want and repr(got) == repr(want), case
+        nonzero += not got.is_zero()
+        assert dim >= 3 or got.is_zero()
+    assert nonzero >= 50
 
 
 def test_extension_of_a_linear_poisson_bracket_reaches_order_four():

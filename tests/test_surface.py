@@ -3,7 +3,8 @@
 Every public name, every module-level function and class, private ones
 included, and every method, classmethod, staticmethod and property of a
 class (dunders aside) is used by the pipeline, the CLI or the benchmark
-(names only the tests need live under tests/), no module imports a
+(names only the tests need live under tests/), a member by an attribute
+read, not by a local name that happens to match it; no module imports a
 name it never uses, the only functools memos are the ones named here, and
 only `poly` defines the coefficient-dict kernels.
 """
@@ -35,16 +36,33 @@ def _names_in_annotation(node: ast.AST | None) -> set[str]:
     return out
 
 
-def _used_names(tree: ast.AST, skip_definition: str | None = None) -> set[str]:
-    """Names loaded, attributes read and names in annotations, outside the
-    body of any function or class called `skip_definition`."""
-    out: set[str] = set()
+def _outside(tree: ast.AST, skip_definition: str | None):
+    """The nodes of tree outside the body of any function or class called
+    `skip_definition`."""
     stack = [tree]
     while stack:
         node = stack.pop()
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             if node.name == skip_definition:
                 continue
+        yield node
+        stack.extend(ast.iter_child_nodes(node))
+
+
+def _attributes_read(tree: ast.AST, skip_definition: str | None = None) -> set[str]:
+    """Attributes read, outside the body of any definition called `skip_definition`."""
+    return {
+        node.attr
+        for node in _outside(tree, skip_definition)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+
+
+def _used_names(tree: ast.AST, skip_definition: str | None = None) -> set[str]:
+    """Names loaded, attributes read and names in annotations, outside the
+    body of any function or class called `skip_definition`."""
+    out: set[str] = set()
+    for node in _outside(tree, skip_definition):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             out.add(node.id)
         elif isinstance(node, ast.Attribute):
@@ -55,7 +73,6 @@ def _used_names(tree: ast.AST, skip_definition: str | None = None) -> set[str]:
             out |= _names_in_annotation(node.returns)
         elif isinstance(node, ast.AnnAssign):
             out |= _names_in_annotation(node.annotation)
-        stack.extend(ast.iter_child_nodes(node))
     return out
 
 
@@ -79,15 +96,15 @@ def test_every_public_name_has_a_caller_outside_the_tests():
     assert uncalled == []
 
 
-def _uncalled(definitions) -> list[str]:
+def _uncalled(definitions, used=_used_names) -> list[str]:
     """The qualified names of the (qualified name, name) definitions whose name
-    no module of src/ or bench/ uses outside a definition of that name."""
+    no module of src/ or bench/ uses, by `used`, outside a definition of that name."""
     trees = [_tree(p) for p in MODULES]
     trees += [_tree(p) for p in sorted((ROOT / "bench").glob("*.py"))]
     return sorted(
         qualified
         for qualified, name in definitions
-        if not any(name in _used_names(tree, skip_definition=name) for tree in trees)
+        if not any(name in used(tree, skip_definition=name) for tree in trees)
     )
 
 
@@ -111,7 +128,14 @@ def test_every_class_member_has_a_caller_outside_the_tests():
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
         and not (node.name.startswith("__") and node.name.endswith("__"))
     ]
-    assert _uncalled(definitions) == []
+    # a member is read as an attribute: a local variable of the same name is no caller
+    assert _uncalled(definitions, used=_attributes_read) == []
+
+
+def test_only_an_attribute_read_counts_as_a_member_read():
+    tree = ast.parse("one = exps[0]\nwho.two(one)\nwho.three = 3\ndef four(): who.four")
+    assert _attributes_read(tree) == {"two", "four"}
+    assert _attributes_read(tree, skip_definition="four") == {"two"}
 
 
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
