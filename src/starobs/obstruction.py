@@ -11,9 +11,13 @@ witness.  `cocycle_cascade_check` gives the class and its closedness at
 one order, after checking that the lower orders are already flat.
 
 Outcomes are honest about truncation: OBSTRUCTED is only reported with
-a bound-independent certificate (the horizontal differential having
-identically zero image, or the gauge-invariant first-order commutator
-being nonzero); running out of ansatz room yields UNDECIDED.
+a bound-independent certificate (the gauge-invariant first-order
+commutator being nonzero, or at order 2 the horizontal differential
+having identically zero image); running out of ansatz room yields
+UNDECIDED.  A gauge G moves the order-2 class by d_hor(Y), Y_j = G_1(f_j),
+so with zero image the nonzero class is gauge-invariant.  At order 3 G
+also adds the antisymmetrized B_2(G_1 f_i, f_j) + B_2(f_i, G_1 f_j), which
+need not lie in that image, so there zero image decides nothing.
 """
 
 from __future__ import annotations
@@ -304,8 +308,8 @@ def exactness_solve(
     by d_hor, which does not read H), or, with no witness, an infeasibility
     certificate: "zero_image" when every H entry is zero, every generator a
     Casimir (then the image is {0} at every degree, so a nonzero class is
-    obstructed outright), "rank_at_bound" when only the bounded system is
-    ruled out.
+    exact at no degree, and at order 2 obstructed), "rank_at_bound" when
+    only the bounded system is ruled out.
     """
     if c.degree != 2 or c.system_size != system.size:
         raise ValueError("need a degree-2 class for this system")
@@ -468,10 +472,13 @@ def _unary_ansatz_rows(
     derivation.  B + dD = d(D - phi0) thus vanishes on C exactly when
     D - phi0 is the derivation its values on the f_i fix:
     D(f^alpha) - sum_i alpha_i f^(alpha - e_i) D(f_i) = phi0(f^alpha).
-    Both sides vanish when |alpha| = 1, and the left one on d^a with |a| = 1
-    (chain rule), so those columns enter no row.  [phi0, f] = B(f, .) + phi0(f)
-    on C, so D - phi0 less that derivation has order <= max(op order,
-    order(B) + 1) over C: by restricted_values' lemma that degree decides it.
+    Both sides vanish when |alpha| = 1.  The left one vanishes at every alpha
+    for D = d^a with |a| = 1 (chain rule: d^a f^alpha = sum_i alpha_i
+    f^(alpha - e_i) d^a f_i) or with a through a coordinate that no generator
+    holds (d^a kills f^alpha and every f_i), so such x^e d^a are no columns.
+    [phi0, f] = B(f, .) + phi0(f) on C, so D - phi0 less that derivation has
+    order <= max(op order, order(B) + 1) over C: by restricted_values' lemma
+    that degree decides it.
 
     Column (e, (a,)) is x^e d^a, a-major, each in lex order up to its bound;
     it enters row (alpha, ambient monomial) as x^e (d^a f^alpha - sum_i
@@ -510,9 +517,11 @@ def _unary_ansatz_rows(
         for alpha, value in phi0.items()
         for mono in value
     }
+    used = {k for g in table.generators for m in g for k, x in enumerate(m) if x}
     # weight is linear: weight(e - a) = weight(e) + (-weight(a))
     by_alpha, unreached = _weight_blocks(
-        [(a, tuple(-w for w in weights[a])) for a in exponents_upto(system.dim, bounds.op_order)],
+        [(a, tuple(-w for w in weights[a])) for a in exponents_upto(system.dim, bounds.op_order)
+         if sum(a) != 1 and used.issuperset(k for k, x in enumerate(a) if x)],
         [(e, weights[e]) for e in exponents_upto(system.dim, bounds.degree)],
         live,
     )
@@ -522,17 +531,16 @@ def _unary_ansatz_rows(
     for alpha in exps:
         lower = [(x, u, table[z, sub_exponents(alpha, u)]) for x, u in zip(alpha, units) if x]
         for a, es in by_alpha:
-            if sum(a) != 1:
-                # w = d^a f^alpha - sum_i alpha_i f^(alpha - e_i) d^a f_i
-                chain: dict[Exponents, int] = {}
-                for x, u, f in lower:
-                    _add_into(chain, _product(f, table[a, u]), x)
-                w = dict(table[a, alpha])
-                _add_into(w, chain, -1)
-                if not w:  # no entry in any of alpha's rows
-                    continue
-                for e in es:
-                    eqs._add_shifted(alpha, w, e, (e, (a,)))
+            # w = d^a f^alpha - sum_i alpha_i f^(alpha - e_i) d^a f_i
+            chain: dict[Exponents, int] = {}
+            for x, u, f in lower:
+                _add_into(chain, _product(f, table[a, u]), x)
+            w = dict(table[a, alpha])
+            _add_into(w, chain, -1)
+            if not w:  # no entry in any of alpha's rows
+                continue
+            for e in es:
+                eqs._add_shifted(alpha, w, e, (e, (a,)))
         for mono, c in _divided(phi0[alpha], den).items():
             eqs._add_rhs((alpha, mono), c)
     return eqs
@@ -687,16 +695,18 @@ def eliminate_to_order(
             exact = exactness_solve(system, chi, bounds.degree)
             record.exactness = exact
             if not exact.solved:
-                if exact.certificate == "zero_image":
+                if exact.certificate != "zero_image":
                     return finish(
-                        OBSTRUCTED,
-                        "the horizontal differential has identically zero image "
-                        "(all generators are Casimirs), so the nonzero class is "
-                        "exact at no degree",
+                        UNDECIDED, f"exactness solve infeasible at degree bound {bounds.degree}"
                     )
-                return finish(
-                    UNDECIDED, f"exactness solve infeasible at degree bound {bounds.degree}"
+                detail = (
+                    "the horizontal differential has identically zero image "
+                    "(all generators are Casimirs), so the nonzero class is "
+                    "exact at no degree"
                 )
+                if n == 2:  # the order-2 class moves only by that image
+                    return finish(OBSTRUCTED, detail)
+                return finish(UNDECIDED, f"{detail}, but gauges below order {n} can move it")
             witness = exact.witness
         step = gauge_step(current, system, n, chi, witness, bounds)
         record.step = step

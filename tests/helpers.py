@@ -21,6 +21,7 @@ from starobs import (
     Polyvector,
     RelativeClass,
     d_hor,
+    extend_one_order,
     moyal_star,
     parse_polynomial,
     poisson_bracket,
@@ -137,6 +138,18 @@ def obstructed_scenario():
         4, [(0, 0, 0, 1), (0, 0, 1, 0)]
     )
     star = moyal_star(plane_pi4(), 2).plus_term(2, extra)
+    system = IntegrableSystem(plane_pi4(), [pzw("z"), pzw("w")])
+    return star, system
+
+
+def casimir_order_three_scenario():
+    """Order-3 product on Casimir generators z, w that a gauge trivializes: the
+    Moyal product of dx^dy plus the constant bivector dx^dz at order 2 (a
+    Poisson cocycle, so it extends), extended by one order."""
+    beta = PolyDiffOp.single(4, [(1, 0, 0, 0), (0, 0, 1, 0)]) - PolyDiffOp.single(
+        4, [(0, 0, 1, 0), (1, 0, 0, 0)]
+    )
+    star = extend_one_order(moyal_star(plane_pi4(), 2).plus_term(2, beta)).extended
     system = IntegrableSystem(plane_pi4(), [pzw("z"), pzw("w")])
     return star, system
 
@@ -460,6 +473,8 @@ def reference_pair_unary_rows(
     so only the columns of live weights (those of rows where the target's
     table is nonzero) are kept, in the order above, with d^a only for their
     alphas.  None when a live weight has no column: its block reads 0 = b, b != 0.
+    d(d^a) vanishes on C when d^a is a derivation or differentiates a coordinate
+    no generator holds, so those alphas are left out (reference_entering_alphas).
     """
     weight = system.weights.__getitem__
     mons = generator_monomials(system, degree)
@@ -476,7 +491,7 @@ def reference_pair_unary_rows(
     e_weights = [(e, weight(e)) for e in emons]
     by_alpha: dict[Exponents, list[Exponents]] = {}
     reached = set()
-    for a in alphas:
+    for a in reference_entering_alphas(system, alphas):
         wa = weight(a)
         for e, we in e_weights:
             w = sub_exponents(we, wa)
@@ -486,11 +501,9 @@ def reference_pair_unary_rows(
     if reached != live:
         return None
     eqs = _SparseSystem([(e, (a,)) for a, es in by_alpha.items() for e in es])
-    # d(d^a) = 0 for |a| = 1, a derivation: those columns meet no row
-    evaluated = [(a, es) for a, es in by_alpha.items() if sum(a) != 1]
     for (ue, u), (ve, v) in itertools.product(mons, repeat=2):
         uve = add_exponents(ue, ve)
-        for a, es in evaluated:
+        for a, es in by_alpha.items():
             du, dv, duv = table[a, ue], table[a, ve], table[a, uve]
             if du or dv or duv:
                 # d(x^e D) = x^e d(D) (order 0 is commutative): w_a = d(d^a)(u, v) serves every e
@@ -583,12 +596,22 @@ def reference_extend_one_order(s, coefficient_degree, operator_order):
 # -- the weight-block filters that obstruction._weight_blocks replaced ------------
 
 
-def reference_unary_columns(weights, live, dim, bounds):
+def reference_entering_alphas(system, alphas):
+    """The a of alphas whose x^e d^a can enter a unary row, read from the
+    generators' Polynomials: not |a| = 1 (the chain rule cancels d^a there), and
+    no coordinate differentiated that no generator holds (d^a kills C there)."""
+    used = {k for g in system.generators for m in g.terms for k, x in enumerate(m) if x}
+    return [a for a in alphas if sum(a) != 1 and all(k in used for k, x in enumerate(a) if x)]
+
+
+def reference_unary_columns(system, live, bounds, alphas=reference_entering_alphas):
     """_unary_ansatz_rows' columns (e, (a,)) as its own filter chose them: every
-    (e, a) pair weighed as weights[e] - weights[a], a-major, kept when that weight
-    is live; None when some live weight has no pair."""
+    (e, a) pair over alphas(system, multi-indices up to the op order) weighed as
+    weights[e] - weights[a], a-major, kept when that weight is live; None when
+    some live weight has no pair."""
+    weights, dim = system.weights, system.dim
     e_weights = [(e, weights[e]) for e in exponents_upto(dim, bounds.degree)]
-    a_weights = [(a, weights[a]) for a in exponents_upto(dim, bounds.op_order)]
+    a_weights = [(a, weights[a]) for a in alphas(system, exponents_upto(dim, bounds.op_order))]
     if not live <= {sub_exponents(we, wa) for _, wa in a_weights for _, we in e_weights}:
         return None
     by_alpha = [
@@ -1131,8 +1154,9 @@ def reference_unary_ansatz_rows(target, system, bounds):
         for alpha, value in phi0.items()
         for mono in value.terms
     }
+    alphas = reference_entering_alphas(system, exponents_upto(system.dim, bounds.op_order))
     by_alpha, unreached = _weight_blocks(
-        [(a, tuple(-w for w in weight(a))) for a in exponents_upto(system.dim, bounds.op_order)],
+        [(a, tuple(-w for w in weight(a))) for a in alphas],
         [(e, weight(e)) for e in exponents_upto(system.dim, bounds.degree)],
         live,
     )
@@ -1142,12 +1166,11 @@ def reference_unary_ansatz_rows(target, system, bounds):
     for alpha in exps:
         lower = [(x, u, table[z, sub_exponents(alpha, u)]) for x, u in zip(alpha, units) if x]
         for a, es in by_alpha:
-            if sum(a) != 1:
-                chain = (reference_mul(f * x, table[a, u]) for x, u, f in lower)
-                w = reference_add(table[a, alpha], -reference_total(chain, system.dim))
-                for e in es:
-                    for mono, c in w.terms.items():
-                        eqs._add((alpha, add_exponents(mono, e)), (e, (a,)), c)
+            chain = (reference_mul(f * x, table[a, u]) for x, u, f in lower)
+            w = reference_add(table[a, alpha], -reference_total(chain, system.dim))
+            for e in es:
+                for mono, c in w.terms.items():
+                    eqs._add((alpha, add_exponents(mono, e)), (e, (a,)), c)
         for mono, c in phi0[alpha].terms.items():
             eqs._add_rhs((alpha, mono), c)
     return eqs

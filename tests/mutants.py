@@ -216,10 +216,10 @@ MUTANTS = [
         (KERNELS + "test_compose_diffeo_matches_the_replaced_sum_loop",),
     ),
     Mutant(
-        "unary rows skip the d^0 columns",
+        "unary columns skip the d^0 multi-index",
         "obstruction.py",
-        "            if sum(a) != 1:\n",
-        "            if sum(a) > 1:\n",
+        "if sum(a) != 1 and used",
+        "if sum(a) > 1 and used",
         (
             FACTORED
             + "test_unary_rows_match_reference_in_order_with_derivation_and_constant_columns",
@@ -681,6 +681,31 @@ MUTANTS = [
         "for vec in self.basis)",
         "for vec in self.basis[:1])",
         (FACTORED + "test_weight_map_grades_by_the_scalings_that_keep_generators_homogeneous",),
+    ),
+    # the unary columns are those that enter a row; zero image decides order 2 only
+    Mutant(
+        "unary columns keep the derivations d^a, |a| = 1",
+        "obstruction.py",
+        "if sum(a) != 1 and used.issuperset",
+        "if used.issuperset",
+        (FACTORED + "test_random_planted_unary_columns_are_those_that_enter_a_row",),
+    ),
+    Mutant(
+        "unary columns keep a d^a through a coordinate no generator holds",
+        "obstruction.py",
+        " and used.issuperset(k for k, x in enumerate(a) if x)]",
+        "]",
+        (FACTORED + "test_unary_columns_are_those_that_enter_a_row",),
+    ),
+    Mutant(
+        "zero image claims OBSTRUCTED at every order",
+        "obstruction.py",
+        "                if n == 2:  # the order-2 class",
+        "                if n >= 2:  # the order-2 class",
+        (
+            "tests/test_gauge_invariance.py::"
+            "test_a_zero_image_class_at_order_three_that_a_gauge_removes_is_not_obstructed",
+        ),
     ),
 ]
 

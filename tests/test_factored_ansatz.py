@@ -7,7 +7,8 @@ one matrix over the derivative keys with one right-hand side per
 coefficient monomial.  Both solves keep only the weight blocks their
 target reaches.  These tests pin the factored, graded solvers to the
 per-column references in helpers.py, and the unary solve on generator
-monomials to the pair assembler it replaced.
+monomials to the pair assembler it replaced.  The unary columns are checked
+by brute force to be exactly those that enter a row.
 """
 
 import hashlib
@@ -24,7 +25,9 @@ from helpers import (
     _op_coordinates,
     canonical_pi2,
     canonical_pi4,
+    flat_scenario,
     generator_monomials,
+    obstructed_scenario,
     p3,
     p4,
     plane_pi3,
@@ -36,11 +39,13 @@ from helpers import (
     reference_hochschild_d,
     reference_key_differential,
     reference_pair_unary_correction,
+    reference_partial_multi,
     reference_pair_unary_rows,
     reference_solve_columns,
     reference_unary_columns,
     reference_unary_correction,
     reference_unary_rows,
+    removable_scenario,
     row_labels,
     scaled,
     trivial_star,
@@ -61,13 +66,13 @@ from starobs import (
 )
 from starobs import obstruction as obstruction_module
 from starobs import star as star_module
-from starobs.cli import load_problem_data, render_report, run_command
+from starobs.cli import load_problem, load_problem_data, render_report, run_command
 from starobs.obstruction import (
     _raw_class,
     _solve_unary_correction,
     _unary_ansatz_rows,
 )
-from starobs.poly import _accumulate, exponents_upto, zero_exponents
+from starobs.poly import _accumulate, exponents_upto, sub_exponents, zero_exponents
 from starobs.polydiff import _key_differential, _leibniz, _TermMap
 
 
@@ -155,8 +160,9 @@ def test_unary_rows_match_per_column_reference_on_planted_product():
 
 
 def test_unary_rows_match_reference_in_order_with_derivation_and_constant_columns():
-    # D_2 = y d_y^2 + 2z: the weight of y d_y^2 holds the derivation column d_y,
-    # and multiplication by z reaches the pairs (1, v) through the column z d^0
+    # D_2 = y d_y^2 + 2z: the weight of y d_y^2 holds the derivation d_y, which
+    # enters no row and is no column, and multiplication by z reaches the pairs
+    # (1, v) through the column z d^0
     system = plane_system("y", "z")
     gauge = PolyDiffOp.single(3, [(0, 2, 0)], p3("y"))
     gauge = gauge + PolyDiffOp.single(3, [(0, 0, 0)], p3("2*z"))
@@ -165,7 +171,8 @@ def test_unary_rows_match_reference_in_order_with_derivation_and_constant_column
     alphas, emons = exponents_upto(3, 2), exponents_upto(3, 1)
     target = star.term(2)
     columns, graded = graded_rows(target, system, 2, alphas, emons)
-    assert {(0, 0, 0), (0, 1, 0), (0, 2, 0)} <= {a for _, (a,) in columns}
+    alphas_kept = {a for _, (a,) in columns}
+    assert {(0, 0, 0), (0, 2, 0)} <= alphas_kept and (0, 1, 0) not in alphas_kept
     labels = graded[0]
     assert any(ue == (0, 0) for (ue, _), _ in labels)
     assert graded == reference_on_columns(target, mons, alphas, emons, columns)
@@ -611,7 +618,7 @@ def test_rotation_momenta_columns_match_the_replaced_weight_filter(monkeypatch, 
     system = rotation_system()
     target = moyal_star(system.pi, 2).term(2)
     live, columns = unary_selection(monkeypatch, target, system, bounds, assemble=False)
-    assert columns == reference_unary_columns(system.weights, live, 4, bounds)
+    assert columns == reference_unary_columns(system, live, bounds)
     assert len(columns) == count
 
 
@@ -622,7 +629,7 @@ def test_planted_columns_match_the_replaced_weight_filter(
     target = planted(system, order, n, alpha, exps, Fraction(-2, 3)).term(n)
     live, columns = unary_selection(monkeypatch, target, system, bounds)
     assert live
-    assert columns == reference_unary_columns(system.weights, live, system.dim, bounds)
+    assert columns == reference_unary_columns(system, live, bounds)
 
 
 def test_random_planted_columns_match_the_replaced_weight_filter(monkeypatch):
@@ -631,9 +638,91 @@ def test_random_planted_columns_match_the_replaced_weight_filter(monkeypatch):
     for case in range(60):
         system, star, n, bounds = random_planted(rng)
         live, columns = unary_selection(monkeypatch, star.term(n), system, bounds)
-        assert columns == reference_unary_columns(system.weights, live, 3, bounds), case
+        assert columns == reference_unary_columns(system, live, bounds), case
         outcomes.append(columns is None)
     assert 10 <= sum(outcomes) <= 50
+
+
+# -- the unary columns are exactly those that enter a row ---------------------------
+
+
+def every_alpha(system, alphas):
+    """The column filter's multi-indices without either rule."""
+    return alphas
+
+
+def unary_row_value(mons, a, alpha):
+    """d^a f^alpha - sum_i alpha_i f^(alpha - e_i) d^a f_i in Polynomials: the rows
+    of x^e d^a at f^alpha, shifted by e."""
+    value = reference_partial_multi(mons[alpha], a)
+    for i, x in enumerate(alpha):
+        if x:
+            unit = tuple(int(k == i) for k in range(len(alpha)))
+            chain = mons[sub_exponents(alpha, unit)] * reference_partial_multi(mons[unit], a)
+            value = value - chain * x
+    return value
+
+
+def dead_unary_columns(monkeypatch, target, system, bounds):
+    """The number of dead columns the unary solve leaves out, after asserting that
+    its columns are those of the filter without the two rules that enter a row,
+    found by brute force over every f^alpha, and that each enters one of its rows.
+    A live weight that only dead columns reach makes both None."""
+    live, columns = unary_selection(monkeypatch, target, system, bounds)
+    every = reference_unary_columns(system, live, bounds, alphas=every_alpha)
+    if every is None:
+        assert columns is None
+        return 0
+    mons = dict(generator_monomials(system, max(target.order(), bounds.op_order) + 1))
+    enters = {}
+    for _, (a,) in every:
+        if a not in enters:
+            enters[a] = any(unary_row_value(mons, a, alpha) for alpha in mons)
+    entering = [(e, (a,)) for e, (a,) in every if enters[a]]
+    weights = system.weights
+    if live <= {sub_exponents(weights[e], weights[a]) for e, (a,) in entering}:
+        assert columns == entering
+        eqs = _unary_ansatz_rows(target, system, bounds)
+        assert {ci for row in eqs.rows for ci in row} == set(range(len(eqs.columns)))
+    else:
+        assert columns is None
+    return len(every) - len(entering)
+
+
+def column_rule_cases():
+    out = []
+    for path in sorted(PROBLEMS.glob("*.json")):
+        problem = load_problem(str(path))
+        if problem.star is not None and problem.integrable is not None:
+            out.append(pytest.param(problem.star, problem.system(), problem.bounds, id=path.stem))
+    scenarios = [flat_scenario, removable_scenario, obstructed_scenario]
+    for name, scenario in zip(["flat", "removable", "obstructed"], scenarios):
+        star, system = scenario()
+        out.append(pytest.param(star, system, Bounds(2, 3), id=name))
+    return out
+
+
+@pytest.mark.parametrize("star, system, bounds", column_rule_cases())
+def test_unary_columns_are_those_that_enter_a_row(monkeypatch, star, system, bounds):
+    for n in range(1, star.order + 1):
+        for b in (bounds, Bounds(bounds.degree + 1, bounds.op_order + 1)):
+            dead_unary_columns(monkeypatch, star.term(n), system, b)
+
+
+def test_random_planted_unary_columns_are_those_that_enter_a_row(monkeypatch):
+    rng = random.Random(4601)
+    dead = [dead_unary_columns(monkeypatch, star.term(n), system, bounds)
+            for system, star, n, bounds in (random_planted(rng) for _ in range(40))]
+    # x enters no generator, so every d^a through x and every derivation is dead
+    assert sum(1 for d in dead if d) >= 10
+
+
+@pytest.mark.parametrize("bounds", [Bounds(2, 4), Bounds(2, 6)], ids=["2-4", "2-6"])
+def test_rotation_momenta_unary_columns_are_those_that_enter_a_row(monkeypatch, bounds):
+    system = rotation_system()
+    target = moyal_star(system.pi, 2).term(2)
+    # every coordinate is used and no derivation reaches the target's weight
+    assert dead_unary_columns(monkeypatch, target, system, bounds) == 0
 
 
 @pytest.mark.parametrize("star, degree, op_order", EXTENSIONS)
